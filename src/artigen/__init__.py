@@ -6,7 +6,6 @@ from .geometry import (  # noqa: F401
     Aabb,
     RigidTransform,
     TriMesh,
-    Vec3,
     apply_transform,
     convex_hull,
     make_box,

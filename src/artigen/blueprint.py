@@ -13,18 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegeneracyError,
-    InvalidParameterError,
-    RangeError,
-    StructuralError,
-)
+from .errors import DegeneracyError, InvalidParameterError, StructuralError
 from .evaluate import EvaluatedJoint, EvaluatedLink, evaluate
 from .geometry import RigidTransform, TriMesh, apply_transform, convex_hull, mesh_volume
-from .graph import SCALAR_MATH, NodeGraph, ParamRef
+from .graph import SCALAR_MATH, JointSpec, NodeGraph, ParamRef
+from .kinematics import KinematicTree
 from .params import ParamVector
 
 LINK_DENSITY = 500.0  # kg/m^3 applied to the collision hull volume
@@ -568,15 +565,14 @@ class InstanceJoint:
     def is_fixed(self) -> bool:
         return self.lo == self.hi
 
-    def motion(self, value: float) -> RigidTransform:
-        if self.joint_type == "revolute":
-            return RigidTransform.from_axis_angle(self.axis, value)
-        return RigidTransform.from_translation(np.asarray(self.axis) * value)
-
 
 @dataclass(frozen=True)
 class AssetInstance:
-    """One sampled realization: links with dynamics, a realized joint tree, seed."""
+    """One sampled realization: links with dynamics, a realized joint tree, seed.
+
+    `tree` indexes the links and joints; building it raises StructuralError
+    when the joints do not form one tree rooted at `root_link`.
+    """
 
     category: str
     seed: int
@@ -586,20 +582,31 @@ class AssetInstance:
     root_link: str
     blueprint: KinematicBlueprint | None = None
 
+    def __post_init__(self):
+        _ = self.tree  # build it now, so a malformed joint tree fails at construction
+
+    @cached_property
+    def tree(self) -> KinematicTree:
+        # A joint's construction-frame pivot is its child's frame origin; joints
+        # naming unknown links are rejected by the tree.
+        origin = {l.link_id: l.local_frame.translation for l in self.links}
+        joints = [
+            (j.joint_id, j.parent, j.child, JointSpec(
+                j.joint_type, origin.get(j.child, (0.0, 0.0, 0.0)), j.axis, j.lo, j.hi, j.default
+            ))
+            for j in self.joints
+        ]
+        return KinematicTree(self.root_link, [l.link_id for l in self.links], joints)
+
     def link(self, link_id: str) -> InstanceLink:
-        for l in self.links:
-            if l.link_id == link_id:
-                return l
-        raise KeyError(link_id)
+        return self.links[self.tree.link_index[link_id]]
 
     def joint(self, joint_id: str) -> InstanceJoint:
-        for j in self.joints:
-            if j.joint_id == joint_id:
-                return j
-        raise KeyError(joint_id)
+        return self.joints[self.tree.joint_index[joint_id]]
 
     def children_of(self, link_id: str) -> list[InstanceJoint]:
-        return [j for j in self.joints if j.parent == link_id]
+        """Joints whose parent is `link_id`, by joint id."""
+        return [self.joints[k] for k in self.tree.children[self.tree.link_index[link_id]]]
 
     def default_config(self) -> dict:
         return {j.joint_id: j.default for j in self.joints}
@@ -656,22 +663,10 @@ def instantiate(
         last = group[-1]
         joints.append(EvaluatedJoint(last.joint_id, prev, child, last.spec, last.order))
 
-    parent_edge: dict[str, EvaluatedJoint] = {}
-    for j in joints:
-        if j.child in parent_edge:
-            raise StructuralError(f"link {j.child!r} has two parents after normalization")
-        parent_edge[j.child] = j
-
-    origins: dict[str, np.ndarray] = {}
+    origins = {j.child: j.spec.pivot_array() for j in joints}
 
     def origin_of(link_id: str) -> np.ndarray:
-        if link_id in origins:
-            return origins[link_id]
-        edge = parent_edge.get(link_id)
-        origins[link_id] = (
-            np.zeros(3) if edge is None else edge.spec.pivot_array()
-        )
-        return origins[link_id]
+        return origins.get(link_id, np.zeros(3))
 
     instance_links = []
     for l in links:
@@ -716,7 +711,7 @@ def instantiate(
             )
         )
 
-    instance = AssetInstance(
+    return AssetInstance(
         category,
         params.seed,
         params,
@@ -725,46 +720,12 @@ def instantiate(
         body.root_link,
         blueprint,
     )
-    forward_kinematics(instance, {})  # raises StructuralError when not a tree
-    return instance
 
 
 def forward_kinematics(instance: AssetInstance, config: dict | None = None) -> dict:
     """World transform per link id; missing joints pose at their default value."""
-    config = config or {}
-    for joint_id, value in config.items():
-        j = instance.joint(joint_id)
-        if not (j.lo - 1e-12 <= value <= j.hi + 1e-12):
-            raise RangeError(
-                f"value {value} outside range [{j.lo}, {j.hi}] of joint {joint_id!r}"
-            )
-    world = {instance.root_link: RigidTransform.identity()}
-    pending = [l.link_id for l in instance.links if l.link_id != instance.root_link]
-    by_child = {}
-    for j in instance.joints:
-        if j.child in by_child:
-            raise StructuralError(f"link {j.child!r} has two parents")
-        by_child[j.child] = j
-    progress = True
-    while pending and progress:
-        progress = False
-        for link_id in list(pending):
-            j = by_child.get(link_id)
-            if j is None:
-                raise StructuralError(f"link {link_id!r} unreachable from root")
-            if j.parent not in world:
-                continue
-            value = config.get(j.joint_id, j.default)
-            world[link_id] = (
-                world[j.parent]
-                @ RigidTransform.from_translation(j.pivot_in_parent)
-                @ j.motion(value)
-            )
-            pending.remove(link_id)
-            progress = True
-    if pending:
-        raise StructuralError(f"links unreachable from root: {pending}")
-    return world
+    world = instance.tree.transforms(config)
+    return {link_id: t @ instance.link(link_id).local_frame for link_id, t in world.items()}
 
 
 def posed_meshes(instance: AssetInstance, config: dict | None = None) -> dict:

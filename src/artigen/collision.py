@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blueprint import AssetInstance, forward_kinematics
-from .errors import InvalidParameterError, PlanTooLargeError, RangeError
-from .geometry import Aabb, triangle_pairs_plane_filter, triangles_intersect
+from .errors import InvalidParameterError, PlanTooLargeError
+from .geometry import quat_to_matrix, triangle_pairs_plane_filter, triangles_intersect
 
 CONFIG_CAP = 100_000
 
@@ -188,58 +188,6 @@ def _candidate_pairs(instance: AssetInstance, plan: SweepPlan):
             yield a, b
 
 
-def _axis_rotations(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation matrices (n, 3, 3) about one fixed unit axis."""
-    k = np.array(
-        [
-            [0, -axis[2], axis[1]],
-            [axis[2], 0, -axis[0]],
-            [-axis[1], axis[0], 0],
-        ]
-    )
-    k2 = k @ k
-    s = np.sin(angles)[:, None, None]
-    c = (1.0 - np.cos(angles))[:, None, None]
-    return np.eye(3)[None, :, :] + s * k[None, :, :] + c * k2[None, :, :]
-
-
-def _batched_world(instance: AssetInstance, values: dict, n: int) -> dict:
-    """World pose arrays per link: (rotations (n,3,3), translations (n,3)).
-
-    `values` maps joint ids to (n,) value arrays; absent joints use defaults.
-    Matches forward_kinematics config by config.
-    """
-    world: dict[str, tuple] = {
-        instance.root_link: (np.broadcast_to(np.eye(3), (n, 3, 3)), np.zeros((n, 3)))
-    }
-    pending = {j.child: j for j in instance.joints}
-    while pending:
-        progress = False
-        for child, j in list(pending.items()):
-            if j.parent not in world:
-                continue
-            rp, tp = world[j.parent]
-            v = values.get(j.joint_id)
-            if v is None:
-                v = np.full(n, j.default)
-            axis = np.asarray(j.axis)
-            if j.joint_type == "revolute":
-                rm = _axis_rotations(axis, v)
-                tm = np.zeros((n, 3))
-            else:
-                rm = np.broadcast_to(np.eye(3), (n, 3, 3))
-                tm = v[:, None] * axis[None, :]
-            offset = np.asarray(j.pivot_in_parent)[None, :] + tm
-            rc = rp @ rm
-            tc = np.einsum("nij,nj->ni", rp, offset) + tp
-            world[child] = (rc, tc)
-            del pending[child]
-            progress = True
-        if not progress:
-            raise RangeError(f"links unreachable from root: {sorted(pending)}")
-    return world
-
-
 _CHUNK = 2048
 
 
@@ -274,10 +222,13 @@ def check_configs(instance: AssetInstance, configs, plan: SweepPlan) -> Collisio
             jid: np.array([cfg.get(jid, instance.joint(jid).default) for cfg in block])
             for jid in joint_ids
         }
-        world = _batched_world(instance, values, len(block))
-        lo_box, hi_box = {}, {}
+        quat, trans = instance.tree.pose(values, len(block))
+        world, lo_box, hi_box = {}, {}, {}
         for link_id in local:
-            r, t = world[link_id]
+            i = instance.tree.link_index[link_id]
+            r = quat_to_matrix(quat[i])
+            t = trans[i] + r @ instance.links[i].local_frame.translation
+            world[link_id] = (r, t)
             pts = np.einsum("nij,kj->nki", r, verts_rest[link_id]) + t[:, None, :]
             lo_box[link_id] = pts.min(axis=1)
             hi_box[link_id] = pts.max(axis=1)
@@ -321,10 +272,6 @@ def sweep_check(instance: AssetInstance, plan: SweepPlan | None = None) -> Colli
 def check_at(instance: AssetInstance, config: dict, plan: SweepPlan | None = None) -> CollisionReport:
     """Single-configuration specialization of the sweep."""
     plan = plan or SweepPlan()
-    for joint_id, value in config.items():
-        j = instance.joint(joint_id)
-        if not (j.lo - 1e-12 <= value <= j.hi + 1e-12):
-            raise RangeError(f"value {value} outside range of joint {joint_id!r}")
     full = dict(instance.default_config())
     full.update(config)
     return check_configs(instance, [full], plan)

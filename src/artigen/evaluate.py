@@ -46,6 +46,7 @@ from .graph import (
     NodeGraph,
     ParamRef,
 )
+from .kinematics import KinematicTree
 from .params import ParamVector
 
 
@@ -382,7 +383,6 @@ class _Context:
         points = node.params["points"]
         if isinstance(points, ParamRef):
             raise InvalidParameterError("duplication points must be baked literals")
-        shared_anchor = body.root_uid in parent.link_uids()
         links = list(parent.links)
         joints = list(parent.joints)
         if not body.joints:
@@ -413,7 +413,6 @@ class _Context:
                         child_uid=remap_root.get(e.child_uid, e.child_uid),
                     )
                 )
-        del shared_anchor  # anchor mesh is never replicated; parent already holds it
         return _Body(tuple(links), tuple(joints), parent.root_uid)
 
     def _eval_semantic_label(self, node) -> _Body:
@@ -476,57 +475,6 @@ class EvaluatedBody:
         return [j for j in self.joints if {j.parent, j.child} == {a, b}]
 
 
-def _joint_motion(spec: JointSpec, value: float) -> RigidTransform:
-    if spec.joint_type == "revolute":
-        return RigidTransform.from_axis_angle(spec.axis_array(), value, pivot=spec.pivot_array())
-    return RigidTransform.from_translation(value * spec.axis_array())
-
-
-def compute_world_transforms(
-    links, joints, root: str, values: dict | None = None
-) -> dict:
-    """Construction-frame pose for every link id given per-joint values.
-
-    Parallel joints between the same pair compose in node order (outer first).
-    """
-    values = values or {}
-    by_child: dict[str, list] = {}
-    for j in joints:
-        by_child.setdefault(j.child, []).append(j)
-    for lst in by_child.values():
-        lst.sort(key=lambda j: j.order)
-        parents = {j.parent for j in lst}
-        if len(parents) > 1:
-            raise StructuralError(f"link {lst[0].child!r} has multiple parent links")
-    transforms = {root: RigidTransform.identity()}
-    link_ids = [l.link_id for l in links]
-    pending = [l for l in link_ids if l != root]
-    progress = True
-    while pending and progress:
-        progress = False
-        for child in list(pending):
-            edges = by_child.get(child)
-            if not edges:
-                raise StructuralError(f"link {child!r} is not reachable from the root")
-            parent = edges[0].parent
-            if parent not in transforms:
-                continue
-            t = transforms[parent]
-            for j in edges:
-                v = values.get(j.joint_id, j.spec.default_value)
-                if not (j.spec.lo - 1e-12 <= v <= j.spec.hi + 1e-12):
-                    raise RangeError(
-                        f"value {v} outside range [{j.spec.lo}, {j.spec.hi}] of {j.joint_id}"
-                    )
-                t = t @ _joint_motion(j.spec, v)
-            transforms[child] = t
-            pending.remove(child)
-            progress = True
-    if pending:
-        raise StructuralError(f"links not reachable from root: {pending}")
-    return transforms
-
-
 def _assemble(body: _Body, joint_values: dict | None) -> EvaluatedBody:
     # Deterministic public names: creation order, label-based with ordinals.
     name_counts: dict[str, int] = {}
@@ -563,8 +511,10 @@ def _assemble(body: _Body, joint_values: dict | None) -> EvaluatedBody:
             )
         )
     root = link_names[body.root_uid]
-    transforms = compute_world_transforms(links, joints, root, joint_values)
-    return EvaluatedBody(tuple(links), tuple(joints), root, transforms)
+    tree = KinematicTree(
+        root, [l.link_id for l in links], [(j.joint_id, j.parent, j.child, j.spec) for j in joints]
+    )
+    return EvaluatedBody(tuple(links), tuple(joints), root, tree.transforms(joint_values))
 
 
 def evaluate(

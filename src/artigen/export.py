@@ -114,15 +114,13 @@ def _slug(link_id: str) -> str:
 
 def _ordered_links(instance: AssetInstance) -> list[InstanceLink]:
     """Depth-first order over the realized tree, children by joint id."""
-    order: list[InstanceLink] = []
+    return [instance.links[i] for i in instance.tree.order]
 
-    def visit(link_id: str):
-        order.append(instance.link(link_id))
-        for j in sorted(instance.children_of(link_id), key=lambda j: j.joint_id):
-            visit(j.child)
 
-    visit(instance.root_link)
-    return order
+def _ordered_joints(instance: AssetInstance) -> list[InstanceJoint]:
+    """Each link's child joints by joint id, links in depth-first order."""
+    tree = instance.tree
+    return [instance.joints[k] for i in tree.order for k in tree.children[i]]
 
 
 def _names(instance: AssetInstance):
@@ -130,12 +128,10 @@ def _names(instance: AssetInstance):
         l.link_id: f"{instance.category}/{l.label or 'link'}/{i}"
         for i, l in enumerate(_ordered_links(instance))
     }
-    joint_names = {}
-    ordered = []
-    for l in _ordered_links(instance):
-        ordered.extend(sorted(instance.children_of(l.link_id), key=lambda j: j.joint_id))
-    for i, j in enumerate(ordered):
-        joint_names[j.joint_id] = f"{instance.category}/{j.joint_label or 'joint'}/{i}"
+    joint_names = {
+        j.joint_id: f"{instance.category}/{j.joint_label or 'joint'}/{i}"
+        for i, j in enumerate(_ordered_joints(instance))
+    }
     return link_names, joint_names
 
 
@@ -211,10 +207,7 @@ def export_urdf(instance: AssetInstance, out_dir) -> ExportBundle:
             geo = ET.SubElement(collision, "geometry")
             ET.SubElement(geo, "mesh", {"filename": hull_rel})
 
-    ordered_joints: list[InstanceJoint] = []
-    for l in _ordered_links(instance):
-        ordered_joints.extend(sorted(instance.children_of(l.link_id), key=lambda j: j.joint_id))
-    for j in ordered_joints:
+    for j in _ordered_joints(instance):
         if j.joint_label:
             robot.append(ET.Comment(f" joint label: {j.joint_label} "))
         jtype = "fixed" if j.is_fixed else j.joint_type
@@ -348,9 +341,9 @@ def export_mjcf(instance: AssetInstance, out_dir) -> ExportBundle:
                 "diaginertia": _fmt_vec(link.inertia_diag),
             },
         )
-        incoming = [j for j in instance.joints if j.child == link_id]
-        if incoming and not incoming[0].is_fixed:
-            j = incoming[0]
+        incoming = instance.tree.incoming[instance.tree.link_index[link_id]]
+        if incoming and not instance.joints[incoming[0]].is_fixed:
+            j = instance.joints[incoming[0]]
             ET.SubElement(
                 body,
                 "joint",
@@ -385,7 +378,7 @@ def export_mjcf(instance: AssetInstance, out_dir) -> ExportBundle:
                     "mesh": _slug(link_id) + "_hull",
                 },
             )
-        for j in sorted(instance.children_of(link_id), key=lambda j: j.joint_id):
+        for j in instance.children_of(link_id):
             emit_body(j.child, body, j.pivot_in_parent)
 
     emit_body(instance.root_link, worldbody, (0.0, 0.0, 0.0))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from ..errors import InvalidParameterError
 from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, GraphBuilder, continuous_entries
@@ -128,13 +129,20 @@ def _switch_bodies(b: GraphBuilder, p: ParamVector, host, mount, outward, select
     return b.switch(selector, options)
 
 
+def _sides(p: ParamVector, name: str) -> int:
+    sides = int(round(p[name]))
+    if sides < 3:
+        raise InvalidParameterError(f"{name} rounds to {sides}; a prism needs at least 3 sides")
+    return sides
+
+
 def build(p: ParamVector) -> NodeGraph:
     b = GraphBuilder(space())
     arm = int(p["arm_segments"])
     r_bar = p["radius"]
     base_r = p["radius_of_base"]
     base_h = p["base_height"]
-    base_sides = int(round(p["number_of_sides_on_base"]))
+    base_sides = _sides(p, "number_of_sides_on_base")
     l1 = p["length_of_bar_1"]
     l2 = p["length_of_bar_2"]
     l3 = l2 * 0.85
@@ -152,7 +160,7 @@ def build(p: ParamVector) -> NodeGraph:
     # head: tapered shade, harp post, bulb
     shade_h = p["shade_height"]
     bulb_h = p["height"]
-    shade_sides = int(round(p["number_of_sides_on_shade"]))
+    shade_sides = _sides(p, "number_of_sides_on_shade")
     post = b.cylinder(p["rack_thickness"], p["rack_height"] + bulb_h,
                       at=(0, 0, head_z + (p["rack_height"] + bulb_h) / 2), segments=12,
                       material="metal")

@@ -30,42 +30,18 @@ def _check_finite(arr, what):
 
 
 def as_vec3(value) -> np.ndarray:
-    """Coerce a Vec3/tuple/list/array into a finite float64 array of shape (3,)."""
-    if isinstance(value, Vec3):
-        arr = np.array([value.x, value.y, value.z], dtype=np.float64)
-    else:
-        arr = np.asarray(value, dtype=np.float64)
+    """Coerce a tuple/list/array into a finite float64 array of shape (3,)."""
+    arr = np.asarray(value, dtype=np.float64)
     if arr.shape != (3,):
         raise InvalidParameterError(f"expected a 3-vector, got shape {arr.shape}")
     _check_finite(arr, "vector")
     return arr
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """A point or direction in 3-space."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for c in (self.x, self.y, self.z):
-            if not math.isfinite(c):
-                raise InvalidParameterError(f"Vec3 components must be finite, got {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-    @staticmethod
-    def from_array(arr) -> "Vec3":
-        arr = np.asarray(arr, dtype=np.float64)
-        return Vec3(float(arr[0]), float(arr[1]), float(arr[2]))
-
-
-def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of quaternions (4,), or row by row of quaternions (n, 4)."""
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -73,18 +49,20 @@ def _quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
         ]
-    )
+    ).T
 
 
-def _quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
+def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix (3, 3) of a unit quaternion (4,), or matrices (n, 3, 3) of (n, 4)."""
+    w, x, y, z = q.T
+    m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
             [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return m if m.ndim == 2 else m.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -133,7 +111,7 @@ class RigidTransform:
         return RigidTransform(q, pivot - rot.apply(pivot))
 
     def rotation_matrix(self) -> np.ndarray:
-        return _quat_to_matrix(self.rotation)
+        return quat_to_matrix(self.rotation)
 
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -144,7 +122,7 @@ class RigidTransform:
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self applied after other: (self @ other)(p) == self(other(p))."""
-        q = _quat_multiply(self.rotation, other.rotation)
+        q = quat_multiply(self.rotation, other.rotation)
         t = self.apply(other.translation)
         return RigidTransform(q, t)
 

@@ -1,0 +1,140 @@
+"""Forward kinematics over one indexed joint tree.
+
+A KinematicTree is built once from link ids, joints and the root link. Links
+and joints keep the positions they were given in; `order` lists the links
+depth first from the root, children by joint id, which is a topological
+order. Joint pivots and axes are in the construction frame, so a link's pose
+composes its incoming joints in that frame: a revolute joint rotates about its
+pivot, a prismatic joint translates along its axis. Several joints between one
+link pair (a screw) compose in the order they were given.
+
+`KinematicTree.pose` poses every link for a block of n configurations at once;
+`KinematicTree.transforms` is its single-configuration view.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import RangeError, StructuralError
+from .geometry import RigidTransform, quat_multiply, quat_to_matrix
+
+# Joint values may overshoot their range by this much (float noise in callers).
+RANGE_SLACK = 1e-12
+
+
+class KinematicTree:
+    """Links and joints indexed by position, with parent and child index lists.
+
+    `joints` holds (joint_id, parent_link_id, child_link_id, spec) in the order
+    joints between one link pair compose; `spec` is a graph.JointSpec whose
+    pivot and axis are in the construction frame. Raises StructuralError when
+    a link has two parent links, when the root has a parent, or when a link
+    cannot be reached from the root.
+    """
+
+    def __init__(self, root: str, link_ids, joints):
+        joints = tuple(joints)
+        self.link_ids = tuple(link_ids)
+        self.joint_ids = tuple(j[0] for j in joints)
+        self.link_index = {link_id: i for i, link_id in enumerate(self.link_ids)}
+        self.joint_index = {joint_id: k for k, joint_id in enumerate(self.joint_ids)}
+        if len(self.link_index) < len(self.link_ids) or len(self.joint_index) < len(joints):
+            raise StructuralError("link and joint ids must be unique")
+        if root not in self.link_index:
+            raise StructuralError(f"root link {root!r} is not among the links")
+        n_links = len(self.link_ids)
+        self.parent = [-1] * n_links  # parent link index, -1 at the root
+        self.incoming: list[list[int]] = [[] for _ in range(n_links)]  # composition order
+        self.children: list[list[int]] = [[] for _ in range(n_links)]  # by joint id
+        child_of = []
+        for k, (joint_id, parent, child, _spec) in enumerate(joints):
+            if parent not in self.link_index or child not in self.link_index:
+                raise StructuralError(f"joint {joint_id!r} connects links that do not exist")
+            p, c = self.link_index[parent], self.link_index[child]
+            if self.incoming[c] and self.parent[c] != p:
+                raise StructuralError(f"link {child!r} has multiple parent links")
+            self.parent[c] = p
+            self.incoming[c].append(k)
+            self.children[p].append(k)
+            child_of.append(c)
+        if self.incoming[self.link_index[root]]:
+            raise StructuralError(f"root link {root!r} has a parent joint")
+        for ks in self.children:
+            ks.sort(key=lambda k: self.joint_ids[k])
+
+        order: list[int] = []
+        seen: set[int] = set()
+        stack = [self.link_index[root]]
+        while stack:
+            i = stack.pop()
+            if i in seen:  # second joint of a pair already led here
+                continue
+            seen.add(i)
+            order.append(i)
+            stack.extend(child_of[k] for k in reversed(self.children[i]))
+        if len(order) < n_links:
+            lost = [self.link_ids[i] for i in range(n_links) if i not in seen]
+            raise StructuralError(f"links not reachable from root: {lost}")
+        self.order = order
+
+        specs = [j[3] for j in joints]
+        self.lo = np.array([s.lo for s in specs], dtype=np.float64)
+        self.hi = np.array([s.hi for s in specs], dtype=np.float64)
+        self.default = np.array([s.default_value for s in specs], dtype=np.float64)
+        self._revolute = np.array([s.joint_type == "revolute" for s in specs], dtype=bool)
+        axis = np.array([s.axis for s in specs], dtype=np.float64).reshape(-1, 3)
+        pivot = np.array([s.pivot for s in specs], dtype=np.float64).reshape(-1, 3)
+        self._axis = axis
+        # A rotation by v about (axis, pivot) translates by
+        # (1 - cos v) * pivot_perp - sin v * (axis x pivot) (Rodrigues).
+        self._pivot_perp = pivot - axis * np.sum(axis * pivot, axis=1, keepdims=True)
+        self._axis_cross_pivot = np.cross(axis, pivot).reshape(-1, 3)
+
+    def pose(self, values, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Construction-frame pose of every link at n joint configurations.
+
+        `values` maps joint ids to (n,) value arrays; absent joints sit at their
+        default. A value outside its joint's range raises RangeError; an unknown
+        joint id raises KeyError. Returns unit quaternions, w first, of shape
+        (links, n, 4) and translations (links, n, 3), indexed like `link_ids`.
+        """
+        v = np.repeat(self.default[:, None], n, axis=1)
+        for joint_id, joint_values in values.items():
+            v[self.joint_index[joint_id]] = joint_values
+        inside = (v >= self.lo[:, None] - RANGE_SLACK) & (v <= self.hi[:, None] + RANGE_SLACK)
+        if not inside.all():
+            k, c = np.argwhere(~inside)[0]
+            raise RangeError(
+                f"value {v[k, c]} outside range [{self.lo[k]}, {self.hi[k]}] "
+                f"of joint {self.joint_ids[k]!r}"
+            )
+
+        revolute = self._revolute[:, None]
+        motion_q = np.zeros(v.shape + (4,))
+        motion_q[..., 0] = np.where(revolute, np.cos(0.5 * v), 1.0)
+        motion_q[..., 1:] = np.where(revolute, np.sin(0.5 * v), 0.0)[..., None] * self._axis[:, None]
+        motion_t = np.where(
+            revolute[..., None],
+            (1.0 - np.cos(v))[..., None] * self._pivot_perp[:, None]
+            - np.sin(v)[..., None] * self._axis_cross_pivot[:, None],
+            v[..., None] * self._axis[:, None],
+        )
+
+        quat = np.empty((len(self.link_ids), n, 4))
+        trans = np.empty((len(self.link_ids), n, 3))
+        root = self.order[0]
+        quat[root] = (1.0, 0.0, 0.0, 0.0)
+        trans[root] = 0.0
+        for i in self.order[1:]:
+            q, t = quat[self.parent[i]], trans[self.parent[i]]
+            for k in self.incoming[i]:
+                t = t + np.einsum("nij,nj->ni", quat_to_matrix(q), motion_t[k])
+                q = quat_multiply(q, motion_q[k])
+            quat[i], trans[i] = q, t
+        return quat, trans
+
+    def transforms(self, config: dict | None = None) -> dict:
+        """Link id -> construction-frame RigidTransform at one configuration, depth first."""
+        quat, trans = self.pose({k: [v] for k, v in (config or {}).items()})
+        return {self.link_ids[i]: RigidTransform(quat[i, 0], trans[i, 0]) for i in self.order}

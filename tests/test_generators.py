@@ -10,6 +10,7 @@ from artigen.generators import (
     count_variations,
     get_generator,
 )
+from artigen.errors import InvalidParameterError
 from artigen.params import Continuous, sample_parameters
 
 # the paper-style inventory: category -> (continuous dims, discrete combinations)
@@ -368,6 +369,18 @@ class TestLamp:
         j = next(j for j in inst.joints if j.child == switch.link_id)
         assert inst.link(j.parent).label == "head"
         assert j.joint_type == "prismatic"
+
+    @pytest.mark.parametrize(
+        "name, override",
+        [
+            ("number_of_sides_on_shade", {"fixed": 0.0}),
+            ("number_of_sides_on_base", {"lo": 0.0, "hi": 0.4}),
+            ("number_of_sides_on_shade", {"lo": 1.0, "hi": 2.4}),
+        ],
+    )
+    def test_too_few_sides_names_the_parameter(self, name, override):
+        with pytest.raises(InvalidParameterError, match=name):
+            build_instance("lamp", 0, overrides={name: override}, salt="")
 
 
 class TestBlueprintInvariance:
