@@ -16,13 +16,12 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .blueprint import extract_blueprint
 from .collision import SweepPlan, sweep_check
 from .errors import ArtigenError, DocumentParseError, PlanTooLargeError
 from .export import export_mjcf, export_urdf, write_manifest
 from .generators import CATEGORY_NAMES, build_instance, count_variations, get_generator
 from .graph import NodeGraph
-from .params import SALT_ENV_VAR, Continuous, Count, Discrete, load_overrides, sample_parameters
+from .params import SALT_ENV_VAR, Continuous, Count, Discrete, load_overrides
 
 
 def _parse_seeds(args) -> list[int]:
@@ -81,20 +80,21 @@ def cmd_generate(args) -> int:
                 try:
                     results[seed] = future.result()
                 except Exception as exc:  # per-seed isolation
-                    failures[seed] = str(exc)
+                    failures[seed] = exc
     else:
         for seed in seeds:
             try:
                 results[seed] = _generate_one(args.category, seed, args.out, formats, overrides)
             except Exception as exc:
-                failures[seed] = str(exc)
+                failures[seed] = exc
 
     for seed in sorted(results):
         r = results[seed]
         print(f"{args.category} seed {seed}: {r['links']} links {r['joints']} joints -> "
               + ", ".join(r["paths"]))
     for seed in sorted(failures):
-        print(f"{args.category} seed {seed}: FAILED: {failures[seed]}", file=sys.stderr)
+        exc = failures[seed]
+        print(f"{args.category} seed {seed}: FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
     elapsed = time.perf_counter() - started
     rate = len(seeds) / elapsed if elapsed > 0 else float("inf")
     print(f"generated {len(results)}/{len(seeds)} assets in {elapsed:.1f}s ({rate:.1f}/s)")
@@ -183,9 +183,7 @@ def cmd_blueprint(args) -> int:
     if args.category not in CATEGORY_NAMES:
         print(f"unknown category {args.category!r}", file=sys.stderr)
         return 2
-    gen = get_generator(args.category)
-    params = sample_parameters(gen.space, 0, salt="")
-    bp = extract_blueprint(gen.build(params))
+    bp = get_generator(args.category).blueprint
     for line in bp.tree_lines():
         print(line)
     print(f"signature: {bp.signature()}")

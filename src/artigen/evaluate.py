@@ -99,6 +99,7 @@ class _Context:
         self.params = params
         self.cache: dict[str, object] = {}
         self._uid = 0
+        self._node_index = {nid: i for i, nid in enumerate(graph.nodes)}
 
     def fresh_uid(self) -> int:
         self._uid += 1
@@ -305,9 +306,6 @@ class _Context:
             )
         return self._body_input(node, f"option_{select}")
 
-    def _node_order(self, node) -> int:
-        return list(self.graph.nodes).index(node.node_id)
-
     def _eval_joint(self, node, joint_type: str) -> _Body:
         parent = self._body_input(node, "parent")
         child = self._body_input(node, "child")
@@ -358,7 +356,7 @@ class _Context:
             spec.joint_label,
             spec.parent_label,
             spec.child_label,
-            (self._node_order(node),),
+            (self._node_index[node.node_id],),
             node.node_id,
         )
         if composite:

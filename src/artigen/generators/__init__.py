@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..blueprint import AssetInstance, extract_blueprint, instantiate
+from ..blueprint import AssetInstance, instantiate
 from ..errors import InvalidParameterError
 from ..params import ParamVector, merge_overrides, sample_parameters
 from . import dishwasher, door, fridge, lamp, toaster
@@ -45,8 +45,7 @@ def build_instance(
     graph = gen.build(params)
     if overrides:
         graph.parameters = merge_overrides(graph.parameters, overrides)
-    blueprint = extract_blueprint(graph)
-    return instantiate(blueprint, graph, params, category=category)
+    return instantiate(gen.blueprint, graph, params, category=category)
 
 
 __all__ = [

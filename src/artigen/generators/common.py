@@ -6,9 +6,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
+from ..blueprint import KinematicBlueprint, extract_blueprint
 from ..errors import InvalidParameterError
 from ..graph import (
     DUPLICATE,
@@ -22,7 +23,7 @@ from ..graph import (
     NodeGraph,
     ParamRef,
 )
-from ..params import Continuous, Count, Discrete, ParameterSpace, ParamVector
+from ..params import Continuous, Count, Discrete, ParameterSpace, ParamVector, sample_parameters
 
 
 @lru_cache(maxsize=1)
@@ -72,6 +73,11 @@ class CategoryGenerator:
 
     def build(self, params: ParamVector) -> NodeGraph:
         return self.builder(params)
+
+    @cached_property
+    def blueprint(self) -> KinematicBlueprint:
+        """The category blueprint, from the seed-0 graph; every seed shares it."""
+        return extract_blueprint(self.build(sample_parameters(self.space, 0, salt="")))
 
 
 def count_variations(generator: CategoryGenerator) -> VariationCount:

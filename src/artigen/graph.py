@@ -486,22 +486,22 @@ class NodeGraph:
                         )
 
         try:
-            self.topo_order()
+            order = self.topo_order()
         except GraphCycleError:
             diags.append(Diagnostic("graph-cycle", "graph contains a cycle"))
             return diags
 
-        diags.extend(self._link_set_diagnostics())
+        diags.extend(self._link_set_diagnostics(order))
         return diags
 
-    def _abstract_bodies(self):
+    def _abstract_bodies(self, topo_order: list[str]):
         """Per-node abstract body: list of (root_token, frozenset of link tokens).
 
         Multiple entries model switch variants. Mirrors evaluation identity:
         transforms copy links, merges fuse roots into a fresh link.
         """
         values: dict[str, list[tuple]] = {}
-        for nid in self.topo_order():
+        for nid in topo_order:
             node = self.nodes[nid]
             kind = node.kind
 
@@ -558,12 +558,9 @@ class NodeGraph:
                 values[nid] = []
         return values
 
-    def _link_set_diagnostics(self) -> list[Diagnostic]:
+    def _link_set_diagnostics(self, topo_order: list[str]) -> list[Diagnostic]:
         diags = []
-        try:
-            values = self._abstract_bodies()
-        except GraphCycleError:
-            return diags
+        values = self._abstract_bodies(topo_order)
         for nid, node in self.nodes.items():
             if node.kind not in JOINT_KINDS:
                 continue

@@ -78,12 +78,14 @@ class TestGenerate:
     def test_per_seed_failures_do_not_abort_batch(self, tmp_path, capsys):
         overrides = tmp_path / "bad.json"
         overrides.write_text(json.dumps({"no_such_parameter": {"fixed": 1}}))
-        code, _, err = run(
-            ["generate", "--category", "door", "--seeds", "0..2", "--out", str(tmp_path),
-             "--overrides", str(overrides)], capsys,
-        )
-        assert code == 1
-        assert err.count("FAILED") == 3
+        for jobs in ("1", "2"):
+            code, _, err = run(
+                ["generate", "--category", "door", "--seeds", "0..2", "--out", str(tmp_path),
+                 "--overrides", str(overrides), "--jobs", jobs], capsys,
+            )
+            assert code == 1
+            assert err.count("FAILED") == 3
+            assert "door seed 0: FAILED: MissingParameterError: " in err
 
     def test_override_file(self, tmp_path, capsys):
         overrides = tmp_path / "ov.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import artigen.blueprint
 from artigen.blueprint import extract_blueprint, forward_kinematics, instantiate
 from artigen.generators import (
     CATEGORY_NAMES,
@@ -11,7 +12,8 @@ from artigen.generators import (
     get_generator,
 )
 from artigen.errors import InvalidParameterError
-from artigen.params import Continuous, sample_parameters
+from artigen.graph import NodeGraph
+from artigen.params import Continuous, Discrete, merge_overrides, sample_parameters
 
 # the paper-style inventory: category -> (continuous dims, discrete combinations)
 EXPECTED = {
@@ -400,6 +402,48 @@ class TestBlueprintInvariance:
             pv = sample_parameters(gen.space, 0, salt="")
             sigs.add(extract_blueprint(gen.build(pv)).signature())
         assert len(sigs) == len(CATEGORY_NAMES)
+
+    def test_build_validates_once_and_never_extracts(self, monkeypatch):
+        for category in CATEGORY_NAMES:  # warm-up: the category blueprints exist
+            build_instance(category, 0, salt="")
+        calls = {"validate": 0, "extract": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(NodeGraph, "validate", counted("validate", NodeGraph.validate))
+        monkeypatch.setattr(
+            artigen.blueprint._Extractor, "__init__",
+            counted("extract", artigen.blueprint._Extractor.__init__),
+        )
+        for category in CATEGORY_NAMES:
+            for seed in (1, 2):
+                build_instance(category, seed, salt="")
+        assert calls == {"validate": 2 * len(CATEGORY_NAMES), "extract": 0}
+
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    def test_category_blueprint_matches_each_seed(self, category):
+        space = get_generator(category).space
+        cont = next(n for n, e in space.entries.items() if isinstance(e, Continuous))
+        disc, entry = next(
+            (n, e) for n, e in space.entries.items() if not isinstance(e, Continuous)
+        )
+        if isinstance(entry, Discrete):
+            choices = range(len(entry.labels))
+        else:
+            choices = range(entry.min, entry.max + 1)
+        for seed in range(10):
+            end = space.entries[cont].lo if seed % 2 else space.entries[cont].hi
+            pinned = {cont: {"fixed": end}, disc: {"fixed": choices[seed % len(choices)]}}
+            for overrides in (None, pinned):
+                pv = sample_parameters(space, seed, overrides=overrides, salt="")
+                graph = get_generator(category).build(pv)
+                graph.parameters = merge_overrides(graph.parameters, overrides)
+                instance = build_instance(category, seed, overrides=overrides, salt="")
+                assert instance.blueprint.signature() == extract_blueprint(graph).signature()
 
 
 class TestPipelineSmoke:
