@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, InvalidParameterError, StructuralError
-from .evaluate import EvaluatedJoint, EvaluatedLink, evaluate
+from .evaluate import EvaluatedJoint, EvaluatedLink, evaluate_links
 from .geometry import RigidTransform, TriMesh, apply_transform, convex_hull, mesh_volume
 from .graph import SCALAR_MATH, JointSpec, NodeGraph, ParamRef
 from .kinematics import KinematicTree
@@ -48,7 +48,6 @@ class JointTemplate:
     parent_label: str | None
     child_label: str | None
     slots: tuple  # (slot name, expression) pairs for parameter-driven values
-    display_range: tuple | None  # literal range for printing; excluded from signatures
     source: str
 
 
@@ -118,13 +117,6 @@ class KinematicBlueprint:
     def tree_lines(self) -> list[str]:
         lines: list[str] = []
 
-        def joint_text(jt: JointTemplate) -> str:
-            rng = ""
-            if jt.display_range is not None:
-                lo, hi = jt.display_range
-                rng = f" {lo:g}..{hi:g}"
-            return f"[{jt.joint_type}{rng}]"
-
         def walk(node: dict, depth: int, prefix: str):
             pad = "  " * depth
             kind = node["kind"]
@@ -133,7 +125,7 @@ class KinematicBlueprint:
                 for att in node["children"]:
                     walk(att, depth + 1, "")
             elif kind == "joint":
-                joints = " + ".join(joint_text(_jt_from_dict(j)) for j in node["joints"])
+                joints = " + ".join(f"[{j['type']}]" for j in node["joints"])
                 walk(node["child"], depth, f"{joints} ")
             elif kind == "repeat":
                 count = node["count_param"] or "points"
@@ -153,14 +145,6 @@ class KinematicBlueprint:
 
         walk(self.tree, 0, "")
         return lines
-
-
-def _jt_from_dict(d: dict) -> JointTemplate:
-    return JointTemplate(
-        d["type"], d.get("joint_label"), d.get("parent_label"), d.get("child_label"),
-        tuple(tuple(s) for s in d.get("slots", ())), tuple(d["range"]) if d.get("range") else None,
-        d.get("source", ""),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +266,12 @@ class _Extractor:
             rep = self.expr(node, slot)
             if rep not in ("#", "default"):
                 slots.append((slot, rep))
-        display = None
-        lo, hi = node.params.get("range_lo"), node.params.get("range_hi")
-        if isinstance(lo, float) and isinstance(hi, float):
-            display = (lo, hi)
         return JointTemplate(
             joint_type,
             node.params.get("joint_label"),
             node.params.get("parent_label"),
             node.params.get("child_label"),
             tuple(slots),
-            display,
             node.node_id,
         )
 
@@ -455,7 +434,8 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
             "parent_label": jt.parent_label,
             "child_label": jt.child_label,
             "slots": [list(s) for s in jt.slots],
-            "range": list(jt.display_range) if jt.display_range else None,
+            # Signatures ignore numeric literals; the key stays so that they keep their bytes.
+            "range": None,
             "source": jt.source,
         }
 
@@ -506,23 +486,12 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
     tree = walk_subtree(value, None)
 
     return KinematicBlueprint(
-        tree=_strip_numbers(tree),
+        tree=tree,
         link_templates=tuple(links),
         joint_templates=tuple(joints),
         repeat_groups=tuple(repeats),
         root_template="t0",
     )
-
-
-def _strip_numbers(node):
-    """Drop joint range literals from the tree so signatures ignore numerics."""
-    if isinstance(node, dict):
-        return {
-            k: (_strip_numbers(v) if k != "range" else None) for k, v in node.items()
-        }
-    if isinstance(node, list):
-        return [_strip_numbers(v) for v in node]
-    return node
 
 
 def blueprint_signature(blueprint: KinematicBlueprint) -> str:
@@ -640,13 +609,13 @@ def instantiate(
     """Realize one asset: evaluate meshes, normalize composite joints, add dynamics."""
     if graph.parameters.entries:
         graph.parameters.validate_vector(params)
-    body = evaluate(graph, params)
+    evaluated_links, evaluated_joints, root = evaluate_links(graph, params)
 
     # Normalize parallel joints between one pair into a serial chain.
-    links: list[EvaluatedLink] = list(body.links)
+    links: list[EvaluatedLink] = list(evaluated_links)
     joints: list[EvaluatedJoint] = []
     grouped: dict = {}
-    for j in sorted(body.joints, key=lambda j: j.order):
+    for j in evaluated_joints:
         grouped.setdefault((j.parent, j.child), []).append(j)
     for (parent, child), group in grouped.items():
         if len(group) == 1:
@@ -717,7 +686,7 @@ def instantiate(
         params,
         tuple(instance_links),
         tuple(instance_joints),
-        body.root_link,
+        root,
         blueprint,
     )
 

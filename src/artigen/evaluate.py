@@ -31,21 +31,7 @@ from .geometry import (
     make_sphere,
     merge_meshes,
 )
-from .graph import (
-    DUPLICATE,
-    JOINT_KINDS,
-    JOINT_PRISMATIC,
-    MERGE,
-    PRIMITIVE,
-    SCALAR_MATH,
-    SEMANTIC_LABEL,
-    STORE_ATTRIBUTE,
-    SWITCH,
-    TRANSFORM,
-    JointSpec,
-    NodeGraph,
-    ParamRef,
-)
+from .graph import JointSpec, NodeGraph, ParamRef
 from .kinematics import KinematicTree
 from .params import ParamVector
 
@@ -64,33 +50,21 @@ class _Edge:
     uid: int
     parent_uid: int
     child_uid: int
-    joint_type: str
-    pivot: tuple[float, float, float]
-    axis: tuple[float, float, float]
-    lo: float
-    hi: float
-    default: float
-    joint_label: str | None
-    parent_label: str | None
-    child_label: str | None
+    spec: JointSpec
     order: tuple
-    source: str
 
 
 @dataclass(frozen=True)
 class _Body:
-    links: tuple[_Link, ...]
+    links: tuple[_Link, ...]  # the root link first
     joints: tuple[_Edge, ...]
-    root_uid: int
+
+    @property
+    def root(self) -> _Link:
+        return self.links[0]
 
     def link_uids(self):
         return {l.uid for l in self.links}
-
-    def link(self, uid):
-        for l in self.links:
-            if l.uid == uid:
-                return l
-        raise KeyError(uid)
 
 
 class _Context:
@@ -181,8 +155,7 @@ class _Context:
                 top_radius=top_val,
                 material_tag=material,
             )
-        link = _Link(self.fresh_uid(), node.node_id, None, mesh, material)
-        return _Body((link,), (), link.uid)
+        return _Body((_Link(self.fresh_uid(), node.node_id, None, mesh, material),), ())
 
     def _eval_scalar_math(self, node) -> float:
         op = node.params["op"]
@@ -213,55 +186,54 @@ class _Context:
             else RigidTransform.identity()
         )
         t = RigidTransform.from_translation(translate) @ rot
-        return self._transform_body(body, t, node.node_id)
+        return self._transform_body(body, t)
 
-    def _transform_body(self, body: _Body, t: RigidTransform, stamp: str) -> _Body:
+    def _transform_body(self, body: _Body, t: RigidTransform) -> _Body:
         remap = {}
         links = []
         for l in body.links:
             uid = self.fresh_uid()
             remap[l.uid] = uid
-            links.append(replace(l, uid=uid, template=l.template, mesh=apply_transform(l.mesh, t)))
+            links.append(replace(l, uid=uid, mesh=apply_transform(l.mesh, t)))
         rot = t.rotation_matrix()
-        joints = []
-        for e in body.joints:
-            pivot = t.apply(np.asarray(e.pivot))
-            axis = rot @ np.asarray(e.axis)
-            joints.append(
-                replace(
-                    e,
-                    uid=self.fresh_uid(),
-                    parent_uid=remap[e.parent_uid],
-                    child_uid=remap[e.child_uid],
-                    pivot=tuple(float(c) for c in pivot),
-                    axis=tuple(float(c) for c in axis),
-                )
+        joints = tuple(
+            replace(
+                e,
+                uid=self.fresh_uid(),
+                parent_uid=remap[e.parent_uid],
+                child_uid=remap[e.child_uid],
+                spec=replace(
+                    e.spec,
+                    pivot=tuple(t.apply(e.spec.pivot_array())),
+                    axis=tuple(rot @ np.asarray(e.spec.axis)),
+                ),
             )
-        return _Body(tuple(links), tuple(joints), remap[body.root_uid])
+            for e in body.joints
+        )
+        return _Body(tuple(links), joints)
 
-    def _copy_body(self, body: _Body, offset, suffix: str | None) -> _Body:
-        t = RigidTransform.from_translation(offset)
-        copied = self._transform_body(body, t, "copy")
-        if suffix is None:
+    def _copy_body(self, body: _Body, offset, k: int | None) -> _Body:
+        """A translated copy with fresh uids; copy `k` of a duplication also gets
+        `@k` templates, `_k` link and joint labels and `k` appended to joint orders."""
+        copied = self._transform_body(body, RigidTransform.from_translation(offset))
+        if k is None:
             return copied
         links = tuple(
-            replace(
-                l,
-                template=f"{l.template}@{suffix}",
-                label=f"{l.label}_{suffix}" if l.label else None,
-            )
+            replace(l, template=f"{l.template}@{k}", label=f"{l.label}_{k}" if l.label else None)
             for l in copied.links
         )
         joints = tuple(
             replace(
                 e,
-                source=f"{e.source}@{suffix}",
-                joint_label=f"{e.joint_label}_{suffix}" if e.joint_label else None,
-                order=e.order + (int(suffix),),
+                spec=replace(
+                    e.spec,
+                    joint_label=f"{e.spec.joint_label}_{k}" if e.spec.joint_label else None,
+                ),
+                order=e.order + (k,),
             )
             for e in copied.joints
         )
-        return _Body(links, joints, copied.root_uid)
+        return _Body(links, joints)
 
     def _eval_merge(self, node) -> _Body:
         inputs = []
@@ -278,20 +250,18 @@ class _Context:
                 body = self._copy_body(body, (0.0, 0.0, 0.0), None)
             seen |= body.link_uids()
             bodies.append(body)
-        root_meshes = [b.link(b.root_uid).mesh for b in bodies]
-        root_labels = [b.link(b.root_uid).label for b in bodies]
-        mesh = merge_meshes(root_meshes)
-        label = next((l for l in root_labels if l), None)
+        mesh = merge_meshes([b.root.mesh for b in bodies])
+        label = next((b.root.label for b in bodies if b.root.label), None)
         root = _Link(self.fresh_uid(), node.node_id, label, mesh, mesh.material_tag)
         links = [root]
         joints = []
         for b in bodies:
-            links.extend(l for l in b.links if l.uid != b.root_uid)
+            links.extend(b.links[1:])
             for e in b.joints:
-                if e.parent_uid == b.root_uid:
+                if e.parent_uid == b.root.uid:
                     e = replace(e, parent_uid=root.uid)
                 joints.append(e)
-        return _Body(tuple(links), tuple(joints), root.uid)
+        return _Body(tuple(links), tuple(joints))
 
     def _eval_switch(self, node) -> _Body:
         n_opts = 0
@@ -341,33 +311,22 @@ class _Context:
             links = tuple(
                 replace(l, label=l.label or label) if l.uid == uid else l for l in body.links
             )
-            return _Body(links, body.joints, body.root_uid)
+            return _Body(links, body.joints)
 
         edge = _Edge(
             self.fresh_uid(),
-            parent.root_uid,
-            child.root_uid,
-            joint_type,
-            spec.pivot,
-            spec.axis,
-            spec.lo,
-            spec.hi,
-            spec.default_value,
-            spec.joint_label,
-            spec.parent_label,
-            spec.child_label,
+            parent.root.uid,
+            child.root.uid,
+            spec,
             (self._node_index[node.node_id],),
-            node.node_id,
         )
         if composite:
-            body = _Body(parent.links, parent.joints + (edge,), parent.root_uid)
-            body = relabel(body, parent.root_uid, spec.parent_label)
-            return relabel(body, child.root_uid, spec.child_label)
-        parent = relabel(parent, parent.root_uid, spec.parent_label)
-        child = relabel(child, child.root_uid, spec.child_label)
-        return _Body(
-            parent.links + child.links, parent.joints + child.joints + (edge,), parent.root_uid
-        )
+            body = _Body(parent.links, parent.joints + (edge,))
+            body = relabel(body, parent.root.uid, spec.parent_label)
+            return relabel(body, child.root.uid, spec.child_label)
+        parent = relabel(parent, parent.root.uid, spec.parent_label)
+        child = relabel(child, child.root.uid, spec.child_label)
+        return _Body(parent.links + child.links, parent.joints + child.joints + (edge,))
 
     def _eval_joint_revolute(self, node) -> _Body:
         return self._eval_joint(node, "revolute")
@@ -381,51 +340,41 @@ class _Context:
         points = node.params["points"]
         if isinstance(points, ParamRef):
             raise InvalidParameterError("duplication points must be baked literals")
-        links = list(parent.links)
-        joints = list(parent.joints)
         if not body.joints:
             # Static replication: copies of a jointless body merge into the parent root.
             if not points:
                 return parent
-            root = parent.link(parent.root_uid)
-            copies = [root.mesh]
-            src_mesh = body.link(body.root_uid).mesh
+            copies = [parent.root.mesh]
             for p in points:
-                copies.append(apply_transform(src_mesh, RigidTransform.from_translation(p)))
-            merged = merge_meshes(copies)
-            links = [
-                replace(l, mesh=merged) if l.uid == parent.root_uid else l for l in parent.links
-            ]
-            return _Body(tuple(links), parent.joints, parent.root_uid)
+                copies.append(apply_transform(body.root.mesh, RigidTransform.from_translation(p)))
+            root = replace(parent.root, mesh=merge_meshes(copies))
+            return _Body((root,) + parent.links[1:], parent.joints)
+        links = list(parent.links)
+        joints = list(parent.joints)
         for k, point in enumerate(points):
-            copy = self._copy_body(body, point, str(k))
-            remap_root = {copy.root_uid: parent.root_uid}
-            for l in copy.links:
-                if l.uid != copy.root_uid:
-                    links.append(l)
+            copy = self._copy_body(body, point, k)
+            anchor = {copy.root.uid: parent.root.uid}
+            links.extend(copy.links[1:])
             for e in copy.joints:
                 joints.append(
                     replace(
                         e,
-                        parent_uid=remap_root.get(e.parent_uid, e.parent_uid),
-                        child_uid=remap_root.get(e.child_uid, e.child_uid),
+                        parent_uid=anchor.get(e.parent_uid, e.parent_uid),
+                        child_uid=anchor.get(e.child_uid, e.child_uid),
                     )
                 )
-        return _Body(tuple(links), tuple(joints), parent.root_uid)
+        return _Body(tuple(links), tuple(joints))
 
     def _eval_semantic_label(self, node) -> _Body:
         body = self._body_input(node, "geometry")
         label = node.params["label"]
-        links = tuple(
-            replace(l, label=label) if l.uid == body.root_uid else l for l in body.links
-        )
-        return _Body(links, body.joints, body.root_uid)
+        return _Body((replace(body.root, label=label),) + body.links[1:], body.joints)
 
     def _eval_store_attribute(self, node) -> _Body:
         body = self._body_input(node, "geometry")
         value = node.params["value"]
         links = tuple(replace(l, mesh=l.mesh.fill_unlabeled(value)) for l in body.links)
-        return _Body(links, body.joints, body.root_uid)
+        return _Body(links, body.joints)
 
 
 # ---------------------------------------------------------------------------
@@ -473,46 +422,45 @@ class EvaluatedBody:
         return [j for j in self.joints if {j.parent, j.child} == {a, b}]
 
 
-def _assemble(body: _Body, joint_values: dict | None) -> EvaluatedBody:
+def evaluate_links(
+    graph: NodeGraph, params: ParamVector | dict | None = None
+) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
+    """Validate and evaluate a graph into its links, its joints sorted by
+    construction order, and the root link id, without posing any link."""
+    diags = graph.validate()
+    if diags:
+        raise InvalidParameterError(
+            "graph does not validate: " + "; ".join(str(d) for d in diags)
+        )
+    if params is None:
+        params = ParamVector({})
+    elif isinstance(params, dict):
+        params = ParamVector(params)
+    body = _Context(graph, params).eval(graph.output_node)
+    if not isinstance(body, _Body):
+        raise EvaluationError("graph output is not geometry")
     # Deterministic public names: creation order, label-based with ordinals.
     name_counts: dict[str, int] = {}
     link_names: dict[int, str] = {}
     links = []
-    ordered = sorted(body.links, key=lambda l: l.uid)
-    for l in ordered:
+    for l in sorted(body.links, key=lambda l: l.uid):
         base = l.label or "part"
         n = name_counts.get(base, 0)
         name_counts[base] = n + 1
         link_names[l.uid] = f"{base}_{n}"
-    for l in ordered:
         links.append(EvaluatedLink(link_names[l.uid], l.label, l.mesh, l.material, l.template))
     joints = []
     joint_counts: dict[str, int] = {}
     for e in sorted(body.joints, key=lambda e: (e.order, e.uid)):
-        base = e.joint_label or "joint"
+        base = e.spec.joint_label or "joint"
         n = joint_counts.get(base, 0)
         joint_counts[base] = n + 1
-        spec = JointSpec(
-            e.joint_type,
-            e.pivot,
-            e.axis,
-            e.lo,
-            e.hi,
-            e.default,
-            e.joint_label,
-            e.parent_label,
-            e.child_label,
-        )
         joints.append(
             EvaluatedJoint(
-                f"{base}_{n}", link_names[e.parent_uid], link_names[e.child_uid], spec, e.order
+                f"{base}_{n}", link_names[e.parent_uid], link_names[e.child_uid], e.spec, e.order
             )
         )
-    root = link_names[body.root_uid]
-    tree = KinematicTree(
-        root, [l.link_id for l in links], [(j.joint_id, j.parent, j.child, j.spec) for j in joints]
-    )
-    return EvaluatedBody(tuple(links), tuple(joints), root, tree.transforms(joint_values))
+    return tuple(links), tuple(joints), link_names[body.root.uid]
 
 
 def evaluate(
@@ -523,20 +471,11 @@ def evaluate(
     `joint_values` maps joint ids to values; absent joints pose at their
     default. Values outside a joint's range raise RangeError.
     """
-    diags = graph.validate()
-    if diags:
-        raise InvalidParameterError(
-            "graph does not validate: " + "; ".join(str(d) for d in diags)
-        )
-    if params is None:
-        params = ParamVector({})
-    elif isinstance(params, dict):
-        params = ParamVector(params)
-    ctx = _Context(graph, params)
-    value = ctx.eval(graph.output_node)
-    if not isinstance(value, _Body):
-        raise EvaluationError("graph output is not geometry")
-    return _assemble(value, joint_values)
+    links, joints, root = evaluate_links(graph, params)
+    tree = KinematicTree(
+        root, [l.link_id for l in links], [(j.joint_id, j.parent, j.child, j.spec) for j in joints]
+    )
+    return EvaluatedBody(links, joints, root, tree.transforms(joint_values))
 
 
 @dataclass(frozen=True)
@@ -551,53 +490,39 @@ def expand_duplicates(body: EvaluatedBody, points) -> DuplicateFragment:
     """One translated copy of a jointed body per point, each with independent joints.
 
     The body's root link acts as the anchor: it is not replicated, and copied
-    joints that hung off it stay anchored there. Link and joint labels get the
-    copy index as a suffix.
+    joints that hung off it stay anchored there. Copy k of link or joint `x`
+    is named `x_k`; templates, labels and orders change as in the evaluator's
+    duplication, which makes the copies.
     """
     points = list(points)
     if not points:
         raise InvalidParameterError("expand_duplicates requires at least one point")
     if not body.joints:
         raise InvalidParameterError("expand_duplicates requires a body with at least one joint")
+    ordered = sorted(body.links, key=lambda l: l.link_id != body.root_link)  # root first
+    uid = {l.link_id: i for i, l in enumerate(ordered)}
+    source = _Body(
+        tuple(_Link(uid[l.link_id], l.template, l.label, l.mesh, l.material) for l in ordered),
+        tuple(
+            _Edge(n, uid[j.parent], uid[j.child], j.spec, j.order)
+            for n, j in enumerate(body.joints)
+        ),
+    )
+    ctx = _Context(NodeGraph(), ParamVector({}))
     links: list[EvaluatedLink] = []
     joints: list[EvaluatedJoint] = []
     for k, point in enumerate(points):
-        t = RigidTransform.from_translation(point)
-        rename = {}
-        for l in body.links:
-            if l.link_id == body.root_link:
-                continue
-            new_id = f"{l.link_id}_{k}"
-            rename[l.link_id] = new_id
-            links.append(
-                EvaluatedLink(
-                    new_id,
-                    f"{l.label}_{k}" if l.label else None,
-                    apply_transform(l.mesh, t),
-                    l.material,
-                    f"{l.template}@{k}",
-                )
+        copy = ctx._copy_body(source, point, k)
+        names = {c.uid: f"{l.link_id}_{k}" for c, l in zip(copy.links, ordered)}
+        names[copy.root.uid] = body.root_link
+        links.extend(
+            EvaluatedLink(names[c.uid], c.label, c.mesh, c.material, c.template)
+            for c in copy.links[1:]
+        )
+        joints.extend(
+            EvaluatedJoint(
+                f"{j.joint_id}_{k}", names[e.parent_uid], names[e.child_uid], e.spec, e.order
             )
-        for j in body.joints:
-            spec = j.spec
-            moved = JointSpec(
-                spec.joint_type,
-                tuple(t.apply(spec.pivot_array())),
-                spec.axis,
-                spec.lo,
-                spec.hi,
-                spec.default_value,
-                f"{spec.joint_label}_{k}" if spec.joint_label else None,
-                spec.parent_label,
-                spec.child_label,
-            )
-            joints.append(
-                EvaluatedJoint(
-                    f"{j.joint_id}_{k}",
-                    rename.get(j.parent, j.parent),
-                    rename.get(j.child, j.child),
-                    moved,
-                    j.order + (k,),
-                )
-            )
+            for j, e in zip(body.joints, copy.joints)
+        )
     return DuplicateFragment(tuple(links), tuple(joints))

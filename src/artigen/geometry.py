@@ -256,9 +256,6 @@ class TriMesh:
     def with_labels(self, labels) -> "TriMesh":
         return TriMesh(self.vertices, self.triangles, labels, self.material_tag)
 
-    def with_material(self, tag: str | None) -> "TriMesh":
-        return TriMesh(self.vertices, self.triangles, self.face_labels, tag)
-
     def fill_unlabeled(self, label: int) -> "TriMesh":
         """Assign `label` to every face that does not carry a label yet."""
         if self.face_labels is None:

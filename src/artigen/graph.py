@@ -99,9 +99,6 @@ class JointSpec:
     def pivot_array(self) -> np.ndarray:
         return np.asarray(self.pivot, dtype=np.float64)
 
-    def axis_array(self) -> np.ndarray:
-        return np.asarray(self.axis, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -384,17 +381,6 @@ class NodeGraph:
 
     def node(self, node_id: str) -> Node:
         return self.nodes[node_id]
-
-    def upstream_nodes(self, node_id: str) -> list[str]:
-        """All nodes reachable upstream of `node_id` (inclusive), insertion-ordered."""
-        seen, stack = set(), [node_id]
-        while stack:
-            cur = stack.pop()
-            if cur in seen or cur not in self.nodes:
-                continue
-            seen.add(cur)
-            stack.extend(self.nodes[cur].inputs.values())
-        return [nid for nid in self.nodes if nid in seen]
 
     def topo_order(self) -> list[str]:
         """Topological order (upstream first); raises GraphCycleError on cycles."""

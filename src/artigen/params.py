@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidParameterError, MissingParameterError, RangeError
@@ -232,20 +232,17 @@ def sample_parameters(
         ov = overrides.get(name)
         if isinstance(entry, Continuous):
             values[name] = _sample_continuous(entry, rng, ov)
-        elif isinstance(entry, Discrete):
-            if ov and "fixed" in ov:
-                values[name] = int(ov["fixed"])
-            elif ov and "choices" in ov:
-                values[name] = int(rng.choice(list(ov["choices"])))
-            else:
-                values[name] = rng.randrange(len(entry.labels))
+        elif ov and "fixed" in ov:
+            values[name] = int(ov["fixed"])
+        elif ov and "choices" in ov:
+            values[name] = int(rng.choice(list(ov["choices"])))
         else:
-            if ov and "fixed" in ov:
-                values[name] = int(ov["fixed"])
-            elif ov and "choices" in ov:
-                values[name] = int(rng.choice(list(ov["choices"])))
+            # randint(0, n - 1) draws exactly what randrange(n) would.
+            if isinstance(entry, Discrete):
+                lo, hi = 0, len(entry.labels) - 1
             else:
-                values[name] = rng.randint(entry.min, entry.max)
+                lo, hi = entry.min, entry.max
+            values[name] = rng.randint(lo, hi)
     return ParamVector(values, seed)
 
 

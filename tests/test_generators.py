@@ -13,6 +13,7 @@ from artigen.generators import (
 )
 from artigen.errors import InvalidParameterError
 from artigen.graph import NodeGraph
+from artigen.kinematics import KinematicTree
 from artigen.params import Continuous, Discrete, merge_overrides, sample_parameters
 
 # the paper-style inventory: category -> (continuous dims, discrete combinations)
@@ -406,7 +407,7 @@ class TestBlueprintInvariance:
     def test_build_validates_once_and_never_extracts(self, monkeypatch):
         for category in CATEGORY_NAMES:  # warm-up: the category blueprints exist
             build_instance(category, 0, salt="")
-        calls = {"validate": 0, "extract": 0}
+        calls = {"validate": 0, "extract": 0, "pose": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -419,10 +420,12 @@ class TestBlueprintInvariance:
             artigen.blueprint._Extractor, "__init__",
             counted("extract", artigen.blueprint._Extractor.__init__),
         )
+        # instantiate needs no link poses, so a build never poses the tree
+        monkeypatch.setattr(KinematicTree, "pose", counted("pose", KinematicTree.pose))
         for category in CATEGORY_NAMES:
             for seed in (1, 2):
                 build_instance(category, seed, salt="")
-        assert calls == {"validate": 2 * len(CATEGORY_NAMES), "extract": 0}
+        assert calls == {"validate": 2 * len(CATEGORY_NAMES), "extract": 0, "pose": 0}
 
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_category_blueprint_matches_each_seed(self, category):

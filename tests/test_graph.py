@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,6 +276,29 @@ class TestDuplicates:
         copy = frag.links[0]
         np.testing.assert_array_equal(copy.mesh.vertices, rod.mesh.vertices)
         assert copy.label == "rod_0"
+
+    def test_expansion_ids_labels_and_placement(self):
+        body = evaluate(build_pattern("simple_revolute"))
+        rod, hinge = body.link("rod_0"), body.joints[0]
+        points = [(0.5, 0.0, 0.0), (0.0, 0.25, -0.5)]
+        frag = expand_duplicates(body, points)
+        assert [(l.link_id, l.label, l.template) for l in frag.links] == [
+            ("rod_0_0", "rod_0", f"{rod.template}@0"),
+            ("rod_0_1", "rod_1", f"{rod.template}@1"),
+        ]
+        assert [(j.joint_id, j.parent, j.child) for j in frag.joints] == [
+            ("hinge_0_0", "base_0", "rod_0_0"),
+            ("hinge_0_1", "base_0", "rod_0_1"),
+        ]
+        for k, (point, link, joint) in enumerate(zip(points, frag.links, frag.joints)):
+            np.testing.assert_array_equal(link.mesh.vertices, rod.mesh.vertices + point)
+            np.testing.assert_array_equal(link.mesh.triangles, rod.mesh.triangles)
+            np.testing.assert_array_equal(joint.spec.pivot, np.add(hinge.spec.pivot, point))
+            # only the pivot and the joint label change; parent/child labels keep theirs
+            assert joint.spec == replace(
+                hinge.spec, pivot=joint.spec.pivot, joint_label=f"hinge_{k}"
+            )
+            assert joint.order == hinge.order + (k,)
 
     def test_empty_points_rejected(self):
         body = evaluate(build_pattern("simple_revolute"))
