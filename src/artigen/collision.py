@@ -21,7 +21,13 @@ import numpy as np
 
 from .blueprint import AssetInstance, forward_kinematics
 from .errors import InvalidParameterError, PlanTooLargeError
-from .geometry import quat_to_matrix, triangle_pairs_plane_filter, triangles_intersect
+from .geometry import (
+    DEGENERATE_AREA,
+    quat_to_matrix,
+    triangle_areas,
+    triangle_pairs_plane_filter,
+    triangles_intersect,
+)
 
 CONFIG_CAP = 100_000
 
@@ -150,17 +156,13 @@ def _first_hit(tris_a: np.ndarray, tris_b: np.ndarray):
     if len(idx_a) == 0:
         return None
     keep = triangle_pairs_plane_filter(tris_a[idx_a], tris_b[idx_b])
+    # Skip triangles collapsed by the tolerance shrink.
+    keep &= (triangle_areas(tris_a) > DEGENERATE_AREA)[idx_a]
+    keep &= (triangle_areas(tris_b) > DEGENERATE_AREA)[idx_b]
     for ia, ib in zip(idx_a[keep], idx_b[keep]):
-        ta, tb = tris_a[ia], tris_b[ib]
-        if _area(ta) <= 1e-12 or _area(tb) <= 1e-12:
-            continue  # collapsed by the tolerance shrink
-        if triangles_intersect(ta, tb):
+        if triangles_intersect(tris_a[ia], tris_b[ib]):
             return int(ia), int(ib)
     return None
-
-
-def _area(tri: np.ndarray) -> float:
-    return 0.5 * float(np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0])))
 
 
 def _pair_witness(tris_a: np.ndarray, tris_b: np.ndarray, tolerance: float):

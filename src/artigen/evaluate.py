@@ -186,17 +186,18 @@ class _Context:
             else RigidTransform.identity()
         )
         t = RigidTransform.from_translation(translate) @ rot
-        return self._transform_body(body, t)
+        return _Body(*self._transform(body.links, body.joints, t, {}))
 
-    def _transform_body(self, body: _Body, t: RigidTransform) -> _Body:
-        remap = {}
-        links = []
-        for l in body.links:
+    def _transform(self, links, joints, t: RigidTransform, remap: dict):
+        """`links` and `joints` moved by `t` under fresh uids. `remap` maps the
+        uids of links left out of `links` to the uids their joints attach to."""
+        moved = []
+        for l in links:
             uid = self.fresh_uid()
             remap[l.uid] = uid
-            links.append(replace(l, uid=uid, mesh=apply_transform(l.mesh, t)))
+            moved.append(replace(l, uid=uid, mesh=apply_transform(l.mesh, t)))
         rot = t.rotation_matrix()
-        joints = tuple(
+        return tuple(moved), tuple(
             replace(
                 e,
                 uid=self.fresh_uid(),
@@ -208,19 +209,22 @@ class _Context:
                     axis=tuple(rot @ np.asarray(e.spec.axis)),
                 ),
             )
-            for e in body.joints
+            for e in joints
         )
-        return _Body(tuple(links), joints)
 
-    def _copy_body(self, body: _Body, offset, k: int | None) -> _Body:
-        """A translated copy with fresh uids; copy `k` of a duplication also gets
-        `@k` templates, `_k` link and joint labels and `k` appended to joint orders."""
-        copied = self._transform_body(body, RigidTransform.from_translation(offset))
-        if k is None:
-            return copied
+    def _copy_body(self, body: _Body, offset, k: int, anchor: int):
+        """Copy `k` of a duplication: `body` translated by `offset`, without its
+        root; joints on the root move onto link `anchor`. Templates get `@k`,
+        link and joint labels `_k`, and joint orders `k` appended."""
+        links, joints = self._transform(
+            body.links[1:],
+            body.joints,
+            RigidTransform.from_translation(offset),
+            {body.root.uid: anchor},
+        )
         links = tuple(
             replace(l, template=f"{l.template}@{k}", label=f"{l.label}_{k}" if l.label else None)
-            for l in copied.links
+            for l in links
         )
         joints = tuple(
             replace(
@@ -231,9 +235,9 @@ class _Context:
                 ),
                 order=e.order + (k,),
             )
-            for e in copied.joints
+            for e in joints
         )
-        return _Body(links, joints)
+        return links, joints
 
     def _eval_merge(self, node) -> _Body:
         inputs = []
@@ -247,7 +251,8 @@ class _Context:
         bodies = []
         for body in inputs:
             if body.link_uids() & seen:
-                body = self._copy_body(body, (0.0, 0.0, 0.0), None)
+                copied = self._transform(body.links, body.joints, RigidTransform.identity(), {})
+                body = _Body(*copied)
             seen |= body.link_uids()
             bodies.append(body)
         mesh = merge_meshes([b.root.mesh for b in bodies])
@@ -352,17 +357,9 @@ class _Context:
         links = list(parent.links)
         joints = list(parent.joints)
         for k, point in enumerate(points):
-            copy = self._copy_body(body, point, k)
-            anchor = {copy.root.uid: parent.root.uid}
-            links.extend(copy.links[1:])
-            for e in copy.joints:
-                joints.append(
-                    replace(
-                        e,
-                        parent_uid=anchor.get(e.parent_uid, e.parent_uid),
-                        child_uid=anchor.get(e.child_uid, e.child_uid),
-                    )
-                )
+            copy_links, copy_joints = self._copy_body(body, point, k, parent.root.uid)
+            links.extend(copy_links)
+            joints.extend(copy_joints)
         return _Body(tuple(links), tuple(joints))
 
     def _eval_semantic_label(self, node) -> _Body:
@@ -512,17 +509,18 @@ def expand_duplicates(body: EvaluatedBody, points) -> DuplicateFragment:
     links: list[EvaluatedLink] = []
     joints: list[EvaluatedJoint] = []
     for k, point in enumerate(points):
-        copy = ctx._copy_body(source, point, k)
-        names = {c.uid: f"{l.link_id}_{k}" for c, l in zip(copy.links, ordered)}
-        names[copy.root.uid] = body.root_link
+        # Joints off the root stay on it: uid 0 is the source root's, which fresh uids never reuse.
+        copy_links, copy_joints = ctx._copy_body(source, point, k, 0)
+        names = {c.uid: f"{l.link_id}_{k}" for c, l in zip(copy_links, ordered[1:])}
+        names[0] = body.root_link
         links.extend(
             EvaluatedLink(names[c.uid], c.label, c.mesh, c.material, c.template)
-            for c in copy.links[1:]
+            for c in copy_links
         )
         joints.extend(
             EvaluatedJoint(
                 f"{j.joint_id}_{k}", names[e.parent_uid], names[e.child_uid], e.spec, e.order
             )
-            for j, e in zip(body.joints, copy.joints)
+            for j, e in zip(body.joints, copy_joints)
         )
     return DuplicateFragment(tuple(links), tuple(joints))

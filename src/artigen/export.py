@@ -247,7 +247,7 @@ def parse_urdf(path) -> ParsedModel:
             visual = collision = None
             inertial = el.find("inertial/mass")
             if inertial is not None:
-                mass = float(inertial.get("value"))
+                (mass,) = _numbers(inertial, "value", 1)
             mesh = el.find("visual/geometry/mesh")
             if mesh is not None:
                 visual = mesh.get("filename")
@@ -258,19 +258,16 @@ def parse_urdf(path) -> ParsedModel:
         elif el.tag == "joint":
             origin_el = el.find("origin")
             origin = (
-                tuple(float(v) for v in origin_el.get("xyz", "0 0 0").split())
-                if origin_el is not None
-                else (0.0, 0.0, 0.0)
+                _numbers(origin_el, "xyz", 3, "0 0 0") if origin_el is not None else (0.0, 0.0, 0.0)
             )
             axis_el = el.find("axis")
-            axis = (
-                tuple(float(v) for v in axis_el.get("xyz").split())
-                if axis_el is not None
-                else None
-            )
+            axis = _numbers(axis_el, "xyz", 3) if axis_el is not None else None
             limit_el = el.find("limit")
-            lo = float(limit_el.get("lower")) if limit_el is not None else None
-            hi = float(limit_el.get("upper")) if limit_el is not None else None
+            lo, hi = (
+                _numbers(limit_el, "lower", 1) + _numbers(limit_el, "upper", 1)
+                if limit_el is not None
+                else (None, None)
+            )
             parent = el.find("parent")
             child = el.find("child")
             if parent is None or child is None:
@@ -406,11 +403,11 @@ def parse_mjcf(path) -> ParsedModel:
 
     def walk(body_el: ET.Element, parent_name: str | None):
         name = body_el.get("name")
-        pos = tuple(float(v) for v in body_el.get("pos", "0 0 0").split())
+        pos = _numbers(body_el, "pos", 3, "0 0 0")
         mass = None
         inertial = body_el.find("inertial")
         if inertial is not None:
-            mass = float(inertial.get("mass"))
+            (mass,) = _numbers(inertial, "mass", 1)
         visual = collision = None
         for geom in body_el.findall("geom"):
             ref = meshes.get(geom.get("mesh"))
@@ -422,8 +419,7 @@ def parse_mjcf(path) -> ParsedModel:
         joint_el = body_el.find("joint")
         if parent_name is not None:
             if joint_el is not None:
-                rng = joint_el.get("range")
-                lo, hi = (float(v) for v in rng.split()) if rng else (None, None)
+                lo, hi = _numbers(joint_el, "range", 2) if joint_el.get("range") else (None, None)
                 joints.append(
                     ParsedJoint(
                         joint_el.get("name"),
@@ -433,7 +429,7 @@ def parse_mjcf(path) -> ParsedModel:
                         parent_name,
                         name,
                         pos,
-                        tuple(float(v) for v in joint_el.get("axis", "0 0 1").split()),
+                        _numbers(joint_el, "axis", 3, "0 0 1"),
                         lo,
                         hi,
                     )
@@ -454,6 +450,18 @@ def parse_mjcf(path) -> ParsedModel:
     model = ParsedModel(root.get("model", ""), tuple(links), tuple(joints))
     model.verify_tree()
     return model
+
+
+def _numbers(el: ET.Element, attr: str, count: int, default: str | None = None) -> tuple:
+    """Attribute `attr` of `el` as exactly `count` whitespace-separated floats."""
+    text = el.get(attr, default)
+    try:
+        values = tuple(float(v) for v in text.split()) if text is not None else ()
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise DocumentParseError(f"<{el.tag}> {attr}={text!r} must be {count} numbers")
+    return values
 
 
 def _parse_xml(path) -> ET.ElementTree:

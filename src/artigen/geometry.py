@@ -213,7 +213,7 @@ class TriMesh:
                 raise InvalidParameterError("face_labels length must equal triangle count")
             labels.flags.writeable = False
         if tris.size:
-            areas = _triangle_areas(verts, tris)
+            areas = triangle_areas(verts[tris])
             if areas.min() <= DEGENERATE_AREA:
                 raise InvalidParameterError(
                     f"degenerate triangle with area {areas.min():.3e} <= {DEGENERATE_AREA}"
@@ -244,7 +244,7 @@ class TriMesh:
         return Aabb.from_points(self.vertices)
 
     def triangle_areas(self) -> np.ndarray:
-        return _triangle_areas(self.vertices, self.triangles)
+        return triangle_areas(self.triangle_corners())
 
     def surface_area(self) -> float:
         return float(self.triangle_areas().sum())
@@ -265,8 +265,8 @@ class TriMesh:
         return self.with_labels(labels)
 
 
-def _triangle_areas(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    corners = verts[tris]
+def triangle_areas(corners: np.ndarray) -> np.ndarray:
+    """Areas of the triangles in an (n, 3, 3) corner array."""
     cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     return 0.5 * np.linalg.norm(cross, axis=1)
 
@@ -282,10 +282,18 @@ def mesh_volume(mesh: TriMesh) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _oriented(verts, i, j, k, outward):
-    """Return the (i, j, k) triangle reordered so its normal points along `outward`."""
-    n = np.cross(verts[j] - verts[i], verts[k] - verts[i])
-    return (i, j, k) if float(np.dot(n, outward)) >= 0.0 else (i, k, j)
+def _orient_outward(verts: np.ndarray, tris: np.ndarray, outward: np.ndarray) -> np.ndarray:
+    """Triangles (n, 3) with the last two corners swapped wherever the normal
+    opposes its row of `outward` (n, 3), so every winding is counter-clockwise
+    seen from outside."""
+    corners = verts[tris]
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    flip = np.einsum("ij,ij->i", normals, outward) < 0.0
+    return np.where(flip[:, None], tris[:, [0, 2, 1]], tris)
+
+
+# Splits each counter-clockwise quad (a, b, c, d) into triangles (a, b, c) and (a, c, d).
+_QUAD_TRIANGLES = [0, 1, 2, 0, 2, 3]
 
 
 def make_box(dimensions, material_tag: str | None = None) -> TriMesh:
@@ -306,20 +314,11 @@ def make_box(dimensions, material_tag: str | None = None) -> TriMesh:
             [-hx, hy, hz],
         ]
     )
-    quads = [
-        ((0, 3, 2, 1), (0, 0, -1)),
-        ((4, 5, 6, 7), (0, 0, 1)),
-        ((0, 1, 5, 4), (0, -1, 0)),
-        ((2, 3, 7, 6), (0, 1, 0)),
-        ((1, 2, 6, 5), (1, 0, 0)),
-        ((3, 0, 4, 7), (-1, 0, 0)),
-    ]
-    tris = []
-    for (a, b, c, d), n in quads:
-        out = np.asarray(n, dtype=np.float64)
-        tris.append(_oriented(verts, a, b, c, out))
-        tris.append(_oriented(verts, a, c, d, out))
-    return TriMesh(verts, np.array(tris), material_tag=material_tag)
+    # -Z, +Z, -Y, +Y, +X, -X faces, each counter-clockwise seen from outside.
+    quads = np.array(
+        [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [2, 3, 7, 6], [1, 2, 6, 5], [3, 0, 4, 7]]
+    )
+    return TriMesh(verts, quads[:, _QUAD_TRIANGLES].reshape(-1, 3), material_tag=material_tag)
 
 
 def make_ngon_prism(
@@ -415,56 +414,44 @@ def make_rounded_box(dimensions, bevel: float, material_tag: str | None = None) 
     if bevel == 0.0:
         return make_box(dims, material_tag=material_tag)
     h = dims / 2.0
-    corners = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-    verts = []
-    index = {}  # (corner, face_axis) -> vertex index
-    for ci, (sx, sy, sz) in enumerate(corners):
-        s = np.array([sx, sy, sz], dtype=np.float64)
-        for axis in range(3):
-            v = s * (h - bevel)
-            v[axis] = s[axis] * h[axis]
-            index[(ci, axis)] = len(verts)
-            verts.append(v)
-    verts = np.array(verts)
+    corners = np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    # Vertex 3 * c + a lies on corner c's face normal to axis a, inset by the bevel
+    # along the other two axes.
+    verts = np.repeat(corners * (h - bevel), 3, axis=0)
+    verts[np.arange(24), np.tile(np.arange(3), 8)] = (corners * h).ravel()
 
-    def corner_id(sx, sy, sz):
-        return ((sx + 1) // 2) * 4 + ((sy + 1) // 2) * 2 + ((sz + 1) // 2)
+    def vertex(s, axis):  # the vertex of the corner with signs `s` on its `axis` face
+        return 3 * (((s[0] + 1) // 2) * 4 + ((s[1] + 1) // 2) * 2 + (s[2] + 1) // 2) + axis
 
-    tris = []
-
-    def add_quad(a, b, c, d, outward):
-        tris.append(_oriented(verts, a, b, c, outward))
-        tris.append(_oriented(verts, a, c, d, outward))
-
-    # Six shrunk faces.
-    for axis in range(3):
+    quads, outward = [], []
+    for axis in range(3):  # six shrunk faces
+        u, w = (axis + 1) % 3, (axis + 2) % 3
         for sign in (-1, 1):
-            u, w = (axis + 1) % 3, (axis + 2) % 3
             ids = []
             for su, sw in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
                 s = [0, 0, 0]
                 s[axis], s[u], s[w] = sign, su, sw
-                ids.append(index[(corner_id(*s), axis)])
-            out = np.zeros(3)
+                ids.append(vertex(s, axis))
+            out = [0, 0, 0]
             out[axis] = sign
-            add_quad(*ids, out)
-    # Twelve edge chamfers.
-    for axis in range(3):  # edge direction
+            quads.append(ids)
+            outward.append(out)
+    for axis in range(3):  # twelve edge chamfers along `axis`
         u, w = (axis + 1) % 3, (axis + 2) % 3
         for su in (-1, 1):
             for sw in (-1, 1):
-                s_lo, s_hi = [0, 0, 0], [0, 0, 0]
-                s_lo[axis], s_lo[u], s_lo[w] = -1, su, sw
-                s_hi[axis], s_hi[u], s_hi[w] = 1, su, sw
-                lo, hi = corner_id(*s_lo), corner_id(*s_hi)
-                out = np.zeros(3)
+                lo, hi = [0, 0, 0], [0, 0, 0]
+                lo[axis], lo[u], lo[w] = -1, su, sw
+                hi[axis], hi[u], hi[w] = 1, su, sw
+                out = [0, 0, 0]
                 out[u], out[w] = su, sw
-                add_quad(index[(lo, u)], index[(lo, w)], index[(hi, w)], index[(hi, u)], out)
-    # Eight corner triangles.
-    for ci, (sx, sy, sz) in enumerate(corners):
-        out = np.array([sx, sy, sz], dtype=np.float64)
-        tris.append(_oriented(verts, index[(ci, 0)], index[(ci, 1)], index[(ci, 2)], out))
-    return TriMesh(verts, np.array(tris), material_tag=material_tag)
+                quads.append([vertex(lo, u), vertex(lo, w), vertex(hi, w), vertex(hi, u)])
+                outward.append(out)
+    # Two triangles per quad, then the eight corner triangles.
+    quad_tris = np.array(quads)[:, _QUAD_TRIANGLES].reshape(-1, 3)
+    tris = np.vstack([quad_tris, np.arange(24).reshape(8, 3)])
+    outward = np.vstack([np.repeat(outward, 2, axis=0), corners])
+    return TriMesh(verts, _orient_outward(verts, tris, outward), material_tag=material_tag)
 
 
 def apply_transform(mesh: TriMesh, transform: RigidTransform) -> TriMesh:
@@ -508,11 +495,6 @@ def merge_meshes(meshes) -> TriMesh:
 # ---------------------------------------------------------------------------
 # Triangle-triangle intersection
 # ---------------------------------------------------------------------------
-
-
-def _tri_degenerate(t: np.ndarray) -> bool:
-    n = np.cross(t[1] - t[0], t[2] - t[0])
-    return 0.5 * float(np.linalg.norm(n)) <= DEGENERATE_AREA
 
 
 def _plane_interval(tri, dists, line_dir):
@@ -590,7 +572,7 @@ def triangles_intersect(tri_a, tri_b) -> bool:
     """
     a = np.asarray(tri_a, dtype=np.float64).reshape(3, 3)
     b = np.asarray(tri_b, dtype=np.float64).reshape(3, 3)
-    if _tri_degenerate(a) or _tri_degenerate(b):
+    if triangle_areas(np.stack([a, b])).min() <= DEGENERATE_AREA:
         raise InvalidParameterError("triangles_intersect requires non-degenerate triangles")
     scale = max(1.0, float(np.abs(np.vstack([a, b])).max()))
     eps = 1e-12 * scale
@@ -661,21 +643,15 @@ def convex_hull(mesh_or_points) -> TriMesh:
     except QhullError as exc:
         raise DegeneracyError(f"degenerate hull input: {exc}") from None
 
-    used = np.sort(np.unique(hull.simplices))
-    remap = {int(old): new for new, old in enumerate(used)}
+    used, inverse = np.unique(hull.simplices, return_inverse=True)
     verts = points[used]
-    tris = []
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        i, j, k = (remap[int(s)] for s in simplex)
-        n = np.cross(verts[j] - verts[i], verts[k] - verts[i])
-        if float(np.dot(n, eq[:3])) < 0.0:
-            j, k = k, j
-        # canonical rotation: smallest index first
-        tri = (i, j, k)
-        lo = int(np.argmin(tri))
-        tris.append(tri[lo:] + tri[:lo])
-    tris.sort()
-    return TriMesh(verts, np.array(tris, dtype=np.int64), material_tag=tag)
+    # The inverse's shape differs across NumPy versions; reshape it to one row per simplex.
+    tris = _orient_outward(verts, inverse.reshape(-1, 3), hull.equations[:, :3])
+    # Canonical order: each row rotated to lead with its smallest index, rows sorted.
+    lead = tris.argmin(axis=1)
+    tris = np.take_along_axis(tris, (lead[:, None] + np.arange(3)) % 3, axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
+    return TriMesh(verts, tris, material_tag=tag)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidParameterError, MissingParameterError, RangeError
+from .errors import DocumentParseError, InvalidParameterError, MissingParameterError, RangeError
 
 SALT_ENV_VAR = "ARTIGEN_SEED_SALT"
 
@@ -248,8 +248,14 @@ def sample_parameters(
 
 def load_overrides(path) -> dict:
     """Read a parameter-override file (JSON object keyed by parameter name)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise DocumentParseError(f"cannot read override file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+        line, column = getattr(exc, "lineno", None), getattr(exc, "colno", None)
+        raise DocumentParseError(f"override file {path} is not JSON: {exc}", line, column) from None
     if not isinstance(data, dict):
         raise InvalidParameterError("override file must hold a JSON object")
     return data

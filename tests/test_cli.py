@@ -99,6 +99,24 @@ class TestGenerate:
         assert manifest["params"]["handle_type"] == 0
 
 
+class TestOverrideFiles:
+    @pytest.mark.parametrize("command", ["generate", "check"])
+    @pytest.mark.parametrize("content", [None, '{"handle_type": '])
+    def test_unreadable_override_file_exits_2(self, tmp_path, capsys, command, content):
+        overrides = tmp_path / "ov.json"
+        if content is not None:
+            overrides.write_text(content)
+        code, _, err = run(
+            [command, "--category", "door", "--seed", "0", "--out", str(tmp_path / "out"),
+             "--overrides", str(overrides)], capsys,
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and str(overrides) in err
+        assert "Traceback" not in err
+        if content is not None:
+            assert "line 1 column 17" in err
+
+
 class TestInfo:
     @pytest.mark.parametrize(
         "category,dims",

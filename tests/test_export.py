@@ -230,3 +230,40 @@ class TestManifest:
         pa = write_manifest(a, tmp_path / "a")
         pb = write_manifest(b, tmp_path / "b")
         assert pa.read_text() != pb.read_text()
+
+
+_URDF = (
+    '<robot name="r"><link name="a"><inertial><mass value="1"/></inertial></link>'
+    '<link name="b"/><joint name="j" type="revolute"><origin xyz="0 0 0"/>'
+    '<parent link="a"/><child link="b"/><axis xyz="0 0 1"/>'
+    '<limit lower="0" upper="1"/></joint></robot>'
+)
+_MJCF = (
+    '<mujoco model="m"><worldbody><body name="a"><inertial mass="1"/>'
+    '<body name="b" pos="0 0 0"><joint name="j" type="hinge" axis="0 0 1" range="0 1"/>'
+    "</body></body></worldbody></mujoco>"
+)
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "fmt,old,new",
+        [
+            ("urdf", '<mass value="1"/>', "<mass/>"),
+            ("urdf", '<axis xyz="0 0 1"/>', "<axis/>"),
+            ("urdf", '<limit lower="0" upper="1"/>', '<limit lower="0"/>'),
+            ("urdf", '<origin xyz="0 0 0"/>', '<origin xyz="0 0"/>'),
+            ("mjcf", 'pos="0 0 0"', 'pos="0 0 x"'),
+            ("mjcf", '<inertial mass="1"/>', '<inertial mass="heavy"/>'),
+            ("mjcf", 'range="0 1"', 'range="0"'),
+        ],
+    )
+    def test_bad_attribute_raises_parse_error(self, tmp_path, fmt, old, new):
+        template, parse = (_URDF, parse_urdf) if fmt == "urdf" else (_MJCF, parse_mjcf)
+        good, bad = tmp_path / "good.xml", tmp_path / "bad.xml"
+        good.write_text(template)
+        assert len(parse(good).joints) == 1
+        assert old in template
+        bad.write_text(template.replace(old, new))
+        with pytest.raises(DocumentParseError):
+            parse(bad)

@@ -327,6 +327,59 @@ class TestConvexHull:
             convex_hull(pts)
 
 
+def _hull_of_random_points():
+    return convex_hull(np.random.default_rng(21).normal(size=(80, 3)))
+
+
+WINDING_SHAPES = {
+    "box": lambda: make_box((0.4, 1.0, 2.5)),
+    "rounded_box_small_bevel": lambda: make_rounded_box((0.4, 1.0, 2.5), 0.01),
+    "rounded_box_near_max_bevel": lambda: make_rounded_box((0.4, 1.0, 2.5), 0.1999),
+    "prism": lambda: make_ngon_prism(0.3, 0.8, 6),
+    "tapered_prism": lambda: make_ngon_prism(0.3, 0.8, 7, top_radius=0.05),
+    "cylinder": lambda: make_cylinder(0.25, 1.5, 24),
+    "sphere": lambda: make_sphere(0.6, 12),
+    "hull": _hull_of_random_points,
+}
+
+
+class TestWinding:
+    @pytest.mark.parametrize("shape", sorted(WINDING_SHAPES))
+    def test_faces_point_away_from_centroid(self, shape):
+        mesh = WINDING_SHAPES[shape]()
+        corners = mesh.triangle_corners()
+        normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        away = corners.mean(axis=1) - mesh.vertices.mean(axis=0)
+        assert np.einsum("ij,ij->i", normals, away).min() > 0.0
+
+    def test_hull_rows_in_canonical_order(self):
+        tris = _hull_of_random_points().triangles
+        assert np.array_equal(tris[:, 0], tris.min(axis=1))
+        assert tris.tolist() == sorted(tris.tolist())
+
+    def test_orientation_is_one_array_step(self, monkeypatch):
+        # np.cross runs once to orient and once to validate the mesh, never once per facet.
+        calls = []
+        cross = np.cross
+
+        def counting_cross(*args, **kwargs):
+            calls.append(1)
+            return cross(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cross", counting_cross)
+        rng = np.random.default_rng(4)
+        counts = []
+        for n in (50, 500):
+            points = rng.normal(size=(n, 3))
+            calls.clear()
+            convex_hull(points)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        calls.clear()
+        make_rounded_box((1.0, 0.5, 0.3), 0.05)
+        assert len(calls) <= 2
+
+
 class TestObj:
     def test_round_trip_and_determinism(self):
         m = make_cylinder(0.3, 0.9, 16)

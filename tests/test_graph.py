@@ -300,6 +300,23 @@ class TestDuplicates:
             )
             assert joint.order == hinge.order + (k,)
 
+    def test_copies_leave_the_anchor_root_untransformed(self, monkeypatch):
+        import artigen.evaluate as evaluate_module
+
+        body = evaluate(build_pattern("simple_revolute"))
+        root_mesh = body.link(body.root_link).mesh
+        moved = []
+        apply = evaluate_module.apply_transform
+
+        def recording_apply(mesh, transform):
+            moved.append(mesh)
+            return apply(mesh, transform)
+
+        monkeypatch.setattr(evaluate_module, "apply_transform", recording_apply)
+        expand_duplicates(body, [(0.5, 0.0, 0.0), (0.0, 0.25, -0.5)])
+        assert len(moved) == 2 * (len(body.links) - 1)
+        assert not any(mesh is root_mesh for mesh in moved)
+
     def test_empty_points_rejected(self):
         body = evaluate(build_pattern("simple_revolute"))
         with pytest.raises(InvalidParameterError):
