@@ -519,20 +519,24 @@ class InstanceLink:
 
 @dataclass(frozen=True)
 class InstanceJoint:
+    """One realized joint. `spec` is the evaluated JointSpec, in the
+    construction frame with its pivot at the child link's frame origin;
+    `pivot_in_parent` is that origin in the parent link's frame."""
+
     joint_id: str
     parent: str
     child: str
-    joint_type: str
+    spec: JointSpec
     pivot_in_parent: tuple[float, float, float]
-    axis: tuple[float, float, float]
-    lo: float
-    hi: float
-    default: float
-    joint_label: str | None
 
-    @property
-    def is_fixed(self) -> bool:
-        return self.lo == self.hi
+    # Read-only views of `spec`, for export, collision and callers.
+    joint_type = property(lambda self: self.spec.joint_type)
+    axis = property(lambda self: self.spec.axis)
+    lo = property(lambda self: self.spec.lo)
+    hi = property(lambda self: self.spec.hi)
+    default = property(lambda self: self.spec.default_value)
+    joint_label = property(lambda self: self.spec.joint_label)
+    is_fixed = property(lambda self: self.spec.is_fixed)
 
 
 @dataclass(frozen=True)
@@ -556,16 +560,7 @@ class AssetInstance:
 
     @cached_property
     def tree(self) -> KinematicTree:
-        # A joint's construction-frame pivot is its child's frame origin; joints
-        # naming unknown links are rejected by the tree.
-        origin = {l.link_id: l.local_frame.translation for l in self.links}
-        joints = [
-            (j.joint_id, j.parent, j.child, JointSpec(
-                j.joint_type, origin.get(j.child, (0.0, 0.0, 0.0)), j.axis, j.lo, j.hi, j.default
-            ))
-            for j in self.joints
-        ]
-        return KinematicTree(self.root_link, [l.link_id for l in self.links], joints)
+        return KinematicTree(self.root_link, [l.link_id for l in self.links], self.joints)
 
     def link(self, link_id: str) -> InstanceLink:
         return self.links[self.tree.link_index[link_id]]
@@ -661,24 +656,16 @@ def instantiate(
             )
         )
 
-    instance_joints = []
-    for j in joints:
-        o_parent = origin_of(j.parent)
-        o_child = origin_of(j.child)
-        instance_joints.append(
-            InstanceJoint(
-                j.joint_id,
-                j.parent,
-                j.child,
-                j.spec.joint_type,
-                tuple(float(c) for c in (o_child - o_parent)),
-                j.spec.axis,
-                j.spec.lo,
-                j.spec.hi,
-                j.spec.default_value,
-                j.spec.joint_label,
-            )
+    instance_joints = [
+        InstanceJoint(
+            j.joint_id,
+            j.parent,
+            j.child,
+            j.spec,
+            tuple(float(c) for c in (origin_of(j.child) - origin_of(j.parent))),
         )
+        for j in joints
+    ]
 
     return AssetInstance(
         category,

@@ -44,7 +44,6 @@ class SweepPlan:
     seed: int = 0
     pair_filter: str = PAIR_FILTER_ADJACENT_EXCLUDED
     tolerance: float = 1e-6
-    config_cap: int = CONFIG_CAP
     use_broadphase: bool = True
 
     def __post_init__(self):
@@ -112,9 +111,9 @@ def _joint_samples(instance: AssetInstance, plan: SweepPlan):
         total = 1
         for _, vals in per_joint:
             total *= len(vals)
-            if total > plan.config_cap:
+            if total > CONFIG_CAP:
                 raise PlanTooLargeError(
-                    f"grid sweep needs {total}+ configurations (cap {plan.config_cap}); "
+                    f"grid sweep needs {total}+ configurations (cap {CONFIG_CAP}); "
                     "use the random strategy instead"
                 )
         names = [name for name, _ in per_joint]

@@ -399,18 +399,17 @@ class EvaluatedJoint:
 
 @dataclass(frozen=True)
 class EvaluatedBody:
-    """Realized links and joints of one evaluation, posed at given joint values."""
+    """Realized links and joints of one evaluation, posed at given joint values;
+    `tree` indexes them."""
 
     links: tuple[EvaluatedLink, ...]
     joints: tuple[EvaluatedJoint, ...]
     root_link: str
     world_transforms: dict
+    tree: KinematicTree
 
     def link(self, link_id: str) -> EvaluatedLink:
-        for l in self.links:
-            if l.link_id == link_id:
-                return l
-        raise KeyError(link_id)
+        return self.links[self.tree.link_index[link_id]]
 
     def posed_mesh(self, link_id: str) -> TriMesh:
         return apply_transform(self.link(link_id).mesh, self.world_transforms[link_id])
@@ -469,10 +468,8 @@ def evaluate(
     default. Values outside a joint's range raise RangeError.
     """
     links, joints, root = evaluate_links(graph, params)
-    tree = KinematicTree(
-        root, [l.link_id for l in links], [(j.joint_id, j.parent, j.child, j.spec) for j in joints]
-    )
-    return EvaluatedBody(links, joints, root, tree.transforms(joint_values))
+    tree = KinematicTree(root, [l.link_id for l in links], joints)
+    return EvaluatedBody(links, joints, root, tree.transforms(joint_values), tree)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from . import __version__
 from .blueprint import AssetInstance, InstanceJoint, InstanceLink
 from .errors import DocumentParseError, MissingParameterError, StructuralError
 from .geometry import format_float, obj_text
+from .kinematics import KinematicTree
 from .params import ParamVector
 
 log = logging.getLogger(__name__)
@@ -56,6 +57,10 @@ class ParsedJoint:
     lo: float | None
     hi: float | None
 
+    @property
+    def joint_id(self) -> str:
+        return self.name
+
 
 @dataclass(frozen=True)
 class ParsedModel:
@@ -63,40 +68,20 @@ class ParsedModel:
     links: tuple[ParsedLink, ...]
     joints: tuple[ParsedJoint, ...]
 
-    @property
-    def root_name(self) -> str:
-        children = {j.child for j in self.joints}
+    def verify_tree(self) -> None:
+        """Raise StructuralError unless the joints form one tree over the links
+        with unique names, each link the child of at most one joint."""
+        children: set[str] = set()
+        for j in self.joints:
+            if j.name is None:
+                raise StructuralError(f"joint into link {j.child} has no name")
+            if j.child in children:
+                raise StructuralError(f"link {j.child} has two parents")
+            children.add(j.child)
         roots = [l.name for l in self.links if l.name not in children]
         if len(roots) != 1:
             raise StructuralError(f"model has {len(roots)} roots")
-        return roots[0]
-
-    def children_of(self, name: str) -> list[ParsedJoint]:
-        return [j for j in self.joints if j.parent == name]
-
-    def verify_tree(self) -> None:
-        names = [l.name for l in self.links]
-        if len(set(names)) != len(names):
-            raise StructuralError("duplicate link names")
-        by_child: dict[str, ParsedJoint] = {}
-        for j in self.joints:
-            if j.parent not in set(names) or j.child not in set(names):
-                raise StructuralError(f"joint {j.name} references unknown links")
-            if j.child in by_child:
-                raise StructuralError(f"link {j.child} has two parents")
-            by_child[j.child] = j
-        root = self.root_name
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop()
-            for j in self.children_of(cur):
-                if j.child in seen:
-                    raise StructuralError("cycle in parsed kinematic graph")
-                seen.add(j.child)
-                frontier.append(j.child)
-        if seen != set(names):
-            raise StructuralError("parsed model is not a connected tree")
+        KinematicTree(roots[0], [l.name for l in self.links], self.joints)
 
 
 # ---------------------------------------------------------------------------

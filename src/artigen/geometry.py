@@ -678,10 +678,10 @@ def format_float(x: float) -> str:
 def obj_text(mesh: TriMesh, name: str) -> str:
     """ASCII OBJ with one object, v/f records, and 1-based indices."""
     lines = [f"o {name}"]
-    for v in mesh.vertices:
-        lines.append(f"v {format_float(v[0])} {format_float(v[1])} {format_float(v[2])}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    for x, y, z in mesh.vertices.tolist():
+        lines.append(f"v {format_float(x)} {format_float(y)} {format_float(z)}")
+    for a, b, c in (mesh.triangles + 1).tolist():
+        lines.append(f"f {a} {b} {c}")
     return "\n".join(lines) + "\n"
 
 

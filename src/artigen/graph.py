@@ -309,6 +309,10 @@ class NodeGraph:
         self.output_node: str | None = None
         self.parameters = parameters if parameters is not None else ParameterSpace()
         self._next_id = 0
+        self._rank: dict[str, int] = {}  # node id -> insertion rank
+        # True while every wire runs from an earlier node to a later one; a
+        # forward wire then cannot close a cycle, so connect skips the walk.
+        self._forward = True
 
     # --- construction -------------------------------------------------------
 
@@ -341,6 +345,7 @@ class NodeGraph:
         node_id = f"n{self._next_id}"
         self._next_id += 1
         self.nodes[node_id] = Node(node_id, kind, normalized)
+        self._rank[node_id] = len(self._rank)
         return node_id
 
     def connect(self, src: str, dst: str, port: str) -> None:
@@ -357,9 +362,11 @@ class NodeGraph:
             raise PortTypeError(
                 f"cannot wire {src_type} output of {src} into {ptype} port {port!r} of {dst}"
             )
-        if src == dst or self._reaches(src, dst):
+        forward = self._rank[src] < self._rank[dst]
+        if not (forward and self._forward) and (src == dst or self._reaches(src, dst)):
             raise GraphCycleError(f"wiring {src} -> {dst}.{port} would create a cycle")
         self.nodes[dst].inputs[port] = src
+        self._forward = self._forward and forward
 
     def set_output(self, node_id: str) -> None:
         if node_id not in self.nodes:
@@ -647,9 +654,15 @@ class NodeGraph:
                 else:
                     params[name] = pspec.default
             inputs = entry.get("inputs", {})
-            if not isinstance(inputs, dict):
-                raise SchemaError(f"node {node_id} inputs must be an object")
+            if not isinstance(inputs, dict) or not all(isinstance(v, str) for v in inputs.values()):
+                raise SchemaError(f"node {node_id} inputs must map ports to node ids")
             graph.nodes[node_id] = Node(node_id, kind, params, dict(inputs))
+            graph._rank[node_id] = len(graph._rank)
+        graph._forward = all(
+            graph._rank.get(src, len(graph._rank)) < graph._rank[nid]
+            for nid, node in graph.nodes.items()
+            for src in node.inputs.values()
+        )
         graph.output_node = doc.get("output")
         # keep fresh ids clear of loaded ones
         numeric = [int(n[1:]) for n in graph.nodes if n.startswith("n") and n[1:].isdigit()]
@@ -718,5 +731,5 @@ def inject_label_attributes(graph: NodeGraph) -> NodeGraph:
         )
         next_label += 1
         clone.connect(src, store, "geometry")
-        clone.nodes[nid].inputs[port] = store
+        clone.connect(store, nid, port)
     return clone

@@ -14,6 +14,8 @@ link pair (a screw) compose in the order they were given.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import RangeError, StructuralError
@@ -26,20 +28,21 @@ RANGE_SLACK = 1e-12
 class KinematicTree:
     """Links and joints indexed by position, with parent and child index lists.
 
-    `joints` holds (joint_id, parent_link_id, child_link_id, spec) in the order
-    joints between one link pair compose; `spec` is a graph.JointSpec whose
-    pivot and axis are in the construction frame. Raises StructuralError when
-    a link has two parent links, when the root has a parent, or when a link
-    cannot be reached from the root.
+    `joints` holds records with `joint_id`, `parent` and `child` link ids, in
+    the order joints between one link pair compose. Only posing reads a
+    record's `spec`, a graph.JointSpec whose pivot and axis are in the
+    construction frame. Raises StructuralError when ids repeat, when a joint
+    names an unknown link, when a link has two parent links, when the root has
+    a parent, or when a link cannot be reached from the root.
     """
 
     def __init__(self, root: str, link_ids, joints):
-        joints = tuple(joints)
+        self.joints = tuple(joints)
         self.link_ids = tuple(link_ids)
-        self.joint_ids = tuple(j[0] for j in joints)
+        self.joint_ids = tuple(j.joint_id for j in self.joints)
         self.link_index = {link_id: i for i, link_id in enumerate(self.link_ids)}
         self.joint_index = {joint_id: k for k, joint_id in enumerate(self.joint_ids)}
-        if len(self.link_index) < len(self.link_ids) or len(self.joint_index) < len(joints):
+        if len(self.link_index) < len(self.link_ids) or len(self.joint_index) < len(self.joints):
             raise StructuralError("link and joint ids must be unique")
         if root not in self.link_index:
             raise StructuralError(f"root link {root!r} is not among the links")
@@ -48,12 +51,12 @@ class KinematicTree:
         self.incoming: list[list[int]] = [[] for _ in range(n_links)]  # composition order
         self.children: list[list[int]] = [[] for _ in range(n_links)]  # by joint id
         child_of = []
-        for k, (joint_id, parent, child, _spec) in enumerate(joints):
-            if parent not in self.link_index or child not in self.link_index:
-                raise StructuralError(f"joint {joint_id!r} connects links that do not exist")
-            p, c = self.link_index[parent], self.link_index[child]
+        for k, j in enumerate(self.joints):
+            if j.parent not in self.link_index or j.child not in self.link_index:
+                raise StructuralError(f"joint {j.joint_id!r} connects links that do not exist")
+            p, c = self.link_index[j.parent], self.link_index[j.child]
             if self.incoming[c] and self.parent[c] != p:
-                raise StructuralError(f"link {child!r} has multiple parent links")
+                raise StructuralError(f"link {j.child!r} has multiple parent links")
             self.parent[c] = p
             self.incoming[c].append(k)
             self.children[p].append(k)
@@ -78,18 +81,21 @@ class KinematicTree:
             raise StructuralError(f"links not reachable from root: {lost}")
         self.order = order
 
-        specs = [j[3] for j in joints]
-        self.lo = np.array([s.lo for s in specs], dtype=np.float64)
-        self.hi = np.array([s.hi for s in specs], dtype=np.float64)
-        self.default = np.array([s.default_value for s in specs], dtype=np.float64)
-        self._revolute = np.array([s.joint_type == "revolute" for s in specs], dtype=bool)
+    @cached_property
+    def _motion(self) -> tuple[np.ndarray, ...]:
+        """Per-joint range, default and motion arrays, built on the first pose."""
+        specs = [j.spec for j in self.joints]
+        lo = np.array([s.lo for s in specs], dtype=np.float64)
+        hi = np.array([s.hi for s in specs], dtype=np.float64)
+        default = np.array([s.default_value for s in specs], dtype=np.float64)
+        revolute = np.array([s.joint_type == "revolute" for s in specs], dtype=bool)
         axis = np.array([s.axis for s in specs], dtype=np.float64).reshape(-1, 3)
         pivot = np.array([s.pivot for s in specs], dtype=np.float64).reshape(-1, 3)
-        self._axis = axis
         # A rotation by v about (axis, pivot) translates by
         # (1 - cos v) * pivot_perp - sin v * (axis x pivot) (Rodrigues).
-        self._pivot_perp = pivot - axis * np.sum(axis * pivot, axis=1, keepdims=True)
-        self._axis_cross_pivot = np.cross(axis, pivot).reshape(-1, 3)
+        pivot_perp = pivot - axis * np.sum(axis * pivot, axis=1, keepdims=True)
+        axis_cross_pivot = np.cross(axis, pivot).reshape(-1, 3)
+        return lo, hi, default, revolute, axis, pivot_perp, axis_cross_pivot
 
     def pose(self, values, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Construction-frame pose of every link at n joint configurations.
@@ -99,26 +105,27 @@ class KinematicTree:
         joint id raises KeyError. Returns unit quaternions, w first, of shape
         (links, n, 4) and translations (links, n, 3), indexed like `link_ids`.
         """
-        v = np.repeat(self.default[:, None], n, axis=1)
+        lo, hi, default, revolute, axis, pivot_perp, axis_cross_pivot = self._motion
+        v = np.repeat(default[:, None], n, axis=1)
         for joint_id, joint_values in values.items():
             v[self.joint_index[joint_id]] = joint_values
-        inside = (v >= self.lo[:, None] - RANGE_SLACK) & (v <= self.hi[:, None] + RANGE_SLACK)
+        inside = (v >= lo[:, None] - RANGE_SLACK) & (v <= hi[:, None] + RANGE_SLACK)
         if not inside.all():
             k, c = np.argwhere(~inside)[0]
             raise RangeError(
-                f"value {v[k, c]} outside range [{self.lo[k]}, {self.hi[k]}] "
+                f"value {v[k, c]} outside range [{lo[k]}, {hi[k]}] "
                 f"of joint {self.joint_ids[k]!r}"
             )
 
-        revolute = self._revolute[:, None]
+        revolute = revolute[:, None]
         motion_q = np.zeros(v.shape + (4,))
         motion_q[..., 0] = np.where(revolute, np.cos(0.5 * v), 1.0)
-        motion_q[..., 1:] = np.where(revolute, np.sin(0.5 * v), 0.0)[..., None] * self._axis[:, None]
+        motion_q[..., 1:] = np.where(revolute, np.sin(0.5 * v), 0.0)[..., None] * axis[:, None]
         motion_t = np.where(
             revolute[..., None],
-            (1.0 - np.cos(v))[..., None] * self._pivot_perp[:, None]
-            - np.sin(v)[..., None] * self._axis_cross_pivot[:, None],
-            v[..., None] * self._axis[:, None],
+            (1.0 - np.cos(v))[..., None] * pivot_perp[:, None]
+            - np.sin(v)[..., None] * axis_cross_pivot[:, None],
+            v[..., None] * axis[:, None],
         )
 
         quat = np.empty((len(self.link_ids), n, 4))

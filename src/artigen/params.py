@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 import random
 from dataclasses import dataclass
@@ -195,6 +197,37 @@ def _substream(salt: str, seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_whole(value) -> bool:
+    return _is_number(value) and float(value).is_integer()
+
+
+def _check_override(name: str, entry: Entry, override) -> None:
+    """Raise InvalidParameterError naming `name` unless `override` is an object
+    holding only keys its entry's kind accepts, with well-formed values."""
+    if not isinstance(override, Mapping):
+        raise InvalidParameterError(f"override for {name!r} must be an object, got {override!r}")
+    continuous = isinstance(entry, Continuous)
+    allowed = ("lo", "hi", "fixed", "mean", "std") if continuous else ("fixed", "choices")
+    unknown = [key for key in override if key not in allowed]
+    if unknown:
+        raise InvalidParameterError(
+            f"override for {name!r} has unknown keys {unknown}; allowed: {list(allowed)}"
+        )
+    for key, value in override.items():
+        if continuous:
+            ok = _is_number(value)
+        elif key == "fixed":
+            ok = _is_whole(value)
+        else:
+            ok = isinstance(value, (list, tuple)) and len(value) > 0 and all(map(_is_whole, value))
+        if not ok:
+            raise InvalidParameterError(f"override {key!r} for {name!r} is malformed: {value!r}")
+
+
 def _sample_continuous(entry: Continuous, rng: random.Random, override) -> float:
     lo, hi = entry.lo, entry.hi
     if override:
@@ -223,9 +256,10 @@ def sample_parameters(
     if salt is None:
         salt = os.environ.get(SALT_ENV_VAR, "")
     overrides = overrides or {}
-    for name in overrides:
+    for name, override in overrides.items():
         if name not in space:
             raise MissingParameterError(f"override references unknown parameter {name!r}")
+        _check_override(name, space[name], override)
     values: dict[str, float | int] = {}
     for name, entry in space.entries.items():
         rng = _substream(salt, seed, name)
@@ -269,6 +303,8 @@ def merge_overrides(space: ParameterSpace, overrides: Mapping | None) -> Paramet
     merged = ParameterSpace()
     for name, entry in space.entries.items():
         ov = overrides.get(name)
+        if name in overrides:
+            _check_override(name, entry, ov)
         if ov and isinstance(entry, Continuous):
             lo, hi = entry.lo, entry.hi
             for key in ("lo", "hi", "fixed", "mean"):

@@ -117,6 +117,18 @@ class TestOverrideFiles:
             assert "line 1 column 17" in err
 
 
+    def test_malformed_override_entry_names_type_and_parameter(self, tmp_path, capsys):
+        overrides = tmp_path / "ov.json"
+        overrides.write_text(json.dumps({"width": {"lo": "wide"}}))
+        code, _, err = run(
+            ["generate", "--category", "door", "--seed", "0", "--out", str(tmp_path / "out"),
+             "--overrides", str(overrides)], capsys,
+        )
+        assert code == 1
+        assert "door seed 0: FAILED: InvalidParameterError: " in err
+        assert "'width'" in err
+
+
 class TestInfo:
     @pytest.mark.parametrize(
         "category,dims",

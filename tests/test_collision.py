@@ -104,11 +104,12 @@ class TestBasics:
 
 
 class TestPlans:
-    def test_cap_exceeded_instructs_random(self):
+    def test_cap_exceeded_instructs_random(self, monkeypatch):
         inst = overlapping_at_midrange()
         # one moving joint: force a tiny cap instead of many joints
+        monkeypatch.setattr("artigen.collision.CONFIG_CAP", 4)
         with pytest.raises(PlanTooLargeError):
-            sweep_check(inst, SweepPlan(samples=9, config_cap=4, pair_filter="all"))
+            sweep_check(inst, SweepPlan(samples=9, pair_filter="all"))
 
     def test_random_strategy_deterministic(self):
         inst = overlapping_at_midrange()

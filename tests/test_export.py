@@ -22,6 +22,10 @@ from artigen.patterns import PATTERN_NAMES, build_pattern
 from helpers import assert_kinematic_isomorphism
 
 
+_BASE = "chained_joints/base/0"
+_UPPER = "chained_joints/rod_upper/2"
+
+
 def make_instance(name):
     g = build_pattern(name)
     return instantiate(extract_blueprint(g), g, ParamVector({}), category=name)
@@ -112,6 +116,36 @@ class TestUrdf:
         assert corrupted != text
         bad = tmp_path / "cyc" / "bad.urdf"
         bad.write_text(corrupted)
+        with pytest.raises(StructuralError):
+            parse_urdf(bad)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # an extra joint gives the root a parent
+            ("</robot>", f'<joint name="extra" type="fixed"><parent link="{_UPPER}" />'
+                         f'<child link="{_BASE}" /></joint></robot>'),
+            # a link becomes the child of two joints
+            ("</robot>", f'<joint name="extra" type="fixed"><parent link="{_BASE}" />'
+                         f'<child link="{_UPPER}" /></joint></robot>'),
+            # a joint names a link the model does not hold
+            (f'<child link="{_UPPER}" />', '<child link="chained_joints/ghost/9" />'),
+            # two links share a name
+            ("</robot>", f'<link name="{_UPPER}" /></robot>'),
+            # two joints share a name
+            ('name="chained_joints/elbow/1"', 'name="chained_joints/shoulder/0"'),
+            # a joint has no name
+            ('<joint name="chained_joints/elbow/1"', "<joint"),
+        ],
+        ids=["root-gains-parent", "two-parent-joints", "unknown-link", "duplicate-link",
+             "duplicate-joint", "nameless-joint"],
+    )
+    def test_corrupted_tree_rejected(self, tmp_path, old, new):
+        inst = make_instance("chained_joints")
+        text = export_urdf(inst, tmp_path / "tree").model_path.read_text()
+        assert old in text
+        bad = tmp_path / "tree" / "bad.urdf"
+        bad.write_text(text.replace(old, new))
         with pytest.raises(StructuralError):
             parse_urdf(bad)
 

@@ -26,7 +26,8 @@ from artigen.graph import (
     ParamRef,
     inject_label_attributes,
 )
-from artigen.params import Continuous, Count, ParameterSpace, ParamVector
+from artigen.generators import CATEGORY_NAMES, get_generator
+from artigen.params import Continuous, Count, ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
 
@@ -68,6 +69,40 @@ class TestConstruction:
             g.connect(t2, t1, "geometry")
         with pytest.raises(GraphCycleError):
             g.connect(t1, t1, "geometry")
+
+    def test_forward_wire_closing_a_cycle_in_loaded_graph_rejected(self):
+        g = NodeGraph()
+        t1 = g.add_node("transform", {})
+        t2 = g.add_node("transform", {})
+        g.connect(t2, t1, "geometry")  # from a later node to an earlier one
+        loaded = NodeGraph.deserialize(g.serialize())
+        with pytest.raises(GraphCycleError):
+            loaded.connect(t1, t2, "geometry")
+
+    def test_loaded_wire_from_a_missing_node_counts_as_backward(self):
+        g = NodeGraph()
+        t0 = g.add_node("transform", {})
+        loaded = NodeGraph.deserialize(
+            g.serialize().replace('"inputs": {}', '"inputs": {"geometry": "n3"}')
+        )
+        added = [loaded.add_node("transform", {}) for _ in range(3)]
+        assert added[-1] == "n3"
+        with pytest.raises(GraphCycleError):
+            loaded.connect(t0, "n3", "geometry")
+
+    def test_generator_builds_walk_no_graph(self, monkeypatch):
+        walks = []
+        reaches = NodeGraph._reaches
+
+        def counting(graph, start, target):
+            walks.append((start, target))
+            return reaches(graph, start, target)
+
+        monkeypatch.setattr(NodeGraph, "_reaches", counting)
+        for category in CATEGORY_NAMES:
+            gen = get_generator(category)
+            gen.build(sample_parameters(gen.space, 0, salt=""))
+        assert walks == []
 
     def test_connect_port_type_rejected(self):
         g = NodeGraph()
@@ -339,6 +374,14 @@ class TestInjectLabels:
         out = inject_label_attributes(g)
         after = sum(1 for n in out.nodes.values() if n.kind == "store_attribute")
         assert before == 0 and after == 2
+
+    def test_forward_wire_closing_a_cycle_through_a_store_rejected(self):
+        g = build_pattern("simple_revolute")
+        out = inject_label_attributes(g)
+        store = out.nodes[g.output_node].inputs["child"]
+        assert out.nodes[store].kind == "store_attribute"
+        with pytest.raises(GraphCycleError):
+            out.connect(g.output_node, store, "geometry")
 
     def test_idempotent(self):
         g = build_pattern("chained_joints")

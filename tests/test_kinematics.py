@@ -50,6 +50,17 @@ def test_instance_pose_matches_evaluated_pose(case):
             assert world[link.link_id].almost_equal(expected, tol=1e-12), link.link_id
 
 
+def test_instance_tree_poses_with_the_evaluated_joint_specs(case):
+    graph, params, instance = case
+    evaluated = {j.joint_id: j.spec for j in evaluate(graph, params).joints}
+    tree_joints = instance.tree.joints
+    assert len(tree_joints) == len(instance.joints)
+    for tree_joint, joint in zip(tree_joints, instance.joints):
+        assert tree_joint is joint
+        assert joint.spec == evaluated[joint.joint_id]
+        assert joint.spec.pivot == tuple(instance.link(joint.child).local_frame.translation)
+
+
 def test_batched_pose_matches_single_configs(case):
     _graph, _params, instance = case
     tree = instance.tree

@@ -93,6 +93,19 @@ class TestOverrides:
         with pytest.raises(MissingParameterError):
             sample_parameters(space, 0, overrides={"y": {"fixed": 1}})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"handle_type": 5}, {"width": {"lo": "wide"}}, {"width": {"low": 0.5}}],
+        ids=["not-an-object", "not-a-number", "unknown-key"],
+    )
+    def test_malformed_override_names_parameter(self, overrides):
+        space = get_generator("door").space
+        (name,) = overrides
+        with pytest.raises(InvalidParameterError, match=repr(name)):
+            sample_parameters(space, 0, overrides=overrides)
+        with pytest.raises(InvalidParameterError, match=repr(name)):
+            merge_overrides(space, overrides)
+
     def test_merge_widens_continuous(self):
         space = ParameterSpace({"x": Continuous(0.2, 0.4)})
         merged = merge_overrides(space, {"x": {"lo": 0.0, "hi": 1.0}})
