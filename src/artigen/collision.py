@@ -1,12 +1,14 @@
 """Joint-range sweeping for self-penetration between rigid parts.
 
 The sweep samples joint configurations (a Cartesian grid or random draws),
-poses every link with forward kinematics, culls link pairs with a
-conservative AABB broadphase, and confirms contacts with exact
-triangle-triangle tests. A tolerance gate re-tests candidate pairs with the
-triangles offset inward along their normals, so parts that merely touch
-within tolerance are not reported; witnesses always come from the exact test
-and re-verify. Containment without surface contact is outside the contract
+poses every link with forward kinematics, culls link pairs and then triangle
+pairs with conservative AABB tests, and confirms contacts with one batched
+exact triangle-triangle test, `geometry.intersecting_pairs`. `verify_finding`
+runs the same test on one row (`triangles_intersect`), so the two agree by
+construction. A tolerance gate re-tests candidate pairs with the triangles
+offset inward along their normals, so parts that merely touch within
+tolerance are not reported; witnesses always come from the exact test and
+re-verify. Containment without surface contact is outside the contract
 (witnesses are surface-triangle pairs).
 """
 
@@ -23,9 +25,9 @@ from .blueprint import AssetInstance, forward_kinematics
 from .errors import InvalidParameterError, PlanTooLargeError
 from .geometry import (
     DEGENERATE_AREA,
+    intersecting_pairs,
     quat_to_matrix,
     triangle_areas,
-    triangle_pairs_plane_filter,
     triangles_intersect,
 )
 
@@ -154,14 +156,14 @@ def _first_hit(tris_a: np.ndarray, tris_b: np.ndarray):
     idx_a, idx_b = np.nonzero(overlap)
     if len(idx_a) == 0:
         return None
-    keep = triangle_pairs_plane_filter(tris_a[idx_a], tris_b[idx_b])
     # Skip triangles collapsed by the tolerance shrink.
-    keep &= (triangle_areas(tris_a) > DEGENERATE_AREA)[idx_a]
+    keep = (triangle_areas(tris_a) > DEGENERATE_AREA)[idx_a]
     keep &= (triangle_areas(tris_b) > DEGENERATE_AREA)[idx_b]
-    for ia, ib in zip(idx_a[keep], idx_b[keep]):
-        if triangles_intersect(tris_a[ia], tris_b[ib]):
-            return int(ia), int(ib)
-    return None
+    idx_a, idx_b = idx_a[keep], idx_b[keep]
+    hit = np.flatnonzero(intersecting_pairs(tris_a[idx_a], tris_b[idx_b]))
+    if len(hit) == 0:
+        return None
+    return int(idx_a[hit[0]]), int(idx_b[hit[0]])
 
 
 def _pair_witness(tris_a: np.ndarray, tris_b: np.ndarray, tolerance: float):

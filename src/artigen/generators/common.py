@@ -69,7 +69,6 @@ class CategoryGenerator:
     name: str
     space: ParameterSpace
     builder: object  # ParamVector -> NodeGraph
-    continuous_dims: int  # documented count (Table-style inventory)
 
     def build(self, params: ParamVector) -> NodeGraph:
         return self.builder(params)

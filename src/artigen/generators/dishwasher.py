@@ -186,4 +186,4 @@ MAX_OPEN = 1.45
 
 
 def generator() -> CategoryGenerator:
-    return CategoryGenerator("dishwasher", space(), build, continuous_dims=13)
+    return CategoryGenerator("dishwasher", space(), build)

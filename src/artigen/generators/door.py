@@ -254,4 +254,4 @@ def build(p: ParamVector) -> NodeGraph:
 
 
 def generator() -> CategoryGenerator:
-    return CategoryGenerator("door", space(), build, continuous_dims=39)
+    return CategoryGenerator("door", space(), build)

@@ -276,4 +276,4 @@ def build(p: ParamVector) -> NodeGraph:
 
 
 def generator() -> CategoryGenerator:
-    return CategoryGenerator("fridge", space(), build, continuous_dims=32)
+    return CategoryGenerator("fridge", space(), build)

@@ -269,4 +269,4 @@ def build(p: ParamVector) -> NodeGraph:
 
 
 def generator() -> CategoryGenerator:
-    return CategoryGenerator("lamp", space(), build, continuous_dims=29)
+    return CategoryGenerator("lamp", space(), build)

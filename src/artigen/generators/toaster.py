@@ -175,4 +175,4 @@ def build(p: ParamVector) -> NodeGraph:
 
 
 def generator() -> CategoryGenerator:
-    return CategoryGenerator("toaster", space(), build, continuous_dims=14)
+    return CategoryGenerator("toaster", space(), build)

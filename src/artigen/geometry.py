@@ -497,23 +497,6 @@ def merge_meshes(meshes) -> TriMesh:
 # ---------------------------------------------------------------------------
 
 
-def _plane_interval(tri, dists, line_dir):
-    """Project triangle's plane-crossing segment onto `line_dir`; None if no crossing."""
-    proj = tri @ line_dir
-    ts = []
-    for i in range(3):
-        if abs(dists[i]) == 0.0:
-            ts.append(proj[i])
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        di, dj = dists[i], dists[j]
-        if di * dj < 0.0:
-            t = proj[i] + (proj[j] - proj[i]) * di / (di - dj)
-            ts.append(t)
-    if not ts:
-        return None
-    return min(ts), max(ts)
-
-
 def _point_in_tri_2d(p, tri, eps):
     d = []
     for i in range(3):
@@ -564,63 +547,75 @@ def _coplanar_overlap(a, b, normal, eps):
     return False
 
 
+def _plane_side(tris, origin, normal, eps):
+    """Signed distances (times |normal|) of each row's corners from the row's
+    plane, zeroed within eps * |normal|, and whether all three lie strictly on
+    one side."""
+    dist = np.einsum("nij,nj->ni", tris - origin[:, None, :], normal)
+    dist = np.where(np.abs(dist) <= (eps * np.linalg.norm(normal, axis=1))[:, None], 0.0, dist)
+    return dist, np.all(dist > 0, axis=1) | np.all(dist < 0, axis=1)
+
+
+def _crossing_interval(tris, dists, line_dir):
+    """Per row, the (lo, hi) extent along `line_dir` where the triangle meets
+    the other plane: its on-plane corners and sign-changing edges. A row not
+    strictly on one side has at least one of them."""
+    proj = np.einsum("nij,nj->ni", tris, line_dir)
+    # Edge k runs from corner k to corner k+1 (mod 3).
+    d_next, p_next = np.roll(dists, -1, axis=1), np.roll(proj, -1, axis=1)
+    crosses = dists * d_next < 0.0
+    at = proj + (p_next - proj) * dists / np.where(crosses, dists - d_next, 1.0)
+    ts = np.concatenate([proj, at], axis=1)
+    hits = np.concatenate([dists == 0.0, crosses], axis=1)
+    return np.where(hits, ts, np.inf).min(axis=1), np.where(hits, ts, -np.inf).max(axis=1)
+
+
+def intersecting_pairs(tris_a, tris_b) -> np.ndarray:
+    """Row-wise closed-triangle intersection of two (n, 3, 3) corner stacks.
+
+    Moller's interval test ("A Fast Triangle-Triangle Intersection Test",
+    J. Graphics Tools 1997): reject rows with one triangle strictly on one
+    side of the other's plane, else overlap the two triangles' crossing
+    intervals on the planes' common line. Distances and intervals carry a
+    scale-relative eps, so touching contacts (shared vertex or edge) count.
+    Coplanar and near-parallel rows take the 2-D branch one row at a time.
+    Rows must be non-degenerate; `triangles_intersect` is the checked n=1 view.
+    """
+    a = np.asarray(tris_a, dtype=np.float64).reshape(-1, 3, 3)
+    b = np.asarray(tris_b, dtype=np.float64).reshape(-1, 3, 3)
+    eps = 1e-12 * np.maximum(1.0, np.abs(np.concatenate([a, b], axis=1)).max(axis=(1, 2)))
+    na = np.cross(a[:, 1] - a[:, 0], a[:, 2] - a[:, 0])
+    nb = np.cross(b[:, 1] - b[:, 0], b[:, 2] - b[:, 0])
+    da, a_apart = _plane_side(a, b[:, 0], nb, eps)
+    db, b_apart = _plane_side(b, a[:, 0], na, eps)
+    out = ~(a_apart | b_apart)
+    line = np.cross(na, nb)
+    norm = np.linalg.norm(line, axis=1)
+    flat = out & ((np.all(da == 0.0, axis=1) & np.all(db == 0.0, axis=1)) | (norm < eps))
+    for r in np.nonzero(flat)[0]:
+        # Parallel distinct planes were rejected above, so these rows are coplanar.
+        tol = eps[r] * max(1.0, float(np.linalg.norm(na[r])))
+        out[r] = _coplanar_overlap(a[r], b[r], na[r], tol)
+    rows = np.nonzero(out & ~flat)[0]
+    line = line[rows] / norm[rows, None]
+    lo_a, hi_a = _crossing_interval(a[rows], da[rows], line)
+    lo_b, hi_b = _crossing_interval(b[rows], db[rows], line)
+    tol = eps[rows] * np.abs(np.column_stack([lo_a, hi_a, lo_b, hi_b])).max(axis=1, initial=1.0)
+    out[rows] = (lo_a <= hi_b + tol) & (lo_b <= hi_a + tol)
+    return out
+
+
 def triangles_intersect(tri_a, tri_b) -> bool:
     """True iff two closed triangles share at least one point.
 
-    Uses plane-side interval tests with an explicit coplanar branch; touching
-    contacts (shared vertex or edge) count as intersection.
+    The one-row view of `intersecting_pairs`; touching contacts (shared vertex
+    or edge) count as intersection.
     """
-    a = np.asarray(tri_a, dtype=np.float64).reshape(3, 3)
-    b = np.asarray(tri_b, dtype=np.float64).reshape(3, 3)
-    if triangle_areas(np.stack([a, b])).min() <= DEGENERATE_AREA:
+    a = np.asarray(tri_a, dtype=np.float64).reshape(1, 3, 3)
+    b = np.asarray(tri_b, dtype=np.float64).reshape(1, 3, 3)
+    if triangle_areas(np.concatenate([a, b])).min() <= DEGENERATE_AREA:
         raise InvalidParameterError("triangles_intersect requires non-degenerate triangles")
-    scale = max(1.0, float(np.abs(np.vstack([a, b])).max()))
-    eps = 1e-12 * scale
-
-    nb = np.cross(b[1] - b[0], b[2] - b[0])
-    da = (a - b[0]) @ nb
-    da = np.where(np.abs(da) <= eps * np.linalg.norm(nb), 0.0, da)
-    if np.all(da > 0) or np.all(da < 0):
-        return False
-
-    na = np.cross(a[1] - a[0], a[2] - a[0])
-    db = (b - a[0]) @ na
-    db = np.where(np.abs(db) <= eps * np.linalg.norm(na), 0.0, db)
-    if np.all(db > 0) or np.all(db < 0):
-        return False
-
-    if np.all(da == 0.0) and np.all(db == 0.0):
-        return _coplanar_overlap(a, b, na, eps * max(1.0, float(np.linalg.norm(na))))
-
-    d = np.cross(na, nb)
-    norm = np.linalg.norm(d)
-    if norm < eps:
-        # Parallel distinct planes already returned False; treat as coplanar.
-        return _coplanar_overlap(a, b, na, eps * max(1.0, float(np.linalg.norm(na))))
-    d = d / norm
-
-    ia = _plane_interval(a, da, d)
-    ib = _plane_interval(b, db, d)
-    if ia is None or ib is None:
-        return False
-    span = max(abs(ia[0]), abs(ia[1]), abs(ib[0]), abs(ib[1]), 1.0)
-    return ia[0] <= ib[1] + eps * span and ib[0] <= ia[1] + eps * span
-
-
-def triangle_pairs_plane_filter(tris_a: np.ndarray, tris_b: np.ndarray) -> np.ndarray:
-    """Vectorized early-out for candidate triangle pairs.
-
-    Takes (n, 3, 3) corner arrays; returns a boolean mask of pairs that MIGHT
-    intersect (pairs with all of one triangle strictly on one side of the
-    other's plane are removed). Survivors still need `triangles_intersect`.
-    """
-    nb = np.cross(tris_b[:, 1] - tris_b[:, 0], tris_b[:, 2] - tris_b[:, 0])
-    da = np.einsum("nij,nj->ni", tris_a - tris_b[:, 0:1], nb)
-    keep = ~(np.all(da > 0, axis=1) | np.all(da < 0, axis=1))
-    na = np.cross(tris_a[:, 1] - tris_a[:, 0], tris_a[:, 2] - tris_a[:, 0])
-    db = np.einsum("nij,nj->ni", tris_b - tris_a[:, 0:1], na)
-    keep &= ~(np.all(db > 0, axis=1) | np.all(db < 0, axis=1))
-    return keep
+    return bool(intersecting_pairs(a, b)[0])
 
 
 # ---------------------------------------------------------------------------

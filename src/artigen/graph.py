@@ -271,6 +271,32 @@ def _normalize_param(kind: str, name: str, spec: _ParamSpec, value):
     raise InvalidParameterError(f"unhandled parameter kind {spec.kind}")
 
 
+def _normalize_params(kind: str, params: dict, error: type) -> dict:
+    """Every parameter of a `kind` node: given values checked and coerced, the
+    rest defaulted, a joint's axis scaled to unit length. A None value
+    counts as absent where None is the default. Unknown or missing parameter
+    names raise `error`; bad values raise InvalidParameterError."""
+    spec = _KINDS[kind]
+    unknown = set(params) - set(spec.params)
+    if unknown:
+        raise error(f"unknown parameters for {kind}: {sorted(unknown)}")
+    normalized = {}
+    for name, pspec in spec.params.items():
+        if name in params and not (params[name] is None and pspec.default is None):
+            normalized[name] = _normalize_param(kind, name, pspec, params[name])
+        elif pspec.required:
+            raise error(f"{kind} requires parameter {name!r}")
+        else:
+            normalized[name] = pspec.default
+    if kind in JOINT_KINDS:  # a vec3 axis is always literal
+        axis = np.asarray(normalized["axis"], dtype=np.float64)
+        norm = float(np.linalg.norm(axis))
+        if norm < _UNIT_TOL:
+            raise InvalidParameterError("joint axis must be nonzero")
+        normalized["axis"] = tuple(float(c) for c in axis / norm)
+    return normalized
+
+
 @dataclass
 class Node:
     node_id: str
@@ -319,29 +345,7 @@ class NodeGraph:
     def add_node(self, kind: str, params: dict | None = None) -> str:
         if kind not in _KINDS:
             raise InvalidParameterError(f"unknown node kind {kind!r}")
-        spec = _KINDS[kind]
-        params = dict(params or {})
-        unknown = set(params) - set(spec.params)
-        if unknown:
-            raise InvalidParameterError(f"unknown parameters for {kind}: {sorted(unknown)}")
-        normalized = {}
-        for name, pspec in spec.params.items():
-            if name in params:
-                value = params[name]
-                if value is None:
-                    normalized[name] = None
-                    continue
-                normalized[name] = _normalize_param(kind, name, pspec, value)
-            elif pspec.required:
-                raise InvalidParameterError(f"{kind} requires parameter {name!r}")
-            else:
-                normalized[name] = pspec.default
-        if kind in JOINT_KINDS and not isinstance(normalized["axis"], ParamRef):
-            axis = np.asarray(normalized["axis"], dtype=np.float64)
-            norm = float(np.linalg.norm(axis))
-            if norm < _UNIT_TOL:
-                raise InvalidParameterError("joint axis must be nonzero")
-            normalized["axis"] = tuple(float(c) for c in axis / norm)
+        normalized = _normalize_params(kind, params or {}, InvalidParameterError)
         node_id = f"n{self._next_id}"
         self._next_id += 1
         self.nodes[node_id] = Node(node_id, kind, normalized)
@@ -640,19 +644,11 @@ class NodeGraph:
             node_id = entry.get("id")
             if not isinstance(node_id, str) or node_id in graph.nodes:
                 raise SchemaError(f"bad or duplicate node id {node_id!r}")
-            spec = _KINDS[kind]
             raw = entry.get("params", {})
-            unknown = set(raw) - set(spec.params)
-            if unknown:
-                raise SchemaError(f"unknown parameters for {kind}: {sorted(unknown)}")
-            params = {}
-            for name, pspec in spec.params.items():
-                if name in raw:
-                    params[name] = _normalize_param(kind, name, pspec, _decode_param(raw[name]))
-                elif pspec.required:
-                    raise SchemaError(f"node {node_id} missing required parameter {name!r}")
-                else:
-                    params[name] = pspec.default
+            if not isinstance(raw, dict):
+                raise SchemaError(f"node {node_id} params must be an object")
+            decoded = {name: _decode_param(value) for name, value in raw.items()}
+            params = _normalize_params(kind, decoded, SchemaError)
             inputs = entry.get("inputs", {})
             if not isinstance(inputs, dict) or not all(isinstance(v, str) for v in inputs.values()):
                 raise SchemaError(f"node {node_id} inputs must map ports to node ids")

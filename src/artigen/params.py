@@ -205,9 +205,15 @@ def _is_whole(value) -> bool:
     return _is_number(value) and float(value).is_integer()
 
 
+def _whole_range(entry: Discrete | Count) -> tuple[int, int]:
+    """Inclusive range of a discrete entry's label indices or a count's values."""
+    return (0, len(entry.labels) - 1) if isinstance(entry, Discrete) else (entry.min, entry.max)
+
+
 def _check_override(name: str, entry: Entry, override) -> None:
     """Raise InvalidParameterError naming `name` unless `override` is an object
-    holding only keys its entry's kind accepts, with well-formed values."""
+    holding only keys its entry's kind accepts, with well-formed values; whole
+    values must lie in the entry's range."""
     if not isinstance(override, Mapping):
         raise InvalidParameterError(f"override for {name!r} must be an object, got {override!r}")
     continuous = isinstance(entry, Continuous)
@@ -226,6 +232,13 @@ def _check_override(name: str, entry: Entry, override) -> None:
             ok = isinstance(value, (list, tuple)) and len(value) > 0 and all(map(_is_whole, value))
         if not ok:
             raise InvalidParameterError(f"override {key!r} for {name!r} is malformed: {value!r}")
+        if not continuous:
+            # Generators index by these values, so they must lie in the entry's range.
+            lo, hi = _whole_range(entry)
+            if not all(lo <= v <= hi for v in (value if key == "choices" else [value])):
+                raise InvalidParameterError(
+                    f"override {key!r} for {name!r} is outside {lo}..{hi}: {value!r}"
+                )
 
 
 def _sample_continuous(entry: Continuous, rng: random.Random, override) -> float:
@@ -272,11 +285,7 @@ def sample_parameters(
             values[name] = int(rng.choice(list(ov["choices"])))
         else:
             # randint(0, n - 1) draws exactly what randrange(n) would.
-            if isinstance(entry, Discrete):
-                lo, hi = 0, len(entry.labels) - 1
-            else:
-                lo, hi = entry.min, entry.max
-            values[name] = rng.randint(lo, hi)
+            values[name] = rng.randint(*_whole_range(entry))
     return ParamVector(values, seed)
 
 

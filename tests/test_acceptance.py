@@ -6,6 +6,7 @@ lines. Every tolerance is pinned here, not configurable.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import artigen
 from artigen.blueprint import extract_blueprint, instantiate
 from artigen.cli import main as cli_main
 from artigen.collision import SweepPlan, sweep_check, verify_finding
@@ -188,7 +190,11 @@ def test_07_determinism(tmp_path):
         "import sys\nfrom artigen.cli import main\n"
         f"sys.exit(main({argv + ['--out', str(tmp_path / 'c')]!r}))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    # The child imports the same artigen as this process, wherever it came from.
+    src = str(Path(artigen.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     a = _bundle_bytes(tmp_path / "a")
     b = _bundle_bytes(tmp_path / "b")

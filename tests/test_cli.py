@@ -210,6 +210,18 @@ class TestValidate:
         assert code == 1
         assert "graph-cycle" in out
 
+    def test_zero_joint_axis_exit_2(self, tmp_path, capsys):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        for node in doc["nodes"]:
+            if "axis" in node["params"]:
+                node["params"]["axis"] = [0, 0, 0]
+        path = tmp_path / "zero_axis.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["validate", str(path)], capsys)
+        assert code == 2
+        assert "ok" not in out
+        assert "axis" in err
+
     def test_truncated_exit_2(self, tmp_path, capsys):
         text = build_pattern("simple_revolute").serialize()
         path = tmp_path / "broken.json"

@@ -7,11 +7,13 @@ from artigen.blueprint import extract_blueprint, instantiate
 from artigen.collision import (
     CollisionReport,
     SweepPlan,
+    _pair_witness,
     check_at,
     sweep_check,
     verify_finding,
 )
 from artigen.errors import PlanTooLargeError, RangeError
+from artigen.geometry import quat_to_matrix, triangles_intersect
 from artigen.graph import JOINT_PRISMATIC, JOINT_REVOLUTE, MERGE, NodeGraph
 from artigen.params import ParamVector
 from artigen.patterns import _box, _joint, _shift
@@ -158,6 +160,23 @@ class TestPlans:
         inst = instance_of(g)
         assert sweep_check(inst, SweepPlan(pair_filter="all", tolerance=1e-6)).clean
         assert not sweep_check(inst, SweepPlan(pair_filter="all", tolerance=0.0)).clean
+
+
+class TestNarrowphase:
+    def test_touching_vertex_contact_has_witness_at_zero_tolerance(self):
+        # The shared vertex is not the first corner of either triangle, so after
+        # a rigid motion its plane distance is rounding noise, not exactly zero.
+        a = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=float)
+        b = np.array([[-1, 0, 1], [0, 0, 0], [0, -1, 1]], dtype=float)
+        rng = np.random.default_rng(7)
+        quats = rng.normal(size=(1000, 4))
+        rotations = quat_to_matrix(quats / np.linalg.norm(quats, axis=1, keepdims=True))
+        missed = 0
+        for r, t in zip(rotations, rng.uniform(-2, 2, size=(1000, 3))):
+            tri_a, tri_b = a @ r.T + t, b @ r.T + t
+            if triangles_intersect(tri_a, tri_b):
+                missed += _pair_witness(tri_a[None], tri_b[None], 0.0) is None
+        assert missed == 0
 
 
 class TestReportJson:

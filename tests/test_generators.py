@@ -105,7 +105,7 @@ class TestInventory:
         gen = get_generator(category)
         expected_dims, _ = EXPECTED[category]
         assert gen.space.continuous_dims == expected_dims
-        assert gen.continuous_dims == expected_dims
+        assert count_variations(gen).continuous_dims == expected_dims
 
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_named_parameters_verbatim(self, category):

@@ -12,6 +12,7 @@ from artigen.geometry import (
     apply_transform,
     convex_hull,
     format_float,
+    intersecting_pairs,
     make_box,
     make_cylinder,
     make_ngon_prism,
@@ -279,6 +280,34 @@ class TestTriangleIntersection:
             if got != want:
                 mismatches += 1
         assert mismatches == 0
+
+    def test_batch_matches_single_rows(self):
+        rng = random.Random(11)
+        rows_a, rows_b = [], []
+        for k in range(2000):
+            a = random_triangle(rng)
+            kind = k % 4
+            if kind == 0:  # near
+                b = random_triangle(rng)
+            elif kind == 1:  # far
+                b = random_triangle(rng, offset=(rng.uniform(1.5, 3), 0, 0))
+            elif kind == 2:  # touching: b shares one corner of a
+                b = random_triangle(rng)
+                b[rng.randrange(3)] = a[rng.randrange(3)]
+            else:  # coplanar: b lies in a's plane
+                u, v = a[1] - a[0], a[2] - a[0]
+                b = np.array(
+                    [a[0] + rng.uniform(-1, 1) * u + rng.uniform(-1, 1) * v for _ in range(3)]
+                )
+                if np.linalg.norm(np.cross(b[1] - b[0], b[2] - b[0])) < 1e-6:
+                    b = a + 0.1 * u
+            rows_a.append(a)
+            rows_b.append(b)
+        got = intersecting_pairs(np.array(rows_a), np.array(rows_b))
+        want = [triangles_intersect(a, b) for a, b in zip(rows_a, rows_b)]
+        assert got.dtype == bool
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
 
     def test_symmetry(self):
         rng = random.Random(3)

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -50,6 +51,16 @@ class TestConstruction:
             {"pivot": (0, 0, 0), "axis": (0, 0, 2), "range_lo": 0, "range_hi": 1},
         )
         assert g.node(j).params["axis"] == (0.0, 0.0, 1.0)
+
+    def test_axis_normalized_on_load(self):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        (joint,) = [n for n in doc["nodes"] if n["kind"] == JOINT_REVOLUTE]
+        joint["params"]["axis"] = [0, 2, 0]
+        loaded = NodeGraph.deserialize(json.dumps(doc))
+        assert loaded.node(joint["id"]).params["axis"] == (0.0, 1.0, 0.0)
+        joint["params"]["axis"] = [0, 0, 0]
+        with pytest.raises(InvalidParameterError, match="axis"):
+            NodeGraph.deserialize(json.dumps(doc))
 
     def test_unknown_kind_and_params(self):
         g = NodeGraph()
@@ -427,6 +438,12 @@ class TestSerde:
         text = build_pattern("simple_revolute").serialize()
         with pytest.raises(SchemaError):
             NodeGraph.deserialize(text.replace('"schema": 1', '"schema": 1, "zzz": 2'))
+
+    def test_node_params_must_be_an_object(self):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        doc["nodes"][0]["params"] = 5
+        with pytest.raises(SchemaError):
+            NodeGraph.deserialize(json.dumps(doc))
 
     def test_wrong_schema_version(self):
         text = build_pattern("simple_revolute").serialize()

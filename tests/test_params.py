@@ -94,17 +94,44 @@ class TestOverrides:
             sample_parameters(space, 0, overrides={"y": {"fixed": 1}})
 
     @pytest.mark.parametrize(
-        "overrides",
-        [{"handle_type": 5}, {"width": {"lo": "wide"}}, {"width": {"low": 0.5}}],
-        ids=["not-an-object", "not-a-number", "unknown-key"],
+        "category, overrides",
+        [
+            ("door", {"handle_type": 5}),
+            ("door", {"width": {"lo": "wide"}}),
+            ("door", {"width": {"low": 0.5}}),
+            ("toaster", {"levers_per_slot": {"fixed": -1}}),
+            ("lamp", {"arm_segments": {"fixed": 99}}),
+            ("door", {"handle_type": {"choices": [0, 7]}}),
+        ],
+        ids=[
+            "not-an-object", "not-a-number", "unknown-key",
+            "count-below-min", "count-above-max", "choice-outside-labels",
+        ],
     )
-    def test_malformed_override_names_parameter(self, overrides):
-        space = get_generator("door").space
+    def test_malformed_override_names_parameter(self, category, overrides):
+        space = get_generator(category).space
         (name,) = overrides
         with pytest.raises(InvalidParameterError, match=repr(name)):
             sample_parameters(space, 0, overrides=overrides)
         with pytest.raises(InvalidParameterError, match=repr(name)):
             merge_overrides(space, overrides)
+
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    def test_whole_overrides_outside_range_rejected(self, category):
+        space = get_generator(category).space
+        for name, entry in space.entries.items():
+            if isinstance(entry, Continuous):
+                continue
+            if isinstance(entry, Discrete):
+                lo, hi = 0, len(entry.labels) - 1
+            else:
+                lo, hi = entry.min, entry.max
+            for bad in (lo - 1, hi + 1):
+                for override in ({"fixed": bad}, {"choices": [lo, bad]}):
+                    with pytest.raises(InvalidParameterError, match=repr(name)):
+                        sample_parameters(space, 0, overrides={name: override})
+            pv = sample_parameters(space, 0, overrides={name: {"choices": [lo, hi]}})
+            assert pv[name] in (lo, hi)
 
     def test_merge_widens_continuous(self):
         space = ParameterSpace({"x": Continuous(0.2, 0.4)})
