@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .collision import SweepPlan, sweep_check
 from .errors import ArtigenError, DocumentParseError, PlanTooLargeError
-from .export import export_mjcf, export_urdf, write_manifest
+from .export import export_bundle, write_manifest
 from .generators import CATEGORY_NAMES, build_instance, count_variations, get_generator
 from .graph import NodeGraph
 from .params import SALT_ENV_VAR, Continuous, Count, Discrete, load_overrides
@@ -45,16 +45,13 @@ def _generate_one(category: str, seed: int, out: str, formats, overrides) -> dic
     salt = os.environ.get(SALT_ENV_VAR, "")
     instance = build_instance(category, seed, overrides=overrides, salt=salt)
     dest = _bundle_dir(Path(out), category, seed)
-    paths = []
-    for fmt in formats:
-        bundle = export_urdf(instance, dest) if fmt == "urdf" else export_mjcf(instance, dest)
-        paths.append(str(bundle.model_path))
+    bundles = export_bundle(instance, dest, formats)
     write_manifest(instance, dest, formats=formats, salt=salt)
     return {
         "seed": seed,
         "links": len(instance.links),
         "joints": len(instance.joints),
-        "paths": paths,
+        "paths": [str(bundle.model_path) for bundle in bundles],
     }
 
 

@@ -1,15 +1,18 @@
 """Joint-range sweeping for self-penetration between rigid parts.
 
-The sweep samples joint configurations (a Cartesian grid or random draws),
-poses every link with forward kinematics, culls link pairs and then triangle
-pairs with conservative AABB tests, and confirms contacts with one batched
-exact triangle-triangle test, `geometry.intersecting_pairs`. `verify_finding`
-runs the same test on one row (`triangles_intersect`), so the two agree by
-construction. A tolerance gate re-tests candidate pairs with the triangles
-offset inward along their normals, so parts that merely touch within
-tolerance are not reported; witnesses always come from the exact test and
-re-verify. Containment without surface contact is outside the contract
-(witnesses are surface-triangle pairs).
+A sweep plan is a value matrix: one column per movable joint, in sorted id
+order, and one row per configuration, drawn as a Cartesian grid or as random
+draws. The sweep poses every link for blocks of rows with forward kinematics,
+culls link pairs and then triangle pairs with conservative AABB tests, and
+confirms contacts with one batched exact triangle-triangle test,
+`geometry.intersecting_pairs`. A row becomes a config dict only when it
+carries a finding. `verify_finding` runs the same test on one row
+(`triangles_intersect`), so the two agree by construction. A tolerance gate
+re-tests candidate pairs with the triangles offset inward along their
+normals, so parts that merely touch within tolerance are not reported;
+witnesses always come from the exact test and re-verify. Containment without
+surface contact is outside the contract (witnesses are surface-triangle
+pairs).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,35 +100,33 @@ class CollisionReport:
 
 
 def _joint_samples(instance: AssetInstance, plan: SweepPlan):
-    """Per-joint sample values, in sorted joint-id order."""
+    """Movable joint ids in sorted order, and one row of their values per configuration."""
     joints = sorted(
         (j for j in instance.joints if not j.is_fixed), key=lambda j: j.joint_id
     )
+    joint_ids = [j.joint_id for j in joints]
     if plan.strategy == "grid":
-        per_joint = []
-        for j in joints:
-            if plan.samples == 1:
-                per_joint.append((j.joint_id, (j.default,)))
-            else:
-                per_joint.append(
-                    (j.joint_id, tuple(np.linspace(j.lo, j.hi, plan.samples).tolist()))
-                )
+        if plan.samples == 1:
+            axes = [(j.default,) for j in joints]
+        else:
+            axes = [np.linspace(j.lo, j.hi, plan.samples) for j in joints]
         total = 1
-        for _, vals in per_joint:
-            total *= len(vals)
+        for axis in axes:
+            total *= len(axis)
             if total > CONFIG_CAP:
                 raise PlanTooLargeError(
                     f"grid sweep needs {total}+ configurations (cap {CONFIG_CAP}); "
                     "use the random strategy instead"
                 )
-        names = [name for name, _ in per_joint]
-        for combo in itertools.product(*(vals for _, vals in per_joint)):
-            yield dict(zip(names, combo))
-        return
+        return joint_ids, np.array(list(itertools.product(*axes)), dtype=np.float64)
     digest = hashlib.sha256(f"sweep|{plan.seed}|{instance.category}|{instance.seed}".encode())
     rng = random.Random(int.from_bytes(digest.digest()[:8], "big"))
-    for _ in range(plan.samples):
-        yield {j.joint_id: rng.uniform(j.lo, j.hi) for j in joints}
+    # lo + (hi - lo) * random() is random.uniform(lo, hi); drawing configuration
+    # by configuration keeps the values of a per-configuration uniform loop.
+    r = np.array([rng.random() for _ in range(plan.samples * len(joints))])
+    lo = np.array([j.lo for j in joints], dtype=np.float64)
+    hi = np.array([j.hi for j in joints], dtype=np.float64)
+    return joint_ids, lo + (hi - lo) * r.reshape(plan.samples, len(joints))
 
 
 def _offset_inward(tris: np.ndarray, tolerance: float) -> np.ndarray:
@@ -194,11 +195,15 @@ def _candidate_pairs(instance: AssetInstance, plan: SweepPlan):
 _CHUNK = 2048
 
 
-def check_configs(instance: AssetInstance, configs, plan: SweepPlan) -> CollisionReport:
-    """Pose the instance at each configuration and report penetrating pairs.
+def check_configs(
+    instance: AssetInstance, joint_ids, values: np.ndarray, plan: SweepPlan
+) -> CollisionReport:
+    """Pose the instance at each row of `values` and report penetrating pairs.
 
-    Forward kinematics and the AABB broadphase run vectorized over blocks of
-    configurations; the exact triangle narrowphase only touches survivors.
+    Column k of `values` holds joint `joint_ids[k]`; joints without a column
+    sit at their defaults. Forward kinematics and the AABB broadphase run
+    vectorized over blocks of rows; the exact triangle narrowphase only
+    touches survivors.
     """
     local = {
         l.link_id: l.mesh.triangle_corners()
@@ -213,19 +218,9 @@ def check_configs(instance: AssetInstance, configs, plan: SweepPlan) -> Collisio
     # Narrowphase results depend only on the pair's relative pose, which grid
     # sweeps repeat heavily (other joints do not move the pair); memoize on it.
     rel_cache: dict = {}
-    tested = 0
-    configs = iter(configs)
-    while True:
-        block = list(itertools.islice(configs, _CHUNK))
-        if not block:
-            break
-        tested += len(block)
-        joint_ids = sorted({k for cfg in block for k in cfg})
-        values = {
-            jid: np.array([cfg.get(jid, instance.joint(jid).default) for cfg in block])
-            for jid in joint_ids
-        }
-        quat, trans = instance.tree.pose(values, len(block))
+    for start in range(0, len(values), _CHUNK):
+        block = values[start : start + _CHUNK]
+        quat, trans = instance.tree.pose(dict(zip(joint_ids, block.T)), len(block))
         world, lo_box, hi_box = {}, {}, {}
         for link_id in local:
             i = instance.tree.link_index[link_id]
@@ -259,25 +254,26 @@ def check_configs(instance: AssetInstance, configs, plan: SweepPlan) -> Collisio
                     witness = _pair_witness(tris_a, tris_b, plan.tolerance)
                     rel_cache[key] = witness
                 if witness is not None:
-                    findings.append(
-                        Finding(a, b, dict(block[ci]), witness[0], witness[1])
-                    )
+                    config = dict(zip(joint_ids, block[ci].tolist()))
+                    findings.append(Finding(a, b, config, witness[0], witness[1]))
     findings.sort(key=lambda f: (sorted(f.config.items()), f.link_a, f.link_b))
-    return CollisionReport(tuple(findings), tested)
+    return CollisionReport(tuple(findings), len(values))
 
 
 def sweep_check(instance: AssetInstance, plan: SweepPlan | None = None) -> CollisionReport:
     """Sweep the joint ranges per the plan and report any penetrating pairs."""
     plan = plan or SweepPlan()
-    return check_configs(instance, _joint_samples(instance, plan), plan)
+    return check_configs(instance, *_joint_samples(instance, plan), plan)
 
 
 def check_at(instance: AssetInstance, config: dict, plan: SweepPlan | None = None) -> CollisionReport:
     """Single-configuration specialization of the sweep."""
     plan = plan or SweepPlan()
-    full = dict(instance.default_config())
+    full = instance.default_config()
     full.update(config)
-    return check_configs(instance, [full], plan)
+    joint_ids = sorted(full)
+    values = np.array([[full[j] for j in joint_ids]], dtype=np.float64)
+    return check_configs(instance, joint_ids, values, plan)
 
 
 def verify_finding(instance: AssetInstance, finding: Finding) -> bool:

@@ -14,14 +14,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-import numpy as np
-
 from . import __version__
 from .blueprint import AssetInstance, InstanceJoint, InstanceLink
-from .errors import DocumentParseError, MissingParameterError, StructuralError
+from .errors import (
+    DocumentParseError,
+    InvalidParameterError,
+    MissingParameterError,
+    StructuralError,
+)
 from .geometry import format_float, obj_text
 from .kinematics import KinematicTree
-from .params import ParamVector
+from .params import ParamVector, _is_whole, _read_json
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +38,6 @@ class ExportBundle:
     model_path: Path
     format: str
     mesh_paths: dict  # link_id -> (visual relative path, hull relative path | None)
-    manifest_path: Path | None
 
 
 @dataclass(frozen=True)
@@ -146,17 +148,46 @@ def _xml_bytes(root: ET.Element) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# URDF
+# Bundles
 # ---------------------------------------------------------------------------
+
+
+def export_bundle(instance: AssetInstance, out_dir, formats) -> tuple[ExportBundle, ...]:
+    """Write the visual and collision hull OBJ files once, then one model
+    document per format ("urdf" -> model.urdf, "mjcf" -> model.xml), in the
+    order given."""
+    unknown = [fmt for fmt in formats if fmt not in _DOCUMENTS]
+    if unknown:
+        raise InvalidParameterError(f"unknown export formats {unknown}; known: {list(_DOCUMENTS)}")
+    out_dir = Path(out_dir)
+    mesh_paths = _write_meshes(instance, out_dir)
+    link_names, joint_names = _names(instance)
+    bundles = []
+    for fmt in formats:
+        filename, document = _DOCUMENTS[fmt]
+        model_path = out_dir / filename
+        model_path.write_bytes(_xml_bytes(document(instance, mesh_paths, link_names, joint_names)))
+        bundles.append(ExportBundle(out_dir, model_path, fmt, mesh_paths))
+    return tuple(bundles)
 
 
 def export_urdf(instance: AssetInstance, out_dir) -> ExportBundle:
     """Write model.urdf plus visual and collision hull OBJ files."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mesh_paths = _write_meshes(instance, out_dir)
-    link_names, joint_names = _names(instance)
+    return export_bundle(instance, out_dir, ("urdf",))[0]
 
+
+def export_mjcf(instance: AssetInstance, out_dir) -> ExportBundle:
+    """Write model.xml (MuJoCo MJCF) plus visual and collision hull OBJ files."""
+    return export_bundle(instance, out_dir, ("mjcf",))[0]
+
+
+# ---------------------------------------------------------------------------
+# URDF
+# ---------------------------------------------------------------------------
+
+
+def _urdf_document(instance: AssetInstance, mesh_paths, link_names, joint_names) -> ET.Element:
+    """URDF robot: links with inertial, visual and collision, then joints."""
     robot = ET.Element("robot", {"name": f"{instance.category}_{instance.seed:04d}"})
     for link in _ordered_links(instance):
         if link.label:
@@ -213,9 +244,7 @@ def export_urdf(instance: AssetInstance, out_dir) -> ExportBundle:
                 },
             )
 
-    model_path = out_dir / "model.urdf"
-    model_path.write_bytes(_xml_bytes(robot))
-    return ExportBundle(out_dir, model_path, "urdf", mesh_paths, None)
+    return robot
 
 
 def parse_urdf(path) -> ParsedModel:
@@ -281,13 +310,8 @@ def parse_urdf(path) -> ParsedModel:
 # ---------------------------------------------------------------------------
 
 
-def export_mjcf(instance: AssetInstance, out_dir) -> ExportBundle:
-    """Write model.xml (MuJoCo MJCF) with a nested body tree mirroring the joints."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mesh_paths = _write_meshes(instance, out_dir)
-    link_names, joint_names = _names(instance)
-
+def _mjcf_document(instance: AssetInstance, mesh_paths, link_names, joint_names) -> ET.Element:
+    """MuJoCo MJCF with a nested body tree mirroring the joints."""
     mujoco = ET.Element("mujoco", {"model": f"{instance.category}_{instance.seed:04d}"})
     ET.SubElement(mujoco, "compiler", {"angle": "radian", "meshdir": "meshes", "autolimits": "true"})
     asset = ET.SubElement(mujoco, "asset")
@@ -364,9 +388,11 @@ def export_mjcf(instance: AssetInstance, out_dir) -> ExportBundle:
             emit_body(j.child, body, j.pivot_in_parent)
 
     emit_body(instance.root_link, worldbody, (0.0, 0.0, 0.0))
-    model_path = out_dir / "model.xml"
-    model_path.write_bytes(_xml_bytes(mujoco))
-    return ExportBundle(out_dir, model_path, "mjcf", mesh_paths, None)
+    return mujoco
+
+
+# Export format -> (model file name, document builder).
+_DOCUMENTS = {"urdf": ("model.urdf", _urdf_document), "mjcf": ("model.xml", _mjcf_document)}
 
 
 def parse_mjcf(path) -> ParsedModel:
@@ -481,8 +507,11 @@ def write_manifest(instance: AssetInstance, out_dir, formats=("urdf",), salt: st
 
 
 def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The manifest document at `path`. A missing, unreadable or non-JSON file,
+    or one that is not a JSON object, raises DocumentParseError naming it."""
+    doc = _read_json(path, "manifest")
+    if not isinstance(doc, dict):
+        raise DocumentParseError(f"manifest {path} must hold a JSON object")
     for key in ("category", "seed", "params", "formats"):
         if key not in doc:
             raise MissingParameterError(f"manifest missing key {key!r}")
@@ -490,4 +519,10 @@ def read_manifest(path) -> dict:
 
 
 def manifest_param_vector(doc: dict) -> ParamVector:
+    """The parameter vector a manifest records; a seed that is not a whole
+    number or params that are not an object raise DocumentParseError."""
+    if not _is_whole(doc["seed"]):
+        raise DocumentParseError(f"manifest seed must be a whole number, got {doc['seed']!r}")
+    if not isinstance(doc["params"], dict):
+        raise DocumentParseError(f"manifest params must be an object, got {doc['params']!r}")
     return ParamVector(doc["params"], seed=int(doc["seed"]))

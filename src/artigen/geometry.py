@@ -497,54 +497,50 @@ def merge_meshes(meshes) -> TriMesh:
 # ---------------------------------------------------------------------------
 
 
-def _point_in_tri_2d(p, tri, eps):
-    d = []
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        d.append((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]))
-    d = np.asarray(d)
-    return bool(np.all(d >= -eps) or np.all(d <= eps))
+# Per dominant normal axis, the two axes a coplanar row keeps.
+_KEPT_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
-def _segments_cross_2d(p1, p2, q1, q2, eps):
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _edge_sides(p, q, tol):
+    """2-D predicates of triangles q against triangles p, both (r, 3, 2).
 
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if ((o1 > eps and o2 < -eps) or (o1 < -eps and o2 > eps)) and (
-        (o3 > eps and o4 < -eps) or (o3 < -eps and o4 > eps)
-    ):
-        return True
-
-    def on_seg(a, b, c):  # c collinear-ish with (a, b) and within its box
-        if abs(orient(a, b, c)) > eps:
-            return False
-        return (
-            min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
-            and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
-        )
-
-    return on_seg(p1, p2, q1) or on_seg(p1, p2, q2) or on_seg(q1, q2, p1) or on_seg(q1, q2, p2)
+    Returns whether q's edge k strictly straddles the line of p's edge i, and
+    whether q's corner k lies on p's edge i, both indexed [row, i, k] with
+    edge i running from corner i to corner i + 1; and whether q's corner k
+    lies in p, indexed [row, k]. "On" and "in" hold within `tol`.
+    """
+    p0 = p[:, :, None, :]
+    p1 = np.roll(p, -1, axis=1)[:, :, None, :]
+    c = q[:, None, :, :]
+    edge, rel = p1 - p0, c - p0
+    side = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
+    side_next = np.roll(side, -1, axis=2)
+    straddles = ((side > tol) & (side_next < -tol)) | ((side < -tol) & (side_next > tol))
+    in_box = np.all(
+        (np.minimum(p0, p1) - tol[..., None] <= c) & (c <= np.maximum(p0, p1) + tol[..., None]),
+        axis=3,
+    )
+    on_edge = (np.abs(side) <= tol) & in_box
+    inside = np.all(side >= -tol, axis=1) | np.all(side <= tol, axis=1)
+    return straddles, on_edge, inside
 
 
 def _coplanar_overlap(a, b, normal, eps):
-    axis = int(np.argmax(np.abs(normal)))
-    keep = [i for i in range(3) if i != axis]
-    a2, b2 = a[:, keep], b[:, keep]
-    for p in a2:
-        if _point_in_tri_2d(p, b2, eps):
-            return True
-    for p in b2:
-        if _point_in_tri_2d(p, a2, eps):
-            return True
-    for i in range(3):
-        for j in range(3):
-            if _segments_cross_2d(
-                a2[i], a2[(i + 1) % 3], b2[j], b2[(j + 1) % 3], eps
-            ):
-                return True
-    return False
+    """Row-wise overlap of coplanar triangles, (r, 3, 3) stacks, within (r,) eps.
+
+    Each row drops its normal's dominant axis. The triangles overlap when a
+    corner of one lies in the other, a corner lies on an edge, or an edge pair
+    crosses.
+    """
+    kept = _KEPT_AXES[np.argmax(np.abs(normal), axis=1)][:, None, :]
+    a2, b2 = np.take_along_axis(a, kept, axis=2), np.take_along_axis(b, kept, axis=2)
+    tol = eps[:, None, None]
+    b_crosses, b_on_a, b_in_a = _edge_sides(a2, b2, tol)
+    a_crosses, a_on_b, a_in_b = _edge_sides(b2, a2, tol)
+    touch = b_in_a | a_in_b | np.any(b_on_a | a_on_b, axis=1)
+    # Edge i of a and edge j of b cross when each straddles the other's line.
+    cross = b_crosses & a_crosses.transpose(0, 2, 1)
+    return np.any(touch, axis=1) | np.any(cross, axis=(1, 2))
 
 
 def _plane_side(tris, origin, normal, eps):
@@ -578,7 +574,7 @@ def intersecting_pairs(tris_a, tris_b) -> np.ndarray:
     side of the other's plane, else overlap the two triangles' crossing
     intervals on the planes' common line. Distances and intervals carry a
     scale-relative eps, so touching contacts (shared vertex or edge) count.
-    Coplanar and near-parallel rows take the 2-D branch one row at a time.
+    Coplanar and near-parallel rows take one batched 2-D branch.
     Rows must be non-degenerate; `triangles_intersect` is the checked n=1 view.
     """
     a = np.asarray(tris_a, dtype=np.float64).reshape(-1, 3, 3)
@@ -592,10 +588,11 @@ def intersecting_pairs(tris_a, tris_b) -> np.ndarray:
     line = np.cross(na, nb)
     norm = np.linalg.norm(line, axis=1)
     flat = out & ((np.all(da == 0.0, axis=1) & np.all(db == 0.0, axis=1)) | (norm < eps))
-    for r in np.nonzero(flat)[0]:
-        # Parallel distinct planes were rejected above, so these rows are coplanar.
-        tol = eps[r] * max(1.0, float(np.linalg.norm(na[r])))
-        out[r] = _coplanar_overlap(a[r], b[r], na[r], tol)
+    # Parallel distinct planes were rejected above, so these rows are coplanar.
+    rows = np.nonzero(flat)[0]
+    if len(rows):  # the 2-D branch costs tens of array calls even with no rows
+        tol = eps[rows] * np.maximum(1.0, np.linalg.norm(na[rows], axis=1))
+        out[rows] = _coplanar_overlap(a[rows], b[rows], na[rows], tol)
     rows = np.nonzero(out & ~flat)[0]
     line = line[rows] / norm[rows, None]
     lo_a, hi_a = _crossing_interval(a[rows], da[rows], line)

@@ -58,8 +58,9 @@ class ParamRef:
 class JointSpec:
     """One joint's type, pivot, axis, range, default value, and semantic labels.
 
-    The pivot is expressed in the parent frame; the axis is normalized on
-    construction. lo == hi is allowed and flags an immovable joint.
+    The pivot and axis are in the construction frame (the frame the graph's
+    geometry is built in); the axis is normalized on construction. lo == hi
+    is allowed and flags an immovable joint.
     """
 
     joint_type: str

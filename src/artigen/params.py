@@ -139,22 +139,36 @@ class ParameterSpace:
 
     @staticmethod
     def from_json_list(data) -> "ParameterSpace":
+        """Read the entry list of a graph document; a malformed entry raises
+        InvalidParameterError naming its parameter."""
+        if not isinstance(data, list):
+            raise InvalidParameterError(f"parameters must be a list, got {data!r}")
         space = ParameterSpace()
-        allowed = {
-            "continuous": {"name", "kind", "lo", "hi", "units"},
-            "discrete": {"name", "kind", "labels"},
-            "count": {"name", "kind", "min", "max"},
+        # Per kind: required keys, the check on each value, and what it asks for.
+        required = {
+            "continuous": (("lo", "hi"), _is_number, "a finite number"),
+            "discrete": (("labels",), _is_label_list, "a list of strings"),
+            "count": (("min", "max"), _is_whole, "a whole number"),
         }
         for spec in data:
-            if not isinstance(spec, Mapping) or "name" not in spec:
+            if not isinstance(spec, Mapping) or not isinstance(spec.get("name"), str):
                 raise InvalidParameterError(f"bad parameter entry {spec!r}")
             name = spec["name"]
             kind = spec.get("kind")
-            if kind not in allowed:
+            if kind not in required:
                 raise InvalidParameterError(f"unknown parameter kind {kind!r} for {name!r}")
-            extra = set(spec) - allowed[kind]
+            keys, ok, what = required[kind]
+            optional = {"units"} if kind == "continuous" else set()
+            extra = set(spec) - {"name", "kind", *keys, *optional}
             if extra:
                 raise InvalidParameterError(f"unknown keys {sorted(extra)} in parameter {name!r}")
+            for key in keys:
+                if key not in spec:
+                    raise InvalidParameterError(f"parameter {name!r} is missing {key!r}")
+                if not ok(spec[key]):
+                    raise InvalidParameterError(
+                        f"{key!r} of parameter {name!r} must be {what}, got {spec[key]!r}"
+                    )
             if kind == "continuous":
                 space.add(name, Continuous(spec["lo"], spec["hi"], spec.get("units", "")))
             elif kind == "discrete":
@@ -203,6 +217,10 @@ def _is_number(value) -> bool:
 
 def _is_whole(value) -> bool:
     return _is_number(value) and float(value).is_integer()
+
+
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(label, str) for label in value)
 
 
 def _whole_range(entry: Discrete | Count) -> tuple[int, int]:
@@ -289,16 +307,22 @@ def sample_parameters(
     return ParamVector(values, seed)
 
 
-def load_overrides(path) -> dict:
-    """Read a parameter-override file (JSON object keyed by parameter name)."""
+def _read_json(path, what: str):
+    """The JSON document in the file at `path`; a missing, unreadable or
+    non-JSON file raises DocumentParseError naming `what` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise DocumentParseError(f"cannot read override file {path}: {exc.strerror}") from None
+        raise DocumentParseError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:  # not JSON, or bytes that are not UTF-8
         line, column = getattr(exc, "lineno", None), getattr(exc, "colno", None)
-        raise DocumentParseError(f"override file {path} is not JSON: {exc}", line, column) from None
+        raise DocumentParseError(f"{what} {path} is not JSON: {exc}", line, column) from None
+
+
+def load_overrides(path) -> dict:
+    """Read a parameter-override file (JSON object keyed by parameter name)."""
+    data = _read_json(path, "override file")
     if not isinstance(data, dict):
         raise InvalidParameterError("override file must hold a JSON object")
     return data

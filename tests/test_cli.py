@@ -222,6 +222,27 @@ class TestValidate:
         assert "ok" not in out
         assert "axis" in err
 
+    @pytest.mark.parametrize(
+        "parameters",
+        [
+            [{"name": "w", "kind": "continuous", "hi": 1}],
+            [{"name": "w", "kind": "continuous", "lo": 0, "hi": float("inf")}],
+            [{"name": "w", "kind": "count", "min": "z", "max": 3}],
+            [{"name": "w", "kind": "discrete", "labels": "ab"}],
+            5,
+        ],
+    )
+    def test_malformed_parameter_entry_exit_2(self, tmp_path, capsys, parameters):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        doc["parameters"] = parameters
+        path = tmp_path / "bad_parameters.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["validate", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert ("'w'" if isinstance(parameters, list) else "list") in err
+
     def test_truncated_exit_2(self, tmp_path, capsys):
         text = build_pattern("simple_revolute").serialize()
         path = tmp_path / "broken.json"

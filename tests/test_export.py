@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from artigen.blueprint import extract_blueprint, instantiate
-from artigen.errors import DocumentParseError, MissingParameterError, StructuralError
+from artigen.errors import (
+    DocumentParseError,
+    InvalidParameterError,
+    MissingParameterError,
+    StructuralError,
+)
 from artigen.evaluate import evaluate
 from artigen.export import (
+    export_bundle,
     export_mjcf,
     export_urdf,
     manifest_param_vector,
@@ -205,6 +211,40 @@ class TestMjcf:
             assert link.collision_mesh and link.collision_mesh.endswith(".hull.obj")
 
 
+class TestBundle:
+    def test_same_bytes_as_one_format_exports(self, tmp_path):
+        inst = make_instance("chained_joints")
+        bundles = export_bundle(inst, tmp_path / "both", ("mjcf", "urdf"))
+        assert [b.format for b in bundles] == ["mjcf", "urdf"]
+        assert [b.model_path.name for b in bundles] == ["model.xml", "model.urdf"]
+        export_urdf(inst, tmp_path / "one")
+        export_mjcf(inst, tmp_path / "one")
+        for path in (tmp_path / "one").rglob("*"):
+            if path.is_file():
+                rel = path.relative_to(tmp_path / "one")
+                assert (tmp_path / "both" / rel).read_bytes() == path.read_bytes(), rel
+        assert len(list((tmp_path / "both").rglob("*"))) == len(list((tmp_path / "one").rglob("*")))
+
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match="obj"):
+            export_bundle(make_instance("simple_revolute"), tmp_path / "x", ("urdf", "obj"))
+        assert not (tmp_path / "x").exists()
+
+    def test_generate_both_formats_writes_each_mesh_once(self, tmp_path, monkeypatch, capsys):
+        import artigen.export
+        from artigen.cli import main
+
+        calls = []
+        real = artigen.export.obj_text
+        monkeypatch.setattr(artigen.export, "obj_text", lambda *a: calls.append(a) or real(*a))
+        code = main(["generate", "--category", "door", "--seed", "3", "--format", "both",
+                     "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        meshes = list((tmp_path / "door_0003" / "meshes").glob("*.obj"))
+        assert meshes and len(calls) == len(meshes)
+
+
 class TestDynamics:
     def test_hull_contains_visual_vertices(self, tmp_path):
         inst = make_instance("duplicated_bodies")
@@ -257,6 +297,34 @@ class TestManifest:
         doc["params"].pop("w")
         with pytest.raises(MissingParameterError):
             instantiate(extract_blueprint(g), g, manifest_param_vector(doc))
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            None,  # missing file
+            lambda path: path.mkdir(),  # unreadable: a directory
+            lambda path: path.write_text("{ not json"),
+            lambda path: path.write_bytes(b"\xff\xfe"),
+            lambda path: path.write_text("[1, 2]"),
+        ],
+        ids=["missing", "directory", "not-json", "not-utf8", "not-object"],
+    )
+    def test_bad_manifest_file_names_it(self, tmp_path, write):
+        path = tmp_path / "odd_manifest.json"
+        if write:
+            write(path)
+        with pytest.raises(DocumentParseError, match="odd_manifest.json"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("seed", "x"), ("seed", 1.5), ("seed", True), ("params", [1, 2])]
+    )
+    def test_malformed_seed_or_params_rejected(self, tmp_path, key, value):
+        _, inst = self._param_instance()
+        doc = read_manifest(write_manifest(inst, tmp_path))
+        doc[key] = value
+        with pytest.raises(DocumentParseError, match=key):
+            manifest_param_vector(doc)
 
     def test_two_seeds_two_manifests(self, tmp_path):
         _, a = self._param_instance(seed=1)

@@ -261,6 +261,28 @@ class TestTriangleIntersection:
         assert triangles_intersect(a, b)
         assert not triangles_intersect(a, c)
 
+    def test_coplanar_stack_hand_known(self):
+        # Every row lies in the plane z = 0; b varies against one triangle a.
+        a = [[0, 0], [2, 0], [0, 2]]
+        cases = [
+            ([[0.5, 0.5], [3, 0.5], [0.5, 3]], True),  # overlapping
+            ([[2, 0], [3, 0], [3, 1]], True),  # touching at a corner
+            ([[1, 1], [3, 1], [1, 3]], True),  # b's corner on a's edge
+            ([[2, 0], [0, 2], [2, 2]], True),  # sharing an edge
+            ([[3, 0], [5, 0], [4, -1]], False),  # collinear edges, apart
+            ([[3, 3], [4, 3], [3, 4]], False),  # disjoint
+        ]
+        flat_a = np.array([a] * len(cases), dtype=float)
+        flat_b = np.array([b for b, _ in cases], dtype=float)
+        rows_a = np.concatenate([flat_a, np.zeros((len(cases), 3, 1))], axis=2)
+        rows_b = np.concatenate([flat_b, np.zeros((len(cases), 3, 1))], axis=2)
+        want = [hit for _, hit in cases]
+        # The rolled copies lie in x = 0 and y = 0, so each axis gets dropped once.
+        for roll in range(3):
+            ra, rb = np.roll(rows_a, roll, axis=2), np.roll(rows_b, roll, axis=2)
+            assert intersecting_pairs(ra, rb).tolist() == want, roll
+            assert intersecting_pairs(rb, ra).tolist() == want, roll
+
     def test_degenerate_rejected(self):
         a = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
         b = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)

@@ -154,6 +154,23 @@ class TestValidate:
         g.set_output(j)
         assert any(d.code == "joint-self-loop" for d in g.validate())
 
+    def test_joint_link_overlap_diagnosed(self):
+        # Two joints hang different children off one base; a third joint then
+        # joins them, so its parent and child share the base without nesting.
+        g = NodeGraph()
+        base, left, right = box_node(g), box_node(g), box_node(g)
+        spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+        joints = [g.add_node(JOINT_REVOLUTE, spec) for _ in range(3)]
+        for joint, (parent, child) in zip(
+            joints, [(base, left), (base, right), (joints[0], joints[1])]
+        ):
+            g.connect(parent, joint, "parent")
+            g.connect(child, joint, "child")
+        g.set_output(joints[2])
+        diags = g.validate()
+        assert [d.code for d in diags] == ["joint-link-overlap"]
+        assert diags[0].node_id == joints[2]
+
     def test_screw_pattern_not_diagnosed(self):
         g = build_pattern("multi_joint_screw")
         assert g.validate() == []

@@ -53,6 +53,38 @@ class TestSpaceSerde:
         with pytest.raises(InvalidParameterError):
             ParameterSpace.from_json_list([{"name": "x", "kind": "fuzzy"}])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "w", "kind": "continuous", "hi": 1},
+            {"name": "w", "kind": "continuous", "lo": 0, "hi": "1"},
+            {"name": "w", "kind": "continuous", "lo": "a", "hi": "b"},
+            {"name": "w", "kind": "continuous", "lo": True, "hi": 2},
+            {"name": "w", "kind": "continuous", "lo": 0, "hi": float("inf")},
+            {"name": "w", "kind": "count", "min": "z", "max": 3},
+            {"name": "w", "kind": "count", "min": 0.5, "max": 3},
+            {"name": "w", "kind": "count", "min": 0},
+            {"name": "w", "kind": "discrete", "labels": "ab"},
+            {"name": "w", "kind": "discrete", "labels": ["a", 2]},
+            {"name": "w", "kind": "discrete"},
+        ],
+    )
+    def test_malformed_entry_names_parameter(self, entry):
+        with pytest.raises(InvalidParameterError, match="'w'"):
+            ParameterSpace.from_json_list([entry])
+
+    def test_whole_float_count_bounds_accepted(self):
+        space = ParameterSpace.from_json_list([{"name": "n", "kind": "count", "min": 1.0, "max": 3}])
+        assert space["n"] == Count(1, 3)
+
+    def test_parameters_must_be_a_list(self):
+        with pytest.raises(InvalidParameterError, match="list"):
+            ParameterSpace.from_json_list(5)
+        doc = json.loads(NodeGraph().serialize())
+        doc["parameters"] = {"w": 1}
+        with pytest.raises(InvalidParameterError, match="list"):
+            NodeGraph.deserialize(json.dumps(doc))
+
     def test_generator_graph_serde_round_trip(self):
         for category in CATEGORY_NAMES:
             gen = get_generator(category)
