@@ -28,6 +28,7 @@ from .blueprint import AssetInstance, forward_kinematics
 from .errors import InvalidParameterError, PlanTooLargeError
 from .geometry import (
     DEGENERATE_AREA,
+    _cross,
     intersecting_pairs,
     quat_to_matrix,
     triangle_areas,
@@ -136,7 +137,7 @@ def _offset_inward(tris: np.ndarray, tolerance: float) -> np.ndarray:
     shrink separates coplanar faces that only share a boundary edge. Triangles
     smaller than the tolerance collapse and are skipped by the caller.
     """
-    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    normals = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     shifted = tris - tolerance * normals[:, None, :]
     centroids = shifted.mean(axis=1, keepdims=True)

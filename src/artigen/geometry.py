@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -25,7 +26,7 @@ _UNIT_TOL = 1e-9
 
 
 def _check_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidParameterError(f"{what} must be finite, got {arr!r}")
 
 
@@ -264,17 +265,41 @@ class TriMesh:
             labels = np.where(self.face_labels < 0, label, self.face_labels)
         return self.with_labels(labels)
 
+    @cached_property
+    def _obj_records(self) -> str:
+        """The OBJ v and f records of `obj_text`, formatted once per mesh."""
+        vertices = ("v %s %s %s\n" * self.n_vertices) % tuple(_format_floats(self.vertices.ravel()))
+        faces = ("f %d %d %d\n" * self.n_triangles) % tuple((self.triangles + 1).ravel().tolist())
+        return vertices + faces
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of two (n, 3) stacks.
+
+    The component expressions and the C-ordered (n, 3) output of np.cross, so
+    results, and the einsum sums taken over them, are bit for bit the same;
+    without its axis handling, which dominates on small stacks.
+    """
+    ax, ay, az = a.T
+    bx, by, bz = b.T
+    out = np.empty(a.shape)
+    np.subtract(ay * bz, az * by, out=out[:, 0])
+    np.subtract(az * bx, ax * bz, out=out[:, 1])
+    np.subtract(ax * by, ay * bx, out=out[:, 2])
+    return out
+
 
 def triangle_areas(corners: np.ndarray) -> np.ndarray:
     """Areas of the triangles in an (n, 3, 3) corner array."""
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    cx, cy, cz = _cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]).T
+    # Summed left to right, as np.linalg.norm(..., axis=1) does over three columns.
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
 def mesh_volume(mesh: TriMesh) -> float:
     """Signed volume of a closed, outward-oriented mesh (divergence theorem)."""
     corners = mesh.triangle_corners()
-    return float(np.einsum("ij,ij->i", corners[:, 0], np.cross(corners[:, 1], corners[:, 2])).sum() / 6.0)
+    return float(np.einsum("ij,ij->i", corners[:, 0], _cross(corners[:, 1], corners[:, 2])).sum() / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +312,7 @@ def _orient_outward(verts: np.ndarray, tris: np.ndarray, outward: np.ndarray) ->
     opposes its row of `outward` (n, 3), so every winding is counter-clockwise
     seen from outside."""
     corners = verts[tris]
-    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    normals = _cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     flip = np.einsum("ij,ij->i", normals, outward) < 0.0
     return np.where(flip[:, None], tris[:, [0, 2, 1]], tris)
 
@@ -580,12 +605,12 @@ def intersecting_pairs(tris_a, tris_b) -> np.ndarray:
     a = np.asarray(tris_a, dtype=np.float64).reshape(-1, 3, 3)
     b = np.asarray(tris_b, dtype=np.float64).reshape(-1, 3, 3)
     eps = 1e-12 * np.maximum(1.0, np.abs(np.concatenate([a, b], axis=1)).max(axis=(1, 2)))
-    na = np.cross(a[:, 1] - a[:, 0], a[:, 2] - a[:, 0])
-    nb = np.cross(b[:, 1] - b[:, 0], b[:, 2] - b[:, 0])
+    na = _cross(a[:, 1] - a[:, 0], a[:, 2] - a[:, 0])
+    nb = _cross(b[:, 1] - b[:, 0], b[:, 2] - b[:, 0])
     da, a_apart = _plane_side(a, b[:, 0], nb, eps)
     db, b_apart = _plane_side(b, a[:, 0], na, eps)
     out = ~(a_apart | b_apart)
-    line = np.cross(na, nb)
+    line = _cross(na, nb)
     norm = np.linalg.norm(line, axis=1)
     flat = out & ((np.all(da == 0.0, axis=1) & np.all(db == 0.0, axis=1)) | (norm < eps))
     # Parallel distinct planes were rejected above, so these rows are coplanar.
@@ -652,7 +677,8 @@ def convex_hull(mesh_or_points) -> TriMesh:
 
 
 def format_float(x: float) -> str:
-    """Nine significant digits, plain decimal for |x| in [1e-3, 1e6), lowercase e.
+    """Nine significant digits (`%.9g`), so plain decimal for |x| in [1e-4, 1e9)
+    and lowercase-e exponent form outside it; zero, also -0.0, is "0".
 
     Falls back to the shortest exact representation when nine digits would
     lose more than 5e-10 absolute, so document round-trips stay within 1e-9.
@@ -667,14 +693,24 @@ def format_float(x: float) -> str:
     return s
 
 
+def _format_floats(values: np.ndarray) -> list[str]:
+    """`format_float` of each value of a 1-D float array, in one string step.
+
+    All values are formatted with `%.9g` at once and read back; only tokens
+    that moved by more than 5e-10, or that read as zero (the "-0" case), take
+    the scalar path.
+    """
+    floats = values.tolist()
+    tokens = (("%.9g " * len(floats)) % tuple(floats)).split()
+    back = np.array(tokens, dtype=np.float64)
+    for i in np.flatnonzero((np.abs(back - values) > 5e-10) | (back == 0.0)).tolist():
+        tokens[i] = format_float(floats[i])
+    return tokens
+
+
 def obj_text(mesh: TriMesh, name: str) -> str:
     """ASCII OBJ with one object, v/f records, and 1-based indices."""
-    lines = [f"o {name}"]
-    for x, y, z in mesh.vertices.tolist():
-        lines.append(f"v {format_float(x)} {format_float(y)} {format_float(z)}")
-    for a, b, c in (mesh.triangles + 1).tolist():
-        lines.append(f"f {a} {b} {c}")
-    return "\n".join(lines) + "\n"
+    return f"o {name}\n" + mesh._obj_records
 
 
 def parse_obj(text: str) -> TriMesh:

@@ -225,6 +225,27 @@ class TestBundle:
                 assert (tmp_path / "both" / rel).read_bytes() == path.read_bytes(), rel
         assert len(list((tmp_path / "both").rglob("*"))) == len(list((tmp_path / "one").rglob("*")))
 
+    def test_one_format_exports_format_each_mesh_once(self, tmp_path, monkeypatch):
+        import artigen.geometry
+        from artigen.generators import build_instance
+
+        calls = []
+        real = artigen.geometry._format_floats
+        monkeypatch.setattr(artigen.geometry, "_format_floats", lambda v: calls.append(v) or real(v))
+        inst = build_instance("door", 3)
+        meshes = {id(m) for l in inst.links if not l.mesh.is_empty for m in (l.mesh, l.hull) if m is not None}
+        export_urdf(inst, tmp_path / "one")
+        assert len(calls) == len(meshes)
+        export_mjcf(inst, tmp_path / "one")
+        assert len(calls) == len(meshes)
+        export_bundle(build_instance("door", 3), tmp_path / "both", ("urdf", "mjcf"))
+        assert len(calls) == 2 * len(meshes)
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(tmp_path / "one") == files(tmp_path / "both")
+
     def test_unknown_format_rejected_before_writing(self, tmp_path):
         with pytest.raises(InvalidParameterError, match="obj"):
             export_bundle(make_instance("simple_revolute"), tmp_path / "x", ("urdf", "obj"))

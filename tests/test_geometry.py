@@ -3,9 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import artigen.geometry
 from artigen.errors import DegeneracyError, InvalidParameterError
 from artigen.geometry import (
+    DEGENERATE_AREA,
     Aabb,
     RigidTransform,
     TriMesh,
@@ -22,6 +27,7 @@ from artigen.geometry import (
     mesh_volume,
     obj_text,
     parse_obj,
+    triangle_areas,
     triangles_intersect,
 )
 
@@ -409,15 +415,15 @@ class TestWinding:
         assert tris.tolist() == sorted(tris.tolist())
 
     def test_orientation_is_one_array_step(self, monkeypatch):
-        # np.cross runs once to orient and once to validate the mesh, never once per facet.
+        # The cross routine runs once to orient and once to validate the mesh, never once per facet.
         calls = []
-        cross = np.cross
+        cross = artigen.geometry._cross
 
         def counting_cross(*args, **kwargs):
             calls.append(1)
             return cross(*args, **kwargs)
 
-        monkeypatch.setattr(np, "cross", counting_cross)
+        monkeypatch.setattr(artigen.geometry, "_cross", counting_cross)
         rng = np.random.default_rng(4)
         counts = []
         for n in (50, 500):
@@ -431,7 +437,66 @@ class TestWinding:
         assert len(calls) <= 2
 
 
+class TestTriangleAreas:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+    def test_bit_equal_to_np_cross_and_norm(self, n):
+        # The degenerate-triangle check must decide exactly as it did with np.cross.
+        rng = np.random.default_rng(n)
+        corners = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1, 1))
+        ref = 0.5 * np.linalg.norm(np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1)
+        assert np.array_equal(triangle_areas(corners), ref)
+        a, b = corners[:, 0], corners[:, 1]
+        cross = artigen.geometry._cross(a, b)
+        assert np.array_equal(cross, np.cross(a, b))
+        # Same layout too: einsum sums over a transposed stack round differently.
+        assert np.array_equal(np.einsum("ij,ij->i", a, cross), np.einsum("ij,ij->i", a, np.cross(a, b)))
+
+    def test_threshold_is_inclusive(self):
+        # Area 0.5 * 2e-6 * 1e-6 is exactly DEGENERATE_AREA, so it is rejected.
+        at = np.array([[0.0, 0, 0], [2e-6, 0, 0], [0, 1e-6, 0]])
+        with pytest.raises(InvalidParameterError, match="degenerate"):
+            TriMesh(at, [[0, 1, 2]])
+        with pytest.raises(InvalidParameterError, match="degenerate"):
+            parse_obj("v 0 0 0\nv 2e-06 0 0\nv 0 1e-06 0\nf 1 2 3\n")
+        assert TriMesh(at * [1.0, 1.001, 1.0], [[0, 1, 2]]).triangle_areas()[0] > DEGENERATE_AREA
+
+
+def _reference_obj_text(mesh, name):
+    lines = [f"o {name}"]
+    for x, y, z in mesh.vertices.tolist():
+        lines.append("v " + " ".join(format_float(v) for v in (x, y, z)))
+    for a, b, c in (mesh.triangles + 1).tolist():
+        lines.append(f"f {a} {b} {c}")
+    return "\n".join(lines) + "\n"
+
+
+# Zeros of both signs, subnormals, tiny negatives, and values nine digits move by more than 5e-10.
+_OBJ_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-300, -2.5e-310, 1e-4, 9.99e-5]),
+    st.floats(min_value=-1e-9, max_value=1e-9),
+    st.floats(min_value=-1e12, max_value=1e12),
+)
+
+
 class TestObj:
+    @settings(deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)), elements=_OBJ_FLOATS))
+    def test_vertex_records_match_per_value_format(self, vertices):
+        mesh = TriMesh(vertices, np.zeros((0, 3), dtype=np.int64))
+        assert obj_text(mesh, "v") == _reference_obj_text(mesh, "v")
+
+    @pytest.mark.parametrize("shape", sorted(WINDING_SHAPES))
+    def test_shapes_match_per_value_format(self, shape):
+        mesh = WINDING_SHAPES[shape]()
+        assert obj_text(mesh, shape) == _reference_obj_text(mesh, shape)
+
+    def test_names_differ_only_in_object_line(self):
+        mesh = make_sphere(0.4, 10)
+        first, second = obj_text(mesh, "first"), obj_text(mesh, "second_name")
+        assert first.split("\n", 1) == ["o first", second.split("\n", 1)[1]]
+        assert second.startswith("o second_name\n")
+
     def test_round_trip_and_determinism(self):
         m = make_cylinder(0.3, 0.9, 16)
         text = obj_text(m, "part")
@@ -452,6 +517,13 @@ class TestFormatFloat:
         assert format_float(1.5) == "1.5"
         assert format_float(0.001) == "0.001"
         assert "e" not in format_float(123456.789)
+
+    def test_plain_decimal_range(self):
+        # %.9g prints plain decimals for |x| in [1e-4, 1e9) and exponents outside.
+        assert format_float(1e-4) == "0.0001"
+        assert format_float(9.99e-5) == "9.99e-05"
+        assert format_float(123456789.0) == "123456789"
+        assert format_float(1e9) == "1e+09"
 
     def test_nine_digits(self):
         assert format_float(1 / 3) == "0.333333333"
