@@ -622,10 +622,9 @@ def instantiate(
             links.append(
                 EvaluatedLink(pass_id, None, TriMesh.empty(), None, f"{j.spec.joint_type}-pass")
             )
-            joints.append(EvaluatedJoint(j.joint_id, prev, pass_id, j.spec, j.order))
+            joints.append(replace(j, parent=prev, child=pass_id))
             prev = pass_id
-        last = group[-1]
-        joints.append(EvaluatedJoint(last.joint_id, prev, child, last.spec, last.order))
+        joints.append(replace(group[-1], parent=prev))
 
     origins = {j.child: j.spec.pivot_array() for j in joints}
 

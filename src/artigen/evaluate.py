@@ -9,6 +9,7 @@ driven and memoized: switch branches that are not selected are never built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,40 +32,98 @@ from .geometry import (
     make_sphere,
     merge_meshes,
 )
-from .graph import JointSpec, NodeGraph, ParamRef
+from .graph import JointSpec, NodeGraph, ParamRef, whole_number
 from .kinematics import KinematicTree
 from .params import ParamVector
 
 
 @dataclass(frozen=True)
-class _Link:
-    uid: int
-    template: str
+class EvaluatedLink:
+    link_id: str
     label: str | None
-    mesh: TriMesh
+    mesh: TriMesh  # construction frame at joint value 0
     material: str | None
+    template: str
 
 
 @dataclass(frozen=True)
-class _Edge:
-    uid: int
-    parent_uid: int
-    child_uid: int
-    spec: JointSpec
+class EvaluatedJoint:
+    joint_id: str
+    parent: str
+    child: str
+    spec: JointSpec  # pivot/axis in the construction frame
     order: tuple
 
 
 @dataclass(frozen=True)
 class _Body:
-    links: tuple[_Link, ...]  # the root link first
-    joints: tuple[_Edge, ...]
+    """The links (the root first) and joints one node evaluates to. Inside this
+    module link and joint ids are integer uids, in creation order in the
+    evaluator; `evaluate_links` and `expand_duplicates` replace them with names."""
+
+    links: tuple[EvaluatedLink, ...]
+    joints: tuple[EvaluatedJoint, ...]
 
     @property
-    def root(self) -> _Link:
+    def root(self) -> EvaluatedLink:
         return self.links[0]
 
     def link_uids(self):
-        return {l.uid for l in self.links}
+        return {l.link_id for l in self.links}
+
+
+def _transform(links, joints, t: RigidTransform, remap: dict, fresh_uid):
+    """`links` and `joints` moved by `t` under uids from `fresh_uid`. `remap` maps
+    the uids of links left out of `links` to the uids their joints attach to."""
+    moved = []
+    for l in links:
+        uid = fresh_uid()
+        remap[l.link_id] = uid
+        moved.append(replace(l, link_id=uid, mesh=apply_transform(l.mesh, t)))
+    rot = t.rotation_matrix()
+    return tuple(moved), tuple(
+        replace(
+            e,
+            joint_id=fresh_uid(),
+            parent=remap[e.parent],
+            child=remap[e.child],
+            spec=replace(
+                e.spec,
+                pivot=tuple(t.apply(e.spec.pivot_array())),
+                axis=tuple(rot @ np.asarray(e.spec.axis)),
+            ),
+        )
+        for e in joints
+    )
+
+
+def _copy_body(body: _Body, offset, k: int, anchor: int, fresh_uid):
+    """Copy `k` of a duplication: `body` translated by `offset`, without its
+    root; joints on the root move onto link `anchor`. Templates get `@k`,
+    link and joint labels `_k`, and joint orders `k` appended."""
+    links, joints = _transform(
+        body.links[1:],
+        body.joints,
+        RigidTransform.from_translation(offset),
+        {body.root.link_id: anchor},
+        fresh_uid,
+    )
+    links = tuple(
+        replace(l, template=f"{l.template}@{k}", label=f"{l.label}_{k}" if l.label else None)
+        for l in links
+    )
+    joints = tuple(
+        replace(
+            e,
+            spec=replace(
+                e.spec,
+                joint_label=f"{e.spec.joint_label}_{k}" if e.spec.joint_label else None,
+            ),
+            order=e.order + (k,),
+        )
+        for e in joints
+    )
+    return links, joints
 
 
 class _Context:
@@ -72,12 +131,8 @@ class _Context:
         self.graph = graph
         self.params = params
         self.cache: dict[str, object] = {}
-        self._uid = 0
+        self.fresh_uid = itertools.count(1).__next__  # link and joint uids in creation order
         self._node_index = {nid: i for i, nid in enumerate(graph.nodes)}
-
-    def fresh_uid(self) -> int:
-        self._uid += 1
-        return self._uid
 
     # --- scalar resolution -------------------------------------------------
 
@@ -101,8 +156,8 @@ class _Context:
 
     def int_scalar(self, node, name: str) -> int:
         value = self.scalar(node, name)
-        rounded = int(round(value))
-        if abs(value - rounded) > 1e-9:
+        rounded = whole_number(value)
+        if rounded is None:
             raise EvaluationError(f"{node.kind}.{name} must be an integer, got {value}")
         return rounded
 
@@ -155,7 +210,7 @@ class _Context:
                 top_radius=top_val,
                 material_tag=material,
             )
-        return _Body((_Link(self.fresh_uid(), node.node_id, None, mesh, material),), ())
+        return _Body((EvaluatedLink(self.fresh_uid(), None, mesh, material, node.node_id),), ())
 
     def _eval_scalar_math(self, node) -> float:
         op = node.params["op"]
@@ -186,58 +241,7 @@ class _Context:
             else RigidTransform.identity()
         )
         t = RigidTransform.from_translation(translate) @ rot
-        return _Body(*self._transform(body.links, body.joints, t, {}))
-
-    def _transform(self, links, joints, t: RigidTransform, remap: dict):
-        """`links` and `joints` moved by `t` under fresh uids. `remap` maps the
-        uids of links left out of `links` to the uids their joints attach to."""
-        moved = []
-        for l in links:
-            uid = self.fresh_uid()
-            remap[l.uid] = uid
-            moved.append(replace(l, uid=uid, mesh=apply_transform(l.mesh, t)))
-        rot = t.rotation_matrix()
-        return tuple(moved), tuple(
-            replace(
-                e,
-                uid=self.fresh_uid(),
-                parent_uid=remap[e.parent_uid],
-                child_uid=remap[e.child_uid],
-                spec=replace(
-                    e.spec,
-                    pivot=tuple(t.apply(e.spec.pivot_array())),
-                    axis=tuple(rot @ np.asarray(e.spec.axis)),
-                ),
-            )
-            for e in joints
-        )
-
-    def _copy_body(self, body: _Body, offset, k: int, anchor: int):
-        """Copy `k` of a duplication: `body` translated by `offset`, without its
-        root; joints on the root move onto link `anchor`. Templates get `@k`,
-        link and joint labels `_k`, and joint orders `k` appended."""
-        links, joints = self._transform(
-            body.links[1:],
-            body.joints,
-            RigidTransform.from_translation(offset),
-            {body.root.uid: anchor},
-        )
-        links = tuple(
-            replace(l, template=f"{l.template}@{k}", label=f"{l.label}_{k}" if l.label else None)
-            for l in links
-        )
-        joints = tuple(
-            replace(
-                e,
-                spec=replace(
-                    e.spec,
-                    joint_label=f"{e.spec.joint_label}_{k}" if e.spec.joint_label else None,
-                ),
-                order=e.order + (k,),
-            )
-            for e in joints
-        )
-        return links, joints
+        return _Body(*_transform(body.links, body.joints, t, {}, self.fresh_uid))
 
     def _eval_merge(self, node) -> _Body:
         inputs = []
@@ -251,20 +255,20 @@ class _Context:
         bodies = []
         for body in inputs:
             if body.link_uids() & seen:
-                copied = self._transform(body.links, body.joints, RigidTransform.identity(), {})
-                body = _Body(*copied)
+                identity = RigidTransform.identity()
+                body = _Body(*_transform(body.links, body.joints, identity, {}, self.fresh_uid))
             seen |= body.link_uids()
             bodies.append(body)
         mesh = merge_meshes([b.root.mesh for b in bodies])
         label = next((b.root.label for b in bodies if b.root.label), None)
-        root = _Link(self.fresh_uid(), node.node_id, label, mesh, mesh.material_tag)
+        root = EvaluatedLink(self.fresh_uid(), label, mesh, mesh.material_tag, node.node_id)
         links = [root]
         joints = []
         for b in bodies:
             links.extend(b.links[1:])
             for e in b.joints:
-                if e.parent_uid == b.root.uid:
-                    e = replace(e, parent_uid=root.uid)
+                if e.parent == b.root.link_id:
+                    e = replace(e, parent=root.link_id)
                 joints.append(e)
         return _Body(tuple(links), tuple(joints))
 
@@ -314,23 +318,20 @@ class _Context:
             if label is None:
                 return body
             links = tuple(
-                replace(l, label=l.label or label) if l.uid == uid else l for l in body.links
+                replace(l, label=l.label or label) if l.link_id == uid else l for l in body.links
             )
             return _Body(links, body.joints)
 
-        edge = _Edge(
-            self.fresh_uid(),
-            parent.root.uid,
-            child.root.uid,
-            spec,
-            (self._node_index[node.node_id],),
+        order = (self._node_index[node.node_id],)
+        edge = EvaluatedJoint(
+            self.fresh_uid(), parent.root.link_id, child.root.link_id, spec, order
         )
         if composite:
             body = _Body(parent.links, parent.joints + (edge,))
-            body = relabel(body, parent.root.uid, spec.parent_label)
-            return relabel(body, child.root.uid, spec.child_label)
-        parent = relabel(parent, parent.root.uid, spec.parent_label)
-        child = relabel(child, child.root.uid, spec.child_label)
+            body = relabel(body, parent.root.link_id, spec.parent_label)
+            return relabel(body, child.root.link_id, spec.child_label)
+        parent = relabel(parent, parent.root.link_id, spec.parent_label)
+        child = relabel(child, child.root.link_id, spec.child_label)
         return _Body(parent.links + child.links, parent.joints + child.joints + (edge,))
 
     def _eval_joint_revolute(self, node) -> _Body:
@@ -357,7 +358,9 @@ class _Context:
         links = list(parent.links)
         joints = list(parent.joints)
         for k, point in enumerate(points):
-            copy_links, copy_joints = self._copy_body(body, point, k, parent.root.uid)
+            copy_links, copy_joints = _copy_body(
+                body, point, k, parent.root.link_id, self.fresh_uid
+            )
             links.extend(copy_links)
             joints.extend(copy_joints)
         return _Body(tuple(links), tuple(joints))
@@ -377,24 +380,6 @@ class _Context:
 # ---------------------------------------------------------------------------
 # Public evaluation result
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvaluatedLink:
-    link_id: str
-    label: str | None
-    mesh: TriMesh  # construction frame at joint value 0
-    material: str | None
-    template: str
-
-
-@dataclass(frozen=True)
-class EvaluatedJoint:
-    joint_id: str
-    parent: str
-    child: str
-    spec: JointSpec  # pivot/axis in the construction frame
-    order: tuple
 
 
 @dataclass(frozen=True)
@@ -439,24 +424,21 @@ def evaluate_links(
     name_counts: dict[str, int] = {}
     link_names: dict[int, str] = {}
     links = []
-    for l in sorted(body.links, key=lambda l: l.uid):
+    for l in sorted(body.links, key=lambda l: l.link_id):
         base = l.label or "part"
         n = name_counts.get(base, 0)
         name_counts[base] = n + 1
-        link_names[l.uid] = f"{base}_{n}"
-        links.append(EvaluatedLink(link_names[l.uid], l.label, l.mesh, l.material, l.template))
+        link_names[l.link_id] = f"{base}_{n}"
+        links.append(replace(l, link_id=link_names[l.link_id]))
     joints = []
     joint_counts: dict[str, int] = {}
-    for e in sorted(body.joints, key=lambda e: (e.order, e.uid)):
+    for e in sorted(body.joints, key=lambda e: (e.order, e.joint_id)):
         base = e.spec.joint_label or "joint"
         n = joint_counts.get(base, 0)
         joint_counts[base] = n + 1
-        joints.append(
-            EvaluatedJoint(
-                f"{base}_{n}", link_names[e.parent_uid], link_names[e.child_uid], e.spec, e.order
-            )
-        )
-    return tuple(links), tuple(joints), link_names[body.root.uid]
+        parent, child = link_names[e.parent], link_names[e.child]
+        joints.append(replace(e, joint_id=f"{base}_{n}", parent=parent, child=child))
+    return tuple(links), tuple(joints), link_names[body.root.link_id]
 
 
 def evaluate(
@@ -496,27 +478,24 @@ def expand_duplicates(body: EvaluatedBody, points) -> DuplicateFragment:
     ordered = sorted(body.links, key=lambda l: l.link_id != body.root_link)  # root first
     uid = {l.link_id: i for i, l in enumerate(ordered)}
     source = _Body(
-        tuple(_Link(uid[l.link_id], l.template, l.label, l.mesh, l.material) for l in ordered),
+        tuple(replace(l, link_id=uid[l.link_id]) for l in ordered),
         tuple(
-            _Edge(n, uid[j.parent], uid[j.child], j.spec, j.order)
+            replace(j, joint_id=n, parent=uid[j.parent], child=uid[j.child])
             for n, j in enumerate(body.joints)
         ),
     )
-    ctx = _Context(NodeGraph(), ParamVector({}))
+    # Uid 0 is the source root's and stays the anchor, so fresh uids start at 1.
+    fresh_uid = itertools.count(1).__next__
     links: list[EvaluatedLink] = []
     joints: list[EvaluatedJoint] = []
     for k, point in enumerate(points):
-        # Joints off the root stay on it: uid 0 is the source root's, which fresh uids never reuse.
-        copy_links, copy_joints = ctx._copy_body(source, point, k, 0)
-        names = {c.uid: f"{l.link_id}_{k}" for c, l in zip(copy_links, ordered[1:])}
+        copy_links, copy_joints = _copy_body(source, point, k, 0, fresh_uid)
+        names = {c.link_id: f"{l.link_id}_{k}" for c, l in zip(copy_links, ordered[1:])}
         names[0] = body.root_link
-        links.extend(
-            EvaluatedLink(names[c.uid], c.label, c.mesh, c.material, c.template)
-            for c in copy_links
-        )
+        links.extend(replace(c, link_id=names[c.link_id]) for c in copy_links)
         joints.extend(
-            EvaluatedJoint(
-                f"{j.joint_id}_{k}", names[e.parent_uid], names[e.child_uid], e.spec, e.order
+            replace(
+                e, joint_id=f"{j.joint_id}_{k}", parent=names[e.parent], child=names[e.child]
             )
             for j, e in zip(body.joints, copy_joints)
         )

@@ -510,8 +510,8 @@ def merge_meshes(meshes) -> TriMesh:
     tags = {m.material_tag for m in meshes}
     tag = tags.pop() if len(tags) == 1 else None
     return TriMesh(
-        np.vstack(verts) if verts else np.zeros((0, 3)),
-        np.vstack(tris) if tris else np.zeros((0, 3), dtype=np.int64),
+        np.vstack(verts),
+        np.vstack(tris),
         np.concatenate(labels) if any_labels else None,
         tag,
     )

@@ -47,6 +47,12 @@ MATH_OPS = ("add", "sub", "mul", "div", "min", "max")
 _UNIT_TOL = 1e-9
 
 
+def whole_number(value: float) -> int | None:
+    """`value` as an integer if it lies within 1e-9 of one, else None."""
+    rounded = int(round(value))
+    return rounded if abs(value - rounded) <= 1e-9 else None
+
+
 @dataclass(frozen=True)
 class ParamRef:
     """A node parameter that resolves against the ParamVector at evaluation time."""
@@ -276,7 +282,8 @@ def _normalize_params(kind: str, params: dict, error: type) -> dict:
     """Every parameter of a `kind` node: given values checked and coerced, the
     rest defaulted, a joint's axis scaled to unit length. A None value
     counts as absent where None is the default. Unknown or missing parameter
-    names raise `error`; bad values raise InvalidParameterError."""
+    names raise `error`; bad values, a zero joint axis or transform
+    rotate_axis among them, raise InvalidParameterError."""
     spec = _KINDS[kind]
     unknown = set(params) - set(spec.params)
     if unknown:
@@ -295,6 +302,8 @@ def _normalize_params(kind: str, params: dict, error: type) -> dict:
         if norm < _UNIT_TOL:
             raise InvalidParameterError("joint axis must be nonzero")
         normalized["axis"] = tuple(float(c) for c in axis / norm)
+    elif kind == TRANSFORM and float(np.linalg.norm(normalized["rotate_axis"])) < _UNIT_TOL:
+        raise InvalidParameterError("transform.rotate_axis must be nonzero")
     return normalized
 
 
@@ -474,11 +483,12 @@ class NodeGraph:
                 sel = node.params.get("select")
                 n_opts = sum(1 for p in node.inputs if p.startswith("option_"))
                 if isinstance(sel, float) and "select" not in node.inputs:
-                    if not (0 <= int(round(sel)) < max(n_opts, 1)):
+                    pick = whole_number(sel)
+                    if pick is None or not 0 <= pick < max(n_opts, 1):
                         diags.append(
                             Diagnostic(
                                 "switch-selector-range",
-                                f"literal selector {sel} outside option range 0..{n_opts - 1}",
+                                f"literal selector {sel} is not an option index 0..{n_opts - 1}",
                                 nid,
                             )
                         )

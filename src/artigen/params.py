@@ -169,12 +169,16 @@ class ParameterSpace:
                     raise InvalidParameterError(
                         f"{key!r} of parameter {name!r} must be {what}, got {spec[key]!r}"
                     )
-            if kind == "continuous":
-                space.add(name, Continuous(spec["lo"], spec["hi"], spec.get("units", "")))
-            elif kind == "discrete":
-                space.add(name, Discrete(tuple(spec["labels"])))
-            else:
-                space.add(name, Count(int(spec["min"]), int(spec["max"])))
+            try:
+                if kind == "continuous":
+                    entry = Continuous(spec["lo"], spec["hi"], spec.get("units", ""))
+                elif kind == "discrete":
+                    entry = Discrete(tuple(spec["labels"]))
+                else:
+                    entry = Count(int(spec["min"]), int(spec["max"]))
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(f"parameter {name!r}: {exc}") from None
+            space.add(name, entry)
         return space
 
     def __eq__(self, other):

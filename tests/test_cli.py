@@ -222,6 +222,18 @@ class TestValidate:
         assert "ok" not in out
         assert "axis" in err
 
+    def test_zero_rotate_axis_exit_2(self, tmp_path, capsys):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        for node in doc["nodes"]:
+            if node["kind"] == "transform":
+                node["params"].update(rotate_axis=[0, 0, 0], rotate_angle=0.5)
+        path = tmp_path / "zero_rotate_axis.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["validate", str(path)], capsys)
+        assert code == 2
+        assert "ok" not in out
+        assert "rotate_axis" in err
+
     @pytest.mark.parametrize(
         "parameters",
         [
@@ -230,6 +242,7 @@ class TestValidate:
             [{"name": "w", "kind": "count", "min": "z", "max": 3}],
             [{"name": "w", "kind": "discrete", "labels": "ab"}],
             5,
+            [{"name": "w", "kind": "continuous", "lo": 1, "hi": 0}],
         ],
     )
     def test_malformed_parameter_entry_exit_2(self, tmp_path, capsys, parameters):

@@ -16,18 +16,21 @@ from artigen.errors import (
     SchemaError,
     StructuralError,
 )
+from artigen.blueprint import extract_blueprint, instantiate
 from artigen.evaluate import evaluate, expand_duplicates
 from artigen.graph import (
     JOINT_REVOLUTE,
+    MERGE,
     PRIMITIVE,
     SCALAR_MATH,
     SWITCH,
+    TRANSFORM,
     JointSpec,
     NodeGraph,
     ParamRef,
     inject_label_attributes,
 )
-from artigen.generators import CATEGORY_NAMES, get_generator
+from artigen.generators import CATEGORY_NAMES, build_instance, get_generator
 from artigen.params import Continuous, Count, ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
@@ -60,6 +63,21 @@ class TestConstruction:
         assert loaded.node(joint["id"]).params["axis"] == (0.0, 1.0, 0.0)
         joint["params"]["axis"] = [0, 0, 0]
         with pytest.raises(InvalidParameterError, match="axis"):
+            NodeGraph.deserialize(json.dumps(doc))
+
+    def test_zero_rotate_axis_rejected_on_ingest(self):
+        g = NodeGraph()
+        with pytest.raises(InvalidParameterError, match="rotate_axis"):
+            g.add_node(TRANSFORM, {"rotate_axis": (0, 0, 0), "rotate_angle": 0.5})
+        # a nonzero axis is kept as given; the rotation normalizes it
+        t = g.add_node(TRANSFORM, {"rotate_axis": (0, 0, 2), "rotate_angle": 0.5})
+        assert g.node(t).params["rotate_axis"] == (0.0, 0.0, 2.0)
+
+    def test_zero_rotate_axis_rejected_on_load(self):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        (transform,) = [n for n in doc["nodes"] if n["kind"] == TRANSFORM]
+        transform["params"].update(rotate_axis=[0, 0, 0], rotate_angle=0.5)
+        with pytest.raises(InvalidParameterError, match="rotate_axis"):
             NodeGraph.deserialize(json.dumps(doc))
 
     def test_unknown_kind_and_params(self):
@@ -189,6 +207,28 @@ class TestValidate:
         b = g.add_node(PRIMITIVE, {"shape": "box", "size_x": ParamRef("width")})
         g.set_output(b)
         assert any(d.code == "unknown-param" for d in g.validate())
+
+    @pytest.mark.parametrize(
+        "select, ok", [(0.0, True), (1.0 + 5e-10, True), (0.4, False), (2.0, False), (-1.0, False)]
+    )
+    def test_literal_switch_selector_checked_as_evaluated(self, select, ok):
+        def switch_graph(select_param, space=None):
+            g = NodeGraph(space)
+            sw = g.add_node(SWITCH, {"select": select_param})
+            g.connect(box_node(g), sw, "option_0")
+            g.connect(box_node(g, (2, 2, 2)), sw, "option_1")
+            g.set_output(sw)
+            return g
+
+        diags = switch_graph(select).validate()
+        assert [d.code for d in diags] == ([] if ok else ["switch-selector-range"])
+        # the evaluator takes the same value as a parameter and decides alike
+        g = switch_graph(ParamRef("pick"), ParameterSpace({"pick": Continuous(-2.0, 3.0)}))
+        if ok:
+            evaluate(g, ParamVector({"pick": select}))
+        else:
+            with pytest.raises((EvaluationError, RangeError)):
+                evaluate(g, ParamVector({"pick": select}))
 
     def test_cycle_diagnosed_on_loaded_graph(self):
         g = build_pattern("simple_revolute")
@@ -386,6 +426,75 @@ class TestDuplicates:
             expand_duplicates(body, [])
         with pytest.raises(InvalidParameterError):
             expand_duplicates(evaluate(build_pattern_jointless()), [(0, 0, 0)])
+
+
+class TestMerge:
+    def merged(self, second_input):
+        g = build_pattern("simple_revolute")
+        joint = g.output_node
+        merge = g.add_node(MERGE, {})
+        g.connect(joint, merge, "geometry_0")
+        g.connect(second_input(g, joint), merge, "geometry_1")
+        g.set_output(merge)
+        return g, merge
+
+    def test_joints_on_a_merged_root_move_to_the_fused_root(self):
+        g, merge = self.merged(lambda g, joint: box_node(g, (0.1, 0.1, 0.1)))
+        body = evaluate(g)
+        assert [l.link_id for l in body.links] == ["rod_0", "base_0"]
+        assert body.link("base_0").template == merge
+        assert body.link("base_0").mesh.n_vertices == 16
+        assert [(j.joint_id, j.parent, j.child) for j in body.joints] == [
+            ("hinge_0", "base_0", "rod_0")
+        ]
+
+    def test_body_merged_twice_is_copied(self):
+        g, merge = self.merged(lambda g, joint: joint)
+        body = evaluate(g)
+        assert [l.link_id for l in body.links] == ["rod_0", "rod_1", "base_0"]
+        assert body.link("base_0").template == merge
+        np.testing.assert_array_equal(
+            body.link("rod_1").mesh.vertices, body.link("rod_0").mesh.vertices
+        )
+        assert [(j.joint_id, j.parent, j.child) for j in body.joints] == [
+            ("hinge_0", "base_0", "rod_0"),
+            ("hinge_1", "base_0", "rod_1"),
+        ]
+        assert extract_blueprint(g).tree_lines() == [
+            "base",
+            "  [revolute] rod",
+            "  [revolute] rod",
+        ]
+
+
+def _pattern_or_category(source):
+    """Graph, parameters and instance of a pattern or of a category's seed 0."""
+    kind, name = source
+    if kind == "pattern":
+        g, params = build_pattern(name), ParamVector({})
+        return g, params, instantiate(None, g, params)
+    gen = get_generator(name)
+    params = sample_parameters(gen.space, 0)
+    return gen.build(params), params, build_instance(name, 0)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("pattern", n) for n in PATTERN_NAMES] + [("category", c) for c in CATEGORY_NAMES],
+    ids=lambda source: source[1],
+)
+def test_link_and_joint_ids_are_names(source):
+    g, params, instance = _pattern_or_category(source)
+    body = evaluate(g, params)
+    frag = expand_duplicates(body, [(0.1 * k, 0.0, 0.0) for k in range(4)])
+    for links, joints in (
+        (body.links, body.joints),
+        (frag.links, frag.joints),
+        (instance.links, instance.joints),
+    ):
+        ids = [l.link_id for l in links]
+        ids += [x for j in joints for x in (j.joint_id, j.parent, j.child)]
+        assert ids and all(type(x) is str for x in ids), ids
 
 
 def build_pattern_jointless():

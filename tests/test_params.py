@@ -73,6 +73,19 @@ class TestSpaceSerde:
         with pytest.raises(InvalidParameterError, match="'w'"):
             ParameterSpace.from_json_list([entry])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "w", "kind": "continuous", "lo": 1, "hi": 0},
+            {"name": "w", "kind": "discrete", "labels": ["only"]},
+            {"name": "w", "kind": "discrete", "labels": ["a", "a"]},
+            {"name": "w", "kind": "count", "min": 3, "max": 1},
+        ],
+    )
+    def test_rejected_range_names_parameter(self, entry):
+        with pytest.raises(InvalidParameterError, match="'w'"):
+            ParameterSpace.from_json_list([entry])
+
     def test_whole_float_count_bounds_accepted(self):
         space = ParameterSpace.from_json_list([{"name": "n", "kind": "count", "min": 1.0, "max": 3}])
         assert space["n"] == Count(1, 3)
