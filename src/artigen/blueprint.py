@@ -494,10 +494,6 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
     )
 
 
-def blueprint_signature(blueprint: KinematicBlueprint) -> str:
-    return blueprint.signature()
-
-
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------

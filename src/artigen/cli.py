@@ -24,6 +24,11 @@ from .graph import NodeGraph
 from .params import SALT_ENV_VAR, Continuous, Count, Discrete, load_overrides
 
 
+def _check_category(name: str) -> None:
+    if name not in CATEGORY_NAMES:
+        raise ArtigenError(f"unknown category {name!r}")
+
+
 def _parse_seeds(args) -> list[int]:
     if args.seeds:
         lo, _, hi = args.seeds.partition("..")
@@ -56,9 +61,7 @@ def _generate_one(category: str, seed: int, out: str, formats, overrides) -> dic
 
 
 def cmd_generate(args) -> int:
-    if args.category not in CATEGORY_NAMES:
-        print(f"unknown category {args.category!r}", file=sys.stderr)
-        return 2
+    _check_category(args.category)
     seeds = _parse_seeds(args)
     formats = ["urdf", "mjcf"] if args.format == "both" else [args.format]
     overrides = load_overrides(args.overrides) if args.overrides else None
@@ -99,9 +102,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    if args.category not in CATEGORY_NAMES:
-        print(f"unknown category {args.category!r}", file=sys.stderr)
-        return 2
+    _check_category(args.category)
     gen = get_generator(args.category)
     vc = count_variations(gen)
     print(f"category: {args.category}")
@@ -121,9 +122,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.category not in CATEGORY_NAMES:
-        print(f"unknown category {args.category!r}", file=sys.stderr)
-        return 2
+    _check_category(args.category)
     seeds = _parse_seeds(args)
     overrides = load_overrides(args.overrides) if args.overrides else None
     if args.random is not None:
@@ -177,9 +176,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_blueprint(args) -> int:
-    if args.category not in CATEGORY_NAMES:
-        print(f"unknown category {args.category!r}", file=sys.stderr)
-        return 2
+    _check_category(args.category)
     bp = get_generator(args.category).blueprint
     for line in bp.tree_lines():
         print(line)

@@ -32,7 +32,7 @@ from .geometry import (
     make_sphere,
     merge_meshes,
 )
-from .graph import JointSpec, NodeGraph, ParamRef, whole_number
+from .graph import JointSpec, NodeGraph, ParamRef, link_set_relation, whole_number
 from .kinematics import KinematicTree
 from .params import ParamVector
 
@@ -306,12 +306,10 @@ class _Context:
             node.params.get("parent_label"),
             node.params.get("child_label"),
         )
-        parent_uids = parent.link_uids()
-        child_uids = child.link_uids()
-        if child_uids == parent_uids:
+        relation = link_set_relation(parent.link_uids(), child.link_uids())
+        if relation == "equal":
             raise StructuralError(f"joint {node.node_id}: child geometry is its own parent")
-        composite = child_uids <= parent_uids
-        if not composite and (child_uids & parent_uids):
+        if relation == "overlapping":
             raise StructuralError(f"joint {node.node_id}: parent and child share links")
 
         def relabel(body: _Body, uid: int, label: str | None) -> _Body:
@@ -326,7 +324,7 @@ class _Context:
         edge = EvaluatedJoint(
             self.fresh_uid(), parent.root.link_id, child.root.link_id, spec, order
         )
-        if composite:
+        if relation == "nested":
             body = _Body(parent.links, parent.joints + (edge,))
             body = relabel(body, parent.root.link_id, spec.parent_label)
             return relabel(body, child.root.link_id, spec.child_label)
@@ -344,8 +342,6 @@ class _Context:
         parent = self._body_input(node, "parent")
         body = self._body_input(node, "body")
         points = node.params["points"]
-        if isinstance(points, ParamRef):
-            raise InvalidParameterError("duplication points must be baked literals")
         if not body.joints:
             # Static replication: copies of a jointless body merge into the parent root.
             if not points:
@@ -398,9 +394,6 @@ class EvaluatedBody:
 
     def posed_mesh(self, link_id: str) -> TriMesh:
         return apply_transform(self.link(link_id).mesh, self.world_transforms[link_id])
-
-    def joints_of_pair(self, a: str, b: str) -> list[EvaluatedJoint]:
-        return [j for j in self.joints if {j.parent, j.child} == {a, b}]
 
 
 def evaluate_links(

@@ -71,15 +71,12 @@ class ParsedModel:
     joints: tuple[ParsedJoint, ...]
 
     def verify_tree(self) -> None:
-        """Raise StructuralError unless the joints form one tree over the links
-        with unique names, each link the child of at most one joint."""
-        children: set[str] = set()
+        """Raise StructuralError unless the joints have names and form one tree
+        over the links, as KinematicTree accepts it."""
         for j in self.joints:
             if j.name is None:
                 raise StructuralError(f"joint into link {j.child} has no name")
-            if j.child in children:
-                raise StructuralError(f"link {j.child} has two parents")
-            children.add(j.child)
+        children = {j.child for j in self.joints}
         roots = [l.name for l in self.links if l.name not in children]
         if len(roots) != 1:
             raise StructuralError(f"model has {len(roots)} roots")

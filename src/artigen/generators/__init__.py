@@ -6,9 +6,10 @@ from functools import lru_cache
 
 from ..blueprint import AssetInstance, instantiate
 from ..errors import InvalidParameterError
+from ..graph import GraphBuilder
 from ..params import ParamVector, merge_overrides, sample_parameters
 from . import dishwasher, door, fridge, lamp, toaster
-from .common import CategoryGenerator, GraphBuilder, VariationCount, count_variations
+from .common import CategoryGenerator, VariationCount, count_variations
 
 CATEGORY_NAMES = ("door", "toaster", "fridge", "dishwasher", "lamp")
 

@@ -9,9 +9,9 @@ closed pose (pivot proud of the door front).
 
 from __future__ import annotations
 
-from ..graph import NodeGraph
+from ..graph import GraphBuilder, NodeGraph
 from ..params import Count, ParameterSpace, ParamVector
-from .common import CategoryGenerator, GraphBuilder, continuous_entries
+from .common import CategoryGenerator, continuous_entries
 
 CONTINUOUS_NAMES = [
     "size", "wall_thickness", "body_outer_roundness", "body_inner_roundness",

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 
 from ..errors import InvalidParameterError
-from ..graph import NodeGraph
+from ..graph import GraphBuilder, NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
-from .common import CategoryGenerator, GraphBuilder, continuous_entries
+from .common import CategoryGenerator, continuous_entries
 
 CONTINUOUS_NAMES = [
     "pull_string_radius", "pull_string_base_height", "pull_string_length",

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 
-from ..graph import NodeGraph
+from ..graph import GraphBuilder, NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
-from .common import CategoryGenerator, GraphBuilder, continuous_entries
+from .common import CategoryGenerator, continuous_entries
 
 CONTINUOUS_NAMES = [
     "dimension_of_lever_handle", "slot_width", "slot_length", "slot_depth",

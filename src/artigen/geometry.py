@@ -30,13 +30,29 @@ def _check_finite(arr, what):
         raise InvalidParameterError(f"{what} must be finite, got {arr!r}")
 
 
-def as_vec3(value) -> np.ndarray:
-    """Coerce a tuple/list/array into a finite float64 array of shape (3,)."""
-    arr = np.asarray(value, dtype=np.float64)
+def as_vec3(value, what: str = "vector") -> np.ndarray:
+    """Coerce a tuple/list/array into a finite float64 array of shape (3,);
+    anything else raises InvalidParameterError naming `what`."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} must be a 3-vector, got {value!r}") from None
     if arr.shape != (3,):
-        raise InvalidParameterError(f"expected a 3-vector, got shape {arr.shape}")
-    _check_finite(arr, "vector")
+        raise InvalidParameterError(f"{what} must be a 3-vector, got shape {arr.shape}")
+    if not all(map(math.isfinite, arr.tolist())):
+        raise InvalidParameterError(f"{what} must be finite, got {arr!r}")
     return arr
+
+
+def unit_vector(value, what: str) -> tuple[float, float, float]:
+    """`value` divided by its length, for a finite nonzero 3-vector; anything
+    else raises InvalidParameterError naming `what`."""
+    arr = as_vec3(value, what)
+    norm = math.sqrt(arr.dot(arr))  # np.linalg.norm's formula, bit for bit
+    if norm < _UNIT_TOL:
+        raise InvalidParameterError(f"{what} must be nonzero")
+    x, y, z = arr.tolist()
+    return (x / norm, y / norm, z / norm)
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,13 +114,10 @@ class RigidTransform:
     @staticmethod
     def from_axis_angle(axis, angle: float, pivot=None) -> "RigidTransform":
         """Rotation of `angle` about `axis`; about `pivot` instead of the origin if given."""
-        axis = as_vec3(axis)
-        n = np.linalg.norm(axis)
-        if n < _UNIT_TOL:
-            raise InvalidParameterError("rotation axis must be nonzero")
-        axis = axis / n
+        x, y, z = unit_vector(axis, "rotation axis")
         half = 0.5 * float(angle)
-        q = np.concatenate(([math.cos(half)], math.sin(half) * axis))
+        s = math.sin(half)
+        q = np.array([math.cos(half), s * x, s * y, s * z])
         rot = RigidTransform(q, np.zeros(3))
         if pivot is None:
             return rot
@@ -175,9 +188,6 @@ class Aabb:
     def center(self) -> np.ndarray:
         return 0.5 * (self.min + self.max)
 
-    def union(self, other: "Aabb") -> "Aabb":
-        return Aabb(np.minimum(self.min, other.min), np.maximum(self.max, other.max))
-
     def overlaps(self, other: "Aabb", margin: float = 0.0) -> bool:
         return bool(
             np.all(self.min <= other.max + margin) and np.all(other.min <= self.max + margin)
@@ -246,9 +256,6 @@ class TriMesh:
 
     def triangle_areas(self) -> np.ndarray:
         return triangle_areas(self.triangle_corners())
-
-    def surface_area(self) -> float:
-        return float(self.triangle_areas().sum())
 
     def triangle_corners(self) -> np.ndarray:
         """All triangles as an (n, 3, 3) corner array."""

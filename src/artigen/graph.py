@@ -1,5 +1,6 @@
 """The procedural program representation: a typed DAG of geometry, math, joint,
-duplication, and label nodes, with validation and canonical serialization.
+duplication, and label nodes, with validation, canonical serialization, and
+GraphBuilder, the helper that builds the patterns and the generators.
 
 Geometry-typed ports carry articulated bodies (a plain primitive is a body with
 one link and no joints), scalar ports carry numbers. A graph is mutable while
@@ -21,6 +22,7 @@ from .errors import (
     PortTypeError,
     SchemaError,
 )
+from .geometry import as_vec3, unit_vector
 from .params import ParameterSpace
 
 SCHEMA_VERSION = 1
@@ -43,8 +45,6 @@ JOINT_KINDS = (JOINT_REVOLUTE, JOINT_PRISMATIC)
 
 PRIMITIVE_SHAPES = ("box", "cylinder", "sphere", "rounded_box", "ngon_prism")
 MATH_OPS = ("add", "sub", "mul", "div", "min", "max")
-
-_UNIT_TOL = 1e-9
 
 
 def whole_number(value: float) -> int | None:
@@ -82,16 +82,8 @@ class JointSpec:
     def __post_init__(self):
         if self.joint_type not in ("revolute", "prismatic"):
             raise InvalidParameterError(f"unknown joint type {self.joint_type!r}")
-        axis = np.asarray(self.axis, dtype=np.float64)
-        norm = float(np.linalg.norm(axis))
-        if norm < _UNIT_TOL:
-            raise InvalidParameterError("joint axis must be nonzero")
-        axis = axis / norm
-        object.__setattr__(self, "axis", (float(axis[0]), float(axis[1]), float(axis[2])))
-        pivot = tuple(float(c) for c in self.pivot)
-        if any(not math.isfinite(c) for c in pivot):
-            raise InvalidParameterError("joint pivot must be finite")
-        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "axis", unit_vector(self.axis, "joint axis"))
+        object.__setattr__(self, "pivot", tuple(as_vec3(self.pivot, "joint pivot").tolist()))
         if not (self.lo <= self.hi):
             raise InvalidParameterError(f"joint range needs lo <= hi, got [{self.lo}, {self.hi}]")
         if not (self.lo <= self.default_value <= self.hi):
@@ -105,6 +97,17 @@ class JointSpec:
 
     def pivot_array(self) -> np.ndarray:
         return np.asarray(self.pivot, dtype=np.float64)
+
+
+def link_set_relation(parent: frozenset, child: frozenset) -> str:
+    """How a joint's child link set sits against its parent's: "equal",
+    "nested" (a proper subset: a second joint onto an already-jointed pair),
+    "overlapping" (shared links otherwise) or "disjoint"."""
+    if child == parent:
+        return "equal"
+    if child < parent:
+        return "nested"
+    return "overlapping" if child & parent else "disjoint"
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,8 @@ _KINDS: dict[str, _KindSpec] = {
             "radius": _ParamSpec("scalar", default=0.5),
             "top_radius": _ParamSpec("scalar", default=None),
             "height": _ParamSpec("scalar", default=1.0),
-            "segments": _ParamSpec("scalar", default=32),
-            "sides": _ParamSpec("scalar", default=6),
+            "segments": _ParamSpec("scalar", default=32.0),
+            "sides": _ParamSpec("scalar", default=6.0),
             "bevel": _ParamSpec("scalar", default=0.0),
             "material": _ParamSpec("str", default=None),
         },
@@ -230,7 +233,7 @@ _KINDS: dict[str, _KindSpec] = {
 
 def _normalize_param(kind: str, name: str, spec: _ParamSpec, value):
     if isinstance(value, ParamRef):
-        if spec.kind not in ("scalar", "points"):
+        if spec.kind != "scalar":
             raise InvalidParameterError(
                 f"{kind}.{name} of type {spec.kind} cannot be a parameter reference"
             )
@@ -297,13 +300,9 @@ def _normalize_params(kind: str, params: dict, error: type) -> dict:
         else:
             normalized[name] = pspec.default
     if kind in JOINT_KINDS:  # a vec3 axis is always literal
-        axis = np.asarray(normalized["axis"], dtype=np.float64)
-        norm = float(np.linalg.norm(axis))
-        if norm < _UNIT_TOL:
-            raise InvalidParameterError("joint axis must be nonzero")
-        normalized["axis"] = tuple(float(c) for c in axis / norm)
-    elif kind == TRANSFORM and float(np.linalg.norm(normalized["rotate_axis"])) < _UNIT_TOL:
-        raise InvalidParameterError("transform.rotate_axis must be nonzero")
+        normalized["axis"] = unit_vector(normalized["axis"], f"{kind}.axis")
+    elif kind == TRANSFORM:
+        unit_vector(normalized["rotate_axis"], "transform.rotate_axis")
     return normalized
 
 
@@ -364,18 +363,13 @@ class NodeGraph:
 
     def connect(self, src: str, dst: str, port: str) -> None:
         """Wire src's output into (dst, port). Rejects cycles and type mismatches."""
-        if src not in self.nodes:
-            raise InvalidParameterError(f"unknown source node {src!r}")
         if dst not in self.nodes:
             raise InvalidParameterError(f"unknown target node {dst!r}")
-        ptype = port_type(self.nodes[dst].kind, port)
-        if ptype is None:
-            raise PortTypeError(f"node kind {self.nodes[dst].kind!r} has no port {port!r}")
-        src_type = _KINDS[self.nodes[src].kind].output
-        if src_type != ptype:
-            raise PortTypeError(
-                f"cannot wire {src_type} output of {src} into {ptype} port {port!r} of {dst}"
-            )
+        problem = self._wiring_problem(src, self.nodes[dst].kind, port)
+        if problem is not None:
+            code, message = problem
+            error = InvalidParameterError if code == "missing-node" else PortTypeError
+            raise error(f"{dst}: {message}")
         forward = self._rank[src] < self._rank[dst]
         if not (forward and self._forward) and (src == dst or self._reaches(src, dst)):
             raise GraphCycleError(f"wiring {src} -> {dst}.{port} would create a cycle")
@@ -386,6 +380,19 @@ class NodeGraph:
         if node_id not in self.nodes:
             raise InvalidParameterError(f"unknown node {node_id!r}")
         self.output_node = node_id
+
+    def _wiring_problem(self, src: str, kind: str, port: str) -> tuple[str, str] | None:
+        """The diagnostic code and message for wiring `src` into `port` of a
+        `kind` node, or None if that wire is sound."""
+        if src not in self.nodes:
+            return "missing-node", f"port {port!r} wired to missing node {src!r}"
+        ptype = port_type(kind, port)
+        if ptype is None:
+            return "bad-port", f"no port {port!r} on kind {kind}"
+        src_kind = self.nodes[src].kind
+        if _KINDS[src_kind].output != ptype:
+            return "port-type", f"{src_kind} output wired into {ptype} port {port!r}"
+        return None
 
     def _reaches(self, start: str, target: str) -> bool:
         """True if `target` is reachable from `start` walking upstream."""
@@ -439,22 +446,9 @@ class NodeGraph:
         for nid, node in self.nodes.items():
             spec = _KINDS[node.kind]
             for port, src in node.inputs.items():
-                if src not in self.nodes:
-                    diags.append(
-                        Diagnostic("missing-node", f"port {port!r} wired to missing node {src!r}", nid)
-                    )
-                    continue
-                ptype = port_type(node.kind, port)
-                if ptype is None:
-                    diags.append(Diagnostic("bad-port", f"no port {port!r} on kind {node.kind}", nid))
-                elif _KINDS[self.nodes[src].kind].output != ptype:
-                    diags.append(
-                        Diagnostic(
-                            "port-type",
-                            f"{self.nodes[src].kind} output wired into {ptype} port {port!r}",
-                            nid,
-                        )
-                    )
+                problem = self._wiring_problem(src, node.kind, port)
+                if problem is not None:
+                    diags.append(Diagnostic(*problem, nid))
             for port in spec.required_ports:
                 if port not in node.inputs:
                     diags.append(Diagnostic("missing-input", f"port {port!r} is not wired", nid))
@@ -578,7 +572,8 @@ class NodeGraph:
                 for _croot, ctoks in children:
                     if not ptoks or not ctoks:
                         continue
-                    if ptoks == ctoks:
+                    relation = link_set_relation(ptoks, ctoks)
+                    if relation == "equal":
                         diags.append(
                             Diagnostic(
                                 "joint-self-loop",
@@ -586,9 +581,7 @@ class NodeGraph:
                                 nid,
                             )
                         )
-                    elif ctoks < ptoks:
-                        pass  # composite joint: second joint onto an already-jointed pair
-                    elif ptoks & ctoks:
+                    elif relation == "overlapping":
                         diags.append(
                             Diagnostic(
                                 "joint-link-overlap",
@@ -740,3 +733,158 @@ def inject_label_attributes(graph: NodeGraph) -> NodeGraph:
         clone.connect(src, store, "geometry")
         clone.connect(store, nid, port)
     return clone
+
+
+# --- building -----------------------------------------------------------------
+
+
+class GraphBuilder:
+    """Thin convenience layer over NodeGraph; it builds the pattern corpus and
+    the category generators."""
+
+    def __init__(self, space: ParameterSpace):
+        self.g = NodeGraph(space)
+
+    # geometry ----------------------------------------------------------------
+
+    def _placed(self, node, at, rotate_axis=None, rotate_angle=0.0):
+        if at == (0, 0, 0) and rotate_angle == 0.0:
+            return node
+        params = {"translate_x": at[0], "translate_y": at[1], "translate_z": at[2]}
+        if rotate_angle != 0.0:
+            params["rotate_axis"] = rotate_axis or (0, 0, 1)
+            params["rotate_angle"] = rotate_angle
+        t = self.g.add_node(TRANSFORM, params)
+        self.g.connect(node, t, "geometry")
+        return t
+
+    def box(self, dims, at=(0, 0, 0), material=None, rotate_axis=None, rotate_angle=0.0):
+        node = self.g.add_node(
+            PRIMITIVE,
+            {"shape": "box", "size_x": dims[0], "size_y": dims[1], "size_z": dims[2], "material": material},
+        )
+        return self._placed(node, at, rotate_axis, rotate_angle)
+
+    def rounded_box(self, dims, bevel, at=(0, 0, 0), material=None):
+        node = self.g.add_node(
+            PRIMITIVE,
+            {
+                "shape": "rounded_box",
+                "size_x": dims[0],
+                "size_y": dims[1],
+                "size_z": dims[2],
+                "bevel": bevel,
+                "material": material,
+            },
+        )
+        return self._placed(node, at)
+
+    def cylinder(self, radius, height, at=(0, 0, 0), segments=32, material=None,
+                 rotate_axis=None, rotate_angle=0.0):
+        node = self.g.add_node(
+            PRIMITIVE,
+            {"shape": "cylinder", "radius": radius, "height": height, "segments": segments,
+             "material": material},
+        )
+        return self._placed(node, at, rotate_axis, rotate_angle)
+
+    def prism(self, radius, height, sides, at=(0, 0, 0), top_radius=None, material=None):
+        node = self.g.add_node(
+            PRIMITIVE,
+            {"shape": "ngon_prism", "radius": radius, "height": height, "sides": sides,
+             "top_radius": top_radius, "material": material},
+        )
+        return self._placed(node, at)
+
+    def sphere(self, radius, at=(0, 0, 0), segments=24, material=None):
+        node = self.g.add_node(
+            PRIMITIVE, {"shape": "sphere", "radius": radius, "segments": segments, "material": material}
+        )
+        return self._placed(node, at)
+
+    def merge(self, *nodes):
+        m = self.g.add_node(MERGE, {})
+        for i, node in enumerate(nodes):
+            self.g.connect(node, m, f"geometry_{i}")
+        return m
+
+    def label(self, node, name):
+        l = self.g.add_node(SEMANTIC_LABEL, {"label": name})
+        self.g.connect(node, l, "geometry")
+        return l
+
+    # joints -------------------------------------------------------------------
+
+    def _joint(self, kind, parent, child, pivot, axis, lo, hi, default=None, labels=()):
+        params = {
+            "pivot": pivot,
+            "axis": axis,
+            "range_lo": lo,
+            "range_hi": hi,
+        }
+        if default is not None:
+            params["default"] = default
+        for key, value in zip(("joint_label", "parent_label", "child_label"), labels):
+            if value is not None:
+                params[key] = value
+        j = self.g.add_node(kind, params)
+        self.g.connect(parent, j, "parent")
+        self.g.connect(child, j, "child")
+        return j
+
+    def revolute(self, parent, child, pivot, axis, lo, hi, default=None, labels=()):
+        return self._joint(JOINT_REVOLUTE, parent, child, pivot, axis, lo, hi, default, labels)
+
+    def prismatic(self, parent, child, pivot, axis, lo, hi, default=None, labels=()):
+        return self._joint(JOINT_PRISMATIC, parent, child, pivot, axis, lo, hi, default, labels)
+
+    def fixed(self, parent, child, pivot, labels=()):
+        """Immovable attachment expressed as a zero-range hinge."""
+        return self._joint(JOINT_REVOLUTE, parent, child, pivot, (0, 0, 1), 0.0, 0.0, 0.0, labels)
+
+    def duplicate(self, parent, body, points, count_param=None, count_map=None):
+        d = self.g.add_node(
+            DUPLICATE,
+            {"points": list(points), "count_param": count_param, "count_map": count_map},
+        )
+        self.g.connect(parent, d, "parent")
+        self.g.connect(body, d, "body")
+        return d
+
+    # scalars -------------------------------------------------------------------
+
+    def math(self, op, a, b):
+        """ScalarMath node; a and b may be numbers, ParamRefs, or scalar node ids."""
+        params = {"op": op}
+        wires = {}
+        for name, value in (("a", a), ("b", b)):
+            if isinstance(value, str):  # upstream scalar node
+                params[name] = 0.0
+                wires[name] = value
+            else:
+                params[name] = value
+        node = self.g.add_node(SCALAR_MATH, params)
+        for port, src in wires.items():
+            self.g.connect(src, node, port)
+        return node
+
+    def ref(self, name) -> ParamRef:
+        return ParamRef(name)
+
+    def switch(self, select, options):
+        """Switch node; `select` may be a number, ParamRef, or scalar node id."""
+        params = {"select": 0.0 if isinstance(select, str) else select}
+        node = self.g.add_node(SWITCH, params)
+        if isinstance(select, str):
+            self.g.connect(select, node, "select")
+        for i, opt in enumerate(options):
+            self.g.connect(opt, node, f"option_{i}")
+        return node
+
+    def clamp01(self, value):
+        """min(1, max(0, value)) as scalar nodes."""
+        return self.math("min", 1.0, self.math("max", 0.0, value))
+
+    def output(self, node) -> NodeGraph:
+        self.g.set_output(node)
+        return self.g

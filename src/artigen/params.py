@@ -92,20 +92,6 @@ class ParameterSpace:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def continuous_names(self) -> list[str]:
-        return [n for n, e in self.entries.items() if isinstance(e, Continuous)]
-
-    @property
-    def continuous_dims(self) -> int:
-        return len(self.continuous_names)
-
-    def label_index(self, name: str, label: str) -> int:
-        entry = self.entries[name]
-        if not isinstance(entry, Discrete):
-            raise InvalidParameterError(f"{name!r} is not a discrete parameter")
-        return entry.labels.index(label)
-
     def label_of(self, name: str, index: int) -> str:
         entry = self.entries[name]
         if not isinstance(entry, Discrete):

@@ -11,13 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .graph import (
-    DUPLICATE,
-    JOINT_PRISMATIC,
-    JOINT_REVOLUTE,
-    PRIMITIVE,
-    NodeGraph,
-)
+from .graph import GraphBuilder, NodeGraph
+from .params import ParameterSpace
 
 PATTERN_NAMES = (
     "simple_revolute",
@@ -29,207 +24,88 @@ PATTERN_NAMES = (
 )
 
 
-def _box(g, dims, **extra):
-    params = {"shape": "box", "size_x": dims[0], "size_y": dims[1], "size_z": dims[2]}
-    params.update(extra)
-    return g.add_node(PRIMITIVE, params)
-
-
-def _cyl(g, radius, height, **extra):
-    params = {"shape": "cylinder", "radius": radius, "height": height}
-    params.update(extra)
-    return g.add_node(PRIMITIVE, params)
-
-
-def _shift(g, node, offset):
-    t = g.add_node(
-        "transform",
-        {"translate_x": offset[0], "translate_y": offset[1], "translate_z": offset[2]},
-    )
-    g.connect(node, t, "geometry")
-    return t
-
-
-def _joint(g, kind, parent, child, **params):
-    j = g.add_node(kind, params)
-    g.connect(parent, j, "parent")
-    g.connect(child, j, "child")
-    return j
-
-
 def simple_revolute() -> NodeGraph:
     """A rod rotating about a pivot on top of a base block."""
-    g = NodeGraph()
-    base = _box(g, (0.4, 0.4, 0.1))
-    rod = _shift(g, _box(g, (0.05, 0.05, 0.5)), (0, 0, 0.35))
-    out = _joint(
-        g,
-        JOINT_REVOLUTE,
-        base,
-        rod,
-        pivot=(0, 0, 0.1),
-        axis=(0, 1, 0),
-        range_lo=-math.pi / 4,
-        range_hi=math.pi / 4,
-        joint_label="hinge",
-        parent_label="base",
-        child_label="rod",
+    b = GraphBuilder(ParameterSpace())
+    base = b.box((0.4, 0.4, 0.1))
+    rod = b.box((0.05, 0.05, 0.5), at=(0, 0, 0.35))
+    out = b.revolute(
+        base, rod, (0, 0, 0.1), (0, 1, 0), -math.pi / 4, math.pi / 4,
+        labels=("hinge", "base", "rod"),
     )
-    g.set_output(out)
-    return g
+    return b.output(out)
 
 
 def simple_prismatic() -> NodeGraph:
     """An articulated button sliding into its housing."""
-    g = NodeGraph()
-    housing = _box(g, (0.12, 0.12, 0.06))
-    button = _shift(g, _cyl(g, 0.02, 0.02), (0, 0, 0.04))
-    out = _joint(
-        g,
-        JOINT_PRISMATIC,
-        housing,
-        button,
-        pivot=(0, 0, 0.04),
-        axis=(0, 0, -1),
-        range_lo=0.0,
-        range_hi=0.015,
-        joint_label="press",
-        parent_label="housing",
-        child_label="button",
+    b = GraphBuilder(ParameterSpace())
+    housing = b.box((0.12, 0.12, 0.06))
+    button = b.cylinder(0.02, 0.02, at=(0, 0, 0.04))
+    out = b.prismatic(
+        housing, button, (0, 0, 0.04), (0, 0, -1), 0.0, 0.015,
+        labels=("press", "housing", "button"),
     )
-    g.set_output(out)
-    return g
+    return b.output(out)
 
 
 def duplicated_bodies() -> NodeGraph:
     """Articulated knobs replicated at a grid of points on one panel."""
-    g = NodeGraph()
-    panel = _box(g, (0.5, 0.3, 0.02))
-    knob = _shift(g, _cyl(g, 0.025, 0.04), (0, 0, 0.03))
-    jointed = _joint(
-        g,
-        JOINT_REVOLUTE,
-        panel,
-        knob,
-        pivot=(0, 0, 0.03),
-        axis=(0, 0, 1),
-        range_lo=-math.pi,
-        range_hi=math.pi,
-        joint_label="twist",
-        parent_label="panel",
-        child_label="knob",
+    b = GraphBuilder(ParameterSpace())
+    panel = b.box((0.5, 0.3, 0.02))
+    knob = b.cylinder(0.025, 0.04, at=(0, 0, 0.03))
+    jointed = b.revolute(
+        panel, knob, (0, 0, 0.03), (0, 0, 1), -math.pi, math.pi,
+        labels=("twist", "panel", "knob"),
     )
-    dup = g.add_node(
-        DUPLICATE,
-        {"points": [(-0.15, -0.07, 0), (0.15, -0.07, 0), (-0.15, 0.07, 0), (0.15, 0.07, 0)]},
-    )
-    g.connect(panel, dup, "parent")
-    g.connect(jointed, dup, "body")
-    g.set_output(dup)
-    return g
+    points = [(-0.15, -0.07, 0), (0.15, -0.07, 0), (-0.15, 0.07, 0), (0.15, 0.07, 0)]
+    return b.output(b.duplicate(panel, jointed, points))
 
 
 def chained_joints() -> NodeGraph:
     """Two rods jointed together first, then the combined body jointed to a base."""
-    g = NodeGraph()
-    base = _box(g, (0.3, 0.3, 0.1))
-    rod1 = _shift(g, _box(g, (0.04, 0.04, 0.3)), (0, 0, 0.2))
-    rod2 = _shift(g, _box(g, (0.03, 0.03, 0.3)), (0, 0, 0.5))
-    upper = _joint(
-        g,
-        JOINT_REVOLUTE,
-        rod1,
-        rod2,
-        pivot=(0, 0, 0.35),
-        axis=(0, 1, 0),
-        range_lo=-math.pi / 3,
-        range_hi=math.pi / 3,
-        joint_label="elbow",
-        parent_label="rod_lower",
-        child_label="rod_upper",
+    b = GraphBuilder(ParameterSpace())
+    base = b.box((0.3, 0.3, 0.1))
+    rod1 = b.box((0.04, 0.04, 0.3), at=(0, 0, 0.2))
+    rod2 = b.box((0.03, 0.03, 0.3), at=(0, 0, 0.5))
+    upper = b.revolute(
+        rod1, rod2, (0, 0, 0.35), (0, 1, 0), -math.pi / 3, math.pi / 3,
+        labels=("elbow", "rod_lower", "rod_upper"),
     )
-    out = _joint(
-        g,
-        JOINT_REVOLUTE,
-        base,
-        upper,
-        pivot=(0, 0, 0.05),
-        axis=(0, 1, 0),
-        range_lo=-math.pi / 3,
-        range_hi=math.pi / 3,
-        joint_label="shoulder",
-        parent_label="base",
+    out = b.revolute(
+        base, upper, (0, 0, 0.05), (0, 1, 0), -math.pi / 3, math.pi / 3,
+        labels=("shoulder", "base"),
     )
-    g.set_output(out)
-    return g
+    return b.output(out)
 
 
 def shared_parent() -> NodeGraph:
     """Two rods jointed to the same sphere via its top-most parent body."""
-    g = NodeGraph()
-    sphere = g.add_node(PRIMITIVE, {"shape": "sphere", "radius": 0.1, "segments": 24})
-    rod_up = _shift(g, _box(g, (0.03, 0.03, 0.3)), (0, 0, 0.25))
-    rod_side = _shift(g, _box(g, (0.3, 0.03, 0.03)), (0.25, 0, 0))
-    first = _joint(
-        g,
-        JOINT_REVOLUTE,
-        sphere,
-        rod_up,
-        pivot=(0, 0, 0.1),
-        axis=(0, 1, 0),
-        range_lo=-math.pi / 4,
-        range_hi=math.pi / 4,
-        joint_label="pivot_up",
-        parent_label="sphere",
-        child_label="rod_up",
+    b = GraphBuilder(ParameterSpace())
+    sphere = b.sphere(0.1)
+    rod_up = b.box((0.03, 0.03, 0.3), at=(0, 0, 0.25))
+    rod_side = b.box((0.3, 0.03, 0.03), at=(0.25, 0, 0))
+    first = b.revolute(
+        sphere, rod_up, (0, 0, 0.1), (0, 1, 0), -math.pi / 4, math.pi / 4,
+        labels=("pivot_up", "sphere", "rod_up"),
     )
-    out = _joint(
-        g,
-        JOINT_REVOLUTE,
-        first,
-        rod_side,
-        pivot=(0.1, 0, 0),
-        axis=(0, 0, 1),
-        range_lo=-math.pi / 4,
-        range_hi=math.pi / 4,
-        joint_label="pivot_side",
-        child_label="rod_side",
+    out = b.revolute(
+        first, rod_side, (0.1, 0, 0), (0, 0, 1), -math.pi / 4, math.pi / 4,
+        labels=("pivot_side", None, "rod_side"),
     )
-    g.set_output(out)
-    return g
+    return b.output(out)
 
 
 def multi_joint_screw() -> NodeGraph:
     """A cap connected to a bottle neck by a hinge and a slide on one axis."""
-    g = NodeGraph()
-    neck = _cyl(g, 0.04, 0.1)
-    cap = _shift(g, _cyl(g, 0.048, 0.03), (0, 0, 0.07))
-    turned = _joint(
-        g,
-        JOINT_REVOLUTE,
-        neck,
-        cap,
-        pivot=(0, 0, 0.07),
-        axis=(0, 0, 1),
-        range_lo=0.0,
-        range_hi=4 * math.pi,
-        joint_label="turn",
-        parent_label="neck",
-        child_label="cap",
+    b = GraphBuilder(ParameterSpace())
+    neck = b.cylinder(0.04, 0.1)
+    cap = b.cylinder(0.048, 0.03, at=(0, 0, 0.07))
+    turned = b.revolute(
+        neck, cap, (0, 0, 0.07), (0, 0, 1), 0.0, 4 * math.pi,
+        labels=("turn", "neck", "cap"),
     )
-    out = _joint(
-        g,
-        JOINT_PRISMATIC,
-        turned,
-        cap,
-        pivot=(0, 0, 0.07),
-        axis=(0, 0, 1),
-        range_lo=0.0,
-        range_hi=0.02,
-        joint_label="lift",
-    )
-    g.set_output(out)
-    return g
+    out = b.prismatic(turned, cap, (0, 0, 0.07), (0, 0, 1), 0.0, 0.02, labels=("lift",))
+    return b.output(out)
 
 
 _BUILDERS = {

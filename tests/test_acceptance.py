@@ -23,8 +23,8 @@ from artigen.errors import PlanTooLargeError
 from artigen.evaluate import evaluate, expand_duplicates
 from artigen.export import export_mjcf, export_urdf, parse_mjcf, parse_urdf
 from artigen.generators import CATEGORY_NAMES, build_instance, count_variations, get_generator
-from artigen.graph import JOINT_PRISMATIC, JOINT_REVOLUTE, MERGE, NodeGraph
-from artigen.params import ParamVector, sample_parameters
+from artigen.graph import JOINT_PRISMATIC, JOINT_REVOLUTE, GraphBuilder, NodeGraph
+from artigen.params import ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
 from helpers import assert_kinematic_isomorphism
@@ -206,28 +206,22 @@ def test_07_determinism(tmp_path):
 
 def _adversarial_fixture(rng):
     """A stick sweeping into a box placed somewhere along its arc."""
-    from artigen.patterns import _box, _joint, _shift
-
-    g = NodeGraph()
-    base = _box(g, (0.15, 0.15, 0.15))
+    g = GraphBuilder(ParameterSpace())
+    base = g.box((0.15, 0.15, 0.15))
     theta = rng.uniform(0.3, 1.2)
     reach = rng.uniform(0.6, 1.4)
     ox = reach * math.cos(theta)
     oz = -reach * math.sin(theta)
-    obstacle = _shift(g, _box(g, (rng.uniform(0.2, 0.5),) * 3), (ox, 0, oz))
-    merged = g.add_node(MERGE, {})
-    g.connect(base, merged, "geometry_0")
-    stick = _shift(g, _box(g, (1.7, 0.06, 0.06)), (1.05, 0, 0))
-    fixture = _joint(
-        g, JOINT_REVOLUTE, merged, obstacle,
-        pivot=(0, 0, 0), axis=(0, 0, 1), range_lo=0.0, range_hi=0.0, child_label="obstacle",
+    obstacle = g.box((rng.uniform(0.2, 0.5),) * 3, at=(ox, 0, oz))
+    merged = g.merge(base)
+    stick = g.box((1.7, 0.06, 0.06), at=(1.05, 0, 0))
+    fixture = g.revolute(
+        merged, obstacle, (0, 0, 0), (0, 0, 1), 0.0, 0.0, labels=(None, None, "obstacle")
     )
-    out = _joint(
-        g, JOINT_REVOLUTE, fixture, stick,
-        pivot=(0, 0, 0), axis=(0, 1, 0), range_lo=0.0, range_hi=math.pi / 2,
-        joint_label="sweep", child_label="stick",
+    out = g.revolute(
+        fixture, stick, (0, 0, 0), (0, 1, 0), 0.0, math.pi / 2, labels=("sweep", None, "stick")
     )
-    g.set_output(out)
+    g = g.output(out)
     return instantiate(extract_blueprint(g), g, ParamVector({}), category="fixture")
 
 

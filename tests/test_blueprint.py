@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from artigen.blueprint import (
-    blueprint_signature,
     extract_blueprint,
     forward_kinematics,
     instantiate,
@@ -72,8 +71,8 @@ class TestSignature:
         assert len(sigs) == len(PATTERN_NAMES)
 
     def test_signature_stable(self):
-        a = blueprint_signature(extract_blueprint(build_pattern("chained_joints")))
-        b = blueprint_signature(extract_blueprint(build_pattern("chained_joints")))
+        a = extract_blueprint(build_pattern("chained_joints")).signature()
+        b = extract_blueprint(build_pattern("chained_joints")).signature()
         assert a == b
 
 
@@ -164,31 +163,20 @@ class TestForwardKinematics:
 
 class TestDynamicsInvariance:
     def test_mass_invariant_under_reorientation(self):
-        import artigen.patterns as patterns
-        from artigen.graph import NodeGraph, JOINT_REVOLUTE
+        from artigen.graph import GraphBuilder
+        from artigen.params import ParameterSpace
 
         def build(angle):
-            g = NodeGraph()
-            base = patterns._box(g, (0.4, 0.4, 0.1))
-            rod = patterns._box(g, (0.05, 0.05, 0.5))
-            moved = g.add_node(
+            g = GraphBuilder(ParameterSpace())
+            base = g.box((0.4, 0.4, 0.1))
+            rod = g.box((0.05, 0.05, 0.5))
+            moved = g.g.add_node(
                 "transform",
                 {"translate_z": 0.35, "rotate_axis": (0, 0, 1), "rotate_angle": angle},
             )
-            g.connect(rod, moved, "geometry")
-            j = patterns._joint(
-                g,
-                JOINT_REVOLUTE,
-                base,
-                moved,
-                pivot=(0, 0, 0.1),
-                axis=(0, 0, 1),
-                range_lo=-1.0,
-                range_hi=1.0,
-                child_label="rod",
-            )
-            g.set_output(j)
-            return g
+            g.g.connect(rod, moved, "geometry")
+            j = g.revolute(base, moved, (0, 0, 0.1), (0, 0, 1), -1.0, 1.0, labels=(None, None, "rod"))
+            return g.output(j)
 
         masses = []
         for angle in (0.0, math.pi / 2):

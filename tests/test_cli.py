@@ -59,6 +59,15 @@ class TestGenerate:
         assert code == 2
         assert "unknown category" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["info", "spaceship"], ["blueprint", "spaceship"], ["check", "--category", "spaceship"]]
+    )
+    def test_unknown_category_in_every_command(self, tmp_path, capsys, argv):
+        code, out, err = run(argv + (["--out", str(tmp_path)] if argv[0] == "check" else []), capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "unknown category 'spaceship'\n"
+
     def test_parallel_jobs_match_serial(self, tmp_path, capsys):
         code, _, _ = run(
             ["generate", "--category", "door", "--seeds", "0..3", "--format", "urdf",

@@ -14,9 +14,8 @@ from artigen.collision import (
 )
 from artigen.errors import PlanTooLargeError, RangeError
 from artigen.geometry import quat_to_matrix, triangles_intersect
-from artigen.graph import JOINT_PRISMATIC, JOINT_REVOLUTE, MERGE, NodeGraph
-from artigen.params import ParamVector
-from artigen.patterns import _box, _joint, _shift
+from artigen.graph import GraphBuilder
+from artigen.params import ParameterSpace, ParamVector
 from artigen.patterns import build_pattern
 
 
@@ -25,41 +24,30 @@ def instance_of(graph, category="fixture"):
 
 
 def two_disjoint_cubes():
-    g = NodeGraph()
-    a = _box(g, (1, 1, 1))
-    b = _shift(g, _box(g, (1, 1, 1)), (3, 0, 0))
-    m = g.add_node(MERGE, {})
-    g.connect(a, m, "geometry_0")
+    g = GraphBuilder(ParameterSpace())
+    a = g.box((1, 1, 1))
+    b = g.box((1, 1, 1), at=(3, 0, 0))
+    m = g.merge(a)
     # separate link via a fixed joint so there are two rigid parts
-    j = _joint(
-        g, JOINT_REVOLUTE, m, b,
-        pivot=(0, 0, 0), axis=(0, 0, 1), range_lo=0.0, range_hi=0.0,
-        child_label="offside",
-    )
-    g.set_output(j)
-    return instance_of(g)
+    j = g.revolute(m, b, (0, 0, 0), (0, 0, 1), 0.0, 0.0, labels=(None, None, "offside"))
+    return instance_of(g.output(j))
 
 
 def overlapping_at_midrange():
     """A stick that sweeps through a fixed obstacle box exactly at mid-range."""
-    g = NodeGraph()
-    base = _box(g, (0.2, 0.2, 0.2))
-    obstacle = _shift(g, _box(g, (0.4, 0.4, 0.4)), (1.0, 0, -1.0))
-    merged = g.add_node(MERGE, {})
-    g.connect(base, merged, "geometry_0")
-    stick = _shift(g, _box(g, (1.4, 0.08, 0.08)), (0.9, 0, 0))
-    with_obstacle = _joint(
-        g, JOINT_REVOLUTE, merged, obstacle,
-        pivot=(0, 0, 0), axis=(0, 0, 1), range_lo=0.0, range_hi=0.0,
-        child_label="obstacle",
+    g = GraphBuilder(ParameterSpace())
+    base = g.box((0.2, 0.2, 0.2))
+    obstacle = g.box((0.4, 0.4, 0.4), at=(1.0, 0, -1.0))
+    merged = g.merge(base)
+    stick = g.box((1.4, 0.08, 0.08), at=(0.9, 0, 0))
+    with_obstacle = g.revolute(
+        merged, obstacle, (0, 0, 0), (0, 0, 1), 0.0, 0.0, labels=(None, None, "obstacle")
     )
-    out = _joint(
-        g, JOINT_REVOLUTE, with_obstacle, stick,
-        pivot=(0, 0, 0), axis=(0, 1, 0), range_lo=0.0, range_hi=math.pi / 2,
-        joint_label="sweep", child_label="stick", parent_label="base",
+    out = g.revolute(
+        with_obstacle, stick, (0, 0, 0), (0, 1, 0), 0.0, math.pi / 2,
+        labels=("sweep", "base", "stick"),
     )
-    g.set_output(out)
-    return instance_of(g)
+    return instance_of(g.output(out))
 
 
 class TestBasics:
@@ -91,16 +79,11 @@ class TestBasics:
 
     def test_adjacent_excluded_skips_jointed_pairs(self):
         # parent and child overlap by construction, but they are adjacent
-        g = NodeGraph()
-        base = _box(g, (1, 1, 1))
-        child = _shift(g, _box(g, (1, 1, 1)), (0.3, 0, 0))
-        j = _joint(
-            g, JOINT_REVOLUTE, base, child,
-            pivot=(0, 0, 0), axis=(0, 0, 1), range_lo=-0.5, range_hi=0.5,
-            child_label="lid",
-        )
-        g.set_output(j)
-        inst = instance_of(g)
+        g = GraphBuilder(ParameterSpace())
+        base = g.box((1, 1, 1))
+        child = g.box((1, 1, 1), at=(0.3, 0, 0))
+        j = g.revolute(base, child, (0, 0, 0), (0, 0, 1), -0.5, 0.5, labels=(None, None, "lid"))
+        inst = instance_of(g.output(j))
         assert sweep_check(inst, SweepPlan(samples=3)).clean
         assert not sweep_check(inst, SweepPlan(samples=3, pair_filter="all")).clean
 
@@ -148,16 +131,11 @@ class TestPlans:
 
     def test_tolerance_ignores_touching_contact(self):
         # two boxes sharing an exact face: touching, not penetrating
-        g = NodeGraph()
-        a = _box(g, (1, 1, 1))
-        b = _shift(g, _box(g, (1, 1, 1)), (1.0, 0, 0))
-        j = _joint(
-            g, JOINT_REVOLUTE, a, b,
-            pivot=(0, 0, 0), axis=(0, 0, 1), range_lo=0.0, range_hi=0.0,
-            child_label="neighbor",
-        )
-        g.set_output(j)
-        inst = instance_of(g)
+        g = GraphBuilder(ParameterSpace())
+        a = g.box((1, 1, 1))
+        b = g.box((1, 1, 1), at=(1.0, 0, 0))
+        j = g.revolute(a, b, (0, 0, 0), (0, 0, 1), 0.0, 0.0, labels=(None, None, "neighbor"))
+        inst = instance_of(g.output(j))
         assert sweep_check(inst, SweepPlan(pair_filter="all", tolerance=1e-6)).clean
         assert not sweep_check(inst, SweepPlan(pair_filter="all", tolerance=0.0)).clean
 

@@ -22,7 +22,8 @@ from artigen.export import (
     write_manifest,
 )
 from artigen.geometry import mesh_volume, parse_obj
-from artigen.params import ParamVector
+from artigen.graph import GraphBuilder
+from artigen.params import ParameterSpace, ParamVector
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
 from helpers import assert_kinematic_isomorphism
@@ -50,18 +51,11 @@ class TestUrdf:
         assert j.hi == pytest.approx(math.pi / 4, abs=1e-9)
 
     def test_zero_range_joint_exports_fixed(self, tmp_path):
-        from artigen.graph import JOINT_REVOLUTE, NodeGraph
-        import artigen.patterns as patterns
-
-        g = NodeGraph()
-        a = patterns._box(g, (0.2, 0.2, 0.2))
-        b = patterns._shift(g, patterns._box(g, (0.1, 0.1, 0.1)), (0, 0, 0.2))
-        j = patterns._joint(
-            g, JOINT_REVOLUTE, a, b,
-            pivot=(0, 0, 0.15), axis=(0, 0, 1), range_lo=0.4, range_hi=0.4, default=0.4,
-            child_label="cap",
-        )
-        g.set_output(j)
+        g = GraphBuilder(ParameterSpace())
+        a = g.box((0.2, 0.2, 0.2))
+        b = g.box((0.1, 0.1, 0.1), at=(0, 0, 0.2))
+        j = g.revolute(a, b, (0, 0, 0.15), (0, 0, 1), 0.4, 0.4, 0.4, labels=(None, None, "cap"))
+        g = g.output(j)
         inst = instantiate(extract_blueprint(g), g, ParamVector({}), category="fixture")
         bundle = export_urdf(inst, tmp_path / "fixed")
         model = parse_urdf(bundle.model_path)
@@ -93,17 +87,10 @@ class TestUrdf:
             assert_kinematic_isomorphism(inst, parse_urdf(bundle.model_path))
 
     def test_limits_survive_round_trip(self, tmp_path):
-        from artigen.graph import JOINT_PRISMATIC, NodeGraph
-        import artigen.patterns as patterns
-
-        g = NodeGraph()
-        a = patterns._box(g, (0.2, 0.2, 0.2))
-        b = patterns._shift(g, patterns._box(g, (0.1, 0.1, 0.1)), (0, 0, 0.2))
-        j = patterns._joint(
-            g, JOINT_PRISMATIC, a, b,
-            pivot=(0, 0, 0.15), axis=(0, 0, 1), range_lo=-1.2, range_hi=0.0,
-        )
-        g.set_output(j)
+        g = GraphBuilder(ParameterSpace())
+        a = g.box((0.2, 0.2, 0.2))
+        b = g.box((0.1, 0.1, 0.1), at=(0, 0, 0.2))
+        g = g.output(g.prismatic(a, b, (0, 0, 0.15), (0, 0, 1), -1.2, 0.0))
         inst = instantiate(extract_blueprint(g), g, ParamVector({}), category="fixture")
         model = parse_urdf(export_urdf(inst, tmp_path / "lim").model_path)
         assert model.joints[0].lo == pytest.approx(-1.2, abs=1e-9)

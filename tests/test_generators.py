@@ -104,14 +104,14 @@ class TestInventory:
     def test_continuous_dims_match(self, category):
         gen = get_generator(category)
         expected_dims, _ = EXPECTED[category]
-        assert gen.space.continuous_dims == expected_dims
+        assert sum(isinstance(e, Continuous) for e in gen.space.entries.values()) == expected_dims
         assert count_variations(gen).continuous_dims == expected_dims
 
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_named_parameters_verbatim(self, category):
         gen = get_generator(category)
         expected = [normalize(n) for n in A3_NAMES[category]]
-        got = gen.space.continuous_names
+        got = [n for n, e in gen.space.entries.items() if isinstance(e, Continuous)]
         assert sorted(got) == sorted(expected)
         assert len(got) == len(expected)
 

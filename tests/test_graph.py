@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,9 @@ from artigen.errors import (
 )
 from artigen.blueprint import extract_blueprint, instantiate
 from artigen.evaluate import evaluate, expand_duplicates
+import artigen
 from artigen.graph import (
+    DUPLICATE,
     JOINT_REVOLUTE,
     MERGE,
     PRIMITIVE,
@@ -29,6 +35,7 @@ from artigen.graph import (
     NodeGraph,
     ParamRef,
     inject_label_attributes,
+    link_set_relation,
 )
 from artigen.generators import CATEGORY_NAMES, build_instance, get_generator
 from artigen.params import Continuous, Count, ParameterSpace, ParamVector, sample_parameters
@@ -420,6 +427,15 @@ class TestDuplicates:
         assert len(moved) == 2 * (len(body.links) - 1)
         assert not any(mesh is root_mesh for mesh in moved)
 
+    def test_points_reference_rejected_on_ingest_and_load(self):
+        with pytest.raises(InvalidParameterError, match="points"):
+            NodeGraph().add_node(DUPLICATE, {"points": ParamRef("spots")})
+        doc = json.loads(build_pattern("duplicated_bodies").serialize())
+        (dup,) = [n for n in doc["nodes"] if n["kind"] == DUPLICATE]
+        dup["params"]["points"] = {"$param": "spots"}
+        with pytest.raises(InvalidParameterError, match="points"):
+            NodeGraph.deserialize(json.dumps(doc))
+
     def test_empty_points_rejected(self):
         body = evaluate(build_pattern("simple_revolute"))
         with pytest.raises(InvalidParameterError):
@@ -544,6 +560,16 @@ class TestSerde:
         assert back.structurally_equal(g)
         assert back.serialize() == text
 
+    def test_omitted_and_given_defaults_are_equal(self):
+        def cylinder(**given):
+            g = NodeGraph()
+            g.set_output(g.add_node(PRIMITIVE, {"shape": "cylinder", **given}))
+            return g
+
+        omitted, given = cylinder(), cylinder(segments=32, sides=6)
+        assert omitted.serialize() == given.serialize()
+        assert omitted.structurally_equal(given)
+
     def test_serialize_byte_deterministic(self):
         a = build_pattern("multi_joint_screw").serialize()
         b = build_pattern("multi_joint_screw").serialize()
@@ -592,14 +618,63 @@ class TestJointSpec:
         s = JointSpec("revolute", (0, 0, 0), (0, 0, 1), 0.5, 0.5, default_value=0.5)
         assert s.is_fixed
 
+    @pytest.mark.parametrize(
+        "field, pivot, axis",
+        [
+            ("axis", (0, 0, 0), (0, 1)),
+            ("axis", (0, 0, 0), (0, math.nan, 1)),
+            ("axis", (0, 0, 0), (math.inf, 0, 0)),
+            ("axis", (0, 0, 0), ("up", 0, 0)),
+            ("axis", (0, 0, 0), (0, 0, 0)),
+            ("pivot", (0, 0), (0, 0, 1)),
+            ("pivot", (0, 0, math.nan), (0, 0, 1)),
+        ],
+    )
+    def test_malformed_vectors_rejected(self, field, pivot, axis):
+        with pytest.raises(InvalidParameterError, match=f"joint {field}"):
+            JointSpec("revolute", pivot, axis, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "parent, child, relation",
+    [
+        ({1, 2}, {1, 2}, "equal"),
+        ({1, 2}, {2}, "nested"),
+        ({1}, {1, 2}, "overlapping"),
+        ({1, 2}, {2, 3}, "overlapping"),
+        ({1}, {2}, "disjoint"),
+    ],
+)
+def test_link_set_relation(parent, child, relation):
+    assert link_set_relation(frozenset(parent), frozenset(child)) == relation
+
+
+def test_pattern_corpus_imports_without_generator_stack():
+    script = (
+        "import sys\nimport artigen.patterns\n"
+        "print([m for m in ('artigen.generators', 'artigen.blueprint', 'artigen.evaluate')"
+        " if m in sys.modules])\n"
+    )
+    # The child imports the same artigen as this process.
+    src = str(Path(artigen.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 class TestScrewComposite:
     def test_parallel_edges_preserved_in_ir(self):
         body = evaluate(build_pattern("multi_joint_screw"))
         assert len(body.links) == 2
         assert len(body.joints) == 2
-        pair = body.joints_of_pair("neck_0", "cap_0")
-        assert len(pair) == 2
+        pair = [body.joints[k] for k in body.tree.incoming[body.tree.link_index["cap_0"]]]
+        assert [(j.parent, j.child) for j in pair] == [("neck_0", "cap_0")] * 2
 
     def test_both_motions_compose(self):
         g = build_pattern("multi_joint_screw")
