@@ -60,7 +60,6 @@ class _SymJoint:
 @dataclass(frozen=True)
 class _SymRepeat:
     count_param: str | None
-    count_map: tuple | None
     attachments: tuple  # joints hanging off the anchor, replicated per point
     static_source: str | None  # jointless bodies merge geometry into the parent
 
@@ -83,27 +82,10 @@ class _SymVariant:
 
 
 @dataclass(frozen=True)
-class LinkTemplate:
-    template_id: str
-    label: str | None
-    source: str
-
-
-@dataclass(frozen=True)
-class RepeatGroupInfo:
-    count_param: str | None
-    template_ids: tuple
-
-
-@dataclass(frozen=True)
 class KinematicBlueprint:
     """Tree template of link and joint slots with repeat and variant groups."""
 
-    tree: dict  # nested structural description (the authoritative form)
-    link_templates: tuple[LinkTemplate, ...]
-    joint_templates: tuple  # (parent_tid, child_tid, JointTemplate)
-    repeat_groups: tuple[RepeatGroupInfo, ...]
-    root_template: str
+    tree: dict  # nested structural description
 
     def signature(self) -> str:
         """Deterministic digest of topology, joint types, labels, and groups.
@@ -153,6 +135,9 @@ class KinematicBlueprint:
 
 
 class _Extractor:
+    """Symbolic evaluation of a graph that `NodeGraph.validate` accepted:
+    wiring and port types are not checked again here."""
+
     def __init__(self, graph: NodeGraph):
         self.graph = graph
         self.cache: dict[str, object] = {}
@@ -193,20 +178,11 @@ class _Extractor:
         self.cache[node_id] = value
         return value
 
-    def _body(self, node, port: str):
-        src = node.inputs.get(port)
-        value = self.visit(src) if src else None
-        if not isinstance(value, (_SymBody, _SymVariant)):
-            raise InvalidParameterError(
-                f"port {port!r} of {node.node_id} does not carry geometry"
-            )
-        return value
-
     def _visit_primitive(self, node):
         return _SymBody(_SymLink(self.fresh_token(), node.node_id, None))
 
     def _visit_semantic_label(self, node):
-        body = self._body(node, "geometry")
+        body = self.visit(node.inputs["geometry"])
         label = node.params["label"]
 
         def retag(value):
@@ -217,10 +193,10 @@ class _Extractor:
         return retag(body)
 
     def _visit_store_attribute(self, node):
-        return self._body(node, "geometry")
+        return self.visit(node.inputs["geometry"])
 
     def _visit_transform(self, node):
-        return self._retoken(self._body(node, "geometry"))
+        return self._retoken(self.visit(node.inputs["geometry"]))
 
     def _retoken(self, value):
         if isinstance(value, _SymVariant):
@@ -236,7 +212,7 @@ class _Extractor:
         bodies = []
         idx = 0
         while f"geometry_{idx}" in node.inputs:
-            value = self._body(node, f"geometry_{idx}")
+            value = self.visit(node.inputs[f"geometry_{idx}"])
             if isinstance(value, _SymVariant):
                 raise InvalidParameterError(
                     f"merge {node.node_id} cannot take switch variants with joints"
@@ -251,7 +227,7 @@ class _Extractor:
         options = []
         idx = 0
         while f"option_{idx}" in node.inputs:
-            options.append(self._body(node, f"option_{idx}"))
+            options.append(self.visit(node.inputs[f"option_{idx}"]))
             idx += 1
         plain = all(isinstance(o, _SymBody) and not o.attachments for o in options)
         if plain:
@@ -314,10 +290,10 @@ class _Extractor:
         return out
 
     def _visit_joint(self, node, joint_type):
-        parent = self._body(node, "parent")
+        parent = self.visit(node.inputs["parent"])
         if isinstance(parent, _SymVariant):
             parent = self.factor_variant(parent)
-        child = self._body(node, "child")
+        child = self.visit(node.inputs["child"])
         return self._attach_joint(parent, child, self._joint_template(node, joint_type), node.node_id)
 
     def _visit_joint_revolute(self, node):
@@ -327,10 +303,10 @@ class _Extractor:
         return self._visit_joint(node, "prismatic")
 
     def _visit_duplicate_joints_on_points(self, node):
-        parent = self._body(node, "parent")
+        parent = self.visit(node.inputs["parent"])
         if isinstance(parent, _SymVariant):
             parent = self.factor_variant(parent)
-        body = self._body(node, "body")
+        body = self.visit(node.inputs["body"])
         if isinstance(body, _SymVariant):
             raise InvalidParameterError(
                 f"duplicate {node.node_id} cannot replicate switch variants"
@@ -340,11 +316,10 @@ class _Extractor:
             raise InvalidParameterError(
                 f"duplicate {node.node_id} count parameter {count_param!r} is not declared"
             )
-        count_map = node.params.get("count_map")
         if body.attachments:
-            group = _SymRepeat(count_param, count_map, body.attachments, None)
+            group = _SymRepeat(count_param, body.attachments, None)
         else:
-            group = _SymRepeat(count_param, count_map, (), body.root.source)
+            group = _SymRepeat(count_param, (), body.root.source)
         return _SymBody(parent.root, parent.attachments + (group,))
 
 
@@ -417,16 +392,6 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
     if not isinstance(value, _SymBody):
         raise InvalidParameterError("graph output is not geometry")
 
-    links: list[LinkTemplate] = []
-    joints: list[tuple] = []
-    repeats: list[RepeatGroupInfo] = []
-    counter = [0]
-
-    def fresh_tid() -> str:
-        tid = f"t{counter[0]}"
-        counter[0] += 1
-        return tid
-
     def jt_dict(jt: JointTemplate) -> dict:
         return {
             "type": jt.joint_type,
@@ -439,59 +404,40 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
             "source": jt.source,
         }
 
-    def walk_attachment(att, parent_tid: str | None) -> dict:
+    def walk_attachment(att) -> dict:
         if isinstance(att, _SymJoint):
-            child = walk_subtree(att.child, parent_tid, att.joints)
-            return {"kind": "joint", "joints": [jt_dict(j) for j in att.joints], "child": child}
+            return {
+                "kind": "joint",
+                "joints": [jt_dict(j) for j in att.joints],
+                "child": walk_subtree(att.child),
+            }
         if isinstance(att, _SymRepeat):
-            start = counter[0]
-            atts = [walk_attachment(a, parent_tid) for a in att.attachments]
-            tids = tuple(f"t{i}" for i in range(start, counter[0]))
-            repeats.append(RepeatGroupInfo(att.count_param, tids))
             return {
                 "kind": "repeat",
                 "count_param": att.count_param,
-                "count_map": list(att.count_map) if att.count_map else None,
+                "count_map": None,  # a retired key, kept so that signatures keep their bytes
                 "static_source": att.static_source,
-                "attachments": atts,
+                "attachments": [walk_attachment(a) for a in att.attachments],
             }
-        if isinstance(att, tuple) and att and att[0] == "variant-joint":
-            _tag, selector, branches = att
-            out_branches = []
-            for b in branches:
-                if b is None:
-                    out_branches.append(None)
-                else:
-                    out_branches.append(walk_attachment(b, parent_tid))
-            return {"kind": "variant", "selector": selector, "branches": out_branches}
-        raise StructuralError(f"unknown attachment {att!r}")
+        _tag, selector, branches = att  # ("variant-joint", selector, branches)
+        return {
+            "kind": "variant",
+            "selector": selector,
+            "branches": [None if b is None else walk_attachment(b) for b in branches],
+        }
 
-    def walk_subtree(value, parent_tid: str | None, incoming=None) -> dict:
+    def walk_subtree(value) -> dict:
         if isinstance(value, _SymVariant):
-            branches = [walk_subtree(o, parent_tid, incoming) for o in value.options]
+            branches = [walk_subtree(o) for o in value.options]
             return {"kind": "variant", "selector": value.selector, "branches": branches}
-        tid = fresh_tid()
-        links.append(LinkTemplate(tid, value.root.label, value.root.source))
-        if incoming is not None and parent_tid is not None:
-            for jt in incoming:
-                joints.append((parent_tid, tid, jt))
-        children = [walk_attachment(att, tid) for att in value.attachments]
         return {
             "kind": "link",
             "label": value.root.label,
             "source": value.root.source,
-            "children": children,
+            "children": [walk_attachment(att) for att in value.attachments],
         }
 
-    tree = walk_subtree(value, None)
-
-    return KinematicBlueprint(
-        tree=tree,
-        link_templates=tuple(links),
-        joint_templates=tuple(joints),
-        repeat_groups=tuple(repeats),
-        root_template="t0",
-    )
+    return KinematicBlueprint(walk_subtree(value))
 
 
 # ---------------------------------------------------------------------------

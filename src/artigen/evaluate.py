@@ -127,6 +127,9 @@ def _copy_body(body: _Body, offset, k: int, anchor: int, fresh_uid):
 
 
 class _Context:
+    """Evaluates a graph that `NodeGraph.validate` accepted: wiring, port
+    types and parameter names are not checked again here."""
+
     def __init__(self, graph: NodeGraph, params: ParamVector):
         self.graph = graph
         self.params = params
@@ -138,17 +141,13 @@ class _Context:
 
     def scalar(self, node, name: str) -> float:
         if name in node.inputs:
-            value = self.eval(node.inputs[name])
-            if not isinstance(value, float):
-                raise EvaluationError(f"port {name!r} of {node.node_id} did not yield a scalar")
-            return value
+            return self.eval(node.inputs[name])
         value = node.params.get(name)
         if isinstance(value, ParamRef):
             resolved = self.params.get(value.name)
             if resolved is None:
                 raise MissingParameterError(f"parameter {value.name!r} missing from vector")
-            if value.name in self.graph.parameters:
-                self.graph.parameters.check_value(value.name, resolved)
+            self.graph.parameters.check_value(value.name, resolved)
             return float(resolved)
         if value is None:
             raise InvalidParameterError(f"{node.kind}.{name} has no value")
@@ -169,15 +168,6 @@ class _Context:
         node = self.graph.nodes[node_id]
         value = getattr(self, f"_eval_{node.kind}")(node)
         self.cache[node_id] = value
-        return value
-
-    def _body_input(self, node, port: str) -> _Body:
-        src = node.inputs.get(port)
-        if src is None:
-            raise InvalidParameterError(f"{node.kind}.{port} is not wired on {node.node_id}")
-        value = self.eval(src)
-        if not isinstance(value, _Body):
-            raise EvaluationError(f"port {port!r} of {node.node_id} did not yield geometry")
         return value
 
     def _eval_primitive(self, node) -> _Body:
@@ -231,7 +221,7 @@ class _Context:
         return max(a, b)
 
     def _eval_transform(self, node) -> _Body:
-        body = self._body_input(node, "geometry")
+        body = self.eval(node.inputs["geometry"])
         axis = node.params["rotate_axis"]
         angle = self.scalar(node, "rotate_angle")
         translate = np.array([self.scalar(node, f"translate_{c}") for c in "xyz"])
@@ -247,10 +237,8 @@ class _Context:
         inputs = []
         idx = 0
         while f"geometry_{idx}" in node.inputs:
-            inputs.append(self._body_input(node, f"geometry_{idx}"))
+            inputs.append(self.eval(node.inputs[f"geometry_{idx}"]))
             idx += 1
-        if not inputs:
-            raise InvalidParameterError(f"merge node {node.node_id} has no inputs")
         seen: set[int] = set()
         bodies = []
         for body in inputs:
@@ -276,18 +264,16 @@ class _Context:
         n_opts = 0
         while f"option_{n_opts}" in node.inputs:
             n_opts += 1
-        if n_opts == 0:
-            raise InvalidParameterError(f"switch node {node.node_id} has no options")
         select = self.int_scalar(node, "select")
         if not 0 <= select < n_opts:
             raise RangeError(
                 f"switch selector {select} outside options 0..{n_opts - 1} on {node.node_id}"
             )
-        return self._body_input(node, f"option_{select}")
+        return self.eval(node.inputs[f"option_{select}"])
 
     def _eval_joint(self, node, joint_type: str) -> _Body:
-        parent = self._body_input(node, "parent")
-        child = self._body_input(node, "child")
+        parent = self.eval(node.inputs["parent"])
+        child = self.eval(node.inputs["child"])
         lo = self.scalar(node, "range_lo")
         hi = self.scalar(node, "range_hi")
         default_param = node.params.get("default")
@@ -339,8 +325,8 @@ class _Context:
         return self._eval_joint(node, "prismatic")
 
     def _eval_duplicate_joints_on_points(self, node) -> _Body:
-        parent = self._body_input(node, "parent")
-        body = self._body_input(node, "body")
+        parent = self.eval(node.inputs["parent"])
+        body = self.eval(node.inputs["body"])
         points = node.params["points"]
         if not body.joints:
             # Static replication: copies of a jointless body merge into the parent root.
@@ -362,12 +348,12 @@ class _Context:
         return _Body(tuple(links), tuple(joints))
 
     def _eval_semantic_label(self, node) -> _Body:
-        body = self._body_input(node, "geometry")
+        body = self.eval(node.inputs["geometry"])
         label = node.params["label"]
         return _Body((replace(body.root, label=label),) + body.links[1:], body.joints)
 
     def _eval_store_attribute(self, node) -> _Body:
-        body = self._body_input(node, "geometry")
+        body = self.eval(node.inputs["geometry"])
         value = node.params["value"]
         links = tuple(replace(l, mesh=l.mesh.fill_unlabeled(value)) for l in body.links)
         return _Body(links, body.joints)

@@ -23,6 +23,8 @@ DEGENERATE_AREA = 1e-12
 DEFAULT_SEGMENTS = 32
 
 _UNIT_TOL = 1e-9
+# Components up to this size square and sum to a finite length.
+_SQUARE_SAFE = 1e150
 
 
 def _check_finite(arr, what):
@@ -48,10 +50,14 @@ def unit_vector(value, what: str) -> tuple[float, float, float]:
     """`value` divided by its length, for a finite nonzero 3-vector; anything
     else raises InvalidParameterError naming `what`."""
     arr = as_vec3(value, what)
+    x, y, z = arr.tolist()
+    big = max(abs(x), abs(y), abs(z))
+    if big > _SQUARE_SAFE:  # the squared length would overflow
+        arr = arr / big
+        x, y, z = arr.tolist()
     norm = math.sqrt(arr.dot(arr))  # np.linalg.norm's formula, bit for bit
     if norm < _UNIT_TOL:
         raise InvalidParameterError(f"{what} must be nonzero")
-    x, y, z = arr.tolist()
     return (x / norm, y / norm, z / norm)
 
 
@@ -253,9 +259,6 @@ class TriMesh:
 
     def aabb(self) -> Aabb:
         return Aabb.from_points(self.vertices)
-
-    def triangle_areas(self) -> np.ndarray:
-        return triangle_areas(self.triangle_corners())
 
     def triangle_corners(self) -> np.ndarray:
         """All triangles as an (n, 3, 3) corner array."""

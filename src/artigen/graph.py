@@ -123,9 +123,8 @@ class Diagnostic:
 
 # --- node parameter schemas -------------------------------------------------
 
-# Value kinds: scalar (number | ParamRef | wired), int, str, vec3, points,
-# intlist. "scalar" parameters may be driven by a wired scalar port of the
-# same name.
+# Value kinds: scalar (number | ParamRef | wired), int, str, vec3, points.
+# "scalar" parameters may be driven by a wired scalar port of the same name.
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,6 @@ _KINDS: dict[str, _KindSpec] = {
         params={
             "points": _ParamSpec("points", required=True),
             "count_param": _ParamSpec("str", default=None),
-            "count_map": _ParamSpec("intlist", default=None),
         },
         geometry_ports=("parent", "body"),
         required_ports=("parent", "body"),
@@ -269,15 +267,9 @@ def _normalize_param(kind: str, name: str, spec: _ParamSpec, value):
             pts = tuple(tuple(float(c) for c in p) for p in value)
         except (TypeError, ValueError):
             raise InvalidParameterError(f"{kind}.{name} must be a list of 3-vectors") from None
-        if any(len(p) != 3 for p in pts):
-            raise InvalidParameterError(f"{kind}.{name} must be a list of 3-vectors")
+        if any(len(p) != 3 or not all(map(math.isfinite, p)) for p in pts):
+            raise InvalidParameterError(f"{kind}.{name} must be a list of finite 3-vectors")
         return pts
-    if spec.kind == "intlist":
-        try:
-            ints = tuple(int(v) for v in value)
-        except (TypeError, ValueError):
-            raise InvalidParameterError(f"{kind}.{name} must be a list of integers") from None
-        return ints
     raise InvalidParameterError(f"unhandled parameter kind {spec.kind}")
 
 
@@ -499,7 +491,8 @@ class NodeGraph:
     def _abstract_bodies(self, topo_order: list[str]):
         """Per-node abstract body: list of (root_token, frozenset of link tokens).
 
-        Multiple entries model switch variants. Mirrors evaluation identity:
+        Multiple entries model switch variants; a list holds each distinct
+        entry once, in first-seen order. Mirrors evaluation identity:
         transforms copy links, merges fuse roots into a fresh link.
         """
         values: dict[str, list[tuple]] = {}
@@ -537,7 +530,7 @@ class NodeGraph:
                 outs = []
                 for src in inputs_for("option_"):
                     outs.extend(values.get(src, []))
-                values[nid] = outs or [(nid, frozenset([nid]))]
+                values[nid] = list(dict.fromkeys(outs)) or [(nid, frozenset([nid]))]
             elif kind in JOINT_KINDS:
                 parents = values.get(node.inputs.get("parent"), [])
                 children = values.get(node.inputs.get("child"), [])
@@ -545,7 +538,7 @@ class NodeGraph:
                 for proot, ptoks in parents or [(nid, frozenset())]:
                     for _croot, ctoks in children or [(nid, frozenset())]:
                         outs.append((proot, ptoks | ctoks))
-                values[nid] = outs
+                values[nid] = list(dict.fromkeys(outs))
             elif kind == DUPLICATE:
                 parents = values.get(node.inputs.get("parent"), [])
                 bodies = values.get(node.inputs.get("body"), [])
@@ -842,11 +835,8 @@ class GraphBuilder:
         """Immovable attachment expressed as a zero-range hinge."""
         return self._joint(JOINT_REVOLUTE, parent, child, pivot, (0, 0, 1), 0.0, 0.0, 0.0, labels)
 
-    def duplicate(self, parent, body, points, count_param=None, count_map=None):
-        d = self.g.add_node(
-            DUPLICATE,
-            {"points": list(points), "count_param": count_param, "count_map": count_map},
-        )
+    def duplicate(self, parent, body, points, count_param=None):
+        d = self.g.add_node(DUPLICATE, {"points": list(points), "count_param": count_param})
         self.g.connect(parent, d, "parent")
         self.g.connect(body, d, "body")
         return d

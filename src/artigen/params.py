@@ -92,12 +92,6 @@ class ParameterSpace:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def label_of(self, name: str, index: int) -> str:
-        entry = self.entries[name]
-        if not isinstance(entry, Discrete):
-            raise InvalidParameterError(f"{name!r} is not a discrete parameter")
-        return entry.labels[int(index)]
-
     def check_value(self, name: str, value) -> None:
         if name not in self.entries:
             raise MissingParameterError(f"unknown parameter {name!r}")

@@ -1,4 +1,4 @@
-"""Shared oracles for round-trip checks."""
+"""Shared oracles for round-trip checks and blueprint trees."""
 
 import numpy as np
 
@@ -33,3 +33,36 @@ def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-
             assert abs(pj.hi - j.hi) <= limit_tol
     del parsed_joints
     assert len(parsed.joints) == len(instance.joints)
+
+
+def blueprint_parts(tree):
+    """A blueprint tree's link nodes in depth-first order (the root first),
+    its joints as (parent index, child index, joint dict) and its repeat nodes.
+    A joint into a variant subtree counts once per branch."""
+    links, edges, repeats = [], [], []
+
+    def subtree(node, parent=None, joints=()):
+        if node["kind"] == "variant":
+            for branch in node["branches"]:
+                subtree(branch, parent, joints)
+            return
+        index = len(links)
+        links.append(node)
+        edges.extend((parent, index, j) for j in joints)
+        for att in node["children"]:
+            attachment(att, index)
+
+    def attachment(att, parent):
+        if att["kind"] == "joint":
+            subtree(att["child"], parent, att["joints"])
+        elif att["kind"] == "repeat":
+            repeats.append(att)
+            for inner in att["attachments"]:
+                attachment(inner, parent)
+        else:  # a variant over optional joints
+            for branch in att["branches"]:
+                if branch is not None:
+                    attachment(branch, parent)
+
+    subtree(tree)
+    return links, edges, repeats

@@ -14,6 +14,7 @@ from artigen.evaluate import evaluate
 from artigen.geometry import RigidTransform
 from artigen.params import ParamVector
 from artigen.patterns import PATTERN_NAMES, build_pattern
+from helpers import blueprint_parts
 
 
 def make_instance(name, **kw):
@@ -24,37 +25,37 @@ def make_instance(name, **kw):
 
 class TestExtraction:
     def test_simple_revolute_two_templates_one_joint(self):
-        bp = extract_blueprint(build_pattern("simple_revolute"))
-        assert len(bp.link_templates) == 2
-        assert len(bp.joint_templates) == 1
-        parent, child, jt = bp.joint_templates[0]
-        assert jt.joint_type == "revolute"
-        assert parent == bp.root_template
+        links, edges, _ = blueprint_parts(extract_blueprint(build_pattern("simple_revolute")).tree)
+        assert len(links) == 2
+        assert len(edges) == 1
+        parent, child, joint = edges[0]
+        assert joint["type"] == "revolute"
+        assert parent == 0
 
     def test_screw_three_templates_shared_axis_pair(self):
-        bp = extract_blueprint(build_pattern("multi_joint_screw"))
-        assert len(bp.link_templates) == 2  # passthrough appears at instantiation
-        types = sorted(jt.joint_type for _, _, jt in bp.joint_templates)
+        links, edges, _ = blueprint_parts(extract_blueprint(build_pattern("multi_joint_screw")).tree)
+        assert len(links) == 2  # passthrough appears at instantiation
+        types = sorted(j["type"] for _, _, j in edges)
         assert types == ["prismatic", "revolute"]
         # both templates live on one parent/child pair
-        pairs = {(p, c) for p, c, _ in bp.joint_templates}
+        pairs = {(p, c) for p, c, _ in edges}
         assert len(pairs) == 1
 
     def test_shared_parent_both_joints_on_root(self):
-        bp = extract_blueprint(build_pattern("shared_parent"))
-        assert len(bp.link_templates) == 3
-        parents = {p for p, _, _ in bp.joint_templates}
-        assert parents == {bp.root_template}
+        links, edges, _ = blueprint_parts(extract_blueprint(build_pattern("shared_parent")).tree)
+        assert len(links) == 3
+        parents = {p for p, _, _ in edges}
+        assert parents == {0}
 
     def test_chain_nests(self):
-        bp = extract_blueprint(build_pattern("chained_joints"))
-        assert len(bp.link_templates) == 3
-        edges = {(p, c) for p, c, _ in bp.joint_templates}
-        assert ("t0", "t1") in edges and ("t1", "t2") in edges
+        links, edges, _ = blueprint_parts(extract_blueprint(build_pattern("chained_joints")).tree)
+        assert len(links) == 3
+        pairs = {(p, c) for p, c, _ in edges}
+        assert (0, 1) in pairs and (1, 2) in pairs
 
     def test_duplicate_becomes_repeat_group(self):
-        bp = extract_blueprint(build_pattern("duplicated_bodies"))
-        assert len(bp.repeat_groups) == 1
+        _, _, repeats = blueprint_parts(extract_blueprint(build_pattern("duplicated_bodies")).tree)
+        assert len(repeats) == 1
 
 
 class TestSignature:

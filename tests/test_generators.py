@@ -15,6 +15,7 @@ from artigen.errors import InvalidParameterError
 from artigen.graph import NodeGraph
 from artigen.kinematics import KinematicTree
 from artigen.params import Continuous, Discrete, merge_overrides, sample_parameters
+from helpers import blueprint_parts
 
 # the paper-style inventory: category -> (continuous dims, discrete combinations)
 EXPECTED = {
@@ -315,7 +316,8 @@ class TestDishwasher:
         pv = sample_for("dishwasher", 1, rack_count=3)
         g = gen.build(pv)
         bp = extract_blueprint(g)
-        rack_groups = [r for r in bp.repeat_groups if r.count_param == "rack_count"]
+        _, _, repeats = blueprint_parts(bp.tree)
+        rack_groups = [r for r in repeats if r["count_param"] == "rack_count"]
         assert len(rack_groups) == 1
         inst = instantiate(bp, g, pv, category="dishwasher")
         racks = [j for j in inst.joints if (inst.link(j.child).label or "").startswith("rack")]

@@ -237,6 +237,57 @@ class TestValidate:
             with pytest.raises((EvaluationError, RangeError)):
                 evaluate(g, ParamVector({"pick": select}))
 
+    def test_switch_repeating_an_option_diagnosed_once(self):
+        # One box on both options of the parent switch and as the child: one
+        # self-loop, not one per equal variant.
+        g = NodeGraph()
+        b = box_node(g)
+        sw = g.add_node(SWITCH, {"select": 0.0})
+        g.connect(b, sw, "option_0")
+        g.connect(b, sw, "option_1")
+        j = g.add_node(
+            JOINT_REVOLUTE, {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+        )
+        g.connect(sw, j, "parent")
+        g.connect(b, j, "child")
+        g.set_output(j)
+        diags = g.validate()
+        assert [d.code for d in diags] == ["joint-self-loop"]
+        assert diags[0].node_id == j
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # an unwired joint child
+            lambda doc, joint: doc["nodes"][joint]["inputs"].pop("child"),
+            # a scalar node feeding a geometry port
+            lambda doc, joint: doc["nodes"].append(
+                {"id": "s", "kind": SCALAR_MATH, "params": {"op": "add"},
+                 "inputs": {}}
+            ) or doc["nodes"][joint]["inputs"].update(child="s"),
+            # a merge and a switch without inputs
+            lambda doc, joint: doc["nodes"].append(
+                {"id": "m", "kind": MERGE, "params": {}, "inputs": {}}
+            ) or doc["nodes"][joint]["inputs"].update(child="m"),
+            lambda doc, joint: doc["nodes"].append(
+                {"id": "w", "kind": SWITCH, "params": {"select": {"$param": "pick"}},
+                 "inputs": {}}
+            ) or doc["nodes"][joint]["inputs"].update(child="w"),
+            # an undeclared parameter
+            lambda doc, joint: doc["nodes"][joint]["params"].update(range_hi={"$param": "zz"}),
+        ],
+    )
+    def test_invalid_graph_refused_by_evaluation_and_extraction(self, corrupt):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        (joint,) = [i for i, n in enumerate(doc["nodes"]) if n["kind"] == JOINT_REVOLUTE]
+        corrupt(doc, joint)
+        g = NodeGraph.deserialize(json.dumps(doc))
+        assert g.validate()
+        with pytest.raises(InvalidParameterError, match="graph does not validate"):
+            evaluate(g)
+        with pytest.raises(InvalidParameterError, match="graph does not validate"):
+            extract_blueprint(g)
+
     def test_cycle_diagnosed_on_loaded_graph(self):
         g = build_pattern("simple_revolute")
         text = g.serialize()
@@ -436,6 +487,16 @@ class TestDuplicates:
         with pytest.raises(InvalidParameterError, match="points"):
             NodeGraph.deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected_on_ingest_and_load(self, bad):
+        with pytest.raises(InvalidParameterError, match="duplicate_joints_on_points.points"):
+            NodeGraph().add_node(DUPLICATE, {"points": [(0, 0, 0), (bad, 0, 0)]})
+        doc = json.loads(build_pattern("duplicated_bodies").serialize())
+        (dup,) = [n for n in doc["nodes"] if n["kind"] == DUPLICATE]
+        dup["params"]["points"][1][2] = bad
+        with pytest.raises(InvalidParameterError, match="duplicate_joints_on_points.points"):
+            NodeGraph.deserialize(json.dumps(doc))
+
     def test_empty_points_rejected(self):
         body = evaluate(build_pattern("simple_revolute"))
         with pytest.raises(InvalidParameterError):
@@ -597,6 +658,13 @@ class TestSerde:
         with pytest.raises(SchemaError):
             NodeGraph.deserialize(json.dumps(doc))
 
+    def test_unknown_duplicate_parameter_rejected(self):
+        doc = json.loads(build_pattern("duplicated_bodies").serialize())
+        (dup,) = [n for n in doc["nodes"] if n["kind"] == DUPLICATE]
+        dup["params"]["count_map"] = [0, 1]
+        with pytest.raises(SchemaError, match="count_map"):
+            NodeGraph.deserialize(json.dumps(doc))
+
     def test_wrong_schema_version(self):
         text = build_pattern("simple_revolute").serialize()
         with pytest.raises(SchemaError):
@@ -617,6 +685,15 @@ class TestJointSpec:
     def test_fixed_allowed(self):
         s = JointSpec("revolute", (0, 0, 0), (0, 0, 1), 0.5, 0.5, default_value=0.5)
         assert s.is_fixed
+
+    def test_huge_axis_normalized_without_overflow(self):
+        assert JointSpec("revolute", (0, 0, 0), (1e200, 0, 0), 0, 1).axis == (1.0, 0.0, 0.0)
+        axis = JointSpec("prismatic", (0, 0, 0), (-1e300, 1e300, 0), 0, 1).axis
+        np.testing.assert_allclose(axis, (-math.sqrt(0.5), math.sqrt(0.5), 0.0), rtol=1e-15)
+
+    def test_ordinary_axis_keeps_norm_bits(self):
+        v = np.array([0.3, -1.7, 2.9])
+        assert JointSpec("revolute", (0, 0, 0), v, 0, 1).axis == tuple(v / np.linalg.norm(v))
 
     @pytest.mark.parametrize(
         "field, pivot, axis",

@@ -120,7 +120,7 @@ class TestVectors:
 
     def test_discrete_indices(self):
         space = ParameterSpace({"style": Discrete(("a", "b", "c"))})
-        assert space.label_of("style", 1) == "b"
+        assert space["style"].labels[1] == "b"
         assert space["style"].labels.index("c") == 2
         with pytest.raises(RangeError):
             space.check_value("style", 3)
