@@ -312,10 +312,6 @@ class _Extractor:
                 f"duplicate {node.node_id} cannot replicate switch variants"
             )
         count_param = node.params.get("count_param")
-        if count_param is not None and count_param not in self.graph.parameters:
-            raise InvalidParameterError(
-                f"duplicate {node.node_id} count parameter {count_param!r} is not declared"
-            )
         if body.attachments:
             group = _SymRepeat(count_param, body.attachments, None)
         else:

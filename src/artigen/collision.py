@@ -2,13 +2,19 @@
 
 A sweep plan is a value matrix: one column per movable joint, in sorted id
 order, and one row per configuration, drawn as a Cartesian grid or as random
-draws. The sweep poses every link for blocks of rows with forward kinematics,
-culls link pairs and then triangle pairs with conservative AABB tests, and
-confirms contacts with one batched exact triangle-triangle test,
-`geometry.intersecting_pairs`. A row becomes a config dict only when it
-carries a finding. `verify_finding` runs the same test on one row
-(`triangles_intersect`), so the two agree by construction. A tolerance gate
-re-tests candidate pairs with the triangles offset inward along their
+draws. The sweep poses every link for blocks of rows with forward kinematics
+and culls link pairs with conservative AABB tests; one matrix product of a
+link's rest vertices with the block's rotation rows gives all its boxes.
+Each link pair then takes its surviving rows through the narrowphase
+together: rows are posed in batches of at most _BATCH_TRIANGLES triangles,
+triangle pairs are culled by their boxes, and contacts are confirmed by the
+exact triangle-triangle test `geometry.intersecting_pairs`, at most
+_BATCH_ROWS candidate rows per call. That test works row by row, and each
+configuration keeps its first hit in (triangle_a, triangle_b) order, so the
+caps bound memory and cannot change a report. A row becomes a config dict
+only when it carries a finding. `verify_finding` runs the same test on one
+row (`triangles_intersect`), so the two agree by construction. A tolerance
+gate re-tests candidate pairs with the triangles offset inward along their
 normals, so parts that merely touch within tolerance are not reported;
 witnesses always come from the exact test and re-verify. Containment without
 surface contact is outside the contract (witnesses are surface-triangle
@@ -19,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -55,10 +63,14 @@ class SweepPlan:
     def __post_init__(self):
         if self.strategy not in ("grid", "random"):
             raise InvalidParameterError(f"unknown sweep strategy {self.strategy!r}")
-        if self.samples < 1:
-            raise InvalidParameterError("samples must be >= 1")
-        if self.tolerance < 0:
-            raise InvalidParameterError("tolerance must be >= 0")
+        if (
+            isinstance(self.samples, bool)
+            or not isinstance(self.samples, numbers.Integral)
+            or self.samples < 1
+        ):
+            raise InvalidParameterError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if not isinstance(self.tolerance, numbers.Real) or not 0 <= self.tolerance < math.inf:
+            raise InvalidParameterError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
         if self.pair_filter not in (PAIR_FILTER_ALL, PAIR_FILTER_ADJACENT_EXCLUDED):
             raise InvalidParameterError(f"unknown pair filter {self.pair_filter!r}")
 
@@ -122,11 +134,16 @@ def _joint_samples(instance: AssetInstance, plan: SweepPlan):
         return joint_ids, np.array(list(itertools.product(*axes)), dtype=np.float64)
     digest = hashlib.sha256(f"sweep|{plan.seed}|{instance.category}|{instance.seed}".encode())
     rng = random.Random(int.from_bytes(digest.digest()[:8], "big"))
-    # lo + (hi - lo) * random() is random.uniform(lo, hi); drawing configuration
-    # by configuration keeps the values of a per-configuration uniform loop.
-    r = np.array([rng.random() for _ in range(plan.samples * len(joints))])
+    # One getrandbits call returns the generator's next 32-bit outputs, first
+    # output in the least significant word; each pair makes one random()
+    # double with CPython's exact formula (a * 2**26 + b) / 2**53.
+    count = plan.samples * len(joints)
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4")
+    r = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
     lo = np.array([j.lo for j in joints], dtype=np.float64)
     hi = np.array([j.hi for j in joints], dtype=np.float64)
+    # lo + (hi - lo) * random() is random.uniform(lo, hi), drawn configuration
+    # by configuration.
     return joint_ids, lo + (hi - lo) * r.reshape(plan.samples, len(joints))
 
 
@@ -135,52 +152,92 @@ def _offset_inward(tris: np.ndarray, tolerance: float) -> np.ndarray:
 
     The normal offset separates parallel face-on-face touches; the centroid
     shrink separates coplanar faces that only share a boundary edge. Triangles
-    smaller than the tolerance collapse and are skipped by the caller.
+    smaller than the tolerance collapse and are skipped by the caller. Works
+    row by row on any (..., 3, 3) stack.
     """
-    normals = _cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    flat = tris.reshape(-1, 3, 3)
+    normals = _cross(flat[:, 1] - flat[:, 0], flat[:, 2] - flat[:, 0])
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    shifted = tris - tolerance * normals[:, None, :]
+    shifted = flat - tolerance * normals[:, None, :]
     centroids = shifted.mean(axis=1, keepdims=True)
     rel = shifted - centroids
     dist = np.linalg.norm(rel, axis=2, keepdims=True)
     scale = np.maximum(1.0 - tolerance / np.maximum(dist, 1e-300), 0.0)
-    return centroids + rel * scale
+    return (centroids + rel * scale).reshape(tris.shape)
 
 
-def _first_hit(tris_a: np.ndarray, tris_b: np.ndarray):
-    """First intersecting (triangle_a, triangle_b) index pair, or None."""
-    lo_a, hi_a = tris_a.min(axis=1), tris_a.max(axis=1)
-    lo_b, hi_b = tris_b.min(axis=1), tris_b.max(axis=1)
-    overlap = np.all(
-        (lo_a[:, None, :] <= hi_b[None, :, :]) & (lo_b[None, :, :] <= hi_a[:, None, :]),
-        axis=2,
-    )
-    idx_a, idx_b = np.nonzero(overlap)
-    if len(idx_a) == 0:
-        return None
-    # Skip triangles collapsed by the tolerance shrink.
-    keep = (triangle_areas(tris_a) > DEGENERATE_AREA)[idx_a]
-    keep &= (triangle_areas(tris_b) > DEGENERATE_AREA)[idx_b]
-    idx_a, idx_b = idx_a[keep], idx_b[keep]
-    hit = np.flatnonzero(intersecting_pairs(tris_a[idx_a], tris_b[idx_b]))
-    if len(hit) == 0:
-        return None
-    return int(idx_a[hit[0]]), int(idx_b[hit[0]])
+def _posed(local: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rest triangles (k, 3, 3) posed at m rigid motions: (m, k, 3, 3)."""
+    return np.matmul(local, r.transpose(0, 2, 1)[:, None]) + t[:, None, None]
 
 
-def _pair_witness(tris_a: np.ndarray, tris_b: np.ndarray, tolerance: float):
-    """Witness pair when the links penetrate deeper than the contact tolerance.
+def _first_hits(tris_a: np.ndarray, tris_b: np.ndarray):
+    """First intersecting (triangle_a, triangle_b) pair of each configuration.
 
-    The tolerance gate runs on copies offset inward along their face normals:
-    surfaces that merely touch separate, genuine penetration still crosses.
-    The reported witness always comes from the exact test on the original
-    triangles, so it re-verifies.
+    `tris_a` and `tris_b` are (configs, triangles, 3, 3) stacks. Returns two
+    (configs,) index arrays, -1 where a configuration has no hit. Candidates
+    are the triangle pairs whose boxes overlap, in (triangle_a, triangle_b)
+    order per configuration, and all of them go through the exact test in
+    chunks of at most _BATCH_ROWS rows.
     """
+    m, n_a, n_b = len(tris_a), tris_a.shape[1], tris_b.shape[1]
+    lo_a, hi_a = tris_a.min(axis=2), tris_a.max(axis=2)
+    lo_b, hi_b = tris_b.min(axis=2), tris_b.max(axis=2)
+    # A triangle outside the other link's box overlaps none of its triangles,
+    # and triangles collapsed by the tolerance shrink are skipped.
+    live_a = np.all(
+        (lo_a <= hi_b.max(axis=1)[:, None]) & (lo_b.min(axis=1)[:, None] <= hi_a), axis=2
+    ) & (triangle_areas(tris_a.reshape(-1, 3, 3)).reshape(m, n_a) > DEGENERATE_AREA)
+    live_b = np.all(
+        (lo_b <= hi_a.max(axis=1)[:, None]) & (lo_a.min(axis=1)[:, None] <= hi_b), axis=2
+    ) & (triangle_areas(tris_b.reshape(-1, 3, 3)).reshape(m, n_b) > DEGENERATE_AREA)
+    configs, idx_a, idx_b = [], [], []
+    for c in range(m):
+        ia, ib = np.flatnonzero(live_a[c]), np.flatnonzero(live_b[c])
+        overlap = np.all(
+            (lo_a[c, ia][:, None] <= hi_b[c, ib]) & (lo_b[c, ib] <= hi_a[c, ia][:, None]), axis=2
+        )
+        i, j = np.nonzero(overlap)
+        configs.append(np.full(len(i), c))
+        idx_a.append(ia[i])
+        idx_b.append(ib[j])
+    configs, idx_a, idx_b = np.concatenate(configs), np.concatenate(idx_a), np.concatenate(idx_b)
+    hit = np.zeros(len(configs), dtype=bool)
+    for s in range(0, len(configs), _BATCH_ROWS):
+        part = slice(s, s + _BATCH_ROWS)
+        hit[part] = intersecting_pairs(
+            tris_a[configs[part], idx_a[part]], tris_b[configs[part], idx_b[part]]
+        )
+    rows = np.flatnonzero(hit)
+    hit_configs, first = np.unique(configs[rows], return_index=True)
+    first_a, first_b = np.full(m, -1), np.full(m, -1)
+    first_a[hit_configs] = idx_a[rows[first]]
+    first_b[hit_configs] = idx_b[rows[first]]
+    return first_a, first_b
+
+
+def _pair_witnesses(tris_a: np.ndarray, tris_b: np.ndarray, tolerance: float) -> list:
+    """Per configuration, the witness pair when the links penetrate deeper than
+    the contact tolerance, else None.
+
+    `tris_a` and `tris_b` are the posed triangles of both links, stacked as
+    (configs, triangles, 3, 3). The tolerance gate runs on copies offset
+    inward along their face normals: surfaces that merely touch separate,
+    genuine penetration still crosses. The reported witness always comes from
+    the exact test on the original triangles, so it re-verifies.
+    """
+    todo = np.arange(len(tris_a))
     if tolerance > 0:
-        gate = _first_hit(_offset_inward(tris_a, tolerance), _offset_inward(tris_b, tolerance))
-        if gate is None:
-            return None
-    return _first_hit(tris_a, tris_b)
+        gate, _ = _first_hits(_offset_inward(tris_a, tolerance), _offset_inward(tris_b, tolerance))
+        todo = np.flatnonzero(gate >= 0)
+    witnesses = [None] * len(tris_a)
+    if len(todo) == 0:
+        return witnesses
+    first_a, first_b = _first_hits(tris_a[todo], tris_b[todo])
+    for c, i, j in zip(todo.tolist(), first_a.tolist(), first_b.tolist()):
+        if i >= 0:
+            witnesses[c] = (i, j)
+    return witnesses
 
 
 def _candidate_pairs(instance: AssetInstance, plan: SweepPlan):
@@ -194,6 +251,11 @@ def _candidate_pairs(instance: AssetInstance, plan: SweepPlan):
 
 
 _CHUNK = 2048
+# Fixed caps on the narrowphase's working set, whatever the asset: posed
+# triangles of both links per batch of configurations, and candidate rows per
+# exact-test call. The exact test is row by row, so chunking changes no result.
+_BATCH_TRIANGLES = 4096
+_BATCH_ROWS = 4096
 
 
 def check_configs(
@@ -203,8 +265,8 @@ def check_configs(
 
     Column k of `values` holds joint `joint_ids[k]`; joints without a column
     sit at their defaults. Forward kinematics and the AABB broadphase run
-    vectorized over blocks of rows; the exact triangle narrowphase only
-    touches survivors.
+    vectorized over blocks of rows; the exact triangle narrowphase runs per
+    link pair over batches of its surviving rows.
     """
     local = {
         l.link_id: l.mesh.triangle_corners()
@@ -221,16 +283,20 @@ def check_configs(
     rel_cache: dict = {}
     for start in range(0, len(values), _CHUNK):
         block = values[start : start + _CHUNK]
-        quat, trans = instance.tree.pose(dict(zip(joint_ids, block.T)), len(block))
+        n = len(block)
+        quat, trans = instance.tree.pose(dict(zip(joint_ids, block.T)), n)
         world, lo_box, hi_box = {}, {}, {}
         for link_id in local:
             i = instance.tree.link_index[link_id]
             r = quat_to_matrix(quat[i])
             t = trans[i] + r @ instance.links[i].local_frame.translation
             world[link_id] = (r, t)
-            pts = np.einsum("nij,kj->nki", r, verts_rest[link_id]) + t[:, None, :]
-            lo_box[link_id] = pts.min(axis=1)
-            hi_box[link_id] = pts.max(axis=1)
+            # Rest vertices against every rotation row at once, one (k, 3) @ (3, n*3)
+            # product with the min/max down its contiguous columns; adding t
+            # after them gives the same bits, as rounding is monotone.
+            pts = verts_rest[link_id] @ r.reshape(-1, 3).T
+            lo_box[link_id] = pts.min(axis=0).reshape(n, 3) + t
+            hi_box[link_id] = pts.max(axis=0).reshape(n, 3) + t
         for a, b in pairs:
             if plan.use_broadphase:
                 mask = np.all(
@@ -238,22 +304,37 @@ def check_configs(
                     & (lo_box[b] <= hi_box[a] + plan.tolerance),
                     axis=1,
                 )
-                hits = np.nonzero(mask)[0]
+                hits = np.flatnonzero(mask)
             else:
-                hits = np.arange(len(block))
-            for ci in hits:
-                ra, ta = world[a][0][ci], world[a][1][ci]
-                rb, tb = world[b][0][ci], world[b][1][ci]
-                rel_r = ra.T @ rb
-                rel_t = ra.T @ (tb - ta)
-                key = (a, b) + tuple(np.round(rel_r.ravel(), 9)) + tuple(np.round(rel_t, 9))
-                if key in rel_cache:
-                    witness = rel_cache[key]
-                else:
-                    tris_a = local[a] @ ra.T + ta
-                    tris_b = local[b] @ rb.T + tb
-                    witness = _pair_witness(tris_a, tris_b, plan.tolerance)
-                    rel_cache[key] = witness
+                hits = np.arange(n)
+            if len(hits) == 0:
+                continue
+            (ra, ta), (rb, tb) = world[a], world[b]
+            # Relative poses over the whole block: each row's 3x3 product keeps
+            # the memory layout, and so the bits, of `ra[c].T @ rb[c]` alone.
+            ra_t = ra.transpose(0, 2, 1)
+            rel_r = np.round((ra_t @ rb)[hits].reshape(-1, 9), 9)
+            rel_t = np.round((ra_t @ (tb - ta)[:, :, None])[hits, :, 0], 9)
+            keys = [(a, b) + tuple(k) for k in np.hstack([rel_r, rel_t]).tolist()]
+            # The first row of each relative pose not yet memoized runs the
+            # narrowphase, in batches of at most _BATCH_TRIANGLES posed triangles.
+            fresh: dict = {}
+            for ci, key in zip(hits.tolist(), keys):
+                if key not in rel_cache:
+                    fresh.setdefault(key, ci)
+            rows = np.array(list(fresh.values()), dtype=np.intp)
+            step = max(1, _BATCH_TRIANGLES // (len(local[a]) + len(local[b])))
+            witnesses = []
+            for s in range(0, len(rows), step):
+                batch = rows[s : s + step]
+                witnesses += _pair_witnesses(
+                    _posed(local[a], ra[batch], ta[batch]),
+                    _posed(local[b], rb[batch], tb[batch]),
+                    plan.tolerance,
+                )
+            rel_cache.update(zip(fresh, witnesses))
+            for ci, key in zip(hits.tolist(), keys):
+                witness = rel_cache[key]
                 if witness is not None:
                     config = dict(zip(joint_ids, block[ci].tolist()))
                     findings.append(Finding(a, b, config, witness[0], witness[1]))

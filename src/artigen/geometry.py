@@ -706,16 +706,18 @@ def format_float(x: float) -> str:
 def _format_floats(values: np.ndarray) -> list[str]:
     """`format_float` of each value of a 1-D float array, in one string step.
 
-    All values are formatted with `%.9g` at once and read back; only tokens
-    that moved by more than 5e-10, or that read as zero (the "-0" case), take
-    the scalar path.
+    The distinct values are formatted with `%.9g` at once and read back; only
+    tokens that moved by more than 5e-10, or that read as zero (the "-0"
+    case), take the scalar path. Each value then takes its distinct value's
+    token; 0.0 and -0.0 share one, as both format as "0".
     """
-    floats = values.tolist()
+    distinct, inverse = np.unique(values, return_inverse=True)
+    floats = distinct.tolist()
     tokens = (("%.9g " * len(floats)) % tuple(floats)).split()
     back = np.array(tokens, dtype=np.float64)
-    for i in np.flatnonzero((np.abs(back - values) > 5e-10) | (back == 0.0)).tolist():
+    for i in np.flatnonzero((np.abs(back - distinct) > 5e-10) | (back == 0.0)).tolist():
         tokens[i] = format_float(floats[i])
-    return tokens
+    return [tokens[i] for i in inverse.tolist()]
 
 
 def obj_text(mesh: TriMesh, name: str) -> str:

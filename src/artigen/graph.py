@@ -465,6 +465,15 @@ class NodeGraph:
                             nid,
                         )
                     )
+            count_param = node.params.get("count_param") if node.kind == DUPLICATE else None
+            if count_param is not None and count_param not in self.parameters:
+                diags.append(
+                    Diagnostic(
+                        "unknown-param",
+                        f"{node.kind}.count_param names undeclared parameter {count_param!r}",
+                        nid,
+                    )
+                )
             if node.kind == SWITCH:
                 sel = node.params.get("select")
                 n_opts = sum(1 for p in node.inputs if p.startswith("option_"))

@@ -184,6 +184,16 @@ class TestCheck:
         assert code == 3
         assert "random" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exit_2(self, tmp_path, capsys, tolerance):
+        code, out, err = run(
+            ["check", "--category", "fridge", "--seed", "28986", "--random", "256",
+             f"--tolerance={tolerance}", "--out", str(tmp_path)], capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "tolerance" in err
+
     def test_random_strategy(self, tmp_path, capsys):
         code, out, _ = run(
             ["check", "--category", "toaster", "--seed", "0", "--random", "64",

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +10,14 @@ from artigen.blueprint import extract_blueprint, instantiate
 from artigen.collision import (
     CollisionReport,
     SweepPlan,
-    _pair_witness,
+    _joint_samples,
+    _pair_witnesses,
     check_at,
     sweep_check,
     verify_finding,
 )
-from artigen.errors import PlanTooLargeError, RangeError
+from artigen.errors import InvalidParameterError, PlanTooLargeError, RangeError
+from artigen.generators import CATEGORY_NAMES, build_instance
 from artigen.geometry import quat_to_matrix, triangles_intersect
 from artigen.graph import GraphBuilder
 from artigen.params import ParameterSpace, ParamVector
@@ -140,6 +145,69 @@ class TestPlans:
         assert not sweep_check(inst, SweepPlan(pair_filter="all", tolerance=0.0)).clean
 
 
+class TestPlanInputs:
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, "0.1", None])
+    def test_non_finite_or_non_numeric_tolerance_rejected(self, tolerance):
+        with pytest.raises(InvalidParameterError, match="tolerance"):
+            SweepPlan(tolerance=tolerance)
+
+    @pytest.mark.parametrize("samples", [2.5, 3.0, "3", True])
+    def test_samples_not_an_integer_rejected(self, samples):
+        with pytest.raises(InvalidParameterError, match="samples"):
+            SweepPlan(samples=samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        assert SweepPlan(strategy="random", samples=np.int64(4)).samples == 4
+
+    @pytest.mark.parametrize(
+        "category, seed, plan_seed",
+        [("fridge", 28986, 0), ("lamp", 1117, 5), ("toaster", 1, 1), ("dishwasher", 3, 42)],
+    )
+    def test_random_rows_equal_per_draw_loop(self, category, seed, plan_seed):
+        inst = build_instance(category, seed, salt="")
+        plan = SweepPlan(strategy="random", samples=50, seed=plan_seed)
+        joints = sorted((j for j in inst.joints if not j.is_fixed), key=lambda j: j.joint_id)
+        digest = hashlib.sha256(f"sweep|{plan_seed}|{category}|{seed}".encode())
+        rng = random.Random(int.from_bytes(digest.digest()[:8], "big"))
+        expected = [[rng.uniform(j.lo, j.hi) for j in joints] for _ in range(plan.samples)]
+        joint_ids, values = _joint_samples(inst, plan)
+        assert joint_ids == [j.joint_id for j in joints]
+        assert values.tolist() == expected
+
+
+# Two seeds per category; the fridge and lamp seeds have findings at 64 configs.
+BATCH_SEEDS = {
+    "door": (0, 1),
+    "toaster": (1, 2),
+    "fridge": (28986, 63448),
+    "dishwasher": (0, 3),
+    "lamp": (1117, 97883),
+}
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-6])
+    def test_broadphase_changes_no_report(self, category, tolerance):
+        for seed in BATCH_SEEDS[category]:
+            inst = build_instance(category, seed, salt="")
+            plan = SweepPlan(strategy="random", samples=64, tolerance=tolerance)
+            with_bp = sweep_check(inst, plan).to_json_dict()
+            without = sweep_check(inst, replace(plan, use_broadphase=False)).to_json_dict()
+            assert with_bp == without, (category, seed)
+            assert with_bp["findings"] or category not in ("fridge", "lamp")
+
+    @pytest.mark.parametrize("category, seed", [("fridge", 28986), ("lamp", 1117)])
+    def test_batch_caps_change_no_report(self, monkeypatch, category, seed):
+        inst = build_instance(category, seed, salt="")
+        plan = SweepPlan(strategy="random", samples=64)
+        expected = sweep_check(inst, plan).to_json_dict()
+        assert expected["findings"]
+        monkeypatch.setattr("artigen.collision._BATCH_TRIANGLES", 1)
+        monkeypatch.setattr("artigen.collision._BATCH_ROWS", 1)
+        assert sweep_check(inst, plan).to_json_dict() == expected
+
+
 class TestNarrowphase:
     def test_touching_vertex_contact_has_witness_at_zero_tolerance(self):
         # The shared vertex is not the first corner of either triangle, so after
@@ -149,11 +217,15 @@ class TestNarrowphase:
         rng = np.random.default_rng(7)
         quats = rng.normal(size=(1000, 4))
         rotations = quat_to_matrix(quats / np.linalg.norm(quats, axis=1, keepdims=True))
-        missed = 0
-        for r, t in zip(rotations, rng.uniform(-2, 2, size=(1000, 3))):
-            tri_a, tri_b = a @ r.T + t, b @ r.T + t
-            if triangles_intersect(tri_a, tri_b):
-                missed += _pair_witness(tri_a[None], tri_b[None], 0.0) is None
+        shifts = rng.uniform(-2, 2, size=(1000, 3))
+        tris_a = a @ rotations.transpose(0, 2, 1) + shifts[:, None]
+        tris_b = b @ rotations.transpose(0, 2, 1) + shifts[:, None]
+        witnesses = _pair_witnesses(tris_a[:, None], tris_b[:, None], 0.0)
+        missed = sum(
+            witness is None
+            for tri_a, tri_b, witness in zip(tris_a, tris_b, witnesses)
+            if triangles_intersect(tri_a, tri_b)
+        )
         assert missed == 0
 
 

@@ -288,6 +288,19 @@ class TestValidate:
         with pytest.raises(InvalidParameterError, match="graph does not validate"):
             extract_blueprint(g)
 
+    def test_undeclared_duplicate_count_param_diagnosed(self):
+        doc = json.loads(build_pattern("duplicated_bodies").serialize())
+        (dup,) = [n for n in doc["nodes"] if n["kind"] == DUPLICATE]
+        dup["params"]["count_param"] = "zz"
+        g = NodeGraph.deserialize(json.dumps(doc))
+        diags = g.validate()
+        assert [d.code for d in diags] == ["unknown-param"]
+        assert diags[0].node_id == dup["id"] and "'zz'" in diags[0].message
+        with pytest.raises(InvalidParameterError, match="graph does not validate"):
+            evaluate(g)
+        with pytest.raises(InvalidParameterError, match="graph does not validate"):
+            extract_blueprint(g)
+
     def test_cycle_diagnosed_on_loaded_graph(self):
         g = build_pattern("simple_revolute")
         text = g.serialize()
