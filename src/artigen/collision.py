@@ -3,8 +3,9 @@
 A sweep plan is a value matrix: one column per movable joint, in sorted id
 order, and one row per configuration, drawn as a Cartesian grid or as random
 draws. The sweep poses every link for blocks of rows with forward kinematics
-and culls link pairs with conservative AABB tests; one matrix product of a
-link's rest vertices with the block's rotation rows gives all its boxes.
+and culls link pairs with conservative AABB tests; products of a link's rest
+vertices with the block's rotation rows, each at most _PRODUCT_ENTRIES
+outputs so that it runs on the calling thread, give all its boxes.
 Each link pair then takes its surviving rows through the narrowphase
 together: rows are posed in batches of at most _BATCH_TRIANGLES triangles,
 triangle pairs are culled by their boxes, and contacts are confirmed by the
@@ -256,6 +257,28 @@ _CHUNK = 2048
 # exact-test call. The exact test is row by row, so chunking changes no result.
 _BATCH_TRIANGLES = 4096
 _BATCH_ROWS = 4096
+# Outputs per broadphase product. Products this small run on the calling
+# thread; a larger one lets OpenBLAS hand it to helper threads, which then spin
+# between calls and hold a second core for no gain in time.
+_PRODUCT_ENTRIES = 65536
+
+
+def _rotated_extents(verts: np.ndarray, r: np.ndarray):
+    """Per-axis min and max of (k, 3) rest vertices under an (n, 3, 3) stack of
+    rotations, as two flat (n * 3,) arrays.
+
+    The rest vertices meet the stacked rotation rows in (k, 3) @ (3, columns)
+    products of at most _PRODUCT_ENTRIES outputs, each reduced down its
+    contiguous columns.
+    """
+    rows = r.reshape(-1, 3)
+    step = max(1, _PRODUCT_ENTRIES // len(verts))
+    lo, hi = [], []
+    for s in range(0, len(rows), step):
+        pts = verts @ rows[s : s + step].T
+        lo.append(pts.min(axis=0))
+        hi.append(pts.max(axis=0))
+    return np.concatenate(lo), np.concatenate(hi)
 
 
 def check_configs(
@@ -291,12 +314,10 @@ def check_configs(
             r = quat_to_matrix(quat[i])
             t = trans[i] + r @ instance.links[i].local_frame.translation
             world[link_id] = (r, t)
-            # Rest vertices against every rotation row at once, one (k, 3) @ (3, n*3)
-            # product with the min/max down its contiguous columns; adding t
-            # after them gives the same bits, as rounding is monotone.
-            pts = verts_rest[link_id] @ r.reshape(-1, 3).T
-            lo_box[link_id] = pts.min(axis=0).reshape(n, 3) + t
-            hi_box[link_id] = pts.max(axis=0).reshape(n, 3) + t
+            # Adding t after the min/max gives the same bits, as rounding is monotone.
+            lo, hi = _rotated_extents(verts_rest[link_id], r)
+            lo_box[link_id] = lo.reshape(n, 3) + t
+            hi_box[link_id] = hi.reshape(n, 3) + t
         for a, b in pairs:
             if plan.use_broadphase:
                 mask = np.all(
