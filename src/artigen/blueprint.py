@@ -2,10 +2,11 @@
 
 A blueprint is extracted from graph structure alone: numeric literals are
 ignored, switches over articulated bodies become variant groups, duplication
-nodes become repeat groups, and parallel joints between one link pair are
-normalized into a serial chain through zero-extent passthrough links. Two
-graphs built by the same generator under different sampled parameters
-therefore yield the same blueprint and the same signature.
+nodes become repeat groups, and parallel joints between one link pair stay one
+composite joint entry. Two graphs built by the same generator under different
+sampled parameters therefore yield the same blueprint and the same signature.
+Instantiation normalizes each composite joint into a serial chain through
+zero-extent passthrough links.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class KinematicBlueprint:
 
 class _Extractor:
     """Symbolic evaluation of a graph that `NodeGraph.validate` accepted:
-    wiring and port types are not checked again here."""
+    wiring, port types and the output type are not checked again here."""
 
     def __init__(self, graph: NodeGraph):
         self.graph = graph
@@ -173,8 +174,7 @@ class _Extractor:
         if node_id in self.cache:
             return self.cache[node_id]
         node = self.graph.nodes[node_id]
-        handler = getattr(self, f"_visit_{node.kind}", None)
-        value = handler(node) if handler else None
+        value = getattr(self, f"_visit_{node.kind}")(node)
         self.cache[node_id] = value
         return value
 
@@ -385,8 +385,6 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
     value = extractor.visit(graph.output_node)
     if isinstance(value, _SymVariant):
         value = extractor.factor_variant(value)
-    if not isinstance(value, _SymBody):
-        raise InvalidParameterError("graph output is not geometry")
 
     def jt_dict(jt: JointTemplate) -> dict:
         return {
@@ -540,8 +538,6 @@ def instantiate(
     category: str = "asset",
 ) -> AssetInstance:
     """Realize one asset: evaluate meshes, normalize composite joints, add dynamics."""
-    if graph.parameters.entries:
-        graph.parameters.validate_vector(params)
     evaluated_links, evaluated_joints, root = evaluate_links(graph, params)
 
     # Normalize parallel joints between one pair into a serial chain.

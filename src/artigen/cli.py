@@ -51,7 +51,7 @@ def _generate_one(category: str, seed: int, out: str, formats, overrides) -> dic
     instance = build_instance(category, seed, overrides=overrides, salt=salt)
     dest = _bundle_dir(Path(out), category, seed)
     bundles = export_bundle(instance, dest, formats)
-    write_manifest(instance, dest, formats=formats, salt=salt)
+    write_manifest(instance, dest, formats=formats, salt=salt, overrides=overrides)
     return {
         "seed": seed,
         "links": len(instance.links),

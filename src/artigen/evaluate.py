@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     EvaluationError,
     InvalidParameterError,
-    MissingParameterError,
     RangeError,
     StructuralError,
 )
@@ -59,7 +58,7 @@ class EvaluatedJoint:
 class _Body:
     """The links (the root first) and joints one node evaluates to. Inside this
     module link and joint ids are integer uids, in creation order in the
-    evaluator; `evaluate_links` and `expand_duplicates` replace them with names."""
+    evaluator; `evaluate_links` replaces them with names."""
 
     links: tuple[EvaluatedLink, ...]
     joints: tuple[EvaluatedJoint, ...]
@@ -97,38 +96,11 @@ def _transform(links, joints, t: RigidTransform, remap: dict, fresh_uid):
     )
 
 
-def _copy_body(body: _Body, offset, k: int, anchor: int, fresh_uid):
-    """Copy `k` of a duplication: `body` translated by `offset`, without its
-    root; joints on the root move onto link `anchor`. Templates get `@k`,
-    link and joint labels `_k`, and joint orders `k` appended."""
-    links, joints = _transform(
-        body.links[1:],
-        body.joints,
-        RigidTransform.from_translation(offset),
-        {body.root.link_id: anchor},
-        fresh_uid,
-    )
-    links = tuple(
-        replace(l, template=f"{l.template}@{k}", label=f"{l.label}_{k}" if l.label else None)
-        for l in links
-    )
-    joints = tuple(
-        replace(
-            e,
-            spec=replace(
-                e.spec,
-                joint_label=f"{e.spec.joint_label}_{k}" if e.spec.joint_label else None,
-            ),
-            order=e.order + (k,),
-        )
-        for e in joints
-    )
-    return links, joints
-
-
 class _Context:
-    """Evaluates a graph that `NodeGraph.validate` accepted: wiring, port
-    types and parameter names are not checked again here."""
+    """Evaluates a graph that `NodeGraph.validate` accepted, with a parameter
+    vector that `ParameterSpace.validate_vector` accepted: wiring, port types,
+    the output type, parameter names and parameter values are not checked
+    again here."""
 
     def __init__(self, graph: NodeGraph, params: ParamVector):
         self.graph = graph
@@ -144,13 +116,7 @@ class _Context:
             return self.eval(node.inputs[name])
         value = node.params.get(name)
         if isinstance(value, ParamRef):
-            resolved = self.params.get(value.name)
-            if resolved is None:
-                raise MissingParameterError(f"parameter {value.name!r} missing from vector")
-            self.graph.parameters.check_value(value.name, resolved)
-            return float(resolved)
-        if value is None:
-            raise InvalidParameterError(f"{node.kind}.{name} has no value")
+            return float(self.params.values[value.name])
         return float(value)
 
     def int_scalar(self, node, name: str) -> int:
@@ -337,14 +303,34 @@ class _Context:
                 copies.append(apply_transform(body.root.mesh, RigidTransform.from_translation(p)))
             root = replace(parent.root, mesh=merge_meshes(copies))
             return _Body((root,) + parent.links[1:], parent.joints)
+        # Copy k is `body` translated to point k, without its root; joints on
+        # that root move onto the parent's root. Templates get `@k`, link and
+        # joint labels `_k`, and joint orders `k` appended.
         links = list(parent.links)
         joints = list(parent.joints)
         for k, point in enumerate(points):
-            copy_links, copy_joints = _copy_body(
-                body, point, k, parent.root.link_id, self.fresh_uid
+            copy_links, copy_joints = _transform(
+                body.links[1:],
+                body.joints,
+                RigidTransform.from_translation(point),
+                {body.root.link_id: parent.root.link_id},
+                self.fresh_uid,
             )
-            links.extend(copy_links)
-            joints.extend(copy_joints)
+            links.extend(
+                replace(l, template=f"{l.template}@{k}", label=f"{l.label}_{k}" if l.label else None)
+                for l in copy_links
+            )
+            joints.extend(
+                replace(
+                    e,
+                    spec=replace(
+                        e.spec,
+                        joint_label=f"{e.spec.joint_label}_{k}" if e.spec.joint_label else None,
+                    ),
+                    order=e.order + (k,),
+                )
+                for e in copy_joints
+            )
         return _Body(tuple(links), tuple(joints))
 
     def _eval_semantic_label(self, node) -> _Body:
@@ -386,7 +372,11 @@ def evaluate_links(
     graph: NodeGraph, params: ParamVector | dict | None = None
 ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
     """Validate and evaluate a graph into its links, its joints sorted by
-    construction order, and the root link id, without posing any link."""
+    construction order, and the root link id, without posing any link.
+
+    The parameter vector is checked once, as a whole, against the graph's
+    parameter space: a missing value raises MissingParameterError and one
+    outside its entry RangeError."""
     diags = graph.validate()
     if diags:
         raise InvalidParameterError(
@@ -396,9 +386,8 @@ def evaluate_links(
         params = ParamVector({})
     elif isinstance(params, dict):
         params = ParamVector(params)
+    graph.parameters.validate_vector(params)
     body = _Context(graph, params).eval(graph.output_node)
-    if not isinstance(body, _Body):
-        raise EvaluationError("graph output is not geometry")
     # Deterministic public names: creation order, label-based with ordinals.
     name_counts: dict[str, int] = {}
     link_names: dict[int, str] = {}
@@ -431,51 +420,3 @@ def evaluate(
     links, joints, root = evaluate_links(graph, params)
     tree = KinematicTree(root, [l.link_id for l in links], joints)
     return EvaluatedBody(links, joints, root, tree.transforms(joint_values), tree)
-
-
-@dataclass(frozen=True)
-class DuplicateFragment:
-    """Copies produced by duplication: links plus joints anchored at the source root."""
-
-    links: tuple[EvaluatedLink, ...]
-    joints: tuple[EvaluatedJoint, ...]
-
-
-def expand_duplicates(body: EvaluatedBody, points) -> DuplicateFragment:
-    """One translated copy of a jointed body per point, each with independent joints.
-
-    The body's root link acts as the anchor: it is not replicated, and copied
-    joints that hung off it stay anchored there. Copy k of link or joint `x`
-    is named `x_k`; templates, labels and orders change as in the evaluator's
-    duplication, which makes the copies.
-    """
-    points = list(points)
-    if not points:
-        raise InvalidParameterError("expand_duplicates requires at least one point")
-    if not body.joints:
-        raise InvalidParameterError("expand_duplicates requires a body with at least one joint")
-    ordered = sorted(body.links, key=lambda l: l.link_id != body.root_link)  # root first
-    uid = {l.link_id: i for i, l in enumerate(ordered)}
-    source = _Body(
-        tuple(replace(l, link_id=uid[l.link_id]) for l in ordered),
-        tuple(
-            replace(j, joint_id=n, parent=uid[j.parent], child=uid[j.child])
-            for n, j in enumerate(body.joints)
-        ),
-    )
-    # Uid 0 is the source root's and stays the anchor, so fresh uids start at 1.
-    fresh_uid = itertools.count(1).__next__
-    links: list[EvaluatedLink] = []
-    joints: list[EvaluatedJoint] = []
-    for k, point in enumerate(points):
-        copy_links, copy_joints = _copy_body(source, point, k, 0, fresh_uid)
-        names = {c.link_id: f"{l.link_id}_{k}" for c, l in zip(copy_links, ordered[1:])}
-        names[0] = body.root_link
-        links.extend(replace(c, link_id=names[c.link_id]) for c in copy_links)
-        joints.extend(
-            replace(
-                e, joint_id=f"{j.joint_id}_{k}", parent=names[e.parent], child=names[e.child]
-            )
-            for j, e in zip(body.joints, copy_joints)
-        )
-    return DuplicateFragment(tuple(links), tuple(joints))

@@ -485,8 +485,12 @@ def _parse_xml(path) -> ET.ElementTree:
 # ---------------------------------------------------------------------------
 
 
-def write_manifest(instance: AssetInstance, out_dir, formats=("urdf",), salt: str = "") -> Path:
-    """Record everything needed to rebuild this bundle bit-exactly."""
+def write_manifest(
+    instance: AssetInstance, out_dir, formats=("urdf",), salt: str = "", overrides=None
+) -> Path:
+    """Record everything needed to rebuild this bundle bit-exactly. The
+    overrides the instance was built with are recorded only when there are
+    some; rebuilding passes them to `build_instance` with the recorded params."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -498,6 +502,8 @@ def write_manifest(instance: AssetInstance, out_dir, formats=("urdf",), salt: st
         "formats": sorted(formats),
         "params": dict(sorted(instance.params.values.items())),
     }
+    if overrides:
+        doc["overrides"] = overrides
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     return path

@@ -434,6 +434,9 @@ class NodeGraph:
             diags.append(Diagnostic("no-output", "graph has no output node"))
         elif self.output_node not in self.nodes:
             diags.append(Diagnostic("missing-node", f"output node {self.output_node!r} missing"))
+        elif _KINDS[self.nodes[self.output_node].kind].output != GEOMETRY:
+            message = f"output is a {self.nodes[self.output_node].kind} node"
+            diags.append(Diagnostic("output-not-geometry", message, self.output_node))
 
         for nid, node in self.nodes.items():
             spec = _KINDS[node.kind]

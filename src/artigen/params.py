@@ -243,6 +243,18 @@ def _check_override(name: str, entry: Entry, override) -> None:
                 )
 
 
+def _check_overrides(space: ParameterSpace, overrides: Mapping) -> None:
+    """Raise a typed error naming the offending parameter unless `overrides`
+    is an object whose names are all in `space` and whose entries pass
+    `_check_override`."""
+    if not isinstance(overrides, Mapping):
+        raise InvalidParameterError(f"overrides must be an object, got {overrides!r}")
+    for name, override in overrides.items():
+        if name not in space:
+            raise MissingParameterError(f"override references unknown parameter {name!r}")
+        _check_override(name, space[name], override)
+
+
 def _sample_continuous(entry: Continuous, rng: random.Random, override) -> float:
     lo, hi = entry.lo, entry.hi
     if override:
@@ -271,10 +283,7 @@ def sample_parameters(
     if salt is None:
         salt = os.environ.get(SALT_ENV_VAR, "")
     overrides = overrides or {}
-    for name, override in overrides.items():
-        if name not in space:
-            raise MissingParameterError(f"override references unknown parameter {name!r}")
-        _check_override(name, space[name], override)
+    _check_overrides(space, overrides)
     values: dict[str, float | int] = {}
     for name, entry in space.entries.items():
         rng = _substream(salt, seed, name)
@@ -314,14 +323,14 @@ def load_overrides(path) -> dict:
 
 def merge_overrides(space: ParameterSpace, overrides: Mapping | None) -> ParameterSpace:
     """The effective space after overrides merge by name: continuous bounds
-    stretch to contain overridden ranges and fixed values."""
+    stretch to contain overridden ranges and fixed values. Overrides are
+    checked as `sample_parameters` checks them."""
     if not overrides:
         return space
+    _check_overrides(space, overrides)
     merged = ParameterSpace()
     for name, entry in space.entries.items():
         ov = overrides.get(name)
-        if name in overrides:
-            _check_override(name, entry, ov)
         if ov and isinstance(entry, Continuous):
             lo, hi = entry.lo, entry.hi
             for key in ("lo", "hi", "fixed", "mean"):

@@ -1,8 +1,24 @@
-"""Shared oracles for round-trip checks and blueprint trees."""
+"""Shared oracles for round-trip checks and blueprint trees, and a
+duplication fixture."""
 
 import numpy as np
 
 from artigen.export import _names
+from artigen.graph import DUPLICATE
+from artigen.patterns import build_pattern
+
+
+def duplicated_revolute(points):
+    """The `simple_revolute` pattern with its hinged rod copied onto its base at
+    `points`: a duplicate-joints-on-points node whose parent is the base and
+    whose body is the hinged pair."""
+    g = build_pattern("simple_revolute")
+    hinged = g.output_node
+    dup = g.add_node(DUPLICATE, {"points": list(points)})
+    g.connect(g.node(hinged).inputs["parent"], dup, "parent")
+    g.connect(hinged, dup, "body")
+    g.set_output(dup)
+    return g
 
 
 def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-9, limit_tol=1e-9):

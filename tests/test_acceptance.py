@@ -20,14 +20,14 @@ from artigen.blueprint import extract_blueprint, instantiate
 from artigen.cli import main as cli_main
 from artigen.collision import SweepPlan, sweep_check, verify_finding
 from artigen.errors import PlanTooLargeError
-from artigen.evaluate import evaluate, expand_duplicates
+from artigen.evaluate import evaluate
 from artigen.export import export_mjcf, export_urdf, parse_mjcf, parse_urdf
 from artigen.generators import CATEGORY_NAMES, build_instance, count_variations, get_generator
 from artigen.graph import JOINT_PRISMATIC, JOINT_REVOLUTE, GraphBuilder, NodeGraph
 from artigen.params import ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
-from helpers import assert_kinematic_isomorphism
+from helpers import assert_kinematic_isomorphism, duplicated_revolute
 
 TABLE_DIMS = {"door": 39, "fridge": 32, "dishwasher": 13, "lamp": 29, "toaster": 14}
 
@@ -251,14 +251,11 @@ def test_08_collision_soundness_and_regression():
 
 
 def test_09_duplicate_multiplicity():
-    body = evaluate(build_pattern("simple_revolute"))
-    base_joints = len(body.joints)
-    base_movable_links = len(body.links) - 1
+    source = evaluate(build_pattern("simple_revolute"))
     for k in range(1, 6):
-        points = [(0.4 * i, 0.0, 0.0) for i in range(k)]
-        frag = expand_duplicates(body, points)
-        assert len(frag.joints) == k * base_joints
-        assert len(frag.links) == k * base_movable_links
+        body = evaluate(duplicated_revolute([(0.4 * i, 0.0, 0.0) for i in range(k)]))
+        assert len(body.joints) == k * len(source.joints)
+        assert len(body.links) - 1 == k * (len(source.links) - 1)
     ok(9, "duplication over k in 1..5 points multiplies joints and links exactly k-fold")
 
 

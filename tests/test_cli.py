@@ -106,6 +106,7 @@ class TestGenerate:
         assert code == 0
         manifest = json.loads((tmp_path / "door_0001" / "manifest.json").read_text())
         assert manifest["params"]["handle_type"] == 0
+        assert manifest["overrides"] == json.loads(overrides.read_text())
 
 
 class TestOverrideFiles:
@@ -274,6 +275,16 @@ class TestValidate:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert ("'w'" if isinstance(parameters, list) else "list") in err
+
+    def test_scalar_output_exit_1(self, tmp_path, capsys):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        doc["nodes"].append({"id": "sum", "kind": "scalar_math", "params": {"op": "add"}})
+        doc["output"] = "sum"
+        path = tmp_path / "scalar_output.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(["validate", str(path)], capsys)
+        assert code == 1
+        assert out.splitlines() == ["output-not-geometry [sum]: output is a scalar_math node"]
 
     def test_truncated_exit_2(self, tmp_path, capsys):
         text = build_pattern("simple_revolute").serialize()

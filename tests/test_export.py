@@ -334,6 +334,47 @@ class TestManifest:
         with pytest.raises(DocumentParseError, match=key):
             manifest_param_vector(doc)
 
+    def test_bundle_made_with_overrides_rebuilds(self, tmp_path):
+        from artigen.generators import build_instance
+
+        overrides = {"width": {"fixed": 1.12}}  # outside the shipped width range
+        inst = build_instance("door", 3, overrides=overrides, salt="")
+        export_bundle(inst, tmp_path / "a", ("urdf", "mjcf"))
+        doc = read_manifest(write_manifest(inst, tmp_path / "a", overrides=overrides))
+        assert doc["overrides"] == overrides
+        rebuilt = build_instance(
+            doc["category"], doc["seed"], params=manifest_param_vector(doc),
+            overrides=doc["overrides"],
+        )
+        export_bundle(rebuilt, tmp_path / "b", ("urdf", "mjcf"))
+        files = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*.*"))
+        assert len(files) > 2
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # a manifest without overrides records none
+        plain = read_manifest(write_manifest(build_instance("door", 3, salt=""), tmp_path / "c"))
+        assert "overrides" not in plain
+
+    @pytest.mark.parametrize(
+        "overrides, error, name",
+        [
+            ({"no_such_parameter": {"fixed": 1}}, MissingParameterError, "no_such_parameter"),
+            ({"width": {"lo": "wide"}}, InvalidParameterError, "width"),
+            ([["width", 1.0]], InvalidParameterError, "overrides"),
+        ],
+        ids=["unknown", "malformed", "not-an-object"],
+    )
+    def test_bad_recorded_overrides_named(self, tmp_path, overrides, error, name):
+        from artigen.generators import build_instance
+
+        inst = build_instance("door", 3, salt="")
+        doc = read_manifest(write_manifest(inst, tmp_path, overrides=overrides))
+        with pytest.raises(error, match=name):
+            build_instance(
+                doc["category"], doc["seed"], params=manifest_param_vector(doc),
+                overrides=doc["overrides"],
+            )
+
     def test_two_seeds_two_manifests(self, tmp_path):
         _, a = self._param_instance(seed=1)
         _, b = self._param_instance(seed=2)

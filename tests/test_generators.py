@@ -12,7 +12,7 @@ from artigen.generators import (
     get_generator,
 )
 from artigen.errors import InvalidParameterError
-from artigen.graph import NodeGraph
+from artigen.graph import NodeGraph, ParamRef
 from artigen.kinematics import KinematicTree
 from artigen.params import Continuous, Discrete, merge_overrides, sample_parameters
 from helpers import blueprint_parts
@@ -397,6 +397,33 @@ class TestBlueprintInvariance:
             pv = sample_parameters(gen.space, seed, salt="")
             sigs.add(extract_blueprint(gen.build(pv)).signature())
         assert len(sigs) == 1
+
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    def test_one_structure_across_seeds(self, category):
+        """The category blueprint is extracted from the seed-0 graph alone, so
+        every seed must build the same nodes, wiring, parameter references and
+        string parameters; numeric values, duplication points among them, vary."""
+
+        def structure(graph):
+            return graph.output_node, [
+                (
+                    node.node_id,
+                    node.kind,
+                    sorted(node.inputs.items()),
+                    {
+                        name: value
+                        for name, value in node.params.items()
+                        if isinstance(value, (ParamRef, str))
+                    },
+                )
+                for node in graph.nodes.values()
+            ]
+
+        gen = get_generator(category)
+        first = structure(gen.build(sample_parameters(gen.space, 0, salt="")))
+        for seed in range(1, 60):
+            graph = gen.build(sample_parameters(gen.space, seed, salt=""))
+            assert structure(graph) == first, seed
 
     def test_categories_differ(self):
         sigs = set()

@@ -21,7 +21,7 @@ from artigen.errors import (
     StructuralError,
 )
 from artigen.blueprint import extract_blueprint, instantiate
-from artigen.evaluate import evaluate, expand_duplicates
+from artigen.evaluate import evaluate
 import artigen
 from artigen.graph import (
     DUPLICATE,
@@ -40,6 +40,8 @@ from artigen.graph import (
 from artigen.generators import CATEGORY_NAMES, build_instance, get_generator
 from artigen.params import Continuous, Count, ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
+
+from helpers import duplicated_revolute
 
 
 def box_node(g, dims=(1, 1, 1)):
@@ -208,6 +210,15 @@ class TestValidate:
         g.set_output(j)
         codes = {d.code for d in g.validate()}
         assert "missing-input" in codes
+
+    def test_scalar_output_diagnosed_once_and_rejected(self):
+        g = NodeGraph()
+        g.set_output(g.add_node(SCALAR_MATH, {"op": "add", "a": 1.0, "b": 2.0}))
+        diags = g.validate()
+        assert [(d.code, d.node_id) for d in diags] == [("output-not-geometry", g.output_node)]
+        for consumer in (evaluate, extract_blueprint):
+            with pytest.raises(InvalidParameterError, match="graph does not validate"):
+                consumer(g)
 
     def test_unknown_param_diagnosed(self):
         g = NodeGraph()
@@ -433,38 +444,35 @@ class TestDuplicates:
         assert len(knobs) == 4
         assert len(body.joints) == 4
 
-    def test_fragment_counts_multiply(self):
-        base = build_pattern("simple_revolute")
-        body = evaluate(base)
+    def test_copies_multiply_links_and_joints(self):
+        source = evaluate(build_pattern("simple_revolute"))
         for k in range(1, 6):
-            points = [(0.3 * i, 0, 0) for i in range(k)]
-            frag = expand_duplicates(body, points)
-            assert len(frag.joints) == k * len(body.joints)
-            assert len(frag.links) == k * (len(body.links) - 1)
+            body = evaluate(duplicated_revolute([(0.3 * i, 0, 0) for i in range(k)]))
+            assert len(body.joints) == k * len(source.joints)
+            assert len(body.links) - 1 == k * (len(source.links) - 1)
 
     def test_single_point_at_origin_matches_original(self):
-        base = build_pattern("simple_revolute")
-        body = evaluate(base)
-        frag = expand_duplicates(body, [(0, 0, 0)])
-        rod = body.link("rod_0")
-        copy = frag.links[0]
-        np.testing.assert_array_equal(copy.mesh.vertices, rod.mesh.vertices)
+        source = evaluate(build_pattern("simple_revolute"))
+        root, copy = evaluate(duplicated_revolute([(0, 0, 0)])).links
+        np.testing.assert_array_equal(root.mesh.vertices, source.link("base_0").mesh.vertices)
+        np.testing.assert_array_equal(copy.mesh.vertices, source.link("rod_0").mesh.vertices)
         assert copy.label == "rod_0"
 
     def test_expansion_ids_labels_and_placement(self):
-        body = evaluate(build_pattern("simple_revolute"))
-        rod, hinge = body.link("rod_0"), body.joints[0]
+        source = evaluate(build_pattern("simple_revolute"))
+        rod, hinge = source.link("rod_0"), source.joints[0]
         points = [(0.5, 0.0, 0.0), (0.0, 0.25, -0.5)]
-        frag = expand_duplicates(body, points)
-        assert [(l.link_id, l.label, l.template) for l in frag.links] == [
+        body = evaluate(duplicated_revolute(points))
+        copies = body.links[1:]
+        assert [(l.link_id, l.label, l.template) for l in copies] == [
             ("rod_0_0", "rod_0", f"{rod.template}@0"),
-            ("rod_0_1", "rod_1", f"{rod.template}@1"),
+            ("rod_1_0", "rod_1", f"{rod.template}@1"),
         ]
-        assert [(j.joint_id, j.parent, j.child) for j in frag.joints] == [
-            ("hinge_0_0", "base_0", "rod_0_0"),
-            ("hinge_0_1", "base_0", "rod_0_1"),
+        assert [(j.joint_id, j.parent, j.child) for j in body.joints] == [
+            ("hinge_0_0", "part_0", "rod_0_0"),
+            ("hinge_1_0", "part_0", "rod_1_0"),
         ]
-        for k, (point, link, joint) in enumerate(zip(points, frag.links, frag.joints)):
+        for k, (point, link, joint) in enumerate(zip(points, copies, body.joints)):
             np.testing.assert_array_equal(link.mesh.vertices, rod.mesh.vertices + point)
             np.testing.assert_array_equal(link.mesh.triangles, rod.mesh.triangles)
             np.testing.assert_array_equal(joint.spec.pivot, np.add(hinge.spec.pivot, point))
@@ -477,8 +485,6 @@ class TestDuplicates:
     def test_copies_leave_the_anchor_root_untransformed(self, monkeypatch):
         import artigen.evaluate as evaluate_module
 
-        body = evaluate(build_pattern("simple_revolute"))
-        root_mesh = body.link(body.root_link).mesh
         moved = []
         apply = evaluate_module.apply_transform
 
@@ -487,9 +493,23 @@ class TestDuplicates:
             return apply(mesh, transform)
 
         monkeypatch.setattr(evaluate_module, "apply_transform", recording_apply)
-        expand_duplicates(body, [(0.5, 0.0, 0.0), (0.0, 0.25, -0.5)])
-        assert len(moved) == 2 * (len(body.links) - 1)
+        body = evaluate(duplicated_revolute([(0.5, 0.0, 0.0), (0.0, 0.25, -0.5)]))
+        root_mesh = body.link(body.root_link).mesh
+        assert len(moved) == 1 + 2  # the rod's placement, then one per copy
         assert not any(mesh is root_mesh for mesh in moved)
+
+    def test_empty_points_and_jointless_bodies_accepted(self):
+        body = evaluate(duplicated_revolute([]))
+        assert [l.link_id for l in body.links] == ["part_0"] and body.joints == ()
+        # a jointless body merges one translated copy per point into the parent root
+        g = NodeGraph()
+        parent, box = box_node(g), box_node(g, (0.1, 0.1, 0.1))
+        dup = g.add_node(DUPLICATE, {"points": [(1, 0, 0), (2, 0, 0)]})
+        g.connect(parent, dup, "parent")
+        g.connect(box, dup, "body")
+        g.set_output(dup)
+        (root,) = evaluate(g).links
+        assert root.mesh.n_vertices == 3 * 8  # the parent box and two copies
 
     def test_points_reference_rejected_on_ingest_and_load(self):
         with pytest.raises(InvalidParameterError, match="points"):
@@ -509,13 +529,6 @@ class TestDuplicates:
         dup["params"]["points"][1][2] = bad
         with pytest.raises(InvalidParameterError, match="duplicate_joints_on_points.points"):
             NodeGraph.deserialize(json.dumps(doc))
-
-    def test_empty_points_rejected(self):
-        body = evaluate(build_pattern("simple_revolute"))
-        with pytest.raises(InvalidParameterError):
-            expand_duplicates(body, [])
-        with pytest.raises(InvalidParameterError):
-            expand_duplicates(evaluate(build_pattern_jointless()), [(0, 0, 0)])
 
 
 class TestMerge:
@@ -576,22 +589,10 @@ def _pattern_or_category(source):
 def test_link_and_joint_ids_are_names(source):
     g, params, instance = _pattern_or_category(source)
     body = evaluate(g, params)
-    frag = expand_duplicates(body, [(0.1 * k, 0.0, 0.0) for k in range(4)])
-    for links, joints in (
-        (body.links, body.joints),
-        (frag.links, frag.joints),
-        (instance.links, instance.joints),
-    ):
+    for links, joints in ((body.links, body.joints), (instance.links, instance.joints)):
         ids = [l.link_id for l in links]
         ids += [x for j in joints for x in (j.joint_id, j.parent, j.child)]
         assert ids and all(type(x) is str for x in ids), ids
-
-
-def build_pattern_jointless():
-    g = NodeGraph()
-    b = g.add_node(PRIMITIVE, {"shape": "box"})
-    g.set_output(b)
-    return g
 
 
 class TestInjectLabels:
@@ -789,5 +790,8 @@ class TestScrewComposite:
         g.connect(g.output_node, j, "parent")
         g.connect(rod2_transform, j, "child")
         g.set_output(j)
-        with pytest.raises(StructuralError):
-            evaluate(g)
+        for consumer in (evaluate, lambda g: instantiate(None, g, ParamVector({}))):
+            with pytest.raises(StructuralError):
+                consumer(g)
+        with pytest.raises(StructuralError, match="two distinct parents"):
+            extract_blueprint(g)

@@ -135,8 +135,10 @@ class TestOverrides:
 
     def test_unknown_override_name(self):
         space = ParameterSpace({"x": Continuous(0, 1)})
-        with pytest.raises(MissingParameterError):
+        with pytest.raises(MissingParameterError, match="'y'"):
             sample_parameters(space, 0, overrides={"y": {"fixed": 1}})
+        with pytest.raises(MissingParameterError, match="'y'"):
+            merge_overrides(space, {"y": {"fixed": 1}})
 
     @pytest.mark.parametrize(
         "category, overrides",
