@@ -7,7 +7,7 @@ from functools import lru_cache
 from ..blueprint import AssetInstance, instantiate
 from ..errors import InvalidParameterError
 from ..graph import GraphBuilder
-from ..params import ParamVector, merge_overrides, sample_parameters
+from ..params import ParamVector, _draw_parameters, merge_overrides
 from . import dishwasher, door, fridge, lamp, toaster
 from .common import CategoryGenerator, VariationCount, count_variations
 
@@ -39,13 +39,15 @@ def build_instance(
     salt: str | None = None,
     params: ParamVector | None = None,
 ) -> AssetInstance:
-    """Sample (or reuse) parameters, build the graph, and realize one asset."""
+    """Sample (or reuse) parameters, build the graph, and realize one asset.
+    The overrides are checked once, before the graph is built."""
     gen = get_generator(category)
+    space = merge_overrides(gen.space, overrides)
     if params is None:
-        params = sample_parameters(gen.space, seed, overrides=overrides, salt=salt)
+        params = _draw_parameters(gen.space, seed, overrides or {}, salt)
     graph = gen.build(params)
     if overrides:
-        graph.parameters = merge_overrides(graph.parameters, overrides)
+        graph.parameters = space
     return instantiate(gen.blueprint, graph, params, category=category)
 
 

@@ -149,18 +149,6 @@ class RigidTransform:
     def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
         return self.compose(other)
 
-    def inverse(self) -> "RigidTransform":
-        q_inv = self.rotation * np.array([1.0, -1.0, -1.0, -1.0])
-        rot = RigidTransform(q_inv, np.zeros(3))
-        return RigidTransform(q_inv, -rot.apply(self.translation))
-
-    def almost_equal(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
-        dq = min(
-            np.abs(self.rotation - other.rotation).max(),
-            np.abs(self.rotation + other.rotation).max(),
-        )
-        return dq <= tol and np.abs(self.translation - other.translation).max() <= tol
-
 
 @dataclass(frozen=True)
 class Aabb:
@@ -198,9 +186,6 @@ class Aabb:
         return bool(
             np.all(self.min <= other.max + margin) and np.all(other.min <= self.max + margin)
         )
-
-    def contains(self, other: "Aabb", tol: float = 0.0) -> bool:
-        return bool(np.all(self.min - tol <= other.min) and np.all(other.max <= self.max + tol))
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,21 @@ GraphBuilder, the helper that builds the patterns and the generators.
 Geometry-typed ports carry articulated bodies (a plain primitive is a body with
 one link and no joints), scalar ports carry numbers. A graph is mutable while
 it is being built and should be treated as frozen once validated.
+
+Validation is the one structural gate. It checks each node's local rules and
+then makes one symbolic walk over the graph, which keeps link identity as
+evaluation keeps it and rejects every graph that cannot become one kinematic
+tree. `artigen.blueprint` writes that walk out as the blueprint, so a graph
+that validates always has one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -428,7 +436,18 @@ class NodeGraph:
     # --- validation -----------------------------------------------------------
 
     def validate(self) -> list[Diagnostic]:
-        """Composition diagnostics; an empty list means the graph is exportable."""
+        """Composition diagnostics; an empty list means the graph is exportable
+        and has a kinematic blueprint."""
+        return self.structure()[0]
+
+    def structure(self) -> tuple[list[Diagnostic], "_SymBody | None"]:
+        """The diagnostics of `validate`, and with none the output's symbolic
+        body, which `extract_blueprint` turns into the blueprint.
+
+        The local rules (wiring, ports, parameter names, literal selectors,
+        output kind) and the cycle check run first. Only a graph that passes
+        them gets the symbolic walk, whose rejections are the link-set and
+        shape diagnostics."""
         diags: list[Diagnostic] = []
         if self.output_node is None:
             diags.append(Diagnostic("no-output", "graph has no output node"))
@@ -495,106 +514,12 @@ class NodeGraph:
             order = self.topo_order()
         except GraphCycleError:
             diags.append(Diagnostic("graph-cycle", "graph contains a cycle"))
-            return diags
-
-        diags.extend(self._link_set_diagnostics(order))
-        return diags
-
-    def _abstract_bodies(self, topo_order: list[str]):
-        """Per-node abstract body: list of (root_token, frozenset of link tokens).
-
-        Multiple entries model switch variants; a list holds each distinct
-        entry once, in first-seen order. Mirrors evaluation identity:
-        transforms copy links, merges fuse roots into a fresh link.
-        """
-        values: dict[str, list[tuple]] = {}
-        for nid in topo_order:
-            node = self.nodes[nid]
-            kind = node.kind
-
-            def inputs_for(prefix):
-                idx = 0
-                out = []
-                while f"{prefix}{idx}" in node.inputs:
-                    out.append(node.inputs[f"{prefix}{idx}"])
-                    idx += 1
-                return out
-
-            if kind == PRIMITIVE:
-                values[nid] = [(nid, frozenset([nid]))]
-            elif kind in (SEMANTIC_LABEL, STORE_ATTRIBUTE):
-                src = node.inputs.get("geometry")
-                values[nid] = values.get(src, [(nid, frozenset([nid]))])
-            elif kind == TRANSFORM:
-                src = node.inputs.get("geometry")
-                outs = []
-                for root, tokens in values.get(src, []):
-                    rename = {t: f"{nid}:{t}" for t in tokens}
-                    outs.append((rename[root], frozenset(rename.values())))
-                values[nid] = outs or [(nid, frozenset([nid]))]
-            elif kind == MERGE:
-                tokens = {nid}
-                for src in inputs_for("geometry_"):
-                    for root, toks in values.get(src, []):
-                        tokens |= set(toks) - {root}
-                values[nid] = [(nid, frozenset(tokens))]
-            elif kind == SWITCH:
-                outs = []
-                for src in inputs_for("option_"):
-                    outs.extend(values.get(src, []))
-                values[nid] = list(dict.fromkeys(outs)) or [(nid, frozenset([nid]))]
-            elif kind in JOINT_KINDS:
-                parents = values.get(node.inputs.get("parent"), [])
-                children = values.get(node.inputs.get("child"), [])
-                outs = []
-                for proot, ptoks in parents or [(nid, frozenset())]:
-                    for _croot, ctoks in children or [(nid, frozenset())]:
-                        outs.append((proot, ptoks | ctoks))
-                values[nid] = list(dict.fromkeys(outs))
-            elif kind == DUPLICATE:
-                parents = values.get(node.inputs.get("parent"), [])
-                bodies = values.get(node.inputs.get("body"), [])
-                outs = []
-                for proot, ptoks in parents or [(nid, frozenset())]:
-                    extra = set()
-                    for broot, btoks in bodies:
-                        extra |= {f"{nid}:{t}" for t in btoks - {broot}}
-                    outs.append((proot, ptoks | extra))
-                values[nid] = outs
-            else:  # scalar nodes produce no body
-                values[nid] = []
-        return values
-
-    def _link_set_diagnostics(self, topo_order: list[str]) -> list[Diagnostic]:
-        diags = []
-        values = self._abstract_bodies(topo_order)
-        for nid, node in self.nodes.items():
-            if node.kind not in JOINT_KINDS:
-                continue
-            parents = values.get(node.inputs.get("parent"), [])
-            children = values.get(node.inputs.get("child"), [])
-            for _proot, ptoks in parents:
-                for _croot, ctoks in children:
-                    if not ptoks or not ctoks:
-                        continue
-                    relation = link_set_relation(ptoks, ctoks)
-                    if relation == "equal":
-                        diags.append(
-                            Diagnostic(
-                                "joint-self-loop",
-                                "joint child geometry is also its parent geometry",
-                                nid,
-                            )
-                        )
-                    elif relation == "overlapping":
-                        diags.append(
-                            Diagnostic(
-                                "joint-link-overlap",
-                                "joint parent and child share links without being nested",
-                                nid,
-                            )
-                        )
-        return diags
+            return diags, None
+        if diags:
+            return diags, None
+        walk = _SymbolicWalk(self)
+        body = walk.run(order)
+        return walk.diagnostics, body
 
     # --- serialization --------------------------------------------------------
 
@@ -708,36 +633,308 @@ def _decode_param(value):
     return value
 
 
-def inject_label_attributes(graph: NodeGraph) -> NodeGraph:
-    """Insert a StoreAttribute node on every geometry feed of a joint or
-    duplication port, assigning a stable link-label id to every face.
+# --- the symbolic walk ----------------------------------------------------------
 
-    Idempotent: feeds that already come from a StoreAttribute node are left
-    alone, and labels already present on faces are never overwritten.
-    """
-    clone = NodeGraph.deserialize(graph.serialize())
-    targets = []
-    for nid in clone.topo_order():
-        node = clone.nodes[nid]
-        if node.kind in JOINT_KINDS:
-            targets.extend((nid, port) for port in ("parent", "child"))
-        elif node.kind == DUPLICATE:
-            targets.extend((nid, port) for port in ("parent", "body"))
-    next_label = 0
-    for nid, port in targets:
-        src = clone.nodes[nid].inputs.get(port)
-        if src is None:
-            continue
-        if clone.nodes[src].kind == STORE_ATTRIBUTE:
-            next_label = max(next_label, clone.nodes[src].params["value"] + 1)
-            continue
-        store = clone.add_node(
-            STORE_ATTRIBUTE, {"name": "link_label", "value": next_label}
-        )
-        next_label += 1
-        clone.connect(src, store, "geometry")
-        clone.connect(store, nid, port)
-    return clone
+
+class _Rejected(Exception):
+    """A node that the symbolic walk cannot place in one kinematic tree."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+class _SymLink(NamedTuple):
+    token: int
+    source: str
+    label: str | None
+    options: tuple = ()  # a plain switch's option links: it is the selected one
+
+
+class _SymJoint(NamedTuple):
+    joints: tuple[Node, ...]  # the joint nodes; more than one marks a composite pair
+    child: object  # _SymBody | _SymVariant
+
+
+class _SymRepeat(NamedTuple):
+    count_param: str | None
+    attachments: tuple  # joints hanging off the anchor, replicated per point
+    static_source: str | None  # jointless bodies merge geometry into the parent
+
+
+class _SymVariantJoint(NamedTuple):
+    switch: Node
+    options: tuple  # per switch option, its one _SymJoint, or None
+
+
+class _SymBody(NamedTuple):
+    root: _SymLink
+    attachments: tuple = ()
+
+
+class _SymVariant(NamedTuple):
+    switch: Node
+    options: tuple
+
+
+def _port_family(node: Node, prefix: str):
+    """The sources wired to `prefix`0, `prefix`1, ... in port order."""
+    idx = 0
+    while f"{prefix}{idx}" in node.inputs:
+        yield node.inputs[f"{prefix}{idx}"]
+        idx += 1
+
+
+class _SymbolicWalk:
+    """Symbolic evaluation of every geometry node of a graph that passed the
+    local rules of `NodeGraph.validate`.
+
+    Numeric values are not read, so every graph a generator builds walks to
+    one structure. Switches over articulated bodies become variants and
+    duplicate nodes repeat groups. Link identity follows evaluation: a
+    transform copies every link, a merge fuses its inputs' roots into a new
+    link and copies a body it takes twice, a switch is its selected option,
+    and each duplicated copy is new. Each joint is decided by
+    `link_set_relation` over every pair of its parent's and child's possible
+    link sets before a composite pair is looked for. A node that cannot join
+    one kinematic tree becomes a Diagnostic, and the nodes downstream of it
+    are not walked."""
+
+    def __init__(self, graph: NodeGraph):
+        self.graph = graph
+        self.values: dict[str, object] = {}
+        self.diagnostics: list[Diagnostic] = []
+        self._factored: dict[int, _SymBody] = {}
+        self._tokens: dict[int, tuple] = {}  # id -> (value, its tokens)
+        self.fresh_token = itertools.count(1).__next__  # link tokens in creation order
+
+    def run(self, order: list[str]) -> _SymBody | None:
+        """Walk the nodes in topological order; the output's body, or None
+        when any node was rejected."""
+        visits = {
+            kind: getattr(self, f"_visit_{kind}")
+            for kind, spec in _KINDS.items()
+            if spec.output == GEOMETRY
+        }
+        failed: set[str] = set()
+        for nid in order:
+            node = self.graph.nodes[nid]
+            visit = visits.get(node.kind)
+            if visit is None:  # scalar nodes make no body
+                continue
+            if failed and not failed.isdisjoint(node.inputs.values()):
+                failed.add(nid)
+                continue
+            try:
+                self.values[nid] = visit(node)
+            except _Rejected as exc:
+                failed.add(nid)
+                self.diagnostics.append(Diagnostic(exc.code, str(exc), nid))
+        if self.diagnostics:
+            return None
+        try:
+            return self.as_body(self.values[self.graph.output_node])
+        except _Rejected as exc:
+            self.diagnostics.append(Diagnostic(exc.code, str(exc), self.graph.output_node))
+            return None
+
+    def as_body(self, value) -> _SymBody:
+        """`value` as one body: a variant factors into its shared root plus a
+        variant joint, memoized so that repeated consumers share attachments."""
+        if isinstance(value, _SymBody):
+            return value
+        key = id(value)
+        if key not in self._factored:
+            self._factored[key] = _factor_variant(value)
+        return self._factored[key]
+
+    def tokens(self, value) -> frozenset:
+        """Every link token `value` can evaluate to, under any switch options;
+        memoized per value (which the memo keeps alive, so ids stay unique),
+        since bodies share attachments."""
+        if isinstance(value, _SymBody) and not value.attachments:
+            value = value.root
+        if isinstance(value, _SymLink) and not value.options:
+            return frozenset((value.token,))
+        hit = self._tokens.get(id(value))
+        if hit is None:
+            tokens = frozenset().union(*map(self.tokens, _parts(value)[1]))
+            hit = self._tokens[id(value)] = (value, tokens)
+        return hit[1]
+
+    def _visit_primitive(self, node):
+        return _SymBody(_SymLink(self.fresh_token(), node.node_id, None))
+
+    def _visit_semantic_label(self, node):
+        return _relabel(self.values[node.inputs["geometry"]], node.params["label"], force=True)
+
+    def _visit_store_attribute(self, node):
+        return self.values[node.inputs["geometry"]]
+
+    def _visit_transform(self, node):
+        return self._retoken(self.values[node.inputs["geometry"]])
+
+    def _retoken(self, value):
+        """`value` with every link new, as a copy made in evaluation."""
+        if isinstance(value, _SymVariant):
+            return _SymVariant(value.switch, tuple(map(self._retoken, value.options)))
+        root = _SymLink(self.fresh_token(), value.root.source, value.root.label)
+        return _SymBody(root, tuple(map(self._retoken_attachment, value.attachments)))
+
+    def _retoken_attachment(self, att):
+        if isinstance(att, _SymJoint):
+            return _SymJoint(att.joints, self._retoken(att.child))
+        if isinstance(att, _SymRepeat):
+            return att._replace(attachments=tuple(map(self._retoken_attachment, att.attachments)))
+        options = tuple(o and self._retoken_attachment(o) for o in att.options)
+        return _SymVariantJoint(att.switch, options)
+
+    def _visit_merge(self, node):
+        bodies = []
+        seen: set[int] = set()
+        for src in _port_family(node, "geometry_"):
+            value = self.values[src]
+            if isinstance(value, _SymVariant):
+                message = "merge cannot take switch variants with joints"
+                raise _Rejected("switch-variant-merge", message)
+            if not seen.isdisjoint(self.tokens(value)):
+                value = self._retoken(value)
+            seen |= self.tokens(value)
+            bodies.append(value)
+        label = next((b.root.label for b in bodies if b.root.label), None)
+        atts = tuple(a for b in bodies for a in b.attachments)
+        return _SymBody(_SymLink(self.fresh_token(), node.node_id, label), atts)
+
+    def _visit_switch(self, node):
+        options = [self.values[src] for src in _port_family(node, "option_")]
+        if all(isinstance(o, _SymBody) and not o.attachments for o in options):
+            labels = {o.root.label for o in options}
+            label = labels.pop() if len(labels) == 1 else None
+            roots = tuple(o.root for o in options)
+            return _SymBody(_SymLink(self.fresh_token(), node.node_id, label, roots))
+        return _SymVariant(node, tuple(options))
+
+    def _visit_joint(self, node):
+        parent = self.as_body(self.values[node.inputs["parent"]])
+        child = self.values[node.inputs["child"]]
+        relations = set()
+        if not self.tokens(parent).isdisjoint(self.tokens(child)):
+            for parent_links in _link_sets(parent):
+                relations.update(link_set_relation(parent_links, c) for c in _link_sets(child))
+        if "equal" in relations:
+            raise _Rejected("joint-self-loop", "joint child geometry is also its parent geometry")
+        if "overlapping" in relations:
+            raise _Rejected(
+                "joint-link-overlap", "joint parent and child share links without being nested"
+            )
+        if "nested" in relations:
+            return _append_composite(parent, child, node)
+        relabeled = _relabel(child, node.params["child_label"])
+        root = parent.root
+        if node.params["parent_label"] and root.label is None:
+            root = root._replace(label=node.params["parent_label"])
+        return _SymBody(root, parent.attachments + (_SymJoint((node,), relabeled),))
+
+    _visit_joint_revolute = _visit_joint_prismatic = _visit_joint
+
+    def _visit_duplicate_joints_on_points(self, node):
+        parent = self.as_body(self.values[node.inputs["parent"]])
+        body = self.values[node.inputs["body"]]
+        if isinstance(body, _SymVariant):
+            message = "duplicate cannot replicate switch variants"
+            raise _Rejected("switch-variant-duplicate", message)
+        count_param = node.params.get("count_param")
+        if body.attachments:
+            copies = tuple(map(self._retoken_attachment, body.attachments))
+            group = _SymRepeat(count_param, copies, None)
+        else:
+            group = _SymRepeat(count_param, (), body.root.source)
+        return _SymBody(parent.root, parent.attachments + (group,))
+
+
+def _append_composite(parent: _SymBody, child, joint: Node) -> _SymBody:
+    """`parent` with `joint` added to its joint into `child`'s root: the
+    second joint of a pair that `parent` already holds."""
+    if isinstance(child, _SymBody):
+        if child.root.token == parent.root.token:
+            raise _Rejected("joint-self-loop", "joint child is its parent's root link")
+        for k, att in enumerate(parent.attachments):
+            if (
+                isinstance(att, _SymJoint)
+                and isinstance(att.child, _SymBody)
+                and att.child.root.token == child.root.token
+            ):
+                composite = _SymJoint(att.joints + (joint,), att.child)
+                atts = parent.attachments[:k] + (composite,) + parent.attachments[k + 1:]
+                return _SymBody(parent.root, atts)
+    raise _Rejected("joint-two-parents", "joint would give a link a second parent")
+
+
+def _relabel(value, label: str | None, force: bool = False):
+    """`value` with `label` on its root (on each option's root), where the
+    root has no label yet or `force` is set."""
+    if label is None:
+        return value
+    if isinstance(value, _SymVariant):
+        return _SymVariant(value.switch, tuple(_relabel(o, label, force) for o in value.options))
+    if force or value.root.label is None:
+        return _SymBody(value.root._replace(label=label), value.attachments)
+    return value
+
+
+def _parts(value) -> tuple[bool, tuple]:
+    """Whether `value` evaluates to one of its parts (a switch), and the
+    parts; otherwise it evaluates to all of them."""
+    if isinstance(value, (_SymVariant, _SymVariantJoint, _SymLink)):
+        return True, value.options
+    if isinstance(value, _SymBody):
+        return False, (value.root,) + value.attachments
+    if isinstance(value, _SymRepeat):
+        return False, value.attachments
+    if isinstance(value, _SymJoint):
+        return False, (value.child,)
+    return False, ()  # an option that adds no joint
+
+
+def _link_sets(value) -> set[frozenset]:
+    """The link-token sets `value` can evaluate to, one per choice of options."""
+    if isinstance(value, _SymLink) and not value.options:
+        return {frozenset((value.token,))}
+    choose, parts = _parts(value)
+    if choose:
+        return set().union(*map(_link_sets, parts))
+    sets = {frozenset()}
+    for part in parts:
+        sets = {a | b for a in sets for b in _link_sets(part)}
+    return sets
+
+
+def _factor_variant(variant: _SymVariant) -> _SymBody:
+    """Rewrite a switch over bodies that share one root link as that root plus
+    a variant joint (one optional joint/subtree per branch)."""
+    options = [o for o in variant.options if isinstance(o, _SymBody)]
+    roots = {o.root.token for o in options}
+    if len(options) != len(variant.options) or len(roots) != 1:
+        message = "switch branches used as one body must share one root link"
+        raise _Rejected("switch-variant-parent", message)
+    base = options[0]
+    shared = [o.attachments for o in options]
+    common = 0
+    min_len = min(len(a) for a in shared)
+    while common < min_len and all(a[common] is shared[0][common] for a in shared):
+        common += 1
+    branches = []
+    for atts in shared:
+        extra = atts[common:]
+        if not extra:
+            branches.append(None)
+        elif len(extra) == 1 and isinstance(extra[0], _SymJoint):
+            branches.append(extra[0])
+        else:
+            message = "switch branches used as one body must add at most one joint each"
+            raise _Rejected("switch-variant-parent", message)
+    variant_joint = _SymVariantJoint(variant.switch, tuple(branches))
+    return _SymBody(base.root, base.attachments[:common] + (variant_joint,))
 
 
 # --- building -----------------------------------------------------------------

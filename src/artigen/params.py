@@ -280,10 +280,17 @@ def sample_parameters(
     Continuous overrides accept {"lo", "hi"}, {"fixed"}, or {"mean", "std"}
     (normal, clamped). Discrete/Count accept {"fixed"} or {"choices": [...]}.
     """
-    if salt is None:
-        salt = os.environ.get(SALT_ENV_VAR, "")
     overrides = overrides or {}
     _check_overrides(space, overrides)
+    return _draw_parameters(space, seed, overrides, salt)
+
+
+def _draw_parameters(
+    space: ParameterSpace, seed: int, overrides: Mapping[str, Mapping], salt: str | None
+) -> ParamVector:
+    """`sample_parameters` for overrides that `_check_overrides` accepted."""
+    if salt is None:
+        salt = os.environ.get(SALT_ENV_VAR, "")
     values: dict[str, float | int] = {}
     for name, entry in space.entries.items():
         rng = _substream(salt, seed, name)

@@ -1,10 +1,10 @@
-"""Shared oracles for round-trip checks and blueprint trees, and a
-duplication fixture."""
+"""Shared oracles for round-trip checks and blueprint trees, a duplication
+fixture and a graph whose joints give one link two parents."""
 
 import numpy as np
 
 from artigen.export import _names
-from artigen.graph import DUPLICATE
+from artigen.graph import DUPLICATE, JOINT_REVOLUTE
 from artigen.patterns import build_pattern
 
 
@@ -19,6 +19,24 @@ def duplicated_revolute(points):
     g.connect(hinged, dup, "body")
     g.set_output(dup)
     return g
+
+
+def two_parent_graph():
+    """`chained_joints` with its upper rod also jointed to the whole body, so
+    that the upper rod gets two distinct parents; returns the graph and the
+    id of the added joint."""
+    g = build_pattern("chained_joints")
+    (upper_rod,) = [
+        nid for nid, node in g.nodes.items()
+        if node.kind == "transform" and node.params["translate_z"] == 0.5
+    ]
+    j = g.add_node(
+        JOINT_REVOLUTE, {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+    )
+    g.connect(g.output_node, j, "parent")
+    g.connect(upper_rod, j, "child")
+    g.set_output(j)
+    return g, j
 
 
 def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-9, limit_tol=1e-9):

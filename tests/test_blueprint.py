@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import artigen.graph
 from artigen.blueprint import (
     extract_blueprint,
     forward_kinematics,
@@ -57,6 +58,20 @@ class TestExtraction:
         _, _, repeats = blueprint_parts(extract_blueprint(build_pattern("duplicated_bodies")).tree)
         assert len(repeats) == 1
 
+
+    def test_one_symbolic_walk_per_extraction(self, monkeypatch):
+        walks = []
+        init = artigen.graph._SymbolicWalk.__init__
+
+        def counted(self, graph):
+            walks.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(artigen.graph._SymbolicWalk, "__init__", counted)
+        graphs = [build_pattern(name) for name in PATTERN_NAMES]
+        for g in graphs:
+            extract_blueprint(g)
+        assert walks == graphs
 
 class TestSignature:
     def test_signature_sees_structure_not_numbers(self):

@@ -7,6 +7,8 @@ import pytest
 from artigen.cli import main
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
+from helpers import two_parent_graph
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -285,6 +287,15 @@ class TestValidate:
         code, out, _ = run(["validate", str(path)], capsys)
         assert code == 1
         assert out.splitlines() == ["output-not-geometry [sum]: output is a scalar_math node"]
+
+    def test_two_parents_exit_1(self, tmp_path, capsys):
+        graph, joint = two_parent_graph()
+        path = tmp_path / "two_parents.json"
+        path.write_text(graph.serialize())
+        code, out, _ = run(["validate", str(path)], capsys)
+        assert code == 1
+        message = "joint would give a link a second parent"
+        assert out.splitlines() == [f"joint-two-parents [{joint}]: {message}"]
 
     def test_truncated_exit_2(self, tmp_path, capsys):
         text = build_pattern("simple_revolute").serialize()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import artigen.blueprint
+import artigen.generators.common
+import artigen.graph
 from artigen.blueprint import extract_blueprint, forward_kinematics, instantiate
 from artigen.generators import (
     CATEGORY_NAMES,
@@ -436,7 +438,7 @@ class TestBlueprintInvariance:
     def test_build_validates_once_and_never_extracts(self, monkeypatch):
         for category in CATEGORY_NAMES:  # warm-up: the category blueprints exist
             build_instance(category, 0, salt="")
-        calls = {"validate": 0, "extract": 0, "pose": 0}
+        calls = {"validate": 0, "walk": 0, "extract": 0, "pose": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -445,16 +447,19 @@ class TestBlueprintInvariance:
             return wrapper
 
         monkeypatch.setattr(NodeGraph, "validate", counted("validate", NodeGraph.validate))
-        monkeypatch.setattr(
-            artigen.blueprint._Extractor, "__init__",
-            counted("extract", artigen.blueprint._Extractor.__init__),
-        )
+        walk = artigen.graph._SymbolicWalk
+        monkeypatch.setattr(walk, "__init__", counted("walk", walk.__init__))
+        # the category blueprint is cached, so a build constructs none
+        for module in (artigen.blueprint, artigen.generators.common):
+            extract = module.extract_blueprint
+            monkeypatch.setattr(module, "extract_blueprint", counted("extract", extract))
         # instantiate needs no link poses, so a build never poses the tree
         monkeypatch.setattr(KinematicTree, "pose", counted("pose", KinematicTree.pose))
         for category in CATEGORY_NAMES:
             for seed in (1, 2):
                 build_instance(category, seed, salt="")
-        assert calls == {"validate": 2 * len(CATEGORY_NAMES), "extract": 0, "pose": 0}
+        builds = 2 * len(CATEGORY_NAMES)
+        assert calls == {"validate": builds, "walk": builds, "extract": 0, "pose": 0}
 
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_category_blueprint_matches_each_seed(self, category):

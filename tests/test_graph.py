@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,7 +20,6 @@ from artigen.errors import (
     PortTypeError,
     RangeError,
     SchemaError,
-    StructuralError,
 )
 from artigen.blueprint import extract_blueprint, instantiate
 from artigen.evaluate import evaluate
@@ -29,19 +30,20 @@ from artigen.graph import (
     MERGE,
     PRIMITIVE,
     SCALAR_MATH,
+    SEMANTIC_LABEL,
+    STORE_ATTRIBUTE,
     SWITCH,
     TRANSFORM,
     JointSpec,
     NodeGraph,
     ParamRef,
-    inject_label_attributes,
     link_set_relation,
 )
 from artigen.generators import CATEGORY_NAMES, build_instance, get_generator
 from artigen.params import Continuous, Count, ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
-from helpers import duplicated_revolute
+from helpers import duplicated_revolute, two_parent_graph
 
 
 def box_node(g, dims=(1, 1, 1)):
@@ -116,6 +118,16 @@ class TestConstruction:
         loaded = NodeGraph.deserialize(g.serialize())
         with pytest.raises(GraphCycleError):
             loaded.connect(t1, t2, "geometry")
+
+    def test_forward_wire_closing_a_cycle_through_a_store_rejected(self):
+        # The store is added after the joint and feeds it: a backward wire.
+        g = build_pattern("simple_revolute")
+        joint = g.output_node
+        store = g.add_node(STORE_ATTRIBUTE, {"name": "link_label", "value": 0})
+        g.connect(g.node(joint).inputs["child"], store, "geometry")
+        g.connect(store, joint, "child")
+        with pytest.raises(GraphCycleError):
+            g.connect(joint, store, "geometry")
 
     def test_loaded_wire_from_a_missing_node_counts_as_backward(self):
         g = NodeGraph()
@@ -265,6 +277,82 @@ class TestValidate:
         diags = g.validate()
         assert [d.code for d in diags] == ["joint-self-loop"]
         assert diags[0].node_id == j
+
+    @pytest.mark.parametrize(
+        "kind, code",
+        [
+            (MERGE, "switch-variant-merge"),
+            (DUPLICATE, "switch-variant-duplicate"),
+            (JOINT_REVOLUTE, "switch-variant-parent"),
+            (SWITCH, "switch-variant-parent"),
+        ],
+    )
+    def test_switch_over_jointed_bodies_diagnosed(self, kind, code):
+        # A switch between two hinged pairs on their own bases has no shared
+        # root: a merge cannot fuse it, a duplicate cannot copy it, and
+        # neither a joint's parent nor the output can be it.
+        g = NodeGraph()
+        spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+        sw = g.add_node(SWITCH, {"select": 0.0})
+        for i in range(2):
+            hinge = g.add_node(JOINT_REVOLUTE, spec)
+            g.connect(box_node(g), hinge, "parent")
+            g.connect(box_node(g), hinge, "child")
+            g.connect(hinge, sw, f"option_{i}")
+        if kind == MERGE:
+            node = g.add_node(MERGE, {})
+            g.connect(sw, node, "geometry_0")
+            g.connect(box_node(g), node, "geometry_1")
+        elif kind == DUPLICATE:
+            node = g.add_node(DUPLICATE, {"points": [(0, 0, 0)]})
+            g.connect(box_node(g), node, "parent")
+            g.connect(sw, node, "body")
+        elif kind == JOINT_REVOLUTE:
+            node = g.add_node(JOINT_REVOLUTE, spec)
+            g.connect(sw, node, "parent")
+            g.connect(box_node(g), node, "child")
+        else:
+            node = sw
+        g.set_output(node)
+        assert [(d.code, d.node_id) for d in g.validate()] == [(code, node)]
+        with pytest.raises(InvalidParameterError, match="graph does not validate"):
+            evaluate(g)
+
+    def test_random_graphs_that_validate_build_under_every_selection(self):
+        # Small random compositions, each node wired from the last few: every
+        # graph that validates has a blueprint and evaluates to one tree
+        # whichever options its switches select.
+        rng = random.Random(7)
+        spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+        validated = 0
+        for _ in range(300):
+            selectors = [f"s{i}" for i in range(rng.randint(0, 3))]
+            g = NodeGraph(ParameterSpace({s: Count(0, 1) for s in selectors}))
+            pool = [box_node(g) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 7)):
+                select = ParamRef(rng.choice(selectors)) if selectors else 1.0
+                points = [(0, 0, 0), (1, 0, 0)][: rng.randint(0, 2)]
+                kind, params, ports = rng.choice([
+                    (TRANSFORM, {"translate_x": 1.0}, ("geometry",)),
+                    (SEMANTIC_LABEL, {"label": "a"}, ("geometry",)),
+                    (MERGE, {}, ("geometry_0", "geometry_1")),
+                    (SWITCH, {"select": select}, ("option_0", "option_1")),
+                    (JOINT_REVOLUTE, spec, ("parent", "child")),
+                    (JOINT_REVOLUTE, spec, ("parent", "child")),
+                    (DUPLICATE, {"points": points}, ("parent", "body")),
+                ])
+                node = g.add_node(kind, params)
+                for port in ports:
+                    g.connect(rng.choice(pool[-4:]), node, port)
+                pool.append(node)
+            g.set_output(pool[-1])
+            if g.validate():
+                continue
+            validated += 1
+            extract_blueprint(g)
+            for picks in itertools.product((0, 1), repeat=len(selectors)):
+                evaluate(g, ParamVector(dict(zip(selectors, picks))))
+        assert validated > 100
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -436,6 +524,21 @@ class TestEvaluate:
             evaluate(g, ParamVector({"pick": 3}))
 
 
+    def test_store_attribute_fills_only_unlabeled_faces(self):
+        # The inner store labels the first box; the outer one labels the rest.
+        g = NodeGraph()
+        inner = g.add_node(STORE_ATTRIBUTE, {"name": "link_label", "value": 3})
+        g.connect(box_node(g), inner, "geometry")
+        merge = g.add_node(MERGE, {})
+        g.connect(inner, merge, "geometry_0")
+        g.connect(box_node(g, (2, 2, 2)), merge, "geometry_1")
+        outer = g.add_node(STORE_ATTRIBUTE, {"name": "link_label", "value": 7})
+        g.connect(merge, outer, "geometry")
+        g.set_output(outer)
+        (link,) = evaluate(g).links
+        np.testing.assert_array_equal(link.mesh.face_labels, [3] * 12 + [7] * 12)
+
+
 class TestDuplicates:
     def test_grid_of_four(self):
         g = build_pattern("duplicated_bodies")
@@ -595,37 +698,6 @@ def test_link_and_joint_ids_are_names(source):
         assert ids and all(type(x) is str for x in ids), ids
 
 
-class TestInjectLabels:
-    def test_one_joint_inserts_two_stores(self):
-        g = build_pattern("simple_revolute")
-        before = sum(1 for n in g.nodes.values() if n.kind == "store_attribute")
-        out = inject_label_attributes(g)
-        after = sum(1 for n in out.nodes.values() if n.kind == "store_attribute")
-        assert before == 0 and after == 2
-
-    def test_forward_wire_closing_a_cycle_through_a_store_rejected(self):
-        g = build_pattern("simple_revolute")
-        out = inject_label_attributes(g)
-        store = out.nodes[g.output_node].inputs["child"]
-        assert out.nodes[store].kind == "store_attribute"
-        with pytest.raises(GraphCycleError):
-            out.connect(g.output_node, store, "geometry")
-
-    def test_idempotent(self):
-        g = build_pattern("chained_joints")
-        once = inject_label_attributes(g)
-        twice = inject_label_attributes(once)
-        assert once.serialize() == twice.serialize()
-
-    def test_no_unlabeled_faces(self):
-        for name in PATTERN_NAMES:
-            g = inject_label_attributes(build_pattern(name))
-            body = evaluate(g)
-            for link in body.links:
-                assert link.mesh.face_labels is not None, (name, link.link_id)
-                assert (link.mesh.face_labels >= 0).all(), (name, link.link_id)
-
-
 class TestSerde:
     @pytest.mark.parametrize("name", PATTERN_NAMES)
     def test_round_trip_structural_equality(self, name):
@@ -777,21 +849,9 @@ class TestScrewComposite:
         np.testing.assert_allclose(moved, turned + [0, 0, 0.01], atol=1e-12)
 
     def test_two_parents_rejected(self):
-        g = build_pattern("chained_joints")
-        # joint the upper rod directly to the base as well: two distinct parents
-        rod2_transform = None
-        for nid, node in g.nodes.items():
-            if node.kind == "transform" and node.params["translate_z"] == 0.5:
-                rod2_transform = nid
-        j = g.add_node(
-            JOINT_REVOLUTE,
-            {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1},
-        )
-        g.connect(g.output_node, j, "parent")
-        g.connect(rod2_transform, j, "child")
-        g.set_output(j)
-        for consumer in (evaluate, lambda g: instantiate(None, g, ParamVector({}))):
-            with pytest.raises(StructuralError):
+        g, j = two_parent_graph()
+        assert [(d.code, d.node_id) for d in g.validate()] == [("joint-two-parents", j)]
+        consumers = (evaluate, lambda g: instantiate(None, g, ParamVector({})), extract_blueprint)
+        for consumer in consumers:
+            with pytest.raises(InvalidParameterError, match="graph does not validate"):
                 consumer(g)
-        with pytest.raises(StructuralError, match="two distinct parents"):
-            extract_blueprint(g)

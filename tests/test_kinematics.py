@@ -47,7 +47,13 @@ def test_instance_pose_matches_evaluated_pose(case):
         body = evaluate(graph, params, joint_values=config)
         for link in body.links:
             expected = body.world_transforms[link.link_id] @ instance.link(link.link_id).local_frame
-            assert world[link.link_id].almost_equal(expected, tol=1e-12), link.link_id
+            got = world[link.link_id]
+            np.testing.assert_allclose(
+                got.rotation_matrix(), expected.rotation_matrix(), atol=1e-12, err_msg=link.link_id
+            )
+            np.testing.assert_allclose(
+                got.translation, expected.translation, atol=1e-12, err_msg=link.link_id
+            )
 
 
 def test_instance_tree_poses_with_the_evaluated_joint_specs(case):

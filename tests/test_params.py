@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+import artigen.params
 from artigen.errors import InvalidParameterError, MissingParameterError, RangeError
 from artigen.graph import NodeGraph
-from artigen.generators import CATEGORY_NAMES, get_generator
+from artigen.generators import CATEGORY_NAMES, CategoryGenerator, build_instance, get_generator
 from artigen.params import (
     Continuous,
     Count,
@@ -205,6 +206,30 @@ class TestOverrides:
         assert pv["slot_count"] == 3
         assert pv["lever_type"] == 2
 
+
+    def test_build_checks_overrides_once_before_building(self, monkeypatch):
+        calls = {"check": 0, "build": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            artigen.params, "_check_overrides", counted("check", artigen.params._check_overrides)
+        )
+        monkeypatch.setattr(CategoryGenerator, "build", counted("build", CategoryGenerator.build))
+        door = get_generator("door")
+        _ = door.blueprint  # built outside the counts below
+        params = sample_parameters(door.space, 3)
+        calls.update(check=0, build=0)
+        with pytest.raises(MissingParameterError, match="no_such_parameter"):
+            build_instance("door", 3, params=params, overrides={"no_such_parameter": {"fixed": 1}})
+        assert calls == {"check": 1, "build": 0}
+        for given in (None, params):
+            build_instance("door", 3, params=given, overrides={"handle_type": {"fixed": 1}})
+        assert calls == {"check": 3, "build": 2}
 
 class TestCategoryFkConsistency:
     @pytest.mark.parametrize("category", ("door", "lamp"))
