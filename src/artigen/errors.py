@@ -13,10 +13,6 @@ class DegeneracyError(ArtigenError):
     """Geometry too degenerate to process (coplanar hull input, zero-area triangle)."""
 
 
-class GraphCycleError(ArtigenError):
-    """A wiring request or document would make the node graph cyclic."""
-
-
 class PortTypeError(ArtigenError):
     """A connection was attempted between incompatible port types."""
 

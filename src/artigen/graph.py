@@ -6,11 +6,13 @@ Geometry-typed ports carry articulated bodies (a plain primitive is a body with
 one link and no joints), scalar ports carry numbers. A graph is mutable while
 it is being built and should be treated as frozen once validated.
 
-Validation is the one structural gate. It checks each node's local rules and
-then makes one symbolic walk over the graph, which keeps link identity as
-evaluation keeps it and rejects every graph that cannot become one kinematic
-tree. `artigen.blueprint` writes that walk out as the blueprint, so a graph
-that validates always has one.
+Validation is the one structural gate, and the only place that looks for
+cycles: `connect` checks a wire's ends and port type, not what it closes. It
+checks each node's local rules, orders the nodes in one depth-first pass that
+also finds cycles, and then makes one symbolic walk over the nodes the output
+depends on. The walk keeps link identity as evaluation keeps it and rejects
+every graph that cannot become one kinematic tree. `artigen.blueprint` writes
+that walk out as the blueprint, so a graph that validates always has one.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DocumentParseError,
-    GraphCycleError,
-    InvalidParameterError,
-    PortTypeError,
-    SchemaError,
-)
+from .errors import DocumentParseError, InvalidParameterError, PortTypeError, SchemaError
 from .geometry import as_vec3, unit_vector
 from .params import ParameterSpace
 
@@ -313,13 +309,6 @@ class Node:
     params: dict
     inputs: dict = field(default_factory=dict)  # port name -> upstream node id
 
-    def structural_key(self):
-        return (self.node_id, self.kind, _params_key(self.params), tuple(sorted(self.inputs.items())))
-
-
-def _params_key(params: dict):
-    return tuple(sorted((k, repr(v)) for k, v in params.items()))
-
 
 def port_type(kind: str, port: str) -> str | None:
     """Type of an input port on nodes of `kind`, or None if no such port."""
@@ -337,17 +326,14 @@ def port_type(kind: str, port: str) -> str | None:
 
 
 class NodeGraph:
-    """A DAG of nodes plus the declared parameter space of the generator."""
+    """A graph of nodes plus the declared parameter space of the generator;
+    `validate` accepts only a DAG."""
 
     def __init__(self, parameters: ParameterSpace | None = None):
         self.nodes: dict[str, Node] = {}
         self.output_node: str | None = None
         self.parameters = parameters if parameters is not None else ParameterSpace()
         self._next_id = 0
-        self._rank: dict[str, int] = {}  # node id -> insertion rank
-        # True while every wire runs from an earlier node to a later one; a
-        # forward wire then cannot close a cycle, so connect skips the walk.
-        self._forward = True
 
     # --- construction -------------------------------------------------------
 
@@ -358,11 +344,11 @@ class NodeGraph:
         node_id = f"n{self._next_id}"
         self._next_id += 1
         self.nodes[node_id] = Node(node_id, kind, normalized)
-        self._rank[node_id] = len(self._rank)
         return node_id
 
     def connect(self, src: str, dst: str, port: str) -> None:
-        """Wire src's output into (dst, port). Rejects cycles and type mismatches."""
+        """Wire src's output into (dst, port). Rejects missing nodes and type
+        mismatches; a wire that closes a cycle is left to `validate`."""
         if dst not in self.nodes:
             raise InvalidParameterError(f"unknown target node {dst!r}")
         problem = self._wiring_problem(src, self.nodes[dst].kind, port)
@@ -370,11 +356,7 @@ class NodeGraph:
             code, message = problem
             error = InvalidParameterError if code == "missing-node" else PortTypeError
             raise error(f"{dst}: {message}")
-        forward = self._rank[src] < self._rank[dst]
-        if not (forward and self._forward) and (src == dst or self._reaches(src, dst)):
-            raise GraphCycleError(f"wiring {src} -> {dst}.{port} would create a cycle")
         self.nodes[dst].inputs[port] = src
-        self._forward = self._forward and forward
 
     def set_output(self, node_id: str) -> None:
         if node_id not in self.nodes:
@@ -394,44 +376,47 @@ class NodeGraph:
             return "port-type", f"{src_kind} output wired into {ptype} port {port!r}"
         return None
 
-    def _reaches(self, start: str, target: str) -> bool:
-        """True if `target` is reachable from `start` walking upstream."""
-        stack, seen = [start], set()
-        while stack:
-            cur = stack.pop()
-            if cur == target:
-                return True
-            if cur in seen or cur not in self.nodes:
-                continue
-            seen.add(cur)
-            stack.extend(self.nodes[cur].inputs.values())
-        return False
-
     def node(self, node_id: str) -> Node:
         return self.nodes[node_id]
 
-    def topo_order(self) -> list[str]:
-        """Topological order (upstream first); raises GraphCycleError on cycles."""
-        indeg = {nid: 0 for nid in self.nodes}
-        downstream: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for nid, node in self.nodes.items():
-            for src in node.inputs.values():
-                if src in self.nodes:
-                    indeg[nid] += 1
-                    downstream[src].append(nid)
-        ready = [nid for nid, d in indeg.items() if d == 0]
-        order = []
-        while ready:
-            ready.sort()
-            cur = ready.pop(0)
-            order.append(cur)
-            for nxt in downstream[cur]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) != len(self.nodes):
-            raise GraphCycleError("graph contains a cycle")
-        return order
+    def _walk_order(self) -> list[str] | None:
+        """The output and every node it depends on, each after its inputs;
+        None if the graph has a cycle anywhere.
+
+        One iterative depth-first pass starts from the output and then from
+        every other node, so the output's dependencies lead the order it
+        finishes nodes in. A missing output and wires from missing nodes are
+        stepped over: the local rules report them."""
+        order: list[str] = []
+        finished: dict[str, bool] = {}  # False while the node is on the path
+
+        def visit(start: str) -> bool:
+            if start in finished:
+                return True
+            finished[start] = False
+            path = [(start, iter(self.nodes[start].inputs.values()))]
+            while path:
+                nid, inputs = path[-1]
+                for src in inputs:
+                    if src not in self.nodes or finished.get(src):
+                        continue
+                    if src in finished:  # on the path: a cycle
+                        return False
+                    finished[src] = False
+                    path.append((src, iter(self.nodes[src].inputs.values())))
+                    break
+                else:
+                    path.pop()
+                    finished[nid] = True
+                    order.append(nid)
+            return True
+
+        if self.output_node in self.nodes and not visit(self.output_node):
+            return None
+        used = len(order)
+        if not all(map(visit, self.nodes)):
+            return None
+        return order[:used]
 
     # --- validation -----------------------------------------------------------
 
@@ -445,9 +430,10 @@ class NodeGraph:
         body, which `extract_blueprint` turns into the blueprint.
 
         The local rules (wiring, ports, parameter names, literal selectors,
-        output kind) and the cycle check run first. Only a graph that passes
-        them gets the symbolic walk, whose rejections are the link-set and
-        shape diagnostics."""
+        output kind) check every node, and the cycle check covers the whole
+        graph. Only a graph that passes them gets the symbolic walk over the
+        output's dependencies, whose rejections are the link-set and shape
+        diagnostics."""
         diags: list[Diagnostic] = []
         if self.output_node is None:
             diags.append(Diagnostic("no-output", "graph has no output node"))
@@ -510,11 +496,9 @@ class NodeGraph:
                             )
                         )
 
-        try:
-            order = self.topo_order()
-        except GraphCycleError:
+        order = self._walk_order()
+        if order is None:
             diags.append(Diagnostic("graph-cycle", "graph contains a cycle"))
-            return diags, None
         if diags:
             return diags, None
         walk = _SymbolicWalk(self)
@@ -587,32 +571,15 @@ class NodeGraph:
             if not isinstance(inputs, dict) or not all(isinstance(v, str) for v in inputs.values()):
                 raise SchemaError(f"node {node_id} inputs must map ports to node ids")
             graph.nodes[node_id] = Node(node_id, kind, params, dict(inputs))
-            graph._rank[node_id] = len(graph._rank)
-        graph._forward = all(
-            graph._rank.get(src, len(graph._rank)) < graph._rank[nid]
-            for nid, node in graph.nodes.items()
-            for src in node.inputs.values()
-        )
         graph.output_node = doc.get("output")
         # keep fresh ids clear of loaded ones
         numeric = [int(n[1:]) for n in graph.nodes if n.startswith("n") and n[1:].isdigit()]
         graph._next_id = max(numeric, default=-1) + 1
         return graph
 
-    def structurally_equal(self, other: "NodeGraph") -> bool:
-        if self.output_node != other.output_node:
-            return False
-        if self.parameters != other.parameters:
-            return False
-        if list(self.nodes) != list(other.nodes):
-            return False
-        return all(
-            self.nodes[nid].structural_key() == other.nodes[nid].structural_key()
-            for nid in self.nodes
-        )
-
     def __eq__(self, other):
-        return isinstance(other, NodeGraph) and self.structurally_equal(other)
+        """Graphs are equal when their canonical documents are."""
+        return isinstance(other, NodeGraph) and self.serialize() == other.serialize()
 
 
 def _encode_param(value):
@@ -686,15 +653,16 @@ def _port_family(node: Node, prefix: str):
 
 
 class _SymbolicWalk:
-    """Symbolic evaluation of every geometry node of a graph that passed the
-    local rules of `NodeGraph.validate`.
+    """Symbolic evaluation of the geometry nodes that a graph's output depends
+    on, for a graph that passed the local rules of `NodeGraph.validate`.
 
     Numeric values are not read, so every graph a generator builds walks to
     one structure. Switches over articulated bodies become variants and
     duplicate nodes repeat groups. Link identity follows evaluation: a
     transform copies every link, a merge fuses its inputs' roots into a new
     link and copies a body it takes twice, a switch is its selected option,
-    and each duplicated copy is new. Each joint is decided by
+    and each duplicated copy is new. A copy of a switch variant copies what
+    its options share once, so they still share it. Each joint is decided by
     `link_set_relation` over every pair of its parent's and child's possible
     link sets before a composite pair is looked for. A node that cannot join
     one kinematic tree becomes a Diagnostic, and the nodes downstream of it
@@ -709,8 +677,9 @@ class _SymbolicWalk:
         self.fresh_token = itertools.count(1).__next__  # link tokens in creation order
 
     def run(self, order: list[str]) -> _SymBody | None:
-        """Walk the nodes in topological order; the output's body, or None
-        when any node was rejected."""
+        """Walk `order`, the output's dependencies each after its inputs and
+        the output last; the output's body, or None when any node was
+        rejected."""
         visits = {
             kind: getattr(self, f"_visit_{kind}")
             for kind, spec in _KINDS.items()
@@ -775,19 +744,37 @@ class _SymbolicWalk:
         return self._retoken(self.values[node.inputs["geometry"]])
 
     def _retoken(self, value):
-        """`value` with every link new, as a copy made in evaluation."""
-        if isinstance(value, _SymVariant):
-            return _SymVariant(value.switch, tuple(map(self._retoken, value.options)))
-        root = _SymLink(self.fresh_token(), value.root.source, value.root.label)
-        return _SymBody(root, tuple(map(self._retoken_attachment, value.attachments)))
+        """`value` with every link new, as a copy made in evaluation. A link
+        token or an attachment that switch options share is copied once, so
+        the copies share it too, as `_factor_variant` needs."""
+        if isinstance(value, _SymBody) and not value.attachments:  # one link
+            return _SymBody(_SymLink(self.fresh_token(), value.root.source, value.root.label))
+        tokens: dict[int, int] = {}  # old token -> new
+        copies: dict[int, object] = {}  # id of an attachment -> its copy
 
-    def _retoken_attachment(self, att):
-        if isinstance(att, _SymJoint):
-            return _SymJoint(att.joints, self._retoken(att.child))
-        if isinstance(att, _SymRepeat):
-            return att._replace(attachments=tuple(map(self._retoken_attachment, att.attachments)))
-        options = tuple(o and self._retoken_attachment(o) for o in att.options)
-        return _SymVariantJoint(att.switch, options)
+        def body(value):
+            if isinstance(value, _SymVariant):
+                return _SymVariant(value.switch, tuple(map(body, value.options)))
+            root = value.root
+            if root.token not in tokens:
+                tokens[root.token] = self.fresh_token()
+            root = _SymLink(tokens[root.token], root.source, root.label)
+            return _SymBody(root, tuple(map(attachment, value.attachments)))
+
+        def attachment(att):
+            copy = copies.get(id(att))
+            if copy is None:
+                if isinstance(att, _SymJoint):
+                    copy = _SymJoint(att.joints, body(att.child))
+                elif isinstance(att, _SymRepeat):
+                    copy = att._replace(attachments=tuple(map(attachment, att.attachments)))
+                else:
+                    options = tuple(o and attachment(o) for o in att.options)
+                    copy = _SymVariantJoint(att.switch, options)
+                copies[id(att)] = copy
+            return copy
+
+        return body(value)
 
     def _visit_merge(self, node):
         bodies = []
@@ -845,8 +832,7 @@ class _SymbolicWalk:
             raise _Rejected("switch-variant-duplicate", message)
         count_param = node.params.get("count_param")
         if body.attachments:
-            copies = tuple(map(self._retoken_attachment, body.attachments))
-            group = _SymRepeat(count_param, copies, None)
+            group = _SymRepeat(count_param, self._retoken(body).attachments, None)
         else:
             group = _SymRepeat(count_param, (), body.root.source)
         return _SymBody(parent.root, parent.attachments + (group,))

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from artigen.cli import main
+from artigen.graph import NodeGraph
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
 from helpers import two_parent_graph
@@ -231,6 +232,27 @@ class TestValidate:
         code, out, _ = run(["validate", str(path)], capsys)
         assert code == 1
         assert "graph-cycle" in out
+
+    @pytest.mark.parametrize(
+        "corrupt, code",
+        [
+            (lambda doc, joint: doc.update(output=None), "no-output"),
+            (lambda doc, joint: doc.update(output="zz"), "missing-node"),
+            (lambda doc, joint: doc["nodes"][joint]["inputs"].update(child="zz"), "missing-node"),
+        ],
+        ids=["no-output", "missing-output-node", "wire-from-missing-node"],
+    )
+    def test_missing_output_or_source_exit_1(self, tmp_path, capsys, corrupt, code):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        (joint,) = [i for i, n in enumerate(doc["nodes"]) if n["kind"] == "joint_revolute"]
+        corrupt(doc, joint)
+        text = json.dumps(doc)
+        assert [d.code for d in NodeGraph.deserialize(text).validate()] == [code]
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        exit_code, out, _ = run(["validate", str(path)], capsys)
+        assert exit_code == 1
+        assert out.startswith(code)
 
     def test_zero_joint_axis_exit_2(self, tmp_path, capsys):
         doc = json.loads(build_pattern("simple_revolute").serialize())

@@ -106,7 +106,7 @@ class TestSpaceSerde:
             graph = gen.build(pv)
             text = graph.serialize()
             back = NodeGraph.deserialize(text)
-            assert back.structurally_equal(graph), category
+            assert back == graph, category
             assert back.serialize() == text, category
 
 
