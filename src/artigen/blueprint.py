@@ -175,16 +175,29 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
 
 @dataclass(frozen=True)
 class InstanceLink:
+    """One realized link. Its `hull`, `mass`, `inertia_diag` and
+    `inertia_origin` are computed from `mesh` on first read, once per link,
+    and cached: building and sweeping an asset never compute a hull, so only
+    export loads Qhull. A hull that cannot be built (fewer than four points,
+    or a flat or degenerate point set) gives no hull and the passthrough
+    dynamics; any other error from hull construction surfaces at that first
+    read."""
+
     link_id: str
     label: str | None
     mesh: TriMesh  # link-local frame (origin at the parent joint pivot)
-    hull: TriMesh | None
-    mass: float
-    inertia_diag: tuple[float, float, float]
-    inertia_origin: tuple[float, float, float]
     local_frame: RigidTransform  # link-local -> construction frame at zero pose
     material: str | None
     template: str
+
+    @cached_property
+    def _dynamics(self):
+        return _link_dynamics(self.mesh)
+
+    hull = property(lambda self: self._dynamics[0])
+    mass = property(lambda self: self._dynamics[1])
+    inertia_diag = property(lambda self: self._dynamics[2])
+    inertia_origin = property(lambda self: self._dynamics[3])
 
 
 @dataclass(frozen=True)
@@ -250,6 +263,7 @@ class AssetInstance:
 
 
 def _link_dynamics(mesh: TriMesh):
+    """(hull, mass, inertia_diag, inertia_origin) of a link-local mesh."""
     if mesh.is_empty or mesh.n_vertices < 4:
         return None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0)
     try:
@@ -271,7 +285,8 @@ def instantiate(
     params: ParamVector,
     category: str = "asset",
 ) -> AssetInstance:
-    """Realize one asset: evaluate meshes, normalize composite joints, add dynamics."""
+    """Realize one asset: evaluate meshes and normalize composite joints. Link
+    dynamics are left to the first read of each link's."""
     evaluated_links, evaluated_joints, root = evaluate_links(graph, params)
 
     # Normalize parallel joints between one pair into a serial chain.
@@ -307,16 +322,11 @@ def instantiate(
             if l.mesh.n_vertices
             else l.mesh
         )
-        hull, mass, inertia, com = _link_dynamics(local_mesh)
         instance_links.append(
             InstanceLink(
                 l.link_id,
                 l.label,
                 local_mesh,
-                hull,
-                mass,
-                inertia,
-                com,
                 RigidTransform.from_translation(o),
                 l.material,
                 l.template,

@@ -11,10 +11,12 @@ together: rows are posed in batches of at most _BATCH_TRIANGLES triangles,
 triangle pairs are culled by their boxes, and contacts are confirmed by the
 exact triangle-triangle test `geometry.intersecting_pairs`, at most
 _BATCH_ROWS candidate rows per call. That test works row by row, and each
-configuration keeps its first hit in (triangle_a, triangle_b) order, so the
-caps bound memory and cannot change a report. A row becomes a config dict
-only when it carries a finding. `verify_finding` runs the same test on one
-row (`triangles_intersect`), so the two agree by construction. A tolerance
+configuration keeps its first hit in (triangle_a, triangle_b) order: its
+candidates go through the test in that order, _ROUND_CANDIDATES at a time,
+until one hits. So the caps and rounds bound memory and work and cannot
+change a report. A row becomes a config dict only when it carries a
+finding. `verify_finding` runs the same test on one row
+(`triangles_intersect`), so the two agree by construction. A tolerance
 gate re-tests candidate pairs with the triangles offset inward along their
 normals, so parts that merely touch within tolerance are not reported;
 witnesses always come from the exact test and re-verify. Containment without
@@ -157,19 +159,63 @@ def _offset_inward(tris: np.ndarray, tolerance: float) -> np.ndarray:
     row by row on any (..., 3, 3) stack.
     """
     flat = tris.reshape(-1, 3, 3)
-    normals = _cross(flat[:, 1] - flat[:, 0], flat[:, 2] - flat[:, 0])
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    shifted = flat - tolerance * normals[:, None, :]
-    centroids = shifted.mean(axis=1, keepdims=True)
-    rel = shifted - centroids
-    dist = np.linalg.norm(rel, axis=2, keepdims=True)
-    scale = np.maximum(1.0 - tolerance / np.maximum(dist, 1e-300), 0.0)
-    return (centroids + rel * scale).reshape(tris.shape)
+    c0, c1, c2 = flat[:, 0], flat[:, 1], flat[:, 2]
+    normals = _cross(c1 - c0, c2 - c0)
+    step = tolerance * (normals / _row_norms(normals)[:, None])
+    shifted = (c0 - step, c1 - step, c2 - step)
+    # The mean over the corners, summed left to right as np.mean does.
+    centroids = (shifted[0] + shifted[1] + shifted[2]) / 3
+    out = np.empty_like(flat)
+    for k, corner in enumerate(shifted):
+        rel = corner - centroids
+        scale = np.maximum(1.0 - tolerance / np.maximum(_row_norms(rel), 1e-300), 0.0)
+        out[:, k] = centroids + rel * scale[:, None]
+    return out.reshape(tris.shape)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) of an (n, 3) stack, bit for bit: it sums the
+    squares left to right, as here, but reduces a length-3 axis slowly."""
+    x, y, z = v.T
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _posed(local: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Rest triangles (k, 3, 3) posed at m rigid motions: (m, k, 3, 3)."""
     return np.matmul(local, r.transpose(0, 2, 1)[:, None]) + t[:, None, None]
+
+
+def _corner_bounds(tris: np.ndarray):
+    """Per-triangle box (lo, hi) of a (..., 3, 3) corner stack. Elementwise
+    minima and maxima are exact, as a reduction is; NumPy reduces a length-3
+    axis, or any axis in front of one, many times slower."""
+    c0, c1, c2 = tris[..., 0, :], tris[..., 1, :], tris[..., 2, :]
+    return np.minimum(np.minimum(c0, c1), c2), np.maximum(np.maximum(c0, c1), c2)
+
+
+def _link_box(lo: np.ndarray, hi: np.ndarray):
+    """Per configuration, the box of a link from its (configs, triangles, 3)
+    triangle boxes, reduced along a contiguous axis."""
+    lo = np.ascontiguousarray(lo.transpose(0, 2, 1)).min(axis=2)
+    hi = np.ascontiguousarray(hi.transpose(0, 2, 1)).max(axis=2)
+    return lo, hi
+
+
+def _all3(x: np.ndarray) -> np.ndarray:
+    """np.all(x, axis=-1) for a last axis of length 3."""
+    return x[..., 0] & x[..., 1] & x[..., 2]
+
+
+def _live_first(tris: np.ndarray, near: np.ndarray):
+    """Per configuration, the indices of its triangles in the other link's box
+    first, in order, cut to the largest such count; and which of those
+    columns are live: near, and not collapsed below DEGENERATE_AREA."""
+    count = near.sum(axis=1)
+    k = count.max(initial=0)
+    idx = np.argsort(~near, axis=1, kind="stable")[:, :k]
+    live = np.arange(k) < count[:, None]
+    areas = triangle_areas(tris[np.arange(len(tris))[:, None], idx].reshape(-1, 3, 3))
+    return idx, live & (areas.reshape(live.shape) > DEGENERATE_AREA)
 
 
 def _first_hits(tris_a: np.ndarray, tris_b: np.ndarray):
@@ -178,42 +224,48 @@ def _first_hits(tris_a: np.ndarray, tris_b: np.ndarray):
     `tris_a` and `tris_b` are (configs, triangles, 3, 3) stacks. Returns two
     (configs,) index arrays, -1 where a configuration has no hit. Candidates
     are the triangle pairs whose boxes overlap, in (triangle_a, triangle_b)
-    order per configuration, and all of them go through the exact test in
-    chunks of at most _BATCH_ROWS rows.
+    order per configuration. They go through the exact test in rounds: round
+    k takes candidates k * _ROUND_CANDIDATES onward of each configuration
+    without a hit yet, in chunks of at most _BATCH_ROWS rows, so a
+    configuration stops at the round of its first hit.
     """
-    m, n_a, n_b = len(tris_a), tris_a.shape[1], tris_b.shape[1]
-    lo_a, hi_a = tris_a.min(axis=2), tris_a.max(axis=2)
-    lo_b, hi_b = tris_b.min(axis=2), tris_b.max(axis=2)
+    m = len(tris_a)
+    lo_a, hi_a = _corner_bounds(tris_a)
+    lo_b, hi_b = _corner_bounds(tris_b)
+    box_lo_a, box_hi_a = _link_box(lo_a, hi_a)
+    box_lo_b, box_hi_b = _link_box(lo_b, hi_b)
     # A triangle outside the other link's box overlaps none of its triangles,
     # and triangles collapsed by the tolerance shrink are skipped.
-    live_a = np.all(
-        (lo_a <= hi_b.max(axis=1)[:, None]) & (lo_b.min(axis=1)[:, None] <= hi_a), axis=2
-    ) & (triangle_areas(tris_a.reshape(-1, 3, 3)).reshape(m, n_a) > DEGENERATE_AREA)
-    live_b = np.all(
-        (lo_b <= hi_a.max(axis=1)[:, None]) & (lo_a.min(axis=1)[:, None] <= hi_b), axis=2
-    ) & (triangle_areas(tris_b.reshape(-1, 3, 3)).reshape(m, n_b) > DEGENERATE_AREA)
-    configs, idx_a, idx_b = [], [], []
-    for c in range(m):
-        ia, ib = np.flatnonzero(live_a[c]), np.flatnonzero(live_b[c])
-        overlap = np.all(
-            (lo_a[c, ia][:, None] <= hi_b[c, ib]) & (lo_b[c, ib] <= hi_a[c, ia][:, None]), axis=2
-        )
-        i, j = np.nonzero(overlap)
-        configs.append(np.full(len(i), c))
-        idx_a.append(ia[i])
-        idx_b.append(ib[j])
-    configs, idx_a, idx_b = np.concatenate(configs), np.concatenate(idx_a), np.concatenate(idx_b)
-    hit = np.zeros(len(configs), dtype=bool)
-    for s in range(0, len(configs), _BATCH_ROWS):
-        part = slice(s, s + _BATCH_ROWS)
-        hit[part] = intersecting_pairs(
-            tris_a[configs[part], idx_a[part]], tris_b[configs[part], idx_b[part]]
-        )
-    rows = np.flatnonzero(hit)
-    hit_configs, first = np.unique(configs[rows], return_index=True)
+    ia, live_a = _live_first(tris_a, _all3((lo_a <= box_hi_b[:, None]) & (box_lo_b[:, None] <= hi_a)))
+    ib, live_b = _live_first(tris_b, _all3((lo_b <= box_hi_a[:, None]) & (box_lo_a[:, None] <= hi_b)))
+    c = np.arange(m)[:, None]
+    lo_a, hi_a, lo_b, hi_b = lo_a[c, ia], hi_a[c, ia], lo_b[c, ib], hi_b[c, ib]
+    overlap = _all3((lo_a[:, :, None] <= hi_b[:, None]) & (lo_b[:, None] <= hi_a[:, :, None]))
+    configs, i, j = np.nonzero(overlap & live_a[:, :, None] & live_b[:, None])
+    idx_a, idx_b = ia[configs, i], ib[configs, j]
+    per_config = np.bincount(configs, minlength=m)
+    rounds = np.arange(len(configs)) - np.repeat(np.cumsum(per_config) - per_config, per_config)
+    rounds //= _ROUND_CANDIDATES
+    # Candidates by round; the stable sort keeps each round in configuration
+    # order, and each configuration's candidates in theirs.
+    by_round = np.argsort(rounds, kind="stable")
+    starts = np.searchsorted(rounds[by_round], np.arange(rounds.max(initial=-1) + 2))
     first_a, first_b = np.full(m, -1), np.full(m, -1)
-    first_a[hit_configs] = idx_a[rows[first]]
-    first_b[hit_configs] = idx_b[rows[first]]
+    for lo, hi in zip(starts, starts[1:]):
+        rows = by_round[lo:hi]
+        rows = rows[first_a[configs[rows]] < 0]
+        if not len(rows):
+            continue
+        hit = np.concatenate([
+            intersecting_pairs(tris_a[configs[part], idx_a[part]], tris_b[configs[part], idx_b[part]])
+            for part in np.split(rows, range(_BATCH_ROWS, len(rows), _BATCH_ROWS))
+        ])
+        rows = rows[hit]
+        # Rows run in configuration order, so a configuration's first hit
+        # is the first of its rows here.
+        first = rows[np.diff(configs[rows], prepend=-1) != 0]
+        first_a[configs[first]] = idx_a[first]
+        first_b[configs[first]] = idx_b[first]
     return first_a, first_b
 
 
@@ -257,6 +309,10 @@ _CHUNK = 2048
 # exact-test call. The exact test is row by row, so chunking changes no result.
 _BATCH_TRIANGLES = 4096
 _BATCH_ROWS = 4096
+# Candidates per configuration in one round of exact tests. Most first hits
+# are among a configuration's first few candidates, so later rounds skip the
+# rest; a clean configuration takes one round per this many candidates.
+_ROUND_CANDIDATES = 16
 # Outputs per broadphase product. Products this small run on the calling
 # thread; a larger one lets OpenBLAS hand it to helper threads, which then spin
 # between calls and hold a second core for no gain in time.

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegeneracyError, InvalidParameterError
 
@@ -641,7 +640,11 @@ def triangles_intersect(tri_a, tri_b) -> bool:
 
 
 def convex_hull(mesh_or_points) -> TriMesh:
-    """Convex watertight hull with outward normals and a canonical vertex order."""
+    """Convex watertight hull with outward normals and a canonical vertex order.
+
+    Qhull (scipy) is imported on the first call, not with this module."""
+    from scipy.spatial import ConvexHull, QhullError
+
     if isinstance(mesh_or_points, TriMesh):
         points = mesh_or_points.vertices
         tag = mesh_or_points.material_tag

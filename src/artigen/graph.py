@@ -386,7 +386,9 @@ class NodeGraph:
         One iterative depth-first pass starts from the output and then from
         every other node, so the output's dependencies lead the order it
         finishes nodes in. A missing output and wires from missing nodes are
-        stepped over: the local rules report them."""
+        stepped over: the local rules report them. The cycle check follows
+        every wire, but a switch with a literal selector depends only on the
+        option it picks, so the others are left out of the order."""
         order: list[str] = []
         finished: dict[str, bool] = {}  # False while the node is on the path
 
@@ -413,10 +415,15 @@ class NodeGraph:
 
         if self.output_node in self.nodes and not visit(self.output_node):
             return None
-        used = len(order)
+        used = list(order)
         if not all(map(visit, self.nodes)):
             return None
-        return order[:used]
+        needed = {self.output_node}
+        for nid in reversed(used):  # each consumer before its inputs
+            if nid in needed:
+                picked = _picked_option(self.nodes[nid])
+                needed.update(self.nodes[nid].inputs.values() if picked is None else (picked,))
+        return [nid for nid in used if nid in needed]
 
     # --- validation -----------------------------------------------------------
 
@@ -644,6 +651,15 @@ class _SymVariant(NamedTuple):
     options: tuple
 
 
+def _picked_option(node: Node) -> str | None:
+    """The source of the option that a switch's literal selector picks; None
+    when the selector is a parameter, wired or out of range."""
+    select = node.params.get("select")
+    if node.kind != SWITCH or "select" in node.inputs or not isinstance(select, float):
+        return None
+    return node.inputs.get(f"option_{whole_number(select)}")
+
+
 def _port_family(node: Node, prefix: str):
     """The sources wired to `prefix`0, `prefix`1, ... in port order."""
     idx = 0
@@ -793,6 +809,9 @@ class _SymbolicWalk:
         return _SymBody(_SymLink(self.fresh_token(), node.node_id, label), atts)
 
     def _visit_switch(self, node):
+        picked = _picked_option(node)
+        if picked is not None:
+            return self.values[picked]
         options = [self.values[src] for src in _port_family(node, "option_")]
         if all(isinstance(o, _SymBody) and not o.attachments for o in options):
             labels = {o.root.label for o in options}

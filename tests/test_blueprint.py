@@ -1,18 +1,29 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import artigen
 import artigen.graph
 from artigen.blueprint import (
+    PASSTHROUGH_MASS,
+    InstanceLink,
+    _link_dynamics,
     extract_blueprint,
     forward_kinematics,
     instantiate,
     posed_meshes,
 )
+from artigen.collision import SweepPlan, sweep_check
 from artigen.errors import RangeError, StructuralError
 from artigen.evaluate import evaluate
-from artigen.geometry import RigidTransform
+from artigen.export import export_mjcf, export_urdf
+from artigen.generators import CATEGORY_NAMES, build_instance
+from artigen.geometry import RigidTransform, TriMesh
 from artigen.params import ParamVector
 from artigen.patterns import PATTERN_NAMES, build_pattern
 from helpers import blueprint_parts
@@ -210,3 +221,74 @@ class TestDynamicsInvariance:
         i1 = insts[1].link("rod_0").inertia_diag
         assert i0[2] == pytest.approx(i1[2], rel=1e-9)
         assert sorted(i0[:2]) == pytest.approx(sorted(i1[:2]), rel=1e-9)
+
+
+class TestLazyDynamics:
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    def test_equal_to_link_dynamics(self, category):
+        for seed in (1, 2, 3):
+            for link in build_instance(category, seed).links:
+                hull, mass, inertia, origin = _link_dynamics(link.mesh)
+                assert (link.mass, link.inertia_diag, link.inertia_origin) == (mass, inertia, origin)
+                if hull is None:
+                    assert link.hull is None
+                else:
+                    np.testing.assert_array_equal(link.hull.vertices, hull.vertices)
+                    np.testing.assert_array_equal(link.hull.triangles, hull.triangles)
+
+    def test_hulls_built_once_per_link_on_first_read(self, monkeypatch, tmp_path):
+        calls = []
+        real = artigen.blueprint.convex_hull
+
+        def counting(mesh):
+            calls.append(mesh)
+            return real(mesh)
+
+        monkeypatch.setattr(artigen.blueprint, "convex_hull", counting)
+        inst = build_instance("lamp", 3)
+        sweep_check(inst, SweepPlan(strategy="random", samples=16))
+        assert calls == []
+        export_urdf(inst, tmp_path / "urdf")
+        export_mjcf(inst, tmp_path / "mjcf")
+        assert len(calls) == sum(1 for l in inst.links if l.mesh.n_vertices >= 4) > 0
+        hulls = [l.hull for l in inst.links]
+        assert all(l.hull is h for l, h in zip(inst.links, hulls))
+        assert len(calls) == sum(1 for l in inst.links if l.mesh.n_vertices >= 4)
+
+    def test_flat_link_gets_passthrough_dynamics(self):
+        square = TriMesh([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)])
+        link = InstanceLink("flat_0", None, square, RigidTransform.identity(), None, "n0")
+        assert link.hull is None
+        assert link.mass == PASSTHROUGH_MASS
+        assert link.inertia_origin == (0.0, 0.0, 0.0)
+
+
+def test_build_check_and_blueprint_never_import_scipy(tmp_path):
+    # A fresh interpreter, so that no other test has loaded scipy yet.
+    script = (
+        "import sys\n"
+        "import artigen.cli\n"
+        "from artigen.collision import sweep_check\n"
+        "from artigen.export import export_bundle\n"
+        "from artigen.generators import CATEGORY_NAMES, build_instance\n"
+        "insts = [build_instance(c, 1) for c in CATEGORY_NAMES]\n"
+        "for inst in insts:\n"
+        "    sweep_check(inst)\n"
+        "out = sys.argv[1]\n"
+        "assert artigen.cli.main(['check', '--category', 'lamp', '--random', '8', '--out', out]) == 0\n"
+        "assert artigen.cli.main(['blueprint', 'door']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+        "export_bundle(insts[0], out + '/bundle', ('urdf',))\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    # The child imports the same artigen as this process.
+    src = str(Path(artigen.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["False", "True"]

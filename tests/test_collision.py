@@ -10,7 +10,9 @@ from artigen.blueprint import extract_blueprint, instantiate
 from artigen.collision import (
     CollisionReport,
     SweepPlan,
+    _first_hits,
     _joint_samples,
+    _offset_inward,
     _pair_witnesses,
     check_at,
     sweep_check,
@@ -18,7 +20,13 @@ from artigen.collision import (
 )
 from artigen.errors import InvalidParameterError, PlanTooLargeError, RangeError
 from artigen.generators import CATEGORY_NAMES, build_instance
-from artigen.geometry import quat_to_matrix, triangles_intersect
+from artigen.geometry import (
+    DEGENERATE_AREA,
+    intersecting_pairs,
+    quat_to_matrix,
+    triangle_areas,
+    triangles_intersect,
+)
 from artigen.graph import GraphBuilder
 from artigen.params import ParameterSpace, ParamVector
 from artigen.patterns import build_pattern
@@ -207,6 +215,16 @@ class TestBatchedSweep:
         monkeypatch.setattr("artigen.collision._BATCH_ROWS", 1)
         assert sweep_check(inst, plan).to_json_dict() == expected
 
+    @pytest.mark.parametrize("round_candidates", [1, 3, 10**9])
+    @pytest.mark.parametrize("category, seed", [("fridge", 28986), ("lamp", 1117)])
+    def test_round_size_changes_no_report(self, monkeypatch, category, seed, round_candidates):
+        inst = build_instance(category, seed, salt="")
+        plans = [SweepPlan(strategy="random", samples=64, tolerance=t) for t in (1e-6, 0.0)]
+        expected = [sweep_check(inst, plan).to_json_dict() for plan in plans]
+        assert all(report["findings"] for report in expected)
+        monkeypatch.setattr("artigen.collision._ROUND_CANDIDATES", round_candidates)
+        assert [sweep_check(inst, plan).to_json_dict() for plan in plans] == expected
+
 
 class TestNarrowphase:
     def test_touching_vertex_contact_has_witness_at_zero_tolerance(self):
@@ -227,6 +245,45 @@ class TestNarrowphase:
             if triangles_intersect(tri_a, tri_b)
         )
         assert missed == 0
+
+    @pytest.mark.parametrize("round_candidates", [1, 4, 10**9])
+    def test_first_hits_match_a_test_of_every_candidate(self, monkeypatch, round_candidates):
+        # Random soups: first hits fall at candidates 0 to 11, four clean
+        # configurations have 11 to 17 candidates, some triangles are
+        # collapsed, and the last five configurations are moved apart.
+        rng = np.random.default_rng(3)
+        tris_a = rng.uniform(0, 1, size=(40, 30, 1, 3)) + rng.normal(scale=0.1, size=(40, 30, 3, 3))
+        tris_b = rng.uniform(0, 1, size=(40, 25, 1, 3)) + rng.normal(scale=0.1, size=(40, 25, 3, 3))
+        tris_a[:, ::7, 2] = tris_a[:, ::7, 1]
+        tris_b[-5:] += 10.0
+        expected = np.full((2, 40), -1)
+        for c, (ta, tb) in enumerate(zip(tris_a, tris_b)):
+            boxes = np.all(
+                (ta.min(axis=1)[:, None] <= tb.max(axis=1)) & (tb.min(axis=1) <= ta.max(axis=1)[:, None]),
+                axis=2,
+            )
+            live = np.outer(triangle_areas(ta) > DEGENERATE_AREA, triangle_areas(tb) > DEGENERATE_AREA)
+            i, j = np.nonzero(boxes & live)
+            hits = np.flatnonzero(intersecting_pairs(ta[i], tb[j]))
+            if len(hits):
+                expected[:, c] = i[hits[0]], j[hits[0]]
+        assert (expected[0] >= 0).sum() == 31
+        monkeypatch.setattr("artigen.collision._ROUND_CANDIDATES", round_candidates)
+        np.testing.assert_array_equal(np.stack(_first_hits(tris_a, tris_b)), expected)
+
+    def test_offset_inward_matches_numpy_reductions(self):
+        rng = np.random.default_rng(5)
+        tris = rng.normal(size=(7, 50, 3, 3)) * 10.0 ** rng.uniform(-3, 1, size=(7, 50, 1, 1))
+        tolerance = 1e-3
+        flat = tris.reshape(-1, 3, 3)
+        normals = np.cross(flat[:, 1] - flat[:, 0], flat[:, 2] - flat[:, 0])
+        shifted = flat - tolerance * (normals / np.linalg.norm(normals, axis=1, keepdims=True))[:, None]
+        centroids = shifted.mean(axis=1, keepdims=True)
+        rel = shifted - centroids
+        dist = np.linalg.norm(rel, axis=2, keepdims=True)
+        scale = np.maximum(1.0 - tolerance / np.maximum(dist, 1e-300), 0.0)
+        expected = (centroids + rel * scale).reshape(tris.shape)
+        assert np.array_equal(_offset_inward(tris, tolerance), expected)
 
 
 class TestReportJson:

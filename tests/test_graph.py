@@ -280,12 +280,47 @@ class TestValidate:
             with pytest.raises((EvaluationError, RangeError)):
                 evaluate(g, ParamVector({"pick": select}))
 
+    @pytest.mark.parametrize("select, codes", [(1.0, []), (0.0, ["joint-self-loop"])])
+    def test_literal_selector_walks_only_its_pick(self, select, codes):
+        # switch(select, joint(box, box), box): the self-looped joint is
+        # rejected only where the literal selector picks it.
+        g = NodeGraph()
+        b = box_node(g)
+        j = g.add_node(
+            JOINT_REVOLUTE, {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+        )
+        g.connect(b, j, "parent")
+        g.connect(b, j, "child")
+        sw = g.add_node(SWITCH, {"select": select})
+        g.connect(j, sw, "option_0")
+        g.connect(box_node(g, (2, 2, 2)), sw, "option_1")
+        g.set_output(sw)
+        assert [d.code for d in g.validate()] == codes
+        if codes:
+            with pytest.raises(InvalidParameterError, match="graph does not validate"):
+                evaluate(g)
+            return
+        body = evaluate(g)
+        assert (len(body.links), len(body.joints)) == (1, 0)
+        assert body.links[0].template == g.node(sw).inputs["option_1"]
+        assert extract_blueprint(g).tree["children"] == []
+
+    def test_cycle_through_an_unpicked_option_diagnosed(self):
+        g = NodeGraph()
+        sw = g.add_node(SWITCH, {"select": 0.0})
+        t = g.add_node(TRANSFORM, {})
+        g.connect(box_node(g), sw, "option_0")
+        g.connect(t, sw, "option_1")
+        g.connect(sw, t, "geometry")
+        g.set_output(sw)
+        assert [d.code for d in g.validate()] == ["graph-cycle"]
+
     def test_switch_repeating_an_option_diagnosed_once(self):
         # One box on both options of the parent switch and as the child: one
         # self-loop, not one per equal variant.
-        g = NodeGraph()
+        g = NodeGraph(ParameterSpace({"pick": Count(0, 1)}))
         b = box_node(g)
-        sw = g.add_node(SWITCH, {"select": 0.0})
+        sw = g.add_node(SWITCH, {"select": ParamRef("pick")})
         g.connect(b, sw, "option_0")
         g.connect(b, sw, "option_1")
         j = g.add_node(
@@ -311,9 +346,9 @@ class TestValidate:
         # A switch between two hinged pairs on their own bases has no shared
         # root: a merge cannot fuse it, a duplicate cannot copy it, and
         # neither a joint's parent nor the output can be it.
-        g = NodeGraph()
+        g = NodeGraph(ParameterSpace({"pick": Count(0, 1)}))
         spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
-        sw = g.add_node(SWITCH, {"select": 0.0})
+        sw = g.add_node(SWITCH, {"select": ParamRef("pick")})
         for i in range(2):
             hinge = g.add_node(JOINT_REVOLUTE, spec)
             g.connect(box_node(g), hinge, "parent")
