@@ -19,13 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError, InvalidParameterError
+from .errors import InvalidParameterError
 from .evaluate import EvaluatedJoint, EvaluatedLink, evaluate_links
-from .geometry import RigidTransform, TriMesh, apply_transform, convex_hull, mesh_volume
+from .geometry import RigidTransform, TriMesh, apply_transform
 from .graph import (
     JOINT_REVOLUTE,
     SCALAR_MATH,
-    JointSpec,
     NodeGraph,
     ParamRef,
     _SymJoint,
@@ -34,10 +33,6 @@ from .graph import (
 )
 from .kinematics import KinematicTree
 from .params import ParamVector
-
-LINK_DENSITY = 500.0  # kg/m^3 applied to the collision hull volume
-PASSTHROUGH_MASS = 1e-6  # simulators reject exact zero mass
-PASSTHROUGH_INERTIA = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -174,67 +169,22 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
 
 
 @dataclass(frozen=True)
-class InstanceLink:
-    """One realized link. Its `hull`, `mass`, `inertia_diag` and
-    `inertia_origin` are computed from `mesh` on first read, once per link,
-    and cached: building and sweeping an asset never compute a hull, so only
-    export loads Qhull. A hull that cannot be built (fewer than four points,
-    or a flat or degenerate point set) gives no hull and the passthrough
-    dynamics; any other error from hull construction surfaces at that first
-    read."""
-
-    link_id: str
-    label: str | None
-    mesh: TriMesh  # link-local frame (origin at the parent joint pivot)
-    local_frame: RigidTransform  # link-local -> construction frame at zero pose
-    material: str | None
-    template: str
-
-    @cached_property
-    def _dynamics(self):
-        return _link_dynamics(self.mesh)
-
-    hull = property(lambda self: self._dynamics[0])
-    mass = property(lambda self: self._dynamics[1])
-    inertia_diag = property(lambda self: self._dynamics[2])
-    inertia_origin = property(lambda self: self._dynamics[3])
-
-
-@dataclass(frozen=True)
-class InstanceJoint:
-    """One realized joint. `spec` is the evaluated JointSpec, in the
-    construction frame with its pivot at the child link's frame origin;
-    `pivot_in_parent` is that origin in the parent link's frame."""
-
-    joint_id: str
-    parent: str
-    child: str
-    spec: JointSpec
-    pivot_in_parent: tuple[float, float, float]
-
-    # Read-only views of `spec`, for export, collision and callers.
-    joint_type = property(lambda self: self.spec.joint_type)
-    axis = property(lambda self: self.spec.axis)
-    lo = property(lambda self: self.spec.lo)
-    hi = property(lambda self: self.spec.hi)
-    default = property(lambda self: self.spec.default_value)
-    joint_label = property(lambda self: self.spec.joint_label)
-    is_fixed = property(lambda self: self.spec.is_fixed)
-
-
-@dataclass(frozen=True)
 class AssetInstance:
-    """One sampled realization: links with dynamics, a realized joint tree, seed.
+    """One sampled realization: its links, a realized joint tree, seed.
 
-    `tree` indexes the links and joints; building it raises StructuralError
-    when the joints do not form one tree rooted at `root_link`.
+    The links and joints are the evaluated records, with composite joints
+    normalized into serial chains: each link's mesh is in its own frame, at
+    `origin` (its incoming joint's pivot) in the construction frame, and each
+    joint's spec stays in the construction frame. `tree` indexes the links and
+    joints; building it raises StructuralError when the joints do not form one
+    tree rooted at `root_link`.
     """
 
     category: str
     seed: int
     params: ParamVector
-    links: tuple[InstanceLink, ...]
-    joints: tuple[InstanceJoint, ...]
+    links: tuple[EvaluatedLink, ...]
+    joints: tuple[EvaluatedJoint, ...]
     root_link: str
     blueprint: KinematicBlueprint | None = None
 
@@ -245,38 +195,25 @@ class AssetInstance:
     def tree(self) -> KinematicTree:
         return KinematicTree(self.root_link, [l.link_id for l in self.links], self.joints)
 
-    def link(self, link_id: str) -> InstanceLink:
+    def link(self, link_id: str) -> EvaluatedLink:
         return self.links[self.tree.link_index[link_id]]
 
-    def joint(self, joint_id: str) -> InstanceJoint:
+    def joint(self, joint_id: str) -> EvaluatedJoint:
         return self.joints[self.tree.joint_index[joint_id]]
 
-    def children_of(self, link_id: str) -> list[InstanceJoint]:
+    def children_of(self, link_id: str) -> list[EvaluatedJoint]:
         """Joints whose parent is `link_id`, by joint id."""
         return [self.joints[k] for k in self.tree.children[self.tree.link_index[link_id]]]
+
+    def pivot_in_parent(self, joint: EvaluatedJoint) -> np.ndarray:
+        """The joint's pivot, the child link's frame origin, in the parent link's frame."""
+        return np.subtract(joint.spec.pivot, self.link(joint.parent).origin)
 
     def default_config(self) -> dict:
         return {j.joint_id: j.default for j in self.joints}
 
     def adjacent_pairs(self) -> set:
         return {frozenset((j.parent, j.child)) for j in self.joints}
-
-
-def _link_dynamics(mesh: TriMesh):
-    """(hull, mass, inertia_diag, inertia_origin) of a link-local mesh."""
-    if mesh.is_empty or mesh.n_vertices < 4:
-        return None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0)
-    try:
-        hull = convex_hull(mesh)
-    except DegeneracyError:
-        return None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0)
-    mass = mesh_volume(hull) * LINK_DENSITY
-    box = mesh.aabb()
-    e = box.extents
-    ixx = mass / 12.0 * (e[1] ** 2 + e[2] ** 2)
-    iyy = mass / 12.0 * (e[0] ** 2 + e[2] ** 2)
-    izz = mass / 12.0 * (e[0] ** 2 + e[1] ** 2)
-    return hull, mass, (ixx, iyy, izz), tuple(float(c) for c in box.center)
 
 
 def instantiate(
@@ -309,56 +246,25 @@ def instantiate(
             prev = pass_id
         joints.append(replace(group[-1], parent=prev))
 
-    origins = {j.child: j.spec.pivot_array() for j in joints}
+    # Each link's frame sits at its incoming joint's pivot; the root's at zero.
+    origins = {j.child: j.spec.pivot for j in joints}
+    for i, l in enumerate(links):
+        origin = origins.get(l.link_id, l.origin)
+        mesh = l.mesh
+        if mesh.n_vertices:
+            mesh = apply_transform(mesh, RigidTransform.from_translation(-np.asarray(origin)))
+        links[i] = replace(l, mesh=mesh, origin=origin)
 
-    def origin_of(link_id: str) -> np.ndarray:
-        return origins.get(link_id, np.zeros(3))
-
-    instance_links = []
-    for l in links:
-        o = origin_of(l.link_id)
-        local_mesh = (
-            apply_transform(l.mesh, RigidTransform.from_translation(-o))
-            if l.mesh.n_vertices
-            else l.mesh
-        )
-        instance_links.append(
-            InstanceLink(
-                l.link_id,
-                l.label,
-                local_mesh,
-                RigidTransform.from_translation(o),
-                l.material,
-                l.template,
-            )
-        )
-
-    instance_joints = [
-        InstanceJoint(
-            j.joint_id,
-            j.parent,
-            j.child,
-            j.spec,
-            tuple(float(c) for c in (origin_of(j.child) - origin_of(j.parent))),
-        )
-        for j in joints
-    ]
-
-    return AssetInstance(
-        category,
-        params.seed,
-        params,
-        tuple(instance_links),
-        tuple(instance_joints),
-        root,
-        blueprint,
-    )
+    return AssetInstance(category, params.seed, params, tuple(links), tuple(joints), root, blueprint)
 
 
 def forward_kinematics(instance: AssetInstance, config: dict | None = None) -> dict:
     """World transform per link id; missing joints pose at their default value."""
     world = instance.tree.transforms(config)
-    return {link_id: t @ instance.link(link_id).local_frame for link_id, t in world.items()}
+    return {
+        link_id: t @ RigidTransform.from_translation(instance.link(link_id).origin)
+        for link_id, t in world.items()
+    }
 
 
 def posed_meshes(instance: AssetInstance, config: dict | None = None) -> dict:

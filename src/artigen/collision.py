@@ -368,7 +368,7 @@ def check_configs(
         for link_id in local:
             i = instance.tree.link_index[link_id]
             r = quat_to_matrix(quat[i])
-            t = trans[i] + r @ instance.links[i].local_frame.translation
+            t = trans[i] + r @ np.asarray(instance.links[i].origin)
             world[link_id] = (r, t)
             # Adding t after the min/max gives the same bits, as rounding is monotone.
             lo, hi = _rotated_extents(verts_rest[link_id], r)

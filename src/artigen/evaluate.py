@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    DegeneracyError,
     EvaluationError,
     InvalidParameterError,
     RangeError,
@@ -24,34 +26,91 @@ from .geometry import (
     RigidTransform,
     TriMesh,
     apply_transform,
+    convex_hull,
     make_box,
     make_cylinder,
     make_ngon_prism,
     make_rounded_box,
     make_sphere,
     merge_meshes,
+    mesh_volume,
 )
 from .graph import JointSpec, NodeGraph, ParamRef, link_set_relation, whole_number
 from .kinematics import KinematicTree
 from .params import ParamVector
 
 
+LINK_DENSITY = 500.0  # kg/m^3 applied to the collision hull volume
+PASSTHROUGH_MASS = 1e-6  # simulators reject exact zero mass
+PASSTHROUGH_INERTIA = 1e-9
+
+
 @dataclass(frozen=True)
 class EvaluatedLink:
+    """One realized link. `mesh` is in the link's frame, whose position in the
+    construction frame at joint value 0 is `origin`: zero from evaluation, the
+    incoming joint's pivot after `blueprint.instantiate`.
+
+    Its `hull`, `mass`, `inertia_diag` and `inertia_origin` are computed from
+    `mesh` on first read, once per link, and cached: building and sweeping an
+    asset never compute a hull, so only export loads Qhull. A hull that cannot
+    be built (fewer than four points, or a flat or degenerate point set) gives
+    no hull and the passthrough dynamics; any other error from hull
+    construction surfaces at that first read."""
+
     link_id: str
     label: str | None
-    mesh: TriMesh  # construction frame at joint value 0
+    mesh: TriMesh
     material: str | None
     template: str
+    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+    @cached_property
+    def _dynamics(self):
+        return _link_dynamics(self.mesh)
+
+    hull = property(lambda self: self._dynamics[0])
+    mass = property(lambda self: self._dynamics[1])
+    inertia_diag = property(lambda self: self._dynamics[2])
+    inertia_origin = property(lambda self: self._dynamics[3])
+
+
+def _link_dynamics(mesh: TriMesh):
+    """(hull, mass, inertia_diag, inertia_origin) of a link-frame mesh."""
+    if mesh.is_empty or mesh.n_vertices < 4:
+        return None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0)
+    try:
+        hull = convex_hull(mesh)
+    except DegeneracyError:
+        return None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0)
+    mass = mesh_volume(hull) * LINK_DENSITY
+    box = mesh.aabb()
+    e = box.extents
+    ixx = mass / 12.0 * (e[1] ** 2 + e[2] ** 2)
+    iyy = mass / 12.0 * (e[0] ** 2 + e[2] ** 2)
+    izz = mass / 12.0 * (e[0] ** 2 + e[1] ** 2)
+    return hull, mass, (ixx, iyy, izz), tuple(float(c) for c in box.center)
 
 
 @dataclass(frozen=True)
 class EvaluatedJoint:
+    """One realized joint. `spec` is the evaluated JointSpec, with its pivot
+    and axis in the construction frame."""
+
     joint_id: str
     parent: str
     child: str
-    spec: JointSpec  # pivot/axis in the construction frame
+    spec: JointSpec
     order: tuple
+
+    # Read-only views of `spec`, for export, collision and callers.
+    joint_type = property(lambda self: self.spec.joint_type)
+    axis = property(lambda self: self.spec.axis)
+    lo = property(lambda self: self.spec.lo)
+    hi = property(lambda self: self.spec.hi)
+    default = property(lambda self: self.spec.default_value)
+    joint_label = property(lambda self: self.spec.joint_label)
+    is_fixed = property(lambda self: self.spec.is_fixed)
 
 
 @dataclass(frozen=True)
@@ -141,21 +200,18 @@ class _Context:
         material = node.params.get("material")
         if shape == "box":
             dims = tuple(self.scalar(node, f"size_{c}") for c in "xyz")
-            mesh = make_box(dims, material_tag=material)
+            mesh = make_box(dims)
         elif shape == "cylinder":
             mesh = make_cylinder(
                 self.scalar(node, "radius"),
                 self.scalar(node, "height"),
                 self.int_scalar(node, "segments"),
-                material_tag=material,
             )
         elif shape == "sphere":
-            mesh = make_sphere(
-                self.scalar(node, "radius"), self.int_scalar(node, "segments"), material_tag=material
-            )
+            mesh = make_sphere(self.scalar(node, "radius"), self.int_scalar(node, "segments"))
         elif shape == "rounded_box":
             dims = tuple(self.scalar(node, f"size_{c}") for c in "xyz")
-            mesh = make_rounded_box(dims, self.scalar(node, "bevel"), material_tag=material)
+            mesh = make_rounded_box(dims, self.scalar(node, "bevel"))
         else:  # ngon_prism
             top = node.params.get("top_radius")
             top_val = self.scalar(node, "top_radius") if top is not None else None
@@ -164,7 +220,6 @@ class _Context:
                 self.scalar(node, "height"),
                 self.int_scalar(node, "sides"),
                 top_radius=top_val,
-                material_tag=material,
             )
         return _Body((EvaluatedLink(self.fresh_uid(), None, mesh, material, node.node_id),), ())
 
@@ -215,7 +270,9 @@ class _Context:
             bodies.append(body)
         mesh = merge_meshes([b.root.mesh for b in bodies])
         label = next((b.root.label for b in bodies if b.root.label), None)
-        root = EvaluatedLink(self.fresh_uid(), label, mesh, mesh.material_tag, node.node_id)
+        materials = {b.root.material for b in bodies}  # one shared material, else None
+        material = materials.pop() if len(materials) == 1 else None
+        root = EvaluatedLink(self.fresh_uid(), label, mesh, material, node.node_id)
         links = [root]
         joints = []
         for b in bodies:

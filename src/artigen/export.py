@@ -15,13 +15,14 @@ from pathlib import Path
 from xml.etree import ElementTree as ET
 
 from . import __version__
-from .blueprint import AssetInstance, InstanceJoint, InstanceLink
+from .blueprint import AssetInstance
 from .errors import (
     DocumentParseError,
     InvalidParameterError,
     MissingParameterError,
     StructuralError,
 )
+from .evaluate import EvaluatedJoint, EvaluatedLink
 from .geometry import format_float, obj_text
 from .kinematics import KinematicTree
 from .params import ParamVector, _is_whole, _read_json
@@ -96,12 +97,12 @@ def _slug(link_id: str) -> str:
     return link_id.replace("/", "_")
 
 
-def _ordered_links(instance: AssetInstance) -> list[InstanceLink]:
+def _ordered_links(instance: AssetInstance) -> list[EvaluatedLink]:
     """Depth-first order over the realized tree, children by joint id."""
     return [instance.links[i] for i in instance.tree.order]
 
 
-def _ordered_joints(instance: AssetInstance) -> list[InstanceJoint]:
+def _ordered_joints(instance: AssetInstance) -> list[EvaluatedJoint]:
     """Each link's child joints by joint id, links in depth-first order."""
     tree = instance.tree
     return [instance.joints[k] for i in tree.order for k in tree.children[i]]
@@ -225,7 +226,8 @@ def _urdf_document(instance: AssetInstance, mesh_paths, link_names, joint_names)
             robot.append(ET.Comment(f" joint label: {j.joint_label} "))
         jtype = "fixed" if j.is_fixed else j.joint_type
         el = ET.SubElement(robot, "joint", {"name": joint_names[j.joint_id], "type": jtype})
-        ET.SubElement(el, "origin", {"xyz": _fmt_vec(j.pivot_in_parent), "rpy": "0 0 0"})
+        pivot = _fmt_vec(instance.pivot_in_parent(j))
+        ET.SubElement(el, "origin", {"xyz": pivot, "rpy": "0 0 0"})
         ET.SubElement(el, "parent", {"link": link_names[j.parent]})
         ET.SubElement(el, "child", {"link": link_names[j.child]})
         if jtype != "fixed":
@@ -382,7 +384,7 @@ def _mjcf_document(instance: AssetInstance, mesh_paths, link_names, joint_names)
                 },
             )
         for j in instance.children_of(link_id):
-            emit_body(j.child, body, j.pivot_in_parent)
+            emit_body(j.child, body, instance.pivot_in_parent(j))
 
     emit_body(instance.root_link, worldbody, (0.0, 0.0, 0.0))
     return mujoco

@@ -189,7 +189,7 @@ class Aabb:
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Indexed triangle mesh with optional per-face part labels and a material tag.
+    """Indexed triangle mesh with optional per-face part labels.
 
     `face_labels` uses -1 for unlabeled faces. Vertices are metres in some
     link-local or construction frame; triangle winding is counter-clockwise
@@ -199,7 +199,6 @@ class TriMesh:
     vertices: np.ndarray
     triangles: np.ndarray
     face_labels: np.ndarray | None = None
-    material_tag: str | None = None
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -249,7 +248,7 @@ class TriMesh:
         return self.vertices[self.triangles]
 
     def with_labels(self, labels) -> "TriMesh":
-        return TriMesh(self.vertices, self.triangles, labels, self.material_tag)
+        return TriMesh(self.vertices, self.triangles, labels)
 
     def fill_unlabeled(self, label: int) -> "TriMesh":
         """Assign `label` to every face that does not carry a label yet."""
@@ -315,7 +314,7 @@ def _orient_outward(verts: np.ndarray, tris: np.ndarray, outward: np.ndarray) ->
 _QUAD_TRIANGLES = [0, 1, 2, 0, 2, 3]
 
 
-def make_box(dimensions, material_tag: str | None = None) -> TriMesh:
+def make_box(dimensions) -> TriMesh:
     """Axis-aligned box centered at the origin: 8 vertices, 12 triangles."""
     dims = as_vec3(dimensions)
     if np.any(dims <= 0):
@@ -337,7 +336,7 @@ def make_box(dimensions, material_tag: str | None = None) -> TriMesh:
     quads = np.array(
         [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [2, 3, 7, 6], [1, 2, 6, 5], [3, 0, 4, 7]]
     )
-    return TriMesh(verts, quads[:, _QUAD_TRIANGLES].reshape(-1, 3), material_tag=material_tag)
+    return TriMesh(verts, quads[:, _QUAD_TRIANGLES].reshape(-1, 3))
 
 
 def make_ngon_prism(
@@ -345,7 +344,6 @@ def make_ngon_prism(
     height: float,
     sides: int,
     top_radius: float | None = None,
-    material_tag: str | None = None,
 ) -> TriMesh:
     """Closed prism along +Z centered at the origin, optionally tapered toward the top."""
     if radius <= 0 or height <= 0:
@@ -369,19 +367,17 @@ def make_ngon_prism(
         tris.append((tc, t0 + k, t0 + k1))  # top cap, outward +Z
         tris.append((b0 + k, b0 + k1, t0 + k))
         tris.append((b0 + k1, t0 + k1, t0 + k))
-    return TriMesh(verts, np.array(tris), material_tag=material_tag)
+    return TriMesh(verts, np.array(tris))
 
 
-def make_cylinder(
-    radius: float, height: float, segments: int = DEFAULT_SEGMENTS, material_tag: str | None = None
-) -> TriMesh:
+def make_cylinder(radius: float, height: float, segments: int = DEFAULT_SEGMENTS) -> TriMesh:
     """Closed cylinder along +Z centered at the origin; 4*segments triangles."""
     if segments < 3:
         raise InvalidParameterError(f"cylinder needs at least 3 segments, got {segments}")
-    return make_ngon_prism(radius, height, segments, material_tag=material_tag)
+    return make_ngon_prism(radius, height, segments)
 
 
-def make_sphere(radius: float, segments: int = DEFAULT_SEGMENTS, material_tag: str | None = None) -> TriMesh:
+def make_sphere(radius: float, segments: int = DEFAULT_SEGMENTS) -> TriMesh:
     """UV sphere centered at the origin."""
     if radius <= 0:
         raise InvalidParameterError("sphere radius must be positive")
@@ -417,10 +413,10 @@ def make_sphere(radius: float, segments: int = DEFAULT_SEGMENTS, material_tag: s
     rl = ring_start(rings - 1)
     for k in range(segments):
         tris.append((south, rl + (k + 1) % segments, rl + k))
-    return TriMesh(verts, np.array(tris), material_tag=material_tag)
+    return TriMesh(verts, np.array(tris))
 
 
-def make_rounded_box(dimensions, bevel: float, material_tag: str | None = None) -> TriMesh:
+def make_rounded_box(dimensions, bevel: float) -> TriMesh:
     """Box with one 45-degree chamfer loop on all 12 edges; bevel=0 is exactly make_box."""
     dims = as_vec3(dimensions)
     if np.any(dims <= 0):
@@ -431,7 +427,7 @@ def make_rounded_box(dimensions, bevel: float, material_tag: str | None = None) 
             f"bevel must satisfy 0 <= bevel < min(dimensions)/2, got {bevel}"
         )
     if bevel == 0.0:
-        return make_box(dims, material_tag=material_tag)
+        return make_box(dims)
     h = dims / 2.0
     corners = np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
     # Vertex 3 * c + a lies on corner c's face normal to axis a, inset by the bevel
@@ -470,7 +466,7 @@ def make_rounded_box(dimensions, bevel: float, material_tag: str | None = None) 
     quad_tris = np.array(quads)[:, _QUAD_TRIANGLES].reshape(-1, 3)
     tris = np.vstack([quad_tris, np.arange(24).reshape(8, 3)])
     outward = np.vstack([np.repeat(outward, 2, axis=0), corners])
-    return TriMesh(verts, _orient_outward(verts, tris, outward), material_tag=material_tag)
+    return TriMesh(verts, _orient_outward(verts, tris, outward))
 
 
 def apply_transform(mesh: TriMesh, transform: RigidTransform) -> TriMesh:
@@ -479,7 +475,6 @@ def apply_transform(mesh: TriMesh, transform: RigidTransform) -> TriMesh:
         transform.apply(mesh.vertices) if mesh.n_vertices else mesh.vertices,
         mesh.triangles,
         mesh.face_labels,
-        mesh.material_tag,
     )
 
 
@@ -501,14 +496,7 @@ def merge_meshes(meshes) -> TriMesh:
                 else np.full(m.n_triangles, -1, dtype=np.int64)
             )
         offset += m.n_vertices
-    tags = {m.material_tag for m in meshes}
-    tag = tags.pop() if len(tags) == 1 else None
-    return TriMesh(
-        np.vstack(verts),
-        np.vstack(tris),
-        np.concatenate(labels) if any_labels else None,
-        tag,
-    )
+    return TriMesh(np.vstack(verts), np.vstack(tris), np.concatenate(labels) if any_labels else None)
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +635,8 @@ def convex_hull(mesh_or_points) -> TriMesh:
 
     if isinstance(mesh_or_points, TriMesh):
         points = mesh_or_points.vertices
-        tag = mesh_or_points.material_tag
     else:
         points = np.asarray(mesh_or_points, dtype=np.float64).reshape(-1, 3)
-        tag = None
     if len(points) < 4:
         raise DegeneracyError(f"convex hull needs at least 4 points, got {len(points)}")
     try:
@@ -666,7 +652,7 @@ def convex_hull(mesh_or_points) -> TriMesh:
     lead = tris.argmin(axis=1)
     tris = np.take_along_axis(tris, (lead[:, None] + np.arange(3)) % 3, axis=1)
     tris = tris[np.lexsort(tris.T[::-1])]
-    return TriMesh(verts, tris, material_tag=tag)
+    return TriMesh(verts, tris)
 
 
 # ---------------------------------------------------------------------------

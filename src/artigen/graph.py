@@ -142,9 +142,8 @@ class _ParamSpec:
 @dataclass(frozen=True)
 class _KindSpec:
     params: dict
-    geometry_ports: tuple = ()
+    geometry_ports: tuple = ()  # named geometry inputs, each of which must be wired
     dynamic_ports: str | None = None  # prefix for geometry port families
-    required_ports: tuple = ()
     output: str = GEOMETRY
 
 
@@ -184,7 +183,6 @@ _KINDS: dict[str, _KindSpec] = {
             "rotate_angle": _ParamSpec("scalar", default=0.0),
         },
         geometry_ports=("geometry",),
-        required_ports=("geometry",),
     ),
     MERGE: _KindSpec(params={}, dynamic_ports="geometry_"),
     SCALAR_MATH: _KindSpec(
@@ -202,12 +200,10 @@ _KINDS: dict[str, _KindSpec] = {
     JOINT_REVOLUTE: _KindSpec(
         params=dict(_JOINT_PARAMS),
         geometry_ports=("parent", "child"),
-        required_ports=("parent", "child"),
     ),
     JOINT_PRISMATIC: _KindSpec(
         params=dict(_JOINT_PARAMS),
         geometry_ports=("parent", "child"),
-        required_ports=("parent", "child"),
     ),
     DUPLICATE: _KindSpec(
         params={
@@ -215,12 +211,10 @@ _KINDS: dict[str, _KindSpec] = {
             "count_param": _ParamSpec("str", default=None),
         },
         geometry_ports=("parent", "body"),
-        required_ports=("parent", "body"),
     ),
     SEMANTIC_LABEL: _KindSpec(
         params={"label": _ParamSpec("str", required=True)},
         geometry_ports=("geometry",),
-        required_ports=("geometry",),
     ),
     STORE_ATTRIBUTE: _KindSpec(
         params={
@@ -228,7 +222,6 @@ _KINDS: dict[str, _KindSpec] = {
             "value": _ParamSpec("int", required=True),
         },
         geometry_ports=("geometry",),
-        required_ports=("geometry",),
     ),
 }
 
@@ -456,7 +449,7 @@ class NodeGraph:
                 problem = self._wiring_problem(src, node.kind, port)
                 if problem is not None:
                     diags.append(Diagnostic(*problem, nid))
-            for port in spec.required_ports:
+            for port in spec.geometry_ports:
                 if port not in node.inputs:
                     diags.append(Diagnostic("missing-input", f"port {port!r} is not wired", nid))
             if spec.dynamic_ports:
@@ -812,6 +805,9 @@ class _SymbolicWalk:
         picked = _picked_option(node)
         if picked is not None:
             return self.values[picked]
+        sources = set(_port_family(node, "option_"))
+        if len(sources) == 1:  # every selection yields that one node's value
+            return self.values[sources.pop()]
         options = [self.values[src] for src in _port_family(node, "option_")]
         if all(isinstance(o, _SymBody) and not o.attachments for o in options):
             labels = {o.root.label for o in options}

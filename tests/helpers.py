@@ -1,11 +1,20 @@
 """Shared oracles for round-trip checks and blueprint trees, a duplication
 fixture and a graph whose joints give one link two parents."""
 
+import math
+from xml.etree import ElementTree as ET
+
 import numpy as np
 
+from artigen.evaluate import EvaluatedJoint
 from artigen.export import _names
-from artigen.graph import DUPLICATE, JOINT_REVOLUTE
+from artigen.geometry import RigidTransform
+from artigen.graph import DUPLICATE, JOINT_REVOLUTE, JointSpec
+from artigen.kinematics import KinematicTree
 from artigen.patterns import build_pattern
+
+# `format_float` writes every number within this much of its value.
+FORMAT_ABS = 5e-10
 
 
 def duplicated_revolute(points):
@@ -60,13 +69,111 @@ def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-
         assert pj.joint_type == expected_type, (name, pj.joint_type, expected_type)
         assert pj.parent == link_names[j.parent]
         assert pj.child == link_names[j.child]
-        np.testing.assert_allclose(pj.origin, j.pivot_in_parent, atol=origin_tol)
+        np.testing.assert_allclose(pj.origin, instance.pivot_in_parent(j), atol=origin_tol)
         if expected_type != "fixed":
             np.testing.assert_allclose(pj.axis, j.axis, atol=axis_tol)
             assert abs(pj.lo - j.lo) <= limit_tol
             assert abs(pj.hi - j.hi) <= limit_tol
     del parsed_joints
     assert len(parsed.joints) == len(instance.joints)
+
+
+def pose_parsed_model(model, config):
+    """Pose a parsed URDF or MJCF model: parsed link name -> (world transform
+    of its frame, its depth in joints below the root, the summed lengths of
+    the joint origins from the root).
+
+    `config` maps parsed joint names to values, each clipped into the written
+    range; fixed joints rest. Exported frames carry no rotation, so a link's
+    construction position is the sum of the joint origins from the root, and
+    a joint turns or slides its child about that position."""
+    incoming = {j.child: j for j in model.joints}
+    placed = {}  # name -> (construction position, depth, path length)
+
+    def place(name):
+        if name not in placed:
+            j = incoming.get(name)
+            if j is None:
+                placed[name] = (np.zeros(3), 0, 0.0)
+            else:
+                position, depth, length = place(j.parent)
+                origin = np.asarray(j.origin)
+                placed[name] = (position + origin, depth + 1, length + np.linalg.norm(origin))
+        return placed[name]
+
+    joints, values = [], {}
+    for j in model.joints:
+        pivot = place(j.child)[0]
+        if j.joint_type == "fixed":
+            spec = JointSpec("revolute", pivot, (0.0, 0.0, 1.0), 0.0, 0.0)
+        else:
+            spec = JointSpec(j.joint_type, pivot, j.axis, j.lo, j.hi, j.lo)
+            values[j.name] = min(max(config[j.name], j.lo), j.hi)
+        joints.append(EvaluatedJoint(j.name, j.parent, j.child, spec, ()))
+    (root,) = [l.name for l in model.links if l.name not in incoming]
+    world = KinematicTree(root, [l.name for l in model.links], joints).transforms(values)
+    return {
+        name: (t @ RigidTransform.from_translation(place(name)[0]),) + place(name)[1:]
+        for name, t in world.items()
+    }
+
+
+def pose_tolerance(depth: int, reach: float, turn: float) -> float:
+    """How far a vertex placed from a parsed document may sit from its
+    evaluated position, for a link `depth` joints below the root, when no
+    point lies farther than `reach` from any pivot and no joint value exceeds
+    `turn` in magnitude.
+
+    Each written number is within FORMAT_ABS, so a written 3-vector is off by
+    at most e = sqrt(3) * FORMAT_ABS and a renormalized unit axis by 2e. The
+    vertex and the `depth` origins summed to its frame give (1 + depth) e.
+    Per joint on the path: its pivot, a sum of at most `depth` origins, is
+    off by depth e, which a rotation moves by at most twice that; its axis
+    error turns the point by at most 2 * 2e * turn * reach, or slides it by
+    2e * turn; its value, clipped into the written range, is off by
+    FORMAT_ABS, which turns the point by FORMAT_ABS * reach or slides it by
+    FORMAT_ABS. Adding the turning and sliding bounds covers either joint
+    type."""
+    e = math.sqrt(3) * FORMAT_ABS
+    per_joint = 2 * depth * e + (4 * e * turn + FORMAT_ABS) * (reach + 1)
+    return (1 + depth) * e + depth * per_joint
+
+
+def parsed_inertials(model_path) -> dict:
+    """Link name -> (mass, centre of mass, 3x3 inertia) of each inertial
+    block of an exported URDF or MJCF document, in the link frame. Asserts
+    that no link frame, joint origin or inertial frame is rotated."""
+    root = ET.parse(model_path).getroot()
+
+    def floats(text):
+        return np.array([float(v) for v in text.split()])
+
+    out = {}
+    if root.tag == "robot":
+        assert all(j.find("origin").get("rpy") == "0 0 0" for j in root.iter("joint"))
+        for link in root.iter("link"):
+            inertial = link.find("inertial")
+            origin = inertial.find("origin")
+            assert origin.get("rpy") == "0 0 0"
+            i = {k: float(v) for k, v in inertial.find("inertia").attrib.items()}
+            inertia = np.array(
+                [
+                    [i["ixx"], i["ixy"], i["ixz"]],
+                    [i["ixy"], i["iyy"], i["iyz"]],
+                    [i["ixz"], i["iyz"], i["izz"]],
+                ]
+            )
+            mass = float(inertial.find("mass").get("value"))
+            out[link.get("name")] = (mass, floats(origin.get("xyz")), inertia)
+    else:
+        rotations = {"quat", "axisangle", "euler", "xyaxes", "zaxis", "fullinertia"}
+        for body in root.iter("body"):
+            inertial = body.find("inertial")
+            assert not rotations & (set(body.attrib) | set(inertial.attrib))
+            inertia = np.diag(floats(inertial.get("diaginertia")))
+            mass = float(inertial.get("mass"))
+            out[body.get("name")] = (mass, floats(inertial.get("pos")), inertia)
+    return out
 
 
 def blueprint_parts(tree):

@@ -10,9 +10,6 @@ import pytest
 import artigen
 import artigen.graph
 from artigen.blueprint import (
-    PASSTHROUGH_MASS,
-    InstanceLink,
-    _link_dynamics,
     extract_blueprint,
     forward_kinematics,
     instantiate,
@@ -20,10 +17,10 @@ from artigen.blueprint import (
 )
 from artigen.collision import SweepPlan, sweep_check
 from artigen.errors import RangeError, StructuralError
-from artigen.evaluate import evaluate
+from artigen.evaluate import PASSTHROUGH_MASS, EvaluatedLink, _link_dynamics, evaluate
 from artigen.export import export_mjcf, export_urdf
 from artigen.generators import CATEGORY_NAMES, build_instance
-from artigen.geometry import RigidTransform, TriMesh
+from artigen.geometry import TriMesh
 from artigen.params import ParamVector
 from artigen.patterns import PATTERN_NAMES, build_pattern
 from helpers import blueprint_parts
@@ -172,7 +169,7 @@ class TestForwardKinematics:
         inst = make_instance("simple_revolute")
         j = inst.joints[0]
         tip_local = np.array([0.0, 0.0, 0.5])  # rod top in link frame
-        pivot = np.asarray(j.pivot_in_parent)  # parent is the root: already world
+        pivot = inst.pivot_in_parent(j)  # parent is the root: already world
         radii = []
         for theta in np.linspace(j.lo, j.hi, 9):
             world = forward_kinematics(inst, {j.joint_id: float(theta)})
@@ -238,13 +235,13 @@ class TestLazyDynamics:
 
     def test_hulls_built_once_per_link_on_first_read(self, monkeypatch, tmp_path):
         calls = []
-        real = artigen.blueprint.convex_hull
+        real = artigen.evaluate.convex_hull
 
         def counting(mesh):
             calls.append(mesh)
             return real(mesh)
 
-        monkeypatch.setattr(artigen.blueprint, "convex_hull", counting)
+        monkeypatch.setattr(artigen.evaluate, "convex_hull", counting)
         inst = build_instance("lamp", 3)
         sweep_check(inst, SweepPlan(strategy="random", samples=16))
         assert calls == []
@@ -257,7 +254,7 @@ class TestLazyDynamics:
 
     def test_flat_link_gets_passthrough_dynamics(self):
         square = TriMesh([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)])
-        link = InstanceLink("flat_0", None, square, RigidTransform.identity(), None, "n0")
+        link = EvaluatedLink("flat_0", None, square, None, "n0")
         assert link.hull is None
         assert link.mass == PASSTHROUGH_MASS
         assert link.inertia_origin == (0.0, 0.0, 0.0)

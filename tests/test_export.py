@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from artigen.errors import (
 )
 from artigen.evaluate import evaluate
 from artigen.export import (
+    _names,
     export_bundle,
     export_mjcf,
     export_urdf,
@@ -21,12 +23,19 @@ from artigen.export import (
     read_manifest,
     write_manifest,
 )
+from artigen.generators import CATEGORY_NAMES, get_generator
 from artigen.geometry import mesh_volume, parse_obj
 from artigen.graph import GraphBuilder
-from artigen.params import ParameterSpace, ParamVector
+from artigen.params import ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
-from helpers import assert_kinematic_isomorphism
+from helpers import (
+    FORMAT_ABS,
+    assert_kinematic_isomorphism,
+    parsed_inertials,
+    pose_parsed_model,
+    pose_tolerance,
+)
 
 
 _BASE = "chained_joints/base/0"
@@ -272,6 +281,73 @@ class TestDynamics:
             if link.hull is None:
                 continue
             assert link.mass == pytest.approx(mesh_volume(link.hull) * 500.0, rel=1e-6)
+
+
+class TestPosedRoundTrip:
+    """Both documents, parsed back and posed at random in-range configurations,
+    place every visual mesh where evaluation puts it, and carry each link's
+    mass, centre of mass and inertia."""
+
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    def test_parsed_documents_pose_and_weigh_like_evaluation(self, category, tmp_path):
+        gen = get_generator(category)
+        for seed in (0, 1):
+            params = sample_parameters(gen.space, seed, salt="")
+            graph = gen.build(params)
+            instance = instantiate(gen.blueprint, graph, params, category=category)
+            link_names, joint_names = _names(instance)
+            link_ids = {name: link_id for link_id, name in link_names.items()}
+            rng = random.Random(seed)
+            configs = [
+                {j.joint_id: rng.uniform(j.lo, j.hi) for j in instance.joints} for _ in range(3)
+            ]
+            bodies = [evaluate(graph, params, joint_values=c) for c in configs]
+            bundles = export_bundle(instance, tmp_path / str(seed), ("urdf", "mjcf"))
+            for bundle, parse in zip(bundles, (parse_urdf, parse_mjcf)):
+                model = parse(bundle.model_path)
+                visuals = {
+                    l.name: parse_obj((bundle.root / l.visual_mesh).read_text()).vertices
+                    for l in model.links
+                    if l.visual_mesh
+                }
+                for config, body in zip(configs, bodies):
+                    posed = pose_parsed_model(
+                        model, {joint_names[k]: v for k, v in config.items()}
+                    )
+                    expected = {n: body.posed_mesh(link_ids[n]).vertices for n in visuals}
+                    reach = max(np.linalg.norm(v, axis=1).max() for v in expected.values())
+                    reach += max(length for _, _, length in posed.values())
+                    turn = max(map(abs, config.values()), default=0.0)
+                    for name, local in visuals.items():
+                        frame, depth, _ = posed[name]
+                        np.testing.assert_allclose(
+                            frame.apply(local),
+                            expected[name],
+                            rtol=0,
+                            atol=pose_tolerance(depth, reach, turn),
+                            err_msg=f"{bundle.format} seed {seed} {name}",
+                        )
+                self.check_inertials(instance, link_ids, visuals, bundle.model_path)
+
+    @staticmethod
+    def check_inertials(instance, link_ids, visuals, model_path):
+        for name, (mass, com, inertia) in parsed_inertials(model_path).items():
+            link = instance.link(link_ids[name])
+            assert mass > 0 and abs(mass - link.mass) <= FORMAT_ABS, name
+            np.testing.assert_allclose(com, link.inertia_origin, rtol=0, atol=FORMAT_ABS)
+            np.testing.assert_allclose(inertia, np.diag(link.inertia_diag), rtol=0, atol=FORMAT_ABS)
+            a, b, c = np.linalg.eigvalsh(inertia)
+            assert a > 0 and a + b >= c - 3 * FORMAT_ABS, name
+            if link.hull is None:
+                continue
+            # Box inertia about the visual mesh's bounding-box centre: its
+            # corners are written within FORMAT_ABS, so extents within twice that.
+            lo, hi = visuals[name].min(axis=0), visuals[name].max(axis=0)
+            ext = hi - lo
+            box = mass / 12.0 * (np.sum(ext**2) - ext**2)
+            box_tol = FORMAT_ABS * (1.0 + np.sum(ext**2) / 12.0 + mass * np.sum(ext) / 3.0)
+            np.testing.assert_allclose(com, (lo + hi) / 2.0, rtol=0, atol=2 * FORMAT_ABS)
+            np.testing.assert_allclose(np.diag(inertia), box, rtol=0, atol=box_tol)
 
 
 class TestManifest:

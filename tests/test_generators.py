@@ -222,7 +222,7 @@ class TestDoor:
         handle_j = next(j for j in inst.joints if j.joint_label == "handle_turn")
         handle = inst.link(handle_j.child)
         # farthest handle point from the hinge axis, over a hinge sweep
-        pivot = np.asarray(hinge.pivot_in_parent)
+        pivot = inst.pivot_in_parent(hinge)
         axis = np.asarray(hinge.axis)
         radii = []
         for theta in np.linspace(hinge.lo, hinge.hi, 5):
@@ -233,7 +233,7 @@ class TestDoor:
             radii.append(rad.max())
         # the arc radius is constant and bounded by the hinge-to-handle reach
         assert np.ptp(radii) < 1e-9
-        d = abs(handle_j.pivot_in_parent[0])  # handle-to-hinge distance along the panel
+        d = abs(inst.pivot_in_parent(handle_j)[0])  # handle-to-hinge distance along the panel
         reach = pv["lever_length"] + 0.08
         assert d - reach <= radii[0] <= d + reach
 

@@ -25,6 +25,7 @@ from artigen.evaluate import evaluate
 import artigen
 from artigen.graph import (
     DUPLICATE,
+    JOINT_PRISMATIC,
     JOINT_REVOLUTE,
     MERGE,
     PRIMITIVE,
@@ -33,6 +34,7 @@ from artigen.graph import (
     STORE_ATTRIBUTE,
     SWITCH,
     TRANSFORM,
+    GraphBuilder,
     JointSpec,
     NodeGraph,
     ParamRef,
@@ -332,6 +334,27 @@ class TestValidate:
         diags = g.validate()
         assert [d.code for d in diags] == ["joint-self-loop"]
         assert diags[0].node_id == j
+
+    def test_switch_over_one_node_is_that_node(self):
+        # A switch whose options are all the jointed rod is the rod itself, so
+        # a second joint into it joins the hinge's pair: a composite joint.
+        g = NodeGraph(ParameterSpace({"k": Count(0, 1)}))
+        spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+        base, rod = box_node(g), box_node(g)
+        hinge = g.add_node(JOINT_REVOLUTE, spec)
+        g.connect(base, hinge, "parent")
+        g.connect(rod, hinge, "child")
+        sw = g.add_node(SWITCH, {"select": ParamRef("k")})
+        g.connect(rod, sw, "option_0")
+        g.connect(rod, sw, "option_1")
+        slide = g.add_node(JOINT_PRISMATIC, spec)
+        g.connect(hinge, slide, "parent")
+        g.connect(sw, slide, "child")
+        g.set_output(slide)
+        assert g.validate() == []
+        for k in (0, 1):
+            body = evaluate(g, ParamVector({"k": k}))
+            assert (len(body.links), len(body.joints)) == (2, 2)
 
     @pytest.mark.parametrize(
         "kind, code",
@@ -779,6 +802,33 @@ class TestMerge:
             "  [revolute] rod",
             "  [revolute] rod",
         ]
+
+    @pytest.mark.parametrize(
+        "build, material",
+        [
+            (lambda g: g.merge(_cube(g, "metal"), _cube(g, "metal")), "metal"),
+            (lambda g: g.merge(_cube(g, "metal"), _cube(g, "glass")), None),
+            (lambda g: g.merge(_cube(g, "metal"), _cube(g, None)), None),
+            (lambda g: _glass_on_metal(g), "metal"),
+            (lambda g: g.merge(_glass_on_metal(g), _cube(g, "metal")), "metal"),
+        ],
+        ids=["shared", "mixed", "one-unset", "static-duplicate", "merged-static-duplicate"],
+    )
+    def test_merged_link_takes_the_one_material_its_inputs_share(self, build, material):
+        # A static duplicate is its parent link, with the parent's material,
+        # whatever the copies it merges in are made of.
+        g = GraphBuilder(ParameterSpace())
+        (link,) = evaluate(g.output(build(g))).links
+        assert link.material == material
+
+
+def _cube(g, material):
+    return g.box((0.1, 0.1, 0.1), material=material)
+
+
+def _glass_on_metal(g):
+    """A metal cube with glass cubes merged in at two points: a static duplicate."""
+    return g.duplicate(_cube(g, "metal"), _cube(g, "glass"), [(0.2, 0, 0), (0.4, 0, 0)])
 
 
 def _pattern_or_category(source):

@@ -10,6 +10,7 @@ from artigen.blueprint import AssetInstance, extract_blueprint, forward_kinemati
 from artigen.errors import StructuralError
 from artigen.evaluate import evaluate
 from artigen.generators import CATEGORY_NAMES, get_generator
+from artigen.geometry import RigidTransform
 from artigen.params import ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
@@ -46,7 +47,8 @@ def test_instance_pose_matches_evaluated_pose(case):
         world = forward_kinematics(instance, config)
         body = evaluate(graph, params, joint_values=config)
         for link in body.links:
-            expected = body.world_transforms[link.link_id] @ instance.link(link.link_id).local_frame
+            origin = RigidTransform.from_translation(instance.link(link.link_id).origin)
+            expected = body.world_transforms[link.link_id] @ origin
             got = world[link.link_id]
             np.testing.assert_allclose(
                 got.rotation_matrix(), expected.rotation_matrix(), atol=1e-12, err_msg=link.link_id
@@ -64,7 +66,7 @@ def test_instance_tree_poses_with_the_evaluated_joint_specs(case):
     for tree_joint, joint in zip(tree_joints, instance.joints):
         assert tree_joint is joint
         assert joint.spec == evaluated[joint.joint_id]
-        assert joint.spec.pivot == tuple(instance.link(joint.child).local_frame.translation)
+        assert joint.spec.pivot == instance.link(joint.child).origin
 
 
 def test_batched_pose_matches_single_configs(case):
