@@ -222,8 +222,9 @@ def instantiate(
     params: ParamVector,
     category: str = "asset",
 ) -> AssetInstance:
-    """Realize one asset: evaluate meshes and normalize composite joints. Link
-    dynamics are left to the first read of each link's."""
+    """Realize one asset: evaluate meshes, normalize composite joints and
+    check each link mesh in full. Link dynamics are left to the first read of
+    each link's."""
     evaluated_links, evaluated_joints, root = evaluate_links(graph, params)
 
     # Normalize parallel joints between one pair into a serial chain.
@@ -247,12 +248,15 @@ def instantiate(
         joints.append(replace(group[-1], parent=prev))
 
     # Each link's frame sits at its incoming joint's pivot; the root's at zero.
+    # Evaluation moves and merges meshes unchecked, so each realized link mesh
+    # takes the full TriMesh check here, once.
     origins = {j.child: j.spec.pivot for j in joints}
     for i, l in enumerate(links):
         origin = origins.get(l.link_id, l.origin)
         mesh = l.mesh
         if mesh.n_vertices:
             mesh = apply_transform(mesh, RigidTransform.from_translation(-np.asarray(origin)))
+            mesh = TriMesh(mesh.vertices, mesh.triangles, mesh.face_labels)
         links[i] = replace(l, mesh=mesh, origin=origin)
 
     return AssetInstance(category, params.seed, params, tuple(links), tuple(joints), root, blueprint)

@@ -5,7 +5,8 @@ order, and one row per configuration, drawn as a Cartesian grid or as random
 draws. The sweep poses every link for blocks of rows with forward kinematics
 and culls link pairs with conservative AABB tests; products of a link's rest
 vertices with the block's rotation rows, each at most _PRODUCT_ENTRIES
-outputs so that it runs on the calling thread, give all its boxes.
+outputs so that it runs on the calling thread, give all its boxes, and a
+link that no row rotates takes its rest box, translated.
 Each link pair then takes its surviving rows through the narrowphase
 together: rows are posed in batches of at most _BATCH_TRIANGLES triangles,
 triangle pairs are culled by their boxes, and contacts are confirmed by the
@@ -337,6 +338,22 @@ def _rotated_extents(verts: np.ndarray, r: np.ndarray):
     return np.concatenate(lo), np.concatenate(hi)
 
 
+def _link_boxes(verts: np.ndarray, r: np.ndarray, t: np.ndarray, unrotated: bool):
+    """Per configuration, the box (lo, hi), each (n, 3), of (k, 3) rest
+    vertices under the n rigid motions (r, t).
+
+    With `unrotated`, every r is exactly the identity, which is what
+    `quat_to_matrix` makes of quaternions with zero imaginary parts. Then
+    x * 1 + y * 0 + z * 0 is x exactly, so the rest box plus t is the box the
+    rotated extents give, but for signed zeros, which compare equal.
+    """
+    if unrotated:
+        return verts.min(axis=0) + t, verts.max(axis=0) + t
+    lo, hi = _rotated_extents(verts, r)
+    # Adding t after the min/max gives the same bits, as rounding is monotone.
+    return lo.reshape(-1, 3) + t, hi.reshape(-1, 3) + t
+
+
 def check_configs(
     instance: AssetInstance, joint_ids, values: np.ndarray, plan: SweepPlan
 ) -> CollisionReport:
@@ -345,7 +362,9 @@ def check_configs(
     Column k of `values` holds joint `joint_ids[k]`; joints without a column
     sit at their defaults. Forward kinematics and the AABB broadphase run
     vectorized over blocks of rows; the exact triangle narrowphase runs per
-    link pair over batches of its surviving rows.
+    link pair over batches of its surviving rows. A link that no row of a
+    block rotates (a root, or one moved only by prismatic joints) is bounded
+    by its rest box, translated, instead of by rotated extents.
     """
     local = {
         l.link_id: l.mesh.triangle_corners()
@@ -370,10 +389,9 @@ def check_configs(
             r = quat_to_matrix(quat[i])
             t = trans[i] + r @ np.asarray(instance.links[i].origin)
             world[link_id] = (r, t)
-            # Adding t after the min/max gives the same bits, as rounding is monotone.
-            lo, hi = _rotated_extents(verts_rest[link_id], r)
-            lo_box[link_id] = lo.reshape(n, 3) + t
-            hi_box[link_id] = hi.reshape(n, 3) + t
+            lo_box[link_id], hi_box[link_id] = _link_boxes(
+                verts_rest[link_id], r, t, not quat[i, :, 1:].any()
+            )
         for a, b in pairs:
             if plan.use_broadphase:
                 mask = np.all(

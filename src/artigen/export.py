@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
+
+import numpy as np
 
 from . import __version__
 from .blueprint import AssetInstance
@@ -23,7 +26,7 @@ from .errors import (
     StructuralError,
 )
 from .evaluate import EvaluatedJoint, EvaluatedLink
-from .geometry import format_float, obj_text
+from .geometry import RigidTransform, format_float, obj_text, quat_to_matrix
 from .kinematics import KinematicTree
 from .params import ParamVector, _is_whole, _read_json
 
@@ -59,6 +62,7 @@ class ParsedJoint:
     axis: tuple[float, float, float] | None
     lo: float | None
     hi: float | None
+    rotation: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)  # of the origin, w first
 
     @property
     def joint_id(self) -> str:
@@ -118,6 +122,45 @@ def _names(instance: AssetInstance):
         for i, j in enumerate(_ordered_joints(instance))
     }
     return link_names, joint_names
+
+
+def _joint_frame(instance: AssetInstance, j: EvaluatedJoint):
+    """The child link frame of `j` in its parent's frame: a position, and a
+    unit quaternion (w first) or None for no rotation.
+
+    Link frames are unrotated and sit at their incoming joint's pivot, which a
+    movable joint moves from its zero value. A fixed joint (lo == hi) does not
+    move, so its frame carries its value's motion: a turn about its axis or a
+    slide along it. At value 0 that is nothing."""
+    pivot = instance.pivot_in_parent(j)
+    value = j.default
+    if not j.is_fixed or value == 0.0:
+        return pivot, None
+    if j.joint_type == "prismatic":
+        return pivot + value * np.asarray(j.axis), None
+    return pivot, RigidTransform.from_axis_angle(j.axis, value).rotation
+
+
+def _rpy(rotation) -> tuple[float, float, float]:
+    """URDF roll, pitch and yaw of a unit quaternion: its matrix is
+    Rz(yaw) Ry(pitch) Rx(roll). At pitch +-pi/2 the yaw is taken as 0."""
+    m = quat_to_matrix(np.asarray(rotation))
+    cos_pitch = math.hypot(m[0, 0], m[1, 0])
+    pitch = math.atan2(-m[2, 0], cos_pitch)
+    if cos_pitch < 1e-12:
+        return math.atan2(-m[1, 2], m[1, 1]), pitch, 0.0
+    return math.atan2(m[2, 1], m[2, 2]), pitch, math.atan2(m[1, 0], m[0, 0])
+
+
+def _rpy_rotation(rpy) -> tuple[float, float, float, float]:
+    """The unit quaternion (w first) of URDF roll, pitch and yaw."""
+    roll, pitch, yaw = rpy
+    t = (
+        RigidTransform.from_axis_angle((0, 0, 1), yaw)
+        @ RigidTransform.from_axis_angle((0, 1, 0), pitch)
+        @ RigidTransform.from_axis_angle((1, 0, 0), roll)
+    )
+    return tuple(t.rotation.tolist())
 
 
 def _write_meshes(instance: AssetInstance, out_dir: Path) -> dict:
@@ -226,8 +269,9 @@ def _urdf_document(instance: AssetInstance, mesh_paths, link_names, joint_names)
             robot.append(ET.Comment(f" joint label: {j.joint_label} "))
         jtype = "fixed" if j.is_fixed else j.joint_type
         el = ET.SubElement(robot, "joint", {"name": joint_names[j.joint_id], "type": jtype})
-        pivot = _fmt_vec(instance.pivot_in_parent(j))
-        ET.SubElement(el, "origin", {"xyz": pivot, "rpy": "0 0 0"})
+        position, rotation = _joint_frame(instance, j)
+        rpy = "0 0 0" if rotation is None else _fmt_vec(_rpy(rotation))
+        ET.SubElement(el, "origin", {"xyz": _fmt_vec(position), "rpy": rpy})
         ET.SubElement(el, "parent", {"link": link_names[j.parent]})
         ET.SubElement(el, "child", {"link": link_names[j.child]})
         if jtype != "fixed":
@@ -270,9 +314,10 @@ def parse_urdf(path) -> ParsedModel:
             links.append(ParsedLink(el.get("name"), visual, collision, mass))
         elif el.tag == "joint":
             origin_el = el.find("origin")
-            origin = (
-                _numbers(origin_el, "xyz", 3, "0 0 0") if origin_el is not None else (0.0, 0.0, 0.0)
-            )
+            origin, rpy = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+            if origin_el is not None:
+                origin = _numbers(origin_el, "xyz", 3, "0 0 0")
+                rpy = _numbers(origin_el, "rpy", 3, "0 0 0")
             axis_el = el.find("axis")
             axis = _numbers(axis_el, "xyz", 3) if axis_el is not None else None
             limit_el = el.find("limit")
@@ -295,6 +340,7 @@ def parse_urdf(path) -> ParsedModel:
                     axis,
                     lo,
                     hi,
+                    _rpy_rotation(rpy),
                 )
             )
         else:
@@ -330,11 +376,12 @@ def _mjcf_document(instance: AssetInstance, mesh_paths, link_names, joint_names)
             )
     worldbody = ET.SubElement(mujoco, "worldbody")
 
-    def emit_body(link_id: str, parent_el: ET.Element, pos):
+    def emit_body(link_id: str, parent_el: ET.Element, pos, rotation=None):
         link = instance.link(link_id)
-        body = ET.SubElement(
-            parent_el, "body", {"name": link_names[link_id], "pos": _fmt_vec(pos)}
-        )
+        attrs = {"name": link_names[link_id], "pos": _fmt_vec(pos)}
+        if rotation is not None:
+            attrs["quat"] = _fmt_vec(rotation)
+        body = ET.SubElement(parent_el, "body", attrs)
         if link.label:
             body.insert(0, ET.Comment(f" label: {link.label} "))
         ET.SubElement(
@@ -384,7 +431,7 @@ def _mjcf_document(instance: AssetInstance, mesh_paths, link_names, joint_names)
                 },
             )
         for j in instance.children_of(link_id):
-            emit_body(j.child, body, instance.pivot_in_parent(j))
+            emit_body(j.child, body, *_joint_frame(instance, j))
 
     emit_body(instance.root_link, worldbody, (0.0, 0.0, 0.0))
     return mujoco
@@ -414,6 +461,11 @@ def parse_mjcf(path) -> ParsedModel:
     def walk(body_el: ET.Element, parent_name: str | None):
         name = body_el.get("name")
         pos = _numbers(body_el, "pos", 3, "0 0 0")
+        quat = np.array(_numbers(body_el, "quat", 4, "1 0 0 0"))
+        norm = float(np.linalg.norm(quat))
+        if not norm > 0.0:
+            raise DocumentParseError(f"<body> {name!r} quat must be nonzero")
+        rotation = tuple((quat / norm).tolist())
         mass = None
         inertial = body_el.find("inertial")
         if inertial is not None:
@@ -442,11 +494,14 @@ def parse_mjcf(path) -> ParsedModel:
                         _numbers(joint_el, "axis", 3, "0 0 1"),
                         lo,
                         hi,
+                        rotation,
                     )
                 )
             else:
                 joints.append(
-                    ParsedJoint(f"{name}__fixed", "fixed", parent_name, name, pos, None, None, None)
+                    ParsedJoint(
+                        f"{name}__fixed", "fixed", parent_name, name, pos, None, None, None, rotation
+                    )
                 )
         elif joint_el is not None:
             raise StructuralError("root body must not carry a joint")

@@ -194,6 +194,12 @@ class TriMesh:
     `face_labels` uses -1 for unlabeled faces. Vertices are metres in some
     link-local or construction frame; triangle winding is counter-clockwise
     seen from outside.
+
+    Construction checks that vertices are finite, indices in range, labels
+    one per triangle and no triangle degenerate (DEGENERATE_AREA). The
+    primitives, `convex_hull`, `parse_obj` and `TriMesh(...)` itself run all
+    of these checks. `apply_transform` and `merge_meshes` move or reindex
+    checked meshes: a move runs only the finite check, a merge none.
     """
 
     vertices: np.ndarray
@@ -211,18 +217,29 @@ class TriMesh:
             labels = np.asarray(labels, dtype=np.int64).reshape(-1)
             if len(labels) != len(tris):
                 raise InvalidParameterError("face_labels length must equal triangle count")
-            labels.flags.writeable = False
         if tris.size:
             areas = triangle_areas(verts[tris])
             if areas.min() <= DEGENERATE_AREA:
                 raise InvalidParameterError(
                     f"degenerate triangle with area {areas.min():.3e} <= {DEGENERATE_AREA}"
                 )
+        self._freeze(verts, tris, labels)
+
+    def _freeze(self, verts: np.ndarray, tris: np.ndarray, labels: np.ndarray | None) -> None:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         object.__setattr__(self, "face_labels", labels)
-        verts.flags.writeable = False
-        tris.flags.writeable = False
+        for arr in (verts, tris) if labels is None else (verts, tris, labels):
+            arr.flags.writeable = False
+
+    @classmethod
+    def _unchecked(cls, verts: np.ndarray, tris: np.ndarray, labels: np.ndarray | None) -> "TriMesh":
+        """A mesh over float64 (n, 3) vertices, int64 (m, 3) triangles and
+        int64 (m,) labels or None, without checks: for the triangles of
+        checked meshes, reindexed or rigidly moved."""
+        mesh = object.__new__(cls)
+        mesh._freeze(verts, tris, labels)
+        return mesh
 
     @staticmethod
     def empty() -> "TriMesh":
@@ -470,16 +487,22 @@ def make_rounded_box(dimensions, bevel: float) -> TriMesh:
 
 
 def apply_transform(mesh: TriMesh, transform: RigidTransform) -> TriMesh:
-    """Rigidly transform every vertex; topology, labels, and winding are preserved."""
-    return TriMesh(
-        transform.apply(mesh.vertices) if mesh.n_vertices else mesh.vertices,
-        mesh.triangles,
-        mesh.face_labels,
-    )
+    """Rigidly transform every vertex; topology, labels, and winding are preserved.
+
+    Only the finite check runs, as a translation can overflow: indices and
+    labels are the input's, and areas change by rounding alone."""
+    if not mesh.n_vertices:
+        return mesh
+    verts = transform.apply(mesh.vertices)
+    _check_finite(verts, "mesh vertices")
+    return TriMesh._unchecked(verts, mesh.triangles, mesh.face_labels)
 
 
 def merge_meshes(meshes) -> TriMesh:
-    """Concatenate meshes with vertex reindexing; face labels survive per source."""
+    """Concatenate meshes with vertex reindexing; face labels survive per source.
+
+    No check runs: the result holds the inputs' vertices and triangles as they
+    are, with indices offset into the stacked vertices."""
     meshes = list(meshes)
     if not meshes:
         raise InvalidParameterError("merge_meshes requires a non-empty list")
@@ -496,7 +519,9 @@ def merge_meshes(meshes) -> TriMesh:
                 else np.full(m.n_triangles, -1, dtype=np.int64)
             )
         offset += m.n_vertices
-    return TriMesh(np.vstack(verts), np.vstack(tris), np.concatenate(labels) if any_labels else None)
+    return TriMesh._unchecked(
+        np.vstack(verts), np.vstack(tris), np.concatenate(labels) if any_labels else None
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ also finds cycles, and then makes one symbolic walk over the nodes the output
 depends on. The walk keeps link identity as evaluation keeps it and rejects
 every graph that cannot become one kinematic tree. `artigen.blueprint` writes
 that walk out as the blueprint, so a graph that validates always has one.
+No rule reads a numeric literal, so `validate` checks each distinct structure
+once and answers repeats of it, such as a generator's builds across seeds,
+from a bounded cache.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ JOINT_KINDS = (JOINT_REVOLUTE, JOINT_PRISMATIC)
 
 PRIMITIVE_SHAPES = ("box", "cylinder", "sphere", "rounded_box", "ngon_prism")
 MATH_OPS = ("add", "sub", "mul", "div", "min", "max")
+
+# Structures whose validate diagnostics are kept; the oldest is dropped first.
+VALIDATED_STRUCTURES = 128
+_validated: dict[tuple, tuple] = {}  # structure key -> its diagnostics
 
 
 def whole_number(value: float) -> int | None:
@@ -223,6 +230,12 @@ _KINDS: dict[str, _KindSpec] = {
         },
         geometry_ports=("geometry",),
     ),
+}
+
+# Per kind, the parameters that only ever hold numeric literals.
+_LITERAL_PARAMS = {
+    kind: frozenset(n for n, p in spec.params.items() if p.kind in ("vec3", "points"))
+    for kind, spec in _KINDS.items()
 }
 
 
@@ -422,8 +435,43 @@ class NodeGraph:
 
     def validate(self) -> list[Diagnostic]:
         """Composition diagnostics; an empty list means the graph is exportable
-        and has a kinematic blueprint."""
-        return self.structure()[0]
+        and has a kinematic blueprint.
+
+        The diagnostics depend only on what `_structure_key` holds, so each
+        distinct structure is checked once: the last VALIDATED_STRUCTURES
+        results are kept under their keys, and a graph whose key is among
+        them gets a fresh list of the kept diagnostics. A structural change
+        to the graph changes its key, so it is checked again."""
+        key = self._structure_key()
+        diags = _validated.get(key)
+        if diags is None:
+            diags = tuple(self.structure()[0])
+            if len(_validated) >= VALIDATED_STRUCTURES:
+                _validated.pop(next(iter(_validated)), None)
+            _validated[key] = diags
+        return list(diags)
+
+    def _structure_key(self) -> tuple:
+        """Everything `structure` reads, as one hashable value: the output id,
+        the declared parameter names, and per node in insertion order its id,
+        kind, wires and parameters. Numeric literals (floats, vec3s, point
+        lists) are left out, as no rule reads them; a switch's literal
+        selector stays, as it picks the option that is walked."""
+        nodes = tuple(
+            (
+                nid,
+                node.kind,
+                tuple(node.inputs.items()),
+                tuple(
+                    (name, value)
+                    for name, value in node.params.items()
+                    if name == "select"
+                    or (type(value) is not float and name not in _LITERAL_PARAMS[node.kind])
+                ),
+            )
+            for nid, node in self.nodes.items()
+        )
+        return self.output_node, tuple(self.parameters.entries), nodes
 
     def structure(self) -> tuple[list[Diagnostic], "_SymBody | None"]:
         """The diagnostics of `validate`, and with none the output's symbolic

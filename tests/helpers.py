@@ -6,11 +6,9 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from artigen.evaluate import EvaluatedJoint
-from artigen.export import _names
+from artigen.export import _joint_frame, _names
 from artigen.geometry import RigidTransform
-from artigen.graph import DUPLICATE, JOINT_REVOLUTE, JointSpec
-from artigen.kinematics import KinematicTree
+from artigen.graph import DUPLICATE, JOINT_REVOLUTE
 from artigen.patterns import build_pattern
 
 # `format_float` writes every number within this much of its value.
@@ -69,7 +67,7 @@ def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-
         assert pj.joint_type == expected_type, (name, pj.joint_type, expected_type)
         assert pj.parent == link_names[j.parent]
         assert pj.child == link_names[j.child]
-        np.testing.assert_allclose(pj.origin, instance.pivot_in_parent(j), atol=origin_tol)
+        np.testing.assert_allclose(pj.origin, _joint_frame(instance, j)[0], atol=origin_tol)
         if expected_type != "fixed":
             np.testing.assert_allclose(pj.axis, j.axis, atol=axis_tol)
             assert abs(pj.lo - j.lo) <= limit_tol
@@ -81,48 +79,43 @@ def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-
 def pose_parsed_model(model, config):
     """Pose a parsed URDF or MJCF model: parsed link name -> (world transform
     of its frame, its depth in joints below the root, the summed lengths of
-    the joint origins from the root).
+    the joint origins from the root, the number of rotated joint origins on
+    that path).
 
     `config` maps parsed joint names to values, each clipped into the written
-    range; fixed joints rest. Exported frames carry no rotation, so a link's
-    construction position is the sum of the joint origins from the root, and
-    a joint turns or slides its child about that position."""
+    range; fixed joints rest. A link's frame is its parent's, moved to the
+    joint origin and turned by the origin's rotation, and then turned about
+    the joint axis or slid along it by the joint value."""
     incoming = {j.child: j for j in model.joints}
-    placed = {}  # name -> (construction position, depth, path length)
+    placed = {}
 
     def place(name):
         if name not in placed:
             j = incoming.get(name)
             if j is None:
-                placed[name] = (np.zeros(3), 0, 0.0)
+                placed[name] = (RigidTransform.identity(), 0, 0.0, 0)
             else:
-                position, depth, length = place(j.parent)
-                origin = np.asarray(j.origin)
-                placed[name] = (position + origin, depth + 1, length + np.linalg.norm(origin))
+                frame, depth, length, turned = place(j.parent)
+                frame = frame @ RigidTransform(np.asarray(j.rotation), j.origin)
+                if j.joint_type != "fixed":
+                    value = min(max(config[j.name], j.lo), j.hi)
+                    if j.joint_type == "revolute":
+                        frame = frame @ RigidTransform.from_axis_angle(j.axis, value)
+                    else:
+                        frame = frame @ RigidTransform.from_translation(value * np.asarray(j.axis))
+                rotated = tuple(j.rotation) != (1.0, 0.0, 0.0, 0.0)
+                length += np.linalg.norm(j.origin)
+                placed[name] = (frame, depth + 1, length, turned + rotated)
         return placed[name]
 
-    joints, values = [], {}
-    for j in model.joints:
-        pivot = place(j.child)[0]
-        if j.joint_type == "fixed":
-            spec = JointSpec("revolute", pivot, (0.0, 0.0, 1.0), 0.0, 0.0)
-        else:
-            spec = JointSpec(j.joint_type, pivot, j.axis, j.lo, j.hi, j.lo)
-            values[j.name] = min(max(config[j.name], j.lo), j.hi)
-        joints.append(EvaluatedJoint(j.name, j.parent, j.child, spec, ()))
-    (root,) = [l.name for l in model.links if l.name not in incoming]
-    world = KinematicTree(root, [l.name for l in model.links], joints).transforms(values)
-    return {
-        name: (t @ RigidTransform.from_translation(place(name)[0]),) + place(name)[1:]
-        for name, t in world.items()
-    }
+    return {l.name: place(l.name) for l in model.links}
 
 
-def pose_tolerance(depth: int, reach: float, turn: float) -> float:
+def pose_tolerance(depth: int, reach: float, turn: float, turned: int = 0) -> float:
     """How far a vertex placed from a parsed document may sit from its
     evaluated position, for a link `depth` joints below the root, when no
-    point lies farther than `reach` from any pivot and no joint value exceeds
-    `turn` in magnitude.
+    point lies farther than `reach` from any pivot, no joint value exceeds
+    `turn` in magnitude and `turned` joint origins on the path are rotated.
 
     Each written number is within FORMAT_ABS, so a written 3-vector is off by
     at most e = sqrt(3) * FORMAT_ABS and a renormalized unit axis by 2e. The
@@ -133,16 +126,23 @@ def pose_tolerance(depth: int, reach: float, turn: float) -> float:
     2e * turn; its value, clipped into the written range, is off by
     FORMAT_ABS, which turns the point by FORMAT_ABS * reach or slides it by
     FORMAT_ABS. Adding the turning and sliding bounds covers either joint
-    type."""
+    type. A rotated origin is written as three angles (URDF roll, pitch and
+    yaw), each within FORMAT_ABS, or as a quaternion (MJCF) within
+    2 FORMAT_ABS, which renormalizing at most doubles. Two unit quaternions'
+    rotations differ by at most twice their distance in angle, so either
+    form turns the point by at most 8 * FORMAT_ABS * reach."""
     e = math.sqrt(3) * FORMAT_ABS
     per_joint = 2 * depth * e + (4 * e * turn + FORMAT_ABS) * (reach + 1)
-    return (1 + depth) * e + depth * per_joint
+    per_rotation = 8 * FORMAT_ABS * (reach + 1)
+    return (1 + depth) * e + depth * per_joint + turned * per_rotation
 
 
 def parsed_inertials(model_path) -> dict:
     """Link name -> (mass, centre of mass, 3x3 inertia) of each inertial
-    block of an exported URDF or MJCF document, in the link frame. Asserts
-    that no link frame, joint origin or inertial frame is rotated."""
+    block of an exported URDF or MJCF document, in the link frame. A rotated
+    link frame (a URDF joint origin's rpy, an MJCF body's quat) turns the
+    block with it; asserts that no inertial frame is rotated within its
+    link frame."""
     root = ET.parse(model_path).getroot()
 
     def floats(text):
@@ -150,7 +150,6 @@ def parsed_inertials(model_path) -> dict:
 
     out = {}
     if root.tag == "robot":
-        assert all(j.find("origin").get("rpy") == "0 0 0" for j in root.iter("joint"))
         for link in root.iter("link"):
             inertial = link.find("inertial")
             origin = inertial.find("origin")
@@ -169,7 +168,7 @@ def parsed_inertials(model_path) -> dict:
         rotations = {"quat", "axisangle", "euler", "xyaxes", "zaxis", "fullinertia"}
         for body in root.iter("body"):
             inertial = body.find("inertial")
-            assert not rotations & (set(body.attrib) | set(inertial.attrib))
+            assert not rotations & set(inertial.attrib)
             inertia = np.diag(floats(inertial.get("diaginertia")))
             mass = float(inertial.get("mass"))
             out[body.get("name")] = (mass, floats(inertial.get("pos")), inertia)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from artigen import collision
 from artigen.blueprint import extract_blueprint, instantiate
 from artigen.collision import (
     CollisionReport,
@@ -224,6 +225,39 @@ class TestBatchedSweep:
         assert all(report["findings"] for report in expected)
         monkeypatch.setattr("artigen.collision._ROUND_CANDIDATES", round_candidates)
         assert [sweep_check(inst, plan).to_json_dict() for plan in plans] == expected
+
+
+class TestUnrotatedLinks:
+    @pytest.mark.parametrize("pattern, rotated", [("simple_prismatic", 0), ("simple_revolute", 1)])
+    def test_rest_box_bounds_a_link_no_row_rotates(self, monkeypatch, pattern, rotated):
+        """Links that no configuration rotates skip the rotated extents, and
+        their boxes equal those the rotated extents give."""
+        inst = instance_of(build_pattern(pattern))
+        plan = SweepPlan(strategy="random", samples=64, pair_filter="all")
+        extents, boxes = [], []
+        rotated_extents, link_boxes = collision._rotated_extents, collision._link_boxes
+
+        def counted_extents(verts, r):
+            extents.append(len(verts))
+            return rotated_extents(verts, r)
+
+        def recorded_boxes(verts, r, t, unrotated):
+            boxes.append(link_boxes(verts, r, t, unrotated))
+            return boxes[-1]
+
+        monkeypatch.setattr(collision, "_rotated_extents", counted_extents)
+        monkeypatch.setattr(collision, "_link_boxes", recorded_boxes)
+        report = sweep_check(inst, plan).to_json_dict()
+        assert len(extents) == rotated
+        shortcut, boxes[:] = list(boxes), []
+        def forced_boxes(verts, r, t, unrotated):  # every link through the rotated extents
+            return recorded_boxes(verts, r, t, False)
+
+        monkeypatch.setattr(collision, "_link_boxes", forced_boxes)
+        assert sweep_check(inst, plan).to_json_dict() == report
+        assert len(extents) == rotated + len(inst.links)
+        for (lo, hi), (lo_full, hi_full) in zip(shortcut, boxes, strict=True):
+            assert np.array_equal(lo, lo_full) and np.array_equal(hi, hi_full)
 
 
 class TestNarrowphase:

@@ -1,5 +1,6 @@
 import math
 import random
+from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
@@ -60,15 +61,44 @@ class TestUrdf:
         assert j.hi == pytest.approx(math.pi / 4, abs=1e-9)
 
     def test_zero_range_joint_exports_fixed(self, tmp_path):
-        g = GraphBuilder(ParameterSpace())
-        a = g.box((0.2, 0.2, 0.2))
-        b = g.box((0.1, 0.1, 0.1), at=(0, 0, 0.2))
-        j = g.revolute(a, b, (0, 0, 0.15), (0, 0, 1), 0.4, 0.4, 0.4, labels=(None, None, "cap"))
-        g = g.output(j)
-        inst = instantiate(extract_blueprint(g), g, ParamVector({}), category="fixture")
-        bundle = export_urdf(inst, tmp_path / "fixed")
-        model = parse_urdf(bundle.model_path)
-        assert model.joints[0].joint_type == "fixed"
+        """A joint with lo == hi exports as fixed, posed at its value: the
+        cap and the hinged rod below it sit where evaluation puts them. Only
+        a turn writes a rotation, so value 0 writes none."""
+        cases = [
+            ("revolute", (0, 0, 1), 0.4),
+            ("revolute", (1, 0.5, 0.2), -2.0),
+            ("revolute", (1, 0, -1), math.pi),  # pitch pi/2: roll and yaw turn about one axis
+            ("prismatic", (0, 0.6, 0.8), 0.05),
+            ("revolute", (0, 0, 1), 0.0),
+            ("prismatic", (0, 0, 1), 0.0),
+        ]
+        for k, (kind, axis, value) in enumerate(cases):
+            g = GraphBuilder(ParameterSpace())
+            a = g.box((0.2, 0.2, 0.2))
+            b = g.box((0.1, 0.1, 0.1), at=(0, 0, 0.2))
+            rod = g.box((0.02, 0.02, 0.3), at=(0.05, 0, 0.4))
+            joint = g.revolute if kind == "revolute" else g.prismatic
+            cap = joint(a, b, (0, 0, 0.15), axis, value, value, value, labels=(None, None, "cap"))
+            hinge = g.revolute(
+                cap, rod, (0.05, 0, 0.25), (1, 0, 0), -1.0, 1.0, labels=(None, None, "rod")
+            )
+            g = g.output(hinge)
+            inst = instantiate(extract_blueprint(g), g, ParamVector({}), category="fixture")
+            configs = [
+                {j.joint_id: v for j in inst.joints if not j.is_fixed} for v in (-0.7, 0.0, 0.9)
+            ]
+            (urdf, _, _), (mjcf, _, _) = assert_documents_pose_like_evaluation(
+                inst, g, ParamVector({}), tmp_path / str(k), configs
+            )
+            model = parse_urdf(urdf.model_path)
+            assert sorted(j.joint_type for j in model.joints) == ["fixed", "revolute"]
+            assert_kinematic_isomorphism(inst, model)
+            assert_kinematic_isomorphism(inst, parse_mjcf(mjcf.model_path))
+            joints = ET.parse(urdf.model_path).iter("joint")
+            rotated = [j.find("origin").get("rpy") != "0 0 0" for j in joints]
+            turns = kind == "revolute" and value != 0.0
+            assert rotated.count(True) == turns, cases[k]
+            assert ("quat=" in mjcf.model_path.read_text()) == turns, cases[k]
 
     def test_screw_two_chained_joints_same_axis(self, tmp_path):
         inst = make_instance("multi_joint_screw")
@@ -283,6 +313,41 @@ class TestDynamics:
             assert link.mass == pytest.approx(mesh_volume(link.hull) * 500.0, rel=1e-6)
 
 
+def assert_documents_pose_like_evaluation(instance, graph, params, out_dir, configs):
+    """Export both documents of `instance`, parse them back, pose them at each
+    of `configs` (joint id -> value) and check that every visual mesh sits
+    where `evaluate` puts it. Returns, per document, its bundle, the link ids
+    by document name and the parsed visual vertices by document name."""
+    link_names, joint_names = _names(instance)
+    link_ids = {name: link_id for link_id, name in link_names.items()}
+    bodies = [evaluate(graph, params, joint_values=c) for c in configs]
+    out = []
+    for bundle, parse in zip(export_bundle(instance, out_dir, ("urdf", "mjcf")), (parse_urdf, parse_mjcf)):
+        model = parse(bundle.model_path)
+        visuals = {
+            l.name: parse_obj((bundle.root / l.visual_mesh).read_text()).vertices
+            for l in model.links
+            if l.visual_mesh
+        }
+        for config, body in zip(configs, bodies):
+            posed = pose_parsed_model(model, {joint_names[k]: v for k, v in config.items()})
+            expected = {n: body.posed_mesh(link_ids[n]).vertices for n in visuals}
+            reach = max(np.linalg.norm(v, axis=1).max() for v in expected.values())
+            reach += max(length for _, _, length, _ in posed.values())
+            turn = max(map(abs, config.values()), default=0.0)
+            for name, local in visuals.items():
+                frame, depth, _, turned = posed[name]
+                np.testing.assert_allclose(
+                    frame.apply(local),
+                    expected[name],
+                    rtol=0,
+                    atol=pose_tolerance(depth, reach, turn, turned),
+                    err_msg=f"{bundle.format} {name}",
+                )
+        out.append((bundle, link_ids, visuals))
+    return out
+
+
 class TestPosedRoundTrip:
     """Both documents, parsed back and posed at random in-range configurations,
     place every visual mesh where evaluation puts it, and carry each link's
@@ -295,38 +360,14 @@ class TestPosedRoundTrip:
             params = sample_parameters(gen.space, seed, salt="")
             graph = gen.build(params)
             instance = instantiate(gen.blueprint, graph, params, category=category)
-            link_names, joint_names = _names(instance)
-            link_ids = {name: link_id for link_id, name in link_names.items()}
             rng = random.Random(seed)
             configs = [
                 {j.joint_id: rng.uniform(j.lo, j.hi) for j in instance.joints} for _ in range(3)
             ]
-            bodies = [evaluate(graph, params, joint_values=c) for c in configs]
-            bundles = export_bundle(instance, tmp_path / str(seed), ("urdf", "mjcf"))
-            for bundle, parse in zip(bundles, (parse_urdf, parse_mjcf)):
-                model = parse(bundle.model_path)
-                visuals = {
-                    l.name: parse_obj((bundle.root / l.visual_mesh).read_text()).vertices
-                    for l in model.links
-                    if l.visual_mesh
-                }
-                for config, body in zip(configs, bodies):
-                    posed = pose_parsed_model(
-                        model, {joint_names[k]: v for k, v in config.items()}
-                    )
-                    expected = {n: body.posed_mesh(link_ids[n]).vertices for n in visuals}
-                    reach = max(np.linalg.norm(v, axis=1).max() for v in expected.values())
-                    reach += max(length for _, _, length in posed.values())
-                    turn = max(map(abs, config.values()), default=0.0)
-                    for name, local in visuals.items():
-                        frame, depth, _ = posed[name]
-                        np.testing.assert_allclose(
-                            frame.apply(local),
-                            expected[name],
-                            rtol=0,
-                            atol=pose_tolerance(depth, reach, turn),
-                            err_msg=f"{bundle.format} seed {seed} {name}",
-                        )
+            documents = assert_documents_pose_like_evaluation(
+                instance, graph, params, tmp_path / str(seed), configs
+            )
+            for bundle, link_ids, visuals in documents:
                 self.check_inertials(instance, link_ids, visuals, bundle.model_path)
 
     @staticmethod
@@ -480,7 +521,10 @@ class TestMalformedDocuments:
             ("urdf", '<axis xyz="0 0 1"/>', "<axis/>"),
             ("urdf", '<limit lower="0" upper="1"/>', '<limit lower="0"/>'),
             ("urdf", '<origin xyz="0 0 0"/>', '<origin xyz="0 0"/>'),
+            ("urdf", '<origin xyz="0 0 0"/>', '<origin xyz="0 0 0" rpy="0 0"/>'),
             ("mjcf", 'pos="0 0 0"', 'pos="0 0 x"'),
+            ("mjcf", 'pos="0 0 0"', 'pos="0 0 0" quat="0 0 0 0"'),
+            ("mjcf", 'pos="0 0 0"', 'pos="0 0 0" quat="1 0 0"'),
             ("mjcf", '<inertial mass="1"/>', '<inertial mass="heavy"/>'),
             ("mjcf", 'range="0 1"', 'range="0"'),
         ],

@@ -1,10 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import artigen.blueprint
+import artigen.evaluate
 import artigen.generators.common
+import artigen.geometry
 import artigen.graph
 from artigen.blueprint import extract_blueprint, forward_kinematics, instantiate
 from artigen.generators import (
@@ -18,6 +21,14 @@ from artigen.graph import NodeGraph, ParamRef
 from artigen.kinematics import KinematicTree
 from artigen.params import Continuous, Discrete, merge_overrides, sample_parameters
 from helpers import blueprint_parts
+
+def _counted(calls: dict, key: str, fn):
+    """`fn`, adding one to `calls[key]` per call."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
 
 # the paper-style inventory: category -> (continuous dims, discrete combinations)
 EXPECTED = {
@@ -436,16 +447,12 @@ class TestBlueprintInvariance:
         assert len(sigs) == len(CATEGORY_NAMES)
 
     def test_build_validates_once_and_never_extracts(self, monkeypatch):
-        for category in CATEGORY_NAMES:  # warm-up: the category blueprints exist
+        # warm-up: the category blueprints exist and each category's one
+        # structure has been validated
+        for category in CATEGORY_NAMES:
             build_instance(category, 0, salt="")
         calls = {"validate": 0, "walk": 0, "extract": 0, "pose": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
+        counted = functools.partial(_counted, calls)
         monkeypatch.setattr(NodeGraph, "validate", counted("validate", NodeGraph.validate))
         walk = artigen.graph._SymbolicWalk
         monkeypatch.setattr(walk, "__init__", counted("walk", walk.__init__))
@@ -459,7 +466,27 @@ class TestBlueprintInvariance:
             for seed in (1, 2):
                 build_instance(category, seed, salt="")
         builds = 2 * len(CATEGORY_NAMES)
-        assert calls == {"validate": builds, "walk": builds, "extract": 0, "pose": 0}
+        # each build validates once, and its structure's diagnostics are kept
+        assert calls == {"validate": builds, "walk": 0, "extract": 0, "pose": 0}
+
+    def test_build_checks_each_mesh_where_it_is_made(self, monkeypatch):
+        """Primitives and realized link meshes take the full mesh check, and
+        meshes moved or merged in between do not: the area check runs at
+        most once per primitive plus once per link."""
+        for category in CATEGORY_NAMES:
+            build_instance(category, 0, salt="")
+        calls = {"areas": 0, "primitives": 0}
+        areas = _counted(calls, "areas", artigen.geometry.triangle_areas)
+        monkeypatch.setattr(artigen.geometry, "triangle_areas", areas)
+        context = artigen.evaluate._Context
+        primitive = _counted(calls, "primitives", context._eval_primitive)
+        monkeypatch.setattr(context, "_eval_primitive", primitive)
+        for category in CATEGORY_NAMES:
+            for seed in (1, 2):
+                calls.update(areas=0, primitives=0)
+                inst = build_instance(category, seed, salt="")
+                links = sum(1 for l in inst.links if l.mesh.n_vertices)
+                assert 0 < calls["areas"] <= calls["primitives"] + links, (category, seed)
 
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_category_blueprint_matches_each_seed(self, category):

@@ -176,6 +176,11 @@ class TestTransform:
         t = RigidTransform.from_axis_angle((0, 0, 1), math.pi / 2, pivot=(1, 0, 0))
         np.testing.assert_allclose(t.apply(np.array([2.0, 0.0, 0.0])), [1, 1, 0], atol=1e-9)
 
+    def test_overflowing_translation_rejected(self):
+        m = TriMesh([(1e308, 0, 0), (1e308, 1, 0), (1e308, 0, 1)], [(0, 1, 2)])
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError, match="finite"):
+            apply_transform(m, RigidTransform.from_translation((1e308, 0, 0)))
+
 
 class TestMerge:
     def test_single_is_same(self):

@@ -540,6 +540,116 @@ class TestValidate:
                 consumer(g)
 
 
+def _cache_probe():
+    """A clean graph that touches each part of the validate cache's key: a
+    parameter reference, a duplicate's count parameter, a label, and a switch
+    whose literal selector picks a labelled box over a box jointed to itself.
+    Returns the graph and its node ids by role."""
+    space = ParameterSpace({"width": Continuous(0.5, 1.0), "n": Count(1, 3)})
+    g = NodeGraph(space)
+    spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+    ids = {
+        "base": g.add_node(PRIMITIVE, {"shape": "box", "size_x": ParamRef("width")}),
+        "lid": box_node(g),
+        "label": g.add_node(SEMANTIC_LABEL, {"label": "lid"}),
+        "loop": g.add_node(JOINT_REVOLUTE, spec),
+        "switch": g.add_node(SWITCH, {"select": 0.0}),
+        "hinge": g.add_node(JOINT_REVOLUTE, spec),
+        "knob": box_node(g),
+        "dup": g.add_node(DUPLICATE, {"points": [(0, 0, 0)], "count_param": "n"}),
+    }
+    for src, dst, port in [
+        ("lid", "label", "geometry"),
+        ("lid", "loop", "parent"),
+        ("lid", "loop", "child"),
+        ("label", "switch", "option_0"),
+        ("loop", "switch", "option_1"),
+        ("base", "hinge", "parent"),
+        ("switch", "hinge", "child"),
+        ("hinge", "dup", "parent"),
+        ("knob", "dup", "body"),
+    ]:
+        g.connect(ids[src], ids[dst], port)
+    g.set_output(ids["dup"])
+    return g, ids
+
+
+# One change each to the probe graph, and the diagnostic codes it must get.
+_PROBE_VARIANTS = {
+    "rewired port": (lambda g, n: g.connect(n["base"], n["hinge"], "child"), ["joint-self-loop"]),
+    "node kind": (lambda g, n: setattr(g.nodes[n["knob"]], "kind", SCALAR_MATH), ["port-type"]),
+    "label string": (lambda g, n: g.nodes[n["label"]].params.update(label="door"), []),
+    "undeclared reference": (
+        lambda g, n: g.nodes[n["base"]].params.update(size_x=ParamRef("depth")),
+        ["unknown-param"],
+    ),
+    "count parameter": (
+        lambda g, n: g.nodes[n["dup"]].params.update(count_param="m"), ["unknown-param"]
+    ),
+    "literal selector": (
+        lambda g, n: g.nodes[n["switch"]].params.update(select=1.0), ["joint-self-loop"]
+    ),
+    "output node": (lambda g, n: g.set_output(n["loop"]), ["joint-self-loop"]),
+    "declared parameters": (
+        lambda g, n: setattr(g, "parameters", ParameterSpace({"width": Continuous(0.5, 1.0)})),
+        ["unknown-param"],
+    ),
+}
+
+
+class TestValidateCache:
+    """`validate` keeps diagnostics per graph structure; no kept result may
+    answer for a graph whose structure differs."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(artigen.graph, "_validated", {})
+
+    @pytest.mark.parametrize("variant", list(_PROBE_VARIANTS))
+    def test_each_variant_reports_its_own_diagnostics(self, variant, monkeypatch):
+        walks = []
+        walk_init = artigen.graph._SymbolicWalk.__init__
+
+        def counted_init(self, graph):
+            walks.append(graph)
+            walk_init(self, graph)
+
+        monkeypatch.setattr(artigen.graph._SymbolicWalk, "__init__", counted_init)
+        mutate, codes = _PROBE_VARIANTS[variant]
+        clean, _ = _cache_probe()
+        assert clean.validate() == []
+        changed, ids = _cache_probe()
+        mutate(changed, ids)
+        walks.clear()
+        diags = changed.validate()
+        assert [d.code for d in diags] == codes
+        if not codes:  # a clean variant was walked, not answered by the clean graph
+            assert walks == [changed]
+        assert diags == changed.structure()[0]  # structure() keeps nothing
+        walks.clear()
+        assert clean.validate() == [] and _cache_probe()[0].validate() == []
+        assert walks == []  # the clean structure is answered from the cache
+
+    def test_graph_mutated_after_validate_is_checked_again(self):
+        g, ids = _cache_probe()
+        first = g.validate()
+        first.append("caller's own list")
+        assert g.validate() == []
+        g.connect(ids["hinge"], ids["label"], "geometry")  # label -> switch -> hinge -> label
+        assert [d.code for d in g.validate()] == ["graph-cycle"]
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(artigen.graph, "VALIDATED_STRUCTURES", 2)
+        graphs = []
+        for label in ("a", "b", "c"):
+            g, ids = _cache_probe()
+            g.nodes[ids["label"]].params["label"] = label
+            assert g.validate() == []
+            graphs.append(g)
+        kept = list(artigen.graph._validated)
+        assert kept == [graphs[1]._structure_key(), graphs[2]._structure_key()]
+
+
 class TestEvaluate:
     def test_revolute_at_zero_matches_unposed(self):
         g = build_pattern("simple_revolute")
