@@ -1,7 +1,7 @@
 """Category-level kinematic blueprints, asset instantiation, and forward kinematics.
 
 A blueprint is the symbolic walk that `NodeGraph.validate` makes over graph
-structure alone, written out as a tree: numeric literals are ignored, switches
+structure alone, written out as a tree (`artigen.graph.write_blueprint`): numeric literals are ignored, switches
 over articulated bodies become variant groups, duplication nodes become repeat
 groups, and parallel joints between one link pair stay one composite joint
 entry. Two graphs built by the same generator under different sampled
@@ -12,8 +12,6 @@ zero-extent passthrough links.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -22,75 +20,9 @@ import numpy as np
 from .errors import InvalidParameterError
 from .evaluate import EvaluatedJoint, EvaluatedLink, evaluate_links
 from .geometry import RigidTransform, TriMesh, apply_transform
-from .graph import (
-    JOINT_REVOLUTE,
-    SCALAR_MATH,
-    NodeGraph,
-    ParamRef,
-    _SymJoint,
-    _SymRepeat,
-    _SymVariant,
-)
+from .graph import KinematicBlueprint, NodeGraph, write_blueprint
 from .kinematics import KinematicTree
 from .params import ParamVector
-
-
-# ---------------------------------------------------------------------------
-# Public blueprint
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KinematicBlueprint:
-    """Tree template of link and joint slots with repeat and variant groups."""
-
-    tree: dict  # nested structural description
-
-    def signature(self) -> str:
-        """Deterministic digest of topology, joint types, labels, and groups.
-
-        All numeric values (ranges, pivots, duplication points) are excluded,
-        so every instance of a category shares one signature.
-        """
-        canon = json.dumps(self.tree, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
-
-    def tree_lines(self) -> list[str]:
-        lines: list[str] = []
-
-        def walk(node: dict, depth: int, prefix: str):
-            pad = "  " * depth
-            kind = node["kind"]
-            if kind == "link":
-                lines.append(f"{pad}{prefix}{node['label'] or node['source']}")
-                for att in node["children"]:
-                    walk(att, depth + 1, "")
-            elif kind == "joint":
-                joints = " + ".join(f"[{j['type']}]" for j in node["joints"])
-                walk(node["child"], depth, f"{joints} ")
-            elif kind == "repeat":
-                count = node["count_param"] or "points"
-                lines.append(f"{pad}{prefix}repeat x{count}:")
-                if node["static_source"]:
-                    lines.append(f"{pad}  geometry {node['static_source']}")
-                for att in node["attachments"]:
-                    walk(att, depth + 1, "")
-            elif kind == "variant":
-                lines.append(f"{pad}{prefix}variant on {node['selector']}:")
-                for i, branch in enumerate(node["branches"]):
-                    if branch is None:
-                        lines.append(f"{pad}  option {i}: (absent)")
-                    else:
-                        lines.append(f"{pad}  option {i}:")
-                        walk(branch, depth + 2, "")
-
-        walk(self.tree, 0, "")
-        return lines
-
-
-# ---------------------------------------------------------------------------
-# Extraction
-# ---------------------------------------------------------------------------
 
 
 def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
@@ -101,66 +33,7 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
         raise InvalidParameterError(
             "graph does not validate: " + "; ".join(str(d) for d in diags)
         )
-
-    def expr(node, name: str) -> str:
-        """A parameter slot's structure: literals masked, parameter names kept."""
-        if name in node.inputs:
-            src = graph.nodes[node.inputs[name]]
-            if src.kind == SCALAR_MATH:
-                return f"{src.params['op']}({expr(src, 'a')},{expr(src, 'b')})"
-            return f"<{src.kind}>"
-        value = node.params[name]
-        if isinstance(value, ParamRef):
-            return value.name
-        return "default" if value is None else "#"
-
-    def joint_dict(node) -> dict:
-        slots = [(slot, expr(node, slot)) for slot in ("range_lo", "range_hi", "default")]
-        return {
-            "type": "revolute" if node.kind == JOINT_REVOLUTE else "prismatic",
-            "joint_label": node.params["joint_label"],
-            "parent_label": node.params["parent_label"],
-            "child_label": node.params["child_label"],
-            "slots": [[slot, rep] for slot, rep in slots if rep not in ("#", "default")],
-            # Signatures ignore numeric literals; the key stays so that they keep their bytes.
-            "range": None,
-            "source": node.node_id,
-        }
-
-    def walk_attachment(att) -> dict:
-        if isinstance(att, _SymJoint):
-            return {
-                "kind": "joint",
-                "joints": [joint_dict(j) for j in att.joints],
-                "child": walk_subtree(att.child),
-            }
-        if isinstance(att, _SymRepeat):
-            return {
-                "kind": "repeat",
-                "count_param": att.count_param,
-                "count_map": None,  # a retired key, kept so that signatures keep their bytes
-                "static_source": att.static_source,
-                "attachments": [walk_attachment(a) for a in att.attachments],
-            }
-        return {
-            "kind": "variant",
-            "selector": expr(att.switch, "select"),
-            "branches": [None if b is None else walk_attachment(b) for b in att.options],
-        }
-
-    def walk_subtree(value) -> dict:
-        if isinstance(value, _SymVariant):
-            branches = [walk_subtree(o) for o in value.options]
-            selector = expr(value.switch, "select")
-            return {"kind": "variant", "selector": selector, "branches": branches}
-        return {
-            "kind": "link",
-            "label": value.root.label,
-            "source": value.root.source,
-            "children": [walk_attachment(att) for att in value.attachments],
-        }
-
-    return KinematicBlueprint(walk_subtree(body))
+    return write_blueprint(graph, body)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +95,20 @@ def instantiate(
     params: ParamVector,
     category: str = "asset",
 ) -> AssetInstance:
-    """Realize one asset: evaluate meshes, normalize composite joints and
-    check each link mesh in full. Link dynamics are left to the first read of
-    each link's."""
-    evaluated_links, evaluated_joints, root = evaluate_links(graph, params)
+    """Realize one asset from a graph: `realize` over `evaluate_links(graph, params)`."""
+    return realize(blueprint, evaluate_links(graph, params), params, category)
+
+
+def realize(
+    blueprint: KinematicBlueprint | None,
+    evaluated: tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str],
+    params: ParamVector,
+    category: str = "asset",
+) -> AssetInstance:
+    """One asset from evaluated (links, joints, root link): normalize composite
+    joints and check each link mesh in full. Link dynamics are left to the
+    first read of each link's."""
+    evaluated_links, evaluated_joints, root = evaluated
 
     # Normalize parallel joints between one pair into a serial chain.
     links: list[EvaluatedLink] = list(evaluated_links)

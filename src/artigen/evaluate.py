@@ -1,15 +1,39 @@
-"""Graph evaluation: turn a validated NodeGraph plus a ParamVector into an
-articulated body with realized joints.
+"""Graph evaluation: compile each distinct graph structure once into a
+Program, then run it on the numbers of every graph of that structure.
+
+A graph reaches evaluation as a tape (`artigen.graph.Tape`): its structure,
+which is everything validation reads, and beside it each node's numeric
+literals. `program_for` compiles a structure the first time it meets it: it
+validates the graph, writes its blueprint, and resolves each node's
+handler, wires, parameter references and defaults into a step. It keeps the
+last VALIDATED_STRUCTURES programs under their structures, and a program
+holds no number but a switch's literal selector. Each run then reads only
+that tape's numbers and the parameter vector, which `ParameterSpace.
+validate_vector` checks first. A generator records its tape without making a
+NodeGraph (`GraphBuilder`); a NodeGraph lowers to a tape of the same structure
+(`NodeGraph.lower`), so both run the same program.
+
+A primitive that only a transform reads runs as one step with it, which makes
+one link, with a uid where the transform's link had its own: the uids keep
+their relative creation order, so names are unchanged. Within a run each
+distinct (shape, arguments) mesh is made once and shared, as meshes are
+immutable and the makers pure, and a placement without rotation only
+translates its mesh (`geometry.translate_mesh`), which gives the numbers that
+composing and applying the transform gives. Meshes and bundles are therefore
+unchanged, bit for bit.
 
 Meshes are kept in the construction frame (the frame in which primitives were
 placed); a joint at value v conjugates its motion about the stored pivot, so a
 value of 0 reproduces the construction placement exactly. Evaluation is demand
-driven and memoized: switch branches that are not selected are never built.
+driven and memoized, as the symbolic walk is: switch branches that are not
+selected are never built, and link and joint uids follow the order in which
+nodes are first needed.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -26,6 +50,7 @@ from .geometry import (
     RigidTransform,
     TriMesh,
     apply_transform,
+    as_vec3,
     convex_hull,
     make_box,
     make_cylinder,
@@ -34,10 +59,28 @@ from .geometry import (
     make_sphere,
     merge_meshes,
     mesh_volume,
+    translate_mesh,
 )
-from .graph import JointSpec, NodeGraph, ParamRef, link_set_relation, whole_number
+from .graph import (
+    _KINDS,
+    JOINT_KINDS,
+    JOINT_REVOLUTE,
+    PRIMITIVE,
+    TRANSFORM,
+    JointSpec,
+    NodeGraph,
+    ParamRef,
+    Tape,
+    link_set_relation,
+    whole_number,
+    write_blueprint,
+)
 from .kinematics import KinematicTree
-from .params import ParamVector
+from .params import ParameterSpace, ParamVector
+
+# Compiled programs kept, one per graph structure; the oldest is dropped first.
+VALIDATED_STRUCTURES = 128
+_programs: dict[tuple, "Program"] = {}
 
 
 LINK_DENSITY = 500.0  # kg/m^3 applied to the collision hull volume
@@ -155,78 +198,118 @@ def _transform(links, joints, t: RigidTransform, remap: dict, fresh_uid):
     )
 
 
-class _Context:
-    """Evaluates a graph that `NodeGraph.validate` accepted, with a parameter
-    vector that `ParameterSpace.validate_vector` accepted: wiring, port types,
-    the output type, parameter names and parameter values are not checked
-    again here."""
+# Per node kind, every parameter's schema default; steps share them.
+_DEFAULTS = {
+    kind: {name: spec.default for name, spec in spec.params.items()} for kind, spec in _KINDS.items()
+}
 
-    def __init__(self, graph: NodeGraph, params: ParamVector):
-        self.graph = graph
-        self.params = params
-        self.cache: dict[str, object] = {}
+
+class _Step:
+    """One node of a compiled program: its handler, its wires as op indices,
+    and where each parameter comes from. A scalar is read from its wire, else
+    its parameter reference, else the tape's number for it, else `consts`:
+    the schema default, or a switch's literal selector."""
+
+    __slots__ = ("index", "node_id", "kind", "run", "inputs", "refs", "params", "consts", "source")
+
+    def __init__(self, index: int, node_id: str, kind: str, inputs: tuple, params: tuple):
+        self.index = index
+        self.node_id = node_id
+        self.kind = kind
+        self.run = _HANDLERS[kind]
+        self.inputs = dict(inputs)
+        self.refs = {name: value.name for name, value in params if isinstance(value, ParamRef)}
+        self.params = {name: value for name, value in params if name not in self.refs}
+        self.consts = _DEFAULTS[kind]
+        if "select" in self.params:  # a literal selector
+            self.consts = {**self.consts, "select": self.params["select"]}
+        self.source: _Step | None = None  # the primitive a placing transform runs
+
+
+class _Run:
+    """One run of a program on one tape's numbers and one parameter vector
+    that `ParameterSpace.validate_vector` accepted. The program's structure
+    was validated when it was compiled: wiring, port types, the output type,
+    parameter names and parameter values are not checked again here."""
+
+    def __init__(self, steps: list, numbers: list, values: dict):
+        self.steps = steps
+        self.numbers = numbers
+        self.values = values
+        self.memo: list = [None] * len(steps)
+        self.meshes: dict[tuple, TriMesh] = {}  # (shape, maker arguments) -> mesh
         self.fresh_uid = itertools.count(1).__next__  # link and joint uids in creation order
-        self._node_index = {nid: i for i, nid in enumerate(graph.nodes)}
+
+    def value(self, index: int):
+        value = self.memo[index]
+        if value is None:
+            step = self.steps[index]
+            value = self.memo[index] = step.run(self, step)
+        return value
 
     # --- scalar resolution -------------------------------------------------
 
-    def scalar(self, node, name: str) -> float:
-        if name in node.inputs:
-            return self.eval(node.inputs[name])
-        value = node.params.get(name)
-        if isinstance(value, ParamRef):
-            return float(self.params.values[value.name])
-        return float(value)
+    def scalar(self, step: _Step, name: str) -> float:
+        src = step.inputs.get(name)
+        if src is not None:
+            return self.value(src)
+        ref = step.refs.get(name)
+        if ref is not None:
+            return float(self.values[ref])
+        return float(self.numbers[step.index].get(name, step.consts[name]))
 
-    def int_scalar(self, node, name: str) -> int:
-        value = self.scalar(node, name)
+    def is_set(self, step: _Step, name: str) -> bool:
+        """Whether an optional scalar holds a value (not None)."""
+        return name in step.params or name in step.refs
+
+    def int_scalar(self, step: _Step, name: str) -> int:
+        value = self.scalar(step, name)
         rounded = whole_number(value)
         if rounded is None:
-            raise EvaluationError(f"{node.kind}.{name} must be an integer, got {value}")
+            raise EvaluationError(f"{step.kind}.{name} must be an integer, got {value}")
         return rounded
 
     # --- node evaluation -----------------------------------------------------
 
-    def eval(self, node_id: str):
-        if node_id in self.cache:
-            return self.cache[node_id]
-        node = self.graph.nodes[node_id]
-        value = getattr(self, f"_eval_{node.kind}")(node)
-        self.cache[node_id] = value
-        return value
-
-    def _eval_primitive(self, node) -> _Body:
-        shape = node.params["shape"]
-        material = node.params.get("material")
-        if shape == "box":
-            dims = tuple(self.scalar(node, f"size_{c}") for c in "xyz")
-            mesh = make_box(dims)
+    def _primitive_mesh(self, step: _Step) -> TriMesh:
+        """A primitive node's mesh. Meshes are immutable and the makers pure,
+        so a run makes each distinct (shape, arguments) once and shares it."""
+        shape = step.params["shape"]
+        if shape == "box" or shape == "rounded_box":
+            args = (tuple(self.scalar(step, f"size_{c}") for c in "xyz"),)
+            if shape == "rounded_box":
+                args += (self.scalar(step, "bevel"),)
         elif shape == "cylinder":
-            mesh = make_cylinder(
-                self.scalar(node, "radius"),
-                self.scalar(node, "height"),
-                self.int_scalar(node, "segments"),
+            args = (
+                self.scalar(step, "radius"),
+                self.scalar(step, "height"),
+                self.int_scalar(step, "segments"),
             )
         elif shape == "sphere":
-            mesh = make_sphere(self.scalar(node, "radius"), self.int_scalar(node, "segments"))
-        elif shape == "rounded_box":
-            dims = tuple(self.scalar(node, f"size_{c}") for c in "xyz")
-            mesh = make_rounded_box(dims, self.scalar(node, "bevel"))
+            args = (self.scalar(step, "radius"), self.int_scalar(step, "segments"))
         else:  # ngon_prism
-            top = node.params.get("top_radius")
-            top_val = self.scalar(node, "top_radius") if top is not None else None
-            mesh = make_ngon_prism(
-                self.scalar(node, "radius"),
-                self.scalar(node, "height"),
-                self.int_scalar(node, "sides"),
-                top_radius=top_val,
+            top = self.scalar(step, "top_radius") if self.is_set(step, "top_radius") else None
+            args = (
+                self.scalar(step, "radius"),
+                self.scalar(step, "height"),
+                self.int_scalar(step, "sides"),
+                top,
             )
-        return _Body((EvaluatedLink(self.fresh_uid(), None, mesh, material, node.node_id),), ())
+        key = (shape, args)
+        mesh = self.meshes.get(key)
+        if mesh is None:
+            mesh = self.meshes[key] = _MAKERS[shape](*args)
+        return mesh
 
-    def _eval_scalar_math(self, node) -> float:
-        op = node.params["op"]
-        a = self.scalar(node, "a")
-        b = self.scalar(node, "b")
+    def _eval_primitive(self, step: _Step) -> _Body:
+        mesh = self._primitive_mesh(step)
+        link = EvaluatedLink(self.fresh_uid(), None, mesh, step.params.get("material"), step.node_id)
+        return _Body((link,), ())
+
+    def _eval_scalar_math(self, step: _Step) -> float:
+        op = step.params["op"]
+        a = self.scalar(step, "a")
+        b = self.scalar(step, "b")
         if op == "add":
             return a + b
         if op == "sub":
@@ -235,30 +318,46 @@ class _Context:
             return a * b
         if op == "div":
             if b == 0.0:
-                raise EvaluationError(f"division by zero in {node.node_id}")
+                raise EvaluationError(f"division by zero in {step.node_id}")
             return a / b
         if op == "min":
             return min(a, b)
         return max(a, b)
 
-    def _eval_transform(self, node) -> _Body:
-        body = self.eval(node.inputs["geometry"])
-        axis = node.params["rotate_axis"]
-        angle = self.scalar(node, "rotate_angle")
-        translate = np.array([self.scalar(node, f"translate_{c}") for c in "xyz"])
-        rot = (
-            RigidTransform.from_axis_angle(axis, angle)
-            if angle != 0.0
-            else RigidTransform.identity()
-        )
-        t = RigidTransform.from_translation(translate) @ rot
+    def _placement(self, step: _Step) -> tuple[np.ndarray, RigidTransform | None]:
+        """A transform node's translation, and its rotation unless its angle is 0."""
+        axis = self.numbers[step.index].get("rotate_axis", step.consts["rotate_axis"])
+        angle = self.scalar(step, "rotate_angle")
+        translate = np.array([self.scalar(step, f"translate_{c}") for c in "xyz"])
+        return translate, RigidTransform.from_axis_angle(axis, angle) if angle != 0.0 else None
+
+    def _eval_transform(self, step: _Step) -> _Body:
+        body = self.value(step.inputs["geometry"])
+        translate, rot = self._placement(step)
+        t = RigidTransform.from_translation(translate) @ (rot or RigidTransform.identity())
         return _Body(*_transform(body.links, body.joints, t, {}, self.fresh_uid))
 
-    def _eval_merge(self, node) -> _Body:
+    def _eval_placed_primitive(self, step: _Step) -> _Body:
+        """A transform over a primitive that nothing else reads, as one step:
+        `_eval_primitive` then `_eval_transform`, with the primitive's link
+        never made. Without a rotation the mesh is only translated, which
+        gives the transform's numbers exactly (`translate_mesh`)."""
+        primitive = step.source
+        mesh = self._primitive_mesh(primitive)
+        translate, rot = self._placement(step)
+        if rot is None:  # as_vec3: the finite check that from_translation makes
+            mesh = translate_mesh(mesh, as_vec3(translate))
+        else:
+            mesh = apply_transform(mesh, RigidTransform.from_translation(translate) @ rot)
+        material = primitive.params.get("material")
+        link = EvaluatedLink(self.fresh_uid(), None, mesh, material, primitive.node_id)
+        return _Body((link,), ())
+
+    def _eval_merge(self, step: _Step) -> _Body:
         inputs = []
         idx = 0
-        while f"geometry_{idx}" in node.inputs:
-            inputs.append(self.eval(node.inputs[f"geometry_{idx}"]))
+        while f"geometry_{idx}" in step.inputs:
+            inputs.append(self.value(step.inputs[f"geometry_{idx}"]))
             idx += 1
         seen: set[int] = set()
         bodies = []
@@ -272,7 +371,7 @@ class _Context:
         label = next((b.root.label for b in bodies if b.root.label), None)
         materials = {b.root.material for b in bodies}  # one shared material, else None
         material = materials.pop() if len(materials) == 1 else None
-        root = EvaluatedLink(self.fresh_uid(), label, mesh, material, node.node_id)
+        root = EvaluatedLink(self.fresh_uid(), label, mesh, material, step.node_id)
         links = [root]
         joints = []
         for b in bodies:
@@ -283,43 +382,43 @@ class _Context:
                 joints.append(e)
         return _Body(tuple(links), tuple(joints))
 
-    def _eval_switch(self, node) -> _Body:
+    def _eval_switch(self, step: _Step) -> _Body:
         n_opts = 0
-        while f"option_{n_opts}" in node.inputs:
+        while f"option_{n_opts}" in step.inputs:
             n_opts += 1
-        select = self.int_scalar(node, "select")
+        select = self.int_scalar(step, "select")
         if not 0 <= select < n_opts:
             raise RangeError(
-                f"switch selector {select} outside options 0..{n_opts - 1} on {node.node_id}"
+                f"switch selector {select} outside options 0..{n_opts - 1} on {step.node_id}"
             )
-        return self.eval(node.inputs[f"option_{select}"])
+        return self.value(step.inputs[f"option_{select}"])
 
-    def _eval_joint(self, node, joint_type: str) -> _Body:
-        parent = self.eval(node.inputs["parent"])
-        child = self.eval(node.inputs["child"])
-        lo = self.scalar(node, "range_lo")
-        hi = self.scalar(node, "range_hi")
-        default_param = node.params.get("default")
-        if default_param is None and "default" not in node.inputs:
-            default = min(max(0.0, lo), hi)
+    def _eval_joint(self, step: _Step) -> _Body:
+        parent = self.value(step.inputs["parent"])
+        child = self.value(step.inputs["child"])
+        lo = self.scalar(step, "range_lo")
+        hi = self.scalar(step, "range_hi")
+        if self.is_set(step, "default") or "default" in step.inputs:
+            default = self.scalar(step, "default")
         else:
-            default = self.scalar(node, "default")
+            default = min(max(0.0, lo), hi)
+        numbers = self.numbers[step.index]
         spec = JointSpec(
-            joint_type,
-            tuple(node.params["pivot"]),
-            tuple(node.params["axis"]),
+            "revolute" if step.kind == JOINT_REVOLUTE else "prismatic",
+            tuple(numbers["pivot"]),
+            tuple(numbers["axis"]),
             lo,
             hi,
             default,
-            node.params.get("joint_label"),
-            node.params.get("parent_label"),
-            node.params.get("child_label"),
+            step.params.get("joint_label"),
+            step.params.get("parent_label"),
+            step.params.get("child_label"),
         )
         relation = link_set_relation(parent.link_uids(), child.link_uids())
         if relation == "equal":
-            raise StructuralError(f"joint {node.node_id}: child geometry is its own parent")
+            raise StructuralError(f"joint {step.node_id}: child geometry is its own parent")
         if relation == "overlapping":
-            raise StructuralError(f"joint {node.node_id}: parent and child share links")
+            raise StructuralError(f"joint {step.node_id}: parent and child share links")
 
         def relabel(body: _Body, uid: int, label: str | None) -> _Body:
             if label is None:
@@ -329,7 +428,7 @@ class _Context:
             )
             return _Body(links, body.joints)
 
-        order = (self._node_index[node.node_id],)
+        order = (step.index,)
         edge = EvaluatedJoint(
             self.fresh_uid(), parent.root.link_id, child.root.link_id, spec, order
         )
@@ -341,16 +440,10 @@ class _Context:
         child = relabel(child, child.root.link_id, spec.child_label)
         return _Body(parent.links + child.links, parent.joints + child.joints + (edge,))
 
-    def _eval_joint_revolute(self, node) -> _Body:
-        return self._eval_joint(node, "revolute")
-
-    def _eval_joint_prismatic(self, node) -> _Body:
-        return self._eval_joint(node, "prismatic")
-
-    def _eval_duplicate_joints_on_points(self, node) -> _Body:
-        parent = self.eval(node.inputs["parent"])
-        body = self.eval(node.inputs["body"])
-        points = node.params["points"]
+    def _eval_duplicate_joints_on_points(self, step: _Step) -> _Body:
+        parent = self.value(step.inputs["parent"])
+        body = self.value(step.inputs["body"])
+        points = self.numbers[step.index]["points"]
         if not body.joints:
             # Static replication: copies of a jointless body merge into the parent root.
             if not points:
@@ -390,16 +483,112 @@ class _Context:
             )
         return _Body(tuple(links), tuple(joints))
 
-    def _eval_semantic_label(self, node) -> _Body:
-        body = self.eval(node.inputs["geometry"])
-        label = node.params["label"]
+    def _eval_semantic_label(self, step: _Step) -> _Body:
+        body = self.value(step.inputs["geometry"])
+        label = step.params["label"]
         return _Body((replace(body.root, label=label),) + body.links[1:], body.joints)
 
-    def _eval_store_attribute(self, node) -> _Body:
-        body = self.eval(node.inputs["geometry"])
-        value = node.params["value"]
+    def _eval_store_attribute(self, step: _Step) -> _Body:
+        body = self.value(step.inputs["geometry"])
+        value = step.params["value"]
         links = tuple(replace(l, mesh=l.mesh.fill_unlabeled(value)) for l in body.links)
         return _Body(links, body.joints)
+
+
+# The maker of each primitive shape, looked up in this module at each call.
+_MAKERS = {
+    "box": lambda dims: make_box(dims),
+    "rounded_box": lambda dims, bevel: make_rounded_box(dims, bevel),
+    "cylinder": lambda radius, height, segments: make_cylinder(radius, height, segments),
+    "sphere": lambda radius, segments: make_sphere(radius, segments),
+    "ngon_prism": lambda radius, height, sides, top: make_ngon_prism(
+        radius, height, sides, top_radius=top
+    ),
+}
+
+_HANDLERS = {
+    kind: _Run._eval_joint if kind in JOINT_KINDS else getattr(_Run, f"_eval_{kind}")
+    for kind in _KINDS
+}
+
+
+class Program:
+    """A validated graph structure compiled into steps, one per node, plus its
+    blueprint. `run` evaluates it on one tape's numbers."""
+
+    def __init__(self, structure: tuple, graph: NodeGraph, body):
+        output, _, ids, ops = structure
+        if ids is None:
+            ids = [f"n{i}" for i in range(len(ops))]
+        self.structure = structure
+        self.output = output
+        self.blueprint = write_blueprint(graph, body)
+        self.steps = [
+            _Step(i, ids[i], kind, inputs, params) for i, (kind, inputs, params) in enumerate(ops)
+        ]
+        readers = Counter(src for _, inputs, _ in ops for _, src in inputs)
+        for step in self.steps:
+            src = step.inputs.get("geometry")
+            placing = step.kind == TRANSFORM and ops[src][0] == PRIMITIVE
+            if placing and readers[src] == 1 and src != output:
+                step.run = _Run._eval_placed_primitive
+                step.source = self.steps[src]
+
+    def run(
+        self, numbers: list, params: ParamVector | dict | None, space: ParameterSpace
+    ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
+        """The links, the joints sorted by construction order, and the root
+        link id of one tape of this structure, without posing any link.
+
+        The parameter vector is checked once, as a whole, against `space`: a
+        missing value raises MissingParameterError and one outside its entry
+        RangeError."""
+        if params is None:
+            params = ParamVector({})
+        elif isinstance(params, dict):
+            params = ParamVector(params)
+        space.validate_vector(params)
+        body = _Run(self.steps, numbers, params.values).value(self.output)
+        # Deterministic public names: creation order, label-based with ordinals.
+        name_counts: dict[str, int] = {}
+        link_names: dict[int, str] = {}
+        links = []
+        for l in sorted(body.links, key=lambda l: l.link_id):
+            base = l.label or "part"
+            n = name_counts.get(base, 0)
+            name_counts[base] = n + 1
+            link_names[l.link_id] = f"{base}_{n}"
+            links.append(replace(l, link_id=link_names[l.link_id]))
+        joints = []
+        joint_counts: dict[str, int] = {}
+        for e in sorted(body.joints, key=lambda e: (e.order, e.joint_id)):
+            base = e.spec.joint_label or "joint"
+            n = joint_counts.get(base, 0)
+            joint_counts[base] = n + 1
+            parent, child = link_names[e.parent], link_names[e.child]
+            joints.append(replace(e, joint_id=f"{base}_{n}", parent=parent, child=child))
+        return tuple(links), tuple(joints), link_names[body.root.link_id]
+
+
+def program_for(tape: Tape, graph: NodeGraph | None = None) -> Program:
+    """The compiled program of `tape`'s structure. A structure met for the
+    first time is validated, from `graph` or else from the graph the tape
+    records, and compiled; any diagnostic raises InvalidParameterError
+    ("graph does not validate") and nothing is kept."""
+    program = _programs.get(tape.structure)
+    if program is None:
+        if graph is None:
+            graph = tape.graph()
+        diags, body = graph.structure()
+        if diags:
+            raise InvalidParameterError(
+                "graph does not validate: " + "; ".join(str(d) for d in diags)
+            )
+        program = Program(tape.structure, graph, body)
+        if len(_programs) >= VALIDATED_STRUCTURES:
+            _programs.pop(next(iter(_programs)), None)
+        _programs[tape.structure] = program
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -429,41 +618,11 @@ def evaluate_links(
     graph: NodeGraph, params: ParamVector | dict | None = None
 ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
     """Validate and evaluate a graph into its links, its joints sorted by
-    construction order, and the root link id, without posing any link.
-
-    The parameter vector is checked once, as a whole, against the graph's
-    parameter space: a missing value raises MissingParameterError and one
-    outside its entry RangeError."""
-    diags = graph.validate()
-    if diags:
-        raise InvalidParameterError(
-            "graph does not validate: " + "; ".join(str(d) for d in diags)
-        )
-    if params is None:
-        params = ParamVector({})
-    elif isinstance(params, dict):
-        params = ParamVector(params)
-    graph.parameters.validate_vector(params)
-    body = _Context(graph, params).eval(graph.output_node)
-    # Deterministic public names: creation order, label-based with ordinals.
-    name_counts: dict[str, int] = {}
-    link_names: dict[int, str] = {}
-    links = []
-    for l in sorted(body.links, key=lambda l: l.link_id):
-        base = l.label or "part"
-        n = name_counts.get(base, 0)
-        name_counts[base] = n + 1
-        link_names[l.link_id] = f"{base}_{n}"
-        links.append(replace(l, link_id=link_names[l.link_id]))
-    joints = []
-    joint_counts: dict[str, int] = {}
-    for e in sorted(body.joints, key=lambda e: (e.order, e.joint_id)):
-        base = e.spec.joint_label or "joint"
-        n = joint_counts.get(base, 0)
-        joint_counts[base] = n + 1
-        parent, child = link_names[e.parent], link_names[e.child]
-        joints.append(replace(e, joint_id=f"{base}_{n}", parent=parent, child=child))
-    return tuple(links), tuple(joints), link_names[body.root.link_id]
+    construction order, and the root link id, without posing any link: its
+    tape runs through the program of its structure (`program_for`), and the
+    parameter vector is checked against `graph.parameters`."""
+    tape = graph.lower()
+    return program_for(tape, graph).run(tape.numbers, params, graph.parameters)
 
 
 def evaluate(

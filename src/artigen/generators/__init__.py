@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..blueprint import AssetInstance, instantiate
+from ..blueprint import AssetInstance, realize
 from ..errors import InvalidParameterError
 from ..graph import GraphBuilder
 from ..params import ParamVector, _draw_parameters, merge_overrides
@@ -39,16 +39,14 @@ def build_instance(
     salt: str | None = None,
     params: ParamVector | None = None,
 ) -> AssetInstance:
-    """Sample (or reuse) parameters, build the graph, and realize one asset.
-    The overrides are checked once, before the graph is built."""
+    """Sample (or reuse) parameters, evaluate the category's compiled program
+    on them and realize one asset. The overrides are checked once, before
+    anything is recorded."""
     gen = get_generator(category)
     space = merge_overrides(gen.space, overrides)
     if params is None:
         params = _draw_parameters(gen.space, seed, overrides or {}, salt)
-    graph = gen.build(params)
-    if overrides:
-        graph.parameters = space
-    return instantiate(gen.blueprint, graph, params, category=category)
+    return realize(gen.blueprint, gen.evaluate(params, space), params, category=category)
 
 
 __all__ = [

@@ -1,5 +1,6 @@
-"""Shared machinery for the category generators: the shipped parameter-range
-table and variation counting."""
+"""Shared machinery for the category generators: the generator record, which
+compiles its category once, the shipped parameter-range table and variation
+counting."""
 
 from __future__ import annotations
 
@@ -8,9 +9,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from ..blueprint import KinematicBlueprint, extract_blueprint
 from ..errors import InvalidParameterError
-from ..graph import NodeGraph
+from ..evaluate import EvaluatedJoint, EvaluatedLink, Program, program_for
+from ..graph import GraphBuilder, KinematicBlueprint, NodeGraph, Tape
 from ..params import Continuous, Count, Discrete, ParameterSpace, ParamVector, sample_parameters
 
 
@@ -54,17 +55,47 @@ class VariationCount:
 
 @dataclass(frozen=True)
 class CategoryGenerator:
+    """One category: its parameter space and its recipe, which records the
+    category's graph for a parameter vector on a GraphBuilder and returns the
+    output node.
+
+    Every seed of a category records one structure, so the seed-0 tape is
+    compiled once (`program`) and gives the category blueprint. `evaluate`
+    records each seed's tape, compares its structure with the compiled one
+    and runs the program on its numbers; a tape of another structure is
+    compiled like any graph (`artigen.evaluate.program_for`)."""
+
     name: str
     space: ParameterSpace
-    builder: object  # ParamVector -> NodeGraph
+    recipe: object  # (GraphBuilder, ParamVector) -> output node id
+
+    def record(self, params: ParamVector) -> Tape:
+        b = GraphBuilder(self.space)
+        return b.tape(self.recipe(b, params))
 
     def build(self, params: ParamVector) -> NodeGraph:
-        return self.builder(params)
+        """The category's graph for `params`, as a document."""
+        return self.record(params).graph()
 
     @cached_property
+    def program(self) -> Program:
+        return program_for(self.record(sample_parameters(self.space, 0, salt="")))
+
+    @property
     def blueprint(self) -> KinematicBlueprint:
-        """The category blueprint, from the seed-0 graph; every seed shares it."""
-        return extract_blueprint(self.build(sample_parameters(self.space, 0, salt="")))
+        """The category blueprint, from the seed-0 structure; every seed shares it."""
+        return self.program.blueprint
+
+    def evaluate(
+        self, params: ParamVector, space: ParameterSpace | None = None
+    ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
+        """`evaluate_links` of `build(params)`, with the vector checked against
+        `space` (the generator's own by default), without making the graph."""
+        tape = self.record(params)
+        program = self.program
+        if tape.structure != program.structure:
+            program = program_for(tape)
+        return program.run(tape.numbers, params, space or self.space)
 
 
 def count_variations(generator: CategoryGenerator) -> VariationCount:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..graph import GraphBuilder, NodeGraph
+from ..graph import GraphBuilder
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -110,8 +110,8 @@ def _rack(b: GraphBuilder, p: ParamVector, anchor, cavity, z0: float):
     ), rack_geom
 
 
-def build(p: ParamVector) -> NodeGraph:
-    b = GraphBuilder(space())
+def build(b: GraphBuilder, p: ParamVector) -> str:
+    """Record the dishwasher graph for `p` on `b`; its output node."""
     width, depth, height = p["width"], p["depth"], p["height"]
     w = 0.03
     y_front = depth / 2
@@ -179,7 +179,7 @@ def build(p: ParamVector) -> NodeGraph:
         lo=0.0, hi=MAX_OPEN, default=0.0,
         labels=("hinge", "body", "door"),
     )
-    return b.output(out)
+    return out
 
 
 MAX_OPEN = 1.45

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..graph import GraphBuilder, NodeGraph
+from ..graph import GraphBuilder
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -218,8 +218,8 @@ def _panel_assembly(b: GraphBuilder, p: ParamVector, x_left: float, side: int):
     return b.switch(b.ref("handle_type"), [panel, lever_j, knob_j, pull_merge, crash_j])
 
 
-def build(p: ParamVector) -> NodeGraph:
-    b = GraphBuilder(space())
+def build(b: GraphBuilder, p: ParamVector) -> str:
+    """Record the door graph for `p` on `b`; its output node."""
     dc = int(p["door_count"])
     wp, h, d, g = p["width"], p["height"], p["depth"], p["panel_margin"]
     fw = p["door_frame_width"]
@@ -250,7 +250,7 @@ def build(p: ParamVector) -> NodeGraph:
         lo=-MAX_SWING, hi=0.0, default=0.0, labels=("hinge", None, "panel"),
     )
     out = b.switch(b.math("sub", b.ref("door_count"), 1.0), [hinge0, hinge1])
-    return b.output(out)
+    return out
 
 
 def generator() -> CategoryGenerator:

@@ -9,7 +9,7 @@ closed pose (pivot proud of the door front).
 
 from __future__ import annotations
 
-from ..graph import GraphBuilder, NodeGraph
+from ..graph import GraphBuilder
 from ..params import Count, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -71,8 +71,8 @@ def _bar_handle(b: GraphBuilder, p, prefix, x, y0, z_center, length, vertical=Tr
     return b.merge(bar, *supports), depth
 
 
-def build(p: ParamVector) -> NodeGraph:
-    b = GraphBuilder(space())
+def build(b: GraphBuilder, p: ParamVector) -> str:
+    """Record the fridge graph for `p` on `b`; its output node."""
     dc = int(p["door_count"])
     s = p["size"]
     w = p["wall_thickness"]
@@ -272,7 +272,7 @@ def build(p: ParamVector) -> NodeGraph:
         lo=-MAX_SWING, hi=0.0, default=0.0, labels=("hinge", None, "door"),
     )
     out = b.switch(b.math("sub", b.ref("door_count"), 1.0), [with_door0, with_door1])
-    return b.output(out)
+    return out
 
 
 def generator() -> CategoryGenerator:

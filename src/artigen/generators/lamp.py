@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from ..errors import InvalidParameterError
-from ..graph import GraphBuilder, NodeGraph
+from ..graph import GraphBuilder
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -136,8 +136,8 @@ def _sides(p: ParamVector, name: str) -> int:
     return sides
 
 
-def build(p: ParamVector) -> NodeGraph:
-    b = GraphBuilder(space())
+def build(b: GraphBuilder, p: ParamVector) -> str:
+    """Record the lamp graph for `p` on `b`; its output node."""
     arm = int(p["arm_segments"])
     r_bar = p["radius"]
     base_r = p["radius_of_base"]
@@ -265,7 +265,7 @@ def build(p: ParamVector) -> NodeGraph:
         lo=0.0, hi=SLIDE, default=0.0, labels=("elbow_1", "base", None),
     )
     out = b.switch(base_sel, [fixed0, hinge0, slide0])
-    return b.output(out)
+    return out
 
 
 def generator() -> CategoryGenerator:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..graph import GraphBuilder, NodeGraph
+from ..graph import GraphBuilder
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -58,8 +58,8 @@ def _lever_head(b: GraphBuilder, p: ParamVector, size: float, at):
     return b.switch(b.ref("lever_type"), [cylinder, half, ellipsoid, sphere, flat])
 
 
-def build(p: ParamVector) -> NodeGraph:
-    b = GraphBuilder(space())
+def build(b: GraphBuilder, p: ParamVector) -> str:
+    """Record the toaster graph for `p` on `b`; its output node."""
     s_count = int(p["slot_count"])
     lv = int(p["levers_per_slot"])
     n_btn = int(p["buttons_per_lever"])
@@ -171,7 +171,7 @@ def build(p: ParamVector) -> NodeGraph:
         lo=-2.4, hi=2.4, default=0.0,
         labels=("browning", None, "knob"),
     )
-    return b.output(out)
+    return out
 
 
 def generator() -> CategoryGenerator:

@@ -61,9 +61,13 @@ def unit_vector(value, what: str) -> tuple[float, float, float]:
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternions (4,), or row by row of quaternions (n, 4)."""
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
+    """Hamilton product of quaternions (4,), or row by row of quaternions (n, 4).
+
+    Two single quaternions are multiplied in Python floats, whose arithmetic
+    is numpy's float64 arithmetic, bit for bit, without its per-scalar cost."""
+    single = a.ndim == b.ndim == 1
+    aw, ax, ay, az = a.tolist() if single else a.T
+    bw, bx, by, bz = b.tolist() if single else b.T
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -75,8 +79,9 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix (3, 3) of a unit quaternion (4,), or matrices (n, 3, 3) of (n, 4)."""
-    w, x, y, z = q.T
+    """Rotation matrix (3, 3) of a unit quaternion (4,), or matrices (n, 3, 3)
+    of (n, 4); one quaternion is expanded in Python floats, as in `quat_multiply`."""
+    w, x, y, z = q.tolist() if q.ndim == 1 else q.T
     m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
@@ -100,7 +105,9 @@ class RigidTransform:
         norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > 1e-6:
             raise InvalidParameterError(f"quaternion norm {norm} too far from 1")
-        q = q / norm
+        self._freeze(q / norm, t)
+
+    def _freeze(self, q: np.ndarray, t: np.ndarray) -> None:
         if q[0] < 0.0:  # canonical sign for determinism
             q = -q
         object.__setattr__(self, "rotation", q)
@@ -108,13 +115,23 @@ class RigidTransform:
         for a in (q, t):
             a.flags.writeable = False
 
+    @classmethod
+    def _trusted(cls, q: np.ndarray, t: np.ndarray) -> "RigidTransform":
+        """A transform from a float64 (4,) quaternion within rounding of unit
+        length and a finite float64 (3,) translation, as the constructors
+        below make them: `q` is divided by its norm and sign-canonicalized as
+        in a checked construction, but nothing is checked."""
+        transform = object.__new__(cls)
+        transform._freeze(q / math.sqrt(q.dot(q)), t)  # np.linalg.norm's formula, bit for bit
+        return transform
+
     @staticmethod
     def identity() -> "RigidTransform":
-        return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+        return _IDENTITY
 
     @staticmethod
     def from_translation(t) -> "RigidTransform":
-        return RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), as_vec3(t))
+        return RigidTransform._trusted(np.array([1.0, 0.0, 0.0, 0.0]), as_vec3(t))
 
     @staticmethod
     def from_axis_angle(axis, angle: float, pivot=None) -> "RigidTransform":
@@ -123,30 +140,32 @@ class RigidTransform:
         half = 0.5 * float(angle)
         s = math.sin(half)
         q = np.array([math.cos(half), s * x, s * y, s * z])
-        rot = RigidTransform(q, np.zeros(3))
+        rot = RigidTransform._trusted(q, np.zeros(3))
         if pivot is None:
             return rot
         pivot = as_vec3(pivot)
-        return RigidTransform(q, pivot - rot.apply(pivot))
+        return RigidTransform._trusted(q, pivot - rot.apply(pivot))
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.rotation)
 
     def apply(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = pts @ self.rotation_matrix().T + self.translation
-        return out[0] if single else out
+        if pts.ndim == 1:
+            return (pts[np.newaxis] @ self.rotation_matrix().T + self.translation)[0]
+        return pts @ self.rotation_matrix().T + self.translation
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self applied after other: (self @ other)(p) == self(other(p))."""
         q = quat_multiply(self.rotation, other.rotation)
         t = self.apply(other.translation)
-        return RigidTransform(q, t)
+        return RigidTransform._trusted(q, t)
 
     def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
         return self.compose(other)
+
+
+_IDENTITY = RigidTransform._trusted(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -349,11 +368,17 @@ def make_box(dimensions) -> TriMesh:
             [-hx, hy, hz],
         ]
     )
-    # -Z, +Z, -Y, +Y, +X, -X faces, each counter-clockwise seen from outside.
-    quads = np.array(
-        [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [2, 3, 7, 6], [1, 2, 6, 5], [3, 0, 4, 7]]
-    )
-    return TriMesh(verts, quads[:, _QUAD_TRIANGLES].reshape(-1, 3))
+    return TriMesh(verts, _BOX_TRIANGLES)
+
+
+def _constant(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# -Z, +Z, -Y, +Y, +X, -X faces, each counter-clockwise seen from outside.
+_BOX_QUADS = np.array([[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [2, 3, 7, 6], [1, 2, 6, 5], [3, 0, 4, 7]])
+_BOX_TRIANGLES = _constant(_BOX_QUADS[:, _QUAD_TRIANGLES].reshape(-1, 3))
 
 
 def make_ngon_prism(
@@ -446,11 +471,16 @@ def make_rounded_box(dimensions, bevel: float) -> TriMesh:
     if bevel == 0.0:
         return make_box(dims)
     h = dims / 2.0
-    corners = np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
     # Vertex 3 * c + a lies on corner c's face normal to axis a, inset by the bevel
     # along the other two axes.
-    verts = np.repeat(corners * (h - bevel), 3, axis=0)
-    verts[np.arange(24), np.tile(np.arange(3), 8)] = (corners * h).ravel()
+    verts = np.repeat(_CORNERS * (h - bevel), 3, axis=0)
+    verts[_CORNER_FACE_ROWS, _CORNER_FACE_AXES] = (_CORNERS * h).ravel()
+    return TriMesh(verts, _orient_outward(verts, _ROUNDED_TRIANGLES, _ROUNDED_OUTWARD))
+
+
+def _rounded_box_topology() -> tuple[np.ndarray, np.ndarray]:
+    """The triangles of every rounded box and the outward direction of each,
+    over the vertices `make_rounded_box` lays out."""
 
     def vertex(s, axis):  # the vertex of the corner with signs `s` on its `axis` face
         return 3 * (((s[0] + 1) // 2) * 4 + ((s[1] + 1) // 2) * 2 + (s[2] + 1) // 2) + axis
@@ -482,8 +512,27 @@ def make_rounded_box(dimensions, bevel: float) -> TriMesh:
     # Two triangles per quad, then the eight corner triangles.
     quad_tris = np.array(quads)[:, _QUAD_TRIANGLES].reshape(-1, 3)
     tris = np.vstack([quad_tris, np.arange(24).reshape(8, 3)])
-    outward = np.vstack([np.repeat(outward, 2, axis=0), corners])
-    return TriMesh(verts, _orient_outward(verts, tris, outward))
+    outward = np.vstack([np.repeat(outward, 2, axis=0), _CORNERS])
+    return _constant(tris), _constant(outward)
+
+
+_CORNERS = _constant(np.array([(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]))
+_CORNER_FACE_ROWS = _constant(np.arange(24))
+_CORNER_FACE_AXES = _constant(np.tile(np.arange(3), 8))
+_ROUNDED_TRIANGLES, _ROUNDED_OUTWARD = _rounded_box_topology()
+
+
+def translate_mesh(mesh: TriMesh, offset: np.ndarray) -> TriMesh:
+    """`apply_transform(mesh, RigidTransform.from_translation(offset) @
+    RigidTransform.identity())`, bit for bit, for a finite float64 (3,)
+    offset: that composition turns a -0.0 in the offset into 0.0, and its
+    identity rotation takes every vertex over exactly, so adding the offset
+    plus 0.0 to the vertices gives the same numbers."""
+    if not mesh.n_vertices:
+        return mesh
+    verts = mesh.vertices + (offset + 0.0)
+    _check_finite(verts, "mesh vertices")
+    return TriMesh._unchecked(verts, mesh.triangles, mesh.face_labels)
 
 
 def apply_transform(mesh: TriMesh, transform: RigidTransform) -> TriMesh:

@@ -1,6 +1,7 @@
 """The procedural program representation: a typed DAG of geometry, math, joint,
-duplication, and label nodes, with validation, canonical serialization, and
-GraphBuilder, the helper that builds the patterns and the generators.
+duplication, and label nodes, with validation, canonical serialization, the
+tape form that evaluation compiles, and GraphBuilder, which records the
+patterns and the generators on a tape.
 
 Geometry-typed ports carry articulated bodies (a plain primitive is a body with
 one link and no joints), scalar ports carry numbers. A graph is mutable while
@@ -11,15 +12,19 @@ cycles: `connect` checks a wire's ends and port type, not what it closes. It
 checks each node's local rules, orders the nodes in one depth-first pass that
 also finds cycles, and then makes one symbolic walk over the nodes the output
 depends on. The walk keeps link identity as evaluation keeps it and rejects
-every graph that cannot become one kinematic tree. `artigen.blueprint` writes
+every graph that cannot become one kinematic tree. `write_blueprint` writes
 that walk out as the blueprint, so a graph that validates always has one.
-No rule reads a numeric literal, so `validate` checks each distinct structure
-once and answers repeats of it, such as a generator's builds across seeds,
-from a bounded cache.
+
+No rule reads a numeric literal. A `Tape` therefore splits a graph into its
+structure (per node the kind, the wires and the non-numeric parameters) and,
+beside it, each node's numeric literals. `NodeGraph.lower` and `GraphBuilder`
+give the same graph the same structure; `artigen.evaluate` compiles each
+distinct structure once and runs it on the numbers of each tape.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -52,11 +57,6 @@ JOINT_KINDS = (JOINT_REVOLUTE, JOINT_PRISMATIC)
 
 PRIMITIVE_SHAPES = ("box", "cylinder", "sphere", "rounded_box", "ngon_prism")
 MATH_OPS = ("add", "sub", "mul", "div", "min", "max")
-
-# Structures whose validate diagnostics are kept; the oldest is dropped first.
-VALIDATED_STRUCTURES = 128
-_validated: dict[tuple, tuple] = {}  # structure key -> its diagnostics
-
 
 def whole_number(value: float) -> int | None:
     """`value` as an integer if it lies within 1e-9 of one, else None."""
@@ -237,6 +237,22 @@ _LITERAL_PARAMS = {
     kind: frozenset(n for n, p in spec.params.items() if p.kind in ("vec3", "points"))
     for kind, spec in _KINDS.items()
 }
+# Per kind, the scalar parameters that may be left unset (None).
+_OPTIONAL_SCALARS = {
+    kind: frozenset(n for n, p in spec.params.items() if p.kind == "scalar" and p.default is None)
+    for kind, spec in _KINDS.items()
+}
+
+
+class _Literal:
+    """Marks, in a tape's structure, an optional scalar parameter that holds a
+    number: whether it is set is structure, its value is not."""
+
+    def __repr__(self):
+        return "#"
+
+
+LITERAL = _Literal()
 
 
 def _normalize_param(kind: str, name: str, spec: _ParamSpec, value):
@@ -283,6 +299,15 @@ def _normalize_param(kind: str, name: str, spec: _ParamSpec, value):
     raise InvalidParameterError(f"unhandled parameter kind {spec.kind}")
 
 
+def _unit_axes(kind: str, params: dict) -> None:
+    """Scale a joint's axis to unit length in place, and check a transform's
+    rotate_axis; a zero axis raises InvalidParameterError."""
+    if kind in JOINT_KINDS:  # a vec3 axis is always literal
+        params["axis"] = unit_vector(params["axis"], f"{kind}.axis")
+    elif kind == TRANSFORM and "rotate_axis" in params:
+        unit_vector(params["rotate_axis"], "transform.rotate_axis")
+
+
 def _normalize_params(kind: str, params: dict, error: type) -> dict:
     """Every parameter of a `kind` node: given values checked and coerced, the
     rest defaulted, a joint's axis scaled to unit length. A None value
@@ -301,11 +326,59 @@ def _normalize_params(kind: str, params: dict, error: type) -> dict:
             raise error(f"{kind} requires parameter {name!r}")
         else:
             normalized[name] = pspec.default
-    if kind in JOINT_KINDS:  # a vec3 axis is always literal
-        normalized["axis"] = unit_vector(normalized["axis"], f"{kind}.axis")
-    elif kind == TRANSFORM:
-        unit_vector(normalized["rotate_axis"], "transform.rotate_axis")
+    _unit_axes(kind, normalized)
     return normalized
+
+
+def _split_params(kind: str, params: dict, check: bool = False) -> tuple[tuple, dict]:
+    """A node's parameters as (structure, numbers): the non-numeric values by
+    name, in the order given, and the numeric literals by name. A switch's
+    literal selector is structure, as it picks the option that is walked, and
+    an optional scalar that holds a number leaves LITERAL in the structure.
+    None values are left out, as they mean the parameter is unset.
+
+    With `check`, the values are given ones: each is checked and coerced as
+    `_normalize_param` does (a plain finite float passes as it is), a None
+    where None is not the default raises, and the axes are scaled or checked
+    as `_unit_axes` does; bad values raise InvalidParameterError. Without,
+    they are a node's normalized parameters."""
+    specs = _KINDS[kind].params
+    literal = _LITERAL_PARAMS[kind]
+    optional = _OPTIONAL_SCALARS[kind]
+    structure = []
+    numbers = {}
+    for name, value in params.items():
+        if type(value) is float and name != "select" and (not check or math.isfinite(value)):
+            pass  # a finite numeric literal, as nearly every value is
+        else:
+            spec = specs.get(name)  # None for a parameter that a changed node kind lacks
+            if check and (value is not None or spec.default is not None):
+                value = _normalize_param(kind, name, spec, value)
+            if value is None:
+                continue
+            if name not in literal and (
+                name == "select"
+                or spec is None
+                or spec.kind != "scalar"
+                or isinstance(value, ParamRef)
+            ):
+                structure.append((name, value))
+                continue
+        numbers[name] = value
+        if name in optional:
+            structure.append((name, LITERAL))
+    if check:
+        _unit_axes(kind, numbers)
+    return tuple(structure), numbers
+
+
+def _filled_params(kind: str, structure: tuple, numbers: dict) -> dict:
+    """Every parameter of a `kind` node from its tape entries, the rest
+    defaulted, in schema order: the inverse of `_split_params`."""
+    params = {name: spec.default for name, spec in _KINDS[kind].params.items()}
+    params.update(item for item in structure if item[1] is not LITERAL)
+    params.update(numbers)
+    return params
 
 
 @dataclass
@@ -435,43 +508,33 @@ class NodeGraph:
 
     def validate(self) -> list[Diagnostic]:
         """Composition diagnostics; an empty list means the graph is exportable
-        and has a kinematic blueprint.
+        and has a kinematic blueprint. Each call checks the graph as it is
+        now; evaluation checks each distinct structure only once, when it
+        compiles it (`artigen.evaluate.program_for`)."""
+        return self.structure()[0]
 
-        The diagnostics depend only on what `_structure_key` holds, so each
-        distinct structure is checked once: the last VALIDATED_STRUCTURES
-        results are kept under their keys, and a graph whose key is among
-        them gets a fresh list of the kept diagnostics. A structural change
-        to the graph changes its key, so it is checked again."""
-        key = self._structure_key()
-        diags = _validated.get(key)
-        if diags is None:
-            diags = tuple(self.structure()[0])
-            if len(_validated) >= VALIDATED_STRUCTURES:
-                _validated.pop(next(iter(_validated)), None)
-            _validated[key] = diags
-        return list(diags)
+    def lower(self) -> "Tape":
+        """This graph as a tape, of the structure GraphBuilder records for it;
+        its numbers also hold the literals that normalization defaulted.
 
-    def _structure_key(self) -> tuple:
-        """Everything `structure` reads, as one hashable value: the output id,
-        the declared parameter names, and per node in insertion order its id,
-        kind, wires and parameters. Numeric literals (floats, vec3s, point
-        lists) are left out, as no rule reads them; a switch's literal
-        selector stays, as it picks the option that is walked."""
-        nodes = tuple(
-            (
-                nid,
-                node.kind,
-                tuple(node.inputs.items()),
-                tuple(
-                    (name, value)
-                    for name, value in node.params.items()
-                    if name == "select"
-                    or (type(value) is not float and name not in _LITERAL_PARAMS[node.kind])
-                ),
-            )
-            for nid, node in self.nodes.items()
-        )
-        return self.output_node, tuple(self.parameters.entries), nodes
+        The nodes keep their insertion order, so a joint's construction order
+        is its node's position. Node ids that are n0, n1, ... in that order
+        are left implicit. A wire from a missing node, or a missing output,
+        lowers to None; such a graph does not validate."""
+        index = {nid: i for i, nid in enumerate(self.nodes)}
+        ops = []
+        numbers = []
+        for node in self.nodes.values():
+            params, literals = _split_params(node.kind, node.params)
+            inputs = tuple((port, index.get(src)) for port, src in node.inputs.items())
+            ops.append((node.kind, inputs, params))
+            numbers.append(literals)
+        ids = tuple(self.nodes)
+        if all(nid == f"n{i}" for i, nid in enumerate(ids)):
+            ids = None
+        output = index.get(self.output_node)
+        structure = (output, tuple(self.parameters.entries), ids, tuple(ops))
+        return Tape(structure, numbers, self.parameters)
 
     def structure(self) -> tuple[list[Diagnostic], "_SymBody | None"]:
         """The diagnostics of `validate`, and with none the output's symbolic
@@ -620,10 +683,13 @@ class NodeGraph:
                 raise SchemaError(f"node {node_id} inputs must map ports to node ids")
             graph.nodes[node_id] = Node(node_id, kind, params, dict(inputs))
         graph.output_node = doc.get("output")
-        # keep fresh ids clear of loaded ones
-        numeric = [int(n[1:]) for n in graph.nodes if n.startswith("n") and n[1:].isdigit()]
-        graph._next_id = max(numeric, default=-1) + 1
+        graph._skip_taken_ids()
         return graph
+
+    def _skip_taken_ids(self) -> None:
+        """Keep the ids `add_node` hands out clear of the nodes' own."""
+        numeric = [int(n[1:]) for n in self.nodes if n.startswith("n") and n[1:].isdigit()]
+        self._next_id = max(numeric, default=-1) + 1
 
     def __eq__(self, other):
         """Graphs are equal when their canonical documents are."""
@@ -646,6 +712,35 @@ def _decode_param(value):
     if isinstance(value, list):
         return [_decode_param(v) for v in value]
     return value
+
+
+class Tape(NamedTuple):
+    """A graph as evaluation reads it: its structure, and beside it its numbers.
+
+    `structure` is (output op, declared parameter names, node ids or None for
+    n0, n1, ..., ops). Each op is (kind, wires, parameters): the wires as
+    (port, op index) pairs in wiring order, the parameters as `_split_params`
+    gives them. It holds everything validation reads and no number but a
+    switch's literal selector. `numbers` holds each op's numeric literals by
+    parameter name, per op, since a duplicate's points change length from
+    seed to seed. `space` is the declared parameter space."""
+
+    structure: tuple
+    numbers: list
+    space: ParameterSpace
+
+    def graph(self) -> NodeGraph:
+        """The NodeGraph this tape records, with its own copy of the space."""
+        output, _, ids, ops = self.structure
+        if ids is None:
+            ids = [f"n{i}" for i in range(len(ops))]
+        graph = NodeGraph(ParameterSpace(self.space.entries))
+        for nid, (kind, inputs, params), numbers in zip(ids, ops, self.numbers):
+            wires = {port: None if src is None else ids[src] for port, src in inputs}
+            graph.nodes[nid] = Node(nid, kind, _filled_params(kind, params, numbers), wires)
+        graph.output_node = None if output is None else ids[output]
+        graph._skip_taken_ids()
+        return graph
 
 
 # --- the symbolic walk ----------------------------------------------------------
@@ -986,15 +1081,178 @@ def _factor_variant(variant: _SymVariant) -> _SymBody:
     return _SymBody(base.root, base.attachments[:common] + (variant_joint,))
 
 
+# --- the blueprint ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KinematicBlueprint:
+    """Tree template of link and joint slots with repeat and variant groups."""
+
+    tree: dict  # nested structural description
+
+    def signature(self) -> str:
+        """Deterministic digest of topology, joint types, labels, and groups.
+
+        All numeric values (ranges, pivots, duplication points) are excluded,
+        so every instance of a category shares one signature.
+        """
+        canon = json.dumps(self.tree, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canon.encode()).hexdigest()
+
+    def tree_lines(self) -> list[str]:
+        lines: list[str] = []
+
+        def walk(node: dict, depth: int, prefix: str):
+            pad = "  " * depth
+            kind = node["kind"]
+            if kind == "link":
+                lines.append(f"{pad}{prefix}{node['label'] or node['source']}")
+                for att in node["children"]:
+                    walk(att, depth + 1, "")
+            elif kind == "joint":
+                joints = " + ".join(f"[{j['type']}]" for j in node["joints"])
+                walk(node["child"], depth, f"{joints} ")
+            elif kind == "repeat":
+                count = node["count_param"] or "points"
+                lines.append(f"{pad}{prefix}repeat x{count}:")
+                if node["static_source"]:
+                    lines.append(f"{pad}  geometry {node['static_source']}")
+                for att in node["attachments"]:
+                    walk(att, depth + 1, "")
+            elif kind == "variant":
+                lines.append(f"{pad}{prefix}variant on {node['selector']}:")
+                for i, branch in enumerate(node["branches"]):
+                    if branch is None:
+                        lines.append(f"{pad}  option {i}: (absent)")
+                    else:
+                        lines.append(f"{pad}  option {i}:")
+                        walk(branch, depth + 2, "")
+
+        walk(self.tree, 0, "")
+        return lines
+
+
+def write_blueprint(graph: NodeGraph, body: _SymBody) -> KinematicBlueprint:
+    """The symbolic body that validating `graph` walked (`structure()`), written
+    out as its kinematic blueprint. Only structure is read: parameter names,
+    labels, wiring and whether an optional slot is set, never a number."""
+
+    def expr(node, name: str) -> str:
+        """A parameter slot's structure: literals masked, parameter names kept."""
+        if name in node.inputs:
+            src = graph.nodes[node.inputs[name]]
+            if src.kind == SCALAR_MATH:
+                return f"{src.params['op']}({expr(src, 'a')},{expr(src, 'b')})"
+            return f"<{src.kind}>"
+        value = node.params[name]
+        if isinstance(value, ParamRef):
+            return value.name
+        return "default" if value is None else "#"
+
+    def joint_dict(node) -> dict:
+        slots = [(slot, expr(node, slot)) for slot in ("range_lo", "range_hi", "default")]
+        return {
+            "type": "revolute" if node.kind == JOINT_REVOLUTE else "prismatic",
+            "joint_label": node.params["joint_label"],
+            "parent_label": node.params["parent_label"],
+            "child_label": node.params["child_label"],
+            "slots": [[slot, rep] for slot, rep in slots if rep not in ("#", "default")],
+            # Signatures ignore numeric literals; the key stays so that they keep their bytes.
+            "range": None,
+            "source": node.node_id,
+        }
+
+    def walk_attachment(att) -> dict:
+        if isinstance(att, _SymJoint):
+            return {
+                "kind": "joint",
+                "joints": [joint_dict(j) for j in att.joints],
+                "child": walk_subtree(att.child),
+            }
+        if isinstance(att, _SymRepeat):
+            return {
+                "kind": "repeat",
+                "count_param": att.count_param,
+                "count_map": None,  # a retired key, kept so that signatures keep their bytes
+                "static_source": att.static_source,
+                "attachments": [walk_attachment(a) for a in att.attachments],
+            }
+        return {
+            "kind": "variant",
+            "selector": expr(att.switch, "select"),
+            "branches": [None if b is None else walk_attachment(b) for b in att.options],
+        }
+
+    def walk_subtree(value) -> dict:
+        if isinstance(value, _SymVariant):
+            branches = [walk_subtree(o) for o in value.options]
+            selector = expr(value.switch, "select")
+            return {"kind": "variant", "selector": selector, "branches": branches}
+        return {
+            "kind": "link",
+            "label": value.root.label,
+            "source": value.root.source,
+            "children": [walk_attachment(att) for att in value.attachments],
+        }
+
+    return KinematicBlueprint(walk_subtree(body))
+
+
 # --- building -----------------------------------------------------------------
 
 
 class GraphBuilder:
-    """Thin convenience layer over NodeGraph; it builds the pattern corpus and
-    the category generators."""
+    """Records a graph on a tape, node by node; it builds the pattern corpus
+    and the category generators.
+
+    Each method checks its numeric literals as `NodeGraph.add_node` would
+    (number type, finiteness, 3-vector and point shapes, a nonzero axis) and
+    its wires as `connect` would, and returns the new node's id. No
+    NodeGraph is made: `tape(node)` ends the recording as a Tape, which is
+    what evaluation compiles and runs, and `output(node)` as a NodeGraph,
+    the document form."""
 
     def __init__(self, space: ParameterSpace):
-        self.g = NodeGraph(space)
+        self.space = space
+        self._ops: list[tuple] = []
+        self._numbers: list[dict] = []
+        self._index: dict[str, int] = {}  # node id -> op index
+
+    def _add(self, kind: str, params: dict, wires=()) -> str:
+        """Record one `kind` node with the given parameters, in schema order
+        as `NodeGraph.lower` reads them, and (port, source id) wires; its id."""
+        index = len(self._ops)
+        structure, numbers = _split_params(kind, params, check=True)
+        inputs = tuple((port, self._source(index, kind, port, src)) for port, src in wires)
+        self._ops.append((kind, inputs, structure))
+        self._numbers.append(numbers)
+        node_id = f"n{index}"
+        self._index[node_id] = index
+        return node_id
+
+    def _source(self, index: int, kind: str, port: str, src: str) -> int:
+        """The op index of `src` wired into `port` of node `index`, a `kind`
+        node; a missing source or a port of the wrong type raises as
+        `connect` does."""
+        source = self._index.get(src)
+        if source is None:
+            raise InvalidParameterError(f"n{index}: port {port!r} wired to missing node {src!r}")
+        ptype = port_type(kind, port)
+        src_kind = self._ops[source][0]
+        if _KINDS[src_kind].output != ptype:
+            raise PortTypeError(f"n{index}: {src_kind} output wired into {ptype} port {port!r}")
+        return source
+
+    def tape(self, node) -> Tape:
+        """The recording, with `node` as the output."""
+        if node not in self._index:
+            raise InvalidParameterError(f"unknown node {node!r}")
+        structure = (self._index[node], tuple(self.space.entries), None, tuple(self._ops))
+        return Tape(structure, list(self._numbers), self.space)
+
+    def output(self, node) -> NodeGraph:
+        """The recording as a NodeGraph, with `node` as the output."""
+        return self.tape(node).graph()
 
     # geometry ----------------------------------------------------------------
 
@@ -1005,19 +1263,17 @@ class GraphBuilder:
         if rotate_angle != 0.0:
             params["rotate_axis"] = rotate_axis or (0, 0, 1)
             params["rotate_angle"] = rotate_angle
-        t = self.g.add_node(TRANSFORM, params)
-        self.g.connect(node, t, "geometry")
-        return t
+        return self._add(TRANSFORM, params, (("geometry", node),))
 
     def box(self, dims, at=(0, 0, 0), material=None, rotate_axis=None, rotate_angle=0.0):
-        node = self.g.add_node(
+        node = self._add(
             PRIMITIVE,
             {"shape": "box", "size_x": dims[0], "size_y": dims[1], "size_z": dims[2], "material": material},
         )
         return self._placed(node, at, rotate_axis, rotate_angle)
 
     def rounded_box(self, dims, bevel, at=(0, 0, 0), material=None):
-        node = self.g.add_node(
+        node = self._add(
             PRIMITIVE,
             {
                 "shape": "rounded_box",
@@ -1032,7 +1288,7 @@ class GraphBuilder:
 
     def cylinder(self, radius, height, at=(0, 0, 0), segments=32, material=None,
                  rotate_axis=None, rotate_angle=0.0):
-        node = self.g.add_node(
+        node = self._add(
             PRIMITIVE,
             {"shape": "cylinder", "radius": radius, "height": height, "segments": segments,
              "material": material},
@@ -1040,29 +1296,24 @@ class GraphBuilder:
         return self._placed(node, at, rotate_axis, rotate_angle)
 
     def prism(self, radius, height, sides, at=(0, 0, 0), top_radius=None, material=None):
-        node = self.g.add_node(
+        node = self._add(
             PRIMITIVE,
-            {"shape": "ngon_prism", "radius": radius, "height": height, "sides": sides,
-             "top_radius": top_radius, "material": material},
+            {"shape": "ngon_prism", "radius": radius, "top_radius": top_radius, "height": height,
+             "sides": sides, "material": material},
         )
         return self._placed(node, at)
 
     def sphere(self, radius, at=(0, 0, 0), segments=24, material=None):
-        node = self.g.add_node(
+        node = self._add(
             PRIMITIVE, {"shape": "sphere", "radius": radius, "segments": segments, "material": material}
         )
         return self._placed(node, at)
 
     def merge(self, *nodes):
-        m = self.g.add_node(MERGE, {})
-        for i, node in enumerate(nodes):
-            self.g.connect(node, m, f"geometry_{i}")
-        return m
+        return self._add(MERGE, {}, [(f"geometry_{i}", node) for i, node in enumerate(nodes)])
 
     def label(self, node, name):
-        l = self.g.add_node(SEMANTIC_LABEL, {"label": name})
-        self.g.connect(node, l, "geometry")
-        return l
+        return self._add(SEMANTIC_LABEL, {"label": name}, (("geometry", node),))
 
     # joints -------------------------------------------------------------------
 
@@ -1078,10 +1329,7 @@ class GraphBuilder:
         for key, value in zip(("joint_label", "parent_label", "child_label"), labels):
             if value is not None:
                 params[key] = value
-        j = self.g.add_node(kind, params)
-        self.g.connect(parent, j, "parent")
-        self.g.connect(child, j, "child")
-        return j
+        return self._add(kind, params, (("parent", parent), ("child", child)))
 
     def revolute(self, parent, child, pivot, axis, lo, hi, default=None, labels=()):
         return self._joint(JOINT_REVOLUTE, parent, child, pivot, axis, lo, hi, default, labels)
@@ -1094,27 +1342,22 @@ class GraphBuilder:
         return self._joint(JOINT_REVOLUTE, parent, child, pivot, (0, 0, 1), 0.0, 0.0, 0.0, labels)
 
     def duplicate(self, parent, body, points, count_param=None):
-        d = self.g.add_node(DUPLICATE, {"points": list(points), "count_param": count_param})
-        self.g.connect(parent, d, "parent")
-        self.g.connect(body, d, "body")
-        return d
+        params = {"points": list(points), "count_param": count_param}
+        return self._add(DUPLICATE, params, (("parent", parent), ("body", body)))
 
     # scalars -------------------------------------------------------------------
 
     def math(self, op, a, b):
         """ScalarMath node; a and b may be numbers, ParamRefs, or scalar node ids."""
         params = {"op": op}
-        wires = {}
+        wires = []
         for name, value in (("a", a), ("b", b)):
             if isinstance(value, str):  # upstream scalar node
                 params[name] = 0.0
-                wires[name] = value
+                wires.append((name, value))
             else:
                 params[name] = value
-        node = self.g.add_node(SCALAR_MATH, params)
-        for port, src in wires.items():
-            self.g.connect(src, node, port)
-        return node
+        return self._add(SCALAR_MATH, params, wires)
 
     def ref(self, name) -> ParamRef:
         return ParamRef(name)
@@ -1122,17 +1365,10 @@ class GraphBuilder:
     def switch(self, select, options):
         """Switch node; `select` may be a number, ParamRef, or scalar node id."""
         params = {"select": 0.0 if isinstance(select, str) else select}
-        node = self.g.add_node(SWITCH, params)
-        if isinstance(select, str):
-            self.g.connect(select, node, "select")
-        for i, opt in enumerate(options):
-            self.g.connect(opt, node, f"option_{i}")
-        return node
+        wires = [("select", select)] if isinstance(select, str) else []
+        wires.extend((f"option_{i}", opt) for i, opt in enumerate(options))
+        return self._add(SWITCH, params, wires)
 
     def clamp01(self, value):
         """min(1, max(0, value)) as scalar nodes."""
         return self.math("min", 1.0, self.math("max", 0.0, value))
-
-    def output(self, node) -> NodeGraph:
-        self.g.set_output(node)
-        return self.g

@@ -194,11 +194,7 @@ class TestDynamicsInvariance:
             g = GraphBuilder(ParameterSpace())
             base = g.box((0.4, 0.4, 0.1))
             rod = g.box((0.05, 0.05, 0.5))
-            moved = g.g.add_node(
-                "transform",
-                {"translate_z": 0.35, "rotate_axis": (0, 0, 1), "rotate_angle": angle},
-            )
-            g.g.connect(rod, moved, "geometry")
+            moved = g._placed(rod, (0, 0, 0.35), (0, 0, 1), angle)
             j = g.revolute(base, moved, (0, 0, 0.1), (0, 0, 1), -1.0, 1.0, labels=(None, None, "rod"))
             return g.output(j)
 

@@ -17,9 +17,18 @@ from artigen.generators import (
     get_generator,
 )
 from artigen.errors import InvalidParameterError
+from artigen.evaluate import evaluate_links
+from artigen.generators.common import CategoryGenerator
 from artigen.graph import NodeGraph, ParamRef
 from artigen.kinematics import KinematicTree
-from artigen.params import Continuous, Discrete, merge_overrides, sample_parameters
+from artigen.params import (
+    Continuous,
+    Count,
+    Discrete,
+    ParameterSpace,
+    merge_overrides,
+    sample_parameters,
+)
 from helpers import blueprint_parts
 
 def _counted(calls: dict, key: str, fn):
@@ -447,27 +456,32 @@ class TestBlueprintInvariance:
         assert len(sigs) == len(CATEGORY_NAMES)
 
     def test_build_validates_once_and_never_extracts(self, monkeypatch):
-        # warm-up: the category blueprints exist and each category's one
-        # structure has been validated
+        # warm-up: each category's one structure has been compiled, which
+        # validated it and wrote the category blueprint
         for category in CATEGORY_NAMES:
             build_instance(category, 0, salt="")
-        calls = {"validate": 0, "walk": 0, "extract": 0, "pose": 0}
+        calls = {"validate": 0, "walk": 0, "blueprint": 0, "compile": 0, "add_node": 0, "pose": 0}
         counted = functools.partial(_counted, calls)
         monkeypatch.setattr(NodeGraph, "validate", counted("validate", NodeGraph.validate))
+        monkeypatch.setattr(NodeGraph, "add_node", counted("add_node", NodeGraph.add_node))
         walk = artigen.graph._SymbolicWalk
         monkeypatch.setattr(walk, "__init__", counted("walk", walk.__init__))
-        # the category blueprint is cached, so a build constructs none
-        for module in (artigen.blueprint, artigen.generators.common):
-            extract = module.extract_blueprint
-            monkeypatch.setattr(module, "extract_blueprint", counted("extract", extract))
+        program = artigen.evaluate.Program
+        monkeypatch.setattr(program, "__init__", counted("compile", program.__init__))
+        # neither the category blueprint nor any other is written again
+        for module in (artigen.graph, artigen.evaluate, artigen.blueprint):
+            write = module.write_blueprint
+            monkeypatch.setattr(module, "write_blueprint", counted("blueprint", write))
         # instantiate needs no link poses, so a build never poses the tree
         monkeypatch.setattr(KinematicTree, "pose", counted("pose", KinematicTree.pose))
         for category in CATEGORY_NAMES:
             for seed in (1, 2):
                 build_instance(category, seed, salt="")
-        builds = 2 * len(CATEGORY_NAMES)
-        # each build validates once, and its structure's diagnostics are kept
-        assert calls == {"validate": builds, "walk": 0, "extract": 0, "pose": 0}
+        # a warm build records its tape and runs the compiled program: no
+        # node is added to a graph and no structure is checked or compiled
+        assert calls == {
+            "validate": 0, "walk": 0, "blueprint": 0, "compile": 0, "add_node": 0, "pose": 0
+        }
 
     def test_build_checks_each_mesh_where_it_is_made(self, monkeypatch):
         """Primitives and realized link meshes take the full mesh check, and
@@ -478,14 +492,16 @@ class TestBlueprintInvariance:
         calls = {"areas": 0, "primitives": 0}
         areas = _counted(calls, "areas", artigen.geometry.triangle_areas)
         monkeypatch.setattr(artigen.geometry, "triangle_areas", areas)
-        context = artigen.evaluate._Context
-        primitive = _counted(calls, "primitives", context._eval_primitive)
-        monkeypatch.setattr(context, "_eval_primitive", primitive)
+        # evaluation makes each primitive with exactly one of these
+        for make in ("make_box", "make_cylinder", "make_ngon_prism", "make_rounded_box", "make_sphere"):
+            primitive = _counted(calls, "primitives", getattr(artigen.evaluate, make))
+            monkeypatch.setattr(artigen.evaluate, make, primitive)
         for category in CATEGORY_NAMES:
             for seed in (1, 2):
                 calls.update(areas=0, primitives=0)
                 inst = build_instance(category, seed, salt="")
                 links = sum(1 for l in inst.links if l.mesh.n_vertices)
+                assert calls["primitives"] > 0, (category, seed)
                 assert 0 < calls["areas"] <= calls["primitives"] + links, (category, seed)
 
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
@@ -508,6 +524,62 @@ class TestBlueprintInvariance:
                 graph.parameters = merge_overrides(graph.parameters, overrides)
                 instance = build_instance(category, seed, overrides=overrides, salt="")
                 assert instance.blueprint.signature() == extract_blueprint(graph).signature()
+
+
+def _toy_recipe(b, p):
+    """A base with one arm, or two when `arms` is 2: two structures."""
+    base = b.box((p["width"], 0.2, 0.1), material="metal")
+    arm = b.box((0.05, 0.05, 0.3), at=(0, 0, 0.2))
+    out = b.revolute(base, arm, (0, 0, 0.05), (0, 1, 0), -1.0, 1.0, labels=("hinge", "base", "arm"))
+    if p["arms"] == 2:
+        other = b.cylinder(0.03, 0.3, at=(0.1, 0, 0.2), segments=12)
+        out = b.prismatic(out, other, (0.1, 0, 0.05), (0, 0, 1), 0.0, 0.1, labels=("slide", None, "arm"))
+    return out
+
+
+class TestCompiledPrograms:
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    def test_program_matches_evaluating_the_built_graph(self, category):
+        gen = get_generator(category)
+        for seed in range(10):
+            params = sample_parameters(gen.space, seed, salt="")
+            tape = gen.record(params)
+            graph = gen.build(params)
+            assert graph.lower().structure == tape.structure == gen.program.structure
+            links, joints, root = gen.evaluate(params)
+            want_links, want_joints, want_root = evaluate_links(graph, params)
+            assert (root, joints) == (want_root, want_joints)
+            assert len(links) == len(want_links)
+            for got, want in zip(links, want_links):
+                fields = ("link_id", "label", "material", "template", "origin")
+                assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+                assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
+                assert np.array_equal(got.mesh.triangles, want.mesh.triangles)
+                assert (got.mesh.face_labels is None) == (want.mesh.face_labels is None)
+                if got.mesh.face_labels is not None:
+                    assert np.array_equal(got.mesh.face_labels, want.mesh.face_labels)
+
+    def test_a_branching_recipe_compiles_each_structure_once(self, monkeypatch):
+        monkeypatch.setattr(artigen.evaluate, "_programs", {})
+        calls = {"walk": 0, "compile": 0}
+        walk = artigen.graph._SymbolicWalk
+        monkeypatch.setattr(walk, "__init__", _counted(calls, "walk", walk.__init__))
+        program = artigen.evaluate.Program
+        monkeypatch.setattr(program, "__init__", _counted(calls, "compile", program.__init__))
+        space = ParameterSpace({"width": Continuous(0.3, 0.5), "arms": Count(1, 2)})
+        gen = CategoryGenerator("toy", space, _toy_recipe)
+        arms = set()
+        for seed in range(12):
+            params = sample_parameters(space, seed, salt="")
+            links, joints, _ = gen.evaluate(params)
+            assert len(joints) == params["arms"] and len(links) == params["arms"] + 1
+            assert joints == evaluate_links(gen.build(params), params)[1]
+            arms.add(params["arms"])
+        assert arms == {1, 2}
+        # each structure was validated and compiled once, whichever came first
+        assert calls == {"walk": 2, "compile": 2}
+        structures = {gen.record(sample_parameters(space, s, salt="")).structure for s in range(12)}
+        assert structures == set(artigen.evaluate._programs)
 
 
 class TestPipelineSmoke:

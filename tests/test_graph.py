@@ -21,7 +21,7 @@ from artigen.errors import (
     SchemaError,
 )
 from artigen.blueprint import extract_blueprint, instantiate
-from artigen.evaluate import evaluate
+from artigen.evaluate import evaluate, evaluate_links
 import artigen
 from artigen.graph import (
     DUPLICATE,
@@ -597,16 +597,22 @@ _PROBE_VARIANTS = {
 }
 
 
+_PROBE_PARAMS = ParamVector({"width": 0.7, "n": 2})
+
+
 class TestValidateCache:
-    """`validate` keeps diagnostics per graph structure; no kept result may
-    answer for a graph whose structure differs."""
+    """Evaluation keeps one compiled program per validated graph structure
+    (`artigen.evaluate.program_for`), bounded by VALIDATED_STRUCTURES; no
+    kept program may answer for a graph whose structure differs, and none
+    holds a number of the graph it was compiled from."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(artigen.graph, "_validated", {})
+        monkeypatch.setattr(artigen.evaluate, "_programs", {})
 
-    @pytest.mark.parametrize("variant", list(_PROBE_VARIANTS))
-    def test_each_variant_reports_its_own_diagnostics(self, variant, monkeypatch):
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The graphs the symbolic walk runs on, in order."""
         walks = []
         walk_init = artigen.graph._SymbolicWalk.__init__
 
@@ -615,39 +621,170 @@ class TestValidateCache:
             walk_init(self, graph)
 
         monkeypatch.setattr(artigen.graph._SymbolicWalk, "__init__", counted_init)
+        return walks
+
+    @pytest.mark.parametrize("variant", list(_PROBE_VARIANTS))
+    def test_each_variant_reports_its_own_diagnostics(self, variant, walks):
         mutate, codes = _PROBE_VARIANTS[variant]
         clean, _ = _cache_probe()
-        assert clean.validate() == []
+        evaluate_links(clean, _PROBE_PARAMS)  # compiled and kept
         changed, ids = _cache_probe()
         mutate(changed, ids)
         walks.clear()
-        diags = changed.validate()
-        assert [d.code for d in diags] == codes
-        if not codes:  # a clean variant was walked, not answered by the clean graph
+        if codes:
+            with pytest.raises(InvalidParameterError) as refused:
+                evaluate_links(changed, _PROBE_PARAMS)
+            diags = changed.validate()
+            assert str(refused.value) == "graph does not validate: " + "; ".join(map(str, diags))
+        else:  # a clean variant gets its own program, from its own walk
+            evaluate_links(changed, _PROBE_PARAMS)
             assert walks == [changed]
-        assert diags == changed.structure()[0]  # structure() keeps nothing
+            diags = changed.validate()
+        assert [d.code for d in diags] == codes
         walks.clear()
-        assert clean.validate() == [] and _cache_probe()[0].validate() == []
-        assert walks == []  # the clean structure is answered from the cache
+        for graph in (clean, _cache_probe()[0]):
+            evaluate_links(graph, _PROBE_PARAMS)
+        assert walks == []  # the clean structure is answered by its kept program
 
     def test_graph_mutated_after_validate_is_checked_again(self):
         g, ids = _cache_probe()
         first = g.validate()
         first.append("caller's own list")
         assert g.validate() == []
+        evaluate_links(g, _PROBE_PARAMS)
         g.connect(ids["hinge"], ids["label"], "geometry")  # label -> switch -> hinge -> label
         assert [d.code for d in g.validate()] == ["graph-cycle"]
+        with pytest.raises(InvalidParameterError, match="graph does not validate: graph-cycle"):
+            evaluate_links(g, _PROBE_PARAMS)
+        assert len(artigen.evaluate._programs) == 1  # a refused structure is not kept
 
     def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(artigen.graph, "VALIDATED_STRUCTURES", 2)
+        monkeypatch.setattr(artigen.evaluate, "VALIDATED_STRUCTURES", 2)
         graphs = []
         for label in ("a", "b", "c"):
             g, ids = _cache_probe()
             g.nodes[ids["label"]].params["label"] = label
-            assert g.validate() == []
+            evaluate_links(g, _PROBE_PARAMS)
             graphs.append(g)
-        kept = list(artigen.graph._validated)
-        assert kept == [graphs[1]._structure_key(), graphs[2]._structure_key()]
+        kept = list(artigen.evaluate._programs)
+        assert kept == [graphs[1].lower().structure, graphs[2].lower().structure]
+
+    def test_numbers_share_a_program_and_stay_out_of_it(self, walks):
+        """Graphs that differ only in numeric literals run one program, each
+        on its own numbers; the program keeps none of them."""
+        results = []
+        for size in (0.123456789, 0.987654321):
+            g, ids = _cache_probe()
+            g.nodes[ids["knob"]].params.update(size_x=size)
+            g.nodes[ids["dup"]].params.update(points=((size, 0.0, 0.0),) * 3)
+            links, _, _ = evaluate_links(g, _PROBE_PARAMS)
+            results.append(links)
+        assert len(walks) == 1 and len(artigen.evaluate._programs) == 1
+        (program,) = artigen.evaluate._programs.values()
+        kept = repr([program.structure, program.blueprint.tree] + list(map(_slots, program.steps)))
+        assert "0.123" not in kept and "0.987" not in kept
+        assert not np.array_equal(results[0][0].mesh.vertices, results[1][0].mesh.vertices)
+
+
+def _slots(step):
+    return {name: getattr(step, name) for name in type(step).__slots__ if name != "source"}
+
+
+def _two_boxes(b):
+    return b.box((0.2, 0.2, 0.2)), b.box((0.1, 0.1, 0.1))
+
+
+_JOINT = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+
+# A GraphBuilder call with one bad literal, the same node for NodeGraph.add_node,
+# and the message both give.
+_BAD_LITERALS = {
+    "non-finite size": (
+        lambda b: b.box((math.nan, 1, 1)),
+        PRIMITIVE, {"shape": "box", "size_x": math.nan},
+        "primitive.size_x must be finite",
+    ),
+    "string size": (
+        lambda b: b.box(("wide", 1, 1)),
+        PRIMITIVE, {"shape": "box", "size_x": "wide"},
+        "primitive.size_x must be a number, got 'wide'",
+    ),
+    "boolean radius": (
+        lambda b: b.cylinder(True, 1.0),
+        PRIMITIVE, {"shape": "cylinder", "radius": True},
+        "primitive.radius must be a number, got True",
+    ),
+    "infinite height": (
+        lambda b: b.cylinder(0.1, math.inf),
+        PRIMITIVE, {"shape": "cylinder", "height": math.inf},
+        "primitive.height must be finite",
+    ),
+    "unset height": (
+        lambda b: b.prism(0.1, None, 6),
+        PRIMITIVE, {"shape": "ngon_prism", "height": None},
+        "primitive.height must be a number, got None",
+    ),
+    "non-finite offset": (
+        lambda b: b.box((1, 1, 1), at=(0, -math.inf, 0)),
+        TRANSFORM, {"translate_y": -math.inf},
+        "transform.translate_y must be finite",
+    ),
+    "zero rotate axis": (
+        lambda b: b.box((1, 1, 1), at=(1, 0, 0), rotate_axis=(0, 0, 0), rotate_angle=0.5),
+        TRANSFORM, {"rotate_axis": (0, 0, 0), "rotate_angle": 0.5},
+        "transform.rotate_axis must be nonzero",
+    ),
+    "non-finite pivot": (
+        lambda b: b.revolute(*_two_boxes(b), (0, 0, math.nan), (0, 0, 1), 0, 1),
+        JOINT_REVOLUTE, {**_JOINT, "pivot": (0, 0, math.nan)},
+        "joint_revolute.pivot must be a finite 3-vector",
+    ),
+    "short axis": (
+        lambda b: b.prismatic(*_two_boxes(b), (0, 0, 0), (0, 1), 0, 1),
+        JOINT_PRISMATIC, {**_JOINT, "axis": (0, 1)},
+        "joint_prismatic.axis must be a finite 3-vector",
+    ),
+    "zero axis": (
+        lambda b: b.revolute(*_two_boxes(b), (0, 0, 0), (0, 0, 0), 0, 1),
+        JOINT_REVOLUTE, {**_JOINT, "axis": (0, 0, 0)},
+        "joint_revolute.axis must be nonzero",
+    ),
+    "non-finite range": (
+        lambda b: b.revolute(*_two_boxes(b), (0, 0, 0), (0, 0, 1), 0, math.inf),
+        JOINT_REVOLUTE, {**_JOINT, "range_hi": math.inf},
+        "joint_revolute.range_hi must be finite",
+    ),
+    "non-finite point": (
+        lambda b: b.duplicate(*_two_boxes(b), [(0, 0, 0), (0, math.nan, 0)]),
+        DUPLICATE, {"points": [(0, 0, 0), (0, math.nan, 0)]},
+        "duplicate_joints_on_points.points must be a list of finite 3-vectors",
+    ),
+    "short point": (
+        lambda b: b.duplicate(*_two_boxes(b), [(0, 0)]),
+        DUPLICATE, {"points": [(0, 0)]},
+        "duplicate_joints_on_points.points must be a list of finite 3-vectors",
+    ),
+    "list operand": (
+        lambda b: b.math("add", b.ref("w"), [1.0]),
+        SCALAR_MATH, {"op": "add", "b": [1.0]},
+        "scalar_math.b must be a number, got [1.0]",
+    ),
+    "non-finite selector": (
+        lambda b: b.switch(math.nan, _two_boxes(b)),
+        SWITCH, {"select": math.nan},
+        "switch.select must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_LITERALS))
+def test_builder_checks_each_literal_as_add_node_does(case):
+    call, kind, params, message = _BAD_LITERALS[case]
+    with pytest.raises(InvalidParameterError) as by_builder:
+        call(GraphBuilder(ParameterSpace()))
+    with pytest.raises(InvalidParameterError) as by_node:
+        NodeGraph().add_node(kind, params)
+    assert str(by_builder.value) == str(by_node.value) == message
 
 
 class TestEvaluate:
@@ -830,13 +967,14 @@ class TestDuplicates:
         import artigen.evaluate as evaluate_module
 
         moved = []
-        apply = evaluate_module.apply_transform
+        for name in ("apply_transform", "translate_mesh"):  # the ways evaluation moves a mesh
+            move = getattr(evaluate_module, name)
 
-        def recording_apply(mesh, transform):
-            moved.append(mesh)
-            return apply(mesh, transform)
+            def recording_move(mesh, transform, move=move):
+                moved.append(mesh)
+                return move(mesh, transform)
 
-        monkeypatch.setattr(evaluate_module, "apply_transform", recording_apply)
+            monkeypatch.setattr(evaluate_module, name, recording_move)
         body = evaluate(duplicated_revolute([(0.5, 0.0, 0.0), (0.0, 0.25, -0.5)]))
         root_mesh = body.link(body.root_link).mesh
         assert len(moved) == 1 + 2  # the rod's placement, then one per copy

@@ -219,7 +219,8 @@ class TestOverrides:
         monkeypatch.setattr(
             artigen.params, "_check_overrides", counted("check", artigen.params._check_overrides)
         )
-        monkeypatch.setattr(CategoryGenerator, "build", counted("build", CategoryGenerator.build))
+        # a build records the category's graph once, on a tape
+        monkeypatch.setattr(CategoryGenerator, "record", counted("build", CategoryGenerator.record))
         door = get_generator("door")
         _ = door.blueprint  # built outside the counts below
         params = sample_parameters(door.space, 3)
