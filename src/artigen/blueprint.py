@@ -1,11 +1,13 @@
 """Category-level kinematic blueprints, asset instantiation, and forward kinematics.
 
-A blueprint is the symbolic walk that `NodeGraph.validate` makes over graph
-structure alone, written out as a tree (`artigen.graph.write_blueprint`): numeric literals are ignored, switches
-over articulated bodies become variant groups, duplication nodes become repeat
-groups, and parallel joints between one link pair stay one composite joint
-entry. Two graphs built by the same generator under different sampled
-parameters therefore yield the same blueprint and the same signature.
+A blueprint is the symbolic walk that validation makes over a tape's
+structure alone, written out as a tree (`artigen.graph.check_structure`):
+numeric literals are ignored, switches over articulated bodies become variant
+groups, duplication nodes become repeat groups, and parallel joints between
+one link pair stay one composite joint entry. Two graphs built by the same
+generator under different sampled parameters therefore yield the same
+blueprint and the same signature, and `extract_blueprint` reads it from the
+compiled program of the graph's structure, so each structure is walked once.
 Instantiation normalizes each composite joint into a serial chain through
 zero-extent passthrough links.
 """
@@ -17,23 +19,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .evaluate import EvaluatedJoint, EvaluatedLink, evaluate_links
+from .evaluate import EvaluatedJoint, EvaluatedLink, evaluate_links, program_for
 from .geometry import RigidTransform, TriMesh, apply_transform
-from .graph import KinematicBlueprint, NodeGraph, write_blueprint
+from .graph import KinematicBlueprint, NodeGraph
 from .kinematics import KinematicTree
 from .params import ParamVector
 
 
 def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
-    """Compile a graph into its category-level kinematic blueprint: the
-    symbolic body that validation walked, written out as a tree."""
-    diags, body = graph.structure()
-    if diags:
-        raise InvalidParameterError(
-            "graph does not validate: " + "; ".join(str(d) for d in diags)
-        )
-    return write_blueprint(graph, body)
+    """A graph's category-level kinematic blueprint: that of the compiled
+    program of its structure (`program_for`), which raises
+    InvalidParameterError ("graph does not validate") on any diagnostic."""
+    return program_for(graph.lower()).blueprint
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ Program, then run it on the numbers of every graph of that structure.
 
 A graph reaches evaluation as a tape (`artigen.graph.Tape`): its structure,
 which is everything validation reads, and beside it each node's numeric
-literals. `program_for` compiles a structure the first time it meets it: it
-validates the graph, writes its blueprint, and resolves each node's
+literals. `program_for` compiles a structure the first time it meets it,
+from the structure alone, and makes no NodeGraph: it checks the structure
+(`artigen.graph.check_structure`, the check that `NodeGraph.validate` runs),
+writes the walk of that check out as its blueprint, and resolves each node's
 handler, wires, parameter references and defaults into a step. It keeps the
-last VALIDATED_STRUCTURES programs under their structures, and a program
-holds no number but a switch's literal selector. Each run then reads only
-that tape's numbers and the parameter vector, which `ParameterSpace.
+last VALIDATED_STRUCTURES programs under their structures, and a program holds
+no number but a switch's literal selector. Each run then reads only that
+tape's numbers and the parameter vector, which `ParameterSpace.
 validate_vector` checks first. A generator records its tape without making a
 NodeGraph (`GraphBuilder`); a NodeGraph lowers to a tape of the same structure
 (`NodeGraph.lower`), so both run the same program.
@@ -63,6 +65,8 @@ from .geometry import (
 )
 from .graph import (
     _KINDS,
+    _Op,
+    _ops,
     JOINT_KINDS,
     JOINT_REVOLUTE,
     PRIMITIVE,
@@ -71,6 +75,7 @@ from .graph import (
     NodeGraph,
     ParamRef,
     Tape,
+    check_structure,
     link_set_relation,
     whole_number,
     write_blueprint,
@@ -212,15 +217,13 @@ class _Step:
 
     __slots__ = ("index", "node_id", "kind", "run", "inputs", "refs", "params", "consts", "source")
 
-    def __init__(self, index: int, node_id: str, kind: str, inputs: tuple, params: tuple):
+    def __init__(self, index: int, op: _Op):
         self.index = index
-        self.node_id = node_id
-        self.kind = kind
-        self.run = _HANDLERS[kind]
-        self.inputs = dict(inputs)
-        self.refs = {name: value.name for name, value in params if isinstance(value, ParamRef)}
-        self.params = {name: value for name, value in params if name not in self.refs}
-        self.consts = _DEFAULTS[kind]
+        self.node_id, self.kind, self.inputs, params = op
+        self.run = _HANDLERS[self.kind]
+        self.refs = {name: ref.name for name, ref in params.items() if isinstance(ref, ParamRef)}
+        self.params = {name: value for name, value in params.items() if name not in self.refs}
+        self.consts = _DEFAULTS[self.kind]
         if "select" in self.params:  # a literal selector
             self.consts = {**self.consts, "select": self.params["select"]}
         self.source: _Step | None = None  # the primitive a placing transform runs
@@ -514,23 +517,20 @@ _HANDLERS = {
 
 class Program:
     """A validated graph structure compiled into steps, one per node, plus its
-    blueprint. `run` evaluates it on one tape's numbers."""
+    blueprint, which the structure's symbolic body (`check_structure`) writes
+    out. `run` evaluates it on one tape's numbers."""
 
-    def __init__(self, structure: tuple, graph: NodeGraph, body):
-        output, _, ids, ops = structure
-        if ids is None:
-            ids = [f"n{i}" for i in range(len(ops))]
+    def __init__(self, structure: tuple, body):
+        ops = _ops(structure)
         self.structure = structure
-        self.output = output
-        self.blueprint = write_blueprint(graph, body)
-        self.steps = [
-            _Step(i, ids[i], kind, inputs, params) for i, (kind, inputs, params) in enumerate(ops)
-        ]
-        readers = Counter(src for _, inputs, _ in ops for _, src in inputs)
+        self.output = structure[0]
+        self.blueprint = write_blueprint(ops, body)
+        self.steps = [_Step(i, op) for i, op in enumerate(ops)]
+        readers = Counter(src for step in self.steps for src in step.inputs.values())
         for step in self.steps:
             src = step.inputs.get("geometry")
-            placing = step.kind == TRANSFORM and ops[src][0] == PRIMITIVE
-            if placing and readers[src] == 1 and src != output:
+            placing = step.kind == TRANSFORM and self.steps[src].kind == PRIMITIVE
+            if placing and readers[src] == 1 and src != self.output:
                 step.run = _Run._eval_placed_primitive
                 step.source = self.steps[src]
 
@@ -570,21 +570,19 @@ class Program:
         return tuple(links), tuple(joints), link_names[body.root.link_id]
 
 
-def program_for(tape: Tape, graph: NodeGraph | None = None) -> Program:
+def program_for(tape: Tape) -> Program:
     """The compiled program of `tape`'s structure. A structure met for the
-    first time is validated, from `graph` or else from the graph the tape
-    records, and compiled; any diagnostic raises InvalidParameterError
-    ("graph does not validate") and nothing is kept."""
+    first time is checked (`check_structure`) and compiled; any diagnostic
+    raises InvalidParameterError ("graph does not validate") and nothing is
+    kept."""
     program = _programs.get(tape.structure)
     if program is None:
-        if graph is None:
-            graph = tape.graph()
-        diags, body = graph.structure()
+        diags, body = check_structure(tape.structure)
         if diags:
             raise InvalidParameterError(
                 "graph does not validate: " + "; ".join(str(d) for d in diags)
             )
-        program = Program(tape.structure, graph, body)
+        program = Program(tape.structure, body)
         if len(_programs) >= VALIDATED_STRUCTURES:
             _programs.pop(next(iter(_programs)), None)
         _programs[tape.structure] = program
@@ -622,7 +620,7 @@ def evaluate_links(
     tape runs through the program of its structure (`program_for`), and the
     parameter vector is checked against `graph.parameters`."""
     tape = graph.lower()
-    return program_for(tape, graph).run(tape.numbers, params, graph.parameters)
+    return program_for(tape).run(tape.numbers, params, graph.parameters)
 
 
 def evaluate(

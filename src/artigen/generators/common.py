@@ -60,10 +60,10 @@ class CategoryGenerator:
     output node.
 
     Every seed of a category records one structure, so the seed-0 tape is
-    compiled once (`program`) and gives the category blueprint. `evaluate`
-    records each seed's tape, compares its structure with the compiled one
-    and runs the program on its numbers; a tape of another structure is
-    compiled like any graph (`artigen.evaluate.program_for`)."""
+    checked and compiled once, from the tape alone (`program`), and gives
+    the category blueprint. `evaluate` records each seed's tape, compares
+    its structure with the compiled one and runs the program on its
+    numbers; any other structure is compiled (`artigen.evaluate.program_for`)."""
 
     name: str
     space: ParameterSpace

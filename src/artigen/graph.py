@@ -7,19 +7,21 @@ Geometry-typed ports carry articulated bodies (a plain primitive is a body with
 one link and no joints), scalar ports carry numbers. A graph is mutable while
 it is being built and should be treated as frozen once validated.
 
-Validation is the one structural gate, and the only place that looks for
-cycles: `connect` checks a wire's ends and port type, not what it closes. It
-checks each node's local rules, orders the nodes in one depth-first pass that
-also finds cycles, and then makes one symbolic walk over the nodes the output
-depends on. The walk keeps link identity as evaluation keeps it and rejects
-every graph that cannot become one kinematic tree. `write_blueprint` writes
-that walk out as the blueprint, so a graph that validates always has one.
-
-No rule reads a numeric literal. A `Tape` therefore splits a graph into its
-structure (per node the kind, the wires and the non-numeric parameters) and,
-beside it, each node's numeric literals. `NodeGraph.lower` and `GraphBuilder`
-give the same graph the same structure; `artigen.evaluate` compiles each
-distinct structure once and runs it on the numbers of each tape.
+Validation is the one structural gate and the only place that looks for
+cycles: `connect` checks a wire by the port rule (`_port_rule`), not what it
+closes, and each literal is checked once, where its node is made
+(`_split_params`). No rule of validation reads a numeric literal, so a `Tape`
+splits a graph into its structure (per node the kind, the wires and the
+non-numeric parameters) and, beside it, each node's numeric literals, and
+validation reads the structure alone (`check_structure`): each op's local
+rules, one depth-first pass that orders the ops and finds cycles, and one
+symbolic walk over the ops the output depends on, which keeps link identity
+as evaluation keeps it and rejects every structure that cannot become one
+kinematic tree. `write_blueprint` writes that walk out as the blueprint, so a
+structure that validates always has one. `NodeGraph.validate` checks a
+graph's lowered tape (`NodeGraph.lower`); `GraphBuilder` records a tape of
+the same structure without making a graph, and `artigen.evaluate` checks and
+compiles each distinct structure once.
 """
 
 from __future__ import annotations
@@ -242,6 +244,14 @@ _OPTIONAL_SCALARS = {
     kind: frozenset(n for n, p in spec.params.items() if p.kind == "scalar" and p.default is None)
     for kind, spec in _KINDS.items()
 }
+# Per kind, the scalar parameters whose float value is a numeric literal: all
+# but a switch's selector, which is structure.
+_NUMERIC_SCALARS = {
+    kind: frozenset(n for n, p in spec.params.items() if p.kind == "scalar" and n != "select")
+    for kind, spec in _KINDS.items()
+}
+# Per kind, the parameters that must be given, in schema order.
+_REQUIRED = {kind: [n for n, p in s.params.items() if p.required] for kind, s in _KINDS.items()}
 
 
 class _Literal:
@@ -299,80 +309,54 @@ def _normalize_param(kind: str, name: str, spec: _ParamSpec, value):
     raise InvalidParameterError(f"unhandled parameter kind {spec.kind}")
 
 
-def _unit_axes(kind: str, params: dict) -> None:
-    """Scale a joint's axis to unit length in place, and check a transform's
-    rotate_axis; a zero axis raises InvalidParameterError."""
-    if kind in JOINT_KINDS:  # a vec3 axis is always literal
-        params["axis"] = unit_vector(params["axis"], f"{kind}.axis")
-    elif kind == TRANSFORM and "rotate_axis" in params:
-        unit_vector(params["rotate_axis"], "transform.rotate_axis")
-
-
-def _normalize_params(kind: str, params: dict, error: type) -> dict:
-    """Every parameter of a `kind` node: given values checked and coerced, the
-    rest defaulted, a joint's axis scaled to unit length. A None value
-    counts as absent where None is the default. Unknown or missing parameter
-    names raise `error`; bad values, a zero joint axis or transform
-    rotate_axis among them, raise InvalidParameterError."""
-    spec = _KINDS[kind]
-    unknown = set(params) - set(spec.params)
-    if unknown:
-        raise error(f"unknown parameters for {kind}: {sorted(unknown)}")
-    normalized = {}
-    for name, pspec in spec.params.items():
-        if name in params and not (params[name] is None and pspec.default is None):
-            normalized[name] = _normalize_param(kind, name, pspec, params[name])
-        elif pspec.required:
-            raise error(f"{kind} requires parameter {name!r}")
-        else:
-            normalized[name] = pspec.default
-    _unit_axes(kind, normalized)
-    return normalized
-
-
-def _split_params(kind: str, params: dict, check: bool = False) -> tuple[tuple, dict]:
+def _split_params(kind: str, params: dict, error: type | None = None) -> tuple[tuple, dict]:
     """A node's parameters as (structure, numbers): the non-numeric values by
     name, in the order given, and the numeric literals by name. A switch's
     literal selector is structure, as it picks the option that is walked, and
     an optional scalar that holds a number leaves LITERAL in the structure.
     None values are left out, as they mean the parameter is unset.
 
-    With `check`, the values are given ones: each is checked and coerced as
-    `_normalize_param` does (a plain finite float passes as it is), a None
-    where None is not the default raises, and the axes are scaled or checked
-    as `_unit_axes` does; bad values raise InvalidParameterError. Without,
-    they are a node's normalized parameters."""
+    With `error`, this is the one literal check of `NodeGraph.add_node`,
+    `NodeGraph.deserialize` and `GraphBuilder`: an unknown or missing name
+    raises `error`, and each given value is checked and coerced by
+    `_normalize_param` (a None is absent where None is the default), a joint
+    axis scaled to unit length and a transform's rotate_axis checked; bad
+    values raise InvalidParameterError."""
     specs = _KINDS[kind].params
+    scalars = _NUMERIC_SCALARS[kind]
     literal = _LITERAL_PARAMS[kind]
     optional = _OPTIONAL_SCALARS[kind]
     structure = []
     numbers = {}
     for name, value in params.items():
-        if type(value) is float and name != "select" and (not check or math.isfinite(value)):
+        if type(value) is float and name in scalars and math.isfinite(value):
             pass  # a finite numeric literal, as nearly every value is
         else:
             spec = specs.get(name)  # None for a parameter that a changed node kind lacks
-            if check and (value is not None or spec.default is not None):
+            if error is not None and spec is None:
+                raise error(f"unknown parameters for {kind}: {sorted(set(params) - set(specs))}")
+            if error is not None and (value is not None or spec.default is not None):
                 value = _normalize_param(kind, name, spec, value)
             if value is None:
                 continue
-            if name not in literal and (
-                name == "select"
-                or spec is None
-                or spec.kind != "scalar"
-                or isinstance(value, ParamRef)
-            ):
+            if name not in literal and (name not in scalars or isinstance(value, ParamRef)):
                 structure.append((name, value))
                 continue
         numbers[name] = value
         if name in optional:
             structure.append((name, LITERAL))
-    if check:
-        _unit_axes(kind, numbers)
+    if error is not None:
+        for name in _REQUIRED[kind]:
+            if params.get(name) is None:
+                raise error(f"{kind} requires parameter {name!r}")
+        if kind in JOINT_KINDS:  # a vec3 axis is always literal
+            numbers["axis"] = unit_vector(numbers["axis"], f"{kind}.axis")
+        elif kind == TRANSFORM and "rotate_axis" in numbers:
+            unit_vector(numbers["rotate_axis"], "transform.rotate_axis")
     return tuple(structure), numbers
 
 
-def _filled_params(kind: str, structure: tuple, numbers: dict) -> dict:
+def _filled_params(kind: str, structure, numbers: dict) -> dict:
     """Every parameter of a `kind` node from its tape entries, the rest
     defaulted, in schema order: the inverse of `_split_params`."""
     params = {name: spec.default for name, spec in _KINDS[kind].params.items()}
@@ -404,6 +388,29 @@ def port_type(kind: str, port: str) -> str | None:
     return None
 
 
+def _port_rule(node_id: str, kind: str, port: str, src, src_kind: str | None) -> Diagnostic | None:
+    """The port rule: the diagnostic for wiring `src` (a `src_kind` node, or
+    None where there is none) into `port` of a `kind` node; None if sound."""
+    if src_kind is None:
+        return Diagnostic("missing-node", f"port {port!r} wired to missing node {src!r}", node_id)
+    ptype = port_type(kind, port)
+    if ptype is None:
+        return Diagnostic("bad-port", f"no port {port!r} on kind {kind}", node_id)
+    if _KINDS[src_kind].output != ptype:
+        message = f"{src_kind} output wired into {ptype} port {port!r}"
+        return Diagnostic("port-type", message, node_id)
+    return None
+
+
+def _check_wire(node_id: str, kind: str, port: str, src, src_kind: str | None) -> None:
+    """Raise for a wire that breaks the port rule: InvalidParameterError for a
+    missing source, PortTypeError otherwise."""
+    problem = _port_rule(node_id, kind, port, src, src_kind)
+    if problem is not None:
+        error = InvalidParameterError if problem.code == "missing-node" else PortTypeError
+        raise error(f"{node_id}: {problem.message}")
+
+
 class NodeGraph:
     """A graph of nodes plus the declared parameter space of the generator;
     `validate` accepts only a DAG."""
@@ -419,10 +426,10 @@ class NodeGraph:
     def add_node(self, kind: str, params: dict | None = None) -> str:
         if kind not in _KINDS:
             raise InvalidParameterError(f"unknown node kind {kind!r}")
-        normalized = _normalize_params(kind, params or {}, InvalidParameterError)
+        structure, numbers = _split_params(kind, params or {}, InvalidParameterError)
         node_id = f"n{self._next_id}"
         self._next_id += 1
-        self.nodes[node_id] = Node(node_id, kind, normalized)
+        self.nodes[node_id] = Node(node_id, kind, _filled_params(kind, structure, numbers))
         return node_id
 
     def connect(self, src: str, dst: str, port: str) -> None:
@@ -430,11 +437,8 @@ class NodeGraph:
         mismatches; a wire that closes a cycle is left to `validate`."""
         if dst not in self.nodes:
             raise InvalidParameterError(f"unknown target node {dst!r}")
-        problem = self._wiring_problem(src, self.nodes[dst].kind, port)
-        if problem is not None:
-            code, message = problem
-            error = InvalidParameterError if code == "missing-node" else PortTypeError
-            raise error(f"{dst}: {message}")
+        src_kind = self.nodes[src].kind if src in self.nodes else None
+        _check_wire(dst, self.nodes[dst].kind, port, src, src_kind)
         self.nodes[dst].inputs[port] = src
 
     def set_output(self, node_id: str) -> None:
@@ -442,76 +446,16 @@ class NodeGraph:
             raise InvalidParameterError(f"unknown node {node_id!r}")
         self.output_node = node_id
 
-    def _wiring_problem(self, src: str, kind: str, port: str) -> tuple[str, str] | None:
-        """The diagnostic code and message for wiring `src` into `port` of a
-        `kind` node, or None if that wire is sound."""
-        if src not in self.nodes:
-            return "missing-node", f"port {port!r} wired to missing node {src!r}"
-        ptype = port_type(kind, port)
-        if ptype is None:
-            return "bad-port", f"no port {port!r} on kind {kind}"
-        src_kind = self.nodes[src].kind
-        if _KINDS[src_kind].output != ptype:
-            return "port-type", f"{src_kind} output wired into {ptype} port {port!r}"
-        return None
-
     def node(self, node_id: str) -> Node:
         return self.nodes[node_id]
-
-    def _walk_order(self) -> list[str] | None:
-        """The output and every node it depends on, each after its inputs;
-        None if the graph has a cycle anywhere.
-
-        One iterative depth-first pass starts from the output and then from
-        every other node, so the output's dependencies lead the order it
-        finishes nodes in. A missing output and wires from missing nodes are
-        stepped over: the local rules report them. The cycle check follows
-        every wire, but a switch with a literal selector depends only on the
-        option it picks, so the others are left out of the order."""
-        order: list[str] = []
-        finished: dict[str, bool] = {}  # False while the node is on the path
-
-        def visit(start: str) -> bool:
-            if start in finished:
-                return True
-            finished[start] = False
-            path = [(start, iter(self.nodes[start].inputs.values()))]
-            while path:
-                nid, inputs = path[-1]
-                for src in inputs:
-                    if src not in self.nodes or finished.get(src):
-                        continue
-                    if src in finished:  # on the path: a cycle
-                        return False
-                    finished[src] = False
-                    path.append((src, iter(self.nodes[src].inputs.values())))
-                    break
-                else:
-                    path.pop()
-                    finished[nid] = True
-                    order.append(nid)
-            return True
-
-        if self.output_node in self.nodes and not visit(self.output_node):
-            return None
-        used = list(order)
-        if not all(map(visit, self.nodes)):
-            return None
-        needed = {self.output_node}
-        for nid in reversed(used):  # each consumer before its inputs
-            if nid in needed:
-                picked = _picked_option(self.nodes[nid])
-                needed.update(self.nodes[nid].inputs.values() if picked is None else (picked,))
-        return [nid for nid in used if nid in needed]
 
     # --- validation -----------------------------------------------------------
 
     def validate(self) -> list[Diagnostic]:
         """Composition diagnostics; an empty list means the graph is exportable
         and has a kinematic blueprint. Each call checks the graph as it is
-        now; evaluation checks each distinct structure only once, when it
-        compiles it (`artigen.evaluate.program_for`)."""
-        return self.structure()[0]
+        now, by the check that compiling runs (`check_structure`)."""
+        return check_structure(self.lower().structure)[0]
 
     def lower(self) -> "Tape":
         """This graph as a tape, of the structure GraphBuilder records for it;
@@ -520,101 +464,26 @@ class NodeGraph:
         The nodes keep their insertion order, so a joint's construction order
         is its node's position. Node ids that are n0, n1, ... in that order
         are left implicit. A wire from a missing node, or a missing output,
-        lowers to None; such a graph does not validate."""
+        lowers to that node's id as `_Missing`; such a graph does not
+        validate."""
         index = {nid: i for i, nid in enumerate(self.nodes)}
+
+        def at(nid):
+            return index[nid] if nid in index else _Missing(nid)
+
         ops = []
         numbers = []
         for node in self.nodes.values():
             params, literals = _split_params(node.kind, node.params)
-            inputs = tuple((port, index.get(src)) for port, src in node.inputs.items())
+            inputs = tuple((port, at(src)) for port, src in node.inputs.items())
             ops.append((node.kind, inputs, params))
             numbers.append(literals)
         ids = tuple(self.nodes)
         if all(nid == f"n{i}" for i, nid in enumerate(ids)):
             ids = None
-        output = index.get(self.output_node)
+        output = None if self.output_node is None else at(self.output_node)
         structure = (output, tuple(self.parameters.entries), ids, tuple(ops))
         return Tape(structure, numbers, self.parameters)
-
-    def structure(self) -> tuple[list[Diagnostic], "_SymBody | None"]:
-        """The diagnostics of `validate`, and with none the output's symbolic
-        body, which `extract_blueprint` turns into the blueprint.
-
-        The local rules (wiring, ports, parameter names, literal selectors,
-        output kind) check every node, and the cycle check covers the whole
-        graph. Only a graph that passes them gets the symbolic walk over the
-        output's dependencies, whose rejections are the link-set and shape
-        diagnostics."""
-        diags: list[Diagnostic] = []
-        if self.output_node is None:
-            diags.append(Diagnostic("no-output", "graph has no output node"))
-        elif self.output_node not in self.nodes:
-            diags.append(Diagnostic("missing-node", f"output node {self.output_node!r} missing"))
-        elif _KINDS[self.nodes[self.output_node].kind].output != GEOMETRY:
-            message = f"output is a {self.nodes[self.output_node].kind} node"
-            diags.append(Diagnostic("output-not-geometry", message, self.output_node))
-
-        for nid, node in self.nodes.items():
-            spec = _KINDS[node.kind]
-            for port, src in node.inputs.items():
-                problem = self._wiring_problem(src, node.kind, port)
-                if problem is not None:
-                    diags.append(Diagnostic(*problem, nid))
-            for port in spec.geometry_ports:
-                if port not in node.inputs:
-                    diags.append(Diagnostic("missing-input", f"port {port!r} is not wired", nid))
-            if spec.dynamic_ports:
-                idxs = sorted(
-                    int(p[len(spec.dynamic_ports):])
-                    for p in node.inputs
-                    if p.startswith(spec.dynamic_ports) and p[len(spec.dynamic_ports):].isdigit()
-                )
-                if not idxs:
-                    diags.append(Diagnostic("missing-input", f"{node.kind} has no inputs", nid))
-                elif idxs != list(range(len(idxs))):
-                    diags.append(
-                        Diagnostic("missing-input", f"{node.kind} inputs must be contiguous", nid)
-                    )
-            for pname, value in node.params.items():
-                if isinstance(value, ParamRef) and value.name not in self.parameters:
-                    diags.append(
-                        Diagnostic(
-                            "unknown-param",
-                            f"{node.kind}.{pname} references undeclared parameter {value.name!r}",
-                            nid,
-                        )
-                    )
-            count_param = node.params.get("count_param") if node.kind == DUPLICATE else None
-            if count_param is not None and count_param not in self.parameters:
-                diags.append(
-                    Diagnostic(
-                        "unknown-param",
-                        f"{node.kind}.count_param names undeclared parameter {count_param!r}",
-                        nid,
-                    )
-                )
-            if node.kind == SWITCH:
-                sel = node.params.get("select")
-                n_opts = sum(1 for p in node.inputs if p.startswith("option_"))
-                if isinstance(sel, float) and "select" not in node.inputs:
-                    pick = whole_number(sel)
-                    if pick is None or not 0 <= pick < max(n_opts, 1):
-                        diags.append(
-                            Diagnostic(
-                                "switch-selector-range",
-                                f"literal selector {sel} is not an option index 0..{n_opts - 1}",
-                                nid,
-                            )
-                        )
-
-        order = self._walk_order()
-        if order is None:
-            diags.append(Diagnostic("graph-cycle", "graph contains a cycle"))
-        if diags:
-            return diags, None
-        walk = _SymbolicWalk(self)
-        body = walk.run(order)
-        return walk.diagnostics, body
 
     # --- serialization --------------------------------------------------------
 
@@ -677,7 +546,7 @@ class NodeGraph:
             if not isinstance(raw, dict):
                 raise SchemaError(f"node {node_id} params must be an object")
             decoded = {name: _decode_param(value) for name, value in raw.items()}
-            params = _normalize_params(kind, decoded, SchemaError)
+            params = _filled_params(kind, *_split_params(kind, decoded, SchemaError))
             inputs = entry.get("inputs", {})
             if not isinstance(inputs, dict) or not all(isinstance(v, str) for v in inputs.values()):
                 raise SchemaError(f"node {node_id} inputs must map ports to node ids")
@@ -714,16 +583,23 @@ def _decode_param(value):
     return value
 
 
+class _Missing(NamedTuple):
+    """A missing node that a lowered tape names, kept for its diagnostic."""
+
+    node_id: object
+
+
 class Tape(NamedTuple):
     """A graph as evaluation reads it: its structure, and beside it its numbers.
 
     `structure` is (output op, declared parameter names, node ids or None for
     n0, n1, ..., ops). Each op is (kind, wires, parameters): the wires as
     (port, op index) pairs in wiring order, the parameters as `_split_params`
-    gives them. It holds everything validation reads and no number but a
-    switch's literal selector. `numbers` holds each op's numeric literals by
-    parameter name, per op, since a duplicate's points change length from
-    seed to seed. `space` is the declared parameter space."""
+    gives them. Validation and compiling read the structure alone
+    (`check_structure`), and it holds no number but a switch's literal
+    selector. `numbers` holds each op's numeric literals by parameter name,
+    per op, since a duplicate's points change length from seed to seed.
+    `space` is the declared parameter space."""
 
     structure: tuple
     numbers: list
@@ -731,16 +607,150 @@ class Tape(NamedTuple):
 
     def graph(self) -> NodeGraph:
         """The NodeGraph this tape records, with its own copy of the space."""
-        output, _, ids, ops = self.structure
-        if ids is None:
-            ids = [f"n{i}" for i in range(len(ops))]
+        ops = _ops(self.structure)
         graph = NodeGraph(ParameterSpace(self.space.entries))
-        for nid, (kind, inputs, params), numbers in zip(ids, ops, self.numbers):
-            wires = {port: None if src is None else ids[src] for port, src in inputs}
-            graph.nodes[nid] = Node(nid, kind, _filled_params(kind, params, numbers), wires)
-        graph.output_node = None if output is None else ids[output]
+        for (nid, kind, inputs, params), numbers in zip(ops, self.numbers):
+            wires = {port: ops[src].node_id for port, src in inputs.items()}
+            graph.nodes[nid] = Node(nid, kind, _filled_params(kind, params.items(), numbers), wires)
+        graph.output_node = ops[self.structure[0]].node_id
         graph._skip_taken_ids()
         return graph
+
+
+# --- the check ----------------------------------------------------------------
+
+
+class _Op(NamedTuple):
+    """One op of a tape's structure, as the check reads it."""
+
+    node_id: str
+    kind: str
+    inputs: dict  # port -> op index, or _Missing
+    params: dict  # as `_split_params` gives them
+
+
+def _ops(structure: tuple) -> list[_Op]:
+    """A tape structure's ops, each with its node id."""
+    _, _, ids, ops = structure
+    ids = ids or [f"n{i}" for i in range(len(ops))]
+    return [
+        _Op(nid, kind, dict(wires), dict(params)) for nid, (kind, wires, params) in zip(ids, ops)
+    ]
+
+
+def check_structure(structure: tuple) -> tuple[list[Diagnostic], _SymBody | None]:
+    """The diagnostics of a tape's structure and, with none, the output's
+    symbolic body, which `write_blueprint` writes out as the blueprint.
+
+    The local rules (wiring, ports, inputs, parameter names, literal
+    selectors, output kind) check every op, and the cycle check covers them
+    all. Only a structure that passes them gets the symbolic walk over the
+    output's dependencies, whose rejections are the link-set and shape
+    diagnostics."""
+    output, declared, _, _ = structure
+    ops = _ops(structure)
+    diags: list[Diagnostic] = []
+    if output is None:
+        diags.append(Diagnostic("no-output", "graph has no output node"))
+    elif isinstance(output, _Missing):
+        diags.append(Diagnostic("missing-node", f"output node {output.node_id!r} missing"))
+    elif _KINDS[ops[output].kind].output != GEOMETRY:
+        message = f"output is a {ops[output].kind} node"
+        diags.append(Diagnostic("output-not-geometry", message, ops[output].node_id))
+
+    for op in ops:
+        spec = _KINDS[op.kind]
+        for port, src in op.inputs.items():
+            source = (src.node_id, None) if isinstance(src, _Missing) else ops[src][:2]
+            problem = _port_rule(op.node_id, op.kind, port, *source)
+            if problem is not None:
+                diags.append(problem)
+        for port in spec.geometry_ports:
+            if port not in op.inputs:
+                diags.append(Diagnostic("missing-input", f"port {port!r} is not wired", op.node_id))
+        if spec.dynamic_ports:
+            idxs = sorted(
+                int(p[len(spec.dynamic_ports):])
+                for p in op.inputs
+                if p.startswith(spec.dynamic_ports) and p[len(spec.dynamic_ports):].isdigit()
+            )
+            if not idxs:
+                diags.append(Diagnostic("missing-input", f"{op.kind} has no inputs", op.node_id))
+            elif idxs != list(range(len(idxs))):
+                message = f"{op.kind} inputs must be contiguous"
+                diags.append(Diagnostic("missing-input", message, op.node_id))
+        for pname, value in op.params.items():
+            if isinstance(value, ParamRef) and value.name not in declared:
+                message = f"{op.kind}.{pname} references undeclared parameter {value.name!r}"
+                diags.append(Diagnostic("unknown-param", message, op.node_id))
+        count_param = op.params.get("count_param") if op.kind == DUPLICATE else None
+        if count_param is not None and count_param not in declared:
+            message = f"{op.kind}.count_param names undeclared parameter {count_param!r}"
+            diags.append(Diagnostic("unknown-param", message, op.node_id))
+        if op.kind == SWITCH:
+            sel = op.params.get("select")
+            n_opts = sum(1 for p in op.inputs if p.startswith("option_"))
+            if isinstance(sel, float) and "select" not in op.inputs:
+                pick = whole_number(sel)
+                if pick is None or not 0 <= pick < max(n_opts, 1):
+                    message = f"literal selector {sel} is not an option index 0..{n_opts - 1}"
+                    diags.append(Diagnostic("switch-selector-range", message, op.node_id))
+
+    order = _walk_order(ops, output)
+    if order is None:
+        diags.append(Diagnostic("graph-cycle", "graph contains a cycle"))
+    if diags:
+        return diags, None
+    walk = _SymbolicWalk(ops)
+    body = walk.run(order, output)
+    return walk.diagnostics, body
+
+
+def _walk_order(ops: list[_Op], output) -> list[int] | None:
+    """The output and every op it depends on, each after its inputs; None if
+    the ops have a cycle anywhere.
+
+    One iterative depth-first pass starts from the output and then from every
+    other op, so the output's dependencies lead the order it finishes ops in.
+    A missing output and wires from missing nodes are stepped over: the local
+    rules report them. The cycle check follows every wire, but a switch with
+    a literal selector depends only on the option it picks, so the others
+    are left out of the order."""
+    order: list[int] = []
+    finished: dict[int, bool] = {}  # False while the op is on the path
+
+    def visit(start: int) -> bool:
+        if start in finished:
+            return True
+        finished[start] = False
+        path = [(start, iter(ops[start].inputs.values()))]
+        while path:
+            i, inputs = path[-1]
+            for src in inputs:
+                if isinstance(src, _Missing) or finished.get(src):
+                    continue
+                if src in finished:  # on the path: a cycle
+                    return False
+                finished[src] = False
+                path.append((src, iter(ops[src].inputs.values())))
+                break
+            else:
+                path.pop()
+                finished[i] = True
+                order.append(i)
+        return True
+
+    if type(output) is int and not visit(output):
+        return None
+    used = list(order)
+    if not all(map(visit, range(len(ops)))):
+        return None
+    needed = {output}
+    for i in reversed(used):  # each consumer before its inputs
+        if i in needed:
+            picked = _picked_option(ops[i])
+            needed.update(ops[i].inputs.values() if picked is None else (picked,))
+    return [i for i in used if i in needed]
 
 
 # --- the symbolic walk ----------------------------------------------------------
@@ -762,7 +772,7 @@ class _SymLink(NamedTuple):
 
 
 class _SymJoint(NamedTuple):
-    joints: tuple[Node, ...]  # the joint nodes; more than one marks a composite pair
+    joints: tuple[_Op, ...]  # the joint ops; more than one marks a composite pair
     child: object  # _SymBody | _SymVariant
 
 
@@ -773,7 +783,7 @@ class _SymRepeat(NamedTuple):
 
 
 class _SymVariantJoint(NamedTuple):
-    switch: Node
+    switch: _Op
     options: tuple  # per switch option, its one _SymJoint, or None
 
 
@@ -783,30 +793,30 @@ class _SymBody(NamedTuple):
 
 
 class _SymVariant(NamedTuple):
-    switch: Node
+    switch: _Op
     options: tuple
 
 
-def _picked_option(node: Node) -> str | None:
-    """The source of the option that a switch's literal selector picks; None
-    when the selector is a parameter, wired or out of range."""
-    select = node.params.get("select")
-    if node.kind != SWITCH or "select" in node.inputs or not isinstance(select, float):
+def _picked_option(op: _Op):
+    """The op index of the option that a switch's literal selector picks;
+    None when the selector is a parameter, wired or out of range."""
+    select = op.params.get("select")
+    if op.kind != SWITCH or "select" in op.inputs or not isinstance(select, float):
         return None
-    return node.inputs.get(f"option_{whole_number(select)}")
+    return op.inputs.get(f"option_{whole_number(select)}")
 
 
-def _port_family(node: Node, prefix: str):
+def _port_family(op: _Op, prefix: str):
     """The sources wired to `prefix`0, `prefix`1, ... in port order."""
     idx = 0
-    while f"{prefix}{idx}" in node.inputs:
-        yield node.inputs[f"{prefix}{idx}"]
+    while f"{prefix}{idx}" in op.inputs:
+        yield op.inputs[f"{prefix}{idx}"]
         idx += 1
 
 
 class _SymbolicWalk:
-    """Symbolic evaluation of the geometry nodes that a graph's output depends
-    on, for a graph that passed the local rules of `NodeGraph.validate`.
+    """Symbolic evaluation of the geometry ops that a structure's output
+    depends on, for a structure that passed the local rules.
 
     Numeric values are not read, so every graph a generator builds walks to
     one structure. Switches over articulated bodies become variants and
@@ -820,43 +830,38 @@ class _SymbolicWalk:
     one kinematic tree becomes a Diagnostic, and the nodes downstream of it
     are not walked."""
 
-    def __init__(self, graph: NodeGraph):
-        self.graph = graph
-        self.values: dict[str, object] = {}
+    def __init__(self, ops: list[_Op]):
+        self.ops = ops
+        self.values: dict[int, object] = {}
         self.diagnostics: list[Diagnostic] = []
         self._factored: dict[int, _SymBody] = {}
         self._tokens: dict[int, tuple] = {}  # id -> (value, its tokens)
         self.fresh_token = itertools.count(1).__next__  # link tokens in creation order
 
-    def run(self, order: list[str]) -> _SymBody | None:
+    def run(self, order: list[int], output: int) -> _SymBody | None:
         """Walk `order`, the output's dependencies each after its inputs and
-        the output last; the output's body, or None when any node was
+        the output last; the output's body, or None when any op was
         rejected."""
-        visits = {
-            kind: getattr(self, f"_visit_{kind}")
-            for kind, spec in _KINDS.items()
-            if spec.output == GEOMETRY
-        }
-        failed: set[str] = set()
-        for nid in order:
-            node = self.graph.nodes[nid]
-            visit = visits.get(node.kind)
-            if visit is None:  # scalar nodes make no body
+        failed: set[int] = set()
+        for i in order:
+            op = self.ops[i]
+            visit = getattr(self, f"_visit_{op.kind}", None)
+            if visit is None:  # scalar ops make no body
                 continue
-            if failed and not failed.isdisjoint(node.inputs.values()):
-                failed.add(nid)
+            if failed and not failed.isdisjoint(op.inputs.values()):
+                failed.add(i)
                 continue
             try:
-                self.values[nid] = visit(node)
+                self.values[i] = visit(op)
             except _Rejected as exc:
-                failed.add(nid)
-                self.diagnostics.append(Diagnostic(exc.code, str(exc), nid))
+                failed.add(i)
+                self.diagnostics.append(Diagnostic(exc.code, str(exc), op.node_id))
         if self.diagnostics:
             return None
         try:
-            return self.as_body(self.values[self.graph.output_node])
+            return self.as_body(self.values[output])
         except _Rejected as exc:
-            self.diagnostics.append(Diagnostic(exc.code, str(exc), self.graph.output_node))
+            self.diagnostics.append(Diagnostic(exc.code, str(exc), self.ops[output].node_id))
             return None
 
     def as_body(self, value) -> _SymBody:
@@ -883,17 +888,17 @@ class _SymbolicWalk:
             hit = self._tokens[id(value)] = (value, tokens)
         return hit[1]
 
-    def _visit_primitive(self, node):
-        return _SymBody(_SymLink(self.fresh_token(), node.node_id, None))
+    def _visit_primitive(self, op):
+        return _SymBody(_SymLink(self.fresh_token(), op.node_id, None))
 
-    def _visit_semantic_label(self, node):
-        return _relabel(self.values[node.inputs["geometry"]], node.params["label"], force=True)
+    def _visit_semantic_label(self, op):
+        return _relabel(self.values[op.inputs["geometry"]], op.params["label"], force=True)
 
-    def _visit_store_attribute(self, node):
-        return self.values[node.inputs["geometry"]]
+    def _visit_store_attribute(self, op):
+        return self.values[op.inputs["geometry"]]
 
-    def _visit_transform(self, node):
-        return self._retoken(self.values[node.inputs["geometry"]])
+    def _visit_transform(self, op):
+        return self._retoken(self.values[op.inputs["geometry"]])
 
     def _retoken(self, value):
         """`value` with every link new, as a copy made in evaluation. A link
@@ -928,10 +933,10 @@ class _SymbolicWalk:
 
         return body(value)
 
-    def _visit_merge(self, node):
+    def _visit_merge(self, op):
         bodies = []
         seen: set[int] = set()
-        for src in _port_family(node, "geometry_"):
+        for src in _port_family(op, "geometry_"):
             value = self.values[src]
             if isinstance(value, _SymVariant):
                 message = "merge cannot take switch variants with joints"
@@ -942,26 +947,26 @@ class _SymbolicWalk:
             bodies.append(value)
         label = next((b.root.label for b in bodies if b.root.label), None)
         atts = tuple(a for b in bodies for a in b.attachments)
-        return _SymBody(_SymLink(self.fresh_token(), node.node_id, label), atts)
+        return _SymBody(_SymLink(self.fresh_token(), op.node_id, label), atts)
 
-    def _visit_switch(self, node):
-        picked = _picked_option(node)
+    def _visit_switch(self, op):
+        picked = _picked_option(op)
         if picked is not None:
             return self.values[picked]
-        sources = set(_port_family(node, "option_"))
-        if len(sources) == 1:  # every selection yields that one node's value
+        sources = set(_port_family(op, "option_"))
+        if len(sources) == 1:  # every selection yields that one op's value
             return self.values[sources.pop()]
-        options = [self.values[src] for src in _port_family(node, "option_")]
+        options = [self.values[src] for src in _port_family(op, "option_")]
         if all(isinstance(o, _SymBody) and not o.attachments for o in options):
             labels = {o.root.label for o in options}
             label = labels.pop() if len(labels) == 1 else None
             roots = tuple(o.root for o in options)
-            return _SymBody(_SymLink(self.fresh_token(), node.node_id, label, roots))
-        return _SymVariant(node, tuple(options))
+            return _SymBody(_SymLink(self.fresh_token(), op.node_id, label, roots))
+        return _SymVariant(op, tuple(options))
 
-    def _visit_joint(self, node):
-        parent = self.as_body(self.values[node.inputs["parent"]])
-        child = self.values[node.inputs["child"]]
+    def _visit_joint(self, op):
+        parent = self.as_body(self.values[op.inputs["parent"]])
+        child = self.values[op.inputs["child"]]
         relations = set()
         if not self.tokens(parent).isdisjoint(self.tokens(child)):
             for parent_links in _link_sets(parent):
@@ -973,22 +978,29 @@ class _SymbolicWalk:
                 "joint-link-overlap", "joint parent and child share links without being nested"
             )
         if "nested" in relations:
-            return _append_composite(parent, child, node)
-        relabeled = _relabel(child, node.params["child_label"])
+            if "disjoint" in relations:
+                raise _Rejected(
+                    "switch-variant-joint",
+                    "joint parent and child are nested under some switch selections"
+                    " and apart under others",
+                )
+            return _append_composite(parent, child, op)
+        relabeled = _relabel(child, op.params.get("child_label"))
         root = parent.root
-        if node.params["parent_label"] and root.label is None:
-            root = root._replace(label=node.params["parent_label"])
-        return _SymBody(root, parent.attachments + (_SymJoint((node,), relabeled),))
+        parent_label = op.params.get("parent_label")
+        if parent_label and root.label is None:
+            root = root._replace(label=parent_label)
+        return _SymBody(root, parent.attachments + (_SymJoint((op,), relabeled),))
 
     _visit_joint_revolute = _visit_joint_prismatic = _visit_joint
 
-    def _visit_duplicate_joints_on_points(self, node):
-        parent = self.as_body(self.values[node.inputs["parent"]])
-        body = self.values[node.inputs["body"]]
+    def _visit_duplicate_joints_on_points(self, op):
+        parent = self.as_body(self.values[op.inputs["parent"]])
+        body = self.values[op.inputs["body"]]
         if isinstance(body, _SymVariant):
             message = "duplicate cannot replicate switch variants"
             raise _Rejected("switch-variant-duplicate", message)
-        count_param = node.params.get("count_param")
+        count_param = op.params.get("count_param")
         if body.attachments:
             group = _SymRepeat(count_param, self._retoken(body).attachments, None)
         else:
@@ -996,7 +1008,7 @@ class _SymbolicWalk:
         return _SymBody(parent.root, parent.attachments + (group,))
 
 
-def _append_composite(parent: _SymBody, child, joint: Node) -> _SymBody:
+def _append_composite(parent: _SymBody, child, joint: _Op) -> _SymBody:
     """`parent` with `joint` added to its joint into `child`'s root: the
     second joint of a pair that `parent` already holds."""
     if isinstance(child, _SymBody):
@@ -1132,34 +1144,32 @@ class KinematicBlueprint:
         return lines
 
 
-def write_blueprint(graph: NodeGraph, body: _SymBody) -> KinematicBlueprint:
-    """The symbolic body that validating `graph` walked (`structure()`), written
-    out as its kinematic blueprint. Only structure is read: parameter names,
-    labels, wiring and whether an optional slot is set, never a number."""
+def write_blueprint(ops: list[_Op], body: _SymBody) -> KinematicBlueprint:
+    """The symbolic body that `check_structure` walked, written out as its
+    kinematic blueprint; `ops` are the structure's (`_ops`). Only structure is
+    read: parameter names, labels, wiring and node ids, never a number."""
 
-    def expr(node, name: str) -> str:
+    def expr(op, name: str) -> str:
         """A parameter slot's structure: literals masked, parameter names kept."""
-        if name in node.inputs:
-            src = graph.nodes[node.inputs[name]]
+        if name in op.inputs:
+            src = ops[op.inputs[name]]
             if src.kind == SCALAR_MATH:
                 return f"{src.params['op']}({expr(src, 'a')},{expr(src, 'b')})"
             return f"<{src.kind}>"
-        value = node.params[name]
-        if isinstance(value, ParamRef):
-            return value.name
-        return "default" if value is None else "#"
+        value = op.params.get(name)
+        return value.name if isinstance(value, ParamRef) else "#"
 
-    def joint_dict(node) -> dict:
-        slots = [(slot, expr(node, slot)) for slot in ("range_lo", "range_hi", "default")]
+    def joint_dict(op) -> dict:
+        slots = [(slot, expr(op, slot)) for slot in ("range_lo", "range_hi", "default")]
         return {
-            "type": "revolute" if node.kind == JOINT_REVOLUTE else "prismatic",
-            "joint_label": node.params["joint_label"],
-            "parent_label": node.params["parent_label"],
-            "child_label": node.params["child_label"],
-            "slots": [[slot, rep] for slot, rep in slots if rep not in ("#", "default")],
+            "type": "revolute" if op.kind == JOINT_REVOLUTE else "prismatic",
+            "joint_label": op.params.get("joint_label"),
+            "parent_label": op.params.get("parent_label"),
+            "child_label": op.params.get("child_label"),
+            "slots": [[slot, rep] for slot, rep in slots if rep != "#"],
             # Signatures ignore numeric literals; the key stays so that they keep their bytes.
             "range": None,
-            "source": node.node_id,
+            "source": op.node_id,
         }
 
     def walk_attachment(att) -> dict:
@@ -1205,12 +1215,11 @@ class GraphBuilder:
     """Records a graph on a tape, node by node; it builds the pattern corpus
     and the category generators.
 
-    Each method checks its numeric literals as `NodeGraph.add_node` would
-    (number type, finiteness, 3-vector and point shapes, a nonzero axis) and
-    its wires as `connect` would, and returns the new node's id. No
-    NodeGraph is made: `tape(node)` ends the recording as a Tape, which is
-    what evaluation compiles and runs, and `output(node)` as a NodeGraph,
-    the document form."""
+    Each method checks its parameters by the literal check of
+    `NodeGraph.add_node` (`_split_params`) and its wires by the port rule of
+    `connect`, and returns the new node's id. No NodeGraph is made:
+    `tape(node)` ends the recording as a Tape, which is what evaluation
+    compiles and runs, and `output(node)` as a NodeGraph, the document form."""
 
     def __init__(self, space: ParameterSpace):
         self.space = space
@@ -1222,26 +1231,18 @@ class GraphBuilder:
         """Record one `kind` node with the given parameters, in schema order
         as `NodeGraph.lower` reads them, and (port, source id) wires; its id."""
         index = len(self._ops)
-        structure, numbers = _split_params(kind, params, check=True)
-        inputs = tuple((port, self._source(index, kind, port, src)) for port, src in wires)
-        self._ops.append((kind, inputs, structure))
+        structure, numbers = _split_params(kind, params, InvalidParameterError)
+        inputs = []
+        for port, src in wires:  # each by the port rule, raising as `connect` does
+            source = self._index.get(src)
+            src_kind = None if source is None else self._ops[source][0]
+            _check_wire(f"n{index}", kind, port, src, src_kind)
+            inputs.append((port, source))
+        self._ops.append((kind, tuple(inputs), structure))
         self._numbers.append(numbers)
         node_id = f"n{index}"
         self._index[node_id] = index
         return node_id
-
-    def _source(self, index: int, kind: str, port: str, src: str) -> int:
-        """The op index of `src` wired into `port` of node `index`, a `kind`
-        node; a missing source or a port of the wrong type raises as
-        `connect` does."""
-        source = self._index.get(src)
-        if source is None:
-            raise InvalidParameterError(f"n{index}: port {port!r} wired to missing node {src!r}")
-        ptype = port_type(kind, port)
-        src_kind = self._ops[source][0]
-        if _KINDS[src_kind].output != ptype:
-            raise PortTypeError(f"n{index}: {src_kind} output wired into {ptype} port {port!r}")
-        return source
 
     def tape(self, node) -> Tape:
         """The recording, with `node` as the output."""

@@ -67,19 +67,34 @@ class TestExtraction:
         assert len(repeats) == 1
 
 
-    def test_one_symbolic_walk_per_extraction(self, monkeypatch):
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The tape ops the symbolic walk runs on, in order, from an empty
+        program cache."""
+        monkeypatch.setattr(artigen.evaluate, "_programs", {})
         walks = []
         init = artigen.graph._SymbolicWalk.__init__
 
-        def counted(self, graph):
-            walks.append(graph)
-            init(self, graph)
+        def counted(self, ops):
+            walks.append(ops)
+            init(self, ops)
 
         monkeypatch.setattr(artigen.graph._SymbolicWalk, "__init__", counted)
+        return walks
+
+    def test_one_symbolic_walk_per_extraction(self, walks):
         graphs = [build_pattern(name) for name in PATTERN_NAMES]
         for g in graphs:
             extract_blueprint(g)
-        assert walks == graphs
+        assert walks == [artigen.graph._ops(g.lower().structure) for g in graphs]
+
+    def test_extracting_one_structure_twice_walks_once(self, walks):
+        a = extract_blueprint(build_pattern("simple_revolute"))
+        g = build_pattern("simple_revolute")
+        g.node(g.output_node).params["range_hi"] = 1.2  # numbers only: the same structure
+        b = extract_blueprint(g)
+        assert len(walks) == 1
+        assert b == a
 
 class TestSignature:
     def test_signature_sees_structure_not_numbers(self):

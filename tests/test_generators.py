@@ -469,7 +469,7 @@ class TestBlueprintInvariance:
         program = artigen.evaluate.Program
         monkeypatch.setattr(program, "__init__", counted("compile", program.__init__))
         # neither the category blueprint nor any other is written again
-        for module in (artigen.graph, artigen.evaluate, artigen.blueprint):
+        for module in (artigen.graph, artigen.evaluate):
             write = module.write_blueprint
             monkeypatch.setattr(module, "write_blueprint", counted("blueprint", write))
         # instantiate needs no link poses, so a build never poses the tree
@@ -558,6 +558,22 @@ class TestCompiledPrograms:
                 assert (got.mesh.face_labels is None) == (want.mesh.face_labels is None)
                 if got.mesh.face_labels is not None:
                     assert np.array_equal(got.mesh.face_labels, want.mesh.face_labels)
+
+    def test_cold_compile_reads_the_tape_alone(self, monkeypatch):
+        """With no program kept, each category's first program is checked and
+        compiled from its recorded tape: no NodeGraph is made."""
+        monkeypatch.setattr(artigen.evaluate, "_programs", {})
+        blueprints = {}
+        for category in CATEGORY_NAMES:
+            gen = get_generator(category)
+            blueprints[category] = gen.blueprint
+            monkeypatch.delitem(gen.__dict__, "program")
+        calls = {"graph": 0}
+        monkeypatch.setattr(NodeGraph, "__init__", _counted(calls, "graph", NodeGraph.__init__))
+        for category in CATEGORY_NAMES:
+            assert get_generator(category).program.blueprint == blueprints[category]
+        assert calls == {"graph": 0}
+        assert len(artigen.evaluate._programs) == len(CATEGORY_NAMES)
 
     def test_a_branching_recipe_compiles_each_structure_once(self, monkeypatch):
         monkeypatch.setattr(artigen.evaluate, "_programs", {})

@@ -421,6 +421,39 @@ class TestValidate:
             body = evaluate(g, ParamVector({"pick": pick}))
             assert (len(body.links), len(body.joints)) == (3, 2)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_joint_nested_under_one_selection_and_apart_under_another(self, swap):
+        # merge(joint(a, b), switch(transform(a), b)), then a joint from that
+        # merge to the switch: at s=0 the switch is a new link and the joint
+        # adds it; at s=1 it is b and the joint pairs with the hinge. No one
+        # blueprint holds both. With the merge inputs swapped, the merge
+        # copies the hinge, so the joint adds a link under both selections.
+        g = NodeGraph(ParameterSpace({"s": Count(0, 1)}))
+        spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+        a, b = box_node(g), box_node(g)
+        hinge = g.add_node(JOINT_REVOLUTE, spec)
+        g.connect(a, hinge, "parent")
+        g.connect(b, hinge, "child")
+        moved = g.add_node(TRANSFORM, {"translate_x": 1.0})
+        g.connect(a, moved, "geometry")
+        sw = g.add_node(SWITCH, {"select": ParamRef("s")})
+        g.connect(moved, sw, "option_0")
+        g.connect(b, sw, "option_1")
+        merged = g.add_node(MERGE, {})
+        for port, src in zip(("geometry_0", "geometry_1"), (sw, hinge) if swap else (hinge, sw)):
+            g.connect(src, merged, port)
+        joint = g.add_node(JOINT_REVOLUTE, spec)
+        g.connect(merged, joint, "parent")
+        g.connect(sw, joint, "child")
+        g.set_output(joint)
+        if not swap:
+            assert [(d.code, d.node_id) for d in g.validate()] == [("switch-variant-joint", joint)]
+            return
+        assert g.validate() == []
+        for s in (0, 1):
+            body = evaluate(g, ParamVector({"s": s}))
+            assert (len(body.links), len(body.joints)) == (3, 2)
+
     def test_random_graphs_that_validate_build_under_every_selection(self):
         # Small random compositions, each node wired from the last few: every
         # graph that validates has a blueprint and evaluates to one tree
@@ -612,13 +645,13 @@ class TestValidateCache:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The graphs the symbolic walk runs on, in order."""
+        """The tape ops the symbolic walk runs on, in order."""
         walks = []
         walk_init = artigen.graph._SymbolicWalk.__init__
 
-        def counted_init(self, graph):
-            walks.append(graph)
-            walk_init(self, graph)
+        def counted_init(self, ops):
+            walks.append(ops)
+            walk_init(self, ops)
 
         monkeypatch.setattr(artigen.graph._SymbolicWalk, "__init__", counted_init)
         return walks
@@ -638,7 +671,7 @@ class TestValidateCache:
             assert str(refused.value) == "graph does not validate: " + "; ".join(map(str, diags))
         else:  # a clean variant gets its own program, from its own walk
             evaluate_links(changed, _PROBE_PARAMS)
-            assert walks == [changed]
+            assert walks == [artigen.graph._ops(changed.lower().structure)]
             diags = changed.validate()
         assert [d.code for d in diags] == codes
         walks.clear()
