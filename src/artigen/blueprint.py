@@ -1,13 +1,14 @@
 """Category-level kinematic blueprints, asset instantiation, and forward kinematics.
 
-A blueprint is the symbolic walk that validation makes over a tape's
-structure alone, written out as a tree (`artigen.graph.check_structure`):
-numeric literals are ignored, switches over articulated bodies become variant
-groups, duplication nodes become repeat groups, and parallel joints between
-one link pair stay one composite joint entry. Two graphs built by the same
-generator under different sampled parameters therefore yield the same
-blueprint and the same signature, and `extract_blueprint` reads it from the
-compiled program of the graph's structure, so each structure is walked once.
+A blueprint is the symbolic walk that validation makes over a graph's
+structure alone (`NodeGraph.structure`), written out as a tree
+(`artigen.graph.check_structure`): numeric literals are ignored, switches
+over articulated bodies become variant groups, duplication nodes become
+repeat groups, and parallel joints between one link pair stay one composite
+joint entry. Two graphs built by the same generator under different sampled
+parameters therefore yield the same blueprint and the same signature, and
+`extract_blueprint` reads it from the compiled program of the graph's
+structure, so each structure is walked once.
 Instantiation normalizes each composite joint into a serial chain through
 zero-extent passthrough links.
 """
@@ -30,7 +31,7 @@ def extract_blueprint(graph: NodeGraph) -> KinematicBlueprint:
     """A graph's category-level kinematic blueprint: that of the compiled
     program of its structure (`program_for`), which raises
     InvalidParameterError ("graph does not validate") on any diagnostic."""
-    return program_for(graph.lower()).blueprint
+    return program_for(graph.structure).blueprint
 
 
 # ---------------------------------------------------------------------------

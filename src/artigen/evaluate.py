@@ -1,19 +1,17 @@
 """Graph evaluation: compile each distinct graph structure once into a
 Program, then run it on the numbers of every graph of that structure.
 
-A graph reaches evaluation as a tape (`artigen.graph.Tape`): its structure,
-which is everything validation reads, and beside it each node's numeric
-literals. `program_for` compiles a structure the first time it meets it,
-from the structure alone, and makes no NodeGraph: it checks the structure
-(`artigen.graph.check_structure`, the check that `NodeGraph.validate` runs),
-writes the walk of that check out as its blueprint, and resolves each node's
-handler, wires, parameter references and defaults into a step. It keeps the
-last VALIDATED_STRUCTURES programs under their structures, and a program holds
-no number but a switch's literal selector. Each run then reads only that
-tape's numbers and the parameter vector, which `ParameterSpace.
-validate_vector` checks first. A generator records its tape without making a
-NodeGraph (`GraphBuilder`); a NodeGraph lowers to a tape of the same structure
-(`NodeGraph.lower`), so both run the same program.
+A `NodeGraph` records each node as an op of its structure
+(`NodeGraph.structure`), which is everything validation reads, and beside it
+the node's numeric literals (`NodeGraph.numbers`). `program_for` compiles a
+structure the first time it meets it, from the structure alone: it checks the
+structure (`artigen.graph.check_structure`, the check that
+`NodeGraph.validate` runs), writes the walk of that check out as its
+blueprint, and resolves each node's handler, wires, parameter references and
+defaults into a step. It keeps the last VALIDATED_STRUCTURES programs under
+their structures, and a program holds no number but a switch's literal
+selector. Each run then reads only that graph's numbers and the parameter
+values, which the caller has checked with `ParameterSpace.validate_vector`.
 
 A primitive that only a transform reads runs as one step with it, which makes
 one link, with a uid where the transform's link had its own: the uids keep
@@ -74,14 +72,13 @@ from .graph import (
     JointSpec,
     NodeGraph,
     ParamRef,
-    Tape,
     check_structure,
     link_set_relation,
     whole_number,
     write_blueprint,
 )
 from .kinematics import KinematicTree
-from .params import ParameterSpace, ParamVector
+from .params import ParamVector
 
 # Compiled programs kept, one per graph structure; the oldest is dropped first.
 VALIDATED_STRUCTURES = 128
@@ -212,7 +209,7 @@ _DEFAULTS = {
 class _Step:
     """One node of a compiled program: its handler, its wires as op indices,
     and where each parameter comes from. A scalar is read from its wire, else
-    its parameter reference, else the tape's number for it, else `consts`:
+    its parameter reference, else the graph's number for it, else `consts`:
     the schema default, or a switch's literal selector."""
 
     __slots__ = ("index", "node_id", "kind", "run", "inputs", "refs", "params", "consts", "source")
@@ -230,10 +227,11 @@ class _Step:
 
 
 class _Run:
-    """One run of a program on one tape's numbers and one parameter vector
-    that `ParameterSpace.validate_vector` accepted. The program's structure
-    was validated when it was compiled: wiring, port types, the output type,
-    parameter names and parameter values are not checked again here."""
+    """One run of a program on one graph's numbers and the values of one
+    parameter vector that `ParameterSpace.validate_vector` accepted. The
+    program's structure was validated when it was compiled: wiring, port
+    types, the output type, parameter names and parameter values are not
+    checked again here."""
 
     def __init__(self, steps: list, numbers: list, values: dict):
         self.steps = steps
@@ -518,10 +516,10 @@ _HANDLERS = {
 class Program:
     """A validated graph structure compiled into steps, one per node, plus its
     blueprint, which the structure's symbolic body (`check_structure`) writes
-    out. `run` evaluates it on one tape's numbers."""
+    out; `ops` are the structure's (`artigen.graph._ops`). `run` evaluates it
+    on one graph's numbers."""
 
-    def __init__(self, structure: tuple, body):
-        ops = _ops(structure)
+    def __init__(self, structure: tuple, ops: list[_Op], body):
         self.structure = structure
         self.output = structure[0]
         self.blueprint = write_blueprint(ops, body)
@@ -535,20 +533,13 @@ class Program:
                 step.source = self.steps[src]
 
     def run(
-        self, numbers: list, params: ParamVector | dict | None, space: ParameterSpace
+        self, numbers: list, values: dict
     ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
         """The links, the joints sorted by construction order, and the root
-        link id of one tape of this structure, without posing any link.
-
-        The parameter vector is checked once, as a whole, against `space`: a
-        missing value raises MissingParameterError and one outside its entry
-        RangeError."""
-        if params is None:
-            params = ParamVector({})
-        elif isinstance(params, dict):
-            params = ParamVector(params)
-        space.validate_vector(params)
-        body = _Run(self.steps, numbers, params.values).value(self.output)
+        link id of one graph of this structure, without posing any link.
+        `values` are the parameter values, already checked against the
+        graph's space (`ParameterSpace.validate_vector`)."""
+        body = _Run(self.steps, numbers, values).value(self.output)
         # Deterministic public names: creation order, label-based with ordinals.
         name_counts: dict[str, int] = {}
         link_names: dict[int, str] = {}
@@ -570,22 +561,23 @@ class Program:
         return tuple(links), tuple(joints), link_names[body.root.link_id]
 
 
-def program_for(tape: Tape) -> Program:
-    """The compiled program of `tape`'s structure. A structure met for the
-    first time is checked (`check_structure`) and compiled; any diagnostic
-    raises InvalidParameterError ("graph does not validate") and nothing is
-    kept."""
-    program = _programs.get(tape.structure)
+def program_for(structure: tuple) -> Program:
+    """The compiled program of a graph structure (`NodeGraph.structure`). A
+    structure met for the first time is checked (`check_structure`) and
+    compiled, reading its ops once; any diagnostic raises
+    InvalidParameterError ("graph does not validate") and nothing is kept."""
+    program = _programs.get(structure)
     if program is None:
-        diags, body = check_structure(tape.structure)
+        ops = _ops(structure)
+        diags, body = check_structure(structure, ops)
         if diags:
             raise InvalidParameterError(
                 "graph does not validate: " + "; ".join(str(d) for d in diags)
             )
-        program = Program(tape.structure, body)
+        program = Program(structure, ops, body)
         if len(_programs) >= VALIDATED_STRUCTURES:
             _programs.pop(next(iter(_programs)), None)
-        _programs[tape.structure] = program
+        _programs[structure] = program
     return program
 
 
@@ -616,11 +608,14 @@ def evaluate_links(
     graph: NodeGraph, params: ParamVector | dict | None = None
 ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
     """Validate and evaluate a graph into its links, its joints sorted by
-    construction order, and the root link id, without posing any link: its
-    tape runs through the program of its structure (`program_for`), and the
-    parameter vector is checked against `graph.parameters`."""
-    tape = graph.lower()
-    return program_for(tape).run(tape.numbers, params, graph.parameters)
+    construction order, and the root link id, without posing any link: the
+    program of its structure (`program_for`) runs on its numbers, once the
+    parameter vector is checked against `graph.parameters` (a missing value
+    raises MissingParameterError and one outside its entry RangeError)."""
+    program = program_for(graph.structure)
+    if not isinstance(params, ParamVector):
+        params = ParamVector(params or {})
+    return program.run(graph.numbers, graph.parameters.validate_vector(params))
 
 
 def evaluate(

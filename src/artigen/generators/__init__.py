@@ -6,7 +6,6 @@ from functools import lru_cache
 
 from ..blueprint import AssetInstance, realize
 from ..errors import InvalidParameterError
-from ..graph import GraphBuilder
 from ..params import ParamVector, _draw_parameters, merge_overrides
 from . import dishwasher, door, fridge, lamp, toaster
 from .common import CategoryGenerator, VariationCount, count_variations
@@ -52,7 +51,6 @@ def build_instance(
 __all__ = [
     "CATEGORY_NAMES",
     "CategoryGenerator",
-    "GraphBuilder",
     "VariationCount",
     "build_instance",
     "count_variations",

@@ -1,6 +1,6 @@
 """Shared machinery for the category generators: the generator record, which
-compiles its category once, the shipped parameter-range table and variation
-counting."""
+records a category's graph per parameter vector and compiles the category
+once, the shipped parameter-range table and variation counting."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from importlib import resources
 
 from ..errors import InvalidParameterError
 from ..evaluate import EvaluatedJoint, EvaluatedLink, Program, program_for
-from ..graph import GraphBuilder, KinematicBlueprint, NodeGraph, Tape
+from ..graph import KinematicBlueprint, NodeGraph
 from ..params import Continuous, Count, Discrete, ParameterSpace, ParamVector, sample_parameters
 
 
@@ -56,30 +56,30 @@ class VariationCount:
 @dataclass(frozen=True)
 class CategoryGenerator:
     """One category: its parameter space and its recipe, which records the
-    category's graph for a parameter vector on a GraphBuilder and returns the
-    output node.
+    category's graph for a parameter vector on a NodeGraph with its builder
+    methods and returns the output node.
 
-    Every seed of a category records one structure, so the seed-0 tape is
-    checked and compiled once, from the tape alone (`program`), and gives
-    the category blueprint. `evaluate` records each seed's tape, compares
-    its structure with the compiled one and runs the program on its
-    numbers; any other structure is compiled (`artigen.evaluate.program_for`)."""
+    Every seed of a category records one structure, so the seed-0 graph is
+    checked and compiled once, from its structure alone (`program`), and
+    gives the category blueprint. `evaluate` checks the parameter vector,
+    records that seed's graph, compares its structure with the compiled one
+    and runs the program on its numbers; any other structure is compiled
+    (`artigen.evaluate.program_for`)."""
 
     name: str
     space: ParameterSpace
-    recipe: object  # (GraphBuilder, ParamVector) -> output node id
-
-    def record(self, params: ParamVector) -> Tape:
-        b = GraphBuilder(self.space)
-        return b.tape(self.recipe(b, params))
+    recipe: object  # (NodeGraph, ParamVector) -> output node id
 
     def build(self, params: ParamVector) -> NodeGraph:
-        """The category's graph for `params`, as a document."""
-        return self.record(params).graph()
+        """The category's graph for `params`, with its own copy of the space."""
+        graph = NodeGraph()
+        graph.parameters.entries.update(self.space.entries)  # checked entries, shared
+        graph.set_output(self.recipe(graph, params))
+        return graph
 
     @cached_property
     def program(self) -> Program:
-        return program_for(self.record(sample_parameters(self.space, 0, salt="")))
+        return program_for(self.build(sample_parameters(self.space, 0, salt="")).structure)
 
     @property
     def blueprint(self) -> KinematicBlueprint:
@@ -90,12 +90,13 @@ class CategoryGenerator:
         self, params: ParamVector, space: ParameterSpace | None = None
     ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
         """`evaluate_links` of `build(params)`, with the vector checked against
-        `space` (the generator's own by default), without making the graph."""
-        tape = self.record(params)
+        `space` (the generator's own by default) before the recipe reads it."""
+        values = (self.space if space is None else space).validate_vector(params)
+        graph = self.build(params)
         program = self.program
-        if tape.structure != program.structure:
-            program = program_for(tape)
-        return program.run(tape.numbers, params, space or self.space)
+        if graph.structure != program.structure:
+            program = program_for(graph.structure)
+        return program.run(graph.numbers, values)
 
 
 def count_variations(generator: CategoryGenerator) -> VariationCount:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..graph import GraphBuilder
+from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -35,7 +35,7 @@ def space() -> ParameterSpace:
     return s
 
 
-def _door_handle(b: GraphBuilder, p: ParamVector, y0: float, z: float, width: float):
+def _door_handle(b: NodeGraph, p: ParamVector, y0: float, z: float, width: float):
     """Handle bar across the door; shape and curvature are discrete switches."""
     r = p["handle_radius"]
     length = width * 0.6
@@ -66,7 +66,7 @@ def _door_handle(b: GraphBuilder, p: ParamVector, y0: float, z: float, width: fl
     return b.switch(b.ref("handle_curve_style"), [curved, straight])
 
 
-def _rack(b: GraphBuilder, p: ParamVector, anchor, cavity, z0: float):
+def _rack(b: NodeGraph, p: ParamVector, anchor, cavity, z0: float):
     """Wire basket: rim, posts, and a support grid whose density is a parameter."""
     x_lo, x_hi, y_back, y_front_max = cavity
     rr = p["rack_radius"]
@@ -110,7 +110,7 @@ def _rack(b: GraphBuilder, p: ParamVector, anchor, cavity, z0: float):
     ), rack_geom
 
 
-def build(b: GraphBuilder, p: ParamVector) -> str:
+def build(b: NodeGraph, p: ParamVector) -> str:
     """Record the dishwasher graph for `p` on `b`; its output node."""
     width, depth, height = p["width"], p["depth"], p["height"]
     w = 0.03

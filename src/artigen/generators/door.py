@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..graph import GraphBuilder
+from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -47,7 +47,7 @@ def space() -> ParameterSpace:
     return s
 
 
-def _panel_geometry(b: GraphBuilder, p: ParamVector, wp: float, hp: float):
+def _panel_geometry(b: NodeGraph, p: ParamVector, wp: float, hp: float):
     """Door-type switch over louver, glass, and flat panel styles; single link."""
     d = p["depth"]
     shrink = p["shrink_width"]
@@ -91,7 +91,7 @@ def _panel_geometry(b: GraphBuilder, p: ParamVector, wp: float, hp: float):
     return b.switch(b.ref("door_type"), [louver, glass, plain])
 
 
-def _lever(b: GraphBuilder, p: ParamVector, hx: float, hy: float, hz: float, toward: int):
+def _lever(b: NodeGraph, p: ParamVector, hx: float, hy: float, hz: float, toward: int):
     """Lever handle geometry; `toward` is the x direction pointing at the hinge."""
     boss = b.cylinder(
         p["lever_middle_radius"],
@@ -113,7 +113,7 @@ def _lever(b: GraphBuilder, p: ParamVector, hx: float, hy: float, hz: float, tow
     return b.merge(boss, arm), arm_y
 
 
-def _knob(b: GraphBuilder, p: ParamVector, hx: float, hy: float, hz: float):
+def _knob(b: NodeGraph, p: ParamVector, hx: float, hy: float, hz: float):
     y0 = hy
     parts = []
     for radius, depth in (
@@ -135,7 +135,7 @@ def _knob(b: GraphBuilder, p: ParamVector, hx: float, hy: float, hz: float):
     return b.merge(*parts)
 
 
-def _pullbar(b: GraphBuilder, p: ParamVector, hx: float, face_y: float, hz: float):
+def _pullbar(b: NodeGraph, p: ParamVector, hx: float, face_y: float, hz: float):
     size = p["pull_handle_size"]
     depth = p["pull_handle_depth"] + p["pull_handle_extension"]
     width = p["pull_handle_width"]
@@ -159,7 +159,7 @@ def _pullbar(b: GraphBuilder, p: ParamVector, hx: float, face_y: float, hz: floa
     return b.merge(bar, *supports)
 
 
-def _crashbar(b: GraphBuilder, p: ParamVector, panel_cx: float, wp: float, face_y: float, h: float):
+def _crashbar(b: NodeGraph, p: ParamVector, panel_cx: float, wp: float, face_y: float, h: float):
     bar_len = wp * p["push_bar_length"] * p["push_bar_length_ratio"]
     t = p["push_bar_thickness"]
     z = h * p["push_bar_height_ratio"] + p["push_bar_overall_z_offset"]
@@ -182,7 +182,7 @@ def _crashbar(b: GraphBuilder, p: ParamVector, panel_cx: float, wp: float, face_
     return b.merge(bar, *ends), bar_y, z
 
 
-def _panel_assembly(b: GraphBuilder, p: ParamVector, x_left: float, side: int):
+def _panel_assembly(b: NodeGraph, p: ParamVector, x_left: float, side: int):
     """One placed panel with its handle switch; side=+1 hinges left, -1 right."""
     wp, h, d, g = p["width"], p["height"], p["depth"], p["panel_margin"]
     hp = h - 2 * g
@@ -218,7 +218,7 @@ def _panel_assembly(b: GraphBuilder, p: ParamVector, x_left: float, side: int):
     return b.switch(b.ref("handle_type"), [panel, lever_j, knob_j, pull_merge, crash_j])
 
 
-def build(b: GraphBuilder, p: ParamVector) -> str:
+def build(b: NodeGraph, p: ParamVector) -> str:
     """Record the door graph for `p` on `b`; its output node."""
     dc = int(p["door_count"])
     wp, h, d, g = p["width"], p["height"], p["depth"], p["panel_margin"]

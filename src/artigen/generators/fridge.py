@@ -9,7 +9,7 @@ closed pose (pivot proud of the door front).
 
 from __future__ import annotations
 
-from ..graph import GraphBuilder
+from ..graph import NodeGraph
 from ..params import Count, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -42,7 +42,7 @@ def space() -> ParameterSpace:
     return s
 
 
-def _bar_handle(b: GraphBuilder, p, prefix, x, y0, z_center, length, vertical=True):
+def _bar_handle(b: NodeGraph, p, prefix, x, y0, z_center, length, vertical=True):
     """Vertical or horizontal bar handle with two supports, proud of +y."""
     top = p[f"{prefix}_handle_top_size"]
     thick = p[f"{prefix}_handle_top_thickness"]
@@ -71,7 +71,7 @@ def _bar_handle(b: GraphBuilder, p, prefix, x, y0, z_center, length, vertical=Tr
     return b.merge(bar, *supports), depth
 
 
-def build(b: GraphBuilder, p: ParamVector) -> str:
+def build(b: NodeGraph, p: ParamVector) -> str:
     """Record the fridge graph for `p` on `b`; its output node."""
     dc = int(p["door_count"])
     s = p["size"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from ..errors import InvalidParameterError
-from ..graph import GraphBuilder
+from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -50,7 +50,7 @@ def space() -> ParameterSpace:
     return s
 
 
-def _switch_bodies(b: GraphBuilder, p: ParamVector, host, mount, outward, selector, with_pull):
+def _switch_bodies(b: NodeGraph, p: ParamVector, host, mount, outward, selector, with_pull):
     """Attach one of the switch styles to `host` at `mount`, facing `outward`.
 
     Returns a switch node whose option 0 is the bare host (switch absent,
@@ -136,7 +136,7 @@ def _sides(p: ParamVector, name: str) -> int:
     return sides
 
 
-def build(b: GraphBuilder, p: ParamVector) -> str:
+def build(b: NodeGraph, p: ParamVector) -> str:
     """Record the lamp graph for `p` on `b`; its output node."""
     arm = int(p["arm_segments"])
     r_bar = p["radius"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..graph import GraphBuilder
+from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
@@ -37,7 +37,7 @@ def space() -> ParameterSpace:
     return s
 
 
-def _lever_head(b: GraphBuilder, p: ParamVector, size: float, at):
+def _lever_head(b: NodeGraph, p: ParamVector, size: float, at):
     """Five swappable lever-handle styles behind one geometry switch."""
     cylinder = b.cylinder(
         size / 2, size, at=at, segments=20,
@@ -58,7 +58,7 @@ def _lever_head(b: GraphBuilder, p: ParamVector, size: float, at):
     return b.switch(b.ref("lever_type"), [cylinder, half, ellipsoid, sphere, flat])
 
 
-def build(b: GraphBuilder, p: ParamVector) -> str:
+def build(b: NodeGraph, p: ParamVector) -> str:
     """Record the toaster graph for `p` on `b`; its output node."""
     s_count = int(p["slot_count"])
     lv = int(p["levers_per_slot"])

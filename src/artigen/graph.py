@@ -1,7 +1,6 @@
 """The procedural program representation: a typed DAG of geometry, math, joint,
-duplication, and label nodes, with validation, canonical serialization, the
-tape form that evaluation compiles, and GraphBuilder, which records the
-patterns and the generators on a tape.
+duplication, and label nodes, recorded as evaluation reads it, with
+validation, canonical serialization and the blueprint writer.
 
 Geometry-typed ports carry articulated bodies (a plain primitive is a body with
 one link and no joints), scalar ports carry numbers. A graph is mutable while
@@ -9,29 +8,30 @@ it is being built and should be treated as frozen once validated.
 
 Validation is the one structural gate and the only place that looks for
 cycles: `connect` checks a wire by the port rule (`_port_rule`), not what it
-closes, and each literal is checked once, where its node is made
-(`_split_params`). No rule of validation reads a numeric literal, so a `Tape`
-splits a graph into its structure (per node the kind, the wires and the
-non-numeric parameters) and, beside it, each node's numeric literals, and
-validation reads the structure alone (`check_structure`): each op's local
+closes, and each literal is checked once, where its node is recorded
+(`_split_params`). No rule of validation reads a numeric literal, so a
+`NodeGraph` records each node as an op of its structure (the kind, the wires
+and the non-numeric parameters) and, beside it, the node's numeric literals,
+and validation reads the structure alone (`check_structure`): each op's local
 rules, one depth-first pass that orders the ops and finds cycles, and one
 symbolic walk over the ops the output depends on, which keeps link identity
 as evaluation keeps it and rejects every structure that cannot become one
 kinematic tree. `write_blueprint` writes that walk out as the blueprint, so a
-structure that validates always has one. `NodeGraph.validate` checks a
-graph's lowered tape (`NodeGraph.lower`); `GraphBuilder` records a tape of
-the same structure without making a graph, and `artigen.evaluate` checks and
-compiles each distinct structure once.
+structure that validates always has one. The patterns and the generators
+record their graphs with the builder methods of `NodeGraph`, and
+`artigen.evaluate` checks and compiles each distinct structure once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -255,7 +255,7 @@ _REQUIRED = {kind: [n for n, p in s.params.items() if p.required] for kind, s in
 
 
 class _Literal:
-    """Marks, in a tape's structure, an optional scalar parameter that holds a
+    """Marks, in a graph's structure, an optional scalar parameter that holds a
     number: whether it is set is structure, its value is not."""
 
     def __repr__(self):
@@ -309,19 +309,19 @@ def _normalize_param(kind: str, name: str, spec: _ParamSpec, value):
     raise InvalidParameterError(f"unhandled parameter kind {spec.kind}")
 
 
-def _split_params(kind: str, params: dict, error: type | None = None) -> tuple[tuple, dict]:
-    """A node's parameters as (structure, numbers): the non-numeric values by
-    name, in the order given, and the numeric literals by name. A switch's
-    literal selector is structure, as it picks the option that is walked, and
-    an optional scalar that holds a number leaves LITERAL in the structure.
-    None values are left out, as they mean the parameter is unset.
+def _split_params(kind: str, params: dict, error: type) -> tuple[tuple, dict]:
+    """The one literal check of every node a `NodeGraph` records
+    (`NodeGraph._add`), and the node's parameters as (structure, numbers):
+    the non-numeric values by name, in the order given, and the numeric
+    literals by name. A switch's literal selector is structure, as it picks
+    the option that is walked, and an optional scalar that holds a number
+    leaves LITERAL in the structure. None values are left out, as they mean
+    the parameter is unset.
 
-    With `error`, this is the one literal check of `NodeGraph.add_node`,
-    `NodeGraph.deserialize` and `GraphBuilder`: an unknown or missing name
-    raises `error`, and each given value is checked and coerced by
-    `_normalize_param` (a None is absent where None is the default), a joint
-    axis scaled to unit length and a transform's rotate_axis checked; bad
-    values raise InvalidParameterError."""
+    An unknown or missing name raises `error`, and each given value is
+    checked and coerced by `_normalize_param` (a None is absent where None is
+    the default), a joint axis scaled to unit length and a transform's
+    rotate_axis checked; bad values raise InvalidParameterError."""
     specs = _KINDS[kind].params
     scalars = _NUMERIC_SCALARS[kind]
     literal = _LITERAL_PARAMS[kind]
@@ -332,10 +332,10 @@ def _split_params(kind: str, params: dict, error: type | None = None) -> tuple[t
         if type(value) is float and name in scalars and math.isfinite(value):
             pass  # a finite numeric literal, as nearly every value is
         else:
-            spec = specs.get(name)  # None for a parameter that a changed node kind lacks
-            if error is not None and spec is None:
+            spec = specs.get(name)
+            if spec is None:
                 raise error(f"unknown parameters for {kind}: {sorted(set(params) - set(specs))}")
-            if error is not None and (value is not None or spec.default is not None):
+            if value is not None or spec.default is not None:
                 value = _normalize_param(kind, name, spec, value)
             if value is None:
                 continue
@@ -345,34 +345,38 @@ def _split_params(kind: str, params: dict, error: type | None = None) -> tuple[t
         numbers[name] = value
         if name in optional:
             structure.append((name, LITERAL))
-    if error is not None:
-        for name in _REQUIRED[kind]:
-            if params.get(name) is None:
-                raise error(f"{kind} requires parameter {name!r}")
-        if kind in JOINT_KINDS:  # a vec3 axis is always literal
-            numbers["axis"] = unit_vector(numbers["axis"], f"{kind}.axis")
-        elif kind == TRANSFORM and "rotate_axis" in numbers:
-            unit_vector(numbers["rotate_axis"], "transform.rotate_axis")
+    for name in _REQUIRED[kind]:
+        if params.get(name) is None:
+            raise error(f"{kind} requires parameter {name!r}")
+    if kind in JOINT_KINDS:  # a vec3 axis is always literal
+        numbers["axis"] = unit_vector(numbers["axis"], f"{kind}.axis")
+    elif kind == TRANSFORM and "rotate_axis" in numbers:
+        unit_vector(numbers["rotate_axis"], "transform.rotate_axis")
     return tuple(structure), numbers
 
 
 def _filled_params(kind: str, structure, numbers: dict) -> dict:
-    """Every parameter of a `kind` node from its tape entries, the rest
-    defaulted, in schema order: the inverse of `_split_params`."""
+    """Every parameter of a `kind` node from its op's parameters and its
+    numbers, the rest defaulted, in schema order: the inverse of
+    `_split_params`."""
     params = {name: spec.default for name, spec in _KINDS[kind].params.items()}
     params.update(item for item in structure if item[1] is not LITERAL)
     params.update(numbers)
     return params
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
+    """A read-only view of one node: every parameter, the unset ones at their
+    defaults, in schema order, and its wires as port -> source node id."""
+
     node_id: str
     kind: str
-    params: dict
-    inputs: dict = field(default_factory=dict)  # port name -> upstream node id
+    params: Mapping
+    inputs: Mapping
 
 
+@functools.lru_cache(maxsize=1024)
 def port_type(kind: str, port: str) -> str | None:
     """Type of an input port on nodes of `kind`, or None if no such port."""
     spec = _KINDS[kind]
@@ -402,52 +406,126 @@ def _port_rule(node_id: str, kind: str, port: str, src, src_kind: str | None) ->
     return None
 
 
-def _check_wire(node_id: str, kind: str, port: str, src, src_kind: str | None) -> None:
-    """Raise for a wire that breaks the port rule: InvalidParameterError for a
-    missing source, PortTypeError otherwise."""
-    problem = _port_rule(node_id, kind, port, src, src_kind)
-    if problem is not None:
-        error = InvalidParameterError if problem.code == "missing-node" else PortTypeError
-        raise error(f"{node_id}: {problem.message}")
+def _schema_ordered(kind: str, params: dict) -> dict:
+    """`params` with the names of `kind`'s schema first, in schema order."""
+    return {**{name: params[name] for name in _KINDS[kind].params if name in params}, **params}
+
+
+class _Missing(NamedTuple):
+    """A node that a wire or the output names and the graph lacks, kept for
+    its diagnostic."""
+
+    node_id: object
 
 
 class NodeGraph:
-    """A graph of nodes plus the declared parameter space of the generator;
-    `validate` accepts only a DAG."""
+    """A graph of nodes plus the declared parameter space of its generator;
+    `validate` accepts only a DAG. `add_node`, the builder methods (`box` ...
+    `clamp01`) and `deserialize` each record a node through `_add`, as an op
+    of `structure` and its literals in `numbers`, so a loaded document has the
+    structure of the graph that wrote it. `nodes` and `node(id)` are
+    read-only views."""
 
     def __init__(self, parameters: ParameterSpace | None = None):
-        self.nodes: dict[str, Node] = {}
-        self.output_node: str | None = None
         self.parameters = parameters if parameters is not None else ParameterSpace()
+        self.output_node: str | None = None
+        self.numbers: list[dict] = []  # per node, its numeric literals by name
+        self._ops: list[tuple] = []  # per node, (kind, wires, parameters)
+        self._ids: list[str] = []
+        self._index: dict[str, int] = {}  # node id -> op index
+        self._named = False  # whether some node's id is not n<its index>
+        self._missing: set = set()  # ids that wires name and no node has
         self._next_id = 0
 
+    @property
+    def structure(self) -> tuple:
+        """(output op, declared parameter names, node ids or None for n0, n1,
+        ..., ops), which is all that validation and compiling read. Each op
+        is (kind, wires, parameters): the wires as (port, op index) pairs
+        sorted by port, the parameters as `_split_params` gives them. It holds
+        no number but a switch's literal selector; a wire from a missing node
+        and a missing output hold `_Missing`."""
+        output = self.output_node
+        if output is not None:
+            output = self._index.get(output, _Missing(output))
+        ids = tuple(self._ids) if self._named else None
+        return (output, tuple(self.parameters.entries), ids, tuple(self._ops))
+
     # --- construction -------------------------------------------------------
+
+    def _source(self, node_id: str, kind: str, port: str, src) -> int:
+        """The op index of `src`, checked by the port rule as a wire into `port`
+        of node `node_id` of `kind`: InvalidParameterError for a missing
+        source, PortTypeError otherwise."""
+        source = self._index.get(src)
+        src_kind = None if source is None else self._ops[source][0]
+        problem = _port_rule(node_id, kind, port, src, src_kind)
+        if problem is not None:
+            error = InvalidParameterError if problem.code == "missing-node" else PortTypeError
+            raise error(f"{node_id}: {problem.message}")
+        return source
+
+    def _add(self, kind: str, params: dict, wires=(), node_id=None, error=InvalidParameterError) -> str:
+        """Record one `kind` node by the literal check (an unknown or missing
+        name raises `error`), its (port, source id) wires by the port rule;
+        its id, `n<k>` unless given."""
+        structure, numbers = _split_params(kind, params, error)
+        index = len(self._ops)
+        if node_id is None:
+            node_id = f"n{self._next_id}"
+        inputs = []
+        for port, src in wires:
+            inputs.append((port, self._source(node_id, kind, port, src)))
+        if len(inputs) > 1:
+            inputs.sort()
+        self._ops.append((kind, tuple(inputs), structure))
+        self.numbers.append(numbers)
+        self._ids.append(node_id)
+        self._index[node_id] = index
+        self._next_id += 1  # `deserialize` sets it clear of the ids it loads
+        if node_id in self._missing:  # wires that named this id now reach it
+            self._missing.discard(node_id)
+            gone = _Missing(node_id)
+            self._ops = [
+                (k, tuple((port, index if src == gone else src) for port, src in w), p)
+                for k, w, p in self._ops
+            ]
+        return node_id
 
     def add_node(self, kind: str, params: dict | None = None) -> str:
         if kind not in _KINDS:
             raise InvalidParameterError(f"unknown node kind {kind!r}")
-        structure, numbers = _split_params(kind, params or {}, InvalidParameterError)
-        node_id = f"n{self._next_id}"
-        self._next_id += 1
-        self.nodes[node_id] = Node(node_id, kind, _filled_params(kind, structure, numbers))
-        return node_id
+        return self._add(kind, _schema_ordered(kind, params or {}))
 
     def connect(self, src: str, dst: str, port: str) -> None:
         """Wire src's output into (dst, port). Rejects missing nodes and type
         mismatches; a wire that closes a cycle is left to `validate`."""
-        if dst not in self.nodes:
+        if dst not in self._index:
             raise InvalidParameterError(f"unknown target node {dst!r}")
-        src_kind = self.nodes[src].kind if src in self.nodes else None
-        _check_wire(dst, self.nodes[dst].kind, port, src, src_kind)
-        self.nodes[dst].inputs[port] = src
+        index = self._index[dst]
+        kind, wires, params = self._ops[index]
+        wires = dict(wires) | {port: self._source(dst, kind, port, src)}
+        self._ops[index] = (kind, tuple(sorted(wires.items())), params)
 
     def set_output(self, node_id: str) -> None:
-        if node_id not in self.nodes:
+        if node_id not in self._index:
             raise InvalidParameterError(f"unknown node {node_id!r}")
         self.output_node = node_id
 
     def node(self, node_id: str) -> Node:
-        return self.nodes[node_id]
+        """A read-only view of one node."""
+        index = self._index[node_id]
+        kind, wires, params = self._ops[index]
+        params = _filled_params(kind, params, self.numbers[index])
+        inputs = {
+            port: src.node_id if isinstance(src, _Missing) else self._ids[src] for port, src in wires
+        }
+        return Node(node_id, kind, MappingProxyType(params), MappingProxyType(inputs))
+
+    @property
+    def nodes(self) -> Mapping[str, Node]:
+        """Read-only views of every node by id, in recording order."""
+        return MappingProxyType({node_id: self.node(node_id) for node_id in self._ids})
 
     # --- validation -----------------------------------------------------------
 
@@ -455,35 +533,7 @@ class NodeGraph:
         """Composition diagnostics; an empty list means the graph is exportable
         and has a kinematic blueprint. Each call checks the graph as it is
         now, by the check that compiling runs (`check_structure`)."""
-        return check_structure(self.lower().structure)[0]
-
-    def lower(self) -> "Tape":
-        """This graph as a tape, of the structure GraphBuilder records for it;
-        its numbers also hold the literals that normalization defaulted.
-
-        The nodes keep their insertion order, so a joint's construction order
-        is its node's position. Node ids that are n0, n1, ... in that order
-        are left implicit. A wire from a missing node, or a missing output,
-        lowers to that node's id as `_Missing`; such a graph does not
-        validate."""
-        index = {nid: i for i, nid in enumerate(self.nodes)}
-
-        def at(nid):
-            return index[nid] if nid in index else _Missing(nid)
-
-        ops = []
-        numbers = []
-        for node in self.nodes.values():
-            params, literals = _split_params(node.kind, node.params)
-            inputs = tuple((port, at(src)) for port, src in node.inputs.items())
-            ops.append((node.kind, inputs, params))
-            numbers.append(literals)
-        ids = tuple(self.nodes)
-        if all(nid == f"n{i}" for i, nid in enumerate(ids)):
-            ids = None
-        output = None if self.output_node is None else at(self.output_node)
-        structure = (output, tuple(self.parameters.entries), ids, tuple(ops))
-        return Tape(structure, numbers, self.parameters)
+        return check_structure(self.structure)[0]
 
     # --- serialization --------------------------------------------------------
 
@@ -515,7 +565,8 @@ class NodeGraph:
 
     @staticmethod
     def deserialize(text: str) -> "NodeGraph":
-        """Parse a graph document; structural problems are left for validate()."""
+        """Parse a graph document, recording each node under its own id;
+        structural problems are left for validate()."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -530,6 +581,7 @@ class NodeGraph:
         if doc.get("schema") != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema version {doc.get('schema')!r}")
         graph = NodeGraph(ParameterSpace.from_json_list(doc.get("parameters", [])))
+        wiring = []
         for entry in doc.get("nodes", []):
             if not isinstance(entry, dict):
                 raise SchemaError("node entries must be objects")
@@ -540,29 +592,148 @@ class NodeGraph:
             if kind not in _KINDS:
                 raise SchemaError(f"unknown node kind {kind!r}")
             node_id = entry.get("id")
-            if not isinstance(node_id, str) or node_id in graph.nodes:
+            if not isinstance(node_id, str) or node_id in graph._index:
                 raise SchemaError(f"bad or duplicate node id {node_id!r}")
             raw = entry.get("params", {})
             if not isinstance(raw, dict):
                 raise SchemaError(f"node {node_id} params must be an object")
             decoded = {name: _decode_param(value) for name, value in raw.items()}
-            params = _filled_params(kind, *_split_params(kind, decoded, SchemaError))
+            graph._add(kind, _schema_ordered(kind, decoded), (), node_id, SchemaError)
             inputs = entry.get("inputs", {})
             if not isinstance(inputs, dict) or not all(isinstance(v, str) for v in inputs.values()):
                 raise SchemaError(f"node {node_id} inputs must map ports to node ids")
-            graph.nodes[node_id] = Node(node_id, kind, params, dict(inputs))
-        graph.output_node = doc.get("output")
-        graph._skip_taken_ids()
-        return graph
+            wiring.append(inputs)
+        output = doc.get("output")
+        if output is not None and not isinstance(output, str):
+            raise SchemaError(f"output must be a node id or null, got {output!r}")
 
-    def _skip_taken_ids(self) -> None:
-        """Keep the ids `add_node` hands out clear of the nodes' own."""
-        numeric = [int(n[1:]) for n in self.nodes if n.startswith("n") and n[1:].isdigit()]
-        self._next_id = max(numeric, default=-1) + 1
+        def at(node_id):
+            if node_id in graph._index:
+                return graph._index[node_id]
+            graph._missing.add(node_id)
+            return _Missing(node_id)
+
+        for index, inputs in enumerate(wiring):
+            kind, _, params = graph._ops[index]
+            wires = tuple(sorted((port, at(src)) for port, src in inputs.items()))
+            graph._ops[index] = (kind, wires, params)
+        graph.output_node = output
+        graph._named = any(node_id != f"n{i}" for i, node_id in enumerate(graph._ids))
+        numeric = [int(n[1:]) for n in graph._ids if n.startswith("n") and n[1:].isdigit()]
+        graph._next_id = max(numeric, default=-1) + 1  # clear of the nodes' own ids
+        return graph
 
     def __eq__(self, other):
         """Graphs are equal when their canonical documents are."""
         return isinstance(other, NodeGraph) and self.serialize() == other.serialize()
+
+    # --- building: geometry ----------------------------------------------------
+
+    def _placed(self, node, at, rotate_axis=None, rotate_angle=0.0):
+        if at == (0, 0, 0) and rotate_angle == 0.0:
+            return node
+        params = {"translate_x": at[0], "translate_y": at[1], "translate_z": at[2]}
+        if rotate_angle != 0.0:
+            params["rotate_axis"] = rotate_axis or (0, 0, 1)
+            params["rotate_angle"] = rotate_angle
+        return self._add(TRANSFORM, params, (("geometry", node),))
+
+    def box(self, dims, at=(0, 0, 0), material=None, rotate_axis=None, rotate_angle=0.0):
+        node = self._add(
+            PRIMITIVE,
+            {"shape": "box", "size_x": dims[0], "size_y": dims[1], "size_z": dims[2], "material": material},
+        )
+        return self._placed(node, at, rotate_axis, rotate_angle)
+
+    def rounded_box(self, dims, bevel, at=(0, 0, 0), material=None):
+        node = self._add(
+            PRIMITIVE,
+            {"shape": "rounded_box", "size_x": dims[0], "size_y": dims[1], "size_z": dims[2],
+             "bevel": bevel, "material": material},
+        )
+        return self._placed(node, at)
+
+    def cylinder(self, radius, height, at=(0, 0, 0), segments=32, material=None,
+                 rotate_axis=None, rotate_angle=0.0):
+        node = self._add(
+            PRIMITIVE,
+            {"shape": "cylinder", "radius": radius, "height": height, "segments": segments,
+             "material": material},
+        )
+        return self._placed(node, at, rotate_axis, rotate_angle)
+
+    def prism(self, radius, height, sides, at=(0, 0, 0), top_radius=None, material=None):
+        node = self._add(
+            PRIMITIVE,
+            {"shape": "ngon_prism", "radius": radius, "top_radius": top_radius, "height": height,
+             "sides": sides, "material": material},
+        )
+        return self._placed(node, at)
+
+    def sphere(self, radius, at=(0, 0, 0), segments=24, material=None):
+        node = self._add(
+            PRIMITIVE, {"shape": "sphere", "radius": radius, "segments": segments, "material": material}
+        )
+        return self._placed(node, at)
+
+    def merge(self, *nodes):
+        return self._add(MERGE, {}, [(f"geometry_{i}", node) for i, node in enumerate(nodes)])
+
+    def label(self, node, name):
+        return self._add(SEMANTIC_LABEL, {"label": name}, (("geometry", node),))
+
+    # --- building: joints --------------------------------------------------------
+
+    def _joint(self, kind, parent, child, pivot, axis, lo, hi, default=None, labels=()):
+        params = {"pivot": pivot, "axis": axis, "range_lo": lo, "range_hi": hi}
+        if default is not None:
+            params["default"] = default
+        for key, value in zip(("joint_label", "parent_label", "child_label"), labels):
+            if value is not None:
+                params[key] = value
+        return self._add(kind, params, (("parent", parent), ("child", child)))
+
+    def revolute(self, parent, child, pivot, axis, lo, hi, default=None, labels=()):
+        return self._joint(JOINT_REVOLUTE, parent, child, pivot, axis, lo, hi, default, labels)
+
+    def prismatic(self, parent, child, pivot, axis, lo, hi, default=None, labels=()):
+        return self._joint(JOINT_PRISMATIC, parent, child, pivot, axis, lo, hi, default, labels)
+
+    def fixed(self, parent, child, pivot, labels=()):
+        """Immovable attachment expressed as a zero-range hinge."""
+        return self._joint(JOINT_REVOLUTE, parent, child, pivot, (0, 0, 1), 0.0, 0.0, 0.0, labels)
+
+    def duplicate(self, parent, body, points, count_param=None):
+        params = {"points": list(points), "count_param": count_param}
+        return self._add(DUPLICATE, params, (("parent", parent), ("body", body)))
+
+    # --- building: scalars -------------------------------------------------------
+
+    def math(self, op, a, b):
+        """ScalarMath node; a and b may be numbers, ParamRefs, or scalar node ids."""
+        params = {"op": op}
+        wires = []
+        for name, value in (("a", a), ("b", b)):
+            if isinstance(value, str):  # upstream scalar node
+                params[name] = 0.0
+                wires.append((name, value))
+            else:
+                params[name] = value
+        return self._add(SCALAR_MATH, params, wires)
+
+    def ref(self, name) -> ParamRef:
+        return ParamRef(name)
+
+    def switch(self, select, options):
+        """Switch node; `select` may be a number, ParamRef, or scalar node id."""
+        params = {"select": 0.0 if isinstance(select, str) else select}
+        wires = [("select", select)] if isinstance(select, str) else []
+        wires.extend((f"option_{i}", opt) for i, opt in enumerate(options))
+        return self._add(SWITCH, params, wires)
+
+    def clamp01(self, value):
+        """min(1, max(0, value)) as scalar nodes."""
+        return self.math("min", 1.0, self.math("max", 0.0, value))
 
 
 def _encode_param(value):
@@ -583,45 +754,11 @@ def _decode_param(value):
     return value
 
 
-class _Missing(NamedTuple):
-    """A missing node that a lowered tape names, kept for its diagnostic."""
-
-    node_id: object
-
-
-class Tape(NamedTuple):
-    """A graph as evaluation reads it: its structure, and beside it its numbers.
-
-    `structure` is (output op, declared parameter names, node ids or None for
-    n0, n1, ..., ops). Each op is (kind, wires, parameters): the wires as
-    (port, op index) pairs in wiring order, the parameters as `_split_params`
-    gives them. Validation and compiling read the structure alone
-    (`check_structure`), and it holds no number but a switch's literal
-    selector. `numbers` holds each op's numeric literals by parameter name,
-    per op, since a duplicate's points change length from seed to seed.
-    `space` is the declared parameter space."""
-
-    structure: tuple
-    numbers: list
-    space: ParameterSpace
-
-    def graph(self) -> NodeGraph:
-        """The NodeGraph this tape records, with its own copy of the space."""
-        ops = _ops(self.structure)
-        graph = NodeGraph(ParameterSpace(self.space.entries))
-        for (nid, kind, inputs, params), numbers in zip(ops, self.numbers):
-            wires = {port: ops[src].node_id for port, src in inputs.items()}
-            graph.nodes[nid] = Node(nid, kind, _filled_params(kind, params.items(), numbers), wires)
-        graph.output_node = ops[self.structure[0]].node_id
-        graph._skip_taken_ids()
-        return graph
-
-
 # --- the check ----------------------------------------------------------------
 
 
 class _Op(NamedTuple):
-    """One op of a tape's structure, as the check reads it."""
+    """One op of a graph's structure, as the check reads it."""
 
     node_id: str
     kind: str
@@ -630,7 +767,7 @@ class _Op(NamedTuple):
 
 
 def _ops(structure: tuple) -> list[_Op]:
-    """A tape structure's ops, each with its node id."""
+    """A graph structure's ops, each with its node id."""
     _, _, ids, ops = structure
     ids = ids or [f"n{i}" for i in range(len(ops))]
     return [
@@ -638,9 +775,10 @@ def _ops(structure: tuple) -> list[_Op]:
     ]
 
 
-def check_structure(structure: tuple) -> tuple[list[Diagnostic], _SymBody | None]:
-    """The diagnostics of a tape's structure and, with none, the output's
-    symbolic body, which `write_blueprint` writes out as the blueprint.
+def check_structure(structure: tuple, ops: list[_Op] | None = None) -> tuple[list[Diagnostic], _SymBody | None]:
+    """The diagnostics of a graph's structure (`NodeGraph.structure`, whose
+    ops are `ops` when given) and, with none, the output's symbolic body,
+    which `write_blueprint` writes out as the blueprint.
 
     The local rules (wiring, ports, inputs, parameter names, literal
     selectors, output kind) check every op, and the cycle check covers them
@@ -648,7 +786,7 @@ def check_structure(structure: tuple) -> tuple[list[Diagnostic], _SymBody | None
     output's dependencies, whose rejections are the link-set and shape
     diagnostics."""
     output, declared, _, _ = structure
-    ops = _ops(structure)
+    ops = _ops(structure) if ops is None else ops
     diags: list[Diagnostic] = []
     if output is None:
         diags.append(Diagnostic("no-output", "graph has no output node"))
@@ -1206,170 +1344,3 @@ def write_blueprint(ops: list[_Op], body: _SymBody) -> KinematicBlueprint:
         }
 
     return KinematicBlueprint(walk_subtree(body))
-
-
-# --- building -----------------------------------------------------------------
-
-
-class GraphBuilder:
-    """Records a graph on a tape, node by node; it builds the pattern corpus
-    and the category generators.
-
-    Each method checks its parameters by the literal check of
-    `NodeGraph.add_node` (`_split_params`) and its wires by the port rule of
-    `connect`, and returns the new node's id. No NodeGraph is made:
-    `tape(node)` ends the recording as a Tape, which is what evaluation
-    compiles and runs, and `output(node)` as a NodeGraph, the document form."""
-
-    def __init__(self, space: ParameterSpace):
-        self.space = space
-        self._ops: list[tuple] = []
-        self._numbers: list[dict] = []
-        self._index: dict[str, int] = {}  # node id -> op index
-
-    def _add(self, kind: str, params: dict, wires=()) -> str:
-        """Record one `kind` node with the given parameters, in schema order
-        as `NodeGraph.lower` reads them, and (port, source id) wires; its id."""
-        index = len(self._ops)
-        structure, numbers = _split_params(kind, params, InvalidParameterError)
-        inputs = []
-        for port, src in wires:  # each by the port rule, raising as `connect` does
-            source = self._index.get(src)
-            src_kind = None if source is None else self._ops[source][0]
-            _check_wire(f"n{index}", kind, port, src, src_kind)
-            inputs.append((port, source))
-        self._ops.append((kind, tuple(inputs), structure))
-        self._numbers.append(numbers)
-        node_id = f"n{index}"
-        self._index[node_id] = index
-        return node_id
-
-    def tape(self, node) -> Tape:
-        """The recording, with `node` as the output."""
-        if node not in self._index:
-            raise InvalidParameterError(f"unknown node {node!r}")
-        structure = (self._index[node], tuple(self.space.entries), None, tuple(self._ops))
-        return Tape(structure, list(self._numbers), self.space)
-
-    def output(self, node) -> NodeGraph:
-        """The recording as a NodeGraph, with `node` as the output."""
-        return self.tape(node).graph()
-
-    # geometry ----------------------------------------------------------------
-
-    def _placed(self, node, at, rotate_axis=None, rotate_angle=0.0):
-        if at == (0, 0, 0) and rotate_angle == 0.0:
-            return node
-        params = {"translate_x": at[0], "translate_y": at[1], "translate_z": at[2]}
-        if rotate_angle != 0.0:
-            params["rotate_axis"] = rotate_axis or (0, 0, 1)
-            params["rotate_angle"] = rotate_angle
-        return self._add(TRANSFORM, params, (("geometry", node),))
-
-    def box(self, dims, at=(0, 0, 0), material=None, rotate_axis=None, rotate_angle=0.0):
-        node = self._add(
-            PRIMITIVE,
-            {"shape": "box", "size_x": dims[0], "size_y": dims[1], "size_z": dims[2], "material": material},
-        )
-        return self._placed(node, at, rotate_axis, rotate_angle)
-
-    def rounded_box(self, dims, bevel, at=(0, 0, 0), material=None):
-        node = self._add(
-            PRIMITIVE,
-            {
-                "shape": "rounded_box",
-                "size_x": dims[0],
-                "size_y": dims[1],
-                "size_z": dims[2],
-                "bevel": bevel,
-                "material": material,
-            },
-        )
-        return self._placed(node, at)
-
-    def cylinder(self, radius, height, at=(0, 0, 0), segments=32, material=None,
-                 rotate_axis=None, rotate_angle=0.0):
-        node = self._add(
-            PRIMITIVE,
-            {"shape": "cylinder", "radius": radius, "height": height, "segments": segments,
-             "material": material},
-        )
-        return self._placed(node, at, rotate_axis, rotate_angle)
-
-    def prism(self, radius, height, sides, at=(0, 0, 0), top_radius=None, material=None):
-        node = self._add(
-            PRIMITIVE,
-            {"shape": "ngon_prism", "radius": radius, "top_radius": top_radius, "height": height,
-             "sides": sides, "material": material},
-        )
-        return self._placed(node, at)
-
-    def sphere(self, radius, at=(0, 0, 0), segments=24, material=None):
-        node = self._add(
-            PRIMITIVE, {"shape": "sphere", "radius": radius, "segments": segments, "material": material}
-        )
-        return self._placed(node, at)
-
-    def merge(self, *nodes):
-        return self._add(MERGE, {}, [(f"geometry_{i}", node) for i, node in enumerate(nodes)])
-
-    def label(self, node, name):
-        return self._add(SEMANTIC_LABEL, {"label": name}, (("geometry", node),))
-
-    # joints -------------------------------------------------------------------
-
-    def _joint(self, kind, parent, child, pivot, axis, lo, hi, default=None, labels=()):
-        params = {
-            "pivot": pivot,
-            "axis": axis,
-            "range_lo": lo,
-            "range_hi": hi,
-        }
-        if default is not None:
-            params["default"] = default
-        for key, value in zip(("joint_label", "parent_label", "child_label"), labels):
-            if value is not None:
-                params[key] = value
-        return self._add(kind, params, (("parent", parent), ("child", child)))
-
-    def revolute(self, parent, child, pivot, axis, lo, hi, default=None, labels=()):
-        return self._joint(JOINT_REVOLUTE, parent, child, pivot, axis, lo, hi, default, labels)
-
-    def prismatic(self, parent, child, pivot, axis, lo, hi, default=None, labels=()):
-        return self._joint(JOINT_PRISMATIC, parent, child, pivot, axis, lo, hi, default, labels)
-
-    def fixed(self, parent, child, pivot, labels=()):
-        """Immovable attachment expressed as a zero-range hinge."""
-        return self._joint(JOINT_REVOLUTE, parent, child, pivot, (0, 0, 1), 0.0, 0.0, 0.0, labels)
-
-    def duplicate(self, parent, body, points, count_param=None):
-        params = {"points": list(points), "count_param": count_param}
-        return self._add(DUPLICATE, params, (("parent", parent), ("body", body)))
-
-    # scalars -------------------------------------------------------------------
-
-    def math(self, op, a, b):
-        """ScalarMath node; a and b may be numbers, ParamRefs, or scalar node ids."""
-        params = {"op": op}
-        wires = []
-        for name, value in (("a", a), ("b", b)):
-            if isinstance(value, str):  # upstream scalar node
-                params[name] = 0.0
-                wires.append((name, value))
-            else:
-                params[name] = value
-        return self._add(SCALAR_MATH, params, wires)
-
-    def ref(self, name) -> ParamRef:
-        return ParamRef(name)
-
-    def switch(self, select, options):
-        """Switch node; `select` may be a number, ParamRef, or scalar node id."""
-        params = {"select": 0.0 if isinstance(select, str) else select}
-        wires = [("select", select)] if isinstance(select, str) else []
-        wires.extend((f"option_{i}", opt) for i, opt in enumerate(options))
-        return self._add(SWITCH, params, wires)
-
-    def clamp01(self, value):
-        """min(1, max(0, value)) as scalar nodes."""
-        return self.math("min", 1.0, self.math("max", 0.0, value))

@@ -32,7 +32,7 @@ class Continuous:
             raise InvalidParameterError(f"continuous range needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def contains(self, value) -> bool:
-        return isinstance(value, (int, float)) and self.lo <= float(value) <= self.hi
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and self.lo <= value <= self.hi
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class Discrete:
         object.__setattr__(self, "labels", labels)
 
     def contains(self, value) -> bool:
-        return isinstance(value, int) and 0 <= value < len(self.labels)
+        return type(value) is int and 0 <= value < len(self.labels)  # not a bool
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class Count:
             raise InvalidParameterError(f"count range needs min <= max, got [{self.min}, {self.max}]")
 
     def contains(self, value) -> bool:
-        return isinstance(value, int) and self.min <= value <= self.max
+        return type(value) is int and self.min <= value <= self.max  # not a bool
 
 
 Entry = Continuous | Discrete | Count
@@ -98,11 +98,14 @@ class ParameterSpace:
         if not self.entries[name].contains(value):
             raise RangeError(f"value {value!r} outside bounds of parameter {name!r}")
 
-    def validate_vector(self, params: "ParamVector") -> None:
+    def validate_vector(self, params: "ParamVector") -> dict:
+        """The values of `params`, each entry's checked: MissingParameterError
+        if absent, RangeError if outside the entry or not a number of its kind."""
         for name in self.entries:
             if name not in params.values:
                 raise MissingParameterError(f"parameter {name!r} missing from vector")
             self.check_value(name, params.values[name])
+        return params.values
 
     def to_json_list(self) -> list:
         """Insertion-ordered entry list (arrays keep order under key sorting)."""

@@ -1,6 +1,7 @@
 """Shared oracles for round-trip checks and blueprint trees, a duplication
-fixture and a graph whose joints give one link two parents."""
+fixture, a graph whose joints give one link two parents, and document edits."""
 
+import json
 import math
 from xml.etree import ElementTree as ET
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from artigen.export import _joint_frame, _names
 from artigen.geometry import RigidTransform
-from artigen.graph import DUPLICATE, JOINT_REVOLUTE
+from artigen.graph import DUPLICATE, JOINT_REVOLUTE, NodeGraph
 from artigen.patterns import build_pattern
 
 # `format_float` writes every number within this much of its value.
@@ -44,6 +45,20 @@ def two_parent_graph():
     g.connect(upper_rod, j, "child")
     g.set_output(j)
     return g, j
+
+
+def edited(graph, node_id, kind=None, **params):
+    """`graph` loaded back from its document with node `node_id`'s parameters
+    updated by `params`, in document form (`{"$param": name}` for a
+    reference), after setting its kind to `kind` with no parameters when
+    given. A graph's nodes are read-only views, so edits go through its
+    document."""
+    doc = json.loads(graph.serialize())
+    (node,) = [n for n in doc["nodes"] if n["id"] == node_id]
+    if kind is not None:
+        node["kind"], node["params"] = kind, {}
+    node["params"].update(params)
+    return NodeGraph.deserialize(json.dumps(doc))
 
 
 def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-9, limit_tol=1e-9):

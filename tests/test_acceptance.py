@@ -23,8 +23,8 @@ from artigen.errors import PlanTooLargeError
 from artigen.evaluate import evaluate
 from artigen.export import export_mjcf, export_urdf, parse_mjcf, parse_urdf
 from artigen.generators import CATEGORY_NAMES, build_instance, count_variations, get_generator
-from artigen.graph import JOINT_PRISMATIC, JOINT_REVOLUTE, GraphBuilder, NodeGraph
-from artigen.params import ParameterSpace, ParamVector, sample_parameters
+from artigen.graph import JOINT_PRISMATIC, JOINT_REVOLUTE, NodeGraph
+from artigen.params import ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
 from helpers import assert_kinematic_isomorphism, duplicated_revolute
@@ -206,7 +206,7 @@ def test_07_determinism(tmp_path):
 
 def _adversarial_fixture(rng):
     """A stick sweeping into a box placed somewhere along its arc."""
-    g = GraphBuilder(ParameterSpace())
+    g = NodeGraph()
     base = g.box((0.15, 0.15, 0.15))
     theta = rng.uniform(0.3, 1.2)
     reach = rng.uniform(0.6, 1.4)
@@ -221,7 +221,7 @@ def _adversarial_fixture(rng):
     out = g.revolute(
         fixture, stick, (0, 0, 0), (0, 1, 0), 0.0, math.pi / 2, labels=("sweep", None, "stick")
     )
-    g = g.output(out)
+    g.set_output(out)
     return instantiate(extract_blueprint(g), g, ParamVector({}), category="fixture")
 
 

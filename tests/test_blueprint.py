@@ -23,7 +23,7 @@ from artigen.generators import CATEGORY_NAMES, build_instance
 from artigen.geometry import TriMesh
 from artigen.params import ParamVector
 from artigen.patterns import PATTERN_NAMES, build_pattern
-from helpers import blueprint_parts
+from helpers import blueprint_parts, edited
 
 
 def make_instance(name, **kw):
@@ -69,8 +69,8 @@ class TestExtraction:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The tape ops the symbolic walk runs on, in order, from an empty
-        program cache."""
+        """The ops the symbolic walk runs on, in order, from an empty program
+        cache."""
         monkeypatch.setattr(artigen.evaluate, "_programs", {})
         walks = []
         init = artigen.graph._SymbolicWalk.__init__
@@ -86,12 +86,12 @@ class TestExtraction:
         graphs = [build_pattern(name) for name in PATTERN_NAMES]
         for g in graphs:
             extract_blueprint(g)
-        assert walks == [artigen.graph._ops(g.lower().structure) for g in graphs]
+        assert walks == [artigen.graph._ops(g.structure) for g in graphs]
 
     def test_extracting_one_structure_twice_walks_once(self, walks):
         a = extract_blueprint(build_pattern("simple_revolute"))
         g = build_pattern("simple_revolute")
-        g.node(g.output_node).params["range_hi"] = 1.2  # numbers only: the same structure
+        g = edited(g, g.output_node, range_hi=1.2)  # numbers only: the same structure
         b = extract_blueprint(g)
         assert len(walks) == 1
         assert b == a
@@ -100,8 +100,7 @@ class TestSignature:
     def test_signature_sees_structure_not_numbers(self):
         a = extract_blueprint(build_pattern("simple_revolute"))
         g = build_pattern("simple_revolute")
-        joint = g.node(g.output_node)
-        joint.params["range_hi"] = 1.2  # numeric-only change
+        g = edited(g, g.output_node, range_hi=1.2)  # numeric-only change
         b = extract_blueprint(g)
         assert a.signature() == b.signature()
 
@@ -202,16 +201,16 @@ class TestForwardKinematics:
 
 class TestDynamicsInvariance:
     def test_mass_invariant_under_reorientation(self):
-        from artigen.graph import GraphBuilder
-        from artigen.params import ParameterSpace
+        from artigen.graph import NodeGraph
 
         def build(angle):
-            g = GraphBuilder(ParameterSpace())
+            g = NodeGraph()
             base = g.box((0.4, 0.4, 0.1))
             rod = g.box((0.05, 0.05, 0.5))
             moved = g._placed(rod, (0, 0, 0.35), (0, 0, 1), angle)
             j = g.revolute(base, moved, (0, 0, 0.1), (0, 0, 1), -1.0, 1.0, labels=(None, None, "rod"))
-            return g.output(j)
+            g.set_output(j)
+            return g
 
         masses = []
         for angle in (0.0, math.pi / 2):

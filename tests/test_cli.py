@@ -300,6 +300,18 @@ class TestValidate:
         assert len(err.splitlines()) == 1
         assert ("'w'" if isinstance(parameters, list) else "list") in err
 
+    @pytest.mark.parametrize("output", [["n0"], {"a": 1}])
+    def test_output_that_is_not_a_node_id_exit_2(self, tmp_path, capsys, output):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        doc["output"] = output
+        path = tmp_path / "bad_output.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["validate", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: output must be a node id or null")
+        assert len(err.splitlines()) == 1
+
     def test_scalar_output_exit_1(self, tmp_path, capsys):
         doc = json.loads(build_pattern("simple_revolute").serialize())
         doc["nodes"].append({"id": "sum", "kind": "scalar_math", "params": {"op": "add"}})

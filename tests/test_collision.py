@@ -28,8 +28,8 @@ from artigen.geometry import (
     triangle_areas,
     triangles_intersect,
 )
-from artigen.graph import GraphBuilder
-from artigen.params import ParameterSpace, ParamVector
+from artigen.graph import NodeGraph
+from artigen.params import ParamVector
 from artigen.patterns import build_pattern
 
 
@@ -38,18 +38,19 @@ def instance_of(graph, category="fixture"):
 
 
 def two_disjoint_cubes():
-    g = GraphBuilder(ParameterSpace())
+    g = NodeGraph()
     a = g.box((1, 1, 1))
     b = g.box((1, 1, 1), at=(3, 0, 0))
     m = g.merge(a)
     # separate link via a fixed joint so there are two rigid parts
     j = g.revolute(m, b, (0, 0, 0), (0, 0, 1), 0.0, 0.0, labels=(None, None, "offside"))
-    return instance_of(g.output(j))
+    g.set_output(j)
+    return instance_of(g)
 
 
 def overlapping_at_midrange():
     """A stick that sweeps through a fixed obstacle box exactly at mid-range."""
-    g = GraphBuilder(ParameterSpace())
+    g = NodeGraph()
     base = g.box((0.2, 0.2, 0.2))
     obstacle = g.box((0.4, 0.4, 0.4), at=(1.0, 0, -1.0))
     merged = g.merge(base)
@@ -61,7 +62,8 @@ def overlapping_at_midrange():
         with_obstacle, stick, (0, 0, 0), (0, 1, 0), 0.0, math.pi / 2,
         labels=("sweep", "base", "stick"),
     )
-    return instance_of(g.output(out))
+    g.set_output(out)
+    return instance_of(g)
 
 
 class TestBasics:
@@ -93,11 +95,12 @@ class TestBasics:
 
     def test_adjacent_excluded_skips_jointed_pairs(self):
         # parent and child overlap by construction, but they are adjacent
-        g = GraphBuilder(ParameterSpace())
+        g = NodeGraph()
         base = g.box((1, 1, 1))
         child = g.box((1, 1, 1), at=(0.3, 0, 0))
         j = g.revolute(base, child, (0, 0, 0), (0, 0, 1), -0.5, 0.5, labels=(None, None, "lid"))
-        inst = instance_of(g.output(j))
+        g.set_output(j)
+        inst = instance_of(g)
         assert sweep_check(inst, SweepPlan(samples=3)).clean
         assert not sweep_check(inst, SweepPlan(samples=3, pair_filter="all")).clean
 
@@ -145,11 +148,12 @@ class TestPlans:
 
     def test_tolerance_ignores_touching_contact(self):
         # two boxes sharing an exact face: touching, not penetrating
-        g = GraphBuilder(ParameterSpace())
+        g = NodeGraph()
         a = g.box((1, 1, 1))
         b = g.box((1, 1, 1), at=(1.0, 0, 0))
         j = g.revolute(a, b, (0, 0, 0), (0, 0, 1), 0.0, 0.0, labels=(None, None, "neighbor"))
-        inst = instance_of(g.output(j))
+        g.set_output(j)
+        inst = instance_of(g)
         assert sweep_check(inst, SweepPlan(pair_filter="all", tolerance=1e-6)).clean
         assert not sweep_check(inst, SweepPlan(pair_filter="all", tolerance=0.0)).clean
 

@@ -26,8 +26,8 @@ from artigen.export import (
 )
 from artigen.generators import CATEGORY_NAMES, get_generator
 from artigen.geometry import mesh_volume, parse_obj
-from artigen.graph import GraphBuilder
-from artigen.params import ParameterSpace, ParamVector, sample_parameters
+from artigen.graph import NodeGraph
+from artigen.params import ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
 from helpers import (
@@ -73,7 +73,7 @@ class TestUrdf:
             ("prismatic", (0, 0, 1), 0.0),
         ]
         for k, (kind, axis, value) in enumerate(cases):
-            g = GraphBuilder(ParameterSpace())
+            g = NodeGraph()
             a = g.box((0.2, 0.2, 0.2))
             b = g.box((0.1, 0.1, 0.1), at=(0, 0, 0.2))
             rod = g.box((0.02, 0.02, 0.3), at=(0.05, 0, 0.4))
@@ -82,7 +82,7 @@ class TestUrdf:
             hinge = g.revolute(
                 cap, rod, (0.05, 0, 0.25), (1, 0, 0), -1.0, 1.0, labels=(None, None, "rod")
             )
-            g = g.output(hinge)
+            g.set_output(hinge)
             inst = instantiate(extract_blueprint(g), g, ParamVector({}), category="fixture")
             configs = [
                 {j.joint_id: v for j in inst.joints if not j.is_fixed} for v in (-0.7, 0.0, 0.9)
@@ -126,10 +126,10 @@ class TestUrdf:
             assert_kinematic_isomorphism(inst, parse_urdf(bundle.model_path))
 
     def test_limits_survive_round_trip(self, tmp_path):
-        g = GraphBuilder(ParameterSpace())
+        g = NodeGraph()
         a = g.box((0.2, 0.2, 0.2))
         b = g.box((0.1, 0.1, 0.1), at=(0, 0, 0.2))
-        g = g.output(g.prismatic(a, b, (0, 0, 0.15), (0, 0, 1), -1.2, 0.0))
+        g.set_output(g.prismatic(a, b, (0, 0, 0.15), (0, 0, 1), -1.2, 0.0))
         inst = instantiate(extract_blueprint(g), g, ParamVector({}), category="fixture")
         model = parse_urdf(export_urdf(inst, tmp_path / "lim").model_path)
         assert model.joints[0].lo == pytest.approx(-1.2, abs=1e-9)

@@ -16,7 +16,8 @@ from artigen.generators import (
     count_variations,
     get_generator,
 )
-from artigen.errors import InvalidParameterError
+from artigen.errors import ArtigenError, InvalidParameterError
+from artigen.export import manifest_param_vector
 from artigen.evaluate import evaluate_links
 from artigen.generators.common import CategoryGenerator
 from artigen.graph import NodeGraph, ParamRef
@@ -29,6 +30,7 @@ from artigen.params import (
     merge_overrides,
     sample_parameters,
 )
+from artigen.patterns import PATTERN_NAMES, build_pattern
 from helpers import blueprint_parts
 
 def _counted(calls: dict, key: str, fn):
@@ -460,10 +462,10 @@ class TestBlueprintInvariance:
         # validated it and wrote the category blueprint
         for category in CATEGORY_NAMES:
             build_instance(category, 0, salt="")
-        calls = {"validate": 0, "walk": 0, "blueprint": 0, "compile": 0, "add_node": 0, "pose": 0}
+        calls = {"validate": 0, "walk": 0, "blueprint": 0, "compile": 0, "pose": 0}
+        calls.update({"literal check": 0, "node view": 0})
         counted = functools.partial(_counted, calls)
         monkeypatch.setattr(NodeGraph, "validate", counted("validate", NodeGraph.validate))
-        monkeypatch.setattr(NodeGraph, "add_node", counted("add_node", NodeGraph.add_node))
         walk = artigen.graph._SymbolicWalk
         monkeypatch.setattr(walk, "__init__", counted("walk", walk.__init__))
         program = artigen.evaluate.Program
@@ -474,14 +476,34 @@ class TestBlueprintInvariance:
             monkeypatch.setattr(module, "write_blueprint", counted("blueprint", write))
         # instantiate needs no link poses, so a build never poses the tree
         monkeypatch.setattr(KinematicTree, "pose", counted("pose", KinematicTree.pose))
+        # each recorded node takes the literal check once, and none is viewed
+        split = artigen.graph._split_params
+        monkeypatch.setattr(artigen.graph, "_split_params", counted("literal check", split))
+        monkeypatch.setattr(artigen.graph, "Node", counted("node view", artigen.graph.Node))
+        recorded = 0
         for category in CATEGORY_NAMES:
+            nodes = len(get_generator(category).program.structure[3])
             for seed in (1, 2):
                 build_instance(category, seed, salt="")
-        # a warm build records its tape and runs the compiled program: no
-        # node is added to a graph and no structure is checked or compiled
+                recorded += nodes
+        # a warm build records its graph and runs the compiled program: no
+        # structure is checked or compiled
         assert calls == {
-            "validate": 0, "walk": 0, "blueprint": 0, "compile": 0, "add_node": 0, "pose": 0
+            "validate": 0, "walk": 0, "blueprint": 0, "compile": 0, "pose": 0,
+            "literal check": recorded, "node view": 0,
         }
+
+    def test_validate_checks_no_literal_again(self, monkeypatch):
+        graphs = [build_pattern(name) for name in PATTERN_NAMES]
+        for category in CATEGORY_NAMES:
+            gen = get_generator(category)
+            graphs.append(gen.build(sample_parameters(gen.space, 3, salt="")))
+        calls = {"literal check": 0}
+        split = artigen.graph._split_params
+        monkeypatch.setattr(artigen.graph, "_split_params", _counted(calls, "literal check", split))
+        for g in graphs:
+            assert g.validate() == []
+        assert calls == {"literal check": 0}
 
     def test_build_checks_each_mesh_where_it_is_made(self, monkeypatch):
         """Primitives and realized link meshes take the full mesh check, and
@@ -526,6 +548,24 @@ class TestBlueprintInvariance:
                 assert instance.blueprint.signature() == extract_blueprint(graph).signature()
 
 
+@pytest.mark.parametrize("category", CATEGORY_NAMES)
+@pytest.mark.parametrize("bad", ["a", None, [1], True], ids=["string", "null", "list", "bool"])
+def test_manifest_value_of_the_wrong_type_names_the_parameter(category, bad, monkeypatch):
+    """The parameter vector is checked before the recipe reads it, so a value
+    that is not a number of its entry's kind raises a typed error naming the
+    parameter, and no graph is recorded."""
+    gen = get_generator(category)
+    _ = gen.blueprint  # compiled outside the count below
+    name = next(n for n, e in gen.space.entries.items() if not isinstance(e, Continuous))
+    values = {**sample_parameters(gen.space, 0, salt="").values, name: bad}
+    params = manifest_param_vector({"seed": 0, "params": values})
+    calls = {"build": 0}
+    monkeypatch.setattr(CategoryGenerator, "build", _counted(calls, "build", CategoryGenerator.build))
+    with pytest.raises(ArtigenError, match=f"parameter {name!r}"):
+        build_instance(category, 0, params=params)
+    assert calls == {"build": 0}
+
+
 def _toy_recipe(b, p):
     """A base with one arm, or two when `arms` is 2: two structures."""
     base = b.box((p["width"], 0.2, 0.1), material="metal")
@@ -543,9 +583,8 @@ class TestCompiledPrograms:
         gen = get_generator(category)
         for seed in range(10):
             params = sample_parameters(gen.space, seed, salt="")
-            tape = gen.record(params)
             graph = gen.build(params)
-            assert graph.lower().structure == tape.structure == gen.program.structure
+            assert graph.structure == gen.program.structure
             links, joints, root = gen.evaluate(params)
             want_links, want_joints, want_root = evaluate_links(graph, params)
             assert (root, joints) == (want_root, want_joints)
@@ -559,21 +598,31 @@ class TestCompiledPrograms:
                 if got.mesh.face_labels is not None:
                     assert np.array_equal(got.mesh.face_labels, want.mesh.face_labels)
 
-    def test_cold_compile_reads_the_tape_alone(self, monkeypatch):
+    def test_cold_compile_reads_the_recording_alone(self, monkeypatch):
         """With no program kept, each category's first program is checked and
-        compiled from its recorded tape: no NodeGraph is made."""
-        monkeypatch.setattr(artigen.evaluate, "_programs", {})
-        blueprints = {}
+        compiled from the structure of its seed-0 recording: one graph is
+        recorded per category, each node takes the literal check once, and no
+        node view is made."""
+        blueprints, nodes = {}, 0
         for category in CATEGORY_NAMES:
             gen = get_generator(category)
             blueprints[category] = gen.blueprint
+            nodes += len(gen.program.structure[3])
             monkeypatch.delitem(gen.__dict__, "program")
-        calls = {"graph": 0}
-        monkeypatch.setattr(NodeGraph, "__init__", _counted(calls, "graph", NodeGraph.__init__))
+        monkeypatch.setattr(artigen.evaluate, "_programs", {})
+        calls = {"graph": 0, "compile": 0, "literal check": 0, "node view": 0}
+        counted = functools.partial(_counted, calls)
+        monkeypatch.setattr(NodeGraph, "__init__", counted("graph", NodeGraph.__init__))
+        program = artigen.evaluate.Program
+        monkeypatch.setattr(program, "__init__", counted("compile", program.__init__))
+        split = artigen.graph._split_params
+        monkeypatch.setattr(artigen.graph, "_split_params", counted("literal check", split))
+        monkeypatch.setattr(artigen.graph, "Node", counted("node view", artigen.graph.Node))
         for category in CATEGORY_NAMES:
             assert get_generator(category).program.blueprint == blueprints[category]
-        assert calls == {"graph": 0}
-        assert len(artigen.evaluate._programs) == len(CATEGORY_NAMES)
+        n = len(CATEGORY_NAMES)
+        assert calls == {"graph": n, "compile": n, "literal check": nodes, "node view": 0}
+        assert len(artigen.evaluate._programs) == n
 
     def test_a_branching_recipe_compiles_each_structure_once(self, monkeypatch):
         monkeypatch.setattr(artigen.evaluate, "_programs", {})
@@ -594,7 +643,7 @@ class TestCompiledPrograms:
         assert arms == {1, 2}
         # each structure was validated and compiled once, whichever came first
         assert calls == {"walk": 2, "compile": 2}
-        structures = {gen.record(sample_parameters(space, s, salt="")).structure for s in range(12)}
+        structures = {gen.build(sample_parameters(space, s, salt="")).structure for s in range(12)}
         assert structures == set(artigen.evaluate._programs)
 
 

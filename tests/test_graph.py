@@ -34,7 +34,6 @@ from artigen.graph import (
     STORE_ATTRIBUTE,
     SWITCH,
     TRANSFORM,
-    GraphBuilder,
     JointSpec,
     NodeGraph,
     ParamRef,
@@ -44,7 +43,7 @@ from artigen.generators import CATEGORY_NAMES, build_instance, get_generator
 from artigen.params import Continuous, Count, ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
-from helpers import duplicated_revolute, two_parent_graph
+from helpers import duplicated_revolute, edited, two_parent_graph
 
 
 def box_node(g, dims=(1, 1, 1)):
@@ -91,6 +90,21 @@ class TestConstruction:
         transform["params"].update(rotate_axis=[0, 0, 0], rotate_angle=0.5)
         with pytest.raises(InvalidParameterError, match="rotate_axis"):
             NodeGraph.deserialize(json.dumps(doc))
+
+    def test_nodes_are_read_only_views(self):
+        g = build_pattern("simple_revolute")
+        joint = g.node(g.output_node)
+        assert joint == g.nodes[g.output_node]
+        assert (joint.params["range_hi"], joint.params["default"]) == (math.pi / 4, None)
+        with pytest.raises(TypeError):
+            joint.params["range_hi"] = 1.2
+        with pytest.raises(TypeError):
+            joint.inputs["child"] = "n0"
+        with pytest.raises(AttributeError):
+            joint.kind = SCALAR_MATH
+        with pytest.raises(TypeError):
+            g.nodes["extra"] = joint
+        assert g.node(g.output_node) == joint
 
     def test_unknown_kind_and_params(self):
         g = NodeGraph()
@@ -607,24 +621,22 @@ def _cache_probe():
     return g, ids
 
 
-# One change each to the probe graph, and the diagnostic codes it must get.
+# One change each to the probe graph, as a function of the graph and its node
+# ids that returns the changed graph, and the diagnostic codes it must get.
 _PROBE_VARIANTS = {
-    "rewired port": (lambda g, n: g.connect(n["base"], n["hinge"], "child"), ["joint-self-loop"]),
-    "node kind": (lambda g, n: setattr(g.nodes[n["knob"]], "kind", SCALAR_MATH), ["port-type"]),
-    "label string": (lambda g, n: g.nodes[n["label"]].params.update(label="door"), []),
+    "rewired port": (
+        lambda g, n: g.connect(n["base"], n["hinge"], "child") or g, ["joint-self-loop"]
+    ),
+    "node kind": (lambda g, n: edited(g, n["knob"], SCALAR_MATH, op="add"), ["port-type"]),
+    "label string": (lambda g, n: edited(g, n["label"], label="door"), []),
     "undeclared reference": (
-        lambda g, n: g.nodes[n["base"]].params.update(size_x=ParamRef("depth")),
-        ["unknown-param"],
+        lambda g, n: edited(g, n["base"], size_x={"$param": "depth"}), ["unknown-param"]
     ),
-    "count parameter": (
-        lambda g, n: g.nodes[n["dup"]].params.update(count_param="m"), ["unknown-param"]
-    ),
-    "literal selector": (
-        lambda g, n: g.nodes[n["switch"]].params.update(select=1.0), ["joint-self-loop"]
-    ),
-    "output node": (lambda g, n: g.set_output(n["loop"]), ["joint-self-loop"]),
+    "count parameter": (lambda g, n: edited(g, n["dup"], count_param="m"), ["unknown-param"]),
+    "literal selector": (lambda g, n: edited(g, n["switch"], select=1.0), ["joint-self-loop"]),
+    "output node": (lambda g, n: g.set_output(n["loop"]) or g, ["joint-self-loop"]),
     "declared parameters": (
-        lambda g, n: setattr(g, "parameters", ParameterSpace({"width": Continuous(0.5, 1.0)})),
+        lambda g, n: setattr(g, "parameters", ParameterSpace({"width": Continuous(0.5, 1.0)})) or g,
         ["unknown-param"],
     ),
 }
@@ -645,7 +657,7 @@ class TestValidateCache:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The tape ops the symbolic walk runs on, in order."""
+        """The ops the symbolic walk runs on, in order."""
         walks = []
         walk_init = artigen.graph._SymbolicWalk.__init__
 
@@ -661,8 +673,7 @@ class TestValidateCache:
         mutate, codes = _PROBE_VARIANTS[variant]
         clean, _ = _cache_probe()
         evaluate_links(clean, _PROBE_PARAMS)  # compiled and kept
-        changed, ids = _cache_probe()
-        mutate(changed, ids)
+        changed = mutate(*_cache_probe())
         walks.clear()
         if codes:
             with pytest.raises(InvalidParameterError) as refused:
@@ -671,7 +682,7 @@ class TestValidateCache:
             assert str(refused.value) == "graph does not validate: " + "; ".join(map(str, diags))
         else:  # a clean variant gets its own program, from its own walk
             evaluate_links(changed, _PROBE_PARAMS)
-            assert walks == [artigen.graph._ops(changed.lower().structure)]
+            assert walks == [artigen.graph._ops(changed.structure)]
             diags = changed.validate()
         assert [d.code for d in diags] == codes
         walks.clear()
@@ -696,11 +707,11 @@ class TestValidateCache:
         graphs = []
         for label in ("a", "b", "c"):
             g, ids = _cache_probe()
-            g.nodes[ids["label"]].params["label"] = label
+            g = edited(g, ids["label"], label=label)
             evaluate_links(g, _PROBE_PARAMS)
             graphs.append(g)
         kept = list(artigen.evaluate._programs)
-        assert kept == [graphs[1].lower().structure, graphs[2].lower().structure]
+        assert kept == [graphs[1].structure, graphs[2].structure]
 
     def test_numbers_share_a_program_and_stay_out_of_it(self, walks):
         """Graphs that differ only in numeric literals run one program, each
@@ -708,8 +719,7 @@ class TestValidateCache:
         results = []
         for size in (0.123456789, 0.987654321):
             g, ids = _cache_probe()
-            g.nodes[ids["knob"]].params.update(size_x=size)
-            g.nodes[ids["dup"]].params.update(points=((size, 0.0, 0.0),) * 3)
+            g = edited(edited(g, ids["knob"], size_x=size), ids["dup"], points=[[size, 0.0, 0.0]] * 3)
             links, _, _ = evaluate_links(g, _PROBE_PARAMS)
             results.append(links)
         assert len(walks) == 1 and len(artigen.evaluate._programs) == 1
@@ -729,8 +739,8 @@ def _two_boxes(b):
 
 _JOINT = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
 
-# A GraphBuilder call with one bad literal, the same node for NodeGraph.add_node,
-# and the message both give.
+# A builder call with one bad literal, the same node for NodeGraph.add_node, and
+# the message both give.
 _BAD_LITERALS = {
     "non-finite size": (
         lambda b: b.box((math.nan, 1, 1)),
@@ -814,7 +824,7 @@ _BAD_LITERALS = {
 def test_builder_checks_each_literal_as_add_node_does(case):
     call, kind, params, message = _BAD_LITERALS[case]
     with pytest.raises(InvalidParameterError) as by_builder:
-        call(GraphBuilder(ParameterSpace()))
+        call(NodeGraph())
     with pytest.raises(InvalidParameterError) as by_node:
         NodeGraph().add_node(kind, params)
     assert str(by_builder.value) == str(by_node.value) == message
@@ -1098,8 +1108,9 @@ class TestMerge:
     def test_merged_link_takes_the_one_material_its_inputs_share(self, build, material):
         # A static duplicate is its parent link, with the parent's material,
         # whatever the copies it merges in are made of.
-        g = GraphBuilder(ParameterSpace())
-        (link,) = evaluate(g.output(build(g))).links
+        g = NodeGraph()
+        g.set_output(build(g))
+        (link,) = evaluate(g).links
         assert link.material == material
 
 
@@ -1194,6 +1205,78 @@ class TestSerde:
         text = build_pattern("simple_revolute").serialize()
         with pytest.raises(SchemaError):
             NodeGraph.deserialize(text.replace('"schema": 1', '"schema": 99'))
+
+    @pytest.mark.parametrize("output", [["n0"], {"a": 1}, 3, True])
+    def test_output_that_is_not_a_node_id_rejected(self, output):
+        doc = json.loads(build_pattern("simple_revolute").serialize())
+        doc["output"] = output
+        with pytest.raises(SchemaError, match="output must be a node id or null"):
+            NodeGraph.deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "source",
+        [("pattern", name) for name in PATTERN_NAMES]
+        + [("category", name) for name in CATEGORY_NAMES],
+    )
+    def test_loaded_document_runs_its_recordings_program(self, source, monkeypatch):
+        """A document loads to the structure of the graph that wrote it, so it
+        runs that graph's kept program, and evaluates alike, bit for bit."""
+        kind, name = source
+        if kind == "pattern":
+            cases = [(build_pattern(name), ParamVector({}))]
+        else:
+            gen = get_generator(name)
+            vectors = [sample_parameters(gen.space, seed, salt="") for seed in range(5)]
+            cases = [(gen.build(params), params) for params in vectors]
+        calls = {"walk": 0, "compile": 0}
+        walk, program = artigen.graph._SymbolicWalk, artigen.evaluate.Program
+        for key, cls in (("walk", walk), ("compile", program)):
+            init = cls.__init__
+
+            def counted(self, *args, key=key, init=init):
+                calls[key] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for g, params in cases:
+            want = evaluate_links(g, params)  # the recording's program, kept
+            calls.update(walk=0, compile=0)
+            loaded = NodeGraph.deserialize(g.serialize())
+            assert loaded.structure == g.structure
+            got = evaluate_links(loaded, params)
+            assert calls == {"walk": 0, "compile": 0}
+            _assert_same_evaluation(got, want)
+
+    def test_a_document_in_any_key_order_loads_to_one_structure(self):
+        g = build_pattern("simple_revolute")
+        doc = json.loads(g.serialize())
+        for node in doc["nodes"]:
+            node["params"] = dict(reversed(node["params"].items()))
+            node["inputs"] = dict(reversed(node["inputs"].items()))
+        (joint,) = [n for n in doc["nodes"] if n["kind"] == JOINT_REVOLUTE]
+        assert list(joint["params"])[:3] == ["range_lo", "range_hi", "pivot"]
+        assert list(joint["inputs"]) == ["parent", "child"]
+        loaded = NodeGraph.deserialize(json.dumps(doc))  # keys in the order given
+        assert loaded.structure == g.structure
+        assert loaded.serialize() == g.serialize()
+        # a graph made by add_node and connect loads to its own structure too
+        probe, _ = _cache_probe()
+        assert NodeGraph.deserialize(probe.serialize()).structure == probe.structure
+
+
+def _assert_same_evaluation(got, want):
+    """Equal link and joint records from two `evaluate_links` calls, meshes
+    compared array by array."""
+    (links, joints, root), (want_links, want_joints, want_root) = got, want
+    assert (root, joints) == (want_root, want_joints)
+    fields = ("link_id", "label", "material", "template", "origin")
+    assert [[getattr(l, f) for f in fields] for l in links] == [
+        [getattr(l, f) for f in fields] for l in want_links
+    ]
+    for link, want_link in zip(links, want_links):
+        for array in ("vertices", "triangles", "face_labels"):
+            a, b = getattr(link.mesh, array), getattr(want_link.mesh, array)
+            assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
 
 
 class TestJointSpec:

@@ -119,6 +119,13 @@ class TestVectors:
             space.validate_vector(ParamVector({"x": 2.0, "n": 2}))
         space.validate_vector(ParamVector({"x": 0.5, "n": 3}))
 
+    def test_a_bool_is_no_entry_value(self):
+        space = ParameterSpace({"x": Continuous(0, 2), "style": Discrete(("a", "b")), "n": Count(0, 2)})
+        for name, entry in space.entries.items():
+            assert entry.contains(1) and not entry.contains(True)
+            with pytest.raises(RangeError, match=repr(name)):
+                space.check_value(name, True)
+
     def test_discrete_indices(self):
         space = ParameterSpace({"style": Discrete(("a", "b", "c"))})
         assert space["style"].labels[1] == "b"
@@ -219,8 +226,8 @@ class TestOverrides:
         monkeypatch.setattr(
             artigen.params, "_check_overrides", counted("check", artigen.params._check_overrides)
         )
-        # a build records the category's graph once, on a tape
-        monkeypatch.setattr(CategoryGenerator, "record", counted("build", CategoryGenerator.record))
+        # a build records the category's graph once
+        monkeypatch.setattr(CategoryGenerator, "build", counted("build", CategoryGenerator.build))
         door = get_generator("door")
         _ = door.blueprint  # built outside the counts below
         params = sample_parameters(door.space, 3)
