@@ -3,10 +3,15 @@
 A sweep plan is a value matrix: one column per movable joint, in sorted id
 order, and one row per configuration, drawn as a Cartesian grid or as random
 draws. The sweep poses every link for blocks of rows with forward kinematics
-and culls link pairs with conservative AABB tests; products of a link's rest
-vertices with the block's rotation rows, each at most _PRODUCT_ENTRIES
-outputs so that it runs on the calling thread, give all its boxes, and a
-link that no row rotates takes its rest box, translated.
+and culls link pairs with conservative AABB tests in two levels. Level 1
+bounds each link cheaply per row: a link that no row rotates takes its rest
+box, translated, and a rotated link the rest box's centre and half-widths
+under the row's rotation, padded against rounding. Level 2 computes the exact
+vertex boxes of rotated links only on the rows that some pair keeps at level
+1: products of a link's rest vertices with those rotation rows, each at most
+_PRODUCT_ENTRIES outputs so that it runs on the calling thread. The pairs'
+kept rows are tested again on those boxes, so the survivors are those of
+exact vertex boxes on every row.
 Each link pair then takes its surviving rows through the narrowphase
 together: rows are posed in batches of at most _BATCH_TRIANGLES triangles,
 triangle pairs are culled by their boxes, and contacts are confirmed by the
@@ -42,7 +47,6 @@ from .geometry import (
     DEGENERATE_AREA,
     _cross,
     intersecting_pairs,
-    quat_to_matrix,
     triangle_areas,
     triangles_intersect,
 )
@@ -348,10 +352,84 @@ def _link_boxes(verts: np.ndarray, r: np.ndarray, t: np.ndarray, unrotated: bool
     rotated extents give, but for signed zeros, which compare equal.
     """
     if unrotated:
-        return verts.min(axis=0) + t, verts.max(axis=0) + t
+        lo, hi = _link_box(verts[None], verts[None])
+        return lo + t, hi + t
     lo, hi = _rotated_extents(verts, r)
     # Adding t after the min/max gives the same bits, as rounding is monotone.
     return lo.reshape(-1, 3) + t, hi.reshape(-1, 3) + t
+
+
+# Relative pad of `_bound_boxes`. Either box rounds by a few units in the last
+# place (2**-52 each) of |v| + |t| for the link's vertices v; this is about
+# 4,500 of them. The smallest normal float covers the absolute error of
+# results that underflow.
+_BOUND_EPS = 1e-12
+_BOUND_FLOOR = np.finfo(np.float64).tiny
+
+
+def _bound_boxes(verts: np.ndarray, r: np.ndarray, t: np.ndarray):
+    """Per configuration, a box (lo, hi), each (n, 3), that contains the box
+    `_link_boxes` gives of (k, 3) rest vertices under n rotated motions (r, t).
+
+    The rest box's centre c and half-widths h move to r c + t and |r| h
+    (Arvo, "Transforming Axis-Aligned Bounding Boxes", Graphics Gems, 1990),
+    a matrix-vector product each instead of one per vertex. The box is padded
+    by _BOUND_EPS times a bound on |v| + |t| (rotation entries are at most 1),
+    plus _BOUND_FLOOR, so that rounding can never make it tighter than the
+    vertex box.
+    """
+    (lo,), (hi,) = _link_box(verts[None], verts[None])
+    rows = r.reshape(-1, 3)
+    centre = (rows @ ((lo + hi) * 0.5)).reshape(-1, 3) + t
+    reach = (np.abs(rows) @ ((hi - lo) * 0.5)).reshape(-1, 3)
+    reach += _BOUND_EPS * (np.abs(t) + np.maximum(-lo, hi).sum()) + _BOUND_FLOOR
+    return centre - reach, centre + reach
+
+
+def _overlap(lo_a, hi_a, lo_b, hi_b, tolerance: float) -> np.ndarray:
+    """Per configuration, whether two (n, 3) box stacks overlap within the tolerance."""
+    return _all3((lo_a <= hi_b + tolerance) & (lo_b <= hi_a + tolerance))
+
+
+def _broadphase(verts: dict, world: dict, unrotated: set, pairs, tolerance: float) -> list:
+    """The link pairs whose vertex boxes overlap within the tolerance at some
+    configuration, as (a, b, rows) with those rows in order.
+
+    `verts` maps link ids to rest vertices, `world` to their (n, 3, 3)
+    rotations and (n, 3) translations, and `unrotated` holds the links that no
+    configuration rotates. Level 1 boxes every link: an unrotated link by its
+    rest box, translated, which is exact, and a rotated link by
+    `_bound_boxes`, which contains its vertex box; each pair tests every row
+    on them. Level 2 computes the exact `_link_boxes` of a rotated link only
+    on the rows that some pair keeps at level 1, and tests each pair's kept
+    rows again on exact boxes, so the survivors are those of exact boxes on
+    every row.
+    """
+    lo, hi = {}, {}
+    for link_id, (r, t) in world.items():
+        if link_id in unrotated:
+            lo[link_id], hi[link_id] = _link_boxes(verts[link_id], r, t, True)
+        else:
+            lo[link_id], hi[link_id] = _bound_boxes(verts[link_id], r, t)
+    kept, need = [], {}
+    for a, b in pairs:
+        rows = np.flatnonzero(_overlap(lo[a], hi[a], lo[b], hi[b], tolerance))
+        if len(rows) == 0:
+            continue
+        kept.append((a, b, rows))
+        for link_id in (a, b):
+            if link_id not in unrotated:
+                need.setdefault(link_id, np.zeros(len(lo[link_id]), dtype=bool))[rows] = True
+    for link_id, mask in need.items():
+        rows = np.flatnonzero(mask)
+        r, t = world[link_id]
+        lo[link_id][rows], hi[link_id][rows] = _link_boxes(verts[link_id], r[rows], t[rows], False)
+    survivors = []
+    for a, b, rows in kept:
+        rows = rows[_overlap(lo[a][rows], hi[a][rows], lo[b][rows], hi[b][rows], tolerance)]
+        if len(rows):
+            survivors.append((a, b, rows))
+    return survivors
 
 
 def check_configs(
@@ -360,21 +438,15 @@ def check_configs(
     """Pose the instance at each row of `values` and report penetrating pairs.
 
     Column k of `values` holds joint `joint_ids[k]`; joints without a column
-    sit at their defaults. Forward kinematics and the AABB broadphase run
-    vectorized over blocks of rows; the exact triangle narrowphase runs per
-    link pair over batches of its surviving rows. A link that no row of a
-    block rotates (a root, or one moved only by prismatic joints) is bounded
-    by its rest box, translated, instead of by rotated extents.
+    sit at their defaults. Forward kinematics and the two-level AABB
+    broadphase (`_broadphase`) run vectorized over blocks of rows; the exact
+    triangle narrowphase runs per link pair over batches of its surviving
+    rows, and a link's triangle corners are gathered when a pair of it first
+    gets there.
     """
-    local = {
-        l.link_id: l.mesh.triangle_corners()
-        for l in instance.links
-        if not l.mesh.is_empty
-    }
-    verts_rest = {
-        link_id: instance.link(link_id).mesh.vertices for link_id in local
-    }
+    verts = {l.link_id: l.mesh.vertices for l in instance.links if not l.mesh.is_empty}
     pairs = list(_candidate_pairs(instance, plan))
+    local: dict = {}  # link id -> rest triangle corners
     findings: list[Finding] = []
     # Narrowphase results depend only on the pair's relative pose, which grid
     # sweeps repeat heavily (other joints do not move the pair); memoize on it.
@@ -382,28 +454,22 @@ def check_configs(
     for start in range(0, len(values), _CHUNK):
         block = values[start : start + _CHUNK]
         n = len(block)
-        quat, trans = instance.tree.pose(dict(zip(joint_ids, block.T)), n)
-        world, lo_box, hi_box = {}, {}, {}
-        for link_id in local:
+        quat, trans, rot = instance.tree.pose(dict(zip(joint_ids, block.T)), n)
+        world, unrotated = {}, set()
+        for link_id in verts:
             i = instance.tree.link_index[link_id]
-            r = quat_to_matrix(quat[i])
-            t = trans[i] + r @ np.asarray(instance.links[i].origin)
-            world[link_id] = (r, t)
-            lo_box[link_id], hi_box[link_id] = _link_boxes(
-                verts_rest[link_id], r, t, not quat[i, :, 1:].any()
-            )
-        for a, b in pairs:
-            if plan.use_broadphase:
-                mask = np.all(
-                    (lo_box[a] <= hi_box[b] + plan.tolerance)
-                    & (lo_box[b] <= hi_box[a] + plan.tolerance),
-                    axis=1,
-                )
-                hits = np.flatnonzero(mask)
-            else:
-                hits = np.arange(n)
-            if len(hits) == 0:
-                continue
+            r = rot[i]
+            world[link_id] = (r, trans[i] + r @ np.asarray(instance.links[i].origin))
+            if not quat[i, :, 1:].any():
+                unrotated.add(link_id)
+        if plan.use_broadphase:
+            survivors = _broadphase(verts, world, unrotated, pairs, plan.tolerance)
+        else:
+            survivors = [(a, b, np.arange(n)) for a, b in pairs]
+        for a, b, hits in survivors:
+            for link_id in (a, b):
+                if link_id not in local:
+                    local[link_id] = instance.link(link_id).mesh.triangle_corners()
             (ra, ta), (rb, tb) = world[a], world[b]
             # Relative poses over the whole block: each row's 3x3 product keeps
             # the memory layout, and so the bits, of `ra[c].T @ rb[c]` alone.

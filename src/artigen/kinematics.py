@@ -8,7 +8,9 @@ composes its incoming joints in that frame: a revolute joint rotates about its
 pivot, a prismatic joint translates along its axis. Several joints between one
 link pair (a screw) compose in the order they were given.
 
-`KinematicTree.pose` poses every link for a block of n configurations at once;
+`KinematicTree.pose` poses every link for a block of n configurations at once,
+with each link's rotation matrices, converted once per link: a child composes
+its joints with its parent's matrices, and callers read the same ones.
 `KinematicTree.transforms` is its single-configuration view.
 """
 
@@ -18,11 +20,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RangeError, StructuralError
+from .errors import InvalidParameterError, RangeError, StructuralError
 from .geometry import RigidTransform, quat_multiply, quat_to_matrix
 
 # Joint values may overshoot their range by this much (float noise in callers).
 RANGE_SLACK = 1e-12
+
+
+def _rows(matrix: np.ndarray, n: int) -> np.ndarray:
+    """n copies of a (3, 3) matrix, laid out as `quat_to_matrix` lays out the
+    (n, 3, 3) matrices of n quaternions, so that products see the same strides."""
+    return np.repeat(matrix[:, :, None], n, axis=2).transpose(2, 0, 1)
 
 
 class KinematicTree:
@@ -97,17 +105,23 @@ class KinematicTree:
         axis_cross_pivot = np.cross(axis, pivot).reshape(-1, 3)
         return lo, hi, default, revolute, axis, pivot_perp, axis_cross_pivot
 
-    def pose(self, values, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def pose(self, values, n: int = 1) -> tuple[np.ndarray, np.ndarray, list]:
         """Construction-frame pose of every link at n joint configurations.
 
         `values` maps joint ids to (n,) value arrays; absent joints sit at their
-        default. A value outside its joint's range raises RangeError; an unknown
-        joint id raises KeyError. Returns unit quaternions, w first, of shape
-        (links, n, 4) and translations (links, n, 3), indexed like `link_ids`.
+        default. A value outside its joint's range raises RangeError, and an
+        unknown joint id InvalidParameterError. Returns unit quaternions, w
+        first, of shape (links, n, 4), translations (links, n, 3) and a list of
+        each link's (n, 3, 3) rotation matrices, `quat_to_matrix` of its
+        quaternions, all indexed like `link_ids`.
         """
         lo, hi, default, revolute, axis, pivot_perp, axis_cross_pivot = self._motion
         v = np.repeat(default[:, None], n, axis=1)
         for joint_id, joint_values in values.items():
+            if joint_id not in self.joint_index:
+                raise InvalidParameterError(
+                    f"unknown joint {joint_id!r}; choose from {sorted(self.joint_ids)}"
+                )
             v[self.joint_index[joint_id]] = joint_values
         inside = (v >= lo[:, None] - RANGE_SLACK) & (v <= hi[:, None] + RANGE_SLACK)
         if not inside.all():
@@ -117,31 +131,48 @@ class KinematicTree:
                 f"of joint {self.joint_ids[k]!r}"
             )
 
-        revolute = revolute[:, None]
-        motion_q = np.zeros(v.shape + (4,))
-        motion_q[..., 0] = np.where(revolute, np.cos(0.5 * v), 1.0)
-        motion_q[..., 1:] = np.where(revolute, np.sin(0.5 * v), 0.0)[..., None] * axis[:, None]
-        motion_t = np.where(
-            revolute[..., None],
-            (1.0 - np.cos(v))[..., None] * pivot_perp[:, None]
-            - np.sin(v)[..., None] * axis_cross_pivot[:, None],
-            v[..., None] * axis[:, None],
+        # Every joint as a slide first; revolute joints then overwrite theirs,
+        # so only they pay for the trigonometry.
+        motion_q = np.empty(v.shape + (4,))
+        motion_q[..., 0] = 1.0
+        motion_q[..., 1:] = 0.0 * axis[:, None]
+        motion_t = v[..., None] * axis[:, None]
+        angle = v[revolute]
+        motion_q[revolute, :, 0] = np.cos(0.5 * angle)
+        motion_q[revolute, :, 1:] = np.sin(0.5 * angle)[..., None] * axis[revolute, None]
+        motion_t[revolute] = (
+            (1.0 - np.cos(angle))[..., None] * pivot_perp[revolute, None]
+            - np.sin(angle)[..., None] * axis_cross_pivot[revolute, None]
         )
 
         quat = np.empty((len(self.link_ids), n, 4))
         trans = np.empty((len(self.link_ids), n, 3))
+        rot = [None] * len(self.link_ids)
+        # The one quaternion of each link that every row rotates alike: the
+        # root, and links joined to such a link by slides alone. It is composed
+        # once, in Python floats, whose arithmetic is the rows'.
+        steady = [None] * len(self.link_ids)
         root = self.order[0]
-        quat[root] = (1.0, 0.0, 0.0, 0.0)
-        trans[root] = 0.0
+        quat[root], trans[root] = (1.0, 0.0, 0.0, 0.0), 0.0
+        steady[root] = np.array([1.0, 0.0, 0.0, 0.0])
+        rot[root] = _rows(quat_to_matrix(steady[root]), n)
         for i in self.order[1:]:
-            q, t = quat[self.parent[i]], trans[self.parent[i]]
-            for k in self.incoming[i]:
-                t = t + np.einsum("nij,nj->ni", quat_to_matrix(q), motion_t[k])
-                q = quat_multiply(q, motion_q[k])
-            quat[i], trans[i] = q, t
-        return quat, trans
+            p, ks = self.parent[i], self.incoming[i]
+            one = steady[p] is not None and not revolute[ks].any()
+            q, t, r = (steady[p] if one else quat[p]), trans[p], rot[p]
+            for k in ks:
+                if p == root and k == ks[0]:
+                    # The root's identity moves it by exactly + 0.0, signed zeros too.
+                    t = motion_t[k] + 0.0
+                else:
+                    t = t + np.einsum("nij,nj->ni", r, motion_t[k])
+                q = quat_multiply(q, motion_q[k, 0] if one else motion_q[k])
+                r = _rows(quat_to_matrix(q), n) if one else quat_to_matrix(q)
+            quat[i], trans[i], rot[i] = q, t, r
+            steady[i] = q if one else None
+        return quat, trans, rot
 
     def transforms(self, config: dict | None = None) -> dict:
         """Link id -> construction-frame RigidTransform at one configuration, depth first."""
-        quat, trans = self.pose({k: [v] for k, v in (config or {}).items()})
+        quat, trans, _ = self.pose({k: [v] for k, v in (config or {}).items()})
         return {self.link_ids[i]: RigidTransform(quat[i, 0], trans[i, 0]) for i in self.order}

@@ -100,7 +100,13 @@ class ParameterSpace:
 
     def validate_vector(self, params: "ParamVector") -> dict:
         """The values of `params`, each entry's checked: MissingParameterError
-        if absent, RangeError if outside the entry or not a number of its kind."""
+        if absent or if the vector holds names the space does not declare,
+        RangeError if outside the entry or not a number of its kind."""
+        extra = [name for name in params.values if name not in self.entries]
+        if extra:
+            raise MissingParameterError(
+                f"parameters {extra} are not declared; choose from {list(self.entries)}"
+            )
         for name in self.entries:
             if name not in params.values:
                 raise MissingParameterError(f"parameter {name!r} missing from vector")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import InvalidParameterError
 from .graph import NodeGraph
 
 PATTERN_NAMES = (
@@ -109,7 +110,7 @@ _RECIPES = {
 
 def build_pattern(name: str) -> NodeGraph:
     if name not in _RECIPES:
-        raise KeyError(f"unknown pattern {name!r}; choose from {PATTERN_NAMES}")
+        raise InvalidParameterError(f"unknown pattern {name!r}; choose from {PATTERN_NAMES}")
     g = NodeGraph()
     g.set_output(_RECIPES[name](g))
     return g

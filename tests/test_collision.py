@@ -1,10 +1,15 @@
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from artigen import collision
 from artigen.blueprint import extract_blueprint, instantiate
@@ -234,11 +239,13 @@ class TestBatchedSweep:
 class TestUnrotatedLinks:
     @pytest.mark.parametrize("pattern, rotated", [("simple_prismatic", 0), ("simple_revolute", 1)])
     def test_rest_box_bounds_a_link_no_row_rotates(self, monkeypatch, pattern, rotated):
-        """Links that no configuration rotates skip the rotated extents, and
-        their boxes equal those the rotated extents give."""
+        """Links that no configuration rotates take their rest box, translated,
+        without the rotated extents, and that box equals the one the rotated
+        extents give; a rotated link reaches the extents at most once a block,
+        on the rows that level 1 keeps."""
         inst = instance_of(build_pattern(pattern))
         plan = SweepPlan(strategy="random", samples=64, pair_filter="all")
-        extents, boxes = [], []
+        extents, shortcut = [], []
         rotated_extents, link_boxes = collision._rotated_extents, collision._link_boxes
 
         def counted_extents(verts, r):
@@ -246,22 +253,150 @@ class TestUnrotatedLinks:
             return rotated_extents(verts, r)
 
         def recorded_boxes(verts, r, t, unrotated):
-            boxes.append(link_boxes(verts, r, t, unrotated))
-            return boxes[-1]
+            if unrotated:
+                shortcut.append((verts, r, t))
+            return link_boxes(verts, r, t, unrotated)
 
         monkeypatch.setattr(collision, "_rotated_extents", counted_extents)
         monkeypatch.setattr(collision, "_link_boxes", recorded_boxes)
         report = sweep_check(inst, plan).to_json_dict()
-        assert len(extents) == rotated
-        shortcut, boxes[:] = list(boxes), []
+        assert len(shortcut) == len(inst.links) - rotated
+        assert len(extents) <= rotated
+        for verts, r, t in shortcut:
+            assert np.array_equal(r, np.broadcast_to(np.eye(3), r.shape))
+            lo, hi = link_boxes(verts, r, t, True)
+            lo_full, hi_full = link_boxes(verts, r, t, False)
+            assert np.array_equal(lo, lo_full) and np.array_equal(hi, hi_full)
+
         def forced_boxes(verts, r, t, unrotated):  # every link through the rotated extents
-            return recorded_boxes(verts, r, t, False)
+            return link_boxes(verts, r, t, False)
 
         monkeypatch.setattr(collision, "_link_boxes", forced_boxes)
         assert sweep_check(inst, plan).to_json_dict() == report
-        assert len(extents) == rotated + len(inst.links)
-        for (lo, hi), (lo_full, hi_full) in zip(shortcut, boxes, strict=True):
-            assert np.array_equal(lo, lo_full) and np.array_equal(hi, hi_full)
+
+
+def _reference_broadphase(verts, world, unrotated, pairs, tolerance):
+    """The broadphase before its two levels, kept as the reference: the exact
+    `_link_boxes` of every link on the whole block, and every row of each
+    pair tested on them."""
+    boxes = {
+        link_id: collision._link_boxes(verts[link_id], r, t, link_id in unrotated)
+        for link_id, (r, t) in world.items()
+    }
+    survivors = []
+    for a, b in pairs:
+        (lo_a, hi_a), (lo_b, hi_b) = boxes[a], boxes[b]
+        mask = np.all((lo_a <= hi_b + tolerance) & (lo_b <= hi_a + tolerance), axis=1)
+        if mask.any():
+            survivors.append((a, b, np.flatnonzero(mask)))
+    return survivors
+
+
+def _as_lists(survivors):
+    return [(a, b, rows.tolist()) for a, b, rows in survivors]
+
+
+class TestTwoLevelBroadphase:
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    def test_survivors_equal_exact_boxes_on_every_row(self, monkeypatch, category):
+        broadphase, link_boxes = collision._broadphase, collision._link_boxes
+        # Per pair filter: rows of rotated links, of their exact boxes, and survivors.
+        totals = {"all": [0, 0, 0], "adjacent-excluded": [0, 0, 0]}
+
+        def exact_rows(verts, r, t, unrotated):
+            if not unrotated:
+                current[1] += len(r)
+            return link_boxes(verts, r, t, unrotated)
+
+        def compared(verts, world, unrotated, pairs, tolerance):
+            monkeypatch.setattr(collision, "_link_boxes", exact_rows)
+            survivors = broadphase(verts, world, unrotated, pairs, tolerance)
+            monkeypatch.setattr(collision, "_link_boxes", link_boxes)
+            expected = _reference_broadphase(verts, world, unrotated, pairs, tolerance)
+            assert _as_lists(survivors) == _as_lists(expected)
+            n = len(next(iter(world.values()))[1])
+            current[0] += n * (len(world) - len(unrotated))
+            current[2] += sum(len(rows) for _, _, rows in survivors)
+            return []  # the narrowphase is not under test
+
+        monkeypatch.setattr(collision, "_broadphase", compared)
+        for seed in range(20):
+            inst = build_instance(category, seed, salt="")
+            for tolerance, pair_filter in itertools.product((0.0, 1e-6), totals):
+                current = totals[pair_filter]
+                for plan in (
+                    SweepPlan(strategy="random", samples=512, tolerance=tolerance, pair_filter=pair_filter),
+                    SweepPlan(samples=3, tolerance=tolerance, pair_filter=pair_filter),
+                ):
+                    try:
+                        sweep_check(inst, plan)
+                    except PlanTooLargeError:
+                        pass
+        assert totals["all"][2] > 0
+        # Adjacent links touch at their joints, so only without them does
+        # level 1 spare most rotated rows the exact box.
+        rotated_rows, exact_rows_total, _ = totals["adjacent-excluded"]
+        assert exact_rows_total < rotated_rows / 2
+
+    def test_gap_within_tolerance_survives_both_levels(self):
+        """Two cubes 0.5e-6 apart along x, one turning about x so that its x
+        extent stays put: the pair survives a tolerance of 1e-6 on every row,
+        as the exact boxes say, and a tolerance of 0 on none."""
+        cube = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
+        angles = np.linspace(0.0, 2.0, 8)
+        quats = np.column_stack([np.cos(angles / 2), np.sin(angles / 2), 0 * angles, 0 * angles])
+        turning = quat_to_matrix(quats)
+        still = np.broadcast_to(np.eye(3), turning.shape)
+        world = {
+            "a": (still, np.zeros((8, 3))),
+            "b": (turning, np.tile([1.0 + 0.5e-6, -0.5, -0.5], (8, 1))),
+        }
+        verts = {"a": cube, "b": cube - (0.0, 0.5, 0.5)}
+        args = (verts, world, {"a"}, [("a", "b")])
+        for tolerance in (1e-6, 0.0):
+            got = collision._broadphase(*args, tolerance)
+            assert _as_lists(got) == _as_lists(_reference_broadphase(*args, tolerance))
+            assert _as_lists(got) == ([("a", "b", list(range(8)))] if tolerance else [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        verts=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 30), st.just(3)),
+            elements=st.one_of(st.floats(-1e-3, 1e-3), st.floats(-1e3, 1e3)),
+        ),
+        quats=arrays(np.float64, st.tuples(st.integers(1, 6), st.just(4)), elements=st.floats(-1, 1)),
+        shift=st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1e6, 1e6)),
+        spread=st.floats(0, 1e3),
+    )
+    @example(  # halving a subnormal half-width rounds it to zero
+        verts=np.array([[5e-324, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        quats=np.array([[1.0, 0.0, 0.0, 0.0]]),
+        shift=0.0,
+        spread=0.0,
+    )
+    def test_bound_box_contains_the_vertex_box(self, verts, quats, shift, spread):
+        norms = np.linalg.norm(quats, axis=1, keepdims=True)
+        quats = np.where(norms > 1e-3, quats / np.maximum(norms, 1e-3), (1.0, 0.0, 0.0, 0.0))
+        r = quat_to_matrix(quats)
+        t = shift + spread * np.linspace(-1.0, 1.0, 3 * len(quats)).reshape(-1, 3)
+        lo, hi = collision._bound_boxes(verts, r, t)
+        lo_exact, hi_exact = collision._link_boxes(verts, r, t, False)
+        assert (lo <= lo_exact).all() and (hi_exact <= hi).all()
+
+
+def test_sweep_working_set_stays_small():
+    """A sweep keeps arrays per link and per pair, not stacks over them."""
+    inst = build_instance("toaster", 19032, salt="")
+    plan = SweepPlan(strategy="random", samples=512)
+    assert len(inst.links) == 26 and len(list(collision._candidate_pairs(inst, plan))) == 300
+    tracemalloc.start()
+    try:
+        sweep_check(inst, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 class TestNarrowphase:

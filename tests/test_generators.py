@@ -16,7 +16,7 @@ from artigen.generators import (
     count_variations,
     get_generator,
 )
-from artigen.errors import ArtigenError, InvalidParameterError
+from artigen.errors import ArtigenError, InvalidParameterError, MissingParameterError
 from artigen.export import manifest_param_vector
 from artigen.evaluate import evaluate_links
 from artigen.generators.common import CategoryGenerator
@@ -565,6 +565,21 @@ def test_manifest_value_of_the_wrong_type_names_the_parameter(category, bad, mon
         build_instance(category, 0, params=params)
     assert calls == {"build": 0}
 
+
+
+def test_manifest_value_with_an_undeclared_name_is_rejected(monkeypatch):
+    """A parameter vector holding a name its space does not declare, as a
+    misspelled entry in a hand-edited manifest, is rejected naming it before
+    any graph is recorded, instead of building and being recorded."""
+    gen = get_generator("door")
+    _ = gen.blueprint  # compiled outside the count below
+    values = {**sample_parameters(gen.space, 3, salt="").values, "door_cnt": 7}
+    params = manifest_param_vector({"seed": 3, "params": values})
+    calls = {"build": 0}
+    monkeypatch.setattr(CategoryGenerator, "build", _counted(calls, "build", CategoryGenerator.build))
+    with pytest.raises(MissingParameterError, match="'door_cnt'"):
+        build_instance("door", 3, params=params)
+    assert calls == {"build": 0}
 
 def _toy_recipe(b, p):
     """A base with one arm, or two when `arms` is 2: two structures."""

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from artigen.blueprint import AssetInstance, extract_blueprint, forward_kinematics, instantiate
-from artigen.errors import StructuralError
+from artigen.collision import check_at
+from artigen.errors import InvalidParameterError, StructuralError
 from artigen.evaluate import evaluate
 from artigen.generators import CATEGORY_NAMES, get_generator
-from artigen.geometry import RigidTransform
+from artigen.geometry import RigidTransform, quat_multiply, quat_to_matrix
+from artigen.graph import NodeGraph
 from artigen.params import ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
@@ -74,13 +76,132 @@ def test_batched_pose_matches_single_configs(case):
     tree = instance.tree
     configs = _random_configs(instance, 6, seed=5)
     values = {j.joint_id: np.array([c[j.joint_id] for c in configs]) for j in instance.joints}
-    quat, trans = tree.pose(values, len(configs))
+    quat, trans, _ = tree.pose(values, len(configs))
     for c, config in enumerate(configs):
         single = tree.transforms(config)
         for i, link_id in enumerate(tree.link_ids):
             np.testing.assert_allclose(trans[i, c], single[link_id].translation, atol=1e-12)
             sign = 1.0 if quat[i, c, 0] >= 0 else -1.0  # transforms keep w >= 0
             np.testing.assert_allclose(sign * quat[i, c], single[link_id].rotation, atol=1e-12)
+
+
+def _composed_pose(tree, values, n):
+    """The pose loop before each link kept its rotation matrices: every joint
+    converts its parent's quaternions, the root's identity included, and every
+    row is composed on its own. Kept as the reference that
+    `KinematicTree.pose` must match bit for bit."""
+    lo, hi, default, revolute, axis, pivot_perp, axis_cross_pivot = tree._motion
+    v = np.repeat(default[:, None], n, axis=1)
+    for joint_id, joint_values in values.items():
+        v[tree.joint_index[joint_id]] = joint_values
+    revolute = revolute[:, None]
+    motion_q = np.zeros(v.shape + (4,))
+    motion_q[..., 0] = np.where(revolute, np.cos(0.5 * v), 1.0)
+    motion_q[..., 1:] = np.where(revolute, np.sin(0.5 * v), 0.0)[..., None] * axis[:, None]
+    motion_t = np.where(
+        revolute[..., None],
+        (1.0 - np.cos(v))[..., None] * pivot_perp[:, None]
+        - np.sin(v)[..., None] * axis_cross_pivot[:, None],
+        v[..., None] * axis[:, None],
+    )
+    quat = np.empty((len(tree.link_ids), n, 4))
+    trans = np.empty((len(tree.link_ids), n, 3))
+    root = tree.order[0]
+    quat[root] = (1.0, 0.0, 0.0, 0.0)
+    trans[root] = 0.0
+    for i in tree.order[1:]:
+        q, t = quat[tree.parent[i]], trans[tree.parent[i]]
+        for k in tree.incoming[i]:
+            t = t + np.einsum("nij,nj->ni", quat_to_matrix(q), motion_t[k])
+            q = quat_multiply(q, motion_q[k])
+        quat[i], trans[i] = q, t
+    return quat, trans
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _assert_pose_matches_composition(tree, values, n):
+    quat, trans, rot = tree.pose(values, n)
+    ref_quat, ref_trans = _composed_pose(tree, values, n)
+    assert _same_bits(quat, ref_quat) and _same_bits(trans, ref_trans)
+    assert len(rot) == len(tree.link_ids)
+    for i, r in enumerate(rot):
+        assert r.shape == (n, 3, 3)
+        expected = quat_to_matrix(quat[i])
+        assert _same_bits(r, expected) and r.strides == expected.strides, tree.link_ids[i]
+
+
+def test_pose_matches_the_composition_loop_bit_for_bit(case):
+    """Every pattern, multi_joint_screw's two joints on one link pair among
+    them, and every category."""
+    _graph, _params, instance = case
+    configs = _random_configs(instance, 64, seed=3)
+    values = {j.joint_id: np.array([c[j.joint_id] for c in configs]) for j in instance.joints}
+    _assert_pose_matches_composition(instance.tree, values, len(configs))
+    _assert_pose_matches_composition(instance.tree, {}, 1)  # defaults
+
+
+def _slides_and_root_children_instance():
+    """Children of the root on revolute joints with ranges past +-pi, whose
+    axes have zero components of either sign: cos(v/2) < 0 and negative zeros
+    in the joint motion. Beside them a slider on the root carries a twisting
+    knob and a carriage on a second slide, so two links are posed by slides
+    alone, one of them two joints from the root."""
+    g = NodeGraph()
+    out = g.box((0.2, 0.2, 0.2))
+    axes = [(0.6, 0.0, -0.8), (-0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (-0.6, 0.8, 0.0)]
+    for k, axis in enumerate(axes):
+        arm = g.box((0.1, 0.1, 0.4), at=(k + 1.0, 0, 0))
+        out = g.revolute(out, arm, (k + 1.0, 0, 0), axis, -4.0, 4.0, labels=(f"spin{k}", None, f"arm{k}"))
+    slider = g.box((0.1, 0.1, 0.1), at=(0, 2.0, 0))
+    knob = g.box((0.05, 0.05, 0.05), at=(0, 2.0, 0.2))
+    carriage = g.box((0.05, 0.05, 0.05), at=(0, 2.0, -0.2))
+    on_slider = g.revolute(slider, knob, (0, 2.0, 0.2), (-0.0, 0.0, -1.0), -4.0, 4.0, labels=("twist", "slider", "knob"))
+    on_slider = g.prismatic(on_slider, carriage, (0, 2.0, -0.2), (-1.0, 0.0, -0.0), 0.0, 0.5, labels=("ride", None, "carriage"))
+    out = g.prismatic(out, on_slider, (0, 2.0, 0), (0.0, -1.0, 0.0), -1.0, 1.0, labels=("slide", None, None))
+    g.set_output(out)
+    return instantiate(extract_blueprint(g), g, ParamVector({}))
+
+
+def test_slides_and_root_children_pose_bit_for_bit():
+    instance = _slides_and_root_children_instance()
+    tree = instance.tree
+    root = tree.order[0]
+    depth = {root: 0}
+    for i in tree.order[1:]:
+        depth[i] = depth[tree.parent[i]] + 1
+    assert sum(d == 1 for d in depth.values()) == 5
+    assert instance.joint("ride_0").joint_type == "prismatic"
+    assert depth[tree.link_index[instance.joint("ride_0").child]] == 2
+    grid = np.array([-4.0, -3.5, -np.pi, -1.0, -0.0, 0.0, 1.0, np.pi, 3.5, 4.0])
+    values = {
+        j.joint_id: (grid if j.joint_type == "revolute" else (grid + 4.0) / 16)
+        for j in instance.joints
+    }
+    _assert_pose_matches_composition(tree, values, len(grid))
+
+
+def test_unknown_joint_id_is_a_typed_error_naming_it():
+    instance = _screw_instance()
+    graph = build_pattern("multi_joint_screw")
+    known = sorted(instance.tree.joint_ids)
+    calls = [
+        lambda: instance.tree.pose({"nope": np.zeros(1)}),
+        lambda: forward_kinematics(instance, {"nope": 0.0}),
+        lambda: check_at(instance, {"nope": 0.0}),
+        lambda: evaluate(graph, ParamVector({}), joint_values={"nope": 0.0}),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="'nope'") as info:
+            call()
+        assert str(known) in str(info.value)
+
+
+def test_unknown_pattern_is_a_typed_error_naming_it():
+    with pytest.raises(InvalidParameterError, match="'nope'.*simple_revolute"):
+        build_pattern("nope")
 
 
 def _screw_instance():
