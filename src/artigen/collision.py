@@ -7,11 +7,13 @@ and culls link pairs with conservative AABB tests in two levels. Level 1
 bounds each link cheaply per row: a link that no row rotates takes its rest
 box, translated, and a rotated link the rest box's centre and half-widths
 under the row's rotation, padded against rounding. Level 2 computes the exact
-vertex boxes of rotated links only on the rows that some pair keeps at level
-1: products of a link's rest vertices with those rotation rows, each at most
-_PRODUCT_ENTRIES outputs so that it runs on the calling thread. The pairs'
-kept rows are tested again on those boxes, so the survivors are those of
-exact vertex boxes on every row.
+vertex boxes of rotated links only where some pair keeps a row at level 1:
+products of a link's rest vertices with the block's rotation rows, each at
+most _PRODUCT_ENTRIES outputs so that it runs on the calling thread, and only
+the products that hold a kept row run. Which rows share a product is fixed by
+the block, so a kept row's box is the same bits as with every product run.
+The pairs' kept rows are tested again on those boxes, so the survivors are
+those of exact vertex boxes on every row.
 Each link pair then takes its surviving rows through the narrowphase
 together: rows are posed in batches of at most _BATCH_TRIANGLES triangles,
 triangle pairs are culled by their boxes, and contacts are confirmed by the
@@ -324,27 +326,31 @@ _ROUND_CANDIDATES = 16
 _PRODUCT_ENTRIES = 65536
 
 
-def _rotated_extents(verts: np.ndarray, r: np.ndarray):
+def _rotated_extents(verts: np.ndarray, r: np.ndarray, keep=None):
     """Per-axis min and max of (k, 3) rest vertices under an (n, 3, 3) stack of
     rotations, as two flat (n * 3,) arrays.
 
     The rest vertices meet the stacked rotation rows in (k, 3) @ (3, columns)
     products of at most _PRODUCT_ENTRIES outputs, each reduced down its
-    contiguous columns.
+    contiguous columns. With `keep`, an (n,) mask, only the products that hold
+    a kept configuration run, and the others' extents are left at -inf and
+    inf. Which columns share a product depends on the whole stack alone, so a
+    kept configuration's extents are the same bits with or without `keep`.
     """
     rows = r.reshape(-1, 3)
     step = max(1, _PRODUCT_ENTRIES // len(verts))
-    lo, hi = [], []
+    lo, hi = np.full(len(rows), -np.inf), np.full(len(rows), np.inf)
     for s in range(0, len(rows), step):
-        pts = verts @ rows[s : s + step].T
-        lo.append(pts.min(axis=0))
-        hi.append(pts.max(axis=0))
-    return np.concatenate(lo), np.concatenate(hi)
+        if keep is None or keep[s // 3 : (s + step + 2) // 3].any():
+            pts = verts @ rows[s : s + step].T
+            lo[s : s + step], hi[s : s + step] = pts.min(axis=0), pts.max(axis=0)
+    return lo, hi
 
 
-def _link_boxes(verts: np.ndarray, r: np.ndarray, t: np.ndarray, unrotated: bool):
+def _link_boxes(verts: np.ndarray, r: np.ndarray, t: np.ndarray, unrotated: bool, keep=None):
     """Per configuration, the box (lo, hi), each (n, 3), of (k, 3) rest
-    vertices under the n rigid motions (r, t).
+    vertices under the n rigid motions (r, t); with `keep`, an (n,) mask, only
+    the kept configurations' boxes are certain to be computed.
 
     With `unrotated`, every r is exactly the identity, which is what
     `quat_to_matrix` makes of quaternions with zero imaginary parts. Then
@@ -352,9 +358,8 @@ def _link_boxes(verts: np.ndarray, r: np.ndarray, t: np.ndarray, unrotated: bool
     rotated extents give, but for signed zeros, which compare equal.
     """
     if unrotated:
-        lo, hi = _link_box(verts[None], verts[None])
-        return lo + t, hi + t
-    lo, hi = _rotated_extents(verts, r)
+        return verts.min(axis=0) + t, verts.max(axis=0) + t
+    lo, hi = _rotated_extents(verts, r, keep)
     # Adding t after the min/max gives the same bits, as rounding is monotone.
     return lo.reshape(-1, 3) + t, hi.reshape(-1, 3) + t
 
@@ -378,7 +383,7 @@ def _bound_boxes(verts: np.ndarray, r: np.ndarray, t: np.ndarray):
     plus _BOUND_FLOOR, so that rounding can never make it tighter than the
     vertex box.
     """
-    (lo,), (hi,) = _link_box(verts[None], verts[None])
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
     rows = r.reshape(-1, 3)
     centre = (rows @ ((lo + hi) * 0.5)).reshape(-1, 3) + t
     reach = (np.abs(rows) @ ((hi - lo) * 0.5)).reshape(-1, 3)
@@ -400,10 +405,11 @@ def _broadphase(verts: dict, world: dict, unrotated: set, pairs, tolerance: floa
     configuration rotates. Level 1 boxes every link: an unrotated link by its
     rest box, translated, which is exact, and a rotated link by
     `_bound_boxes`, which contains its vertex box; each pair tests every row
-    on them. Level 2 computes the exact `_link_boxes` of a rotated link only
-    on the rows that some pair keeps at level 1, and tests each pair's kept
-    rows again on exact boxes, so the survivors are those of exact boxes on
-    every row.
+    on them. Level 2 computes the exact `_link_boxes` of a rotated link for
+    the rows that some pair keeps at level 1, from the very products a call
+    on the whole block makes, and tests each pair's kept rows again on those
+    boxes. So the survivors are those of exact boxes on every row, bit for
+    bit, whichever rows level 1 keeps.
     """
     lo, hi = {}, {}
     for link_id, (r, t) in world.items():
@@ -420,10 +426,8 @@ def _broadphase(verts: dict, world: dict, unrotated: set, pairs, tolerance: floa
         for link_id in (a, b):
             if link_id not in unrotated:
                 need.setdefault(link_id, np.zeros(len(lo[link_id]), dtype=bool))[rows] = True
-    for link_id, mask in need.items():
-        rows = np.flatnonzero(mask)
-        r, t = world[link_id]
-        lo[link_id][rows], hi[link_id][rows] = _link_boxes(verts[link_id], r[rows], t[rows], False)
+    for link_id, keep in need.items():
+        lo[link_id], hi[link_id] = _link_boxes(verts[link_id], *world[link_id], False, keep)
     survivors = []
     for a, b, rows in kept:
         rows = rows[_overlap(lo[a][rows], hi[a][rows], lo[b][rows], hi[b][rows], tolerance)]

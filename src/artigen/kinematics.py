@@ -27,12 +27,6 @@ from .geometry import RigidTransform, quat_multiply, quat_to_matrix
 RANGE_SLACK = 1e-12
 
 
-def _rows(matrix: np.ndarray, n: int) -> np.ndarray:
-    """n copies of a (3, 3) matrix, laid out as `quat_to_matrix` lays out the
-    (n, 3, 3) matrices of n quaternions, so that products see the same strides."""
-    return np.repeat(matrix[:, :, None], n, axis=2).transpose(2, 0, 1)
-
-
 class KinematicTree:
     """Links and joints indexed by position, with parent and child index lists.
 
@@ -148,28 +142,21 @@ class KinematicTree:
         quat = np.empty((len(self.link_ids), n, 4))
         trans = np.empty((len(self.link_ids), n, 3))
         rot = [None] * len(self.link_ids)
-        # The one quaternion of each link that every row rotates alike: the
-        # root, and links joined to such a link by slides alone. It is composed
-        # once, in Python floats, whose arithmetic is the rows'.
-        steady = [None] * len(self.link_ids)
         root = self.order[0]
         quat[root], trans[root] = (1.0, 0.0, 0.0, 0.0), 0.0
-        steady[root] = np.array([1.0, 0.0, 0.0, 0.0])
-        rot[root] = _rows(quat_to_matrix(steady[root]), n)
+        rot[root] = quat_to_matrix(quat[root])
         for i in self.order[1:]:
             p, ks = self.parent[i], self.incoming[i]
-            one = steady[p] is not None and not revolute[ks].any()
-            q, t, r = (steady[p] if one else quat[p]), trans[p], rot[p]
+            q, t, r = quat[p], trans[p], rot[p]
             for k in ks:
                 if p == root and k == ks[0]:
                     # The root's identity moves it by exactly + 0.0, signed zeros too.
                     t = motion_t[k] + 0.0
                 else:
                     t = t + np.einsum("nij,nj->ni", r, motion_t[k])
-                q = quat_multiply(q, motion_q[k, 0] if one else motion_q[k])
-                r = _rows(quat_to_matrix(q), n) if one else quat_to_matrix(q)
+                q = quat_multiply(q, motion_q[k])
+                r = quat_to_matrix(q)
             quat[i], trans[i], rot[i] = q, t, r
-            steady[i] = q if one else None
         return quat, trans, rot
 
     def transforms(self, config: dict | None = None) -> dict:

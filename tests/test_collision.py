@@ -242,20 +242,20 @@ class TestUnrotatedLinks:
         """Links that no configuration rotates take their rest box, translated,
         without the rotated extents, and that box equals the one the rotated
         extents give; a rotated link reaches the extents at most once a block,
-        on the rows that level 1 keeps."""
+        for the rows that level 1 keeps."""
         inst = instance_of(build_pattern(pattern))
         plan = SweepPlan(strategy="random", samples=64, pair_filter="all")
         extents, shortcut = [], []
         rotated_extents, link_boxes = collision._rotated_extents, collision._link_boxes
 
-        def counted_extents(verts, r):
+        def counted_extents(verts, r, keep=None):
             extents.append(len(verts))
-            return rotated_extents(verts, r)
+            return rotated_extents(verts, r, keep)
 
-        def recorded_boxes(verts, r, t, unrotated):
+        def recorded_boxes(verts, r, t, unrotated, keep=None):
             if unrotated:
                 shortcut.append((verts, r, t))
-            return link_boxes(verts, r, t, unrotated)
+            return link_boxes(verts, r, t, unrotated, keep)
 
         monkeypatch.setattr(collision, "_rotated_extents", counted_extents)
         monkeypatch.setattr(collision, "_link_boxes", recorded_boxes)
@@ -268,7 +268,7 @@ class TestUnrotatedLinks:
             lo_full, hi_full = link_boxes(verts, r, t, False)
             assert np.array_equal(lo, lo_full) and np.array_equal(hi, hi_full)
 
-        def forced_boxes(verts, r, t, unrotated):  # every link through the rotated extents
+        def forced_boxes(verts, r, t, unrotated, keep=None):  # every link through the rotated extents
             return link_boxes(verts, r, t, False)
 
         monkeypatch.setattr(collision, "_link_boxes", forced_boxes)
@@ -296,17 +296,23 @@ def _as_lists(survivors):
     return [(a, b, rows.tolist()) for a, b, rows in survivors]
 
 
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestTwoLevelBroadphase:
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_survivors_equal_exact_boxes_on_every_row(self, monkeypatch, category):
         broadphase, link_boxes = collision._broadphase, collision._link_boxes
-        # Per pair filter: rows of rotated links, of their exact boxes, and survivors.
+        # Per pair filter: rows of rotated links, rows whose exact boxes were
+        # computed, and survivors.
         totals = {"all": [0, 0, 0], "adjacent-excluded": [0, 0, 0]}
 
-        def exact_rows(verts, r, t, unrotated):
+        def exact_rows(verts, r, t, unrotated, keep=None):
+            lo, hi = link_boxes(verts, r, t, unrotated, keep)
             if not unrotated:
-                current[1] += len(r)
-            return link_boxes(verts, r, t, unrotated)
+                current[1] += np.isfinite(lo[:, 0]).sum()
+            return lo, hi
 
         def compared(verts, world, unrotated, pairs, tolerance):
             monkeypatch.setattr(collision, "_link_boxes", exact_rows)
@@ -337,6 +343,22 @@ class TestTwoLevelBroadphase:
         # level 1 spare most rotated rows the exact box.
         rotated_rows, exact_rows_total, _ = totals["adjacent-excluded"]
         assert exact_rows_total < rotated_rows / 2
+
+    @pytest.mark.parametrize("vertices", [8, 200, 70_000])
+    def test_kept_rows_box_as_the_whole_block(self, vertices):
+        """A kept row's exact box is the whole-block box, bit for bit, whichever
+        rows are kept; with 200 vertices a block of 512 rows takes five
+        products, and with 70,000 one product per rotation row."""
+        rng = np.random.default_rng(vertices)
+        verts = rng.normal(size=(vertices, 3)) * rng.uniform(1e-3, 1e3, size=3)
+        quats = rng.normal(size=(512, 4))
+        r = quat_to_matrix(quats / np.linalg.norm(quats, axis=1, keepdims=True))
+        t = rng.normal(size=(512, 3))
+        lo, hi = collision._link_boxes(verts, r, t, False)
+        for share in (0.002, 0.05, 0.5):
+            keep = rng.random(512) < share
+            lo_kept, hi_kept = collision._link_boxes(verts, r, t, False, keep)
+            assert _same_bits(lo_kept[keep], lo[keep]) and _same_bits(hi_kept[keep], hi[keep])
 
     def test_gap_within_tolerance_survives_both_levels(self):
         """Two cubes 0.5e-6 apart along x, one turning about x so that its x
