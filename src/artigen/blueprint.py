@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .evaluate import EvaluatedJoint, EvaluatedLink, evaluate_links, program_for
-from .geometry import RigidTransform, TriMesh, apply_transform
+from .geometry import RigidTransform, TriMesh, apply_transform, check_meshes
 from .graph import KinematicBlueprint, NodeGraph
 from .kinematics import KinematicTree
 from .params import ParamVector
@@ -104,8 +104,9 @@ def realize(
     category: str = "asset",
 ) -> AssetInstance:
     """One asset from evaluated (links, joints, root link): normalize composite
-    joints and check each link mesh in full. Link dynamics are left to the
-    first read of each link's."""
+    joints, move each link mesh into its link's frame and check all of them
+    in one pass (`check_meshes`), which raises what checking link by link
+    raises first. Link dynamics are left to the first read of each link's."""
     evaluated_links, evaluated_joints, root = evaluated
 
     # Normalize parallel joints between one pair into a serial chain.
@@ -130,15 +131,23 @@ def realize(
 
     # Each link's frame sits at its incoming joint's pivot; the root's at zero.
     # Evaluation moves and merges meshes unchecked, so each realized link mesh
-    # takes the full TriMesh check here, once.
+    # takes the full TriMesh check here, once: all in one pass at the end, or
+    # those moved so far if a move raises first.
     origins = {j.child: j.spec.pivot for j in joints}
-    for i, l in enumerate(links):
-        origin = origins.get(l.link_id, l.origin)
-        mesh = l.mesh
-        if mesh.n_vertices:
-            mesh = apply_transform(mesh, RigidTransform.from_translation(-np.asarray(origin)))
-            mesh = TriMesh(mesh.vertices, mesh.triangles, mesh.face_labels)
-        links[i] = replace(l, mesh=mesh, origin=origin)
+    moved = []
+    try:
+        for i, l in enumerate(links):
+            origin = origins.get(l.link_id, l.origin)
+            mesh = l.mesh
+            if mesh.n_vertices:
+                verts = RigidTransform.from_translation(-np.asarray(origin)).apply(mesh.vertices)
+                mesh = TriMesh._unchecked(verts, mesh.triangles, mesh.face_labels)
+                moved.append(mesh)
+            links[i] = replace(l, mesh=mesh, origin=origin)
+    except Exception:
+        check_meshes(moved)
+        raise
+    check_meshes(moved)
 
     return AssetInstance(category, params.seed, params, tuple(links), tuple(joints), root, blueprint)
 

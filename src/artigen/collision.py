@@ -47,7 +47,9 @@ from .blueprint import AssetInstance, forward_kinematics
 from .errors import InvalidParameterError, PlanTooLargeError
 from .geometry import (
     DEGENERATE_AREA,
+    _all3,
     _cross,
+    _row_norms,
     intersecting_pairs,
     triangle_areas,
     triangles_intersect,
@@ -180,13 +182,6 @@ def _offset_inward(tris: np.ndarray, tolerance: float) -> np.ndarray:
     return out.reshape(tris.shape)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=1) of an (n, 3) stack, bit for bit: it sums the
-    squares left to right, as here, but reduces a length-3 axis slowly."""
-    x, y, z = v.T
-    return np.sqrt(x * x + y * y + z * z)
-
-
 def _posed(local: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Rest triangles (k, 3, 3) posed at m rigid motions: (m, k, 3, 3)."""
     return np.matmul(local, r.transpose(0, 2, 1)[:, None]) + t[:, None, None]
@@ -206,11 +201,6 @@ def _link_box(lo: np.ndarray, hi: np.ndarray):
     lo = np.ascontiguousarray(lo.transpose(0, 2, 1)).min(axis=2)
     hi = np.ascontiguousarray(hi.transpose(0, 2, 1)).max(axis=2)
     return lo, hi
-
-
-def _all3(x: np.ndarray) -> np.ndarray:
-    """np.all(x, axis=-1) for a last axis of length 3."""
-    return x[..., 0] & x[..., 1] & x[..., 2]
 
 
 def _live_first(tris: np.ndarray, near: np.ndarray):

@@ -22,6 +22,13 @@ translates its mesh (`geometry.translate_mesh`), which gives the numbers that
 composing and applying the transform gives. Meshes and bundles are therefore
 unchanged, bit for bit.
 
+A primitive's mesh is its shape's template (`geometry`: triangles and angle
+tables cached per shape and count) scaled by the node's numbers, made without
+the mesh checks. The run keeps its primitives in creation order and checks
+them all in one pass (`geometry.check_meshes`) when it ends, or as soon as
+anything raises, before that error propagates: the first bad primitive raises
+the error it raises when checked where it is made, as `make_*` do.
+
 Meshes are kept in the construction frame (the frame in which primitives were
 placed); a joint at value v conjugates its motion about the stored pivot, so a
 value of 0 reproduces the construction placement exactly. Evaluation is demand
@@ -49,14 +56,15 @@ from .errors import (
 from .geometry import (
     RigidTransform,
     TriMesh,
+    _box,
+    _cylinder,
+    _prism,
+    _rounded_box,
+    _sphere,
     apply_transform,
     as_vec3,
+    check_meshes,
     convex_hull,
-    make_box,
-    make_cylinder,
-    make_ngon_prism,
-    make_rounded_box,
-    make_sphere,
     merge_meshes,
     mesh_volume,
     translate_mesh,
@@ -239,6 +247,7 @@ class _Run:
         self.values = values
         self.memo: list = [None] * len(steps)
         self.meshes: dict[tuple, TriMesh] = {}  # (shape, maker arguments) -> mesh
+        self.made: list[TriMesh] = []  # those meshes in creation order, not yet checked
         self.fresh_uid = itertools.count(1).__next__  # link and joint uids in creation order
 
     def value(self, index: int):
@@ -273,8 +282,10 @@ class _Run:
     # --- node evaluation -----------------------------------------------------
 
     def _primitive_mesh(self, step: _Step) -> TriMesh:
-        """A primitive node's mesh. Meshes are immutable and the makers pure,
-        so a run makes each distinct (shape, arguments) once and shares it."""
+        """A primitive node's mesh, from its shape's template and unchecked
+        until `Program.run` checks all of the run's meshes. Meshes are
+        immutable and the makers pure, so a run makes each distinct (shape,
+        arguments) once and shares it."""
         shape = step.params["shape"]
         if shape == "box" or shape == "rounded_box":
             args = (tuple(self.scalar(step, f"size_{c}") for c in "xyz"),)
@@ -299,7 +310,8 @@ class _Run:
         key = (shape, args)
         mesh = self.meshes.get(key)
         if mesh is None:
-            mesh = self.meshes[key] = _MAKERS[shape](*args)
+            mesh = self.meshes[key] = TriMesh._unchecked(*_MAKERS[shape](*args), None)
+            self.made.append(mesh)
         return mesh
 
     def _eval_primitive(self, step: _Step) -> _Body:
@@ -496,15 +508,14 @@ class _Run:
         return _Body(links, body.joints)
 
 
-# The maker of each primitive shape, looked up in this module at each call.
+# The vertices and triangles of each primitive shape, with the maker's
+# argument checks and without the mesh checks.
 _MAKERS = {
-    "box": lambda dims: make_box(dims),
-    "rounded_box": lambda dims, bevel: make_rounded_box(dims, bevel),
-    "cylinder": lambda radius, height, segments: make_cylinder(radius, height, segments),
-    "sphere": lambda radius, segments: make_sphere(radius, segments),
-    "ngon_prism": lambda radius, height, sides, top: make_ngon_prism(
-        radius, height, sides, top_radius=top
-    ),
+    "box": _box,
+    "rounded_box": _rounded_box,
+    "cylinder": _cylinder,
+    "sphere": _sphere,
+    "ngon_prism": _prism,
 }
 
 _HANDLERS = {
@@ -538,8 +549,17 @@ class Program:
         """The links, the joints sorted by construction order, and the root
         link id of one graph of this structure, without posing any link.
         `values` are the parameter values, already checked against the
-        graph's space (`ParameterSpace.validate_vector`)."""
-        body = _Run(self.steps, numbers, values).value(self.output)
+        graph's space (`ParameterSpace.validate_vector`). The run's
+        primitive meshes are checked in one pass (`check_meshes`) when it
+        ends, or when anything raises first, so the first bad mesh raises
+        what it raised when each was checked where it was made."""
+        run = _Run(self.steps, numbers, values)
+        try:
+            body = run.value(self.output)
+        except Exception:
+            check_meshes(run.made)
+            raise
+        check_meshes(run.made)
         # Deterministic public names: creation order, label-based with ordinals.
         name_counts: dict[str, int] = {}
         link_names: dict[int, str] = {}

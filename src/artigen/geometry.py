@@ -7,9 +7,10 @@ arguments, so meshes can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -217,7 +218,10 @@ class TriMesh:
     Construction checks that vertices are finite, indices in range, labels
     one per triangle and no triangle degenerate (DEGENERATE_AREA). The
     primitives, `convex_hull`, `parse_obj` and `TriMesh(...)` itself run all
-    of these checks. `apply_transform` and `merge_meshes` move or reindex
+    of these checks. `check_meshes` runs them on many meshes in one pass, with
+    the errors that checking them one by one raises: the evaluator makes its
+    primitives from the same cached templates without the checks and checks
+    them that way. `apply_transform` and `merge_meshes` move or reindex
     checked meshes: a move runs only the finite check, a merge none.
     """
 
@@ -302,6 +306,42 @@ class TriMesh:
         return vertices + faces
 
 
+def check_meshes(meshes) -> None:
+    """The checks of `TriMesh(...)` on each of `meshes` in one pass: raise what
+    checking them one by one, in order, raises first, else nothing.
+
+    The predicates run over the stacked arrays: finite vertices, each mesh's
+    indices in its own range, one label per triangle and no area at most
+    DEGENERATE_AREA, whose areas are elementwise and so the meshes' own. If
+    any fails, the meshes are checked again one by one, so the first failing
+    mesh raises its own error. So does an area that overflows: the stacked
+    pass silences NumPy's overflow and invalid warnings, and the check one by
+    one gives each in the order and at the mesh where it arises."""
+    meshes = list(meshes)
+    if not meshes:
+        return
+    counts = [len(m.triangles) for m in meshes]
+    sizes = [len(m.vertices) for m in meshes]
+    verts = np.concatenate([m.vertices for m in meshes])
+    tris = np.concatenate([m.triangles for m in meshes])
+    ok = all(
+        m.face_labels is None or len(m.face_labels) == n for m, n in zip(meshes, counts)
+    ) and bool(np.isfinite(verts).all())
+    if ok and len(tris):
+        # Each triangle's indices against its own mesh's size, then shifted
+        # into the stacked vertices.
+        ok = tris.min() >= 0 and bool((tris < np.repeat(sizes, counts)[:, None]).all())
+        if ok:
+            starts = np.repeat(list(itertools.accumulate(sizes, initial=0))[:-1], counts)
+            corners = np.take(verts, tris + starts[:, None], axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                areas = triangle_areas(corners)
+            ok = bool(((areas > DEGENERATE_AREA) & (areas < np.inf)).all())
+    if not ok:
+        for m in meshes:
+            TriMesh(m.vertices, m.triangles, m.face_labels)
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross products of two (n, 3) stacks.
 
@@ -349,26 +389,8 @@ def _orient_outward(verts: np.ndarray, tris: np.ndarray, outward: np.ndarray) ->
 # Splits each counter-clockwise quad (a, b, c, d) into triangles (a, b, c) and (a, c, d).
 _QUAD_TRIANGLES = [0, 1, 2, 0, 2, 3]
 
-
-def make_box(dimensions) -> TriMesh:
-    """Axis-aligned box centered at the origin: 8 vertices, 12 triangles."""
-    dims = as_vec3(dimensions)
-    if np.any(dims <= 0):
-        raise InvalidParameterError(f"box dimensions must be positive, got {dims}")
-    hx, hy, hz = dims / 2.0
-    verts = np.array(
-        [
-            [-hx, -hy, -hz],
-            [hx, -hy, -hz],
-            [hx, hy, -hz],
-            [-hx, hy, -hz],
-            [-hx, -hy, hz],
-            [hx, -hy, hz],
-            [hx, hy, hz],
-            [-hx, hy, hz],
-        ]
-    )
-    return TriMesh(verts, _BOX_TRIANGLES)
+# Templates kept per (shape, count); each holds a few read-only arrays.
+PRIMITIVE_TEMPLATES = 64
 
 
 def _constant(array: np.ndarray) -> np.ndarray:
@@ -376,30 +398,35 @@ def _constant(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _box(dimensions) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and triangles of `make_box`, unchecked."""
+    dims = as_vec3(dimensions)
+    if np.any(dims <= 0):
+        raise InvalidParameterError(f"box dimensions must be positive, got {dims}")
+    return _BOX_SIGNS * (dims / 2.0), _BOX_TRIANGLES
+
+
+def make_box(dimensions) -> TriMesh:
+    """Axis-aligned box centered at the origin: 8 vertices, 12 triangles."""
+    return TriMesh(*_box(dimensions))
+
+
+# Corner k of a box is this sign row times the half extents, (-h, -h, -h) first.
+_BOX_SIGNS = _constant(
+    np.array(
+        [[-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1], [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1]],
+        dtype=np.float64,
+    )
+)
 # -Z, +Z, -Y, +Y, +X, -X faces, each counter-clockwise seen from outside.
 _BOX_QUADS = np.array([[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [2, 3, 7, 6], [1, 2, 6, 5], [3, 0, 4, 7]])
 _BOX_TRIANGLES = _constant(_BOX_QUADS[:, _QUAD_TRIANGLES].reshape(-1, 3))
 
 
-def make_ngon_prism(
-    radius: float,
-    height: float,
-    sides: int,
-    top_radius: float | None = None,
-) -> TriMesh:
-    """Closed prism along +Z centered at the origin, optionally tapered toward the top."""
-    if radius <= 0 or height <= 0:
-        raise InvalidParameterError("prism radius and height must be positive")
-    sides = int(sides)
-    if sides < 3:
-        raise InvalidParameterError(f"prism needs at least 3 sides, got {sides}")
-    r_top = radius if top_radius is None else float(top_radius)
-    if r_top <= 0:
-        raise InvalidParameterError("top radius must be positive")
+@lru_cache(maxsize=PRIMITIVE_TEMPLATES)
+def _prism_template(sides: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos and sin of a prism's `sides` corner angles, and its triangles."""
     ang = 2.0 * np.pi * np.arange(sides) / sides
-    bottom = np.column_stack([radius * np.cos(ang), radius * np.sin(ang), np.full(sides, -height / 2.0)])
-    top = np.column_stack([r_top * np.cos(ang), r_top * np.sin(ang), np.full(sides, height / 2.0)])
-    verts = np.vstack([[[0.0, 0.0, -height / 2.0]], [[0.0, 0.0, height / 2.0]], bottom, top])
     bc, tc = 0, 1
     b0, t0 = 2, 2 + sides
     tris = []
@@ -409,35 +436,63 @@ def make_ngon_prism(
         tris.append((tc, t0 + k, t0 + k1))  # top cap, outward +Z
         tris.append((b0 + k, b0 + k1, t0 + k))
         tris.append((b0 + k1, t0 + k1, t0 + k))
-    return TriMesh(verts, np.array(tris))
+    return _constant(np.cos(ang)), _constant(np.sin(ang)), _constant(np.array(tris, dtype=np.int64))
+
+
+def _prism(radius, height, sides, top_radius=None) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and triangles of `make_ngon_prism`, unchecked."""
+    if radius <= 0 or height <= 0:
+        raise InvalidParameterError("prism radius and height must be positive")
+    sides = int(sides)
+    if sides < 3:
+        raise InvalidParameterError(f"prism needs at least 3 sides, got {sides}")
+    r_top = radius if top_radius is None else float(top_radius)
+    if r_top <= 0:
+        raise InvalidParameterError("top radius must be positive")
+    cos, sin, tris = _prism_template(sides)
+    # Both caps' centres, then the bottom ring and the top ring.
+    verts = np.empty((2 + 2 * sides, 3))
+    verts[:2] = ((0.0, 0.0, -height / 2.0), (0.0, 0.0, height / 2.0))
+    bottom, top = verts[2 : 2 + sides], verts[2 + sides :]
+    np.multiply(radius, cos, out=bottom[:, 0])
+    np.multiply(radius, sin, out=bottom[:, 1])
+    bottom[:, 2] = -height / 2.0
+    np.multiply(r_top, cos, out=top[:, 0])
+    np.multiply(r_top, sin, out=top[:, 1])
+    top[:, 2] = height / 2.0
+    return verts, tris
+
+
+def make_ngon_prism(
+    radius: float,
+    height: float,
+    sides: int,
+    top_radius: float | None = None,
+) -> TriMesh:
+    """Closed prism along +Z centered at the origin, optionally tapered toward the top."""
+    return TriMesh(*_prism(radius, height, sides, top_radius))
+
+
+def _cylinder(radius, height, segments=DEFAULT_SEGMENTS) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and triangles of `make_cylinder`, unchecked."""
+    if segments < 3:
+        raise InvalidParameterError(f"cylinder needs at least 3 segments, got {segments}")
+    return _prism(radius, height, segments)
 
 
 def make_cylinder(radius: float, height: float, segments: int = DEFAULT_SEGMENTS) -> TriMesh:
     """Closed cylinder along +Z centered at the origin; 4*segments triangles."""
-    if segments < 3:
-        raise InvalidParameterError(f"cylinder needs at least 3 segments, got {segments}")
-    return make_ngon_prism(radius, height, segments)
+    return TriMesh(*_cylinder(radius, height, segments))
 
 
-def make_sphere(radius: float, segments: int = DEFAULT_SEGMENTS) -> TriMesh:
-    """UV sphere centered at the origin."""
-    if radius <= 0:
-        raise InvalidParameterError("sphere radius must be positive")
-    segments = int(segments)
-    if segments < 3:
-        raise InvalidParameterError(f"sphere needs at least 3 segments, got {segments}")
+@lru_cache(maxsize=PRIMITIVE_TEMPLATES)
+def _sphere_template(segments: int) -> tuple[np.ndarray, ...]:
+    """cos and sin of a UV sphere's inner ring polar angles and of its
+    `segments` azimuths, and its triangles."""
     rings = max(2, segments // 2)
-    verts = [np.array([0.0, 0.0, radius])]
-    for i in range(1, rings):
-        phi = np.pi * i / rings
-        z = radius * math.cos(phi)
-        r = radius * math.sin(phi)
-        ang = 2.0 * np.pi * np.arange(segments) / segments
-        ring = np.column_stack([r * np.cos(ang), r * np.sin(ang), np.full(segments, z)])
-        verts.append(ring)
-    verts.append(np.array([0.0, 0.0, -radius]))
-    verts = np.vstack([v.reshape(-1, 3) for v in verts])
-    north, south = 0, len(verts) - 1
+    phi = [np.pi * i / rings for i in range(1, rings)]
+    ang = 2.0 * np.pi * np.arange(segments) / segments
+    north, south = 0, 1 + (rings - 1) * segments
 
     def ring_start(i):  # ring index 1..rings-1
         return 1 + (i - 1) * segments
@@ -455,11 +510,45 @@ def make_sphere(radius: float, segments: int = DEFAULT_SEGMENTS) -> TriMesh:
     rl = ring_start(rings - 1)
     for k in range(segments):
         tris.append((south, rl + (k + 1) % segments, rl + k))
-    return TriMesh(verts, np.array(tris))
+    return tuple(
+        _constant(a)
+        for a in (
+            np.array([math.cos(p) for p in phi]),
+            np.array([math.sin(p) for p in phi]),
+            np.cos(ang),
+            np.sin(ang),
+            np.array(tris, dtype=np.int64),
+        )
+    )
 
 
-def make_rounded_box(dimensions, bevel: float) -> TriMesh:
-    """Box with one 45-degree chamfer loop on all 12 edges; bevel=0 is exactly make_box."""
+def _sphere(radius, segments=DEFAULT_SEGMENTS) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and triangles of `make_sphere`, unchecked."""
+    if radius <= 0:
+        raise InvalidParameterError("sphere radius must be positive")
+    segments = int(segments)
+    if segments < 3:
+        raise InvalidParameterError(f"sphere needs at least 3 segments, got {segments}")
+    ring_cos, ring_sin, cos, sin, tris = _sphere_template(segments)
+    # The north pole, the inner rings from north to south, the south pole.
+    verts = np.empty((2 + len(ring_cos) * segments, 3))
+    verts[0] = (0.0, 0.0, radius)
+    verts[-1] = (0.0, 0.0, -radius)
+    rings = verts[1:-1].reshape(len(ring_cos), segments, 3)
+    r = radius * ring_sin
+    np.multiply(r[:, None], cos, out=rings[..., 0])
+    np.multiply(r[:, None], sin, out=rings[..., 1])
+    rings[..., 2] = (radius * ring_cos)[:, None]
+    return verts, tris
+
+
+def make_sphere(radius: float, segments: int = DEFAULT_SEGMENTS) -> TriMesh:
+    """UV sphere centered at the origin."""
+    return TriMesh(*_sphere(radius, segments))
+
+
+def _rounded_box(dimensions, bevel: float) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and triangles of `make_rounded_box`, unchecked."""
     dims = as_vec3(dimensions)
     if np.any(dims <= 0):
         raise InvalidParameterError(f"box dimensions must be positive, got {dims}")
@@ -469,13 +558,18 @@ def make_rounded_box(dimensions, bevel: float) -> TriMesh:
             f"bevel must satisfy 0 <= bevel < min(dimensions)/2, got {bevel}"
         )
     if bevel == 0.0:
-        return make_box(dims)
+        return _box(dims)
     h = dims / 2.0
     # Vertex 3 * c + a lies on corner c's face normal to axis a, inset by the bevel
     # along the other two axes.
     verts = np.repeat(_CORNERS * (h - bevel), 3, axis=0)
     verts[_CORNER_FACE_ROWS, _CORNER_FACE_AXES] = (_CORNERS * h).ravel()
-    return TriMesh(verts, _orient_outward(verts, _ROUNDED_TRIANGLES, _ROUNDED_OUTWARD))
+    return verts, _orient_outward(verts, _ROUNDED_TRIANGLES, _ROUNDED_OUTWARD)
+
+
+def make_rounded_box(dimensions, bevel: float) -> TriMesh:
+    """Box with one 45-degree chamfer loop on all 12 edges; bevel=0 is exactly make_box."""
+    return TriMesh(*_rounded_box(dimensions, bevel))
 
 
 def _rounded_box_topology() -> tuple[np.ndarray, np.ndarray]:
@@ -580,6 +674,20 @@ def merge_meshes(meshes) -> TriMesh:
 
 # Per dominant normal axis, the two axes a coplanar row keeps.
 _KEPT_AXES = np.array([[1, 2], [0, 2], [0, 1]])
+# Corner k + 1 (mod 3) of each corner k: edge k runs from corner k to it.
+_NEXT = np.array([1, 2, 0])
+
+
+def _all3(x: np.ndarray) -> np.ndarray:
+    """np.all(x, axis=-1) for a last axis of length 3."""
+    return x[..., 0] & x[..., 1] & x[..., 2]
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) of an (n, 3) stack, bit for bit: it sums the
+    squares left to right, as here, but reduces a length-3 axis slowly."""
+    x, y, z = v.T
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _edge_sides(p, q, tol):
@@ -591,18 +699,16 @@ def _edge_sides(p, q, tol):
     lies in p, indexed [row, k]. "On" and "in" hold within `tol`.
     """
     p0 = p[:, :, None, :]
-    p1 = np.roll(p, -1, axis=1)[:, :, None, :]
+    p1 = p[:, _NEXT, None, :]
     c = q[:, None, :, :]
     edge, rel = p1 - p0, c - p0
     side = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
-    side_next = np.roll(side, -1, axis=2)
+    side_next = side[:, :, _NEXT]
     straddles = ((side > tol) & (side_next < -tol)) | ((side < -tol) & (side_next > tol))
-    in_box = np.all(
-        (np.minimum(p0, p1) - tol[..., None] <= c) & (c <= np.maximum(p0, p1) + tol[..., None]),
-        axis=3,
-    )
-    on_edge = (np.abs(side) <= tol) & in_box
-    inside = np.all(side >= -tol, axis=1) | np.all(side <= tol, axis=1)
+    near = (np.minimum(p0, p1) - tol[..., None] <= c) & (c <= np.maximum(p0, p1) + tol[..., None])
+    on_edge = (np.abs(side) <= tol) & near[..., 0] & near[..., 1]
+    above, below = side >= -tol, side <= tol
+    inside = (above[:, 0] & above[:, 1] & above[:, 2]) | (below[:, 0] & below[:, 1] & below[:, 2])
     return straddles, on_edge, inside
 
 
@@ -621,7 +727,7 @@ def _coplanar_overlap(a, b, normal, eps):
     touch = b_in_a | a_in_b | np.any(b_on_a | a_on_b, axis=1)
     # Edge i of a and edge j of b cross when each straddles the other's line.
     cross = b_crosses & a_crosses.transpose(0, 2, 1)
-    return np.any(touch, axis=1) | np.any(cross, axis=(1, 2))
+    return np.any(touch, axis=1) | np.any(cross.reshape(len(cross), 9), axis=1)
 
 
 def _plane_side(tris, origin, normal, eps):
@@ -629,8 +735,8 @@ def _plane_side(tris, origin, normal, eps):
     plane, zeroed within eps * |normal|, and whether all three lie strictly on
     one side."""
     dist = np.einsum("nij,nj->ni", tris - origin[:, None, :], normal)
-    dist = np.where(np.abs(dist) <= (eps * np.linalg.norm(normal, axis=1))[:, None], 0.0, dist)
-    return dist, np.all(dist > 0, axis=1) | np.all(dist < 0, axis=1)
+    dist = np.where(np.abs(dist) <= (eps * _row_norms(normal))[:, None], 0.0, dist)
+    return dist, _all3(dist > 0) | _all3(dist < 0)
 
 
 def _crossing_interval(tris, dists, line_dir):
@@ -639,7 +745,7 @@ def _crossing_interval(tris, dists, line_dir):
     strictly on one side has at least one of them."""
     proj = np.einsum("nij,nj->ni", tris, line_dir)
     # Edge k runs from corner k to corner k+1 (mod 3).
-    d_next, p_next = np.roll(dists, -1, axis=1), np.roll(proj, -1, axis=1)
+    d_next, p_next = dists[:, _NEXT], proj[:, _NEXT]
     crosses = dists * d_next < 0.0
     at = proj + (p_next - proj) * dists / np.where(crosses, dists - d_next, 1.0)
     ts = np.concatenate([proj, at], axis=1)
@@ -657,28 +763,31 @@ def intersecting_pairs(tris_a, tris_b) -> np.ndarray:
     scale-relative eps, so touching contacts (shared vertex or edge) count.
     Coplanar and near-parallel rows take one batched 2-D branch.
     Rows must be non-degenerate; `triangles_intersect` is the checked n=1 view.
+    Short axes are reduced elementwise, which gives the reductions' values.
     """
     a = np.asarray(tris_a, dtype=np.float64).reshape(-1, 3, 3)
     b = np.asarray(tris_b, dtype=np.float64).reshape(-1, 3, 3)
-    eps = 1e-12 * np.maximum(1.0, np.abs(np.concatenate([a, b], axis=1)).max(axis=(1, 2)))
+    big = np.maximum(np.abs(a.reshape(-1, 9)).max(axis=1), np.abs(b.reshape(-1, 9)).max(axis=1))
+    eps = 1e-12 * np.maximum(1.0, big)
     na = _cross(a[:, 1] - a[:, 0], a[:, 2] - a[:, 0])
     nb = _cross(b[:, 1] - b[:, 0], b[:, 2] - b[:, 0])
     da, a_apart = _plane_side(a, b[:, 0], nb, eps)
     db, b_apart = _plane_side(b, a[:, 0], na, eps)
     out = ~(a_apart | b_apart)
     line = _cross(na, nb)
-    norm = np.linalg.norm(line, axis=1)
-    flat = out & ((np.all(da == 0.0, axis=1) & np.all(db == 0.0, axis=1)) | (norm < eps))
+    norm = _row_norms(line)
+    flat = out & ((_all3(da == 0.0) & _all3(db == 0.0)) | (norm < eps))
     # Parallel distinct planes were rejected above, so these rows are coplanar.
     rows = np.nonzero(flat)[0]
     if len(rows):  # the 2-D branch costs tens of array calls even with no rows
-        tol = eps[rows] * np.maximum(1.0, np.linalg.norm(na[rows], axis=1))
+        tol = eps[rows] * np.maximum(1.0, _row_norms(na[rows]))
         out[rows] = _coplanar_overlap(a[rows], b[rows], na[rows], tol)
     rows = np.nonzero(out & ~flat)[0]
     line = line[rows] / norm[rows, None]
     lo_a, hi_a = _crossing_interval(a[rows], da[rows], line)
     lo_b, hi_b = _crossing_interval(b[rows], db[rows], line)
-    tol = eps[rows] * np.abs(np.column_stack([lo_a, hi_a, lo_b, hi_b])).max(axis=1, initial=1.0)
+    big = np.maximum(np.maximum(np.abs(lo_a), np.abs(hi_a)), np.maximum(np.abs(lo_b), np.abs(hi_b)))
+    tol = eps[rows] * np.maximum(big, 1.0)
     out[rows] = (lo_a <= hi_b + tol) & (lo_b <= hi_a + tol)
     return out
 

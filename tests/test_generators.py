@@ -507,24 +507,39 @@ class TestBlueprintInvariance:
 
     def test_build_checks_each_mesh_where_it_is_made(self, monkeypatch):
         """Primitives and realized link meshes take the full mesh check, and
-        meshes moved or merged in between do not: the area check runs at
-        most once per primitive plus once per link."""
+        meshes moved or merged in between do not: a warm build runs the area
+        check exactly twice, once over its primitives and once over its
+        links, on exactly the triangles those hold."""
         for category in CATEGORY_NAMES:
             build_instance(category, 0, salt="")
-        calls = {"areas": 0, "primitives": 0}
-        areas = _counted(calls, "areas", artigen.geometry.triangle_areas)
+        calls = {"areas": 0, "triangles": 0, "primitives": 0, "made": 0}
+
+        def areas(corners):
+            calls["areas"] += 1
+            calls["triangles"] += len(corners)
+            return triangle_areas(corners)
+
+        def counted(make):
+            def made(*args):
+                verts, tris = make(*args)
+                calls["primitives"] += 1
+                calls["made"] += len(tris)
+                return verts, tris
+            return made
+
+        triangle_areas = artigen.geometry.triangle_areas
         monkeypatch.setattr(artigen.geometry, "triangle_areas", areas)
         # evaluation makes each primitive with exactly one of these
-        for make in ("make_box", "make_cylinder", "make_ngon_prism", "make_rounded_box", "make_sphere"):
-            primitive = _counted(calls, "primitives", getattr(artigen.evaluate, make))
-            monkeypatch.setattr(artigen.evaluate, make, primitive)
+        for shape, make in artigen.evaluate._MAKERS.items():
+            monkeypatch.setitem(artigen.evaluate._MAKERS, shape, counted(make))
         for category in CATEGORY_NAMES:
             for seed in (1, 2):
-                calls.update(areas=0, primitives=0)
+                calls.update(areas=0, triangles=0, primitives=0, made=0)
                 inst = build_instance(category, seed, salt="")
-                links = sum(1 for l in inst.links if l.mesh.n_vertices)
+                links = sum(l.mesh.n_triangles for l in inst.links)
                 assert calls["primitives"] > 0, (category, seed)
-                assert 0 < calls["areas"] <= calls["primitives"] + links, (category, seed)
+                assert calls["areas"] == 2, (category, seed)
+                assert calls["triangles"] == calls["made"] + links, (category, seed)
 
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_category_blueprint_matches_each_seed(self, category):
