@@ -46,6 +46,10 @@ def _bundle_dir(out: Path, category: str, seed: int) -> Path:
     return out / f"{category}_{seed:04d}"
 
 
+def _failure_line(category: str, seed: int, exc: Exception) -> str:
+    return f"{category} seed {seed}: FAILED: {type(exc).__name__}: {exc}"
+
+
 def _generate_one(category: str, seed: int, out: str, formats, overrides) -> dict:
     salt = os.environ.get(SALT_ENV_VAR, "")
     instance = build_instance(category, seed, overrides=overrides, salt=salt)
@@ -93,10 +97,9 @@ def cmd_generate(args) -> int:
         print(f"{args.category} seed {seed}: {r['links']} links {r['joints']} joints -> "
               + ", ".join(r["paths"]))
     for seed in sorted(failures):
-        exc = failures[seed]
-        print(f"{args.category} seed {seed}: FAILED: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_failure_line(args.category, seed, failures[seed]), file=sys.stderr)
     elapsed = time.perf_counter() - started
-    rate = len(seeds) / elapsed if elapsed > 0 else float("inf")
+    rate = len(results) / elapsed if elapsed > 0 else float("inf")
     print(f"generated {len(results)}/{len(seeds)} assets in {elapsed:.1f}s ({rate:.1f}/s)")
     return 1 if failures else 0
 
@@ -131,14 +134,18 @@ def cmd_check(args) -> int:
     else:
         plan = SweepPlan(strategy="grid", samples=args.grid, tolerance=args.tolerance)
     salt = os.environ.get(SALT_ENV_VAR, "")
-    any_findings = False
+    any_findings = any_failed = False
     for seed in seeds:
-        instance = build_instance(args.category, seed, overrides=overrides, salt=salt)
         try:
+            instance = build_instance(args.category, seed, overrides=overrides, salt=salt)
             report = sweep_check(instance, plan)
         except PlanTooLargeError as exc:
             print(f"{args.category} seed {seed}: {exc}", file=sys.stderr)
             return 3
+        except Exception as exc:  # per-seed isolation, as in generate
+            print(_failure_line(args.category, seed, exc), file=sys.stderr)
+            any_failed = True
+            continue
         dest = _bundle_dir(Path(args.out), args.category, seed)
         dest.mkdir(parents=True, exist_ok=True)
         (dest / "report.json").write_text(
@@ -148,7 +155,7 @@ def cmd_check(args) -> int:
         status = "clean" if report.clean else f"{len(report.findings)} findings"
         print(f"{args.category} seed {seed}: {report.configs_tested} configs, {status}")
         any_findings |= not report.clean
-    return 2 if any_findings else 0
+    return 1 if any_failed else 2 if any_findings else 0
 
 
 def cmd_validate(args) -> int:

@@ -70,7 +70,6 @@ class SweepPlan:
     seed: int = 0
     pair_filter: str = PAIR_FILTER_ADJACENT_EXCLUDED
     tolerance: float = 1e-6
-    use_broadphase: bool = True
 
     def __post_init__(self):
         if self.strategy not in ("grid", "random"):
@@ -456,10 +455,7 @@ def check_configs(
             world[link_id] = (r, trans[i] + r @ np.asarray(instance.links[i].origin))
             if not quat[i, :, 1:].any():
                 unrotated.add(link_id)
-        if plan.use_broadphase:
-            survivors = _broadphase(verts, world, unrotated, pairs, plan.tolerance)
-        else:
-            survivors = [(a, b, np.arange(n)) for a, b in pairs]
+        survivors = _broadphase(verts, world, unrotated, pairs, plan.tolerance)
         for a, b, hits in survivors:
             for link_id in (a, b):
                 if link_id not in local:

@@ -2,16 +2,25 @@
 Program, then run it on the numbers of every graph of that structure.
 
 A `NodeGraph` records each node as an op of its structure
-(`NodeGraph.structure`), which is everything validation reads, and beside it
-the node's numeric literals (`NodeGraph.numbers`). `program_for` compiles a
-structure the first time it meets it, from the structure alone: it checks the
-structure (`artigen.graph.check_structure`, the check that
-`NodeGraph.validate` runs), writes the walk of that check out as its
-blueprint, and resolves each node's handler, wires, parameter references and
-defaults into a step. It keeps the last VALIDATED_STRUCTURES programs under
-their structures, and a program holds no number but a switch's literal
-selector. Each run then reads only that graph's numbers and the parameter
-values, which the caller has checked with `ParameterSpace.validate_vector`.
+(`NodeGraph.structure`) and, beside it, its numeric literals
+(`NodeGraph.numbers`). `program_for` compiles a structure the first time it
+meets it, from the structure alone, and keeps the last VALIDATED_STRUCTURES
+programs; a program holds no number but a switch's literal selector. Each run
+reads only one graph's numbers and the parameter values, which the caller has
+checked with `ParameterSpace.validate_vector`.
+
+The check (`artigen.graph.check_structure`, which `NodeGraph.validate` runs)
+decides link identity once per op, for every switch selection: whether a
+joint adds a new child or is a second joint into a child its parent holds,
+which inputs a merge copies, and whether a duplicate merges static geometry
+or copies jointed links. A run carries the decisions out and works out
+nothing structural, so a graph that validates builds the tree its blueprint
+describes. Generator graphs get the decisions that each selection's own link
+sets would give. A hand-built graph can differ where those differ between
+selections: a merge input that shares links with an earlier one under some
+selection is copied under all of them (link names can change), and a
+duplicate whose body holds a joint under some selection copies jointed links
+under all of them (where the body holds none, it adds nothing).
 
 A primitive that only a transform reads runs as one step with it, which makes
 one link, with a uid where the transform's link had its own: the uids keep
@@ -19,22 +28,18 @@ their relative creation order, so names are unchanged. Within a run each
 distinct (shape, arguments) mesh is made once and shared, as meshes are
 immutable and the makers pure, and a placement without rotation only
 translates its mesh (`geometry.translate_mesh`), which gives the numbers that
-composing and applying the transform gives. Meshes and bundles are therefore
-unchanged, bit for bit.
-
-A primitive's mesh is its shape's template (`geometry`: triangles and angle
-tables cached per shape and count) scaled by the node's numbers, made without
-the mesh checks. The run keeps its primitives in creation order and checks
-them all in one pass (`geometry.check_meshes`) when it ends, or as soon as
-anything raises, before that error propagates: the first bad primitive raises
-the error it raises when checked where it is made, as `make_*` do.
+composing and applying the transform gives. A primitive's mesh is its shape's
+template (`geometry`: triangles and angle tables cached per shape and count)
+scaled by the node's numbers, made without the mesh checks; the run checks
+them all in creation order in one pass (`geometry.check_meshes`) when it
+ends, or as soon as anything raises, so the first bad primitive raises the
+error it raises when checked where it is made, as `make_*` do.
 
 Meshes are kept in the construction frame (the frame in which primitives were
 placed); a joint at value v conjugates its motion about the stored pivot, so a
 value of 0 reproduces the construction placement exactly. Evaluation is demand
-driven and memoized, as the symbolic walk is: switch branches that are not
-selected are never built, and link and joint uids follow the order in which
-nodes are first needed.
+driven and memoized: switch branches that are not selected are never built,
+and link and joint uids follow the order in which nodes are first needed.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .errors import (
     EvaluationError,
     InvalidParameterError,
     RangeError,
-    StructuralError,
 )
 from .geometry import (
     RigidTransform,
@@ -73,6 +77,7 @@ from .graph import (
     _KINDS,
     _Op,
     _ops,
+    _port_family,
     JOINT_KINDS,
     JOINT_REVOLUTE,
     PRIMITIVE,
@@ -81,7 +86,6 @@ from .graph import (
     NodeGraph,
     ParamRef,
     check_structure,
-    link_set_relation,
     whole_number,
     write_blueprint,
 )
@@ -179,9 +183,6 @@ class _Body:
     def root(self) -> EvaluatedLink:
         return self.links[0]
 
-    def link_uids(self):
-        return {l.link_id for l in self.links}
-
 
 def _transform(links, joints, t: RigidTransform, remap: dict, fresh_uid):
     """`links` and `joints` moved by `t` under uids from `fresh_uid`. `remap` maps
@@ -216,22 +217,27 @@ _DEFAULTS = {
 
 class _Step:
     """One node of a compiled program: its handler, its wires as op indices,
-    and where each parameter comes from. A scalar is read from its wire, else
-    its parameter reference, else the graph's number for it, else `consts`:
-    the schema default, or a switch's literal selector."""
+    its `sources` (a merge's inputs or a switch's options in port order, or
+    the primitive a placing transform runs), the check's identity decision at
+    its op, and where each parameter comes from. A scalar is read from its
+    wire, else its parameter reference, else the graph's number for it, else
+    `consts`: the schema default, or a switch's literal selector."""
 
-    __slots__ = ("index", "node_id", "kind", "run", "inputs", "refs", "params", "consts", "source")
+    __slots__ = ("index", "node_id", "kind", "run", "inputs", "sources", "decision", "refs",
+                 "params", "consts")
 
-    def __init__(self, index: int, op: _Op):
+    def __init__(self, index: int, op: _Op, decision=None):
         self.index = index
         self.node_id, self.kind, self.inputs, params = op
         self.run = _HANDLERS[self.kind]
+        prefix = _KINDS[self.kind].dynamic_ports
+        self.sources = tuple(_port_family(op, prefix)) if prefix else ()
+        self.decision = decision
         self.refs = {name: ref.name for name, ref in params.items() if isinstance(ref, ParamRef)}
         self.params = {name: value for name, value in params.items() if name not in self.refs}
         self.consts = _DEFAULTS[self.kind]
         if "select" in self.params:  # a literal selector
             self.consts = {**self.consts, "select": self.params["select"]}
-        self.source: _Step | None = None  # the primitive a placing transform runs
 
 
 class _Run:
@@ -239,7 +245,8 @@ class _Run:
     parameter vector that `ParameterSpace.validate_vector` accepted. The
     program's structure was validated when it was compiled: wiring, port
     types, the output type, parameter names and parameter values are not
-    checked again here."""
+    checked again here, and each joint, merge and duplicate carries out the
+    identity decision of its step instead of working one out."""
 
     def __init__(self, steps: list, numbers: list, values: dict):
         self.steps = steps
@@ -355,7 +362,7 @@ class _Run:
         `_eval_primitive` then `_eval_transform`, with the primitive's link
         never made. Without a rotation the mesh is only translated, which
         gives the transform's numbers exactly (`translate_mesh`)."""
-        primitive = step.source
+        primitive = self.steps[step.sources[0]]
         mesh = self._primitive_mesh(primitive)
         translate, rot = self._placement(step)
         if rot is None:  # as_vec3: the finite check that from_translation makes
@@ -367,18 +374,12 @@ class _Run:
         return _Body((link,), ())
 
     def _eval_merge(self, step: _Step) -> _Body:
-        inputs = []
-        idx = 0
-        while f"geometry_{idx}" in step.inputs:
-            inputs.append(self.value(step.inputs[f"geometry_{idx}"]))
-            idx += 1
-        seen: set[int] = set()
         bodies = []
-        for body in inputs:
-            if body.link_uids() & seen:
+        for src, copied in zip(step.sources, step.decision):
+            body = self.value(src)
+            if copied:  # an input that shares links with an earlier one
                 identity = RigidTransform.identity()
                 body = _Body(*_transform(body.links, body.joints, identity, {}, self.fresh_uid))
-            seen |= body.link_uids()
             bodies.append(body)
         mesh = merge_meshes([b.root.mesh for b in bodies])
         label = next((b.root.label for b in bodies if b.root.label), None)
@@ -396,15 +397,12 @@ class _Run:
         return _Body(tuple(links), tuple(joints))
 
     def _eval_switch(self, step: _Step) -> _Body:
-        n_opts = 0
-        while f"option_{n_opts}" in step.inputs:
-            n_opts += 1
         select = self.int_scalar(step, "select")
-        if not 0 <= select < n_opts:
+        if not 0 <= select < len(step.sources):
             raise RangeError(
-                f"switch selector {select} outside options 0..{n_opts - 1} on {step.node_id}"
+                f"switch selector {select} outside options 0..{len(step.sources) - 1} on {step.node_id}"
             )
-        return self.value(step.inputs[f"option_{select}"])
+        return self.value(step.sources[select])
 
     def _eval_joint(self, step: _Step) -> _Body:
         parent = self.value(step.inputs["parent"])
@@ -427,38 +425,24 @@ class _Run:
             step.params.get("parent_label"),
             step.params.get("child_label"),
         )
-        relation = link_set_relation(parent.link_uids(), child.link_uids())
-        if relation == "equal":
-            raise StructuralError(f"joint {step.node_id}: child geometry is its own parent")
-        if relation == "overlapping":
-            raise StructuralError(f"joint {step.node_id}: parent and child share links")
-
-        def relabel(body: _Body, uid: int, label: str | None) -> _Body:
-            if label is None:
-                return body
-            links = tuple(
-                replace(l, label=l.label or label) if l.link_id == uid else l for l in body.links
-            )
-            return _Body(links, body.joints)
-
-        order = (step.index,)
         edge = EvaluatedJoint(
-            self.fresh_uid(), parent.root.link_id, child.root.link_id, spec, order
+            self.fresh_uid(), parent.root.link_id, child.root.link_id, spec, (step.index,)
         )
-        if relation == "nested":
-            body = _Body(parent.links, parent.joints + (edge,))
-            body = relabel(body, parent.root.link_id, spec.parent_label)
-            return relabel(body, child.root.link_id, spec.child_label)
-        parent = relabel(parent, parent.root.link_id, spec.parent_label)
-        child = relabel(child, child.root.link_id, spec.child_label)
-        return _Body(parent.links + child.links, parent.joints + child.joints + (edge,))
+        links, joints = parent.links, parent.joints
+        if not step.decision:  # a new child, not a second joint into one the parent holds
+            links, joints = links + child.links, joints + child.joints
+        labels = {parent.root.link_id: spec.parent_label, child.root.link_id: spec.child_label}
+        links = tuple(
+            l if l.label or labels.get(l.link_id) is None else replace(l, label=labels[l.link_id])
+            for l in links
+        )
+        return _Body(links, joints + (edge,))
 
     def _eval_duplicate_joints_on_points(self, step: _Step) -> _Body:
         parent = self.value(step.inputs["parent"])
         body = self.value(step.inputs["body"])
         points = self.numbers[step.index]["points"]
-        if not body.joints:
-            # Static replication: copies of a jointless body merge into the parent root.
+        if step.decision:  # static: copies of a body without joints merge into the parent root
             if not points:
                 return parent
             copies = [parent.root.mesh]
@@ -526,22 +510,23 @@ _HANDLERS = {
 
 class Program:
     """A validated graph structure compiled into steps, one per node, plus its
-    blueprint, which the structure's symbolic body (`check_structure`) writes
-    out; `ops` are the structure's (`artigen.graph._ops`). `run` evaluates it
-    on one graph's numbers."""
+    blueprint. The check (`check_structure`) decides link identity, and each
+    step keeps the decision at its op for runs to carry out; the check's
+    symbolic body is written out as the blueprint. `ops` are the structure's
+    (`artigen.graph._ops`). `run` evaluates it on one graph's numbers."""
 
-    def __init__(self, structure: tuple, ops: list[_Op], body):
+    def __init__(self, structure: tuple, ops: list[_Op], body, decisions: dict):
         self.structure = structure
         self.output = structure[0]
         self.blueprint = write_blueprint(ops, body)
-        self.steps = [_Step(i, op) for i, op in enumerate(ops)]
+        self.steps = [_Step(i, op, decisions.get(i)) for i, op in enumerate(ops)]
         readers = Counter(src for step in self.steps for src in step.inputs.values())
         for step in self.steps:
             src = step.inputs.get("geometry")
             placing = step.kind == TRANSFORM and self.steps[src].kind == PRIMITIVE
             if placing and readers[src] == 1 and src != self.output:
                 step.run = _Run._eval_placed_primitive
-                step.source = self.steps[src]
+                step.sources = (src,)
 
     def run(
         self, numbers: list, values: dict
@@ -589,12 +574,12 @@ def program_for(structure: tuple) -> Program:
     program = _programs.get(structure)
     if program is None:
         ops = _ops(structure)
-        diags, body = check_structure(structure, ops)
+        diags, body, decisions = check_structure(structure, ops)
         if diags:
             raise InvalidParameterError(
                 "graph does not validate: " + "; ".join(str(d) for d in diags)
             )
-        program = Program(structure, ops, body)
+        program = Program(structure, ops, body, decisions)
         if len(_programs) >= VALIDATED_STRUCTURES:
             _programs.pop(next(iter(_programs)), None)
         _programs[structure] = program

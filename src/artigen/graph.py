@@ -14,12 +14,13 @@ closes, and each literal is checked once, where its node is recorded
 and the non-numeric parameters) and, beside it, the node's numeric literals,
 and validation reads the structure alone (`check_structure`): each op's local
 rules, one depth-first pass that orders the ops and finds cycles, and one
-symbolic walk over the ops the output depends on, which keeps link identity
-as evaluation keeps it and rejects every structure that cannot become one
-kinematic tree. `write_blueprint` writes that walk out as the blueprint, so a
-structure that validates always has one. The patterns and the generators
-record their graphs with the builder methods of `NodeGraph`, and
-`artigen.evaluate` checks and compiles each distinct structure once.
+symbolic walk over the ops the output depends on, which decides link
+identity and rejects every structure that cannot become one kinematic tree.
+`write_blueprint` writes that walk out as the blueprint, and evaluation
+carries out the walk's decisions, so a structure that validates builds the
+tree its blueprint describes. The patterns and the generators record their
+graphs with the builder methods of `NodeGraph`, and `artigen.evaluate` checks
+and compiles each distinct structure once.
 """
 
 from __future__ import annotations
@@ -775,10 +776,11 @@ def _ops(structure: tuple) -> list[_Op]:
     ]
 
 
-def check_structure(structure: tuple, ops: list[_Op] | None = None) -> tuple[list[Diagnostic], _SymBody | None]:
+def check_structure(structure: tuple, ops: list[_Op] | None = None) -> tuple[list[Diagnostic], _SymBody | None, dict]:
     """The diagnostics of a graph's structure (`NodeGraph.structure`, whose
     ops are `ops` when given) and, with none, the output's symbolic body,
-    which `write_blueprint` writes out as the blueprint.
+    which `write_blueprint` writes out as the blueprint, and the walk's
+    identity decisions by op index, which evaluation carries out.
 
     The local rules (wiring, ports, inputs, parameter names, literal
     selectors, output kind) check every op, and the cycle check covers them
@@ -838,10 +840,10 @@ def check_structure(structure: tuple, ops: list[_Op] | None = None) -> tuple[lis
     if order is None:
         diags.append(Diagnostic("graph-cycle", "graph contains a cycle"))
     if diags:
-        return diags, None
+        return diags, None, {}
     walk = _SymbolicWalk(ops)
     body = walk.run(order, output)
-    return walk.diagnostics, body
+    return walk.diagnostics, body, walk.decisions
 
 
 def _walk_order(ops: list[_Op], output) -> list[int] | None:
@@ -958,19 +960,22 @@ class _SymbolicWalk:
 
     Numeric values are not read, so every graph a generator builds walks to
     one structure. Switches over articulated bodies become variants and
-    duplicate nodes repeat groups. Link identity follows evaluation: a
-    transform copies every link, a merge fuses its inputs' roots into a new
-    link and copies a body it takes twice, a switch is its selected option,
-    and each duplicated copy is new. A copy of a switch variant copies what
-    its options share once, so they still share it. Each joint is decided by
-    `link_set_relation` over every pair of its parent's and child's possible
-    link sets before a composite pair is looked for. A node that cannot join
-    one kinematic tree becomes a Diagnostic, and the nodes downstream of it
-    are not walked."""
+    duplicate nodes repeat groups. The walk decides link identity, and
+    evaluation carries out its `decisions` (by op index): a transform copies
+    every link, a merge fuses its inputs' roots into a new link and copies an
+    input that shares links with an earlier one under any selection, a switch
+    is its selected option, and a duplicate merges static geometry unless a
+    selection puts a link below its body's root. A copy of a switch variant
+    copies what its options share once, so they still share it. A joint adds
+    a new child, or pairs with a joint into a child the parent holds, when
+    `link_set_relation` finds every pair of their possible link sets
+    disjoint, or nested. A node that cannot join one kinematic tree becomes a
+    Diagnostic, and the nodes downstream of it are not walked."""
 
     def __init__(self, ops: list[_Op]):
         self.ops = ops
         self.values: dict[int, object] = {}
+        self.decisions: dict[int, object] = {}  # op index -> its identity decision
         self.diagnostics: list[Diagnostic] = []
         self._factored: dict[int, _SymBody] = {}
         self._tokens: dict[int, tuple] = {}  # id -> (value, its tokens)
@@ -990,7 +995,7 @@ class _SymbolicWalk:
                 failed.add(i)
                 continue
             try:
-                self.values[i] = visit(op)
+                self.values[i] = visit(i, op)
             except _Rejected as exc:
                 failed.add(i)
                 self.diagnostics.append(Diagnostic(exc.code, str(exc), op.node_id))
@@ -1026,16 +1031,16 @@ class _SymbolicWalk:
             hit = self._tokens[id(value)] = (value, tokens)
         return hit[1]
 
-    def _visit_primitive(self, op):
+    def _visit_primitive(self, i, op):
         return _SymBody(_SymLink(self.fresh_token(), op.node_id, None))
 
-    def _visit_semantic_label(self, op):
+    def _visit_semantic_label(self, i, op):
         return _relabel(self.values[op.inputs["geometry"]], op.params["label"], force=True)
 
-    def _visit_store_attribute(self, op):
+    def _visit_store_attribute(self, i, op):
         return self.values[op.inputs["geometry"]]
 
-    def _visit_transform(self, op):
+    def _visit_transform(self, i, op):
         return self._retoken(self.values[op.inputs["geometry"]])
 
     def _retoken(self, value):
@@ -1071,23 +1076,23 @@ class _SymbolicWalk:
 
         return body(value)
 
-    def _visit_merge(self, op):
-        bodies = []
-        seen: set[int] = set()
+    def _visit_merge(self, i, op):
+        bodies, copied, seen = [], [], set()
         for src in _port_family(op, "geometry_"):
             value = self.values[src]
             if isinstance(value, _SymVariant):
                 message = "merge cannot take switch variants with joints"
                 raise _Rejected("switch-variant-merge", message)
-            if not seen.isdisjoint(self.tokens(value)):
-                value = self._retoken(value)
+            copied.append(not seen.isdisjoint(self.tokens(value)))
+            value = self._retoken(value) if copied[-1] else value
             seen |= self.tokens(value)
             bodies.append(value)
+        self.decisions[i] = tuple(copied)
         label = next((b.root.label for b in bodies if b.root.label), None)
         atts = tuple(a for b in bodies for a in b.attachments)
         return _SymBody(_SymLink(self.fresh_token(), op.node_id, label), atts)
 
-    def _visit_switch(self, op):
+    def _visit_switch(self, i, op):
         picked = _picked_option(op)
         if picked is not None:
             return self.values[picked]
@@ -1102,7 +1107,7 @@ class _SymbolicWalk:
             return _SymBody(_SymLink(self.fresh_token(), op.node_id, label, roots))
         return _SymVariant(op, tuple(options))
 
-    def _visit_joint(self, op):
+    def _visit_joint(self, i, op):
         parent = self.as_body(self.values[op.inputs["parent"]])
         child = self.values[op.inputs["child"]]
         relations = set()
@@ -1115,43 +1120,41 @@ class _SymbolicWalk:
             raise _Rejected(
                 "joint-link-overlap", "joint parent and child share links without being nested"
             )
-        if "nested" in relations:
-            if "disjoint" in relations:
-                raise _Rejected(
-                    "switch-variant-joint",
-                    "joint parent and child are nested under some switch selections"
-                    " and apart under others",
-                )
+        if "nested" in relations and "disjoint" in relations:
+            raise _Rejected(
+                "switch-variant-joint",
+                "joint parent and child are nested under some switch selections and apart under others",
+            )
+        self.decisions[i] = "nested" in relations  # a second joint into a child the parent holds
+        if self.decisions[i]:
             return _append_composite(parent, child, op)
-        relabeled = _relabel(child, op.params.get("child_label"))
-        root = parent.root
-        parent_label = op.params.get("parent_label")
-        if parent_label and root.label is None:
-            root = root._replace(label=parent_label)
-        return _SymBody(root, parent.attachments + (_SymJoint((op,), relabeled),))
+        parent = _relabel(parent, op.params.get("parent_label"))
+        child = _relabel(child, op.params.get("child_label"))
+        return _SymBody(parent.root, parent.attachments + (_SymJoint((op,), child),))
 
     _visit_joint_revolute = _visit_joint_prismatic = _visit_joint
 
-    def _visit_duplicate_joints_on_points(self, op):
+    def _visit_duplicate_joints_on_points(self, i, op):
         parent = self.as_body(self.values[op.inputs["parent"]])
         body = self.values[op.inputs["body"]]
         if isinstance(body, _SymVariant):
             message = "duplicate cannot replicate switch variants"
             raise _Rejected("switch-variant-duplicate", message)
         count_param = op.params.get("count_param")
-        if body.attachments:
-            group = _SymRepeat(count_param, self._retoken(body).attachments, None)
-        else:
+        self.decisions[i] = self.tokens(body) == _root_tokens(body)  # static: no link below the root
+        if self.decisions[i]:
             group = _SymRepeat(count_param, (), body.root.source)
+        else:
+            group = _SymRepeat(count_param, self._retoken(body).attachments, None)
         return _SymBody(parent.root, parent.attachments + (group,))
 
 
 def _append_composite(parent: _SymBody, child, joint: _Op) -> _SymBody:
     """`parent` with `joint` added to its joint into `child`'s root: the
     second joint of a pair that `parent` already holds."""
+    if not _root_tokens(parent).isdisjoint(_root_tokens(child)):
+        raise _Rejected("joint-self-loop", "joint child is its parent's root link")
     if isinstance(child, _SymBody):
-        if child.root.token == parent.root.token:
-            raise _Rejected("joint-self-loop", "joint child is its parent's root link")
         for k, att in enumerate(parent.attachments):
             if (
                 isinstance(att, _SymJoint)
@@ -1162,6 +1165,14 @@ def _append_composite(parent: _SymBody, child, joint: _Op) -> _SymBody:
                 atts = parent.attachments[:k] + (composite,) + parent.attachments[k + 1:]
                 return _SymBody(parent.root, atts)
     raise _Rejected("joint-two-parents", "joint would give a link a second parent")
+
+
+def _root_tokens(value) -> set[int]:
+    """The tokens that the root link of `value` can be, under any options."""
+    if isinstance(value, _SymVariant):
+        return set().union(*map(_root_tokens, value.options))
+    link = value.root if isinstance(value, _SymBody) else value
+    return set().union(*map(_root_tokens, link.options)) if link.options else {link.token}
 
 
 def _relabel(value, label: str | None, force: bool = False):

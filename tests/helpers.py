@@ -1,6 +1,8 @@
 """Shared oracles for round-trip checks and blueprint trees, a duplication
-fixture, a graph whose joints give one link two parents, and document edits."""
+fixture, a graph whose joints give one link two parents, document edits, and
+a mesh-free reference of link identity decided on concrete link sets."""
 
+import itertools
 import json
 import math
 from xml.etree import ElementTree as ET
@@ -9,7 +11,19 @@ import numpy as np
 
 from artigen.export import _joint_frame, _names
 from artigen.geometry import RigidTransform
-from artigen.graph import DUPLICATE, JOINT_REVOLUTE, NodeGraph
+from artigen.graph import (
+    DUPLICATE,
+    JOINT_REVOLUTE,
+    MERGE,
+    PRIMITIVE,
+    SEMANTIC_LABEL,
+    STORE_ATTRIBUTE,
+    SWITCH,
+    TRANSFORM,
+    NodeGraph,
+    ParamRef,
+    link_set_relation,
+)
 from artigen.patterns import build_pattern
 
 # `format_float` writes every number within this much of its value.
@@ -221,3 +235,128 @@ def blueprint_parts(tree):
 
     subtree(tree)
     return links, edges, repeats
+
+
+class IdentityFault(Exception):
+    """A joint that `concrete_identity` cannot place: `code` is the check's
+    diagnostic code for that fault and `node_id` the joint's."""
+
+    def __init__(self, code, node_id):
+        super().__init__(f"{code} [{node_id}]")
+        self.code, self.node_id = code, node_id
+
+
+def concrete_identity(graph, values, output=None, decisions=None):
+    """The (links, joints) counts of `graph`'s node `output` (the graph's
+    output by default) under the parameter `values`, by mesh-free
+    link-identity rules that decide on one selection's concrete link sets, the
+    reference for the check's decisions: a primitive is a new link, a
+    transform copies every link, a switch is its selected option, a merge
+    fuses its inputs' roots into a new link and copies an input that shares
+    links with an earlier one, and a duplicate merges a jointless body's
+    geometry into its parent and otherwise copies the body's links below its
+    root per point. A joint compares its parent's and child's link sets: equal
+    is a self-loop, overlapping is an overlap, a proper subset is a second
+    joint into a child the parent already holds (a composite pair), which is a
+    self-loop onto the parent's root or, when the parent holds no joint from
+    its root into that child, a second parent; disjoint adds the child. Raises
+    IdentityFault at the first joint that hits a fault. Each decision goes
+    into `decisions` by node id when given, in the form the check gives it
+    (`check_structure`): whether a joint pairs with an existing one, which
+    inputs a merge copies, whether a duplicate merges static geometry."""
+    decisions = {} if decisions is None else decisions
+    fresh = itertools.count().__next__
+    memo = {}
+
+    def copy(body):
+        root, links, joints = body
+        new = {link: fresh() for link in links}
+        return new[root], tuple(new[l] for l in links), tuple((new[p], new[c]) for p, c in joints)
+
+    def value(node_id):
+        if node_id not in memo:
+            memo[node_id] = build(node_id, graph.node(node_id))
+        return memo[node_id]
+
+    def build(node_id, node):
+        kind, inputs, params = node.kind, node.inputs, node.params
+        if kind == PRIMITIVE:
+            link = fresh()
+            return link, (link,), ()
+        if kind == TRANSFORM:
+            return copy(value(inputs["geometry"]))
+        if kind in (SEMANTIC_LABEL, STORE_ATTRIBUTE):
+            return value(inputs["geometry"])
+        if kind == SWITCH:
+            select = params["select"]
+            select = values[select.name] if isinstance(select, ParamRef) else select
+            return value(inputs[f"option_{round(select)}"])
+        if kind == MERGE:
+            seen, bodies, copied = set(), [], []
+            for k in range(len(inputs)):
+                body = value(inputs[f"geometry_{k}"])
+                copied.append(bool(seen & set(body[1])))
+                if copied[-1]:
+                    body = copy(body)
+                seen |= set(body[1])
+                bodies.append(body)
+            decisions[node_id] = tuple(copied)
+            root = fresh()
+            links = (root,) + tuple(l for b in bodies for l in b[1][1:])
+            joints = tuple((root if p == b[0] else p, c) for b in bodies for p, c in b[2])
+            return root, links, joints
+        if kind == DUPLICATE:
+            parent, body = value(inputs["parent"]), value(inputs["body"])
+            decisions[node_id] = not body[2]
+            if not body[2]:
+                return parent
+            links, joints = list(parent[1]), list(parent[2])
+            for _ in params["points"]:
+                new = {l: fresh() for l in body[1][1:]}
+                new[body[0]] = parent[0]
+                links += [new[l] for l in body[1][1:]]
+                joints += [(new[p], new[c]) for p, c in body[2]]
+            return parent[0], tuple(links), tuple(joints)
+        parent, child = value(inputs["parent"]), value(inputs["child"])  # a joint
+        relation = link_set_relation(frozenset(parent[1]), frozenset(child[1]))
+        edge = (parent[0], child[0])
+        if relation == "equal" or relation == "nested" and child[0] == parent[0]:
+            raise IdentityFault("joint-self-loop", node_id)
+        if relation == "overlapping":
+            raise IdentityFault("joint-link-overlap", node_id)
+        decisions[node_id] = relation == "nested"
+        if relation == "nested":
+            if edge not in parent[2]:
+                raise IdentityFault("joint-two-parents", node_id)
+            return parent[0], parent[1], parent[2] + (edge,)
+        return parent[0], parent[1] + child[1], parent[2] + child[2] + (edge,)
+
+    _, links, joints = value(graph.output_node if output is None else output)
+    return len(links), len(joints)
+
+
+def narrowed_counts(tree, values):
+    """The (links, joints) counts of a blueprint tree narrowed to one
+    selection: a variant takes the branch its selector's value picks, a
+    repeat of jointed copies counts its attachments once per unit of its
+    count parameter's value, and a repeat of static geometry adds no link."""
+
+    def subtree(node):
+        if node["kind"] == "variant":
+            return subtree(node["branches"][values[node["selector"]]])
+        counts = [attachment(att) for att in node["children"]]
+        return 1 + sum(c[0] for c in counts), sum(c[1] for c in counts)
+
+    def attachment(att):
+        if att is None:
+            return 0, 0
+        if att["kind"] == "joint":
+            links, joints = subtree(att["child"])
+            return links, joints + len(att["joints"])
+        if att["kind"] == "repeat":
+            counts = [attachment(a) for a in att["attachments"]]
+            n = values[att["count_param"]]
+            return n * sum(c[0] for c in counts), n * sum(c[1] for c in counts)
+        return attachment(att["branches"][values[att["selector"]]])
+
+    return subtree(tree)

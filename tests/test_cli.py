@@ -99,6 +99,33 @@ class TestGenerate:
             assert err.count("FAILED") == 3
             assert "door seed 0: FAILED: MissingParameterError: " in err
 
+    def test_check_reports_each_failed_seed_and_exits_1(self, tmp_path, capsys):
+        # A build that raises is one seed's failure, as in generate: the range
+        # goes on, each failure gets its line and the exit code is 1, not
+        # the 2 of collision findings.
+        overrides = tmp_path / "bad.json"
+        overrides.write_text(json.dumps({"width": {"fixed": 0.0}}))
+        code, out, err = run(
+            ["check", "--category", "door", "--seeds", "0..2", "--out", str(tmp_path / "out"),
+             "--overrides", str(overrides)], capsys,
+        )
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for seed, line in enumerate(lines):
+            assert line.startswith(f"door seed {seed}: FAILED: InvalidParameterError: ")
+
+    def test_rate_counts_generated_assets(self, tmp_path, capsys):
+        overrides = tmp_path / "bad.json"
+        overrides.write_text(json.dumps({"width": {"fixed": 0.0}}))
+        code, out, _ = run(
+            ["generate", "--category", "door", "--seeds", "0..2", "--out", str(tmp_path / "out"),
+             "--overrides", str(overrides)], capsys,
+        )
+        assert code == 1
+        assert out.startswith("generated 0/3 assets in ") and out.endswith(" (0.0/s)\n")
+
     def test_override_file(self, tmp_path, capsys):
         overrides = tmp_path / "ov.json"
         overrides.write_text(json.dumps({"handle_type": {"fixed": 0}, "door_count": {"fixed": 1}}))

@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,10 +132,11 @@ class TestPlans:
         large = sweep_check(inst, SweepPlan(samples=5, pair_filter="all"))
         assert small.colliding_pairs() <= large.colliding_pairs()
 
-    def test_broadphase_conservative(self):
+    def test_broadphase_conservative(self, monkeypatch):
         inst = overlapping_at_midrange()
         with_bp = sweep_check(inst, SweepPlan(samples=5, pair_filter="all"))
-        without = sweep_check(inst, SweepPlan(samples=5, pair_filter="all", use_broadphase=False))
+        monkeypatch.setattr(collision, "_broadphase", _every_row)
+        without = sweep_check(inst, SweepPlan(samples=5, pair_filter="all"))
         assert with_bp.colliding_pairs() == without.colliding_pairs()
         assert [f.to_json_dict() for f in with_bp.findings] == [
             f.to_json_dict() for f in without.findings
@@ -206,12 +206,14 @@ BATCH_SEEDS = {
 class TestBatchedSweep:
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     @pytest.mark.parametrize("tolerance", [0.0, 1e-6])
-    def test_broadphase_changes_no_report(self, category, tolerance):
+    def test_broadphase_changes_no_report(self, monkeypatch, category, tolerance):
         for seed in BATCH_SEEDS[category]:
             inst = build_instance(category, seed, salt="")
             plan = SweepPlan(strategy="random", samples=64, tolerance=tolerance)
             with_bp = sweep_check(inst, plan).to_json_dict()
-            without = sweep_check(inst, replace(plan, use_broadphase=False)).to_json_dict()
+            with monkeypatch.context() as patch:
+                patch.setattr(collision, "_broadphase", _every_row)
+                without = sweep_check(inst, plan).to_json_dict()
             assert with_bp == without, (category, seed)
             assert with_bp["findings"] or category not in ("fridge", "lamp")
 
@@ -273,6 +275,12 @@ class TestUnrotatedLinks:
 
         monkeypatch.setattr(collision, "_link_boxes", forced_boxes)
         assert sweep_check(inst, plan).to_json_dict() == report
+
+
+def _every_row(verts, world, unrotated, pairs, tolerance):
+    """A broadphase that keeps every row of every pair: a sweep without it
+    runs the exact test on everything."""
+    return [(a, b, np.arange(len(world[a][0]))) for a, b in pairs]
 
 
 def _reference_broadphase(verts, world, unrotated, pairs, tolerance):

@@ -1,10 +1,12 @@
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from artigen.errors import (
     SchemaError,
 )
 from artigen.blueprint import extract_blueprint, instantiate
-from artigen.evaluate import evaluate, evaluate_links
+from artigen.evaluate import evaluate, evaluate_links, program_for
 import artigen
 from artigen.graph import (
     DUPLICATE,
@@ -43,11 +45,49 @@ from artigen.generators import CATEGORY_NAMES, build_instance, get_generator
 from artigen.params import Continuous, Count, ParameterSpace, ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
 
-from helpers import duplicated_revolute, edited, two_parent_graph
+from helpers import (
+    IdentityFault,
+    concrete_identity,
+    duplicated_revolute,
+    edited,
+    narrowed_counts,
+    two_parent_graph,
+)
 
 
 def box_node(g, dims=(1, 1, 1)):
     return g.add_node(PRIMITIVE, {"shape": "box", "size_x": dims[0], "size_y": dims[1], "size_z": dims[2]})
+
+
+def _random_graph(rng, fewest):
+    """A small random composition of `rng`'s drawing and its selectors: a
+    switch picks by one of `fewest` to 3 count selectors (or by the literal
+    1 when there are none), each node is wired from the last few, and a
+    duplicate of k points names the count parameter `p<k>`, which every
+    selection sets to k."""
+    spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
+    selectors = [f"s{i}" for i in range(rng.randint(fewest, 3))]
+    counts = {f"p{k}": Count(0, 2) for k in range(3)}
+    g = NodeGraph(ParameterSpace({**{s: Count(0, 1) for s in selectors}, **counts}))
+    pool = [box_node(g) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 7)):
+        select = ParamRef(rng.choice(selectors)) if selectors else 1.0
+        points = [(0, 0, 0), (1, 0, 0)][: rng.randint(0, 2)]
+        kind, params, ports = rng.choice([
+            (TRANSFORM, {"translate_x": 1.0}, ("geometry",)),
+            (SEMANTIC_LABEL, {"label": "a"}, ("geometry",)),
+            (MERGE, {}, ("geometry_0", "geometry_1")),
+            (SWITCH, {"select": select}, ("option_0", "option_1")),
+            (JOINT_REVOLUTE, spec, ("parent", "child")),
+            (JOINT_REVOLUTE, spec, ("parent", "child")),
+            (DUPLICATE, {"points": points, "count_param": f"p{len(points)}"}, ("parent", "body")),
+        ])
+        node = g.add_node(kind, params)
+        for port in ports:
+            g.connect(rng.choice(pool[-4:]), node, port)
+        pool.append(node)
+    g.set_output(pool[-1])
+    return g, selectors
 
 
 class TestConstruction:
@@ -469,49 +509,68 @@ class TestValidate:
             assert (len(body.links), len(body.joints)) == (3, 2)
 
     def test_random_graphs_that_validate_build_under_every_selection(self):
-        # Small random compositions, each node wired from the last few: every
-        # graph that validates has a blueprint and evaluates to one tree
-        # whichever options its switches select, and every graph that does
-        # not is rejected for a node the output depends on.
-        rng = random.Random(7)
-        spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
-        validated = 0
-        for _ in range(300):
-            selectors = [f"s{i}" for i in range(rng.randint(0, 3))]
-            g = NodeGraph(ParameterSpace({s: Count(0, 1) for s in selectors}))
-            pool = [box_node(g) for _ in range(rng.randint(1, 3))]
-            for _ in range(rng.randint(1, 7)):
-                select = ParamRef(rng.choice(selectors)) if selectors else 1.0
-                points = [(0, 0, 0), (1, 0, 0)][: rng.randint(0, 2)]
-                kind, params, ports = rng.choice([
-                    (TRANSFORM, {"translate_x": 1.0}, ("geometry",)),
-                    (SEMANTIC_LABEL, {"label": "a"}, ("geometry",)),
-                    (MERGE, {}, ("geometry_0", "geometry_1")),
-                    (SWITCH, {"select": select}, ("option_0", "option_1")),
-                    (JOINT_REVOLUTE, spec, ("parent", "child")),
-                    (JOINT_REVOLUTE, spec, ("parent", "child")),
-                    (DUPLICATE, {"points": points}, ("parent", "body")),
-                ])
-                node = g.add_node(kind, params)
-                for port in ports:
-                    g.connect(rng.choice(pool[-4:]), node, port)
-                pool.append(node)
-            g.set_output(pool[-1])
-            diags = g.validate()
-            if diags:
-                upstream, stack = set(), [g.output_node]
-                while stack:
-                    nid = stack.pop()
-                    if nid not in upstream:
-                        upstream.add(nid)
-                        stack.extend(g.node(nid).inputs.values())
-                assert {d.node_id for d in diags} <= upstream, diags
-                continue
-            validated += 1
-            extract_blueprint(g)
-            for picks in itertools.product((0, 1), repeat=len(selectors)):
-                evaluate(g, ParamVector(dict(zip(selectors, picks))))
-        assert validated > 100
+        # The check and a reference that decides link identity on one
+        # selection's concrete link sets (`concrete_identity`) agree in both
+        # directions over 3,000 small random graphs (`_random_graph`):
+        # - a graph that validates evaluates under every selection to the
+        #   link and joint counts of its blueprint narrowed to that selection,
+        #   and the reference builds it with those counts, deciding as the
+        #   check did but for one declared difference: the check copies a
+        #   merge input that shares links with an earlier one under any
+        #   selection, the reference only under the selections where it does;
+        # - a joint rejected as a self-loop, an overlap or a second parent
+        #   hits that fault in the reference under some selection;
+        # - every rejection names a node the output depends on.
+        validated, copies, rejected = 0, 0, Counter()
+        for seed, fewest in ((7, 0), (11, 1), (13, 1)):
+            rng = random.Random(seed)
+            for _ in range(1000):
+                g, selectors = _random_graph(rng, fewest)
+                selections = [
+                    dict(zip(selectors, picks), p0=0, p1=1, p2=2)
+                    for picks in itertools.product((0, 1), repeat=len(selectors))
+                ]
+                diags = g.validate()
+                if diags:
+                    upstream, stack = set(), [g.output_node]
+                    while stack:
+                        nid = stack.pop()
+                        if nid not in upstream:
+                            upstream.add(nid)
+                            stack.extend(g.node(nid).inputs.values())
+                    assert {d.node_id for d in diags} <= upstream, diags
+                    for d in diags:
+                        rejected[d.code] += 1
+                        if d.code.startswith("switch-variant-"):
+                            continue
+                        faults = set()
+                        for values in selections:
+                            try:
+                                concrete_identity(g, values, d.node_id)
+                            except IdentityFault as fault:
+                                faults.add((fault.code, fault.node_id))
+                        assert (d.code, d.node_id) in faults, (seed, d, faults)
+                    continue
+                validated += 1
+                tree = extract_blueprint(g).tree
+                steps = program_for(g.structure).steps
+                for values in selections:
+                    links, joints, _ = evaluate_links(g, ParamVector(values))
+                    counts = (len(links), len(joints))
+                    assert counts == narrowed_counts(tree, values), (seed, values)
+                    decided = {}
+                    assert concrete_identity(g, values, decisions=decided) == counts
+                    for step in steps:
+                        if step.node_id in decided and decided[step.node_id] != step.decision:
+                            assert step.kind == MERGE, (seed, step.node_id)
+                            assert all(map(operator.ge, step.decision, decided[step.node_id]))
+                            copies += 1
+        print(f"validated {validated}, merges copied only by the check {copies}, {rejected}")
+        assert validated > 1500 and copies > 0
+        assert set(rejected) <= {
+            "joint-self-loop", "joint-link-overlap", "joint-two-parents", "switch-variant-parent",
+            "switch-variant-merge", "switch-variant-duplicate", "switch-variant-joint",
+        }
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -1035,6 +1094,21 @@ class TestDuplicates:
         g.set_output(dup)
         (root,) = evaluate(g).links
         assert root.mesh.n_vertices == 3 * 8  # the parent box and two copies
+
+    def test_copies_follow_the_checks_decision_not_the_selection(self):
+        # The body is a hinged pair duplicated at no points: it holds no joint
+        # here, but its blueprint holds one, so the check decides jointed
+        # copies, which copy nothing, instead of merging the body's root into
+        # the parent as static geometry.
+        g = NodeGraph()
+        hinge = g.revolute(box_node(g), box_node(g), (0, 0, 0), (0, 0, 1), 0.0, 1.0)
+        inner = g.duplicate(box_node(g), hinge, [])
+        g.set_output(g.duplicate(box_node(g), inner, [(1, 0, 0)]))
+        (root,) = evaluate(g).links
+        assert root.mesh.n_vertices == 8
+        assert extract_blueprint(g).tree_lines() == [
+            "n5", "  repeat xpoints:", "    repeat xpoints:", "      [revolute] n1"
+        ]
 
     def test_points_reference_rejected_on_ingest_and_load(self):
         with pytest.raises(InvalidParameterError, match="points"):
