@@ -17,10 +17,10 @@ or copies jointed links. A run carries the decisions out and works out
 nothing structural, so a graph that validates builds the tree its blueprint
 describes. Generator graphs get the decisions that each selection's own link
 sets would give. A hand-built graph can differ where those differ between
-selections: a merge input that shares links with an earlier one under some
-selection is copied under all of them (link names can change), and a
-duplicate whose body holds a joint under some selection copies jointed links
-under all of them (where the body holds none, it adds nothing).
+selections or with a duplicate's point list, which the check does not read: a
+merge input that shares links with an earlier one under some selection is
+copied under all of them (link names can change), and a duplicate whose body
+can hold a joint copies jointed links, so adds nothing where none is built.
 
 A primitive that only a transform reads runs as one step with it, which makes
 one link, with a uid where the transform's link had its own: the uids keep
@@ -217,27 +217,28 @@ _DEFAULTS = {
 
 class _Step:
     """One node of a compiled program: its handler, its wires as op indices,
-    its `sources` (a merge's inputs or a switch's options in port order, or
-    the primitive a placing transform runs), the check's identity decision at
-    its op, and where each parameter comes from. A scalar is read from its
-    wire, else its parameter reference, else the graph's number for it, else
-    `consts`: the schema default, or a switch's literal selector."""
+    its `sources` (a merge's inputs or a switch's options, in port order),
+    the check's identity decision at its op, and where each parameter comes
+    from. A scalar is read from its wire, else its parameter reference, else
+    the graph's number for it, else `consts`: the schema default, or a
+    switch's literal selector."""
 
     __slots__ = ("index", "node_id", "kind", "run", "inputs", "sources", "decision", "refs",
-                 "params", "consts")
+                 "params", "consts", "source")
 
     def __init__(self, index: int, op: _Op, decision=None):
         self.index = index
         self.node_id, self.kind, self.inputs, params = op
         self.run = _HANDLERS[self.kind]
         prefix = _KINDS[self.kind].dynamic_ports
-        self.sources = tuple(_port_family(op, prefix)) if prefix else ()
+        self.sources = _port_family(op, prefix) if prefix else ()
         self.decision = decision
         self.refs = {name: ref.name for name, ref in params.items() if isinstance(ref, ParamRef)}
         self.params = {name: value for name, value in params.items() if name not in self.refs}
         self.consts = _DEFAULTS[self.kind]
         if "select" in self.params:  # a literal selector
             self.consts = {**self.consts, "select": self.params["select"]}
+        self.source: _Step | None = None  # the primitive a placing transform runs
 
 
 class _Run:
@@ -362,7 +363,7 @@ class _Run:
         `_eval_primitive` then `_eval_transform`, with the primitive's link
         never made. Without a rotation the mesh is only translated, which
         gives the transform's numbers exactly (`translate_mesh`)."""
-        primitive = self.steps[step.sources[0]]
+        primitive = step.source
         mesh = self._primitive_mesh(primitive)
         translate, rot = self._placement(step)
         if rot is None:  # as_vec3: the finite check that from_translation makes
@@ -526,7 +527,7 @@ class Program:
             placing = step.kind == TRANSFORM and self.steps[src].kind == PRIMITIVE
             if placing and readers[src] == 1 and src != self.output:
                 step.run = _Run._eval_placed_primitive
-                step.sources = (src,)
+                step.source = self.steps[src]
 
     def run(
         self, numbers: list, values: dict

@@ -16,11 +16,10 @@ and validation reads the structure alone (`check_structure`): each op's local
 rules, one depth-first pass that orders the ops and finds cycles, and one
 symbolic walk over the ops the output depends on, which decides link
 identity and rejects every structure that cannot become one kinematic tree.
-`write_blueprint` writes that walk out as the blueprint, and evaluation
-carries out the walk's decisions, so a structure that validates builds the
-tree its blueprint describes. The patterns and the generators record their
-graphs with the builder methods of `NodeGraph`, and `artigen.evaluate` checks
-and compiles each distinct structure once.
+`write_blueprint` writes the walk out as the blueprint and evaluation carries
+out its decisions, so a structure that validates builds the tree its
+blueprint describes. The patterns and the generators record their graphs with
+`NodeGraph`'s builder methods; `artigen.evaluate` compiles each structure once.
 """
 
 from __future__ import annotations
@@ -946,12 +945,12 @@ def _picked_option(op: _Op):
     return op.inputs.get(f"option_{whole_number(select)}")
 
 
-def _port_family(op: _Op, prefix: str):
+def _port_family(op: _Op, prefix: str) -> tuple[int, ...]:
     """The sources wired to `prefix`0, `prefix`1, ... in port order."""
-    idx = 0
-    while f"{prefix}{idx}" in op.inputs:
-        yield op.inputs[f"{prefix}{idx}"]
-        idx += 1
+    sources, inputs = [], op.inputs
+    while (src := inputs.get(f"{prefix}{len(sources)}")) is not None:
+        sources.append(src)
+    return tuple(sources)
 
 
 class _SymbolicWalk:
@@ -968,8 +967,8 @@ class _SymbolicWalk:
     selection puts a link below its body's root. A copy of a switch variant
     copies what its options share once, so they still share it. A joint adds
     a new child, or pairs with a joint into a child the parent holds, when
-    `link_set_relation` finds every pair of their possible link sets
-    disjoint, or nested. A node that cannot join one kinematic tree becomes a
+    `link_set_relation` finds every pair of their possible link sets disjoint,
+    or nested. A node that cannot join one kinematic tree becomes a
     Diagnostic, and the nodes downstream of it are not walked."""
 
     def __init__(self, ops: list[_Op]):
@@ -1096,10 +1095,10 @@ class _SymbolicWalk:
         picked = _picked_option(op)
         if picked is not None:
             return self.values[picked]
-        sources = set(_port_family(op, "option_"))
-        if len(sources) == 1:  # every selection yields that one op's value
-            return self.values[sources.pop()]
-        options = [self.values[src] for src in _port_family(op, "option_")]
+        sources = _port_family(op, "option_")
+        if len(set(sources)) == 1:  # every selection yields that one op's value
+            return self.values[sources[0]]
+        options = [self.values[src] for src in sources]
         if all(isinstance(o, _SymBody) and not o.attachments for o in options):
             labels = {o.root.label for o in options}
             label = labels.pop() if len(labels) == 1 else None

@@ -512,8 +512,11 @@ class TestValidate:
         # The check and a reference that decides link identity on one
         # selection's concrete link sets (`concrete_identity`) agree in both
         # directions over 3,000 small random graphs (`_random_graph`):
-        # - a graph that validates evaluates under every selection to the
-        #   link and joint counts of its blueprint narrowed to that selection,
+        # - a graph that validates evaluates under every selection to one
+        #   kinematic tree (`evaluate` builds it, which raises StructuralError
+        #   for a link with two parents, a joint to a missing link or a link
+        #   the root cannot reach), with the link and joint counts of its
+        #   blueprint narrowed to that selection,
         #   and the reference builds it with those counts, deciding as the
         #   check did but for one declared difference: the check copies a
         #   merge input that shares links with an earlier one under any
@@ -555,8 +558,8 @@ class TestValidate:
                 tree = extract_blueprint(g).tree
                 steps = program_for(g.structure).steps
                 for values in selections:
-                    links, joints, _ = evaluate_links(g, ParamVector(values))
-                    counts = (len(links), len(joints))
+                    body = evaluate(g, ParamVector(values))  # builds its KinematicTree
+                    counts = (len(body.links), len(body.joints))
                     assert counts == narrowed_counts(tree, values), (seed, values)
                     decided = {}
                     assert concrete_identity(g, values, decisions=decided) == counts
@@ -1095,11 +1098,12 @@ class TestDuplicates:
         (root,) = evaluate(g).links
         assert root.mesh.n_vertices == 3 * 8  # the parent box and two copies
 
-    def test_copies_follow_the_checks_decision_not_the_selection(self):
-        # The body is a hinged pair duplicated at no points: it holds no joint
-        # here, but its blueprint holds one, so the check decides jointed
-        # copies, which copy nothing, instead of merging the body's root into
-        # the parent as static geometry.
+    def test_copies_follow_the_checks_decision_not_the_point_count(self):
+        # The body is a hinged pair duplicated at no points, with no switch: it
+        # holds no joint once built, but its blueprint holds one (the walk does
+        # not read point lists), so the check decides jointed copies, which
+        # copy nothing, instead of merging the body's root into the parent as
+        # static geometry.
         g = NodeGraph()
         hinge = g.revolute(box_node(g), box_node(g), (0, 0, 0), (0, 0, 1), 0.0, 1.0)
         inner = g.duplicate(box_node(g), hinge, [])
@@ -1109,6 +1113,19 @@ class TestDuplicates:
         assert extract_blueprint(g).tree_lines() == [
             "n5", "  repeat xpoints:", "    repeat xpoints:", "      [revolute] n1"
         ]
+
+    @pytest.mark.parametrize("points", [[], [(1, 0, 0)]])
+    def test_overlap_through_copies_rejected_whatever_the_point_count(self, points):
+        # The child holds the parent's link and the duplicate's copies: an
+        # overlap by structure, though with no points the two link sets are
+        # equal, which concrete link sets call a self-loop.
+        g = NodeGraph()
+        parent = box_node(g)
+        hinge = g.revolute(box_node(g), box_node(g), (0, 0, 0), (0, 0, 1), 0.0, 1.0)
+        copies = g.duplicate(parent, hinge, points)
+        joint = g.revolute(parent, copies, (0, 0, 0), (0, 0, 1), 0.0, 1.0)
+        g.set_output(joint)
+        assert [(d.code, d.node_id) for d in g.validate()] == [("joint-link-overlap", joint)]
 
     def test_points_reference_rejected_on_ingest_and_load(self):
         with pytest.raises(InvalidParameterError, match="points"):
