@@ -451,8 +451,7 @@ def check_configs(
         world, unrotated = {}, set()
         for link_id in verts:
             i = instance.tree.link_index[link_id]
-            r = rot[i]
-            world[link_id] = (r, trans[i] + r @ np.asarray(instance.links[i].origin))
+            world[link_id] = (rot[i], trans[i])
             if not quat[i, :, 1:].any():
                 unrotated.add(link_id)
         survivors = _broadphase(verts, world, unrotated, pairs, plan.tolerance)

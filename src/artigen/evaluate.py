@@ -39,7 +39,13 @@ Meshes are kept in the construction frame (the frame in which primitives were
 placed); a joint at value v conjugates its motion about the stored pivot, so a
 value of 0 reproduces the construction placement exactly. Evaluation is demand
 driven and memoized: switch branches that are not selected are never built,
-and link and joint uids follow the order in which nodes are first needed.
+and link and joint uids follow the order in which nodes are first needed. The
+run's naming pass also sets each link's `origin`, its incoming joint's pivot,
+and chains each composite pair (several joints between one link pair, as the
+check decided) through passthrough links, so every link has one incoming
+joint. `AssetInstance` wraps the result: `evaluate`, `blueprint.instantiate`
+and `generators.build_instance` all return one. Only export and a link's
+dynamics read `origin` to move a mesh into its link frame.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ from .graph import (
     PRIMITIVE,
     TRANSFORM,
     JointSpec,
+    KinematicBlueprint,
     NodeGraph,
     ParamRef,
     check_structure,
@@ -104,16 +111,19 @@ PASSTHROUGH_INERTIA = 1e-9
 
 @dataclass(frozen=True)
 class EvaluatedLink:
-    """One realized link. `mesh` is in the link's frame, whose position in the
-    construction frame at joint value 0 is `origin`: zero from evaluation, the
-    incoming joint's pivot after `blueprint.instantiate`.
+    """One realized link. `mesh` is in the construction frame, where
+    evaluation placed it. `origin` is the position there of the link's own
+    frame: its incoming joint's pivot, or zero at the root. Only export and
+    the link's dynamics use that frame.
 
-    Its `hull`, `mass`, `inertia_diag` and `inertia_origin` are computed from
-    `mesh` on first read, once per link, and cached: building and sweeping an
-    asset never compute a hull, so only export loads Qhull. A hull that cannot
-    be built (fewer than four points, or a flat or degenerate point set) gives
-    no hull and the passthrough dynamics; any other error from hull
-    construction surfaces at that first read."""
+    `frame_mesh` is `mesh` moved by -origin into the link frame, unchecked
+    until `AssetInstance.frame_meshes` checks it. The `hull`, `mass`, `inertia_diag` and
+    `inertia_origin` are computed from it on first read, once per link, and
+    cached: building and sweeping an asset never compute a hull, so only
+    export loads Qhull. A hull that cannot be built (fewer than four points,
+    or a flat or degenerate point set) gives no hull and the passthrough
+    dynamics; any other error from hull construction surfaces at that first
+    read."""
 
     link_id: str
     label: str | None
@@ -123,8 +133,15 @@ class EvaluatedLink:
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     @cached_property
+    def frame_mesh(self) -> TriMesh:
+        if not self.mesh.n_vertices:
+            return self.mesh
+        verts = RigidTransform.from_translation(-np.asarray(self.origin)).apply(self.mesh.vertices)
+        return TriMesh._unchecked(verts, self.mesh.triangles, self.mesh.face_labels)
+
+    @cached_property
     def _dynamics(self):
-        return _link_dynamics(self.mesh)
+        return _link_dynamics(self.frame_mesh)
 
     hull = property(lambda self: self._dynamics[0])
     mass = property(lambda self: self._dynamics[1])
@@ -532,39 +549,65 @@ class Program:
     def run(
         self, numbers: list, values: dict
     ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
-        """The links, the joints sorted by construction order, and the root
-        link id of one graph of this structure, without posing any link.
-        `values` are the parameter values, already checked against the
-        graph's space (`ParameterSpace.validate_vector`). The run's
-        primitive meshes are checked in one pass (`check_meshes`) when it
-        ends, or when anything raises first, so the first bad mesh raises
-        what it raised when each was checked where it was made."""
+        """The links, the joints and the root link id of one graph of this
+        structure, without posing any link. `values` are the parameter
+        values, already checked against the graph's space
+        (`ParameterSpace.validate_vector`).
+
+        Links and joints are named in creation and construction order. Each
+        link's `origin` is its incoming joint's pivot. Several joints between
+        one link pair (a screw) become a serial chain through passthrough
+        links `{child}__passthrough_{i}`, which come after the evaluated
+        links, so every link has one incoming joint. The run's primitive
+        meshes and then its link meshes are checked in one pass
+        (`check_meshes`), and only the primitives when anything raises
+        first, so the first bad mesh raises what it raised when each was
+        checked where it was made."""
         run = _Run(self.steps, numbers, values)
         try:
             body = run.value(self.output)
         except Exception:
             check_meshes(run.made)
             raise
-        check_meshes(run.made)
         # Deterministic public names: creation order, label-based with ordinals.
         name_counts: dict[str, int] = {}
         link_names: dict[int, str] = {}
-        links = []
-        for l in sorted(body.links, key=lambda l: l.link_id):
+        evaluated = sorted(body.links, key=lambda l: l.link_id)
+        for l in evaluated:
             base = l.label or "part"
             n = name_counts.get(base, 0)
             name_counts[base] = n + 1
             link_names[l.link_id] = f"{base}_{n}"
-            links.append(replace(l, link_id=link_names[l.link_id]))
-        joints = []
+        pairs: dict[tuple, list] = {}  # (parent, child) uids -> named joints
         joint_counts: dict[str, int] = {}
         for e in sorted(body.joints, key=lambda e: (e.order, e.joint_id)):
             base = e.spec.joint_label or "joint"
             n = joint_counts.get(base, 0)
             joint_counts[base] = n + 1
             parent, child = link_names[e.parent], link_names[e.child]
-            joints.append(replace(e, joint_id=f"{base}_{n}", parent=parent, child=child))
-        return tuple(links), tuple(joints), link_names[body.root.link_id]
+            named = replace(e, joint_id=f"{base}_{n}", parent=parent, child=child)
+            pairs.setdefault((e.parent, e.child), []).append(named)
+        origins: dict[int, tuple] = {}
+        joints: list[EvaluatedJoint] = []
+        passthrough: list[EvaluatedLink] = []
+        for (_, child), (*chained, last) in pairs.items():
+            prev = last.parent
+            for i, j in enumerate(chained, start=1):
+                pass_id = f"{last.child}__passthrough_{i}"
+                template = f"{j.spec.joint_type}-pass"
+                passthrough.append(
+                    EvaluatedLink(pass_id, None, TriMesh.empty(), None, template, j.spec.pivot)
+                )
+                joints.append(replace(j, parent=prev, child=pass_id))
+                prev = pass_id
+            joints.append(replace(last, parent=prev) if chained else last)
+            origins[child] = last.spec.pivot
+        links = [
+            replace(l, link_id=link_names[l.link_id], origin=origins.get(l.link_id, l.origin))
+            for l in evaluated
+        ]
+        check_meshes(run.made + [l.mesh for l in links])
+        return tuple(links + passthrough), tuple(joints), link_names[body.root.link_id]
 
 
 def program_for(structure: tuple) -> Program:
@@ -593,28 +636,67 @@ def program_for(structure: tuple) -> Program:
 
 
 @dataclass(frozen=True)
-class EvaluatedBody:
-    """Realized links and joints of one evaluation, posed at given joint values;
-    `tree` indexes them."""
+class AssetInstance:
+    """One sampled realization: its links, joints and root link, its
+    parameters and seed, and its category blueprint when it has one.
 
+    The links and joints are those of one run (`evaluate_links`): meshes,
+    pivots and axes in the construction frame, each link's `origin` at its
+    incoming joint's pivot, and composite pairs chained through passthrough
+    links. `tree` indexes them; building it raises StructuralError when the
+    joints do not form one tree rooted at `root_link`.
+    """
+
+    category: str
+    seed: int
+    params: ParamVector
     links: tuple[EvaluatedLink, ...]
     joints: tuple[EvaluatedJoint, ...]
     root_link: str
-    world_transforms: dict
-    tree: KinematicTree
+    blueprint: KinematicBlueprint | None = None
+
+    def __post_init__(self):
+        _ = self.tree  # build it now, so a malformed joint tree fails at construction
+
+    @cached_property
+    def tree(self) -> KinematicTree:
+        return KinematicTree(self.root_link, [l.link_id for l in self.links], self.joints)
+
+    @cached_property
+    def frame_meshes(self) -> tuple[TriMesh, ...]:
+        """Each link's `frame_mesh`, indexed like `links`, checked together in
+        one pass (`check_meshes`) on first read: a translation can round an
+        area below DEGENERATE_AREA. Export writes these."""
+        meshes = tuple(l.frame_mesh for l in self.links)
+        check_meshes(meshes)
+        return meshes
 
     def link(self, link_id: str) -> EvaluatedLink:
         return self.links[self.tree.link_index[link_id]]
 
-    def posed_mesh(self, link_id: str) -> TriMesh:
-        return apply_transform(self.link(link_id).mesh, self.world_transforms[link_id])
+    def joint(self, joint_id: str) -> EvaluatedJoint:
+        return self.joints[self.tree.joint_index[joint_id]]
+
+    def children_of(self, link_id: str) -> list[EvaluatedJoint]:
+        """Joints whose parent is `link_id`, by joint id."""
+        return [self.joints[k] for k in self.tree.children[self.tree.link_index[link_id]]]
+
+    def pivot_in_parent(self, joint: EvaluatedJoint) -> np.ndarray:
+        """The joint's pivot, the child link's frame origin, in the parent link's frame."""
+        return np.subtract(joint.spec.pivot, self.link(joint.parent).origin)
+
+    def default_config(self) -> dict:
+        return {j.joint_id: j.default for j in self.joints}
+
+    def adjacent_pairs(self) -> set:
+        return {frozenset((j.parent, j.child)) for j in self.joints}
 
 
 def evaluate_links(
     graph: NodeGraph, params: ParamVector | dict | None = None
 ) -> tuple[tuple[EvaluatedLink, ...], tuple[EvaluatedJoint, ...], str]:
-    """Validate and evaluate a graph into its links, its joints sorted by
-    construction order, and the root link id, without posing any link: the
+    """Validate and evaluate a graph into its links, its joints and the root
+    link id, as `Program.run` gives them, composite pairs chained: the
     program of its structure (`program_for`) runs on its numbers, once the
     parameter vector is checked against `graph.parameters` (a missing value
     raises MissingParameterError and one outside its entry RangeError)."""
@@ -624,14 +706,9 @@ def evaluate_links(
     return program.run(graph.numbers, graph.parameters.validate_vector(params))
 
 
-def evaluate(
-    graph: NodeGraph, params: ParamVector | dict | None = None, joint_values: dict | None = None
-) -> EvaluatedBody:
-    """Evaluate a validated graph into an EvaluatedBody.
-
-    `joint_values` maps joint ids to values; absent joints pose at their
-    default. Values outside a joint's range raise RangeError.
-    """
-    links, joints, root = evaluate_links(graph, params)
-    tree = KinematicTree(root, [l.link_id for l in links], joints)
-    return EvaluatedBody(links, joints, root, tree.transforms(joint_values), tree)
+def evaluate(graph: NodeGraph, params: ParamVector | dict | None = None) -> AssetInstance:
+    """The AssetInstance of a graph under `params`, of category "asset" and
+    without a blueprint. Pose it with its tree (`AssetInstance.tree`)."""
+    if not isinstance(params, ParamVector):
+        params = ParamVector(params or {})
+    return AssetInstance("asset", params.seed, params, *evaluate_links(graph, params))

@@ -2,8 +2,16 @@
 emitted documents back for round-trip verification.
 
 Output is byte-deterministic: fixed element order (depth-first over the
-realized tree), nine-significant-digit floats, and relative mesh paths so
+instance's tree), nine-significant-digit floats, and relative mesh paths so
 bundles stay relocatable.
+
+An instance keeps its meshes in the construction frame; export alone writes
+link frames. Each link's frame sits at its `origin`, its incoming joint's
+pivot, without rotation, and the OBJ files hold each link's `frame_mesh`, the
+mesh moved there, which its hull and dynamics are also computed from. A
+translation can round a triangle's area below DEGENERATE_AREA, so the first
+export of an instance checks those moved meshes in one pass
+(`AssetInstance.frame_meshes`) before it writes them.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ def _slug(link_id: str) -> str:
 
 
 def _ordered_links(instance: AssetInstance) -> list[EvaluatedLink]:
-    """Depth-first order over the realized tree, children by joint id."""
+    """Depth-first order over the instance's tree, children by joint id."""
     return [instance.links[i] for i in instance.tree.order]
 
 
@@ -167,12 +175,14 @@ def _write_meshes(instance: AssetInstance, out_dir: Path) -> dict:
     mesh_dir = out_dir / "meshes"
     mesh_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for link in _ordered_links(instance):
-        if link.mesh.is_empty:
+    frames = instance.frame_meshes  # checked in one pass on the instance's first export
+    for i in instance.tree.order:
+        link, mesh = instance.links[i], frames[i]
+        if mesh.is_empty:
             paths[link.link_id] = (None, None)
             continue
         visual_rel = f"meshes/{_slug(link.link_id)}.obj"
-        (out_dir / visual_rel).write_text(obj_text(link.mesh, _slug(link.link_id)), encoding="utf-8")
+        (out_dir / visual_rel).write_text(obj_text(mesh, _slug(link.link_id)), encoding="utf-8")
         hull_rel = None
         if link.hull is not None:
             hull_rel = f"meshes/{_slug(link.link_id)}.hull.obj"
@@ -393,9 +403,9 @@ def _mjcf_document(instance: AssetInstance, mesh_paths, link_names, joint_names)
                 "diaginertia": _fmt_vec(link.inertia_diag),
             },
         )
-        incoming = instance.tree.incoming[instance.tree.link_index[link_id]]
-        if incoming and not instance.joints[incoming[0]].is_fixed:
-            j = instance.joints[incoming[0]]
+        k = instance.tree.parent_joint[instance.tree.link_index[link_id]]
+        if k >= 0 and not instance.joints[k].is_fixed:
+            j = instance.joints[k]
             ET.SubElement(
                 body,
                 "joint",
@@ -478,33 +488,32 @@ def parse_mjcf(path) -> ParsedModel:
             else:
                 collision = ref
         links.append(ParsedLink(name, visual, collision, mass))
-        joint_el = body_el.find("joint")
-        if parent_name is not None:
-            if joint_el is not None:
-                lo, hi = _numbers(joint_el, "range", 2) if joint_el.get("range") else (None, None)
-                joints.append(
-                    ParsedJoint(
-                        joint_el.get("name"),
-                        {"hinge": "revolute", "slide": "prismatic"}.get(
-                            joint_el.get("type"), joint_el.get("type")
-                        ),
-                        parent_name,
-                        name,
-                        pos,
-                        _numbers(joint_el, "axis", 3, "0 0 1"),
-                        lo,
-                        hi,
-                        rotation,
-                    )
-                )
-            else:
-                joints.append(
-                    ParsedJoint(
-                        f"{name}__fixed", "fixed", parent_name, name, pos, None, None, None, rotation
-                    )
-                )
-        elif joint_el is not None:
+        joint_els = body_el.findall("joint")
+        if parent_name is None and joint_els:
             raise StructuralError("root body must not carry a joint")
+        for joint_el in joint_els:
+            lo, hi = _numbers(joint_el, "range", 2) if joint_el.get("range") else (None, None)
+            joints.append(
+                ParsedJoint(
+                    joint_el.get("name"),
+                    {"hinge": "revolute", "slide": "prismatic"}.get(
+                        joint_el.get("type"), joint_el.get("type")
+                    ),
+                    parent_name,
+                    name,
+                    pos,
+                    _numbers(joint_el, "axis", 3, "0 0 1"),
+                    lo,
+                    hi,
+                    rotation,
+                )
+            )
+        if parent_name is not None and not joint_els:
+            joints.append(
+                ParsedJoint(
+                    f"{name}__fixed", "fixed", parent_name, name, pos, None, None, None, rotation
+                )
+            )
         for child in body_el.findall("body"):
             walk(child, name)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..blueprint import AssetInstance, realize
+from ..evaluate import AssetInstance
 from ..errors import InvalidParameterError
 from ..params import ParamVector, _draw_parameters, merge_overrides
 from . import dishwasher, door, fridge, lamp, toaster
@@ -38,14 +38,14 @@ def build_instance(
     salt: str | None = None,
     params: ParamVector | None = None,
 ) -> AssetInstance:
-    """Sample (or reuse) parameters, evaluate the category's compiled program
-    on them and realize one asset. The overrides are checked once, before
+    """Sample (or reuse) parameters and evaluate the category's compiled
+    program on them into one asset. The overrides are checked once, before
     anything is recorded."""
     gen = get_generator(category)
     space = merge_overrides(gen.space, overrides)
     if params is None:
         params = _draw_parameters(gen.space, seed, overrides or {}, salt)
-    return realize(gen.blueprint, gen.evaluate(params, space), params, category=category)
+    return AssetInstance(category, params.seed, params, *gen.evaluate(params, space), gen.blueprint)
 
 
 __all__ = [

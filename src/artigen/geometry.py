@@ -19,6 +19,9 @@ from .errors import DegeneracyError, InvalidParameterError
 # Triangles with less area than this are rejected as degenerate.
 DEGENERATE_AREA = 1e-12
 
+# `check_meshes` stacks groups of meshes of at most this many triangles.
+CHECK_GROUP_TRIANGLES = 1024
+
 # Default tessellation for round primitives.
 DEFAULT_SEGMENTS = 32
 
@@ -310,16 +313,30 @@ def check_meshes(meshes) -> None:
     """The checks of `TriMesh(...)` on each of `meshes` in one pass: raise what
     checking them one by one, in order, raises first, else nothing.
 
-    The predicates run over the stacked arrays: finite vertices, each mesh's
-    indices in its own range, one label per triangle and no area at most
-    DEGENERATE_AREA, whose areas are elementwise and so the meshes' own. If
-    any fails, the meshes are checked again one by one, so the first failing
-    mesh raises its own error. So does an area that overflows: the stacked
-    pass silences NumPy's overflow and invalid warnings, and the check one by
-    one gives each in the order and at the mesh where it arises."""
-    meshes = list(meshes)
-    if not meshes:
-        return
+    The predicates run over the stacked arrays of consecutive groups of
+    meshes, each of at most CHECK_GROUP_TRIANGLES triangles unless one mesh
+    alone holds more, which bounds the pass's memory: finite vertices, each
+    mesh's indices in its own range, one label per triangle and no area at
+    most DEGENERATE_AREA, whose areas are elementwise and so the meshes' own.
+    If any fails, that group's meshes are checked again one by one, so the
+    first failing mesh raises its own error. So does an area that overflows:
+    the stacked pass silences NumPy's overflow and invalid warnings, and the
+    check one by one gives each in the order and at the mesh where it
+    arises."""
+    group, size = [], 0
+    for m in meshes:
+        n = len(m.triangles)
+        if group and size + n > CHECK_GROUP_TRIANGLES:
+            _check_group(group)
+            group, size = [], 0
+        group.append(m)
+        size += n
+    if group:
+        _check_group(group)
+
+
+def _check_group(meshes: list) -> None:
+    """`check_meshes` over one group of meshes, stacked."""
     counts = [len(m.triangles) for m in meshes]
     sizes = [len(m.vertices) for m in meshes]
     verts = np.concatenate([m.vertices for m in meshes])

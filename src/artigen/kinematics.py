@@ -3,10 +3,12 @@
 A KinematicTree is built once from link ids, joints and the root link. Links
 and joints keep the positions they were given in; `order` lists the links
 depth first from the root, children by joint id, which is a topological
-order. Joint pivots and axes are in the construction frame, so a link's pose
-composes its incoming joints in that frame: a revolute joint rotates about its
-pivot, a prismatic joint translates along its axis. Several joints between one
-link pair (a screw) compose in the order they were given.
+order. Every link but the root has exactly one incoming joint, as in a URDF
+document; evaluation lays two joints between one link pair (a screw) out as a
+serial chain through a passthrough link before a tree is built. Joint pivots
+and axes are in the construction frame, so a link's pose composes the joints
+on its path in that frame: a revolute joint rotates about its pivot, a
+prismatic joint translates along its axis.
 
 `KinematicTree.pose` poses every link for a block of n configurations at once,
 with each link's rotation matrices, converted once per link: a child composes
@@ -28,14 +30,15 @@ RANGE_SLACK = 1e-12
 
 
 class KinematicTree:
-    """Links and joints indexed by position, with parent and child index lists.
+    """Links and joints indexed by position, with each link's parent link and
+    joint and its child joints as index lists.
 
-    `joints` holds records with `joint_id`, `parent` and `child` link ids, in
-    the order joints between one link pair compose. Only posing reads a
-    record's `spec`, a graph.JointSpec whose pivot and axis are in the
-    construction frame. Raises StructuralError when ids repeat, when a joint
-    names an unknown link, when a link has two parent links, when the root has
-    a parent, or when a link cannot be reached from the root.
+    `joints` holds records with `joint_id`, `parent` and `child` link ids.
+    Only posing reads a record's `spec`, a graph.JointSpec whose pivot and
+    axis are in the construction frame. Raises StructuralError when ids
+    repeat, when a joint names an unknown link, when a link has a second
+    parent joint, when the root has a parent, or when a link cannot be
+    reached from the root.
     """
 
     def __init__(self, root: str, link_ids, joints):
@@ -50,36 +53,33 @@ class KinematicTree:
             raise StructuralError(f"root link {root!r} is not among the links")
         n_links = len(self.link_ids)
         self.parent = [-1] * n_links  # parent link index, -1 at the root
-        self.incoming: list[list[int]] = [[] for _ in range(n_links)]  # composition order
+        self.parent_joint = [-1] * n_links  # incoming joint index, -1 at the root
         self.children: list[list[int]] = [[] for _ in range(n_links)]  # by joint id
         child_of = []
         for k, j in enumerate(self.joints):
             if j.parent not in self.link_index or j.child not in self.link_index:
                 raise StructuralError(f"joint {j.joint_id!r} connects links that do not exist")
             p, c = self.link_index[j.parent], self.link_index[j.child]
-            if self.incoming[c] and self.parent[c] != p:
-                raise StructuralError(f"link {j.child!r} has multiple parent links")
+            if self.parent_joint[c] >= 0:
+                raise StructuralError(f"link {j.child!r} has more than one parent joint")
             self.parent[c] = p
-            self.incoming[c].append(k)
+            self.parent_joint[c] = k
             self.children[p].append(k)
             child_of.append(c)
-        if self.incoming[self.link_index[root]]:
+        if self.parent_joint[self.link_index[root]] >= 0:
             raise StructuralError(f"root link {root!r} has a parent joint")
         for ks in self.children:
             ks.sort(key=lambda k: self.joint_ids[k])
 
         order: list[int] = []
-        seen: set[int] = set()
         stack = [self.link_index[root]]
         while stack:
             i = stack.pop()
-            if i in seen:  # second joint of a pair already led here
-                continue
-            seen.add(i)
             order.append(i)
             stack.extend(child_of[k] for k in reversed(self.children[i]))
         if len(order) < n_links:
-            lost = [self.link_ids[i] for i in range(n_links) if i not in seen]
+            reached = set(order)
+            lost = [self.link_ids[i] for i in range(n_links) if i not in reached]
             raise StructuralError(f"links not reachable from root: {lost}")
         self.order = order
 
@@ -146,17 +146,14 @@ class KinematicTree:
         quat[root], trans[root] = (1.0, 0.0, 0.0, 0.0), 0.0
         rot[root] = quat_to_matrix(quat[root])
         for i in self.order[1:]:
-            p, ks = self.parent[i], self.incoming[i]
-            q, t, r = quat[p], trans[p], rot[p]
-            for k in ks:
-                if p == root and k == ks[0]:
-                    # The root's identity moves it by exactly + 0.0, signed zeros too.
-                    t = motion_t[k] + 0.0
-                else:
-                    t = t + np.einsum("nij,nj->ni", r, motion_t[k])
-                q = quat_multiply(q, motion_q[k])
-                r = quat_to_matrix(q)
-            quat[i], trans[i], rot[i] = q, t, r
+            p, k = self.parent[i], self.parent_joint[i]
+            if p == root:
+                # The root's identity moves it by exactly + 0.0, signed zeros too.
+                trans[i] = motion_t[k] + 0.0
+            else:
+                trans[i] = trans[p] + np.einsum("nij,nj->ni", rot[p], motion_t[k])
+            quat[i] = quat_multiply(quat[p], motion_q[k])
+            rot[i] = quat_to_matrix(quat[i])
         return quat, trans, rot
 
     def transforms(self, config: dict | None = None) -> dict:

@@ -1,6 +1,7 @@
-"""Shared oracles for round-trip checks and blueprint trees, a duplication
-fixture, a graph whose joints give one link two parents, document edits, and
-a mesh-free reference of link identity decided on concrete link sets."""
+"""Shared oracles for round-trip checks, link frames and blueprint trees, a
+duplication fixture, a graph whose joints give one link two parents, document
+edits, and a mesh-free reference of link identity decided on concrete link
+sets."""
 
 import itertools
 import json
@@ -73,6 +74,11 @@ def edited(graph, node_id, kind=None, **params):
         node["kind"], node["params"] = kind, {}
     node["params"].update(params)
     return NodeGraph.deserialize(json.dumps(doc))
+
+
+def link_frame_vertices(link):
+    """A link's mesh vertices moved into its link frame, by -origin."""
+    return RigidTransform.from_translation(-np.asarray(link.origin)).apply(link.mesh.vertices)
 
 
 def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-9, limit_tol=1e-9):
@@ -248,9 +254,10 @@ class IdentityFault(Exception):
 
 def concrete_identity(graph, values, output=None, decisions=None):
     """The (links, joints) counts of `graph`'s node `output` (the graph's
-    output by default) under the parameter `values`, by mesh-free
-    link-identity rules that decide on one selection's concrete link sets, the
-    reference for the check's decisions: a primitive is a new link, a
+    output by default) under the parameter `values`, passthrough links of
+    composite pairs included, by mesh-free link-identity rules that decide on
+    one selection's concrete link sets, the reference for the check's
+    decisions: a primitive is a new link, a
     transform copies every link, a switch is its selected option, a merge
     fuses its inputs' roots into a new link and copies an input that shares
     links with an earlier one, and a duplicate merges a jointless body's
@@ -332,14 +339,16 @@ def concrete_identity(graph, values, output=None, decisions=None):
         return parent[0], parent[1] + child[1], parent[2] + child[2] + (edge,)
 
     _, links, joints = value(graph.output_node if output is None else output)
-    return len(links), len(joints)
+    # n joints on one link pair chain through n - 1 passthrough links.
+    return len(links) + len(joints) - len(set(joints)), len(joints)
 
 
 def narrowed_counts(tree, values):
     """The (links, joints) counts of a blueprint tree narrowed to one
-    selection: a variant takes the branch its selector's value picks, a
-    repeat of jointed copies counts its attachments once per unit of its
-    count parameter's value, and a repeat of static geometry adds no link."""
+    selection, passthrough links of composite pairs included: a variant takes
+    the branch its selector's value picks, a repeat of jointed copies counts
+    its attachments once per unit of its count parameter's value, and a
+    repeat of static geometry adds no link."""
 
     def subtree(node):
         if node["kind"] == "variant":
@@ -352,7 +361,8 @@ def narrowed_counts(tree, values):
             return 0, 0
         if att["kind"] == "joint":
             links, joints = subtree(att["child"])
-            return links, joints + len(att["joints"])
+            n = len(att["joints"])  # chained through n - 1 passthrough links
+            return links + n - 1, joints + n
         if att["kind"] == "repeat":
             counts = [attachment(a) for a in att["attachments"]]
             n = values[att["count_param"]]

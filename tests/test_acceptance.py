@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import artigen
-from artigen.blueprint import extract_blueprint, instantiate
+from artigen.blueprint import extract_blueprint, instantiate, posed_meshes
 from artigen.cli import main as cli_main
 from artigen.collision import SweepPlan, sweep_check, verify_finding
 from artigen.errors import PlanTooLargeError
@@ -110,10 +110,9 @@ def test_03_joint_semantics_oracle():
         g.connect(shift, j, "child")
         g.set_output(j)
 
-        rest = evaluate(g)
-        posed = evaluate(g, joint_values={"j_0": value})
-        got = posed.posed_mesh("arm_0").vertices
-        base = rest.link("arm_0").mesh.vertices
+        body = evaluate(g)
+        got = posed_meshes(body, {"j_0": value})["arm_0"].vertices
+        base = body.link("arm_0").mesh.vertices
         if kind == JOINT_REVOLUTE:
             expected = np.array([_rotation_about_pivot(v, pivot, axis, value) for v in base])
         else:

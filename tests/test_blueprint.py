@@ -23,7 +23,7 @@ from artigen.generators import CATEGORY_NAMES, build_instance
 from artigen.geometry import TriMesh
 from artigen.params import ParamVector
 from artigen.patterns import PATTERN_NAMES, build_pattern
-from helpers import blueprint_parts, edited
+from helpers import blueprint_parts, edited, link_frame_vertices
 
 
 def make_instance(name, **kw):
@@ -144,28 +144,33 @@ class TestInstantiate:
         np.testing.assert_allclose(axes[0], axes[1], atol=1e-12)
 
     def test_passthrough_does_not_change_pose(self):
-        g = build_pattern("multi_joint_screw")
-        body = evaluate(g, joint_values={"turn_0": 1.0, "lift_0": 0.01})
+        """The cap turns about the neck's z axis and then slides up it, as the
+        two joints compose without a passthrough link."""
         inst = make_instance("multi_joint_screw")
         world = forward_kinematics(inst, {"turn_0": 1.0, "lift_0": 0.01})
-        cap_direct = body.posed_mesh("cap_0").vertices
-        cap_inst = world["cap_0"].apply(inst.link("cap_0").mesh.vertices)
-        np.testing.assert_allclose(cap_inst, cap_direct, atol=1e-9)
+        cap = inst.link("cap_0").mesh.vertices
+        c, s = math.cos(1.0), math.sin(1.0)
+        turned = cap @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+        np.testing.assert_allclose(world["cap_0"].apply(cap), turned + (0.0, 0.0, 0.01), atol=1e-12)
 
 
 class TestForwardKinematics:
     def test_defaults_match_evaluate(self):
+        """At their defaults the joints pose each link as `evaluate`'s asset
+        poses it, and where every default is zero, where evaluation placed it."""
         for name in PATTERN_NAMES:
             g = build_pattern(name)
-            body = evaluate(g)
             inst = make_instance(name)
+            expected = posed_meshes(evaluate(g), {})
             world = forward_kinematics(inst, {})
+            at_zero = all(j.default == 0.0 for j in inst.joints)
             for link in inst.links:
                 if link.mesh.is_empty:
                     continue
-                expected = body.posed_mesh(link.link_id).vertices
                 got = world[link.link_id].apply(link.mesh.vertices)
-                assert np.abs(got - expected).max() < 1e-9, (name, link.link_id)
+                np.testing.assert_array_equal(got, expected[link.link_id].vertices)
+                if at_zero:
+                    assert np.abs(got - link.mesh.vertices).max() < 1e-12, (name, link.link_id)
 
     def test_prismatic_displacement_linear(self):
         inst = make_instance("simple_prismatic")
@@ -182,7 +187,7 @@ class TestForwardKinematics:
     def test_revolute_tip_traces_circle(self):
         inst = make_instance("simple_revolute")
         j = inst.joints[0]
-        tip_local = np.array([0.0, 0.0, 0.5])  # rod top in link frame
+        tip_local = np.array([0.0, 0.0, 0.5])  # a point above the pivot
         pivot = inst.pivot_in_parent(j)  # parent is the root: already world
         radii = []
         for theta in np.linspace(j.lo, j.hi, 9):
@@ -235,7 +240,8 @@ class TestLazyDynamics:
     def test_equal_to_link_dynamics(self, category):
         for seed in (1, 2, 3):
             for link in build_instance(category, seed).links:
-                hull, mass, inertia, origin = _link_dynamics(link.mesh)
+                local = TriMesh(link_frame_vertices(link), link.mesh.triangles, link.mesh.face_labels)
+                hull, mass, inertia, origin = _link_dynamics(local)
                 assert (link.mass, link.inertia_diag, link.inertia_origin) == (mass, inertia, origin)
                 if hull is None:
                     assert link.hull is None

@@ -1,11 +1,13 @@
+import copy
 import math
 import random
+import re
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
 
-from artigen.blueprint import extract_blueprint, instantiate
+from artigen.blueprint import extract_blueprint, instantiate, posed_meshes
 from artigen.errors import (
     DocumentParseError,
     InvalidParameterError,
@@ -33,6 +35,7 @@ from artigen.patterns import PATTERN_NAMES, build_pattern
 from helpers import (
     FORMAT_ABS,
     assert_kinematic_isomorphism,
+    link_frame_vertices,
     parsed_inertials,
     pose_parsed_model,
     pose_tolerance,
@@ -110,13 +113,17 @@ class TestUrdf:
         np.testing.assert_allclose(moving[0].axis, moving[1].axis, atol=1e-9)
 
     def test_mesh_files_exist_and_match(self, tmp_path):
+        """The OBJ files hold each link's mesh in its link frame."""
         inst = make_instance("simple_prismatic")
         bundle = export_urdf(inst, tmp_path / "btn")
         for link_id, (visual, hull) in bundle.mesh_paths.items():
             if visual is None:
                 continue
+            link = inst.link(link_id)
+            local = link_frame_vertices(link)
+            assert np.array_equal(link.frame_mesh.vertices, local)
             mesh = parse_obj((bundle.root / visual).read_text())
-            assert np.abs(mesh.vertices - inst.link(link_id).mesh.vertices).max() < 1e-8
+            assert np.abs(mesh.vertices - local).max() < 1e-8
             assert (bundle.root / hull).exists()
 
     def test_round_trip_isomorphism_all_patterns(self, tmp_path):
@@ -180,6 +187,28 @@ class TestUrdf:
         bad.write_text(text.replace(old, new))
         with pytest.raises(StructuralError):
             parse_urdf(bad)
+
+    @pytest.mark.parametrize("fmt", ["urdf", "mjcf"])
+    def test_second_joint_into_a_link_rejected(self, tmp_path, fmt):
+        """A copy of a link's joint from the same parent is a second joint
+        into that link, which the tree refuses in either document."""
+        inst = make_instance("chained_joints")
+        (bundle,) = export_bundle(inst, tmp_path / "pair", (fmt,))
+        doc = ET.parse(bundle.model_path)
+        if fmt == "urdf":
+            holder = doc.getroot()
+            (joint,) = [j for j in holder.iter("joint") if j.find("child").get("link") == _UPPER]
+        else:
+            (holder,) = [b for b in doc.getroot().iter("body") if b.get("name") == _UPPER]
+            joint = holder.find("joint")
+        extra = copy.deepcopy(joint)
+        extra.set("name", "extra")
+        holder.insert(list(holder).index(joint) + 1, extra)
+        bad = tmp_path / f"bad.{fmt}"
+        doc.write(bad)
+        parse = parse_urdf if fmt == "urdf" else parse_mjcf
+        with pytest.raises(StructuralError, match=re.escape(repr(_UPPER))):
+            parse(bad)
 
     def test_malformed_xml_parse_error(self, tmp_path):
         bad = tmp_path / "bad.urdf"
@@ -302,7 +331,7 @@ class TestDynamics:
             normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             offsets = np.einsum("ij,ij->i", normals, corners[:, 0])
-            dists = link.mesh.vertices @ normals.T - offsets
+            dists = link_frame_vertices(link) @ normals.T - offsets
             assert dists.max() <= 1e-9
 
     def test_mass_is_hull_volume_times_density(self):
@@ -320,7 +349,8 @@ def assert_documents_pose_like_evaluation(instance, graph, params, out_dir, conf
     by document name and the parsed visual vertices by document name."""
     link_names, joint_names = _names(instance)
     link_ids = {name: link_id for link_id, name in link_names.items()}
-    bodies = [evaluate(graph, params, joint_values=c) for c in configs]
+    evaluated = evaluate(graph, params)
+    posed = [posed_meshes(evaluated, c) for c in configs]
     out = []
     for bundle, parse in zip(export_bundle(instance, out_dir, ("urdf", "mjcf")), (parse_urdf, parse_mjcf)):
         model = parse(bundle.model_path)
@@ -329,14 +359,14 @@ def assert_documents_pose_like_evaluation(instance, graph, params, out_dir, conf
             for l in model.links
             if l.visual_mesh
         }
-        for config, body in zip(configs, bodies):
-            posed = pose_parsed_model(model, {joint_names[k]: v for k, v in config.items()})
-            expected = {n: body.posed_mesh(link_ids[n]).vertices for n in visuals}
+        for config, meshes in zip(configs, posed):
+            placed = pose_parsed_model(model, {joint_names[k]: v for k, v in config.items()})
+            expected = {n: meshes[link_ids[n]].vertices for n in visuals}
             reach = max(np.linalg.norm(v, axis=1).max() for v in expected.values())
-            reach += max(length for _, _, length, _ in posed.values())
+            reach += max(length for _, _, length, _ in placed.values())
             turn = max(map(abs, config.values()), default=0.0)
             for name, local in visuals.items():
-                frame, depth, _, turned = posed[name]
+                frame, depth, _, turned = placed[name]
                 np.testing.assert_allclose(
                     frame.apply(local),
                     expected[name],

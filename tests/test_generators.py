@@ -17,7 +17,7 @@ from artigen.generators import (
     get_generator,
 )
 from artigen.errors import ArtigenError, InvalidParameterError, MissingParameterError
-from artigen.export import manifest_param_vector
+from artigen.export import export_bundle, manifest_param_vector
 from artigen.evaluate import evaluate_links
 from artigen.generators.common import CategoryGenerator
 from artigen.graph import NodeGraph, ParamRef
@@ -505,18 +505,20 @@ class TestBlueprintInvariance:
             assert g.validate() == []
         assert calls == {"literal check": 0}
 
-    def test_build_checks_each_mesh_where_it_is_made(self, monkeypatch):
-        """Primitives and realized link meshes take the full mesh check, and
-        meshes moved or merged in between do not: a warm build runs the area
-        check exactly twice, once over its primitives and once over its
-        links, on exactly the triangles those hold."""
+    def test_build_checks_each_mesh_where_it_is_made(self, monkeypatch, tmp_path):
+        """Primitives and final link meshes take the full mesh check, and
+        meshes moved or merged in between do not: a warm build makes one
+        check pass (`check_meshes`), over its primitives and then its link
+        meshes, whose area checks take at most CHECK_GROUP_TRIANGLES
+        triangles each (or one larger mesh) and exactly the triangles those
+        meshes hold. An instance's first export makes one more pass, over its
+        link-frame meshes, and later exports none."""
         for category in CATEGORY_NAMES:
             build_instance(category, 0, salt="")
-        calls = {"areas": 0, "triangles": 0, "primitives": 0, "made": 0}
+        calls = {"passes": 0, "areas": [], "primitives": 0, "made": 0}
 
         def areas(corners):
-            calls["areas"] += 1
-            calls["triangles"] += len(corners)
+            calls["areas"].append(len(corners))
             return triangle_areas(corners)
 
         def counted(make):
@@ -527,19 +529,32 @@ class TestBlueprintInvariance:
                 return verts, tris
             return made
 
+        def check(meshes):
+            calls["passes"] += 1
+            return check_meshes(meshes)
+
         triangle_areas = artigen.geometry.triangle_areas
+        check_meshes = artigen.geometry.check_meshes
         monkeypatch.setattr(artigen.geometry, "triangle_areas", areas)
+        monkeypatch.setattr(artigen.evaluate, "check_meshes", check)
         # evaluation makes each primitive with exactly one of these
         for shape, make in artigen.evaluate._MAKERS.items():
             monkeypatch.setitem(artigen.evaluate._MAKERS, shape, counted(make))
+        cap = artigen.geometry.CHECK_GROUP_TRIANGLES
         for category in CATEGORY_NAMES:
             for seed in (1, 2):
-                calls.update(areas=0, triangles=0, primitives=0, made=0)
+                calls.update(passes=0, areas=[], primitives=0, made=0)
                 inst = build_instance(category, seed, salt="")
                 links = sum(l.mesh.n_triangles for l in inst.links)
+                largest = max(l.mesh.n_triangles for l in inst.links)
                 assert calls["primitives"] > 0, (category, seed)
-                assert calls["areas"] == 2, (category, seed)
-                assert calls["triangles"] == calls["made"] + links, (category, seed)
+                assert calls["passes"] == 1, (category, seed)
+                assert sum(calls["areas"]) == calls["made"] + links, (category, seed)
+                assert max(calls["areas"]) <= max(cap, largest), (category, seed)
+                calls.update(passes=0)
+                export_bundle(inst, tmp_path / f"{category}_{seed}", ("urdf",))
+                export_bundle(inst, tmp_path / f"{category}_{seed}", ("mjcf",))
+                assert calls["passes"] == 1, (category, seed)
 
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_category_blueprint_matches_each_seed(self, category):

@@ -2,8 +2,12 @@
 
 import hashlib
 
+import pytest
+
 from artigen.export import export_mjcf, export_urdf, write_manifest
 from artigen.generators import CATEGORY_NAMES, build_instance
+
+pytestmark = pytest.mark.golden
 
 SEEDS = range(20)
 

@@ -7,6 +7,8 @@ from artigen.blueprint import extract_blueprint
 from artigen.generators import get_generator
 from artigen.patterns import build_pattern
 
+pytestmark = pytest.mark.golden
+
 CATEGORY_SIGNATURES = {
     "door": "5be897f1cf604d4949f86d7c0dab6072103ac8474479a6311bd14822fdfcdfae",
     "toaster": "826533bc7d28517ff039a437f833220c8e0614a15dfebd6ac637440123cf70fd",

@@ -3,9 +3,13 @@
 import hashlib
 import json
 
+import pytest
+
 from artigen.collision import SweepPlan, check_at, sweep_check
 from artigen.errors import PlanTooLargeError
 from artigen.generators import CATEGORY_NAMES, build_instance
+
+pytestmark = pytest.mark.golden
 
 SEEDS = range(12)
 

@@ -22,7 +22,7 @@ from artigen.errors import (
     RangeError,
     SchemaError,
 )
-from artigen.blueprint import extract_blueprint, instantiate
+from artigen.blueprint import extract_blueprint, forward_kinematics, instantiate, posed_meshes
 from artigen.evaluate import evaluate, evaluate_links, program_for
 import artigen
 from artigen.graph import (
@@ -47,6 +47,7 @@ from artigen.patterns import PATTERN_NAMES, build_pattern
 
 from helpers import (
     IdentityFault,
+    blueprint_parts,
     concrete_identity,
     duplicated_revolute,
     edited,
@@ -391,7 +392,8 @@ class TestValidate:
 
     def test_switch_over_one_node_is_that_node(self):
         # A switch whose options are all the jointed rod is the rod itself, so
-        # a second joint into it joins the hinge's pair: a composite joint.
+        # a second joint into it joins the hinge's pair: a composite joint,
+        # chained through one passthrough link.
         g = NodeGraph(ParameterSpace({"k": Count(0, 1)}))
         spec = {"pivot": (0, 0, 0), "axis": (0, 0, 1), "range_lo": 0, "range_hi": 1}
         base, rod = box_node(g), box_node(g)
@@ -408,7 +410,7 @@ class TestValidate:
         assert g.validate() == []
         for k in (0, 1):
             body = evaluate(g, ParamVector({"k": k}))
-            assert (len(body.links), len(body.joints)) == (2, 2)
+            assert (len(body.links), len(body.joints)) == (3, 2)
 
     @pytest.mark.parametrize(
         "kind, code",
@@ -895,18 +897,19 @@ def test_builder_checks_each_literal_as_add_node_does(case):
 class TestEvaluate:
     def test_revolute_at_zero_matches_unposed(self):
         g = build_pattern("simple_revolute")
-        unposed = evaluate(g)
-        posed = evaluate(g, joint_values={"hinge_0": 0.0})
+        body = evaluate(g)
+        unposed = posed_meshes(body, {})
+        posed = posed_meshes(body, {"hinge_0": 0.0})
         rod = "rod_0"
-        np.testing.assert_array_equal(unposed.posed_mesh(rod).vertices, posed.posed_mesh(rod).vertices)
+        np.testing.assert_array_equal(unposed[rod].vertices, posed[rod].vertices)
 
     def test_prismatic_translation_exact(self):
         g = build_pattern("simple_prismatic")
-        rest = evaluate(g)
-        pressed = evaluate(g, joint_values={"press_0": 0.01})
-        t = pressed.world_transforms["button_0"]
+        body = evaluate(g)
+        t = forward_kinematics(body, {"press_0": 0.01})["button_0"]
         np.testing.assert_array_equal(t.translation, [0, 0, -0.01])
-        delta = pressed.posed_mesh("button_0").vertices - rest.posed_mesh("button_0").vertices
+        pressed, rest = posed_meshes(body, {"press_0": 0.01}), posed_meshes(body, {})
+        delta = pressed["button_0"].vertices - rest["button_0"].vertices
         np.testing.assert_allclose(delta, np.tile([0, 0, -0.01], (delta.shape[0], 1)), atol=1e-15)
 
     def test_revolute_closed_form_about_pivot(self):
@@ -931,15 +934,16 @@ class TestEvaluate:
         g.connect(parent, j, "parent")
         g.connect(child, j, "child")
         g.set_output(j)
-        body = evaluate(g, joint_values={"swing_0": math.pi / 2})
-        got = body.world_transforms["arm_0"].apply(np.array([2.0, 0.0, 0.0]))
+        world = forward_kinematics(evaluate(g), {"swing_0": math.pi / 2})
+        got = world["arm_0"].apply(np.array([2.0, 0.0, 0.0]))
         np.testing.assert_allclose(got, [1, 1, 0], atol=1e-9)
 
     def test_value_then_negated_value_restores(self):
         g = build_pattern("simple_revolute")
+        body = evaluate(g)
         for v in (0.3, -0.5, 0.7):
-            fwd = evaluate(g, joint_values={"hinge_0": v}).world_transforms["rod_0"]
-            back = evaluate(g, joint_values={"hinge_0": -v}).world_transforms["rod_0"]
+            fwd = forward_kinematics(body, {"hinge_0": v})["rod_0"]
+            back = forward_kinematics(body, {"hinge_0": -v})["rod_0"]
             combined = back.compose(fwd)  # rotations about same pivot commute-cancel
             np.testing.assert_allclose(
                 combined.apply(np.array([0.1, 0.2, 0.4])), [0.1, 0.2, 0.4], atol=1e-9
@@ -947,32 +951,31 @@ class TestEvaluate:
 
     def test_range_enforced_inclusive(self):
         g = build_pattern("simple_revolute")
-        evaluate(g, joint_values={"hinge_0": -math.pi / 4})
-        evaluate(g, joint_values={"hinge_0": math.pi / 4})
+        body = evaluate(g)
+        forward_kinematics(body, {"hinge_0": -math.pi / 4})
+        forward_kinematics(body, {"hinge_0": math.pi / 4})
         with pytest.raises(RangeError):
-            evaluate(g, joint_values={"hinge_0": math.pi / 4 + 0.01})
+            forward_kinematics(body, {"hinge_0": math.pi / 4 + 0.01})
 
     def test_determinism(self):
         g = build_pattern("chained_joints")
-        a = evaluate(g, joint_values={"elbow_0": 0.2, "shoulder_0": -0.1})
-        b = evaluate(g, joint_values={"elbow_0": 0.2, "shoulder_0": -0.1})
+        config = {"elbow_0": 0.2, "shoulder_0": -0.1}
+        a, b = evaluate(g), evaluate(g)
         assert [l.link_id for l in a.links] == [l.link_id for l in b.links]
+        posed_a, posed_b = posed_meshes(a, config), posed_meshes(b, config)
         for la, lb in zip(a.links, b.links):
-            np.testing.assert_array_equal(
-                a.posed_mesh(la.link_id).vertices, b.posed_mesh(lb.link_id).vertices
-            )
+            np.testing.assert_array_equal(posed_a[la.link_id].vertices, posed_b[lb.link_id].vertices)
 
     def test_chain_composes_parent_side(self):
         g = build_pattern("chained_joints")
-        body = evaluate(g, joint_values={"shoulder_0": math.pi / 6, "elbow_0": 0.0})
+        body = evaluate(g)
+        posed = posed_meshes(body, {"shoulder_0": math.pi / 6, "elbow_0": 0.0})
         # rod_upper rigidly follows the shoulder rotation when the elbow is at zero
-        expected = evaluate(g).posed_mesh("rod_upper_0").vertices
+        expected = posed_meshes(body, {})["rod_upper_0"].vertices
         from artigen.geometry import RigidTransform
 
         rot = RigidTransform.from_axis_angle((0, 1, 0), math.pi / 6, pivot=(0, 0, 0.05))
-        np.testing.assert_allclose(
-            body.posed_mesh("rod_upper_0").vertices, rot.apply(expected), atol=1e-9
-        )
+        np.testing.assert_allclose(posed["rod_upper_0"].vertices, rot.apply(expected), atol=1e-9)
 
     def test_missing_parameter(self):
         space = ParameterSpace({"w": Continuous(0.1, 2.0)})
@@ -1446,19 +1449,24 @@ def test_pattern_corpus_imports_without_generator_stack():
 
 class TestScrewComposite:
     def test_parallel_edges_preserved_in_ir(self):
-        body = evaluate(build_pattern("multi_joint_screw"))
-        assert len(body.links) == 2
-        assert len(body.joints) == 2
-        pair = [body.joints[k] for k in body.tree.incoming[body.tree.link_index["cap_0"]]]
-        assert [(j.parent, j.child) for j in pair] == [("neck_0", "cap_0")] * 2
+        """The blueprint keeps both joints on the one link pair, and the run
+        chains them through a passthrough link after the evaluated links."""
+        g = build_pattern("multi_joint_screw")
+        _, edges, _ = blueprint_parts(extract_blueprint(g).tree)
+        assert [(parent, child) for parent, child, _ in edges] == [(0, 1), (0, 1)]
+        body = evaluate(g)
+        assert [l.link_id for l in body.links] == ["neck_0", "cap_0", "cap_0__passthrough_1"]
+        assert [(j.joint_id, j.parent, j.child) for j in body.joints] == [
+            ("turn_0", "neck_0", "cap_0__passthrough_1"),
+            ("lift_0", "cap_0__passthrough_1", "cap_0"),
+        ]
+        assert body.link("cap_0__passthrough_1").origin == body.joint("turn_0").spec.pivot
 
     def test_both_motions_compose(self):
-        g = build_pattern("multi_joint_screw")
-        body = evaluate(g, joint_values={"turn_0": math.pi, "lift_0": 0.01})
-        rest = evaluate(g)
-        moved = body.posed_mesh("cap_0").vertices
+        body = evaluate(build_pattern("multi_joint_screw"))
+        moved = posed_meshes(body, {"turn_0": math.pi, "lift_0": 0.01})["cap_0"].vertices
         # lift shifts every vertex up by exactly 0.01 after the turn
-        turned = evaluate(g, joint_values={"turn_0": math.pi}).posed_mesh("cap_0").vertices
+        turned = posed_meshes(body, {"turn_0": math.pi})["cap_0"].vertices
         np.testing.assert_allclose(moved, turned + [0, 0, 0.01], atol=1e-12)
 
     def test_two_parents_rejected(self):

@@ -1,4 +1,5 @@
-"""One kinematic tree: evaluate and instance poses agree, batches match single configs."""
+"""One kinematic tree: evaluate, instantiate and build_instance give one asset,
+batches match single configs, and a link takes one incoming joint."""
 
 import dataclasses
 import random
@@ -6,12 +7,18 @@ import random
 import numpy as np
 import pytest
 
-from artigen.blueprint import AssetInstance, extract_blueprint, forward_kinematics, instantiate
+from artigen.blueprint import (
+    AssetInstance,
+    extract_blueprint,
+    forward_kinematics,
+    instantiate,
+    posed_meshes,
+)
 from artigen.collision import check_at
 from artigen.errors import InvalidParameterError, StructuralError
 from artigen.evaluate import evaluate
-from artigen.generators import CATEGORY_NAMES, get_generator
-from artigen.geometry import RigidTransform, quat_multiply, quat_to_matrix
+from artigen.generators import CATEGORY_NAMES, build_instance, get_generator
+from artigen.geometry import quat_multiply, quat_to_matrix
 from artigen.graph import NodeGraph
 from artigen.params import ParamVector, sample_parameters
 from artigen.patterns import PATTERN_NAMES, build_pattern
@@ -43,21 +50,37 @@ def case(request):
     return graph, params, instance
 
 
+def _assert_same_asset(a, b):
+    """Equal links (ids, labels, materials, templates, origins and meshes, bit
+    for bit), joints and root, and so the same poses."""
+    assert a.root_link == b.root_link
+    assert len(a.links) == len(b.links)
+    for la, lb in zip(a.links, b.links):
+        fields = ("link_id", "label", "material", "template")
+        assert [getattr(la, f) for f in fields] == [getattr(lb, f) for f in fields]
+        assert _same_bits(np.array(la.origin), np.array(lb.origin)), la.link_id
+        for field in ("vertices", "triangles", "face_labels"):
+            x, y = getattr(la.mesh, field), getattr(lb.mesh, field)
+            assert (x is None and y is None) or _same_bits(x, y), (la.link_id, field)
+    assert a.joints == b.joints
+
+
 def test_instance_pose_matches_evaluated_pose(case):
+    """`evaluate`, `instantiate` and, for a category at seeds 0-4,
+    `build_instance` give the same asset, bit for bit, and so the same tree
+    and pose at every configuration."""
     graph, params, instance = case
-    for config in _random_configs(instance, 4, seed=11):
-        world = forward_kinematics(instance, config)
-        body = evaluate(graph, params, joint_values=config)
-        for link in body.links:
-            origin = RigidTransform.from_translation(instance.link(link.link_id).origin)
-            expected = body.world_transforms[link.link_id] @ origin
-            got = world[link.link_id]
-            np.testing.assert_allclose(
-                got.rotation_matrix(), expected.rotation_matrix(), atol=1e-12, err_msg=link.link_id
-            )
-            np.testing.assert_allclose(
-                got.translation, expected.translation, atol=1e-12, err_msg=link.link_id
-            )
+    name = instance.category
+    if name not in CATEGORY_NAMES:
+        _assert_same_asset(evaluate(graph, params), instance)
+        return
+    gen = get_generator(name)
+    for seed in range(5):
+        params = sample_parameters(gen.space, seed, salt="")
+        graph = gen.build(params)
+        built = build_instance(name, seed, salt="")
+        _assert_same_asset(built, instantiate(gen.blueprint, graph, params, category=name))
+        _assert_same_asset(built, evaluate(graph, params))
 
 
 def test_instance_tree_poses_with_the_evaluated_joint_specs(case):
@@ -111,10 +134,9 @@ def _composed_pose(tree, values, n):
     trans[root] = 0.0
     for i in tree.order[1:]:
         q, t = quat[tree.parent[i]], trans[tree.parent[i]]
-        for k in tree.incoming[i]:
-            t = t + np.einsum("nij,nj->ni", quat_to_matrix(q), motion_t[k])
-            q = quat_multiply(q, motion_q[k])
-        quat[i], trans[i] = q, t
+        k = tree.parent_joint[i]
+        quat[i] = quat_multiply(q, motion_q[k])
+        trans[i] = t + np.einsum("nij,nj->ni", quat_to_matrix(q), motion_t[k])
     return quat, trans
 
 
@@ -134,8 +156,8 @@ def _assert_pose_matches_composition(tree, values, n):
 
 
 def test_pose_matches_the_composition_loop_bit_for_bit(case):
-    """Every pattern, multi_joint_screw's two joints on one link pair among
-    them, and every category."""
+    """Every pattern, multi_joint_screw's chain through a passthrough link
+    among them, and every category."""
     _graph, _params, instance = case
     configs = _random_configs(instance, 64, seed=3)
     values = {j.joint_id: np.array([c[j.joint_id] for c in configs]) for j in instance.joints}
@@ -201,7 +223,7 @@ def test_unknown_joint_id_is_a_typed_error_naming_it():
         lambda: instance.tree.pose({"nope": np.zeros(1)}),
         lambda: forward_kinematics(instance, {"nope": 0.0}),
         lambda: check_at(instance, {"nope": 0.0}),
-        lambda: evaluate(graph, ParamVector({}), joint_values={"nope": 0.0}),
+        lambda: posed_meshes(evaluate(graph, ParamVector({})), {"nope": 0.0}),
     ]
     for call in calls:
         with pytest.raises(InvalidParameterError, match="'nope'") as info:

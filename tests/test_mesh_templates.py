@@ -1,8 +1,9 @@
-"""Primitives built from cached templates, mesh checks run once per stage,
-and the elementwise reductions of the triangle-triangle test: each against
-the form it replaced, kept here as the reference."""
+"""Primitives built from cached templates, mesh checks run in one pass per
+build and per export, and the elementwise reductions of the triangle-triangle
+test: each against the form it replaced, kept here as the reference."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,8 +279,11 @@ class TestCheckMeshes:
     @given(
         st.lists(st.tuples(st.integers(0, len(_SHAPES) - 1), st.sampled_from([1e-3, 1.0, 40.0, 1e200])), min_size=1, max_size=7),
         st.lists(st.one_of(st.none(), st.integers(0, 10_000)), min_size=len(_FAULTS), max_size=len(_FAULTS)),
+        st.integers(1, 400),
     )
-    def test_one_pass_raises_what_one_by_one_raises(self, shapes, positions):
+    def test_one_pass_raises_what_one_by_one_raises(self, shapes, positions, group):
+        """Also with groups of at most `group` triangles, so that group
+        boundaries fall before, between and after the faulty meshes."""
         meshes = [_SHAPES[k](s) for k, s in shapes]
         for fault, pos in zip(_FAULTS, positions):
             if pos is None:
@@ -287,7 +291,8 @@ class TestCheckMeshes:
             i = pos % len(meshes)
             if meshes[i].n_triangles:
                 meshes[i] = _with_fault(meshes[i], fault, pos // len(meshes))
-        assert _in_one_pass(meshes) == _one_by_one(meshes)
+        with mock.patch.object(artigen.geometry, "CHECK_GROUP_TRIANGLES", group):
+            assert _in_one_pass(meshes) == _one_by_one(meshes)
 
     def test_each_fault_raises_its_own_error(self):
         good = make_box((1, 1, 1))

@@ -250,12 +250,12 @@ class TestCategoryFkConsistency:
         gen = get_generator(category)
         pv = sample_parameters(gen.space, 6, salt="")
         graph = gen.build(pv)
-        body = evaluate(graph, pv)
+        expected_meshes = posed_meshes(evaluate(graph, pv), {})
         inst = instantiate(extract_blueprint(graph), graph, pv, category=category)
         meshes = posed_meshes(inst, {})
         for link in inst.links:
             if link.mesh.is_empty:
                 continue
-            expected = body.posed_mesh(link.link_id).vertices
+            expected = expected_meshes[link.link_id].vertices
             got = meshes[link.link_id].vertices
             assert np.abs(got - expected).max() < 1e-9, link.link_id
