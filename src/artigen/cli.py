@@ -24,6 +24,14 @@ from .graph import NodeGraph
 from .params import SALT_ENV_VAR, Continuous, Count, Discrete, load_overrides
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _check_category(name: str) -> None:
     if name not in CATEGORY_NAMES:
         raise ArtigenError(f"unknown category {name!r}")
@@ -207,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default="out")
     gen.add_argument("--format", choices=("urdf", "mjcf", "both"), default="urdf")
     gen.add_argument("--overrides", help="JSON parameter-override file")
-    gen.add_argument("--jobs", type=int, default=1)
+    gen.add_argument("--jobs", type=_positive_int, default=1)
     gen.set_defaults(func=cmd_generate)
 
     info = sub.add_parser("info", help="print a category's variation inventory")

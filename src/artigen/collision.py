@@ -425,6 +425,22 @@ def _broadphase(verts: dict, world: dict, unrotated: set, pairs, tolerance: floa
     return survivors
 
 
+def _path_columns(tree, a: str, b: str, column: dict) -> list[int]:
+    """The columns of `values` that hold joints on the tree path between links
+    a and b, in order. Joints above the links' common ancestor move both
+    alike, and a joint without a column sits at its default, so these values
+    fix the pair's relative pose."""
+
+    def joints_above(link_id: str) -> set:
+        above, i = set(), tree.link_index[link_id]
+        while tree.parent_joint[i] >= 0:
+            above.add(tree.joint_ids[tree.parent_joint[i]])
+            i = tree.parent[i]
+        return above
+
+    return sorted(column[j] for j in joints_above(a) ^ joints_above(b) if j in column)
+
+
 def check_configs(
     instance: AssetInstance, joint_ids, values: np.ndarray, plan: SweepPlan
 ) -> CollisionReport:
@@ -442,7 +458,10 @@ def check_configs(
     local: dict = {}  # link id -> rest triangle corners
     findings: list[Finding] = []
     # Narrowphase results depend only on the pair's relative pose, which grid
-    # sweeps repeat heavily (other joints do not move the pair); memoize on it.
+    # sweeps repeat heavily (other joints do not move the pair); memoize on
+    # the values of the joints between the pair, which fix it.
+    column = {joint_id: c for c, joint_id in enumerate(joint_ids)}
+    path_columns: dict = {}  # (a, b) -> `_path_columns`
     rel_cache: dict = {}
     for start in range(0, len(values), _CHUNK):
         block = values[start : start + _CHUNK]
@@ -460,13 +479,11 @@ def check_configs(
                 if link_id not in local:
                     local[link_id] = instance.link(link_id).mesh.triangle_corners()
             (ra, ta), (rb, tb) = world[a], world[b]
-            # Relative poses over the whole block: each row's 3x3 product keeps
-            # the memory layout, and so the bits, of `ra[c].T @ rb[c]` alone.
-            ra_t = ra.transpose(0, 2, 1)
-            rel_r = np.round((ra_t @ rb)[hits].reshape(-1, 9), 9)
-            rel_t = np.round((ra_t @ (tb - ta)[:, :, None])[hits, :, 0], 9)
-            keys = [(a, b) + tuple(k) for k in np.hstack([rel_r, rel_t]).tolist()]
-            # The first row of each relative pose not yet memoized runs the
+            cols = path_columns.get((a, b))
+            if cols is None:
+                cols = path_columns[a, b] = _path_columns(instance.tree, a, b, column)
+            keys = [(a, b) + tuple(k) for k in block[hits][:, cols].tolist()]
+            # The first row of each key not yet memoized runs the
             # narrowphase, in batches of at most _BATCH_TRIANGLES posed triangles.
             fresh: dict = {}
             for ci, key in zip(hits.tolist(), keys):

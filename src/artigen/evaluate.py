@@ -78,6 +78,7 @@ from .geometry import (
     merge_meshes,
     mesh_volume,
     translate_mesh,
+    unit_vector,
 )
 from .graph import (
     _KINDS,
@@ -88,7 +89,6 @@ from .graph import (
     JOINT_REVOLUTE,
     PRIMITIVE,
     TRANSFORM,
-    JointSpec,
     KinematicBlueprint,
     NodeGraph,
     ParamRef,
@@ -168,23 +168,51 @@ def _link_dynamics(mesh: TriMesh):
 
 @dataclass(frozen=True)
 class EvaluatedJoint:
-    """One realized joint. `spec` is the evaluated JointSpec, with its pivot
-    and axis in the construction frame."""
+    """One realized joint: its type, its pivot and axis in the construction
+    frame, its range, default value and label, and its `order` (the joint
+    step's index, then each duplicate's copy index), which names follow.
+
+    Construction checks the type, that the pivot is finite and that
+    lo <= default <= hi, and normalizes the axis (`unit_vector`), so a copy
+    made with `dataclasses.replace`, such as a rotated one, renormalizes it;
+    `relinked` copies a joint under other ids without either. lo == hi is
+    allowed and flags an immovable joint."""
 
     joint_id: str
     parent: str
     child: str
-    spec: JointSpec
-    order: tuple
+    joint_type: str
+    pivot: tuple[float, float, float]
+    axis: tuple[float, float, float]
+    lo: float
+    hi: float
+    default: float = 0.0
+    joint_label: str | None = None
+    order: tuple = ()
 
-    # Read-only views of `spec`, for export, collision and callers.
-    joint_type = property(lambda self: self.spec.joint_type)
-    axis = property(lambda self: self.spec.axis)
-    lo = property(lambda self: self.spec.lo)
-    hi = property(lambda self: self.spec.hi)
-    default = property(lambda self: self.spec.default_value)
-    joint_label = property(lambda self: self.spec.joint_label)
-    is_fixed = property(lambda self: self.spec.is_fixed)
+    def __post_init__(self):
+        if self.joint_type not in ("revolute", "prismatic"):
+            raise InvalidParameterError(f"unknown joint type {self.joint_type!r}")
+        object.__setattr__(self, "axis", unit_vector(self.axis, "joint axis"))
+        object.__setattr__(self, "pivot", tuple(as_vec3(self.pivot, "joint pivot").tolist()))
+        if not (self.lo <= self.hi):
+            raise InvalidParameterError(f"joint range needs lo <= hi, got [{self.lo}, {self.hi}]")
+        if not (self.lo <= self.default <= self.hi):
+            raise InvalidParameterError(
+                f"default {self.default} outside joint range [{self.lo}, {self.hi}]"
+            )
+
+    @property
+    def is_fixed(self) -> bool:
+        return self.lo == self.hi
+
+    def relinked(self, **ids) -> "EvaluatedJoint":
+        """This joint under another `joint_id`, `parent` or `child`. Its motion
+        is kept as it is: not checked again, and its axis not renormalized,
+        which could move it by an ulp."""
+        joint = object.__new__(EvaluatedJoint)
+        joint.__dict__.update(self.__dict__, **ids)
+        return joint
 
 
 @dataclass(frozen=True)
@@ -201,14 +229,25 @@ class _Body:
         return self.links[0]
 
 
-def _transform(links, joints, t: RigidTransform, remap: dict, fresh_uid):
+def _copy_label(label: str | None, k: int | None) -> str | None:
+    """A label on duplicate copy k, `label_k`; outside a copy (k None), `label`."""
+    if k is None:
+        return label
+    return f"{label}_{k}" if label else None
+
+
+def _transform(links, joints, t: RigidTransform, remap: dict, fresh_uid, k: int | None = None):
     """`links` and `joints` moved by `t` under uids from `fresh_uid`. `remap` maps
-    the uids of links left out of `links` to the uids their joints attach to."""
+    the uids of links left out of `links` to the uids their joints attach to.
+    As duplicate copy `k`, templates also get `@k`, link and joint labels `_k`,
+    and joint orders `k` appended."""
     moved = []
     for l in links:
-        uid = fresh_uid()
-        remap[l.link_id] = uid
-        moved.append(replace(l, link_id=uid, mesh=apply_transform(l.mesh, t)))
+        uid = remap[l.link_id] = fresh_uid()
+        template = l.template if k is None else f"{l.template}@{k}"
+        label = _copy_label(l.label, k)
+        mesh = apply_transform(l.mesh, t)
+        moved.append(replace(l, link_id=uid, mesh=mesh, template=template, label=label))
     rot = t.rotation_matrix()
     return tuple(moved), tuple(
         replace(
@@ -216,11 +255,10 @@ def _transform(links, joints, t: RigidTransform, remap: dict, fresh_uid):
             joint_id=fresh_uid(),
             parent=remap[e.parent],
             child=remap[e.child],
-            spec=replace(
-                e.spec,
-                pivot=tuple(t.apply(e.spec.pivot_array())),
-                axis=tuple(rot @ np.asarray(e.spec.axis)),
-            ),
+            pivot=tuple(t.apply(np.asarray(e.pivot))),
+            axis=tuple(rot @ np.asarray(e.axis)),
+            joint_label=_copy_label(e.joint_label, k),
+            order=e.order if k is None else e.order + (k,),
         )
         for e in joints
     )
@@ -410,7 +448,7 @@ class _Run:
             links.extend(b.links[1:])
             for e in b.joints:
                 if e.parent == b.root.link_id:
-                    e = replace(e, parent=root.link_id)
+                    e = e.relinked(parent=root.link_id)
                 joints.append(e)
         return _Body(tuple(links), tuple(joints))
 
@@ -432,7 +470,10 @@ class _Run:
         else:
             default = min(max(0.0, lo), hi)
         numbers = self.numbers[step.index]
-        spec = JointSpec(
+        edge = EvaluatedJoint(
+            self.fresh_uid(),
+            parent.root.link_id,
+            child.root.link_id,
             "revolute" if step.kind == JOINT_REVOLUTE else "prismatic",
             tuple(numbers["pivot"]),
             tuple(numbers["axis"]),
@@ -440,16 +481,15 @@ class _Run:
             hi,
             default,
             step.params.get("joint_label"),
-            step.params.get("parent_label"),
-            step.params.get("child_label"),
-        )
-        edge = EvaluatedJoint(
-            self.fresh_uid(), parent.root.link_id, child.root.link_id, spec, (step.index,)
+            (step.index,),
         )
         links, joints = parent.links, parent.joints
         if not step.decision:  # a new child, not a second joint into one the parent holds
             links, joints = links + child.links, joints + child.joints
-        labels = {parent.root.link_id: spec.parent_label, child.root.link_id: spec.child_label}
+        labels = {
+            parent.root.link_id: step.params.get("parent_label"),
+            child.root.link_id: step.params.get("child_label"),
+        }
         links = tuple(
             l if l.label or labels.get(l.link_id) is None else replace(l, label=labels[l.link_id])
             for l in links
@@ -469,8 +509,7 @@ class _Run:
             root = replace(parent.root, mesh=merge_meshes(copies))
             return _Body((root,) + parent.links[1:], parent.joints)
         # Copy k is `body` translated to point k, without its root; joints on
-        # that root move onto the parent's root. Templates get `@k`, link and
-        # joint labels `_k`, and joint orders `k` appended.
+        # that root move onto the parent's root.
         links = list(parent.links)
         joints = list(parent.joints)
         for k, point in enumerate(points):
@@ -480,22 +519,10 @@ class _Run:
                 RigidTransform.from_translation(point),
                 {body.root.link_id: parent.root.link_id},
                 self.fresh_uid,
+                k,
             )
-            links.extend(
-                replace(l, template=f"{l.template}@{k}", label=f"{l.label}_{k}" if l.label else None)
-                for l in copy_links
-            )
-            joints.extend(
-                replace(
-                    e,
-                    spec=replace(
-                        e.spec,
-                        joint_label=f"{e.spec.joint_label}_{k}" if e.spec.joint_label else None,
-                    ),
-                    order=e.order + (k,),
-                )
-                for e in copy_joints
-            )
+            links.extend(copy_links)
+            joints.extend(copy_joints)
         return _Body(tuple(links), tuple(joints))
 
     def _eval_semantic_label(self, step: _Step) -> _Body:
@@ -581,11 +608,11 @@ class Program:
         pairs: dict[tuple, list] = {}  # (parent, child) uids -> named joints
         joint_counts: dict[str, int] = {}
         for e in sorted(body.joints, key=lambda e: (e.order, e.joint_id)):
-            base = e.spec.joint_label or "joint"
+            base = e.joint_label or "joint"
             n = joint_counts.get(base, 0)
             joint_counts[base] = n + 1
             parent, child = link_names[e.parent], link_names[e.child]
-            named = replace(e, joint_id=f"{base}_{n}", parent=parent, child=child)
+            named = e.relinked(joint_id=f"{base}_{n}", parent=parent, child=child)
             pairs.setdefault((e.parent, e.child), []).append(named)
         origins: dict[int, tuple] = {}
         joints: list[EvaluatedJoint] = []
@@ -594,14 +621,14 @@ class Program:
             prev = last.parent
             for i, j in enumerate(chained, start=1):
                 pass_id = f"{last.child}__passthrough_{i}"
-                template = f"{j.spec.joint_type}-pass"
+                template = f"{j.joint_type}-pass"
                 passthrough.append(
-                    EvaluatedLink(pass_id, None, TriMesh.empty(), None, template, j.spec.pivot)
+                    EvaluatedLink(pass_id, None, TriMesh.empty(), None, template, j.pivot)
                 )
-                joints.append(replace(j, parent=prev, child=pass_id))
+                joints.append(j.relinked(parent=prev, child=pass_id))
                 prev = pass_id
-            joints.append(replace(last, parent=prev) if chained else last)
-            origins[child] = last.spec.pivot
+            joints.append(last.relinked(parent=prev) if chained else last)
+            origins[child] = last.pivot
         links = [
             replace(l, link_id=link_names[l.link_id], origin=origins.get(l.link_id, l.origin))
             for l in evaluated
@@ -683,7 +710,7 @@ class AssetInstance:
 
     def pivot_in_parent(self, joint: EvaluatedJoint) -> np.ndarray:
         """The joint's pivot, the child link's frame origin, in the parent link's frame."""
-        return np.subtract(joint.spec.pivot, self.link(joint.parent).origin)
+        return np.subtract(joint.pivot, self.link(joint.parent).origin)
 
     def default_config(self) -> dict:
         return {j.joint_id: j.default for j in self.joints}

@@ -25,20 +25,10 @@ def load_range_table() -> dict:
     return table
 
 
-def continuous_entries(category: str, names: list[str]) -> list[tuple[str, Continuous]]:
-    """Continuous entries for `names`, ranges drawn from the shipped table."""
+def continuous_entries(category: str) -> list[tuple[str, Continuous]]:
+    """The category's continuous entries, in the shipped range table's order."""
     table = load_range_table()["categories"][category]
-    missing = [n for n in names if n not in table]
-    if missing:
-        raise InvalidParameterError(f"range table lacks {category} entries: {missing}")
-    extras = [n for n in table if n not in names]
-    if extras:
-        raise InvalidParameterError(f"range table has unknown {category} entries: {extras}")
-    out = []
-    for name in names:
-        lo, hi, units = table[name]
-        out.append((name, Continuous(lo, hi, units)))
-    return out
+    return [(name, Continuous(lo, hi, units)) for name, (lo, hi, units) in table.items()]
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,6 @@ from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
-CONTINUOUS_NAMES = [
-    "depth", "width", "height", "door_thickness", "rack_radius", "rack_height",
-    "rack_depth", "handle_radius", "handle_position", "number_of_racks",
-    "density_of_supports_in_rack", "button_position", "handle_curvature",
-]
-
 BAND_H = 0.08  # control band across the top front
 
 
@@ -30,7 +24,7 @@ def space() -> ParameterSpace:
     s.add("button_type", Discrete(("square", "circle")))
     s.add("handle_type", Discrete(("square", "circle")))
     s.add("handle_curve_style", Discrete(("curved", "square")))
-    for name, entry in continuous_entries("dishwasher", CONTINUOUS_NAMES):
+    for name, entry in continuous_entries("dishwasher"):
         s.add(name, entry)
     return s
 

@@ -14,19 +14,6 @@ from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
-CONTINUOUS_NAMES = [
-    "width", "height", "depth", "panel_margin", "bevel_width", "shrink_width",
-    "door_frame_width", "handle_height", "push_bar_length", "push_bar_thickness",
-    "push_bar_aspect_ratio", "push_bar_height_ratio", "push_bar_length_ratio",
-    "push_bar_end_length_ratio", "push_bar_end_height_ratio", "push_bar_overall_z_offset",
-    "knob_radius", "knob_base_radius", "knob_middle_radius", "knob_central_radius",
-    "knob_depth", "knob_middle_depth", "lever_radius", "lever_middle_radius",
-    "lever_depth", "lever_middle_depth", "lever_length", "lever_type",
-    "pull_handle_size", "pull_handle_depth", "pull_handle_width", "pull_handle_extension",
-    "pull_handle_bevel_width", "pull_handle_pull_radius", "pull_handle_bevel_side_length",
-    "louver_width", "louver_margin", "louver_size", "louver_angle",
-]
-
 HANDLE_TYPES = ("none", "lever", "knob", "pullbar", "crashbar")
 DOOR_TYPES = ("louver", "glass", "panel")
 
@@ -42,7 +29,7 @@ def space() -> ParameterSpace:
     s.add("handle_type", Discrete(HANDLE_TYPES))
     s.add("door_type", Discrete(DOOR_TYPES))
     s.add("hinge_side", Discrete(("left", "right")))
-    for name, entry in continuous_entries("door", CONTINUOUS_NAMES):
+    for name, entry in continuous_entries("door"):
         s.add(name, entry)
     return s
 

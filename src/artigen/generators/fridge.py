@@ -13,19 +13,6 @@ from ..graph import NodeGraph
 from ..params import Count, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
-CONTINUOUS_NAMES = [
-    "size", "wall_thickness", "body_outer_roundness", "body_inner_roundness",
-    "door_handle_margin", "door_shelf_size", "door_shelf_thickness", "door_shelf_num",
-    "door_shelf_margin", "door_handle_top_size", "door_handle_top_thickness",
-    "door_handle_top_roundness", "door_handle_support_size", "door_handle_support_margin",
-    "door_left_margin", "door_right_margin", "door_upper_margin", "door_lower_margin",
-    "shelf_margin", "shelf_thickness", "shelf_board_margin",
-    "drawer_height", "drawer_wall_thickness", "drawer_handle_margin",
-    "drawer_handle_top_size", "drawer_handle_top_thickness", "drawer_handle_top_roundness",
-    "drawer_handle_support_size", "drawer_handle_support_margin",
-    "drawer_body_roundness", "drawer_slide_roundness", "drawer_inner_roundness",
-]
-
 MAX_SWING = 1.49
 HINGE_STANDOFF = 0.006
 
@@ -37,7 +24,7 @@ def space() -> ParameterSpace:
     s.add("internal_shelf_count", Count(0, 3))
     s.add("internal_drawer_count", Count(0, 2))
     s.add("shelves_per_door", Count(0, 4))
-    for name, entry in continuous_entries("fridge", CONTINUOUS_NAMES):
+    for name, entry in continuous_entries("fridge"):
         s.add(name, entry)
     return s
 

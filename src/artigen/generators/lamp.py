@@ -18,19 +18,6 @@ from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
-CONTINUOUS_NAMES = [
-    "pull_string_radius", "pull_string_base_height", "pull_string_length",
-    "button_base_size", "button_size", "button_height",
-    "twist_button_base_size", "twist_button_size", "twist_button_height",
-    "twist_button_twister_height", "switch_base_size", "switch_size",
-    "switch_curvature", "button_x_location",
-    "length_of_bar_1", "location_of_bar_2_joint_on_bar_1",
-    "length_of_bar_2", "location_of_bar_3_joint_on_bar_2",
-    "radius", "height", "radius_of_base", "base_height",
-    "number_of_sides_on_base", "shade_height", "rack_height",
-    "top_radius", "bottom_radius", "rack_thickness", "number_of_sides_on_shade",
-]
-
 SWITCH_TYPES = ("rocker", "twist", "push", "pull_string")
 TILT = 0.15  # per-segment hinge range, radians
 SLIDE = 0.04  # per-segment slide travel, meters
@@ -45,7 +32,7 @@ def space() -> ParameterSpace:
     s.add("segment_3_joint_type", Discrete(("rotational", "translational")))
     s.add("switch_type", Discrete(SWITCH_TYPES))
     s.add("switch_location", Discrete(("base", "head")))
-    for name, entry in continuous_entries("lamp", CONTINUOUS_NAMES):
+    for name, entry in continuous_entries("lamp"):
         s.add(name, entry)
     return s
 

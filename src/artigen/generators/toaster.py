@@ -14,14 +14,6 @@ from ..graph import NodeGraph
 from ..params import Count, Discrete, ParameterSpace, ParamVector
 from .common import CategoryGenerator, continuous_entries
 
-CONTINUOUS_NAMES = [
-    "dimension_of_lever_handle", "slot_width", "slot_length", "slot_depth",
-    "toaster_length", "knob_vertical_location", "knob_horizontal_location",
-    "knob_size", "circular_button_size", "square_button_width",
-    "inter_button_distances", "button_horizontal_offset", "button_vertical_offset",
-    "protrusion_parameter",
-]
-
 LEVER_TYPES = ("cylinder", "half_cylinder", "ellipsoid", "sphere", "flat")
 
 
@@ -32,7 +24,7 @@ def space() -> ParameterSpace:
     s.add("levers_per_slot", Count(1, 2))
     s.add("lever_type", Discrete(LEVER_TYPES))
     s.add("buttons_per_lever", Count(0, 3))
-    for name, entry in continuous_entries("toaster", CONTINUOUS_NAMES):
+    for name, entry in continuous_entries("toaster"):
         s.add(name, entry)
     return s
 

@@ -33,10 +33,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-import numpy as np
-
 from .errors import DocumentParseError, InvalidParameterError, PortTypeError, SchemaError
-from .geometry import as_vec3, unit_vector
+from .geometry import unit_vector
 from .params import ParameterSpace
 
 SCHEMA_VERSION = 1
@@ -71,45 +69,6 @@ class ParamRef:
     """A node parameter that resolves against the ParamVector at evaluation time."""
 
     name: str
-
-
-@dataclass(frozen=True)
-class JointSpec:
-    """One joint's type, pivot, axis, range, default value, and semantic labels.
-
-    The pivot and axis are in the construction frame (the frame the graph's
-    geometry is built in); the axis is normalized on construction. lo == hi
-    is allowed and flags an immovable joint.
-    """
-
-    joint_type: str
-    pivot: tuple[float, float, float]
-    axis: tuple[float, float, float]
-    lo: float
-    hi: float
-    default_value: float = 0.0
-    joint_label: str | None = None
-    parent_label: str | None = None
-    child_label: str | None = None
-
-    def __post_init__(self):
-        if self.joint_type not in ("revolute", "prismatic"):
-            raise InvalidParameterError(f"unknown joint type {self.joint_type!r}")
-        object.__setattr__(self, "axis", unit_vector(self.axis, "joint axis"))
-        object.__setattr__(self, "pivot", tuple(as_vec3(self.pivot, "joint pivot").tolist()))
-        if not (self.lo <= self.hi):
-            raise InvalidParameterError(f"joint range needs lo <= hi, got [{self.lo}, {self.hi}]")
-        if not (self.lo <= self.default_value <= self.hi):
-            raise InvalidParameterError(
-                f"default {self.default_value} outside joint range [{self.lo}, {self.hi}]"
-            )
-
-    @property
-    def is_fixed(self) -> bool:
-        return self.lo == self.hi
-
-    def pivot_array(self) -> np.ndarray:
-        return np.asarray(self.pivot, dtype=np.float64)
 
 
 def link_set_relation(parent: frozenset, child: frozenset) -> str:

@@ -34,11 +34,11 @@ class KinematicTree:
     joint and its child joints as index lists.
 
     `joints` holds records with `joint_id`, `parent` and `child` link ids.
-    Only posing reads a record's `spec`, a graph.JointSpec whose pivot and
-    axis are in the construction frame. Raises StructuralError when ids
-    repeat, when a joint names an unknown link, when a link has a second
-    parent joint, when the root has a parent, or when a link cannot be
-    reached from the root.
+    Only posing reads the rest of an `EvaluatedJoint`: its type, range,
+    default, and pivot and axis in the construction frame. Raises
+    StructuralError when ids repeat, when a joint names an unknown link, when
+    a link has a second parent joint, when the root has a parent, or when a
+    link cannot be reached from the root.
     """
 
     def __init__(self, root: str, link_ids, joints):
@@ -86,13 +86,13 @@ class KinematicTree:
     @cached_property
     def _motion(self) -> tuple[np.ndarray, ...]:
         """Per-joint range, default and motion arrays, built on the first pose."""
-        specs = [j.spec for j in self.joints]
-        lo = np.array([s.lo for s in specs], dtype=np.float64)
-        hi = np.array([s.hi for s in specs], dtype=np.float64)
-        default = np.array([s.default_value for s in specs], dtype=np.float64)
-        revolute = np.array([s.joint_type == "revolute" for s in specs], dtype=bool)
-        axis = np.array([s.axis for s in specs], dtype=np.float64).reshape(-1, 3)
-        pivot = np.array([s.pivot for s in specs], dtype=np.float64).reshape(-1, 3)
+        joints = self.joints
+        lo = np.array([j.lo for j in joints], dtype=np.float64)
+        hi = np.array([j.hi for j in joints], dtype=np.float64)
+        default = np.array([j.default for j in joints], dtype=np.float64)
+        revolute = np.array([j.joint_type == "revolute" for j in joints], dtype=bool)
+        axis = np.array([j.axis for j in joints], dtype=np.float64).reshape(-1, 3)
+        pivot = np.array([j.pivot for j in joints], dtype=np.float64).reshape(-1, 3)
         # A rotation by v about (axis, pivot) translates by
         # (1 - cos v) * pivot_perp - sin v * (axis x pivot) (Rodrigues).
         pivot_perp = pivot - axis * np.sum(axis * pivot, axis=1, keepdims=True)

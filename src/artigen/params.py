@@ -224,7 +224,9 @@ def _whole_range(entry: Discrete | Count) -> tuple[int, int]:
 def _check_override(name: str, entry: Entry, override) -> None:
     """Raise InvalidParameterError naming `name` unless `override` is an object
     holding only keys its entry's kind accepts, with well-formed values; whole
-    values must lie in the entry's range."""
+    values must lie in the entry's range, a continuous range drawn from (the
+    override's `lo` and `hi` over the entry's, unless it is `fixed`) must not
+    be reversed, and a `std` must not be negative."""
     if not isinstance(override, Mapping):
         raise InvalidParameterError(f"override for {name!r} must be an object, got {override!r}")
     continuous = isinstance(entry, Continuous)
@@ -250,6 +252,12 @@ def _check_override(name: str, entry: Entry, override) -> None:
                 raise InvalidParameterError(
                     f"override {key!r} for {name!r} is outside {lo}..{hi}: {value!r}"
                 )
+    if continuous:
+        lo, hi = override.get("lo", entry.lo), override.get("hi", entry.hi)
+        if "fixed" not in override and lo > hi:
+            raise InvalidParameterError(f"override for {name!r} needs lo <= hi, got [{lo}, {hi}]")
+        if override.get("std", 0.0) < 0.0:
+            raise InvalidParameterError(f"override 'std' for {name!r} is negative: {override['std']!r}")
 
 
 def _check_overrides(space: ParameterSpace, overrides: Mapping) -> None:

@@ -71,6 +71,15 @@ class TestGenerate:
         assert out == ""
         assert err == "unknown category 'spaceship'\n"
 
+    @pytest.mark.parametrize("jobs", ["-3", "0", "two"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--category", "door", "--jobs", jobs, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path, capsys):
         code, _, _ = run(
             ["generate", "--category", "door", "--seeds", "0..3", "--format", "urdf",

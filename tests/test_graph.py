@@ -23,7 +23,7 @@ from artigen.errors import (
     SchemaError,
 )
 from artigen.blueprint import extract_blueprint, forward_kinematics, instantiate, posed_meshes
-from artigen.evaluate import evaluate, evaluate_links, program_for
+from artigen.evaluate import EvaluatedJoint, EvaluatedLink, evaluate, evaluate_links, program_for
 import artigen
 from artigen.graph import (
     DUPLICATE,
@@ -36,7 +36,6 @@ from artigen.graph import (
     STORE_ATTRIBUTE,
     SWITCH,
     TRANSFORM,
-    JointSpec,
     NodeGraph,
     ParamRef,
     link_set_relation,
@@ -1064,12 +1063,17 @@ class TestDuplicates:
         for k, (point, link, joint) in enumerate(zip(points, copies, body.joints)):
             np.testing.assert_array_equal(link.mesh.vertices, rod.mesh.vertices + point)
             np.testing.assert_array_equal(link.mesh.triangles, rod.mesh.triangles)
-            np.testing.assert_array_equal(joint.spec.pivot, np.add(hinge.spec.pivot, point))
-            # only the pivot and the joint label change; parent/child labels keep theirs
-            assert joint.spec == replace(
-                hinge.spec, pivot=joint.spec.pivot, joint_label=f"hinge_{k}"
+            np.testing.assert_array_equal(joint.pivot, np.add(hinge.pivot, point))
+            # besides ids, only the pivot, the joint label and the order change
+            assert joint == replace(
+                hinge,
+                joint_id=joint.joint_id,
+                parent=joint.parent,
+                child=joint.child,
+                pivot=joint.pivot,
+                joint_label=f"hinge_{k}",
+                order=hinge.order + (k,),
             )
-            assert joint.order == hinge.order + (k,)
 
     def test_copies_leave_the_anchor_root_untransformed(self, monkeypatch):
         import artigen.evaluate as evaluate_module
@@ -1087,6 +1091,35 @@ class TestDuplicates:
         root_mesh = body.link(body.root_link).mesh
         assert len(moved) == 1 + 2  # the rod's placement, then one per copy
         assert not any(mesh is root_mesh for mesh in moved)
+
+    def test_each_copied_record_is_built_once(self, monkeypatch):
+        # A copy is made under a fresh uid with its `@k` template, `_k` labels
+        # and order in one construction: no record built during the run
+        # shares a copy's uid.
+        built = []
+        for cls in (EvaluatedLink, EvaluatedJoint):
+
+            def recording_init(self, *args, init=cls.__init__, **kwargs):
+                init(self, *args, **kwargs)
+                built.append(self)
+
+            monkeypatch.setattr(cls, "__init__", recording_init)
+        evaluate(build_pattern("duplicated_bodies"))
+
+        def uid(r):
+            return type(r), r.link_id if isinstance(r, EvaluatedLink) else r.joint_id
+
+        # Before naming, a copy has an integer uid and its copy index k in
+        # its template (`@k`) or its order (joint step, k).
+        copies = [
+            uid(r)
+            for r in built
+            if isinstance(uid(r)[1], int)
+            and ("@" in r.template if isinstance(r, EvaluatedLink) else len(r.order) == 2)
+        ]
+        counts = Counter(map(uid, built))
+        assert Counter(kind for kind, _ in copies) == {EvaluatedLink: 4, EvaluatedJoint: 4}
+        assert [counts[c] for c in copies] == [1] * len(copies)
 
     def test_empty_points_and_jointless_bodies_accepted(self):
         body = evaluate(duplicated_revolute([]))
@@ -1373,29 +1406,46 @@ def _assert_same_evaluation(got, want):
             assert (a is None) == (b is None) and (a is None or np.array_equal(a, b))
 
 
+def _joint(joint_type, pivot, axis, lo, hi, default=0.0):
+    return EvaluatedJoint("j", "a", "b", joint_type, pivot, axis, lo, hi, default)
+
+
 class TestJointSpec:
+    """The checks an `EvaluatedJoint` makes on construction."""
+
     def test_normalizes_axis(self):
-        s = JointSpec("revolute", (0, 0, 0), (0, 0, 3), 0, 1)
+        s = _joint("revolute", (0, 0, 0), (0, 0, 3), 0, 1)
         assert s.axis == (0, 0, 1)
 
     def test_rejects_bad_ranges(self):
-        with pytest.raises(InvalidParameterError):
-            JointSpec("revolute", (0, 0, 0), (0, 0, 1), 1.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            JointSpec("revolute", (0, 0, 0), (0, 0, 1), 0.0, 1.0, default_value=2.0)
+        with pytest.raises(InvalidParameterError, match="lo <= hi"):
+            _joint("revolute", (0, 0, 0), (0, 0, 1), 1.0, 0.0)
+        with pytest.raises(InvalidParameterError, match="default 2.0 outside"):
+            _joint("revolute", (0, 0, 0), (0, 0, 1), 0.0, 1.0, default=2.0)
+
+    def test_rejects_unknown_type(self):
+        with pytest.raises(InvalidParameterError, match="unknown joint type 'fixed'"):
+            _joint("fixed", (0, 0, 0), (0, 0, 1), 0.0, 0.0)
 
     def test_fixed_allowed(self):
-        s = JointSpec("revolute", (0, 0, 0), (0, 0, 1), 0.5, 0.5, default_value=0.5)
+        s = _joint("revolute", (0, 0, 0), (0, 0, 1), 0.5, 0.5, default=0.5)
         assert s.is_fixed
 
     def test_huge_axis_normalized_without_overflow(self):
-        assert JointSpec("revolute", (0, 0, 0), (1e200, 0, 0), 0, 1).axis == (1.0, 0.0, 0.0)
-        axis = JointSpec("prismatic", (0, 0, 0), (-1e300, 1e300, 0), 0, 1).axis
+        assert _joint("revolute", (0, 0, 0), (1e200, 0, 0), 0, 1).axis == (1.0, 0.0, 0.0)
+        axis = _joint("prismatic", (0, 0, 0), (-1e300, 1e300, 0), 0, 1).axis
         np.testing.assert_allclose(axis, (-math.sqrt(0.5), math.sqrt(0.5), 0.0), rtol=1e-15)
 
     def test_ordinary_axis_keeps_norm_bits(self):
         v = np.array([0.3, -1.7, 2.9])
-        assert JointSpec("revolute", (0, 0, 0), v, 0, 1).axis == tuple(v / np.linalg.norm(v))
+        assert _joint("revolute", (0, 0, 0), v, 0, 1).axis == tuple(v / np.linalg.norm(v))
+
+    def test_relinked_keeps_the_motion_bits(self):
+        # Renormalizing this joint's unit axis moves it by an ulp; relinking does not.
+        s = _joint("revolute", (0, 0, 0), (0.6, 0.0, -0.3), 0, 1)
+        assert replace(s, axis=s.axis).axis != s.axis
+        moved = s.relinked(joint_id="k", parent="c", child="d")
+        assert vars(moved) == {**vars(s), "joint_id": "k", "parent": "c", "child": "d"}
 
     @pytest.mark.parametrize(
         "field, pivot, axis",
@@ -1411,7 +1461,7 @@ class TestJointSpec:
     )
     def test_malformed_vectors_rejected(self, field, pivot, axis):
         with pytest.raises(InvalidParameterError, match=f"joint {field}"):
-            JointSpec("revolute", pivot, axis, 0.0, 1.0)
+            _joint("revolute", pivot, axis, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -1460,7 +1510,7 @@ class TestScrewComposite:
             ("turn_0", "neck_0", "cap_0__passthrough_1"),
             ("lift_0", "cap_0__passthrough_1", "cap_0"),
         ]
-        assert body.link("cap_0__passthrough_1").origin == body.joint("turn_0").spec.pivot
+        assert body.link("cap_0__passthrough_1").origin == body.joint("turn_0").pivot
 
     def test_both_motions_compose(self):
         body = evaluate(build_pattern("multi_joint_screw"))

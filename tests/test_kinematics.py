@@ -85,13 +85,13 @@ def test_instance_pose_matches_evaluated_pose(case):
 
 def test_instance_tree_poses_with_the_evaluated_joint_specs(case):
     graph, params, instance = case
-    evaluated = {j.joint_id: j.spec for j in evaluate(graph, params).joints}
+    evaluated = {j.joint_id: j for j in evaluate(graph, params).joints}
     tree_joints = instance.tree.joints
     assert len(tree_joints) == len(instance.joints)
     for tree_joint, joint in zip(tree_joints, instance.joints):
         assert tree_joint is joint
-        assert joint.spec == evaluated[joint.joint_id]
-        assert joint.spec.pivot == instance.link(joint.child).origin
+        assert joint == evaluated[joint.joint_id]
+        assert joint.pivot == instance.link(joint.child).origin
 
 
 def test_batched_pose_matches_single_configs(case):

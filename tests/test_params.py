@@ -157,10 +157,14 @@ class TestOverrides:
             ("toaster", {"levers_per_slot": {"fixed": -1}}),
             ("lamp", {"arm_segments": {"fixed": 99}}),
             ("door", {"handle_type": {"choices": [0, 7]}}),
+            ("door", {"width": {"lo": 1.2, "hi": 0.8}}),
+            ("door", {"width": {"lo": 99.0}}),
+            ("door", {"width": {"std": -1.0}}),
         ],
         ids=[
             "not-an-object", "not-a-number", "unknown-key",
             "count-below-min", "count-above-max", "choice-outside-labels",
+            "reversed-range", "lo-above-entry-hi", "negative-std",
         ],
     )
     def test_malformed_override_names_parameter(self, category, overrides):
