@@ -68,15 +68,16 @@ from .geometry import (
     TriMesh,
     _box,
     _cylinder,
+    _format_floats,
+    _obj_records,
     _prism,
     _rounded_box,
     _sphere,
     apply_transform,
     as_vec3,
     check_meshes,
-    convex_hull,
+    convex_hulls,
     merge_meshes,
-    mesh_volume,
     translate_mesh,
     unit_vector,
 )
@@ -117,13 +118,15 @@ class EvaluatedLink:
     the link's dynamics use that frame.
 
     `frame_mesh` is `mesh` moved by -origin into the link frame, unchecked
-    until `AssetInstance.frame_meshes` checks it. The `hull`, `mass`, `inertia_diag` and
-    `inertia_origin` are computed from it on first read, once per link, and
-    cached: building and sweeping an asset never compute a hull, so only
-    export loads Qhull. A hull that cannot be built (fewer than four points,
-    or a flat or degenerate point set) gives no hull and the passthrough
-    dynamics; any other error from hull construction surfaces at that first
-    read."""
+    until `AssetInstance.frame_meshes` checks it. The `hull`, `mass`,
+    `inertia_diag` and `inertia_origin` are computed from it once and cached:
+    for all of an instance's links at once on its first export
+    (`AssetInstance.obj_records`), or for this link alone when read before
+    that, by the same pass (`_link_dynamics`) on one mesh. Building and
+    sweeping an asset never compute a hull, so only export loads Qhull. A
+    hull that cannot be built (fewer than four points, or a flat or
+    degenerate point set) gives no hull and the passthrough dynamics; any
+    other error from hull construction surfaces at that first read."""
 
     link_id: str
     label: str | None
@@ -141,7 +144,7 @@ class EvaluatedLink:
 
     @cached_property
     def _dynamics(self):
-        return _link_dynamics(self.frame_mesh)
+        return _link_dynamics([self.frame_mesh])[0]
 
     hull = property(lambda self: self._dynamics[0])
     mass = property(lambda self: self._dynamics[1])
@@ -149,21 +152,34 @@ class EvaluatedLink:
     inertia_origin = property(lambda self: self._dynamics[3])
 
 
-def _link_dynamics(mesh: TriMesh):
-    """(hull, mass, inertia_diag, inertia_origin) of a link-frame mesh."""
-    if mesh.is_empty or mesh.n_vertices < 4:
-        return None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0)
-    try:
-        hull = convex_hull(mesh)
-    except DegeneracyError:
-        return None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0)
-    mass = mesh_volume(hull) * LINK_DENSITY
-    box = mesh.aabb()
-    e = box.extents
-    ixx = mass / 12.0 * (e[1] ** 2 + e[2] ** 2)
-    iyy = mass / 12.0 * (e[0] ** 2 + e[2] ** 2)
-    izz = mass / 12.0 * (e[0] ** 2 + e[1] ** 2)
-    return hull, mass, (ixx, iyy, izz), tuple(float(c) for c in box.center)
+_PASSTHROUGH = (None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0), None)
+
+
+def _link_dynamics(meshes) -> list[tuple]:
+    """(hull, mass, inertia_diag, inertia_origin, hull_rows) of each
+    link-frame mesh, in one pass: the hulls and their volumes from
+    `convex_hulls`, and each mesh's bounding box, whose extents give the
+    box-approximated inertia and whose centre the inertial origin, reduced
+    over the stacked vertices. `hull_rows` are the rows of the mesh's
+    vertices that its hull keeps. A mesh without a hull gets the passthrough
+    dynamics."""
+    dynamics = [_PASSTHROUGH] * len(meshes)
+    hulls = convex_hulls([m.vertices for m in meshes])
+    solid = [i for i, hull in enumerate(hulls) if not isinstance(hull, DegeneracyError)]
+    if not solid:
+        return dynamics
+    points = [meshes[i].vertices for i in solid]
+    starts = list(itertools.accumulate((len(p) for p in points[:-1]), initial=0))
+    stacked = np.concatenate(points)
+    lo, hi = np.minimum.reduceat(stacked, starts), np.maximum.reduceat(stacked, starts)
+    for i, e, center in zip(solid, hi - lo, 0.5 * (lo + hi)):
+        hull = hulls[i]
+        mass = hull.volume * LINK_DENSITY
+        ixx = mass / 12.0 * (e[1] ** 2 + e[2] ** 2)
+        iyy = mass / 12.0 * (e[0] ** 2 + e[2] ** 2)
+        izz = mass / 12.0 * (e[0] ** 2 + e[1] ** 2)
+        dynamics[i] = (hull.mesh, mass, (ixx, iyy, izz), tuple(center.tolist()), hull.rows)
+    return dynamics
 
 
 @dataclass(frozen=True)
@@ -691,12 +707,55 @@ class AssetInstance:
 
     @cached_property
     def frame_meshes(self) -> tuple[TriMesh, ...]:
-        """Each link's `frame_mesh`, indexed like `links`, checked together in
-        one pass (`check_meshes`) on first read: a translation can round an
-        area below DEGENERATE_AREA. Export writes these."""
-        meshes = tuple(l.frame_mesh for l in self.links)
-        check_meshes(meshes)
+        """Each link's `frame_mesh`, indexed like `links`, checked in one
+        pass (`check_meshes`) on first read: a translation can round an area
+        below DEGENERATE_AREA. Bit-equal meshes (vertex and triangle bytes),
+        such as a duplicate's copies, are one object here, so that the work
+        export does on them runs once per distinct mesh. Export writes these."""
+        distinct: dict[tuple, TriMesh] = {}
+        meshes = tuple(
+            distinct.setdefault((m.vertices.tobytes(), m.triangles.tobytes()), m)
+            for m in (l.frame_mesh for l in self.links)
+        )
+        check_meshes(distinct.values())
         return meshes
+
+    @cached_property
+    def _mesh_dynamics(self) -> dict[int, tuple]:
+        """The dynamics (`_link_dynamics`) of each distinct frame mesh, by
+        its id, in one pass over them in tree order, which seeds each link's
+        own unless it was read already. Qhull runs once per distinct mesh,
+        and a bad hull raises what the first link to read it in that order
+        raises on its own."""
+        frames = self.frame_meshes
+        distinct = {id(frames[i]): frames[i] for i in self.tree.order}
+        dynamics = dict(zip(distinct, _link_dynamics(list(distinct.values()))))
+        for link, frame in zip(self.links, frames):
+            link.__dict__.setdefault("_dynamics", dynamics[id(frame)])
+        return dynamics
+
+    @cached_property
+    def obj_records(self) -> tuple[tuple[bytes | None, bytes | None], ...]:
+        """Indexed like `links`: the OBJ v and f records (`geometry.obj_text`
+        without its object line), encoded, of each link's frame mesh and of
+        its hull, None where it has no mesh or no hull. Reading them runs the
+        dynamics pass (`_mesh_dynamics`). Each distinct frame mesh is
+        formatted once, and its hull's v records take its own vertex tokens,
+        as a hull keeps rows of its input bit for bit. They are kept, so a
+        second export formats and encodes nothing."""
+        dynamics = self._mesh_dynamics
+        records: dict[int, tuple] = {}
+        for key, frame in {id(f): f for f in self.frame_meshes}.items():
+            hull, *_, rows = dynamics[key]
+            if frame.is_empty:
+                records[key] = (None, None)
+                continue
+            tokens = _format_floats(frame.vertices)
+            records[key] = (
+                _obj_records(tokens, frame.triangles).encode(),
+                None if hull is None else _obj_records(tokens[rows], hull.triangles).encode(),
+            )
+        return tuple(records[id(frame)] for frame in self.frame_meshes)
 
     def link(self, link_id: str) -> EvaluatedLink:
         return self.links[self.tree.link_index[link_id]]

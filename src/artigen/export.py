@@ -12,6 +12,15 @@ mesh moved there, which its hull and dynamics are also computed from. A
 translation can round a triangle's area below DEGENERATE_AREA, so the first
 export of an instance checks those moved meshes in one pass
 (`AssetInstance.frame_meshes`) before it writes them.
+
+Dynamics are computed per instance, once per distinct mesh: the first export
+runs one pass over the instance's distinct link-frame meshes (Qhull once per
+mesh, the rest stacked) and keeps their encoded OBJ records
+(`AssetInstance.obj_records`), so a duplicate's copies are hulled and
+formatted once, and a second export of the instance formats nothing. The
+documents are written directly as text, in the bytes that ElementTree's
+`indent` and `tostring` give (`_XmlWriter`); ElementTree only parses them
+back.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
@@ -34,7 +44,7 @@ from .errors import (
     StructuralError,
 )
 from .evaluate import EvaluatedJoint, EvaluatedLink
-from .geometry import RigidTransform, format_float, obj_text, quat_to_matrix
+from .geometry import RigidTransform, format_float, quat_to_matrix
 from .kinematics import KinematicTree
 from .params import ParamVector, _is_whole, _read_json
 
@@ -175,27 +185,79 @@ def _write_meshes(instance: AssetInstance, out_dir: Path) -> dict:
     mesh_dir = out_dir / "meshes"
     mesh_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    frames = instance.frame_meshes  # checked in one pass on the instance's first export
+    records = instance.obj_records  # formatted on the instance's first export
     for i in instance.tree.order:
-        link, mesh = instance.links[i], frames[i]
-        if mesh.is_empty:
-            paths[link.link_id] = (None, None)
+        link_id = instance.links[i].link_id
+        visual, hull = records[i]
+        if visual is None:
+            paths[link_id] = (None, None)
             continue
-        visual_rel = f"meshes/{_slug(link.link_id)}.obj"
-        (out_dir / visual_rel).write_text(obj_text(mesh, _slug(link.link_id)), encoding="utf-8")
+        slug = _slug(link_id)
+        visual_rel = f"meshes/{slug}.obj"
+        (out_dir / visual_rel).write_bytes(b"o %s\n%s" % (slug.encode(), visual))
         hull_rel = None
-        if link.hull is not None:
-            hull_rel = f"meshes/{_slug(link.link_id)}.hull.obj"
-            (out_dir / hull_rel).write_text(
-                obj_text(link.hull, _slug(link.link_id) + "_hull"), encoding="utf-8"
-            )
-        paths[link.link_id] = (visual_rel, hull_rel)
+        if hull is not None:
+            hull_rel = f"meshes/{slug}.hull.obj"
+            (out_dir / hull_rel).write_bytes(b"o %s_hull\n%s" % (slug.encode(), hull))
+        paths[link_id] = (visual_rel, hull_rel)
     return paths
 
 
-def _xml_bytes(root: ET.Element) -> bytes:
-    ET.indent(root, space="  ")
-    return b'<?xml version="1.0" encoding="utf-8"?>\n' + ET.tostring(root) + b"\n"
+# ElementTree's attribute escaping (`_escape_attrib`), for values holding any
+# of these characters.
+_ESCAPED = re.compile('[&<>"\r\n\t]')
+_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+    | {"\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+
+
+class _XmlWriter:
+    """An XML document written line by line, in the bytes that
+    `ET.indent(root, space="  ")` then `ET.tostring(root)` give for the same
+    elements, after an XML declaration: each element and comment on a line
+    of its own, two spaces deeper per level; an element without children
+    closes itself (" />"); attributes in the order given, escaped as
+    ElementTree escapes them; comments raw; and every character outside
+    ASCII as a character reference."""
+
+    def __init__(self):
+        self.lines = ['<?xml version="1.0" encoding="utf-8"?>']
+        self.open_elements: list[tuple[str, int]] = []  # (tag, line of its start tag)
+
+    def _start(self, tag: str, attrs: dict | None) -> str:
+        line = "  " * len(self.open_elements) + "<" + tag
+        for key, value in (attrs or {}).items():
+            if _ESCAPED.search(value):
+                value = value.translate(_ESCAPES)
+            line += f' {key}="{value}"'
+        return line
+
+    def comment(self, text: str) -> None:
+        self.lines.append("  " * len(self.open_elements) + f"<!--{text}-->")
+
+    def element(self, tag: str, attrs: dict | None = None) -> None:
+        """An element without children."""
+        self.lines.append(self._start(tag, attrs) + " />")
+
+    def open(self, tag: str, attrs: dict | None = None) -> "_XmlWriter":
+        """Start an element, which ends where the `with` block this starts ends."""
+        self.lines.append(self._start(tag, attrs) + ">")
+        self.open_elements.append((tag, len(self.lines) - 1))
+        return self
+
+    def __enter__(self) -> "_XmlWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        tag, start = self.open_elements.pop()
+        if start == len(self.lines) - 1:  # no children
+            self.lines[start] = self.lines[start][:-1] + " />"
+        else:
+            self.lines.append("  " * len(self.open_elements) + f"</{tag}>")
+
+    def document(self) -> bytes:
+        return ("\n".join(self.lines) + "\n").encode("ascii", "xmlcharrefreplace")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +279,7 @@ def export_bundle(instance: AssetInstance, out_dir, formats) -> tuple[ExportBund
     for fmt in formats:
         filename, document = _DOCUMENTS[fmt]
         model_path = out_dir / filename
-        model_path.write_bytes(_xml_bytes(document(instance, mesh_paths, link_names, joint_names)))
+        model_path.write_bytes(document(instance, mesh_paths, link_names, joint_names))
         bundles.append(ExportBundle(out_dir, model_path, fmt, mesh_paths))
     return tuple(bundles)
 
@@ -237,67 +299,62 @@ def export_mjcf(instance: AssetInstance, out_dir) -> ExportBundle:
 # ---------------------------------------------------------------------------
 
 
-def _urdf_document(instance: AssetInstance, mesh_paths, link_names, joint_names) -> ET.Element:
+def _urdf_document(instance: AssetInstance, mesh_paths, link_names, joint_names) -> bytes:
     """URDF robot: links with inertial, visual and collision, then joints."""
-    robot = ET.Element("robot", {"name": f"{instance.category}_{instance.seed:04d}"})
-    for link in _ordered_links(instance):
-        if link.label:
-            robot.append(ET.Comment(f" label: {link.label} "))
-        el = ET.SubElement(robot, "link", {"name": link_names[link.link_id]})
-        inertial = ET.SubElement(el, "inertial")
-        ET.SubElement(
-            inertial, "origin", {"xyz": _fmt_vec(link.inertia_origin), "rpy": "0 0 0"}
-        )
-        ET.SubElement(inertial, "mass", {"value": format_float(link.mass)})
-        ixx, iyy, izz = link.inertia_diag
-        ET.SubElement(
-            inertial,
-            "inertia",
-            {
-                "ixx": format_float(ixx),
-                "iyy": format_float(iyy),
-                "izz": format_float(izz),
-                "ixy": "0",
-                "ixz": "0",
-                "iyz": "0",
-            },
-        )
-        visual_rel, hull_rel = mesh_paths[link.link_id]
-        if visual_rel:
-            visual = ET.SubElement(el, "visual")
-            geo = ET.SubElement(visual, "geometry")
-            ET.SubElement(geo, "mesh", {"filename": visual_rel})
-            if link.material:
-                ET.SubElement(visual, "material", {"name": link.material})
-        if hull_rel:
-            collision = ET.SubElement(el, "collision")
-            geo = ET.SubElement(collision, "geometry")
-            ET.SubElement(geo, "mesh", {"filename": hull_rel})
+    doc = _XmlWriter()
+    with doc.open("robot", {"name": f"{instance.category}_{instance.seed:04d}"}):
+        for link in _ordered_links(instance):
+            if link.label:
+                doc.comment(f" label: {link.label} ")
+            with doc.open("link", {"name": link_names[link.link_id]}):
+                with doc.open("inertial"):
+                    doc.element("origin", {"xyz": _fmt_vec(link.inertia_origin), "rpy": "0 0 0"})
+                    doc.element("mass", {"value": format_float(link.mass)})
+                    ixx, iyy, izz = link.inertia_diag
+                    doc.element(
+                        "inertia",
+                        {
+                            "ixx": format_float(ixx),
+                            "iyy": format_float(iyy),
+                            "izz": format_float(izz),
+                            "ixy": "0",
+                            "ixz": "0",
+                            "iyz": "0",
+                        },
+                    )
+                visual_rel, hull_rel = mesh_paths[link.link_id]
+                if visual_rel:
+                    with doc.open("visual"):
+                        with doc.open("geometry"):
+                            doc.element("mesh", {"filename": visual_rel})
+                        if link.material:
+                            doc.element("material", {"name": link.material})
+                if hull_rel:
+                    with doc.open("collision"), doc.open("geometry"):
+                        doc.element("mesh", {"filename": hull_rel})
 
-    for j in _ordered_joints(instance):
-        if j.joint_label:
-            robot.append(ET.Comment(f" joint label: {j.joint_label} "))
-        jtype = "fixed" if j.is_fixed else j.joint_type
-        el = ET.SubElement(robot, "joint", {"name": joint_names[j.joint_id], "type": jtype})
-        position, rotation = _joint_frame(instance, j)
-        rpy = "0 0 0" if rotation is None else _fmt_vec(_rpy(rotation))
-        ET.SubElement(el, "origin", {"xyz": _fmt_vec(position), "rpy": rpy})
-        ET.SubElement(el, "parent", {"link": link_names[j.parent]})
-        ET.SubElement(el, "child", {"link": link_names[j.child]})
-        if jtype != "fixed":
-            ET.SubElement(el, "axis", {"xyz": _fmt_vec(j.axis)})
-            ET.SubElement(
-                el,
-                "limit",
-                {
-                    "lower": format_float(j.lo),
-                    "upper": format_float(j.hi),
-                    "effort": format_float(URDF_LIMIT_EFFORT),
-                    "velocity": format_float(URDF_LIMIT_VELOCITY),
-                },
-            )
-
-    return robot
+        for j in _ordered_joints(instance):
+            if j.joint_label:
+                doc.comment(f" joint label: {j.joint_label} ")
+            jtype = "fixed" if j.is_fixed else j.joint_type
+            with doc.open("joint", {"name": joint_names[j.joint_id], "type": jtype}):
+                position, rotation = _joint_frame(instance, j)
+                rpy = "0 0 0" if rotation is None else _fmt_vec(_rpy(rotation))
+                doc.element("origin", {"xyz": _fmt_vec(position), "rpy": rpy})
+                doc.element("parent", {"link": link_names[j.parent]})
+                doc.element("child", {"link": link_names[j.child]})
+                if jtype != "fixed":
+                    doc.element("axis", {"xyz": _fmt_vec(j.axis)})
+                    doc.element(
+                        "limit",
+                        {
+                            "lower": format_float(j.lo),
+                            "upper": format_float(j.hi),
+                            "effort": format_float(URDF_LIMIT_EFFORT),
+                            "velocity": format_float(URDF_LIMIT_VELOCITY),
+                        },
+                    )
+    return doc.document()
 
 
 def parse_urdf(path) -> ParsedModel:
@@ -365,89 +422,80 @@ def parse_urdf(path) -> ParsedModel:
 # ---------------------------------------------------------------------------
 
 
-def _mjcf_document(instance: AssetInstance, mesh_paths, link_names, joint_names) -> ET.Element:
+def _mjcf_document(instance: AssetInstance, mesh_paths, link_names, joint_names) -> bytes:
     """MuJoCo MJCF with a nested body tree mirroring the joints."""
-    mujoco = ET.Element("mujoco", {"model": f"{instance.category}_{instance.seed:04d}"})
-    ET.SubElement(mujoco, "compiler", {"angle": "radian", "meshdir": "meshes", "autolimits": "true"})
-    asset = ET.SubElement(mujoco, "asset")
-    for link in _ordered_links(instance):
-        visual_rel, hull_rel = mesh_paths[link.link_id]
-        if visual_rel:
-            ET.SubElement(
-                asset,
-                "mesh",
-                {"name": _slug(link.link_id), "file": visual_rel.removeprefix("meshes/")},
-            )
-        if hull_rel:
-            ET.SubElement(
-                asset,
-                "mesh",
-                {"name": _slug(link.link_id) + "_hull", "file": hull_rel.removeprefix("meshes/")},
-            )
-    worldbody = ET.SubElement(mujoco, "worldbody")
+    doc = _XmlWriter()
 
-    def emit_body(link_id: str, parent_el: ET.Element, pos, rotation=None):
+    def emit_body(link_id: str, pos, rotation=None):
         link = instance.link(link_id)
         attrs = {"name": link_names[link_id], "pos": _fmt_vec(pos)}
         if rotation is not None:
             attrs["quat"] = _fmt_vec(rotation)
-        body = ET.SubElement(parent_el, "body", attrs)
-        if link.label:
-            body.insert(0, ET.Comment(f" label: {link.label} "))
-        ET.SubElement(
-            body,
-            "inertial",
-            {
-                "pos": _fmt_vec(link.inertia_origin),
-                "mass": format_float(link.mass),
-                "diaginertia": _fmt_vec(link.inertia_diag),
-            },
-        )
-        k = instance.tree.parent_joint[instance.tree.link_index[link_id]]
-        if k >= 0 and not instance.joints[k].is_fixed:
-            j = instance.joints[k]
-            ET.SubElement(
-                body,
-                "joint",
+        with doc.open("body", attrs):
+            if link.label:
+                doc.comment(f" label: {link.label} ")
+            doc.element(
+                "inertial",
                 {
-                    "name": joint_names[j.joint_id],
-                    "type": "hinge" if j.joint_type == "revolute" else "slide",
-                    "pos": "0 0 0",
-                    "axis": _fmt_vec(j.axis),
-                    "range": f"{format_float(j.lo)} {format_float(j.hi)}",
+                    "pos": _fmt_vec(link.inertia_origin),
+                    "mass": format_float(link.mass),
+                    "diaginertia": _fmt_vec(link.inertia_diag),
                 },
             )
-        visual_rel, hull_rel = mesh_paths[link_id]
-        if visual_rel:
-            ET.SubElement(
-                body,
-                "geom",
-                {
-                    "name": _slug(link_id) + "_visual",
-                    "type": "mesh",
-                    "mesh": _slug(link_id),
-                    "contype": "0",
-                    "conaffinity": "0",
-                },
-            )
-        if hull_rel:
-            ET.SubElement(
-                body,
-                "geom",
-                {
-                    "name": _slug(link_id) + "_collision",
-                    "type": "mesh",
-                    "mesh": _slug(link_id) + "_hull",
-                },
-            )
-        for j in instance.children_of(link_id):
-            emit_body(j.child, body, *_joint_frame(instance, j))
+            k = instance.tree.parent_joint[instance.tree.link_index[link_id]]
+            if k >= 0 and not instance.joints[k].is_fixed:
+                j = instance.joints[k]
+                doc.element(
+                    "joint",
+                    {
+                        "name": joint_names[j.joint_id],
+                        "type": "hinge" if j.joint_type == "revolute" else "slide",
+                        "pos": "0 0 0",
+                        "axis": _fmt_vec(j.axis),
+                        "range": f"{format_float(j.lo)} {format_float(j.hi)}",
+                    },
+                )
+            visual_rel, hull_rel = mesh_paths[link_id]
+            if visual_rel:
+                doc.element(
+                    "geom",
+                    {
+                        "name": _slug(link_id) + "_visual",
+                        "type": "mesh",
+                        "mesh": _slug(link_id),
+                        "contype": "0",
+                        "conaffinity": "0",
+                    },
+                )
+            if hull_rel:
+                doc.element(
+                    "geom",
+                    {
+                        "name": _slug(link_id) + "_collision",
+                        "type": "mesh",
+                        "mesh": _slug(link_id) + "_hull",
+                    },
+                )
+            for j in instance.children_of(link_id):
+                emit_body(j.child, *_joint_frame(instance, j))
 
-    emit_body(instance.root_link, worldbody, (0.0, 0.0, 0.0))
-    return mujoco
+    with doc.open("mujoco", {"model": f"{instance.category}_{instance.seed:04d}"}):
+        doc.element("compiler", {"angle": "radian", "meshdir": "meshes", "autolimits": "true"})
+        with doc.open("asset"):
+            for link in _ordered_links(instance):
+                visual_rel, hull_rel = mesh_paths[link.link_id]
+                if visual_rel:
+                    name, file = _slug(link.link_id), visual_rel.removeprefix("meshes/")
+                    doc.element("mesh", {"name": name, "file": file})
+                if hull_rel:
+                    name, file = _slug(link.link_id) + "_hull", hull_rel.removeprefix("meshes/")
+                    doc.element("mesh", {"name": name, "file": file})
+        with doc.open("worldbody"):
+            emit_body(instance.root_link, (0.0, 0.0, 0.0))
+    return doc.document()
 
 
-# Export format -> (model file name, document builder).
+# Export format -> (model file name, document writer).
 _DOCUMENTS = {"urdf": ("model.urdf", _urdf_document), "mjcf": ("model.xml", _mjcf_document)}
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -301,13 +302,6 @@ class TriMesh:
             labels = np.where(self.face_labels < 0, label, self.face_labels)
         return self.with_labels(labels)
 
-    @cached_property
-    def _obj_records(self) -> str:
-        """The OBJ v and f records of `obj_text`, formatted once per mesh."""
-        vertices = ("v %s %s %s\n" * self.n_vertices) % tuple(_format_floats(self.vertices.ravel()))
-        faces = ("f %d %d %d\n" * self.n_triangles) % tuple((self.triangles + 1).ravel().tolist())
-        return vertices + faces
-
 
 def check_meshes(meshes) -> None:
     """The checks of `TriMesh(...)` on each of `meshes` in one pass: raise what
@@ -384,8 +378,16 @@ def triangle_areas(corners: np.ndarray) -> np.ndarray:
 
 def mesh_volume(mesh: TriMesh) -> float:
     """Signed volume of a closed, outward-oriented mesh (divergence theorem)."""
-    corners = mesh.triangle_corners()
-    return float(np.einsum("ij,ij->i", corners[:, 0], _cross(corners[:, 1], corners[:, 2])).sum() / 6.0)
+    return _volumes(mesh.triangle_corners(), [0, mesh.n_triangles])[0]
+
+
+def _volumes(corners: np.ndarray, bounds: list) -> list[float]:
+    """`mesh_volume` of the meshes whose triangles' (n, 3, 3) corners are
+    stacked in `corners`, mesh k's from row bounds[k] to bounds[k + 1]. The
+    terms are rowwise, and each mesh sums its own, so each volume is the one
+    its mesh alone gives, bit for bit."""
+    terms = np.einsum("ij,ij->i", corners[:, 0], _cross(corners[:, 1], corners[:, 2]))
+    return [float(terms[a:b].sum() / 6.0) for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -827,32 +829,89 @@ def triangles_intersect(tri_a, tri_b) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class Hull(NamedTuple):
+    """A convex hull (`convex_hull`), the rows of its input points that it
+    keeps as its vertices, ascending, and its volume (`mesh_volume`)."""
+
+    mesh: TriMesh
+    rows: np.ndarray
+    volume: float
+
+
 def convex_hull(mesh_or_points) -> TriMesh:
     """Convex watertight hull with outward normals and a canonical vertex order.
 
-    Qhull (scipy) is imported on the first call, not with this module."""
-    from scipy.spatial import ConvexHull, QhullError
-
+    `convex_hulls` of one point set. Qhull (scipy) is imported on the first
+    call, not with this module."""
     if isinstance(mesh_or_points, TriMesh):
         points = mesh_or_points.vertices
     else:
         points = np.asarray(mesh_or_points, dtype=np.float64).reshape(-1, 3)
-    if len(points) < 4:
-        raise DegeneracyError(f"convex hull needs at least 4 points, got {len(points)}")
-    try:
-        hull = ConvexHull(points)
-    except QhullError as exc:
-        raise DegeneracyError(f"degenerate hull input: {exc}") from None
+    (hull,) = convex_hulls([points])
+    if isinstance(hull, DegeneracyError):
+        raise hull
+    return hull.mesh
 
-    used, inverse = np.unique(hull.simplices, return_inverse=True)
-    verts = points[used]
+
+def convex_hulls(point_sets) -> list:
+    """The hull of each float64 (n, 3) point array, as a Hull, or the
+    DegeneracyError that `convex_hull` raises for it: fewer than four points,
+    or a set Qhull finds flat. Qhull runs once per set with four or more
+    points, and only then is scipy imported.
+
+    Everything after Qhull runs once over the stacked hulls: the vertices
+    each hull keeps, their outward winding, each row rotated to lead with its
+    smallest index and the rows sorted, the mesh checks (`check_meshes`,
+    which raise for the first bad hull what `TriMesh(...)` raises for it) and
+    the volumes. Each step is rowwise or keeps the hulls apart, so each hull
+    is bit for bit the one its set alone gives."""
+    results = [
+        DegeneracyError(f"convex hull needs at least 4 points, got {len(p)}") if len(p) < 4 else None
+        for p in point_sets
+    ]
+    if all(results):
+        return results
+    from scipy.spatial import ConvexHull, QhullError
+
+    hulled = []
+    for i, points in enumerate(point_sets):
+        if results[i] is None:
+            try:
+                hulled.append((i, ConvexHull(points)))
+            except QhullError as exc:
+                results[i] = DegeneracyError(f"degenerate hull input: {exc}")
+    if not hulled:
+        return results
+    sets = [point_sets[i] for i, _ in hulled]
+    starts = list(itertools.accumulate((len(p) for p in sets), initial=0))
+    counts = [len(qhull.simplices) for _, qhull in hulled]
+    # Each set's simplices index the stacked points, so the set's vertices
+    # come out of one np.unique in their own order, after the previous set's.
+    simplices = np.concatenate([qhull.simplices for _, qhull in hulled])
+    simplices = simplices + np.repeat(starts[:-1], counts)[:, None]
+    used, inverse = np.unique(simplices, return_inverse=True)
+    verts = np.concatenate(sets)[used]
+    outward = np.concatenate([qhull.equations[:, :3] for _, qhull in hulled])
     # The inverse's shape differs across NumPy versions; reshape it to one row per simplex.
-    tris = _orient_outward(verts, inverse.reshape(-1, 3), hull.equations[:, :3])
-    # Canonical order: each row rotated to lead with its smallest index, rows sorted.
+    tris = _orient_outward(verts, inverse.reshape(-1, 3), outward)
+    # Canonical order: each row rotated to lead with its smallest index, rows
+    # sorted. A hull's indices all lie above the previous hull's, so the sort
+    # keeps the hulls in order and each hull's rows in its own order.
     lead = tris.argmin(axis=1)
     tris = np.take_along_axis(tris, (lead[:, None] + np.arange(3)) % 3, axis=1)
     tris = tris[np.lexsort(tris.T[::-1])]
-    return TriMesh(verts, tris)
+    firsts = np.searchsorted(used, starts).tolist()  # each hull's first stacked vertex
+    bounds = list(itertools.accumulate(counts, initial=0))
+    meshes = [
+        TriMesh._unchecked(verts[a:b], tris[c:d] - a, None)
+        for a, b, c, d in zip(firsts, firsts[1:], bounds, bounds[1:])
+    ]
+    check_meshes(meshes)
+    volumes = _volumes(verts[tris], bounds)
+    for k, (i, _) in enumerate(hulled):
+        rows = used[firsts[k] : firsts[k + 1]] - starts[k]
+        results[i] = Hull(meshes[k], rows, volumes[k])
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +936,9 @@ def format_float(x: float) -> str:
     return s
 
 
-def _format_floats(values: np.ndarray) -> list[str]:
-    """`format_float` of each value of a 1-D float array, in one string step.
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """`format_float` of each value of a float array, as an object array of
+    the same shape, in one string step.
 
     The distinct values are formatted with `%.9g` at once and read back; only
     tokens that moved by more than 5e-10, or that read as zero (the "-0"
@@ -891,12 +951,20 @@ def _format_floats(values: np.ndarray) -> list[str]:
     back = np.array(tokens, dtype=np.float64)
     for i in np.flatnonzero((np.abs(back - distinct) > 5e-10) | (back == 0.0)).tolist():
         tokens[i] = format_float(floats[i])
-    return [tokens[i] for i in inverse.tolist()]
+    return np.array(tokens, dtype=object)[inverse.reshape(values.shape)]
+
+
+def _obj_records(tokens: np.ndarray, triangles: np.ndarray) -> str:
+    """The OBJ v records of (n, 3) vertex tokens (`_format_floats` of the
+    vertices, or rows of them) and the f records of triangles, 1-based."""
+    vertices = ("v %s %s %s\n" * len(tokens)) % tuple(tokens.ravel().tolist())
+    faces = ("f %d %d %d\n" * len(triangles)) % tuple((triangles + 1).ravel().tolist())
+    return vertices + faces
 
 
 def obj_text(mesh: TriMesh, name: str) -> str:
     """ASCII OBJ with one object, v/f records, and 1-based indices."""
-    return f"o {name}\n" + mesh._obj_records
+    return f"o {name}\n" + _obj_records(_format_floats(mesh.vertices), mesh.triangles)
 
 
 def parse_obj(text: str) -> TriMesh:

@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -266,6 +267,11 @@ def _normalize_param(kind: str, name: str, spec: _ParamSpec, value):
             raise InvalidParameterError(f"{kind}.{name} must be a list of finite 3-vectors")
         return pts
     raise InvalidParameterError(f"unhandled parameter kind {spec.kind}")
+
+
+# How far from 1 the squared length of a normalized axis (`unit_vector`) can
+# round; normalizing such an axis again can move it by an ulp.
+_UNIT_ROUNDING = 4 * sys.float_info.epsilon
 
 
 def _split_params(kind: str, params: dict, error: type) -> tuple[tuple, dict]:
@@ -525,7 +531,10 @@ class NodeGraph:
     @staticmethod
     def deserialize(text: str) -> "NodeGraph":
         """Parse a graph document, recording each node under its own id;
-        structural problems are left for validate()."""
+        structural problems are left for validate(). A joint axis of unit
+        length within rounding (_UNIT_ROUNDING), as `serialize` writes one,
+        is kept as it is, so that a written graph loads to the same numbers;
+        any other is scaled to unit length, as a built one is."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -558,6 +567,10 @@ class NodeGraph:
                 raise SchemaError(f"node {node_id} params must be an object")
             decoded = {name: _decode_param(value) for name, value in raw.items()}
             graph._add(kind, _schema_ordered(kind, decoded), (), node_id, SchemaError)
+            if kind in JOINT_KINDS:  # a stored unit axis is kept bit for bit
+                axis = tuple(float(c) for c in decoded["axis"])
+                if abs(sum(c * c for c in axis) - 1.0) <= _UNIT_ROUNDING:
+                    graph.numbers[-1]["axis"] = axis
             inputs = entry.get("inputs", {})
             if not isinstance(inputs, dict) or not all(isinstance(v, str) for v in inputs.values()):
                 raise SchemaError(f"node {node_id} inputs must map ports to node ids")

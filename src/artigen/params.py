@@ -226,7 +226,7 @@ def _check_override(name: str, entry: Entry, override) -> None:
     holding only keys its entry's kind accepts, with well-formed values; whole
     values must lie in the entry's range, a continuous range drawn from (the
     override's `lo` and `hi` over the entry's, unless it is `fixed`) must not
-    be reversed, and a `std` must not be negative."""
+    be reversed and must hold a `mean`, and a `std` must not be negative."""
     if not isinstance(override, Mapping):
         raise InvalidParameterError(f"override for {name!r} must be an object, got {override!r}")
     continuous = isinstance(entry, Continuous)
@@ -256,6 +256,10 @@ def _check_override(name: str, entry: Entry, override) -> None:
         lo, hi = override.get("lo", entry.lo), override.get("hi", entry.hi)
         if "fixed" not in override and lo > hi:
             raise InvalidParameterError(f"override for {name!r} needs lo <= hi, got [{lo}, {hi}]")
+        if "fixed" not in override and not lo <= override.get("mean", lo) <= hi:
+            raise InvalidParameterError(
+                f"override 'mean' for {name!r} is outside its range [{lo}, {hi}]: {override['mean']!r}"
+            )
         if override.get("std", 0.0) < 0.0:
             raise InvalidParameterError(f"override 'std' for {name!r} is negative: {override['std']!r}")
 
@@ -347,8 +351,8 @@ def load_overrides(path) -> dict:
 
 def merge_overrides(space: ParameterSpace, overrides: Mapping | None) -> ParameterSpace:
     """The effective space after overrides merge by name: continuous bounds
-    stretch to contain overridden ranges and fixed values. Overrides are
-    checked as `sample_parameters` checks them."""
+    stretch to contain overridden ranges and fixed values, which hold any
+    mean. Overrides are checked as `sample_parameters` checks them."""
     if not overrides:
         return space
     _check_overrides(space, overrides)
@@ -357,7 +361,7 @@ def merge_overrides(space: ParameterSpace, overrides: Mapping | None) -> Paramet
         ov = overrides.get(name)
         if ov and isinstance(entry, Continuous):
             lo, hi = entry.lo, entry.hi
-            for key in ("lo", "hi", "fixed", "mean"):
+            for key in ("lo", "hi", "fixed"):
                 if key in ov:
                     lo = min(lo, float(ov[key]))
                     hi = max(hi, float(ov[key]))

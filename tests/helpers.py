@@ -1,5 +1,6 @@
-"""Shared oracles for round-trip checks, link frames and blueprint trees, a
-duplication fixture, a graph whose joints give one link two parents, document
+"""Shared oracles for round-trip checks, link frames and blueprint trees,
+per-link dynamics and ElementTree-written export documents, a duplication
+fixture, a graph whose joints give one link two parents, document
 edits, and a mesh-free reference of link identity decided on concrete link
 sets."""
 
@@ -10,8 +11,19 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from artigen.export import _joint_frame, _names
-from artigen.geometry import RigidTransform
+from artigen.evaluate import LINK_DENSITY, PASSTHROUGH_INERTIA, PASSTHROUGH_MASS
+from artigen.export import (
+    URDF_LIMIT_EFFORT,
+    URDF_LIMIT_VELOCITY,
+    _fmt_vec,
+    _joint_frame,
+    _names,
+    _ordered_joints,
+    _ordered_links,
+    _rpy,
+    _slug,
+)
+from artigen.geometry import RigidTransform, TriMesh, format_float
 from artigen.graph import (
     DUPLICATE,
     JOINT_REVOLUTE,
@@ -79,6 +91,200 @@ def edited(graph, node_id, kind=None, **params):
 def link_frame_vertices(link):
     """A link's mesh vertices moved into its link frame, by -origin."""
     return RigidTransform.from_translation(-np.asarray(link.origin)).apply(link.mesh.vertices)
+
+
+def reference_link_dynamics(mesh):
+    """(hull, mass, inertia_diag, inertia_origin) of one link-frame mesh,
+    computed on its own: Qhull, then the hull's vertices, outward winding,
+    canonical row order, checks and volume, and the mesh's bounding box. The
+    stacked pass over many meshes (`evaluate._link_dynamics`) must give these
+    bit for bit."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    passthrough = (None, PASSTHROUGH_MASS, (PASSTHROUGH_INERTIA,) * 3, (0.0, 0.0, 0.0))
+    if mesh.n_vertices < 4:
+        return passthrough
+    try:
+        qhull = ConvexHull(mesh.vertices)
+    except QhullError:
+        return passthrough
+    used, inverse = np.unique(qhull.simplices, return_inverse=True)
+    verts = mesh.vertices[used]
+    tris = inverse.reshape(-1, 3)
+    corners = verts[tris]
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    flip = np.einsum("ij,ij->i", normals, qhull.equations[:, :3]) < 0.0
+    tris = np.where(flip[:, None], tris[:, [0, 2, 1]], tris)
+    lead = tris.argmin(axis=1)
+    tris = np.take_along_axis(tris, (lead[:, None] + np.arange(3)) % 3, axis=1)
+    hull = TriMesh(verts, tris[np.lexsort(tris.T[::-1])])
+    corners = hull.triangle_corners()
+    volume = np.einsum("ij,ij->i", corners[:, 0], np.cross(corners[:, 1], corners[:, 2])).sum()
+    mass = float(volume / 6.0) * LINK_DENSITY
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    e = hi - lo
+    inertia = (
+        mass / 12.0 * (e[1] ** 2 + e[2] ** 2),
+        mass / 12.0 * (e[0] ** 2 + e[2] ** 2),
+        mass / 12.0 * (e[0] ** 2 + e[1] ** 2),
+    )
+    return hull, mass, inertia, tuple(float(c) for c in 0.5 * (lo + hi))
+
+
+def reference_document(instance, fmt, mesh_paths) -> bytes:
+    """The URDF ("urdf") or MJCF ("mjcf") document of an exported instance,
+    built as an ElementTree and written by `ET.indent` and `ET.tostring`,
+    which the export's direct writer must match byte for byte."""
+    link_names, joint_names = _names(instance)
+    build = {"urdf": _reference_urdf, "mjcf": _reference_mjcf}[fmt]
+    root = build(instance, mesh_paths, link_names, joint_names)
+    ET.indent(root, space="  ")
+    return b'<?xml version="1.0" encoding="utf-8"?>\n' + ET.tostring(root) + b"\n"
+
+
+def _reference_urdf(instance, mesh_paths, link_names, joint_names) -> ET.Element:
+    """URDF robot: links with inertial, visual and collision, then joints."""
+    robot = ET.Element("robot", {"name": f"{instance.category}_{instance.seed:04d}"})
+    for link in _ordered_links(instance):
+        if link.label:
+            robot.append(ET.Comment(f" label: {link.label} "))
+        el = ET.SubElement(robot, "link", {"name": link_names[link.link_id]})
+        inertial = ET.SubElement(el, "inertial")
+        ET.SubElement(
+            inertial, "origin", {"xyz": _fmt_vec(link.inertia_origin), "rpy": "0 0 0"}
+        )
+        ET.SubElement(inertial, "mass", {"value": format_float(link.mass)})
+        ixx, iyy, izz = link.inertia_diag
+        ET.SubElement(
+            inertial,
+            "inertia",
+            {
+                "ixx": format_float(ixx),
+                "iyy": format_float(iyy),
+                "izz": format_float(izz),
+                "ixy": "0",
+                "ixz": "0",
+                "iyz": "0",
+            },
+        )
+        visual_rel, hull_rel = mesh_paths[link.link_id]
+        if visual_rel:
+            visual = ET.SubElement(el, "visual")
+            geo = ET.SubElement(visual, "geometry")
+            ET.SubElement(geo, "mesh", {"filename": visual_rel})
+            if link.material:
+                ET.SubElement(visual, "material", {"name": link.material})
+        if hull_rel:
+            collision = ET.SubElement(el, "collision")
+            geo = ET.SubElement(collision, "geometry")
+            ET.SubElement(geo, "mesh", {"filename": hull_rel})
+
+    for j in _ordered_joints(instance):
+        if j.joint_label:
+            robot.append(ET.Comment(f" joint label: {j.joint_label} "))
+        jtype = "fixed" if j.is_fixed else j.joint_type
+        el = ET.SubElement(robot, "joint", {"name": joint_names[j.joint_id], "type": jtype})
+        position, rotation = _joint_frame(instance, j)
+        rpy = "0 0 0" if rotation is None else _fmt_vec(_rpy(rotation))
+        ET.SubElement(el, "origin", {"xyz": _fmt_vec(position), "rpy": rpy})
+        ET.SubElement(el, "parent", {"link": link_names[j.parent]})
+        ET.SubElement(el, "child", {"link": link_names[j.child]})
+        if jtype != "fixed":
+            ET.SubElement(el, "axis", {"xyz": _fmt_vec(j.axis)})
+            ET.SubElement(
+                el,
+                "limit",
+                {
+                    "lower": format_float(j.lo),
+                    "upper": format_float(j.hi),
+                    "effort": format_float(URDF_LIMIT_EFFORT),
+                    "velocity": format_float(URDF_LIMIT_VELOCITY),
+                },
+            )
+
+    return robot
+
+
+def _reference_mjcf(instance, mesh_paths, link_names, joint_names) -> ET.Element:
+    """MuJoCo MJCF with a nested body tree mirroring the joints."""
+    mujoco = ET.Element("mujoco", {"model": f"{instance.category}_{instance.seed:04d}"})
+    ET.SubElement(mujoco, "compiler", {"angle": "radian", "meshdir": "meshes", "autolimits": "true"})
+    asset = ET.SubElement(mujoco, "asset")
+    for link in _ordered_links(instance):
+        visual_rel, hull_rel = mesh_paths[link.link_id]
+        if visual_rel:
+            ET.SubElement(
+                asset,
+                "mesh",
+                {"name": _slug(link.link_id), "file": visual_rel.removeprefix("meshes/")},
+            )
+        if hull_rel:
+            ET.SubElement(
+                asset,
+                "mesh",
+                {"name": _slug(link.link_id) + "_hull", "file": hull_rel.removeprefix("meshes/")},
+            )
+    worldbody = ET.SubElement(mujoco, "worldbody")
+
+    def emit_body(link_id: str, parent_el: ET.Element, pos, rotation=None):
+        link = instance.link(link_id)
+        attrs = {"name": link_names[link_id], "pos": _fmt_vec(pos)}
+        if rotation is not None:
+            attrs["quat"] = _fmt_vec(rotation)
+        body = ET.SubElement(parent_el, "body", attrs)
+        if link.label:
+            body.insert(0, ET.Comment(f" label: {link.label} "))
+        ET.SubElement(
+            body,
+            "inertial",
+            {
+                "pos": _fmt_vec(link.inertia_origin),
+                "mass": format_float(link.mass),
+                "diaginertia": _fmt_vec(link.inertia_diag),
+            },
+        )
+        k = instance.tree.parent_joint[instance.tree.link_index[link_id]]
+        if k >= 0 and not instance.joints[k].is_fixed:
+            j = instance.joints[k]
+            ET.SubElement(
+                body,
+                "joint",
+                {
+                    "name": joint_names[j.joint_id],
+                    "type": "hinge" if j.joint_type == "revolute" else "slide",
+                    "pos": "0 0 0",
+                    "axis": _fmt_vec(j.axis),
+                    "range": f"{format_float(j.lo)} {format_float(j.hi)}",
+                },
+            )
+        visual_rel, hull_rel = mesh_paths[link_id]
+        if visual_rel:
+            ET.SubElement(
+                body,
+                "geom",
+                {
+                    "name": _slug(link_id) + "_visual",
+                    "type": "mesh",
+                    "mesh": _slug(link_id),
+                    "contype": "0",
+                    "conaffinity": "0",
+                },
+            )
+        if hull_rel:
+            ET.SubElement(
+                body,
+                "geom",
+                {
+                    "name": _slug(link_id) + "_collision",
+                    "type": "mesh",
+                    "mesh": _slug(link_id) + "_hull",
+                },
+            )
+        for j in instance.children_of(link_id):
+            emit_body(j.child, body, *_joint_frame(instance, j))
+
+    emit_body(instance.root_link, worldbody, (0.0, 0.0, 0.0))
+    return mujoco
 
 
 def assert_kinematic_isomorphism(instance, parsed, origin_tol=1e-6, axis_tol=1e-9, limit_tol=1e-9):

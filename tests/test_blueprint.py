@@ -16,14 +16,14 @@ from artigen.blueprint import (
     posed_meshes,
 )
 from artigen.collision import SweepPlan, sweep_check
-from artigen.errors import RangeError, StructuralError
+from artigen.errors import InvalidParameterError, RangeError, StructuralError
 from artigen.evaluate import PASSTHROUGH_MASS, EvaluatedLink, _link_dynamics, evaluate
 from artigen.export import export_mjcf, export_urdf
 from artigen.generators import CATEGORY_NAMES, build_instance
-from artigen.geometry import TriMesh
+from artigen.geometry import TriMesh, make_box, make_sphere
 from artigen.params import ParamVector
 from artigen.patterns import PATTERN_NAMES, build_pattern
-from helpers import blueprint_parts, edited, link_frame_vertices
+from helpers import blueprint_parts, edited, link_frame_vertices, reference_link_dynamics
 
 
 def make_instance(name, **kw):
@@ -235,38 +235,76 @@ class TestDynamicsInvariance:
         assert sorted(i0[:2]) == pytest.approx(sorted(i1[:2]), rel=1e-9)
 
 
+def _bits(dynamics) -> list:
+    """The bytes of every number in (hull, mass, inertia_diag, inertia_origin)."""
+    hull, mass, inertia, origin = dynamics[:4]
+    meshes = [] if hull is None else [hull.vertices.tobytes(), hull.triangles.tobytes()]
+    return meshes + [np.array([mass, *inertia, *origin], dtype=np.float64).tobytes()]
+
+
 class TestLazyDynamics:
     @pytest.mark.parametrize("category", CATEGORY_NAMES)
     def test_equal_to_link_dynamics(self, category):
-        for seed in (1, 2, 3):
-            for link in build_instance(category, seed).links:
+        for seed in range(50):
+            inst = build_instance(category, seed)
+            inst.obj_records  # the instance's one pass seeds every link's dynamics
+            for link in inst.links:
                 local = TriMesh(link_frame_vertices(link), link.mesh.triangles, link.mesh.face_labels)
-                hull, mass, inertia, origin = _link_dynamics(local)
-                assert (link.mass, link.inertia_diag, link.inertia_origin) == (mass, inertia, origin)
-                if hull is None:
-                    assert link.hull is None
-                else:
-                    np.testing.assert_array_equal(link.hull.vertices, hull.vertices)
-                    np.testing.assert_array_equal(link.hull.triangles, hull.triangles)
+                expected = _bits(reference_link_dynamics(local))
+                assert _bits(link._dynamics) == expected
+                assert _bits(_link_dynamics([local])[0]) == expected
 
-    def test_hulls_built_once_per_link_on_first_read(self, monkeypatch, tmp_path):
+    def test_meshes_without_hull_get_passthrough_in_a_stack(self):
+        flat = TriMesh([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)])
+        triangle = TriMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+        meshes = [make_box((0.2, 0.3, 0.4)), flat, triangle, TriMesh.empty(), make_sphere(0.3, 10)]
+        stacked = _link_dynamics(meshes)
+        for mesh, dynamics in zip(meshes, stacked):
+            assert _bits(dynamics) == _bits(reference_link_dynamics(mesh))
+        for dynamics in stacked[1:4]:
+            assert dynamics[0] is None and dynamics[1] == PASSTHROUGH_MASS
+
+    def test_degenerate_hull_triangle_raises_first_meshs_error(self):
+        def tetrahedron(size):
+            points = size * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1.0]]) + 1.0
+            return TriMesh(points, np.zeros((0, 3), dtype=np.int64))
+
+        small, smaller = tetrahedron(1.4e-6), tetrahedron(1e-6)
+        messages = []
+        for mesh in (small, smaller):
+            with pytest.raises(InvalidParameterError, match="degenerate triangle") as err:
+                reference_link_dynamics(mesh)
+            messages.append(str(err.value))
+        assert messages[0] != messages[1]
+        for first, meshes in ((0, [make_box((1, 1, 1)), small, smaller]), (1, [smaller, small])):
+            with pytest.raises(InvalidParameterError) as err:
+                _link_dynamics(meshes)
+            assert str(err.value) == messages[first]
+
+    def test_hulls_built_once_per_distinct_mesh_on_first_read(self, monkeypatch, tmp_path):
+        import scipy.spatial
+
         calls = []
-        real = artigen.evaluate.convex_hull
+        real = scipy.spatial.ConvexHull
 
-        def counting(mesh):
-            calls.append(mesh)
-            return real(mesh)
+        def counting(points):
+            calls.append(points)
+            return real(points)
 
-        monkeypatch.setattr(artigen.evaluate, "convex_hull", counting)
-        inst = build_instance("lamp", 3)
-        sweep_check(inst, SweepPlan(strategy="random", samples=16))
-        assert calls == []
-        export_urdf(inst, tmp_path / "urdf")
-        export_mjcf(inst, tmp_path / "mjcf")
-        assert len(calls) == sum(1 for l in inst.links if l.mesh.n_vertices >= 4) > 0
-        hulls = [l.hull for l in inst.links]
-        assert all(l.hull is h for l, h in zip(inst.links, hulls))
-        assert len(calls) == sum(1 for l in inst.links if l.mesh.n_vertices >= 4)
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+        for category in ("lamp", "toaster"):  # a toaster's lever copies are bit-equal
+            calls.clear()
+            inst = build_instance(category, 3)
+            sweep_check(inst, SweepPlan(strategy="random", samples=16))
+            assert calls == []
+            export_urdf(inst, tmp_path / category / "urdf")
+            export_mjcf(inst, tmp_path / category / "mjcf")
+            frames = [l.frame_mesh for l in inst.links if l.mesh.n_vertices >= 4]
+            distinct = {(m.vertices.tobytes(), m.triangles.tobytes()) for m in frames}
+            assert len(calls) == len(distinct) > 0
+            hulls = [l.hull for l in inst.links]
+            assert all(l.hull is h for l, h in zip(inst.links, hulls))
+            assert len(calls) == len(distinct)
 
     def test_flat_link_gets_passthrough_dynamics(self):
         square = TriMesh([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)])

@@ -2,10 +2,14 @@ import copy
 import math
 import random
 import re
+from dataclasses import replace
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artigen.blueprint import extract_blueprint, instantiate, posed_meshes
 from artigen.errors import (
@@ -16,6 +20,8 @@ from artigen.errors import (
 )
 from artigen.evaluate import evaluate
 from artigen.export import (
+    _DOCUMENTS,
+    _XmlWriter,
     _names,
     export_bundle,
     export_mjcf,
@@ -39,6 +45,7 @@ from helpers import (
     parsed_inertials,
     pose_parsed_model,
     pose_tolerance,
+    reference_document,
 )
 
 
@@ -281,20 +288,24 @@ class TestBundle:
         assert len(list((tmp_path / "both").rglob("*"))) == len(list((tmp_path / "one").rglob("*")))
 
     def test_one_format_exports_format_each_mesh_once(self, tmp_path, monkeypatch):
-        import artigen.geometry
+        import artigen.evaluate
         from artigen.generators import build_instance
 
         calls = []
-        real = artigen.geometry._format_floats
-        monkeypatch.setattr(artigen.geometry, "_format_floats", lambda v: calls.append(v) or real(v))
-        inst = build_instance("door", 3)
-        meshes = {id(m) for l in inst.links if not l.mesh.is_empty for m in (l.mesh, l.hull) if m is not None}
+        real = artigen.evaluate._format_floats
+        monkeypatch.setattr(artigen.evaluate, "_format_floats", lambda v: calls.append(v) or real(v))
+        inst = build_instance("toaster", 3)
+        frames = [l.frame_mesh for l in inst.links if not l.mesh.is_empty]
+        distinct = {(m.vertices.tobytes(), m.triangles.tobytes()) for m in frames}
+        assert len(distinct) < len(frames)  # a duplicate's copies are bit-equal
         export_urdf(inst, tmp_path / "one")
-        assert len(calls) == len(meshes)
+        # Once per distinct frame mesh, and never for a hull.
+        assert len(calls) == len(distinct)
+        assert {id(v) for v in calls} <= {id(m.vertices) for m in inst.frame_meshes}
         export_mjcf(inst, tmp_path / "one")
-        assert len(calls) == len(meshes)
-        export_bundle(build_instance("door", 3), tmp_path / "both", ("urdf", "mjcf"))
-        assert len(calls) == 2 * len(meshes)
+        assert len(calls) == len(distinct)
+        export_bundle(build_instance("toaster", 3), tmp_path / "both", ("urdf", "mjcf"))
+        assert len(calls) == 2 * len(distinct)
 
         def files(root):
             return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -307,18 +318,75 @@ class TestBundle:
         assert not (tmp_path / "x").exists()
 
     def test_generate_both_formats_writes_each_mesh_once(self, tmp_path, monkeypatch, capsys):
-        import artigen.export
         from artigen.cli import main
 
         calls = []
-        real = artigen.export.obj_text
-        monkeypatch.setattr(artigen.export, "obj_text", lambda *a: calls.append(a) or real(*a))
+        real = Path.write_bytes
+
+        def counting(path, data):
+            if path.suffix == ".obj":
+                calls.append(path)
+            return real(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", counting)
         code = main(["generate", "--category", "door", "--seed", "3", "--format", "both",
                      "--out", str(tmp_path)])
         capsys.readouterr()
         assert code == 0
         meshes = list((tmp_path / "door_0003" / "meshes").glob("*.obj"))
         assert meshes and len(calls) == len(meshes)
+
+
+# Text with the characters that XML escapes in attributes, and any other.
+_XML_TEXT = st.text(
+    st.one_of(st.sampled_from('&<>"\'\n\r\t-'), st.characters(blacklist_categories=("Cs",))),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestDirectWriter:
+    @pytest.mark.parametrize("category", CATEGORY_NAMES)
+    def test_documents_match_elementtree(self, category, tmp_path):
+        from artigen.generators import build_instance
+
+        for seed in range(200):
+            inst = build_instance(category, seed)
+            for bundle in export_bundle(inst, tmp_path / "bundle", ("urdf", "mjcf")):
+                expected = reference_document(inst, bundle.format, bundle.mesh_paths)
+                assert bundle.model_path.read_bytes() == expected, (seed, bundle.format)
+
+    def test_element_without_children_closes_itself(self):
+        doc = _XmlWriter()
+        with doc.open("a", {"k": "v"}):
+            with doc.open("b"):
+                pass
+            doc.comment(" c ")
+        root = ET.Element("a", {"k": "v"})
+        ET.SubElement(root, "b")
+        root.append(ET.Comment(" c "))
+        ET.indent(root, space="  ")
+        assert doc.document() == b'<?xml version="1.0" encoding="utf-8"?>\n' + ET.tostring(root) + b"\n"
+
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        base = make_instance("multi_joint_screw")
+        return base, export_urdf(base, tmp_path_factory.mktemp("escape"))
+
+    @settings(deadline=None, max_examples=40)
+    @given(category=_XML_TEXT, labels=st.lists(st.one_of(st.none(), _XML_TEXT), min_size=9, max_size=9))
+    def test_escaping_matches_elementtree(self, exported, category, labels):
+        base, bundle = exported
+        links = tuple(
+            replace(l, label=labels[i % 9], material=labels[(i + 1) % 9])
+            for i, l in enumerate(base.links)
+        )
+        joints = tuple(replace(j, joint_label=labels[(i + 2) % 9]) for i, j in enumerate(base.joints))
+        inst = replace(base, category=category, links=links, joints=joints)
+        names = _names(inst)
+        for fmt, (_, document) in _DOCUMENTS.items():
+            written = document(inst, bundle.mesh_paths, *names)
+            assert written == reference_document(inst, fmt, bundle.mesh_paths)
 
 
 class TestDynamics:

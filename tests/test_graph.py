@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artigen.errors import (
     DocumentParseError,
@@ -1283,6 +1285,31 @@ class TestSerde:
         back = NodeGraph.deserialize(text)
         assert back == g
         assert back.serialize() == text
+
+    def test_oblique_axis_reloads_bit_for_bit(self):
+        g = build_pattern("simple_revolute")
+        (joint,) = [nid for nid, node in g.nodes.items() if node.kind == JOINT_REVOLUTE]
+        g = edited(g, joint, axis=[0.6, 0.0, -0.3])
+        text = g.serialize()
+        assert NodeGraph.deserialize(text).serialize() == text
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        name=st.sampled_from(PATTERN_NAMES),
+        axes=st.lists(
+            st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+                lambda v: sum(c != 0.0 for c in v) >= 2 and math.hypot(*v) > 1e-3
+            ),
+            min_size=1,
+        ),
+    )
+    def test_serialize_is_a_fixed_point_of_deserialize(self, name, axes):
+        g = build_pattern(name)
+        joints = [nid for nid, node in g.nodes.items() if node.kind in (JOINT_REVOLUTE, JOINT_PRISMATIC)]
+        for nid, axis in zip(joints, itertools.cycle(axes)):
+            g = edited(g, nid, axis=list(axis))
+        text = g.serialize()
+        assert NodeGraph.deserialize(text).serialize() == text
 
     def test_omitted_and_given_defaults_are_equal(self):
         def cylinder(**given):

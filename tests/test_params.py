@@ -160,11 +160,14 @@ class TestOverrides:
             ("door", {"width": {"lo": 1.2, "hi": 0.8}}),
             ("door", {"width": {"lo": 99.0}}),
             ("door", {"width": {"std": -1.0}}),
+            ("door", {"width": {"mean": 5.0}}),
+            ("door", {"width": {"lo": 0.8, "hi": 0.9, "mean": 1.0}}),
         ],
         ids=[
             "not-an-object", "not-a-number", "unknown-key",
             "count-below-min", "count-above-max", "choice-outside-labels",
             "reversed-range", "lo-above-entry-hi", "negative-std",
+            "mean-above-range", "mean-above-override-range",
         ],
     )
     def test_malformed_override_names_parameter(self, category, overrides):
@@ -199,6 +202,17 @@ class TestOverrides:
         assert entry.lo == 0.0 and entry.hi == 1.0
         fixed = merge_overrides(space, {"x": {"fixed": 0.9}})
         assert fixed["x"].hi == 0.9
+
+    def test_mean_outside_range_rejected_in_range_builds(self):
+        with pytest.raises(InvalidParameterError, match="'width'"):
+            build_instance("door", 0, overrides={"width": {"mean": 5.0}})
+        space = get_generator("door").space
+        entry = space["width"]
+        mean = 0.5 * (entry.lo + entry.hi)
+        merged = merge_overrides(space, {"width": {"mean": mean, "std": 0.01}})
+        assert (merged["width"].lo, merged["width"].hi) == (entry.lo, entry.hi)
+        inst = build_instance("door", 0, overrides={"width": {"mean": mean, "std": 0.01}})
+        assert abs(inst.params["width"] - mean) < 0.1
 
     def test_normal_clamped(self):
         space = ParameterSpace({"x": Continuous(0.0, 1.0)})
